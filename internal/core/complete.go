@@ -14,6 +14,7 @@ import (
 // the completed description, releases conflict-queued successor
 // descriptions, decrements enablement counters, and advances the phase
 // window when the current phase finishes. It returns the management cost.
+// In steady state it allocates nothing: see the scratch sets on Scheduler.
 func (s *Scheduler) Complete(t Task) Cost {
 	d, ok := s.inflight.take(t.ID)
 	if !ok {
@@ -45,68 +46,86 @@ func (s *Scheduler) Complete(t Task) Cost {
 		s.stats.Releases++
 	}
 
-	// Enablement-counter processing for the phase pair. Counter touches
-	// for conflict-queue-managed granules are not charged: PAX releases
-	// those per description, in O(1), which is exactly why computations
-	// are "described as large, contiguous collections of granules". The
-	// counters are still advanced so that deferred successor-splitting
-	// tasks and phase accounting stay consistent.
+	s.merged.Reset()
+	s.merged.AddRange(d.run)
+	cost += s.settle(pr)
+	s.putDesc(d)
+	return cost
+}
+
+// settle is the tail of completion processing shared by Complete and
+// completeGroup, over the runs just completed in pr (held in s.merged):
+// enablement-counter processing for the phase pair, the subset counter,
+// and the phase-window advance.
+//
+// Counter touches for conflict-queue-managed granules are not charged: PAX
+// releases those per description, in O(1), which is exactly why
+// computations are "described as large, contiguous collections of
+// granules". The counters are still advanced so that deferred
+// successor-splitting tasks and phase accounting stay consistent.
+func (s *Scheduler) settle(pr *phaseRun) Cost {
+	var cost Cost
 	if pr.tab != nil {
-		released := granule.NewSet()
-		charged := 0
-		d.run.Each(func(p granule.ID) {
-			suppressed := false
-			n := pr.tab.Complete(p, func(r granule.ID) {
-				if pr.cqManaged.Contains(r) {
-					suppressed = true
-					return // released by the conflict-queue mechanism
-				}
-				if pr.subsetManaged.Contains(r) {
-					return // released as a unit by the subset counter
-				}
-				released.Add(r)
-			})
-			if !suppressed {
-				charged += n
+		hasNext := int(pr.idx)+1 < len(s.phases)
+		released := &s.released
+		released.Reset()
+		suppressed := false
+		emit := func(r granule.ID) {
+			if pr.cqManaged.Contains(r) {
+				suppressed = true
+				return // released by the conflict-queue mechanism
 			}
-		})
+			if pr.subsetManaged.Contains(r) {
+				return // released as a unit by the subset counter
+			}
+			released.Add(r)
+		}
+		charged := 0
+		for i := 0; i < s.merged.NumRuns(); i++ {
+			run := s.merged.RunAt(i)
+			for p := run.Lo; p < run.Hi; p++ {
+				suppressed = false
+				if n := pr.tab.Complete(p, emit); !suppressed {
+					charged += n
+				}
+			}
+		}
 		if charged > 0 {
 			ec := Cost(charged) * s.opt.Costs.PerEnable
 			s.stats.EnableTouches += int64(charged)
 			s.stats.CompleteCost += ec
 			cost += ec
 		}
-		if !released.Empty() && int(d.phase)+1 < len(s.phases) {
-			cost += s.releaseSet(s.phases[int(d.phase)+1], released)
+		if !released.Empty() && hasNext {
+			cost += s.releaseSet(s.phases[int(pr.idx)+1], released)
 		}
 
 		// Subset counter: the paper's status-bit-plus-counter mechanism.
 		if pr.subsetCounter.Armed() {
-			hits := pr.subsetPreds.CountRange(d.run)
 			fired := false
-			for i := 0; i < hits; i++ {
-				if pr.subsetCounter.Dec() {
-					fired = true
+			for i := 0; i < s.merged.NumRuns(); i++ {
+				hits := pr.subsetPreds.CountRange(s.merged.RunAt(i))
+				for ; hits > 0; hits-- {
+					if pr.subsetCounter.Dec() {
+						fired = true
+					}
 				}
 			}
-			if fired && int(d.phase)+1 < len(s.phases) {
+			if fired && hasNext {
 				subset := pr.subsetManaged
 				pr.subsetManaged = granule.NewSet()
-				cost += s.releaseSet(s.phases[int(d.phase)+1], subset)
+				cost += s.releaseSet(s.phases[int(pr.idx)+1], subset)
 			}
 		}
 	}
 
 	if pr.nComplete >= pr.total {
+		pr.state = PhaseComplete
 		if int(pr.idx) == s.current {
-			pr.state = PhaseComplete
 			s.current++
 			cost += s.advance()
-		} else {
-			pr.state = PhaseComplete
 		}
 	}
-	s.putDesc(d)
 	return cost
 }
 
@@ -156,8 +175,9 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 	// Task runs are pairwise disjoint (the dispatch path guards against
 	// double dispatch), so the per-task double-completion check against
 	// the already-completed set mirrors sequential semantics.
-	merged := granule.NewSet()
-	var succ *granule.Set // conflict-released successor granules
+	merged, succ := &s.merged, &s.succ // succ: conflict-released successor granules
+	merged.Reset()
+	succ.Reset()
 	for _, t := range ts {
 		d, ok := s.inflight.take(t.ID)
 		if !ok {
@@ -168,26 +188,23 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 		}
 		merged.AddRange(d.run)
 		if !d.succ.Empty() {
-			if succ == nil {
-				succ = granule.NewSet()
-			}
 			succ.AddRange(d.succ)
 			d.succ = granule.Range{}
 		}
 		s.putDesc(d)
 	}
-	for _, r := range merged.Runs() {
-		pr.completed.AddRange(r)
+	for i := 0; i < merged.NumRuns(); i++ {
+		pr.completed.AddRange(merged.RunAt(i))
 	}
 	pr.nComplete += merged.Len()
 
 	// Release the conflict-queued successors as coalesced descriptions,
 	// ahead of normal work — one queue insertion per contiguous run
 	// instead of one per drained description.
-	if succ != nil && int(pr.idx)+1 < len(s.phases) {
+	if int(pr.idx)+1 < len(s.phases) {
 		next := s.phases[int(pr.idx)+1]
-		for _, run := range succ.Runs() {
-			cost += s.pushDesc(s.getDesc(next.idx, run), s.releasedClass())
+		for i := 0; i < succ.NumRuns(); i++ {
+			cost += s.pushDesc(s.getDesc(next.idx, succ.RunAt(i)), s.releasedClass())
 			s.stats.Releases++
 		}
 	}
@@ -195,63 +212,5 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 	// Enablement-counter processing over the merged runs, with the same
 	// suppression rules and cost charges as the sequential path; the
 	// released successors of the whole group coalesce into one release.
-	if pr.tab != nil {
-		released := granule.NewSet()
-		charged := 0
-		for _, run := range merged.Runs() {
-			run.Each(func(p granule.ID) {
-				suppressed := false
-				n := pr.tab.Complete(p, func(r granule.ID) {
-					if pr.cqManaged.Contains(r) {
-						suppressed = true
-						return // released by the conflict-queue mechanism
-					}
-					if pr.subsetManaged.Contains(r) {
-						return // released as a unit by the subset counter
-					}
-					released.Add(r)
-				})
-				if !suppressed {
-					charged += n
-				}
-			})
-		}
-		if charged > 0 {
-			ec := Cost(charged) * s.opt.Costs.PerEnable
-			s.stats.EnableTouches += int64(charged)
-			s.stats.CompleteCost += ec
-			cost += ec
-		}
-		if !released.Empty() && int(pr.idx)+1 < len(s.phases) {
-			cost += s.releaseSet(s.phases[int(pr.idx)+1], released)
-		}
-
-		if pr.subsetCounter.Armed() {
-			fired := false
-			for _, run := range merged.Runs() {
-				hits := pr.subsetPreds.CountRange(run)
-				for i := 0; i < hits; i++ {
-					if pr.subsetCounter.Dec() {
-						fired = true
-					}
-				}
-			}
-			if fired && int(pr.idx)+1 < len(s.phases) {
-				subset := pr.subsetManaged
-				pr.subsetManaged = granule.NewSet()
-				cost += s.releaseSet(s.phases[int(pr.idx)+1], subset)
-			}
-		}
-	}
-
-	if pr.nComplete >= pr.total {
-		if int(pr.idx) == s.current {
-			pr.state = PhaseComplete
-			s.current++
-			cost += s.advance()
-		} else {
-			pr.state = PhaseComplete
-		}
-	}
-	return cost
+	return cost + s.settle(pr)
 }

@@ -1,0 +1,232 @@
+package core
+
+import (
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/enable"
+	"repro/internal/granule"
+)
+
+// TestCompletionSteadyStateAllocs gates the allocation-free completion
+// path: after warm-up, dispatching and completing tasks of a two-phase
+// chain allocates nothing per task, one completion at a time and in
+// batches, on every mapping kind with a distinct release path. (The
+// reverse-indirect and seam chains queue their released successors as
+// many small descriptions, which grow the description slab once per 256;
+// AllocsPerRun's integer average reads that as the 0 it amortizes to.)
+func TestCompletionSteadyStateAllocs(t *testing.T) {
+	const n = 1 << 12
+	chains := []struct {
+		name string
+		spec *enable.Spec
+		via  IdentityMode
+	}{
+		{"identity/conflict-queue", enable.NewIdentity(), IdentityConflictQueue},
+		{"identity/table", enable.NewIdentity(), IdentityTable},
+		{"universal", enable.NewUniversal(), 0},
+		{"seam", enable.NewSeam(func(r granule.ID) []granule.ID {
+			req := []granule.ID{r}
+			if r > 0 {
+				req = append(req, r-1)
+			}
+			if r < n-1 {
+				req = append(req, r+1)
+			}
+			return req
+		}), 0},
+		{"reverse-indirect", enable.NewReverse(func(r granule.ID) []granule.ID {
+			return []granule.ID{r, (r*7 + 3) % n}
+		}), 0},
+	}
+	for _, c := range chains {
+		for _, batch := range []int{1, 4} {
+			prog := mustProgram(t,
+				&Phase{Name: "a", Granules: n, Enable: c.spec},
+				&Phase{Name: "b", Granules: n},
+			)
+			s, err := New(prog, Options{
+				Workers: 4, Grain: 2, Overlap: true, IdentityVia: c.via, Costs: DefaultCosts(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Start()
+			for s.HasDeferred() {
+				s.DeferredMgmt()
+			}
+			buf := make([]Task, 0, batch)
+			step := func() {
+				ts, _ := s.NextTasks(buf[:0], batch)
+				if len(ts) != batch {
+					t.Fatalf("%s: ran out of tasks", c.name)
+				}
+				if batch == 1 {
+					s.Complete(ts[0])
+				} else {
+					s.CompleteBatch(ts)
+				}
+			}
+			for i := 0; i < 128; i++ {
+				step()
+			}
+			if got := testing.AllocsPerRun(256, step); got != 0 {
+				t.Errorf("%s, %d completions per call: %v allocations per call, want 0", c.name, batch, got)
+			}
+			if err := s.Check(); err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+		}
+	}
+}
+
+// randomMonotoneProgram builds a random chain over every mapping kind,
+// with the indirect maps order-preserving: completing current granules in
+// ascending order enables successor granules in ascending order.
+func randomMonotoneProgram(t *testing.T, rng *rand.Rand) *Program {
+	t.Helper()
+	nPhases := 2 + rng.Intn(4)
+	phases := make([]*Phase, nPhases)
+	for i := range phases {
+		phases[i] = &Phase{Name: string(rune('a' + i)), Granules: 1 + rng.Intn(48)}
+	}
+	for i := 0; i < nPhases-1; i++ {
+		nPred, nSucc := phases[i].Granules, phases[i+1].Granules
+		switch rng.Intn(5) {
+		case 0: // null
+		case 1:
+			phases[i].Enable = enable.NewUniversal()
+		case 2:
+			phases[i].Enable = enable.NewIdentity()
+		case 3:
+			imap := make([]granule.ID, nPred)
+			for p := range imap {
+				imap[p] = granule.ID(p * nSucc / nPred)
+			}
+			phases[i].Enable = enable.NewForwardIMAP(imap)
+		case 4:
+			fan := 1 + rng.Intn(3)
+			phases[i].Enable = enable.NewSeam(func(r granule.ID) []granule.ID {
+				var req []granule.ID
+				for p := int(r); p < int(r)+fan && p < nPred; p++ {
+					req = append(req, granule.ID(p))
+				}
+				return req
+			})
+		}
+	}
+	return mustProgram(t, phases...)
+}
+
+// TestCompleteBatchMatchesComplete drives two schedulers over the same
+// random program in lock-step — one applying every completion with
+// Complete, the other applying the same completions as CompleteBatch
+// calls over a random partition — and requires that they stay
+// indistinguishable to a driver: every subsequent NextTasks call returns
+// identical tasks, and the per-task and per-granule statistics agree. It
+// guards the scheduler's completion scratch sets: a set still in use when
+// a nested release or phase-window advance refills it would lose or
+// duplicate successor granules, and the dispatch streams would diverge.
+//
+// Grain is 1, the mappings are order-preserving and each step's
+// completions are applied in (phase, granule) order, so that the one
+// difference CompleteBatch is designed to make — it queues a group's
+// released successors as coalesced descriptions, fewer and larger —
+// cannot reorder granules. That difference is also why Releases, Splits
+// and the costs that count queue insertions are not compared: fewer of
+// them is the point of batching. Successors are released by one mechanism
+// only — the enablement table, no conflict queues, no elevated subset —
+// because a group applies each mechanism's releases for all its tasks
+// before the next mechanism's, where Complete interleaves them task by
+// task; TestQuickRandomPrograms covers those, and arbitrary maps, under
+// CompleteBatch against the dependence checker.
+func TestCompleteBatchMatchesComplete(t *testing.T) {
+	rng := rand.New(rand.NewSource(19860812))
+	for iter := 0; iter < 300; iter++ {
+		prog := randomMonotoneProgram(t, rng)
+		workers := 1 + rng.Intn(8)
+		opt := Options{
+			Workers:       workers,
+			Grain:         1,
+			Overlap:       rng.Intn(6) != 0,
+			IdentityVia:   IdentityTable,
+			ReleasedAhead: rng.Intn(2) == 0,
+			InlineMaps:    rng.Intn(2) == 0,
+			Costs:         DefaultCosts(),
+		}
+		one, err := New(prog, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bat, _ := New(prog, opt)
+		one.Start()
+		bat.Start()
+
+		var inflight []Task
+		for step := 0; !one.Done(); step++ {
+			// Refill both to `workers` in flight; the streams must agree.
+			for len(inflight) < workers {
+				want := workers - len(inflight)
+				a, _ := one.NextTasks(nil, want)
+				b, _ := bat.NextTasks(nil, want)
+				if len(a) != len(b) {
+					t.Fatalf("iter %d step %d: one-by-one dispatched %v, batched %v", iter, step, a, b)
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("iter %d step %d: dispatch %d differs: one-by-one %v, batched %v", iter, step, i, a[i], b[i])
+					}
+				}
+				inflight = append(inflight, a...)
+				if len(a) < want {
+					if !one.HasDeferred() {
+						break
+					}
+					one.DeferredMgmt()
+					bat.DeferredMgmt()
+				}
+			}
+			if len(inflight) == 0 {
+				t.Fatalf("iter %d step %d: nothing in flight, not done", iter, step)
+			}
+			// Complete a random subset, in (phase, granule) order.
+			rng.Shuffle(len(inflight), func(i, j int) { inflight[i], inflight[j] = inflight[j], inflight[i] })
+			k := 1 + rng.Intn(len(inflight))
+			done := inflight[:k]
+			sort.Slice(done, func(i, j int) bool {
+				if done[i].Phase != done[j].Phase {
+					return done[i].Phase < done[j].Phase
+				}
+				return done[i].Run.Lo < done[j].Run.Lo
+			})
+			for _, task := range done {
+				one.Complete(task)
+			}
+			for rest := done; len(rest) > 0; {
+				cut := 1 + rng.Intn(len(rest))
+				bat.CompleteBatch(rest[:cut])
+				rest = rest[cut:]
+			}
+			inflight = append(inflight[:0], inflight[k:]...)
+			for _, s := range []*Scheduler{one, bat} {
+				if err := s.Check(); err != nil {
+					t.Fatalf("iter %d step %d: %v", iter, step, err)
+				}
+			}
+			if one.Done() != bat.Done() || one.CurrentPhase() != bat.CurrentPhase() || one.Ready() != bat.Ready() {
+				t.Fatalf("iter %d step %d: one-by-one at phase %d with %d ready, batched at phase %d with %d ready",
+					iter, step, one.CurrentPhase(), one.Ready(), bat.CurrentPhase(), bat.Ready())
+			}
+		}
+		a, b := one.Stats(), bat.Stats()
+		// Blank what coalescing is meant to change.
+		for _, st := range []*Stats{&a, &b} {
+			st.Releases, st.Splits = 0, 0
+			st.DispatchCost, st.SplitCost = 0, 0
+		}
+		if a != b {
+			t.Fatalf("iter %d: statistics differ\none-by-one %+v\nbatched    %+v", iter, a, b)
+		}
+	}
+}

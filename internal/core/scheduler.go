@@ -76,6 +76,16 @@ type Scheduler struct {
 	// itself.
 	freeDescs []*desc
 	descSlab  []desc
+
+	// Completion scratch, reused across Complete/CompleteBatch calls so
+	// steady-state completion processing allocates nothing: the runs being
+	// completed (one for Complete, the coalesced group for completeGroup),
+	// the group's conflict-released successor granules, and the successor
+	// granules the enablement counters released. Each is filled and
+	// consumed within one completion, before the phase-window advance —
+	// whose own releases (publishPair, planSubset) build private sets — so
+	// no nested call ever sees one in use.
+	merged, succ, released granule.Set
 }
 
 // getDesc returns a recycled description, or a fresh one when the free

@@ -104,6 +104,14 @@ func (c *depChecker) onComplete(task Task) {
 // and exactly-once dispatch throughout, returning the full trace.
 func runDriver(t *testing.T, s *Scheduler, workers int, rng *rand.Rand) []traceEvent {
 	t.Helper()
+	return drive(t, s, workers, rng, false)
+}
+
+// drive is runDriver's body. With batched set (rng must be non-nil) each
+// step completes a random number of in-flight tasks in one CompleteBatch
+// call instead of one task with Complete.
+func drive(t *testing.T, s *Scheduler, workers int, rng *rand.Rand, batched bool) []traceEvent {
+	t.Helper()
 	chk := newDepChecker(t, s.Program())
 	dispatched := make([]map[granule.ID]bool, len(s.Program().Phases))
 	for i := range dispatched {
@@ -148,8 +156,20 @@ func runDriver(t *testing.T, s *Scheduler, workers int, rng *rand.Rand) []traceE
 		task := inflight[idx]
 		inflight = append(inflight[:idx], inflight[idx+1:]...)
 		chk.onComplete(task)
-		s.Complete(task)
 		trace = append(trace, traceEvent{dispatch: false, task: task})
+		if batched {
+			rng.Shuffle(len(inflight), func(i, j int) { inflight[i], inflight[j] = inflight[j], inflight[i] })
+			k := rng.Intn(len(inflight) + 1)
+			batch := append([]Task{task}, inflight[:k]...)
+			inflight = inflight[k:]
+			for _, bt := range batch[1:] {
+				chk.onComplete(bt)
+				trace = append(trace, traceEvent{dispatch: false, task: bt})
+			}
+			s.CompleteBatch(batch)
+		} else {
+			s.Complete(task)
+		}
 		if err := s.Check(); err != nil {
 			t.Fatalf("invariant violated after %v: %v", task, err)
 		}
@@ -640,7 +660,8 @@ func TestCompleteUnknownTaskPanics(t *testing.T) {
 }
 
 // TestQuickRandomPrograms drives random programs with random mappings,
-// worker counts and completion orders, validating dependences, exactly-once
+// worker counts and completion orders — one completion at a time, then in
+// random CompleteBatch groups — validating dependences, exactly-once
 // dispatch and scheduler invariants throughout.
 func TestQuickRandomPrograms(t *testing.T) {
 	if testing.Short() {
@@ -713,11 +734,13 @@ func TestQuickRandomPrograms(t *testing.T) {
 			SubsetSize:    1 + rng.Intn(10),
 			Costs:         DefaultCosts(),
 		}
-		s, err := New(prog, opt)
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
+		for _, batched := range []bool{false, true} {
+			s, err := New(prog, opt)
+			if err != nil {
+				t.Fatalf("iter %d: %v", iter, err)
+			}
+			drive(t, s, workers, rng, batched)
 		}
-		runDriver(t, s, workers, rng)
 	}
 }
 

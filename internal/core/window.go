@@ -220,8 +220,8 @@ func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 	ready := tab.ReadyAtStart().Clone()
 	if !pr.completed.Empty() {
 		touched := 0
-		for _, r := range pr.completed.Runs() {
-			touched += tab.CompleteRange(r, ready)
+		for i := 0; i < pr.completed.NumRuns(); i++ {
+			touched += tab.CompleteRange(pr.completed.RunAt(i), ready)
 		}
 		s.stats.CatchUps += int64(touched)
 		ccost := Cost(touched) * s.opt.Costs.PerEnable
@@ -238,8 +238,8 @@ func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 	if next.state == PhaseCurrent {
 		class = queue.Normal
 	}
-	for _, run := range ready.Runs() {
-		cost += s.enqueueRange(next, run, class)
+	for i := 0; i < ready.NumRuns(); i++ {
+		cost += s.enqueueRange(next, ready.RunAt(i), class)
 		s.stats.Releases++
 	}
 
@@ -391,8 +391,8 @@ func (s *Scheduler) elevate(pr *phaseRun, preds *granule.Set) Cost {
 // released class.
 func (s *Scheduler) releaseSet(next *phaseRun, set *granule.Set) Cost {
 	var cost Cost
-	for _, run := range set.Runs() {
-		cost += s.enqueueRange(next, run, s.releasedClass())
+	for i := 0; i < set.NumRuns(); i++ {
+		cost += s.enqueueRange(next, set.RunAt(i), s.releasedClass())
 		s.stats.Releases++
 	}
 	return cost

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -85,7 +86,7 @@ type async struct {
 
 	mgmtNS       atomic.Int64 // state-machine time of management cycles
 	idleNS       atomic.Int64 // worker time blocked on the empty ready buffer
-	lastDrain    atomic.Int64 // UnixNano of the last finished management cycle
+	lastDrain    atomic.Int64 // clock.Stamp of the last finished management cycle
 	inlineCycles atomic.Int64 // fallback cycles run on worker goroutines
 
 	// Management-side scratch, guarded by smMu: the refill buffer handed
@@ -155,11 +156,10 @@ func (m *async) Join() { <-m.loopDone }
 // workers find work immediately, and spawns the management goroutine.
 func (m *async) Start() {
 	m.smMu.Lock()
-	m0 := time.Now()
+	t0 := clock.Now()
 	m.sm.Start()
 	m.refillLocked()
-	m.mgmtNS.Add(int64(time.Since(m0)))
-	m.lastDrain.Store(time.Now().UnixNano())
+	m.charge(t0)
 	m.smMu.Unlock()
 	go m.loop()
 }
@@ -181,7 +181,7 @@ func (m *async) loop() {
 // its own lock inside it, and holds that lock while probing this manager).
 func (m *async) cycle() bool {
 	m.smMu.Lock()
-	alive, progressed := m.cycleLocked()
+	alive, progressed := m.cycleLocked(clock.Now())
 	m.smMu.Unlock()
 	if progressed && m.notify != nil {
 		m.notify()
@@ -194,7 +194,12 @@ func (m *async) cycle() bool {
 // Caller holds smMu. It returns alive=false when the run is over and
 // progressed=true when completions were applied, tasks were buffered, or
 // the run finished — the events a pool parked elsewhere must hear about.
-func (m *async) cycleLocked() (alive, progressed bool) {
+//
+// The cycle keeps one clock chain: t0 is the caller's reading after it
+// took smMu, and each pass's single reading (charge) closes one management
+// interval, opens the next, and is the drain watermark workers compare
+// their own stamps against.
+func (m *async) cycleLocked(t0 clock.Stamp) (alive, progressed bool) {
 	if m.finished.Load() {
 		return false, false
 	}
@@ -208,7 +213,6 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 			m.finishLocked()
 			return false, true
 		}
-		m0 := time.Now()
 		drained := m.drainLocked()
 		if drained {
 			progressed = true
@@ -216,7 +220,7 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 		if m.failed.Load() {
 			// A recovered completion-processing panic may have left the
 			// state machine inconsistent; do not touch it again.
-			m.mgmtNS.Add(int64(time.Since(m0)))
+			m.charge(t0)
 			m.finishLocked()
 			return false, true
 		}
@@ -225,7 +229,7 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 			progressed = true
 		}
 		done := m.sm.Done()
-		m.mgmtNS.Add(int64(time.Since(m0)))
+		t0 = m.charge(t0)
 		if done {
 			m.finishLocked()
 			return false, true
@@ -235,10 +239,9 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 		// ready buffer is healthy, and absorb it whenever a refill came
 		// up empty — it may be the only source of new releases. One unit
 		// per iteration keeps the loop responsive to arriving completions.
+		// The next pass's reading charges it.
 		if m.sm.HasDeferred() && (len(m.ready) > m.lowWater || !refilled) {
-			m1 := time.Now()
 			_, _ = m.sm.DeferredMgmt()
-			m.mgmtNS.Add(int64(time.Since(m1)))
 			continue
 		}
 
@@ -254,14 +257,22 @@ func (m *async) cycleLocked() (alive, progressed bool) {
 				m.finishLocked()
 				return false, true
 			}
-			m.lastDrain.Store(time.Now().UnixNano())
 			return true, progressed
 		}
 
 		// Progress was made; go around again — more completions may have
 		// landed while we refilled.
-		m.lastDrain.Store(time.Now().UnixNano())
 	}
+}
+
+// charge closes the management interval that began at t0 with one clock
+// reading, publishes it as the drain watermark, and returns it as the
+// start of the next interval. Caller holds smMu.
+func (m *async) charge(t0 clock.Stamp) clock.Stamp {
+	now := clock.Now()
+	m.mgmtNS.Add(int64(now - t0))
+	m.lastDrain.Store(int64(now))
+	return now
 }
 
 // drainLocked applies queued completions in batches of m.batch. Caller
@@ -283,14 +294,9 @@ func (m *async) drainLocked() bool {
 			return any
 		}
 		any = true
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					m.fail(fmt.Errorf("executive: completion processing panicked: %v", r))
-				}
-			}()
-			m.sm.CompleteBatch(buf)
-		}()
+		if err := applyBatch(m.sm, buf); err != nil {
+			m.fail(err)
+		}
 		if m.failed.Load() {
 			return any
 		}
@@ -356,17 +362,21 @@ func (m *async) ring() {
 // goroutine if the state machine is free — the shared body of every
 // worker-side fallback. It never blocks behind a live management
 // goroutine, and fires the pool notify outside the lock exactly as the
-// management goroutine's own cycle does.
-func (m *async) tryInlineCycle() {
+// management goroutine's own cycle does. at is the worker's latest clock
+// reading; the stamp returned is at when no cycle ran and a fresh reading
+// after one did, so the cycle's time stays out of the worker's next
+// compute interval.
+func (m *async) tryInlineCycle(at clock.Stamp) clock.Stamp {
 	if !m.smMu.TryLock() {
-		return
+		return at
 	}
 	m.inlineCycles.Add(1)
-	_, progressed := m.cycleLocked()
+	_, progressed := m.cycleLocked(at)
 	m.smMu.Unlock()
 	if progressed && m.notify != nil {
 		m.notify()
 	}
+	return clock.Now()
 }
 
 // helpIfStale runs a management cycle on this worker goroutine when the
@@ -374,12 +384,14 @@ func (m *async) tryInlineCycle() {
 // the drain-latency watermark. This is the no-spare-core degradation
 // path — with GOMAXPROCS too small for a dedicated management thread the
 // async manager behaves like a coarse-grained locked manager instead of
-// letting workers spin behind a starved thread.
-func (m *async) helpIfStale() {
-	if time.Now().UnixNano()-m.lastDrain.Load() < int64(asyncDrainStale) {
-		return
+// letting workers spin behind a starved thread. The watermark is compared
+// against at, the reading the worker already holds (its last task's
+// compute-end), so the check costs no clock read.
+func (m *async) helpIfStale(at clock.Stamp) clock.Stamp {
+	if at.Sub(clock.Stamp(m.lastDrain.Load())) < asyncDrainStale {
+		return at
 	}
-	m.tryInlineCycle()
+	return m.tryInlineCycle(at)
 }
 
 // vet filters a ready-channel receive: a closed channel or a raised abort
@@ -396,33 +408,30 @@ func (m *async) vet(t core.Task, ok bool) (core.Task, bool) {
 // slow path ring the doorbell (so the management goroutine re-evaluates
 // after the last completion), help inline past the watermark, then park
 // in the receive — the next refill's send is the targeted wakeup.
-func (m *async) Next(w int) (core.Task, bool) {
-	select {
-	case t, ok := <-m.ready:
-		return m.vet(t, ok)
-	default:
+//
+// The stamp returned with a task is a reading taken once it is in hand.
+// Unlike the sharded manager's deque pop, the worker-side hand-off here —
+// a completion pushed through the MPSC ring, a doorbell, a channel
+// receive — costs many times a fine-grain task's work, so it is kept out
+// of the task's compute interval; as before it is charged to no share
+// (Mgmt is the management goroutine's state-machine time).
+func (m *async) Next(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	t, at, ok, dry := m.poll(at)
+	if !dry {
+		return t, at, ok
 	}
-	if m.failed.Load() {
-		return core.Task{}, false
-	}
-	m.ring()
-	m.helpIfStale()
-	select {
-	case t, ok := <-m.ready:
-		return m.vet(t, ok)
-	default:
-	}
-	i0 := time.Now()
+	i0 := clock.Now()
 	if m.rec != nil {
-		m.rec.Ring(w).Record(trace.KPark, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
+		m.rec.Ring(w).Record(trace.KPark, m.rec.At(i0), int32(w), 0, -1, 0, 0, 0)
 	}
-	t, ok := <-m.ready
-	d := time.Since(i0)
-	m.idleNS.Add(int64(d))
+	t, ok = <-m.ready
+	now := clock.Now()
+	m.idleNS.Add(int64(now - i0))
 	if m.rec != nil {
-		m.rec.Ring(w).Record(trace.KUnpark, m.rec.Now(), int32(w), 0, -1, 0, 0, int64(d))
+		m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(now), int32(w), 0, -1, 0, 0, int64(now-i0))
 	}
-	return m.vet(t, ok)
+	t, ok = m.vet(t, ok)
+	return t, now, ok
 }
 
 // TryNext is the non-blocking Next the multi-tenant pool drives. Unlike
@@ -431,22 +440,32 @@ func (m *async) Next(w int) (core.Task, bool) {
 // so ok=false means "nothing buffered right now": the doorbell has been
 // rung, and the pool's progress callback (Notifier) fires when the
 // management goroutine produces work, waking pool-parked workers.
-func (m *async) TryNext(w int) (core.Task, bool) {
+func (m *async) TryNext(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	t, at, ok, _ := m.poll(at)
+	return t, at, ok
+}
+
+// poll is the non-blocking part of Next: receive, else ring the doorbell,
+// help inline past the watermark, and receive once more. dry reports that
+// the buffer was still empty (and the run not failed) after all that.
+func (m *async) poll(at clock.Stamp) (t core.Task, now clock.Stamp, ok, dry bool) {
 	if m.failed.Load() {
-		return core.Task{}, false
+		return core.Task{}, at, false, false
 	}
 	select {
-	case t, ok := <-m.ready:
-		return m.vet(t, ok)
+	case t, ok = <-m.ready:
+		t, ok = m.vet(t, ok)
+		return t, clock.Now(), ok, false
 	default:
 	}
 	m.ring()
-	m.helpIfStale()
+	at = m.helpIfStale(at)
 	select {
-	case t, ok := <-m.ready:
-		return m.vet(t, ok)
+	case t, ok = <-m.ready:
+		t, ok = m.vet(t, ok)
+		return t, clock.Now(), ok, false
 	default:
-		return core.Task{}, false
+		return core.Task{}, at, false, true
 	}
 }
 
@@ -456,32 +475,39 @@ func (m *async) TryNext(w int) (core.Task, bool) {
 // released by this call — the pool learns about releases through the
 // Notifier callback instead. A completion arriving after the run failed
 // is dropped, matching the other managers' post-failure contract.
-func (m *async) Complete(w int, t core.Task) bool {
+func (m *async) Complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
 	if m.failed.Load() || m.finished.Load() {
-		return false
+		return at, false
 	}
 	for !m.comp.push(t) {
 		// Queue full: the management goroutine is far behind. Help drain
 		// inline, or yield to whoever currently owns the state machine.
 		if m.failed.Load() || m.finished.Load() {
-			return false
+			return at, false
 		}
-		m.tryInlineCycle()
+		at = m.tryInlineCycle(clock.Now())
 		runtime.Gosched()
 	}
 	m.ring()
 	if m.comp.size() >= int64(m.batch) {
-		m.helpIfStale()
+		at = m.helpIfStale(at)
 	}
-	return false
+	return at, false
+}
+
+// CompleteNext is Complete then Next: workers never touch the
+// state-machine lock, so there is no critical section to fuse.
+func (m *async) CompleteNext(w int, done core.Task, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	at, _ = m.Complete(w, done, at)
+	return m.Next(w, at)
 }
 
 // Flush has nothing to flush — completions are already queued to the
 // management goroutine; it just rings the doorbell so they are applied
 // promptly once the worker moves to another job.
-func (m *async) Flush(w int) bool {
+func (m *async) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
 	m.ring()
-	return false
+	return at, false
 }
 
 // Done reports whether the state machine has completed every phase.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/granule"
@@ -117,7 +118,7 @@ func TestAsyncInlineFallback(t *testing.T) {
 	m := newAsync(sched, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 4, Batch: 1})
 	m.Start()
 	for {
-		task, ok := m.Next(0)
+		task, _, ok := m.Next(0, clock.Now())
 		if !ok {
 			break
 		}
@@ -126,7 +127,7 @@ func TestAsyncInlineFallback(t *testing.T) {
 		// Pretend the management goroutine has been descheduled since the
 		// epoch: the completion's watermark check must drain inline.
 		m.lastDrain.Store(1)
-		m.Complete(0, task)
+		m.Complete(0, task, clock.Now())
 	}
 	m.Join()
 	if err := m.Err(); err != nil {
@@ -164,7 +165,7 @@ func TestAsyncAbortReleasesWorkers(t *testing.T) {
 	}
 	m := newAsync(sched, Config{Workers: 2, Manager: AsyncManager})
 	m.Start()
-	if _, ok := m.Next(0); !ok {
+	if _, _, ok := m.Next(0, clock.Now()); !ok {
 		t.Fatal("no first task")
 	}
 	done := make(chan bool)
@@ -172,7 +173,7 @@ func TestAsyncAbortReleasesWorkers(t *testing.T) {
 		// Parks once the buffer drains (worker 0 never completes, so the
 		// program cannot finish), released only by the abort.
 		for {
-			if _, ok := m.Next(1); !ok {
+			if _, _, ok := m.Next(1, clock.Now()); !ok {
 				done <- true
 				return
 			}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/granule"
@@ -175,14 +176,13 @@ func TestManagerDoneInvariant(t *testing.T) {
 		for w := 0; w < workers; w++ {
 			go func(w int) {
 				defer wg.Done()
-				for {
-					task, ok := mgr.Next(w)
-					if !ok {
+				task, _, ok := mgr.Next(w, clock.Now())
+				for ok {
+					if err := RunTask(prog.Phases[task.Phase].Work, task); err != nil {
+						mgr.Abort(err)
 						return
 					}
-					work := prog.Phases[task.Phase].Work
-					task.Run.Each(func(g granule.ID) { work(g) })
-					mgr.Complete(w, task)
+					task, _, ok = mgr.CompleteNext(w, task, clock.Now())
 				}
 			}(w)
 		}
@@ -229,8 +229,11 @@ func TestManagerRace(t *testing.T) {
 				Enable: enable.NewUniversal(),
 			},
 			&core.Phase{
+				// square -> mix is Universal: mix may run beside square, so
+				// it reads only what fill produced (fill completed before
+				// square became current and mix was initiated).
 				Name: "mix", Granules: n,
-				Work: func(g granule.ID) { c[g] = b[g] + 1 },
+				Work: func(g granule.ID) { c[g] = a[g]*a[g] + 1 },
 				Enable: enable.NewReverse(func(r granule.ID) []granule.ID {
 					return []granule.ID{2 * r, 2*r + 1}
 				}),
@@ -256,6 +259,9 @@ func TestManagerRace(t *testing.T) {
 			want := i*i + 1 + j*j + 1
 			if d[g] != want {
 				t.Fatalf("%v: d[%d] = %d, want %d", kind, g, d[g], want)
+			}
+			if b[i] != i*i || b[j] != j*j {
+				t.Fatalf("%v: b[%d], b[%d] = %d, %d, want %d, %d", kind, i, j, b[i], b[j], i*i, j*j)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 )
 
@@ -109,7 +110,7 @@ func BenchmarkDequeShardSteal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.load(1, load)
 		for {
-			if _, ok := m.steal(0); !ok {
+			if _, _, ok := m.steal(0, clock.Now()); !ok {
 				break
 			}
 			m.drainNoAlloc(0)

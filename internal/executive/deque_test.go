@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 )
 
@@ -310,7 +311,7 @@ func TestShardStealZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		m.load(1, load)
 		for {
-			if _, ok := m.steal(0); !ok {
+			if _, _, ok := m.steal(0, clock.Now()); !ok {
 				break
 			}
 			m.drainNoAlloc(0)

@@ -30,9 +30,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/granule"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -105,8 +105,8 @@ type Config struct {
 	// registry's Prometheus/expvar exposition. All durations are
 	// wall-clock nanoseconds. The run always keeps its core counters in a
 	// metric set (a private one when this is nil); a caller-provided set
-	// additionally turns on the fine-grained latency histograms, which
-	// cost one extra clock reading per dispatch.
+	// additionally turns on the fine-grained latency histograms (the
+	// worker already holds both ends of every interval they observe).
 	Metrics *telemetry.Set
 }
 
@@ -189,8 +189,8 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 	// The engine's task/compute accounting lives in a telemetry set either
 	// way — sharded per-worker counters contend less than the shared
 	// atomics they replace. A caller-provided set additionally enables the
-	// fine-grained latency histograms (one extra clock reading per
-	// dispatch) and is what the registry exposes over Prometheus/expvar.
+	// fine-grained latency histograms and is what the registry exposes
+	// over Prometheus/expvar.
 	fine := cfg.Metrics != nil
 	met := cfg.Metrics
 	if met == nil {
@@ -223,7 +223,7 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 		rec.Emit(trace.KStart, rec.Now(), -1, 0, -1, 0, 0, 0)
 	}
 
-	start := time.Now()
+	start := clock.Now()
 	e.start = start
 	mgr.Start()
 	// Lifecycle metrics mirror the simulator's dump shape: one job,
@@ -284,7 +284,7 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 		return nil, err
 	}
 
-	wall := time.Since(start)
+	wall := clock.Now().Sub(start)
 	if rec := cfg.Trace; rec != nil {
 		rec.Emit(trace.KFinish, rec.Now(), -1, 0, -1, 0, 0, 0)
 	}
@@ -328,13 +328,12 @@ type engine struct {
 	// off); start anchors Rule.After wall-clock offsets and live is the
 	// WorkerCrash floor — the last live worker refuses to crash.
 	plan  *fault.Plan
-	start time.Time
+	start clock.Stamp
 	live  atomic.Int64
 
 	// met holds the run's counters (always non-nil: a private registry
 	// when the caller configured none) on padded per-worker shards; fine
-	// additionally enables the latency histograms, which need an extra
-	// clock reading per dispatch.
+	// additionally enables the latency histograms.
 	met  *telemetry.Set
 	fine bool
 
@@ -368,60 +367,62 @@ func (e *engine) closeMetrics() {
 	e.met.ActiveJobs.Add(-1)
 }
 
-// worker is the goroutine body: ask the manager for work, execute it,
-// report completion; exit when the manager says the run is over. With
-// tracing on, this one manager-agnostic loop records every task's
-// dispatch and completion into the worker's private ring; the
-// tracing-off fast path is a single nil check per task.
+// worker is the goroutine body: take a first task, then execute and
+// re-enter the executive once per task — report the completion, receive
+// the next task — until the manager says the run is over. With tracing
+// on, this one manager-agnostic loop records every task's dispatch and
+// completion into the worker's private ring; the tracing-off fast path is
+// a single nil check per task.
+//
+// The worker keeps one clock chain. at is its latest reading going into
+// the executive, now the stamp the manager hands back with the task: the
+// end of the executive entry and the start of the task's compute
+// interval. The one reading the loop itself takes is compute-end, which
+// is in turn where the next executive entry starts.
 func (e *engine) worker(w int) {
 	var ring *trace.Ring
 	if e.rec != nil {
 		ring = e.rec.Ring(w)
 	}
-	for {
-		var a0 time.Time
+	at := clock.Now()
+	task, now, ok := e.mgr.Next(w, at)
+	for ok {
 		if e.fine {
-			a0 = time.Now()
-		}
-		task, ok := e.mgr.Next(w)
-		if !ok {
-			return
-		}
-		if e.fine {
-			// On the real backends the dispatch wait is the whole Next call
-			// — queue pop, lock wait, steal sweep, park — the honest answer
-			// to "how long did this worker wait for its next task".
-			e.met.DispatchWait.Observe(int64(time.Since(a0)))
+			// The dispatch wait is the whole executive entry — completion
+			// submission, queue pop, lock wait, steal sweep, park — the
+			// honest answer to "how long after finishing one task did this
+			// worker start the next".
+			e.met.DispatchWait.Observe(int64(now - at))
 		}
 		e.met.Dispatches.Inc(w)
 		if ring != nil {
-			ring.Record(trace.KDispatch, e.rec.Now(), int32(w), 0,
+			ring.Record(trace.KDispatch, e.rec.At(now), int32(w), 0,
 				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), 0)
 		}
 		work := e.prog.Phases[task.Phase].Work
 
 		var tf taskFaults
 		if e.plan != nil {
-			e.injectTask(w, task, &work, &tf)
+			e.injectTask(w, task, &work, &tf, now)
 			if tf.err != nil {
 				e.mgr.Abort(tf.err)
 				return
 			}
 		}
 
-		c0 := time.Now()
-		workErr := e.execute(work, task)
+		workErr := RunTask(work, task)
+		at = clock.Now()
 		if workErr == nil && tf.factor > 1 {
-			stretchCompute(time.Since(c0), tf.factor)
+			stretchCompute(at.Sub(now), tf.factor)
+			at = clock.Now()
 		}
-		dur := time.Since(c0)
-
 		if workErr != nil {
 			e.mgr.Abort(workErr)
 			return
 		}
+		dur := at.Sub(now)
 		if e.plan != nil {
-			e.beforeComplete(w, &tf)
+			at = e.beforeComplete(w, &tf)
 		}
 		e.met.ComputeTime.Add(w, int64(dur))
 		e.met.Completions.Inc(w)
@@ -429,21 +430,26 @@ func (e *engine) worker(w int) {
 		// any dispatch it enables carries a larger Seq (the causal edge
 		// replay and diff rely on).
 		if ring != nil {
-			ring.Record(trace.KComplete, e.rec.Now(), int32(w), 0,
+			ring.Record(trace.KComplete, e.rec.At(at), int32(w), 0,
 				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
 		}
-		e.mgr.Complete(w, task)
-		if e.plan != nil && e.maybeCrash(w) {
+		if e.plan != nil && e.crashing(w, at) {
+			e.mgr.Complete(w, task, at)
+			if r, ok := e.mgr.(Retirer); ok {
+				r.Retire(w)
+			}
 			return
 		}
+		task, now, ok = e.mgr.CompleteNext(w, task, at)
 	}
 }
 
-// execute runs the work function over the task's granules (outside any
-// manager lock). A nil work function is a pure scheduling run. Panics in
-// user work are captured and surfaced as run errors rather than tearing
-// down the whole process.
-func (e *engine) execute(work core.WorkFn, task core.Task) (err error) {
+// RunTask runs the work function over the task's granules (outside any
+// manager lock) — the one execution chokepoint of both worker loops, the
+// executive's and the tenant pool's. A nil work function is a pure
+// scheduling run. Panics in user work are captured and surfaced as run
+// errors rather than tearing down the whole process.
+func RunTask(work core.WorkFn, task core.Task) (err error) {
 	if work == nil {
 		return nil
 	}
@@ -452,6 +458,8 @@ func (e *engine) execute(work core.WorkFn, task core.Task) (err error) {
 			err = fmt.Errorf("executive: work panicked in %v: %v", task, r)
 		}
 	}()
-	task.Run.Each(func(g granule.ID) { work(g) })
+	for g := task.Run.Lo; g < task.Run.Hi; g++ {
+		work(g)
+	}
 	return nil
 }

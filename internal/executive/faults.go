@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/granule"
@@ -57,11 +58,10 @@ func (m *serial) Retire(w int) {
 // steal sweep so they are picked up even when no future completion would
 // have woken anyone.
 func (m *sharded) Retire(w int) {
-	m.mu.Lock()
+	t0 := m.enter(clock.Now())
 	defer m.mu.Unlock()
-	m0 := time.Now()
 	m.flushLocked(w)
-	m.mgmt += time.Since(m0)
+	m.mgmt += clock.Now().Sub(t0)
 	m.workers--
 	m.cond.Broadcast()
 }
@@ -80,39 +80,36 @@ type taskFaults struct {
 	err    error // injected failure (GrainError)
 }
 
-// sinceStart is the wall-clock nanoseconds since the run started — the
-// real-backend reading of a Rule's After field.
-func (e *engine) sinceStart() int64 { return time.Since(e.start).Nanoseconds() }
-
 // noteFault flight-records and counts one injected fault firing.
-func (e *engine) noteFault(w int, k fault.Kind) {
+func (e *engine) noteFault(w int, k fault.Kind, at clock.Stamp) {
 	if e.rec != nil {
-		e.rec.Ring(w).Record(trace.KFault, e.rec.Now(), int32(w), 0, -1, 0, 0, int64(k))
+		e.rec.Ring(w).Record(trace.KFault, e.rec.At(at), int32(w), 0, -1, 0, 0, int64(k))
 	}
 	e.met.Faults.Inc(w)
 }
 
 // injectTask consults the plan for worker- and grain-level faults on one
-// dispatch, possibly replacing work with a panicking body (GrainPanic).
-// Only called with a non-nil plan.
-func (e *engine) injectTask(w int, task core.Task, work *core.WorkFn, tf *taskFaults) {
-	at := e.sinceStart()
+// dispatch at stamp now (a Rule's After field reads as nanoseconds since
+// the run started), possibly replacing work with a panicking body
+// (GrainPanic). Only called with a non-nil plan.
+func (e *engine) injectTask(w int, task core.Task, work *core.WorkFn, tf *taskFaults, now clock.Stamp) {
+	at := int64(now - e.start)
 	tf.factor = 1
 	if _, f, ok := e.plan.Worker(w, at, fault.WorkerSlow); ok {
-		e.noteFault(w, fault.WorkerSlow)
+		e.noteFault(w, fault.WorkerSlow, now)
 		tf.factor *= f
 	}
 	if d, _, ok := e.plan.Worker(w, at, fault.WorkerWedge); ok {
 		// On the plain executive a wedge is a bounded withhold (the pool's
 		// release-gated wedge needs a stall probe or deadline above it).
-		e.noteFault(w, fault.WorkerWedge)
+		e.noteFault(w, fault.WorkerWedge, now)
 		tf.stall += d
 	}
 	k, d, f := e.plan.Grain(0, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), at)
 	if k == 0 {
 		return
 	}
-	e.noteFault(w, k)
+	e.noteFault(w, k, now)
 	switch k {
 	case fault.GrainSlow:
 		tf.factor *= f
@@ -140,33 +137,37 @@ func stretchCompute(dur time.Duration, factor int64) {
 }
 
 // beforeComplete withholds the completion (stuck grain, wedged worker)
-// and delays its submission to management (MgmtDelay). Only called with
-// a non-nil plan.
-func (e *engine) beforeComplete(w int, tf *taskFaults) {
+// and delays its submission to management (MgmtDelay). It returns the
+// reading taken after the holds, so they are charged to nobody's
+// management time. Only called with a non-nil plan.
+func (e *engine) beforeComplete(w int, tf *taskFaults) clock.Stamp {
 	if tf.stall > 0 {
 		fault.Sleep(tf.stall)
 	}
-	if d, ok := e.plan.Mgmt(0, e.sinceStart()); ok {
-		e.noteFault(w, fault.MgmtDelay)
+	now := clock.Now()
+	if d, ok := e.plan.Mgmt(0, int64(now-e.start)); ok {
+		e.noteFault(w, fault.MgmtDelay, now)
 		fault.Sleep(d)
+		now = clock.Now()
 	}
+	return now
 }
 
-// maybeCrash retires the worker after its completion was submitted when
-// a WorkerCrash rule fires: the goroutine returns and never asks for
-// work again. The last live worker refuses (the rule is consumed but
-// ignored). Only called with a non-nil plan.
-func (e *engine) maybeCrash(w int) bool {
-	if _, _, ok := e.plan.Worker(w, e.sinceStart(), fault.WorkerCrash); !ok {
+// crashing reports whether a WorkerCrash rule fires for worker w at
+// stamp now — consulted at the fused executive entry, whose crash
+// chokepoint sits between its two halves: the worker submits its
+// completion with the plain Complete, retires, and never asks for work
+// again, so no task is lost and none is taken that will not run. The last
+// live worker refuses (the rule is consumed but ignored). Only called
+// with a non-nil plan.
+func (e *engine) crashing(w int, now clock.Stamp) bool {
+	if _, _, ok := e.plan.Worker(w, int64(now-e.start), fault.WorkerCrash); !ok {
 		return false
 	}
 	if e.live.Add(-1) < 1 {
 		e.live.Add(1)
 		return false
 	}
-	e.noteFault(w, fault.WorkerCrash)
-	if r, ok := e.mgr.(Retirer); ok {
-		r.Retire(w)
-	}
+	e.noteFault(w, fault.WorkerCrash, now)
 	return true
 }

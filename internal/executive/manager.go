@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -49,23 +50,42 @@ var _ StateMachine = (*core.Scheduler)(nil)
 // accumulate, and when parked workers wake. The worker loop in Run is
 // manager-agnostic.
 //
-// The contract: one Start, then each worker loops Next -> execute ->
-// Complete until Next returns ok=false (program done, run aborted, or
-// stall detected). Abort may be called from any worker at any time.
+// The contract: one Start, then each worker takes its first task with
+// Next and loops execute -> CompleteNext until ok=false (program done, run
+// aborted, or stall detected). Abort may be called from any worker at any
+// time.
+//
+// Clock discipline: every task-path call takes at, the caller's latest
+// clock reading, and returns now, the manager's own latest — at itself
+// when the call read nothing. The manager charges its management and idle
+// intervals between the two and never re-reads a boundary the caller
+// already stamped; the caller chains from now (a dispatched task's
+// compute interval starts there). A manager entered without contention
+// charges from at, so a caller hands on a reading only if nothing that
+// can block — another lock, a channel, a sleep — happened since it was
+// taken, and reads afresh otherwise. See DESIGN.md, "Clock discipline".
 type Manager interface {
 	// Start activates the program on the state machine.
 	Start()
 	// Next blocks until a task is available for worker w and returns it.
 	// ok=false means the worker must exit: the program is done, the run
 	// was aborted, or the manager detected a stall.
-	Next(w int) (t core.Task, ok bool)
-	// Complete reports that worker w finished executing t. The manager
-	// may submit it to the state machine immediately (serial) or
-	// accumulate it for batched submission (sharded). It reports whether
-	// completions were applied to the state machine by this call — false
-	// means t only joined a local batch, so no successor work can have
-	// been released (the pool uses this to skip waking parked workers).
-	Complete(w int, t core.Task) (applied bool)
+	Next(w int, at clock.Stamp) (t core.Task, now clock.Stamp, ok bool)
+	// CompleteNext is the one executive entry a worker makes per task: it
+	// reports that worker w finished executing done and blocks, like
+	// Next, for the worker's next task. The serial manager does both in
+	// one critical section — how a PAX processor entered the executive;
+	// managers whose task path holds no lock compose Complete and Next.
+	CompleteNext(w int, done core.Task, at clock.Stamp) (t core.Task, now clock.Stamp, ok bool)
+	// Complete reports that worker w finished executing t without asking
+	// for more work: a pool worker, which may switch jobs between tasks,
+	// and a worker about to retire. The manager may submit it to the
+	// state machine immediately (serial) or accumulate it for batched
+	// submission (sharded). It reports whether completions were applied
+	// to the state machine by this call — false means t only joined a
+	// local batch, so no successor work can have been released (the pool
+	// uses this to skip waking parked workers).
+	Complete(w int, t core.Task, at clock.Stamp) (now clock.Stamp, applied bool)
 	// Abort terminates the run with err; parked workers are released.
 	Abort(err error)
 	// Err returns the run error, if any. Call after the workers exit.
@@ -88,12 +108,12 @@ type PoolDriver interface {
 	// batch) before declaring the job dry, so ok=false means the job has
 	// nothing for this worker to do right now — the job is in rundown,
 	// done, or aborted.
-	TryNext(w int) (t core.Task, ok bool)
+	TryNext(w int, at clock.Stamp) (t core.Task, now clock.Stamp, ok bool)
 	// Flush submits worker w's accumulated completions immediately
 	// (no-op for managers that do not batch). The pool calls it when a
 	// worker switches jobs so completions cannot linger unflushed. It
 	// reports whether anything was applied.
-	Flush(w int) (applied bool)
+	Flush(w int, at clock.Stamp) (now clock.Stamp, applied bool)
 	// Done reports whether the job's state machine has completed.
 	Done() bool
 	// InFlight reports dispatched-but-incomplete tasks. When every pool
@@ -240,6 +260,29 @@ func SupportsPool(kind ManagerKind) bool {
 func recordAbort(rec *trace.Recorder) {
 	if rec != nil {
 		rec.Emit(trace.KAbort, rec.Now(), -1, 0, -1, 0, 0, 0)
+	}
+}
+
+// applyCompletion and applyBatch submit completions to the state machine
+// on behalf of a manager holding the lock that serializes it. A panic in
+// completion processing comes back as the error that fails the run — the
+// state machine may be inconsistent afterwards and must not be touched
+// again.
+func applyCompletion(sm StateMachine, t core.Task) (err error) {
+	defer completionPanic(&err)
+	sm.Complete(t)
+	return nil
+}
+
+func applyBatch(sm StateMachine, ts []core.Task) (err error) {
+	defer completionPanic(&err)
+	sm.CompleteBatch(ts)
+	return nil
+}
+
+func completionPanic(err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("executive: completion processing panicked: %v", r)
 	}
 }
 

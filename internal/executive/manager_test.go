@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/granule"
@@ -43,12 +44,9 @@ func driveWorkers(mgr Manager, workers int) error {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for {
-				t, ok := mgr.Next(w)
-				if !ok {
-					return
-				}
-				mgr.Complete(w, t)
+			t, at, ok := mgr.Next(w, clock.Now())
+			for ok {
+				t, at, ok = mgr.CompleteNext(w, t, at)
 			}
 		}(w)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/trace"
 )
@@ -14,6 +15,10 @@ import (
 // UNIVAC executive did. The time spent inside the lock is measured as
 // management time, so the paper's computation-to-management ratio can be
 // observed on real hardware.
+//
+// A worker enters the executive once per task: CompleteNext reports the
+// finished task and takes the next one in a single critical section, the
+// way a PAX processor did — one lock, one wakeup, two clock readings.
 type serial struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -35,58 +40,88 @@ func newSerial(sm StateMachine, cfg Config) *serial {
 	return m
 }
 
+// enter acquires mu on behalf of a caller whose latest clock reading is
+// at, and returns the stamp management time is charged from. Uncontended,
+// that is at itself — no wait intervened, so the executive entry starts
+// where the caller's previous interval ended and the clock is not read.
+// Contended, the clock is read after the acquisition, which is what keeps
+// lock wait out of Mgmt.
+func enter(mu *sync.Mutex, at clock.Stamp) clock.Stamp {
+	if mu.TryLock() {
+		return at
+	}
+	mu.Lock()
+	return clock.Now()
+}
+
 func (m *serial) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m0 := time.Now()
+	t0 := clock.Now()
 	m.sm.Start()
-	m.mgmt += time.Since(m0)
+	m.mgmt += clock.Now().Sub(t0)
 }
 
 // Next asks the serial executive for work, absorbing deferred management
 // in idle moments and parking when nothing is ready.
-func (m *serial) Next(w int) (core.Task, bool) {
-	return m.next(w, true)
+func (m *serial) Next(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	t0 := enter(&m.mu, at)
+	defer m.mu.Unlock()
+	return m.nextLocked(w, t0, true)
 }
 
 // TryNext is the non-blocking Next the multi-tenant pool drives: when the
 // executive has nothing dispatchable — even after absorbing deferred
 // management — the worker goes to look at another job instead of parking.
-func (m *serial) TryNext(w int) (core.Task, bool) {
-	return m.next(w, false)
+func (m *serial) TryNext(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	t0 := enter(&m.mu, at)
+	defer m.mu.Unlock()
+	return m.nextLocked(w, t0, false)
 }
 
-func (m *serial) next(w int, park bool) (core.Task, bool) {
-	m.mu.Lock()
+// CompleteNext is the fused executive entry: completion processing for
+// done, then the dispatch of the worker's next task, under one lock
+// acquisition. Parked peers are woken once, after the completion (it is
+// what may have released work for them).
+func (m *serial) CompleteNext(w int, done core.Task, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	t0 := enter(&m.mu, at)
 	defer m.mu.Unlock()
+	if m.err == nil {
+		m.completeLocked(done)
+	}
+	return m.nextLocked(w, t0, true)
+}
+
+// nextLocked dispatches one task to worker w. The caller holds mu and has
+// charged nothing since t0; every exit closes that management interval
+// with one reading, which is also the stamp returned — the dispatched
+// task's compute-start.
+func (m *serial) nextLocked(w int, t0 clock.Stamp, park bool) (core.Task, clock.Stamp, bool) {
 	for {
 		if m.err != nil {
-			return core.Task{}, false
+			return core.Task{}, t0, false
 		}
-		m0 := time.Now()
 		task, _, ok := m.sm.NextTask()
-		m.mgmt += time.Since(m0)
-
 		if ok {
-			return task, true
+			now := clock.Now()
+			m.mgmt += now.Sub(t0)
+			return task, now, true
 		}
 		if m.sm.Done() {
-			m.cond.Broadcast()
-			return core.Task{}, false
+			m.wake()
+			break
 		}
 
 		// Idle executive moment: absorb deferred successor-splitting
 		// management tasks before parking.
 		if m.sm.HasDeferred() {
-			m1 := time.Now()
 			_, _ = m.sm.DeferredMgmt()
-			m.mgmt += time.Since(m1)
-			m.cond.Broadcast()
+			m.wake()
 			continue
 		}
 
 		if !park {
-			return core.Task{}, false
+			break
 		}
 
 		// Park until a completion or release makes work available. If
@@ -97,21 +132,36 @@ func (m *serial) next(w int, park bool) (core.Task, bool) {
 			m.err = fmt.Errorf("executive: stalled at phase %d: all workers idle, nothing in flight",
 				m.sm.CurrentPhase())
 			recordAbort(m.rec)
-			m.cond.Broadcast()
-			return core.Task{}, false
+			m.wake()
+			break
 		}
-		i0 := time.Now()
+		// The management interval ends where the idle one begins, and the
+		// next management interval begins where the idle one ends.
+		i0 := clock.Now()
+		m.mgmt += i0.Sub(t0)
 		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KPark, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
+			m.rec.Ring(w).Record(trace.KPark, m.rec.At(i0), int32(w), 0, -1, 0, 0, 0)
 		}
 		m.waiting++
 		m.cond.Wait()
 		m.waiting--
-		d := time.Since(i0)
-		m.idle += d
+		t0 = clock.Now()
+		m.idle += t0.Sub(i0)
 		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KUnpark, m.rec.Now(), int32(w), 0, -1, 0, 0, int64(d))
+			m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(t0), int32(w), 0, -1, 0, 0, int64(t0-i0))
 		}
+	}
+	now := clock.Now()
+	m.mgmt += now.Sub(t0)
+	return core.Task{}, now, false
+}
+
+// wake releases every parked worker. Workers park only in nextLocked,
+// under mu and counted in waiting, so the broadcast is skipped when
+// nobody can be listening. Caller holds mu.
+func (m *serial) wake() {
+	if m.waiting > 0 {
+		m.cond.Broadcast()
 	}
 }
 
@@ -121,29 +171,30 @@ func (m *serial) next(w int, park bool) (core.Task, bool) {
 // void, and nothing may mutate the state machine after the failure point
 // — Job.Wait and the report path read its statistics as soon as the job
 // is retired.
-func (m *serial) Complete(w int, t core.Task) bool {
-	m.mu.Lock()
+func (m *serial) Complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
+	t0 := enter(&m.mu, at)
 	defer m.mu.Unlock()
 	if m.err != nil {
-		return false
+		return t0, false
 	}
-	m1 := time.Now()
-	func() {
-		defer func() {
-			if r := recover(); r != nil && m.err == nil {
-				m.err = fmt.Errorf("executive: completion processing panicked: %v", r)
-				recordAbort(m.rec)
-			}
-		}()
-		m.sm.Complete(t)
-	}()
-	m.mgmt += time.Since(m1)
-	m.cond.Broadcast()
-	return true
+	m.completeLocked(t)
+	now := clock.Now()
+	m.mgmt += now.Sub(t0)
+	return now, true
+}
+
+// completeLocked applies one completion and wakes parked peers. A panic
+// in completion processing fails the run. Caller holds mu, m.err == nil.
+func (m *serial) completeLocked(t core.Task) {
+	if err := applyCompletion(m.sm, t); err != nil {
+		m.err = err
+		recordAbort(m.rec)
+	}
+	m.wake()
 }
 
 // Flush is a no-op: serial completions are submitted immediately.
-func (m *serial) Flush(w int) bool { return false }
+func (m *serial) Flush(w int, at clock.Stamp) (clock.Stamp, bool) { return at, false }
 
 // Done reports whether the state machine has completed every phase.
 func (m *serial) Done() bool {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -47,7 +48,7 @@ type sharded struct {
 	workers int
 	rec     *trace.Recorder // flight recorder (nil = tracing off)
 	met     *telemetry.Set  // steal/retune counters (nil = metrics off)
-	cap     int // deque refill batch size, guarded by mu (the tuner moves it)
+	cap     int             // deque refill batch size, guarded by mu (the tuner moves it)
 
 	// batch is the completion batch size. It is read lock-free on the
 	// per-task Complete path and rewritten under mu by the tuner, hence
@@ -77,7 +78,7 @@ type sharded struct {
 	lockNS     time.Duration
 	hoardIdle  time.Duration // parked time that began with peer deques nonempty
 	lockStarve time.Duration // parked time that began with the mgmt path occupied
-	epochStart time.Time
+	epochStart clock.Stamp
 	epochLock  time.Duration // lockNS snapshot at epoch start
 	epochHI    time.Duration // hoardIdle snapshot at epoch start
 	epochLS    time.Duration // lockStarve snapshot at epoch start
@@ -148,23 +149,17 @@ func newSharded(sm StateMachine, cfg Config) *sharded {
 func (m *sharded) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m0 := time.Now()
+	t0 := clock.Now()
 	m.sm.Start()
-	m.mgmt += time.Since(m0)
-	m.epochStart = time.Now()
+	m.epochStart = clock.Now()
+	m.mgmt += m.epochStart.Sub(t0)
 }
 
-func (m *sharded) Next(w int) (core.Task, bool) {
-	if m.failed.Load() {
-		return core.Task{}, false
-	}
-	if t, ok := m.shards[w].dq.popBottom(); ok {
-		return t, true
-	}
-	if t, ok := m.steal(w); ok {
-		return t, true
-	}
-	return m.refill(w, true)
+// Next on the fast path is one lock-free deque pop and no clock reading:
+// the stamp returned is the caller's own, so the task's compute interval
+// starts where the worker's previous interval ended.
+func (m *sharded) Next(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	return m.next(w, at, true)
 }
 
 // TryNext is the non-blocking Next the multi-tenant pool drives: local
@@ -173,17 +168,30 @@ func (m *sharded) Next(w int) (core.Task, bool) {
 // deferred management before declaring the state machine dry). ok=false
 // means nothing is dispatchable right now; the pool decides whether to
 // look at another job or park.
-func (m *sharded) TryNext(w int) (core.Task, bool) {
+func (m *sharded) TryNext(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	return m.next(w, at, false)
+}
+
+// CompleteNext is Complete then Next: the sharded manager already enters
+// the global lock once per batch rather than once per task, so there is
+// nothing further to fuse.
+func (m *sharded) CompleteNext(w int, done core.Task, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	at, _ = m.Complete(w, done, at)
+	return m.next(w, at, true)
+}
+
+func (m *sharded) next(w int, at clock.Stamp, park bool) (core.Task, clock.Stamp, bool) {
 	if m.failed.Load() {
-		return core.Task{}, false
+		return core.Task{}, at, false
 	}
 	if t, ok := m.shards[w].dq.popBottom(); ok {
-		return t, true
+		return t, at, true
 	}
-	if t, ok := m.steal(w); ok {
-		return t, true
+	t, at, ok := m.steal(w, at)
+	if ok {
+		return t, at, true
 	}
-	return m.refill(w, false)
+	return m.refill(w, at, park)
 }
 
 // steal sweeps the other shards and CAS-steals up to half of the first
@@ -193,23 +201,47 @@ func (m *sharded) TryNext(w int) (core.Task, bool) {
 // priority inversion for a single CAS per task and zero allocation. The
 // sweep start rotates per call (stealTick): a fixed w+1 start would make
 // every starving worker hammer the same neighbor first under contention.
-// Sweep time is charged to stealNS — it is management work done outside
-// the global lock.
-func (m *sharded) steal(w int) (core.Task, bool) {
-	n := len(m.shards)
-	if n < 2 {
-		return core.Task{}, false
+// Sweep time — from the caller's latest reading at to the one reading
+// taken when the sweep ends — is charged to stealNS: it is management
+// work done outside the global lock.
+func (m *sharded) steal(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	if len(m.shards) < 2 {
+		return core.Task{}, at, false
 	}
-	t0 := time.Now()
-	defer func() { m.stealNS.Add(int64(time.Since(t0))) }()
 	var ring *trace.Ring
 	if m.rec != nil {
 		ring = m.rec.Ring(w)
-		ring.Record(trace.KStealAttempt, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
+		ring.Record(trace.KStealAttempt, m.rec.At(at), int32(w), 0, -1, 0, 0, 0)
+	}
+	t, victim, got := m.sweep(w)
+	now := clock.Now()
+	m.stealNS.Add(int64(now - at))
+	won := got > 0
+	if ring != nil {
+		if won {
+			// Arg carries the victim; Lo the number of tasks taken.
+			ring.Record(trace.KStealWin, m.rec.At(now), int32(w), 0,
+				int32(t.Phase), uint32(got), 0, int64(victim))
+		} else {
+			ring.Record(trace.KStealLose, m.rec.At(now), int32(w), 0, -1, 0, 0, 0)
+		}
 	}
 	if m.met != nil {
 		m.met.StealAttempts.Inc(w)
+		if won {
+			m.met.StealWins.Inc(w)
+		} else {
+			m.met.StealLoses.Inc(w)
+		}
 	}
+	return t, now, won
+}
+
+// sweep is one pass over the other shards. It returns the task to run,
+// the victim's index and how many tasks were taken; got == 0 means the
+// sweep lost.
+func (m *sharded) sweep(w int) (t core.Task, victim int, got int64) {
+	n := len(m.shards)
 	own := m.shards[w].dq
 	start := int(m.stealTick.Add(1) % uint64(n))
 	for i := 0; i < n; i++ {
@@ -223,7 +255,7 @@ func (m *sharded) steal(w int) (core.Task, bool) {
 			continue
 		}
 		take := (k + 1) / 2
-		var got int64
+		got = 0
 		for got < take {
 			t, ok := v.steal()
 			if !ok {
@@ -237,25 +269,11 @@ func (m *sharded) steal(w int) (core.Task, bool) {
 		}
 		// The last transfer is the highest-priority task stolen; run it.
 		if t, ok := own.popBottom(); ok {
-			if ring != nil {
-				// Arg carries the victim; Lo the number of tasks taken.
-				ring.Record(trace.KStealWin, m.rec.Now(), int32(w), 0,
-					int32(t.Phase), uint32(got), 0, int64(idx))
-			}
-			if m.met != nil {
-				m.met.StealWins.Inc(w)
-			}
-			return t, true
+			return t, idx, got
 		}
 		// Everything we moved was re-stolen already; keep sweeping.
 	}
-	if ring != nil {
-		ring.Record(trace.KStealLose, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
-	}
-	if m.met != nil {
-		m.met.StealLoses.Inc(w)
-	}
-	return core.Task{}, false
+	return core.Task{}, 0, 0
 }
 
 // refill is the global-lock path: flush this worker's completion batch,
@@ -263,30 +281,31 @@ func (m *sharded) steal(w int) (core.Task, bool) {
 // park. Returning ok=false means the program is done, the run was
 // aborted, the manager detected a stall, or — non-parking callers only —
 // nothing is dispatchable right now.
-func (m *sharded) refill(w int, park bool) (core.Task, bool) {
+//
+// One reading closes each management interval — after the flush and the
+// NextTasks pull (and any deferred unit before them), after a park — and
+// opens the next, so a refill that hands out up to cap tasks reads the
+// clock once, twice when the lock was contended.
+func (m *sharded) refill(w int, at clock.Stamp, park bool) (core.Task, clock.Stamp, bool) {
 	if m.tuner != nil {
 		m.visitors.Add(1)
 		defer m.visitors.Add(-1)
 	}
-	m.lockMeasured()
+	t0 := m.enter(at)
 	defer m.mu.Unlock()
 	triedSteal := false
 	for {
 		if m.err != nil {
-			return core.Task{}, false
+			return core.Task{}, t0, false
 		}
-		m0 := time.Now()
 		m.flushLocked(w)
-		if m.err != nil {
-			// A recovered completion-processing panic may have left the
-			// state machine inconsistent; do not touch it again.
-			m.mgmt += time.Since(m0)
-			return core.Task{}, false
+		var ts []core.Task
+		// A recovered completion-processing panic may have left the state
+		// machine inconsistent; do not touch it again.
+		if m.err == nil {
+			ts, _ = m.sm.NextTasks(m.shards[w].refillBuf[:0], m.cap)
+			m.shards[w].refillBuf = ts[:0]
 		}
-		ts, _ := m.sm.NextTasks(m.shards[w].refillBuf[:0], m.cap)
-		m.shards[w].refillBuf = ts[:0]
-		m.mgmt += time.Since(m0)
-		m.retuneLocked()
 		if len(ts) > 0 {
 			sh := &m.shards[w]
 			// Reverse push: the owner's popBottom then yields ts[1],
@@ -306,35 +325,43 @@ func (m *sharded) refill(w int, park bool) (core.Task, bool) {
 					m.wakeStealerLocked()
 				}
 			}
-			return ts[0], true
+		}
+		now := clock.Now()
+		m.mgmt += now.Sub(t0)
+		t0 = now
+		if m.err != nil {
+			return core.Task{}, now, false
+		}
+		m.retuneLocked(now)
+		if len(ts) > 0 {
+			return ts[0], now, true
 		}
 		if m.sm.Done() {
 			m.cond.Broadcast()
-			return core.Task{}, false
+			return core.Task{}, now, false
 		}
 
 		// Idle executive moment: absorb deferred management (successor
 		// splitting, incremental composite-map builds) before parking.
+		// The next pass's reading charges it.
 		if m.sm.HasDeferred() {
-			m1 := time.Now()
 			_, _ = m.sm.DeferredMgmt()
-			m.mgmt += time.Since(m1)
 			continue
 		}
 
 		if !park {
-			return core.Task{}, false
+			return core.Task{}, now, false
 		}
 
 		// The state machine is dry, but a peer's deque may have refilled
 		// since our last sweep: try stealing once more before parking.
 		if !triedSteal {
 			m.mu.Unlock()
-			t, ok := m.steal(w)
-			m.mu.Lock()
+			t, now, ok := m.steal(w, now)
+			t0 = m.enter(now)
 			triedSteal = true
 			if ok {
-				return t, true
+				return t, t0, true
 			}
 			continue
 		}
@@ -345,7 +372,7 @@ func (m *sharded) refill(w int, park bool) (core.Task, bool) {
 		if m.waiting+1 == m.workers && m.sm.InFlight() == 0 {
 			m.failLocked(fmt.Errorf("executive: stalled at phase %d: all workers idle, nothing in flight",
 				m.sm.CurrentPhase()))
-			return core.Task{}, false
+			return core.Task{}, now, false
 		}
 		// For the adaptive controller: a park that begins while peer
 		// deques still hold tasks is starvation a smaller refill batch
@@ -370,17 +397,19 @@ func (m *sharded) refill(w int, park bool) (core.Task, bool) {
 			}
 			lockBusyAtPark = m.visitors.Load()-int32(m.waiting) > 1
 		}
-		i0 := time.Now()
+		// Idle begins at the reading that closed the last management
+		// interval and ends at the one that opens the next.
 		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KPark, m.rec.Now(), int32(w), 0, -1, 0, 0, 0)
+			m.rec.Ring(w).Record(trace.KPark, m.rec.At(now), int32(w), 0, -1, 0, 0, 0)
 		}
 		m.waiting++
 		m.cond.Wait()
 		m.waiting--
-		d := time.Since(i0)
+		t0 = clock.Now()
+		d := t0.Sub(now)
 		m.idle += d
 		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KUnpark, m.rec.Now(), int32(w), 0, -1, 0, 0, int64(d))
+			m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(t0), int32(w), 0, -1, 0, 0, int64(d))
 		}
 		if hoardedAtPark {
 			m.hoardIdle += d
@@ -392,31 +421,27 @@ func (m *sharded) refill(w int, park bool) (core.Task, bool) {
 	}
 }
 
-// lockMeasured acquires m.mu, charging the acquisition wait to lockNS —
-// the per-visit overhead (contention) that batch sizing amortizes, which
-// the adaptive controller steers on. Without a controller it is a plain
-// Lock: the fixed-parameter manager must not pay clock reads the old code
-// did not (m.tuner is set once at construction, so the unsynchronized
-// read is safe).
-func (m *sharded) lockMeasured() {
-	if m.tuner == nil {
-		m.mu.Lock()
-		return
-	}
-	l0 := time.Now()
-	m.mu.Lock()
-	m.lockNS += time.Since(l0)
+// enter acquires m.mu for a caller whose latest reading is at and returns
+// the stamp management time is charged from (see enter in serial.go). A
+// contended acquisition's wait — from at to the reading taken once the
+// lock is held — goes to lockNS: the per-visit overhead batch sizing
+// amortizes, which the adaptive controller steers on.
+func (m *sharded) enter(at clock.Stamp) clock.Stamp {
+	now := enter(&m.mu, at)
+	m.lockNS += now.Sub(at)
+	return now
 }
 
 // retuneLocked feeds the adaptive controller one epoch when enough wall
 // time has passed since the last observation: the lock-acquisition wait
 // is the amortizable overhead, and parked time that began with peer
-// deques nonempty the hoarded-idle (starvation) share. Caller holds m.mu.
-func (m *sharded) retuneLocked() {
+// deques nonempty the hoarded-idle (starvation) share. Caller holds m.mu
+// and passes its latest reading.
+func (m *sharded) retuneLocked(now clock.Stamp) {
 	if m.tuner == nil {
 		return
 	}
-	elapsed := time.Since(m.epochStart)
+	elapsed := now.Sub(m.epochStart)
 	if elapsed < adaptiveEpoch {
 		return
 	}
@@ -428,14 +453,14 @@ func (m *sharded) retuneLocked() {
 		m.cap = cap
 		m.batch.Store(int32(batch))
 		if m.rec != nil {
-			m.rec.Emit(trace.KRetune, m.rec.Now(), -1, 0, -1, 0, 0, int64(cap))
+			m.rec.Emit(trace.KRetune, m.rec.At(now), -1, 0, -1, 0, 0, int64(cap))
 		}
 		if m.met != nil {
 			m.met.Retunes.Inc(0)
 			m.met.BatchSize.Set(int64(cap))
 		}
 	}
-	m.epochStart = time.Now()
+	m.epochStart = now
 	m.epochLock = m.lockNS
 	m.epochHI = m.hoardIdle
 	m.epochLS = m.lockStarve
@@ -456,22 +481,28 @@ func (m *sharded) wakeLocked(n int) {
 
 // Complete accumulates t in worker w's local batch, submitting the batch
 // to the state machine in one lock acquisition when it fills.
-func (m *sharded) Complete(w int, t core.Task) bool {
+func (m *sharded) Complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
 	sh := &m.shards[w]
 	sh.done = append(sh.done, t)
 	if len(sh.done) < int(m.batch.Load()) {
-		return false
+		return at, false
 	}
+	return m.flush(w, at), true
+}
+
+// flush applies worker w's completion batch under the global lock,
+// charging the visit from at (see enter) to the reading it returns.
+func (m *sharded) flush(w int, at clock.Stamp) clock.Stamp {
 	if m.tuner != nil {
 		m.visitors.Add(1)
 		defer m.visitors.Add(-1)
 	}
-	m.lockMeasured()
-	m0 := time.Now()
+	t0 := m.enter(at)
+	defer m.mu.Unlock()
 	m.flushLocked(w)
-	m.mgmt += time.Since(m0)
-	m.mu.Unlock()
-	return true
+	now := clock.Now()
+	m.mgmt += now.Sub(t0)
+	return now
 }
 
 // flushLocked applies worker w's accumulated completions to the state
@@ -492,14 +523,9 @@ func (m *sharded) flushLocked(w int) {
 		sh.done = sh.done[:0]
 		return
 	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil && m.err == nil {
-				m.failLocked(fmt.Errorf("executive: completion processing panicked: %v", r))
-			}
-		}()
-		m.sm.CompleteBatch(sh.done)
-	}()
+	if err := applyBatch(m.sm, sh.done); err != nil {
+		m.failLocked(err)
+	}
 	sh.done = sh.done[:0]
 	switch {
 	case m.err != nil || m.sm.Done():
@@ -548,20 +574,11 @@ func (m *sharded) failLocked(err error) {
 // Flush submits worker w's accumulated completion batch to the state
 // machine. The pool calls it when a worker switches jobs, so a job's last
 // completions cannot linger in the batch of a worker now busy elsewhere.
-func (m *sharded) Flush(w int) bool {
+func (m *sharded) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
 	if len(m.shards[w].done) == 0 {
-		return false
+		return at, false
 	}
-	if m.tuner != nil {
-		m.visitors.Add(1)
-		defer m.visitors.Add(-1)
-	}
-	m.lockMeasured()
-	defer m.mu.Unlock()
-	m0 := time.Now()
-	m.flushLocked(w)
-	m.mgmt += time.Since(m0)
-	return true
+	return m.flush(w, at), true
 }
 
 // Done reports whether the state machine has completed every phase.

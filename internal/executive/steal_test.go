@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/granule"
 )
@@ -46,7 +47,7 @@ func TestStealSingleTaskVictim(t *testing.T) {
 	m := shardedForTest(4, 8, 4)
 	m.load(2, []core.Task{mkTask(42)})
 
-	got, ok := m.steal(0)
+	got, _, ok := m.steal(0, clock.Now())
 	if !ok {
 		t.Fatal("steal found nothing with a one-task victim present")
 	}
@@ -72,7 +73,7 @@ func TestStealLandsAtDequeCap(t *testing.T) {
 	}
 	m.load(1, all)
 
-	got, ok := m.steal(0)
+	got, _, ok := m.steal(0, clock.Now())
 	if !ok {
 		t.Fatal("steal failed against a full victim")
 	}
@@ -107,7 +108,7 @@ func TestStealSweepRotation(t *testing.T) {
 			m.drain(i)
 			m.load(i, []core.Task{mkTask(100*round + i)})
 		}
-		got, ok := m.steal(0)
+		got, _, ok := m.steal(0, clock.Now())
 		if !ok {
 			t.Fatal("steal failed with three populated victims")
 		}
@@ -127,7 +128,7 @@ func TestStealTimeCountsAsMgmt(t *testing.T) {
 	m := shardedForTest(2, 8, 4)
 	before := m.Mgmt()
 	m.load(1, []core.Task{mkTask(1), mkTask(2)})
-	if _, ok := m.steal(0); !ok {
+	if _, _, ok := m.steal(0, clock.Now()); !ok {
 		t.Fatal("steal failed")
 	}
 	if m.stealNS.Load() <= 0 {
@@ -150,7 +151,7 @@ func TestStealPriorityOrder(t *testing.T) {
 	}
 	// Thief steals half of {1,2,3} = 2 tasks from the low-priority end
 	// (3, then 2) and runs the better of them first.
-	got, ok := m.steal(0)
+	got, _, ok := m.steal(0, clock.Now())
 	if !ok {
 		t.Fatal("steal failed")
 	}
@@ -198,7 +199,7 @@ func TestStealRacesPopBottom(t *testing.T) {
 					return
 				default:
 				}
-				if task, ok := m.steal(w); ok {
+				if task, _, ok := m.steal(w, clock.Now()); ok {
 					record(task)
 				}
 				// A successful steal parks part of the loot in the thief's

@@ -51,6 +51,14 @@ func (s *Set) Runs() []Range {
 // contiguous runs it is stored as.
 func (s *Set) NumRuns() int { return len(s.runs) }
 
+// RunAt returns the i-th coalesced range in ascending order, 0 <= i <
+// NumRuns(). Together with NumRuns it iterates the set in place, without
+// the copy Runs makes; the set must not be modified during the walk.
+func (s *Set) RunAt(i int) Range { return s.runs[i] }
+
+// Reset empties the set, keeping its storage for reuse.
+func (s *Set) Reset() { s.runs = s.runs[:0] }
+
 // Contains reports whether id is in the set.
 func (s *Set) Contains(id ID) bool {
 	i := sort.Search(len(s.runs), func(i int) bool { return s.runs[i].Hi > id })
@@ -72,6 +80,17 @@ func (s *Set) Add(id ID) { s.AddRange(Range{Lo: id, Hi: id + 1}) }
 // AddRange inserts every granule of r, coalescing with existing runs.
 func (s *Set) AddRange(r Range) {
 	if r.Empty() {
+		return
+	}
+	// In-order fast path: phases are dispatched and completed front to
+	// back, so most insertions extend the last run or land beyond it.
+	n := len(s.runs)
+	if n == 0 || r.Lo > s.runs[n-1].Hi {
+		s.runs = append(s.runs, r)
+		return
+	}
+	if r.Lo == s.runs[n-1].Hi {
+		s.runs[n-1].Hi = r.Hi
 		return
 	}
 	// Find the window of runs that overlap or are adjacent to r.

@@ -138,6 +138,20 @@ func TestJobLifecycle(t *testing.T) {
 		t.Error("terminal status reports zero tasks")
 	}
 
+	// Every task the pool dispatched observed its dispatch wait, so the
+	// histogram behind latency-class admission is not empty.
+	scrape, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("GET /metrics: %v", err)
+	}
+	body, _ := io.ReadAll(scrape.Body)
+	scrape.Body.Close()
+	want := fmt.Sprintf("rundown_dispatch_wait_count %d\n", final.Tasks)
+	if !strings.Contains(string(body), want) {
+		t.Errorf("scrape after a %d-task job has no %q:\n%s", final.Tasks, want,
+			grepLines(string(body), "rundown_dispatch_wait_"))
+	}
+
 	// The job shows up in the listing.
 	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {

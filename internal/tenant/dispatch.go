@@ -3,6 +3,7 @@ package tenant
 import (
 	"sort"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/executive"
 )
@@ -49,29 +50,41 @@ func (p *Pool) home(w int, c *homeCache) *Job {
 // first, then the backfill candidates in policy order. ok=false means
 // nothing was dispatchable anywhere at sweep time. The returned driver
 // is the one the task was taken from — the worker completes to it, even
-// if a retry swaps the job's current driver in the meantime.
-func (p *Pool) sweep(w int, c *homeCache) (j *Job, m executive.PoolDriver, t core.Task, backfill, ok bool) {
+// if a retry swaps the job's current driver in the meantime. now is the
+// last stamp a manager handed back (the dispatch stamp when ok).
+//
+// The sweep does not chain the worker's previous reading into TryNext: it
+// arrives from pool-level work — the home lookup, the backfill plan, the
+// pool lock behind both — that is no job's management, and a manager
+// entered without contention charges from the stamp it is handed. So the
+// clock is read afresh before the home probe and again after the plan.
+func (p *Pool) sweep(w int, c *homeCache) (j *Job, m executive.PoolDriver, t core.Task, backfill bool, now clock.Stamp, ok bool) {
 	home := p.home(w, c)
+	at := clock.Now()
 	if home != nil {
 		hm := home.driver()
-		if t, ok := hm.TryNext(w); ok {
+		if t, at, ok = hm.TryNext(w, at); ok {
 			p.gen.Add(1)
-			return home, hm, t, false, true
+			return home, hm, t, false, at, true
 		}
 		p.checkFinished(home)
 	}
-	for _, cand := range p.backfillPlan(home) {
+	plan := p.backfillPlan(home)
+	if len(plan) > 0 {
+		at = clock.Now()
+	}
+	for _, cand := range plan {
 		cm := cand.driver()
-		if t, ok := cm.TryNext(w); ok {
+		if t, at, ok = cm.TryNext(w, at); ok {
 			p.mu.Lock()
 			cand.deficit -= int64(t.Run.Len())
 			p.mu.Unlock()
 			p.gen.Add(1)
-			return cand, cm, t, true, true
+			return cand, cm, t, true, at, true
 		}
 		p.checkFinished(cand)
 	}
-	return nil, nil, core.Task{}, false, false
+	return nil, nil, core.Task{}, false, at, false
 }
 
 // backfillPlan snapshots the backfill candidates for a worker homed on

@@ -41,9 +41,14 @@ type Job struct {
 	attempts    atomic.Int32
 	retriesLeft int
 	retrying    atomic.Bool
-	mgmtPrior   atomic.Int64
-	// lastTouch is the UnixNano of the job's last dispatch or completion
-	// submission — the watchdog's wedge signal.
+	// failing counts attempt failures being processed right now (see
+	// Pool.failAttempt).
+	failing   atomic.Int32
+	mgmtPrior atomic.Int64
+	// lastTouch is the clock.Stamp of the job's last dispatch or
+	// completion submission — the watchdog's wedge signal, an interval
+	// measured on the monotonic clock so a wall-clock step cannot fail a
+	// healthy job.
 	lastTouch atomic.Int64
 	// deadline is the job's deadline timer (nil without one), stopped
 	// when the job finishes. Guarded by pool.mu.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/executive"
@@ -426,17 +427,26 @@ func TestPoolRejectsBadConfig(t *testing.T) {
 // liveness guarantees. The pool must fail the job, not deadlock.
 type stallDriver struct{ err error }
 
-func (d *stallDriver) Start()                        {}
-func (d *stallDriver) Next(int) (core.Task, bool)    { return core.Task{}, false }
-func (d *stallDriver) TryNext(int) (core.Task, bool) { return core.Task{}, false }
-func (d *stallDriver) Complete(int, core.Task) bool  { return true }
-func (d *stallDriver) Flush(int) bool                { return false }
-func (d *stallDriver) Abort(err error)               { d.err = err }
-func (d *stallDriver) Err() error                    { return d.err }
-func (d *stallDriver) Mgmt() time.Duration           { return 0 }
-func (d *stallDriver) Idle() time.Duration           { return 0 }
-func (d *stallDriver) Done() bool                    { return false }
-func (d *stallDriver) InFlight() int                 { return 0 }
+func (d *stallDriver) Start() {}
+func (d *stallDriver) Next(_ int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	return core.Task{}, at, false
+}
+func (d *stallDriver) TryNext(_ int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	return core.Task{}, at, false
+}
+func (d *stallDriver) CompleteNext(_ int, _ core.Task, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+	return core.Task{}, at, false
+}
+func (d *stallDriver) Complete(_ int, _ core.Task, at clock.Stamp) (clock.Stamp, bool) {
+	return at, true
+}
+func (d *stallDriver) Flush(_ int, at clock.Stamp) (clock.Stamp, bool) { return at, false }
+func (d *stallDriver) Abort(err error)                                 { d.err = err }
+func (d *stallDriver) Err() error                                      { return d.err }
+func (d *stallDriver) Mgmt() time.Duration                             { return 0 }
+func (d *stallDriver) Idle() time.Duration                             { return 0 }
+func (d *stallDriver) Done() bool                                      { return false }
+func (d *stallDriver) InFlight() int                                   { return 0 }
 
 // TestPoolStallDetector injects a wedged job directly (the public Submit
 // path cannot build one) and expects the pool's termination detector to

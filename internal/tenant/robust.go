@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
@@ -178,6 +179,26 @@ func (p *Pool) holdCompletion(w int, j *Job, tf *taskFaults) {
 }
 
 // ---- failure handling: retry, deadline, watchdog ----
+
+// failAttempt fails job j's attempt owned by driver m with a retryable
+// error: abort the manager, then let failJob choose between a retry and
+// retirement. Other workers see the manager's error the moment Abort
+// lands — before failJob has marked the job as retrying — and would
+// retire the job with it (checkFinished), spending no retry; failing
+// tells them to stand back until the decision is made.
+func (p *Pool) failAttempt(j *Job, m executive.PoolDriver, err error) {
+	j.failing.Add(1)
+	m.Abort(err)
+	merr := m.Err()
+	if merr != nil {
+		p.failJob(j, m, merr, true)
+	}
+	j.failing.Add(-1)
+	if merr == nil {
+		// The abort was refused: the state machine completed first.
+		p.checkFinished(j)
+	}
+}
 
 // failJob handles the failure of job j's attempt owned by driver m
 // (which the caller has already aborted, outside p.mu). A retryable,
@@ -364,7 +385,7 @@ func (p *Pool) watchdog(timeout time.Duration) {
 		// nothing and parks again.
 		p.cond.Broadcast()
 		p.mu.Unlock()
-		now := time.Now().UnixNano()
+		now := int64(clock.Now())
 		for _, j := range jobs {
 			if j.finished.Load() || j.retrying.Load() {
 				continue
@@ -380,12 +401,7 @@ func (p *Pool) watchdog(timeout time.Duration) {
 			}
 			err := fmt.Errorf("tenant: job %q wedged: no progress for %v with %d tasks in flight",
 				j.cfg.Name, time.Duration(now-lt), inflight)
-			m.Abort(err)
-			if merr := m.Err(); merr == nil {
-				p.checkFinished(j) // finished between the probe and the abort
-			} else {
-				p.failJob(j, m, merr, true)
-			}
+			p.failAttempt(j, m, err) // retires j instead if it finished since the probe
 			p.progress()
 		}
 	}

@@ -31,10 +31,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
-	"repro/internal/granule"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -117,10 +117,10 @@ type Config struct {
 	// nanoseconds since pool start; delays are bounded by fault.Sleep).
 	Faults *fault.Spec
 	// Metrics, when non-nil, is the telemetry set the pool records into:
-	// per-worker dispatch/completion/backfill counters, the queue-wait
-	// and deadline-margin histograms, job lifecycle counters, and —
-	// through the per-job managers — steal counters and ready-buffer
-	// occupancy. All durations are wall-clock nanoseconds. The
+	// per-worker dispatch/completion/backfill counters, the queue-wait,
+	// dispatch-wait and deadline-margin histograms, job lifecycle
+	// counters, and — through the per-job managers — steal counters and
+	// ready-buffer occupancy. All durations are wall-clock nanoseconds. The
 	// metrics-off fast path is one nil check per event.
 	Metrics *telemetry.Set
 }
@@ -394,7 +394,7 @@ func (p *Pool) activateLocked(j *Job) {
 		}
 	}
 	j.driver().Start()
-	j.lastTouch.Store(time.Now().UnixNano())
+	j.lastTouch.Store(int64(clock.Now()))
 	p.active = append(p.active, j)
 	if p.met != nil {
 		p.met.ActiveJobs.Set(int64(len(p.active)))
@@ -482,6 +482,14 @@ func (p *Pool) Abort(err error) {
 // nothing is dispatchable anywhere. ctx carries the goroutine's pprof
 // worker label; a job label is layered on per job switch when metrics
 // are on.
+//
+// The worker keeps one clock chain (see internal/clock): now is its
+// latest reading, replaced by the stamp each manager call returns. A
+// manager entered without contention charges from the stamp it is handed,
+// so the chain is handed on only where the call follows the reading
+// directly (Flush, the probes within one sweep); the sweep and the
+// completion submission start from a fresh reading, because pool-level
+// work that can block sits before them (see sweep and runTask).
 func (p *Pool) worker(ctx context.Context, w int) {
 	defer p.wg.Done()
 	var cache homeCache
@@ -492,33 +500,48 @@ func (p *Pool) worker(ctx context.Context, w int) {
 	// flushed there, where the post-failure gate drops them.
 	var last *Job
 	var lastMgr executive.PoolDriver
+	now := clock.Now()
 	for {
 		g0 := p.gen.Load()
-		j, m, task, backfill, ok := p.sweep(w, &cache)
+		asked := now
+		j, m, task, backfill, at, ok := p.sweep(w, &cache)
+		now = at
 		if ok {
-			if p.met != nil && j != labeled {
-				pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
-					pprof.Labels("rundown_job", j.cfg.Name)))
-				labeled = j
+			if p.met != nil {
+				if j != labeled {
+					pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
+						pprof.Labels("rundown_job", j.cfg.Name)))
+					labeled = j
+				}
+				// Ask-to-dispatch: the sweep that found the task, from the
+				// worker's previous completion (or wakeup) to the task in
+				// hand — lock waits and dry probes of other jobs included.
+				// Time parked is not: a parked worker waits for work to
+				// exist, not on management, and the service's latency-class
+				// admission reads this histogram's p99 as the delay the
+				// pool imposes on a task.
+				p.met.DispatchWait.Observe(int64(now - asked))
 			}
 			if lastMgr != nil && lastMgr != m {
 				// The previous job's completions must not linger in this
 				// worker's batch while it works elsewhere: a job's final
 				// completions would otherwise wait for this worker's next
 				// dry sweep, stretching that job's observed makespan.
-				if lastMgr.Flush(w) {
+				var applied bool
+				if now, applied = lastMgr.Flush(w, now); applied {
 					p.checkFinished(last)
 					p.progress()
 				}
 			}
 			last, lastMgr = j, m
-			p.runTask(w, j, m, task, backfill)
+			now = p.runTask(w, j, m, task, backfill, now)
 			continue
 		}
 		// Dry sweep: every active job's TryNext flushed this worker's
 		// batch and found nothing dispatchable.
 		last, lastMgr = nil, nil
-		if p.park(w, g0) {
+		var exit bool
+		if exit, now = p.park(w, g0, now); exit {
 			return
 		}
 	}
@@ -528,19 +551,22 @@ func (p *Pool) worker(ctx context.Context, w int) {
 // completion to m — the driver the task was taken from, which after a
 // retry may no longer be j's current one (the stale completion is then
 // dropped at the aborted manager's gate). Panics in user work fail the
-// job, not the pool; a failed attempt with retries left restarts.
-func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, backfill bool) {
-	j.lastTouch.Store(time.Now().UnixNano())
+// job, not the pool; a failed attempt with retries left restarts. now is
+// the dispatch stamp — the start of the task's compute interval — and the
+// stamp returned is the worker's latest reading once the completion is
+// submitted.
+func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, backfill bool, now clock.Stamp) clock.Stamp {
+	j.lastTouch.Store(int64(now))
 	if p.met != nil {
 		p.met.Dispatches.Inc(w)
 	}
 	var ring *trace.Ring
 	if rec := p.cfg.Trace; rec != nil {
 		ring = rec.Ring(w)
-		ring.Record(trace.KDispatch, rec.Now(), int32(w), int32(j.idx),
+		ring.Record(trace.KDispatch, rec.At(now), int32(w), int32(j.idx),
 			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), 0)
 		if backfill {
-			ring.Record(trace.KBackfill, rec.Now(), int32(w), int32(j.idx),
+			ring.Record(trace.KBackfill, rec.At(now), int32(w), int32(j.idx),
 				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), 0)
 		}
 	}
@@ -549,20 +575,20 @@ func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, ba
 	if p.plan != nil {
 		p.injectTask(w, j, task, &work, &tf)
 	}
-	c0 := time.Now()
 	err := tf.err
 	if err == nil {
-		err = execTask(work, task)
-		if err == nil && tf.factor > 1 {
-			stretchCompute(time.Since(c0), tf.factor)
-		}
+		err = executive.RunTask(work, task)
 	}
-	dur := time.Since(c0)
+	end := clock.Now()
+	if err == nil && tf.factor > 1 {
+		stretchCompute(end.Sub(now), tf.factor)
+		end = clock.Now()
+	}
+	dur := end.Sub(now)
 
 	if err != nil {
-		m.Abort(err)
-		p.failJob(j, m, err, true)
-		return
+		p.failAttempt(j, m, err)
+		return end
 	}
 	j.compute.Add(int64(dur))
 	j.tasks.Add(1)
@@ -589,39 +615,33 @@ func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, ba
 	}
 	if p.plan != nil {
 		p.holdCompletion(w, j, &tf)
+		end = clock.Now()
 	}
 	// Recorded BEFORE the completion is submitted to management, so any
 	// dispatch it enables carries a larger Seq (the causal edge replay
 	// and diff rely on).
 	if ring != nil {
-		ring.Record(trace.KComplete, p.cfg.Trace.Now(), int32(w), int32(j.idx),
+		ring.Record(trace.KComplete, p.cfg.Trace.At(end), int32(w), int32(j.idx),
 			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
 	}
-	j.lastTouch.Store(time.Now().UnixNano())
+	// The completion is submitted with a fresh reading, not the
+	// compute-end one: an uncontended manager charges from the stamp it
+	// is handed, and the ring append above can block for as long as a
+	// trace download holds the ring (the recorder is shared with the
+	// daemon's readers) — time that is no job's management.
+	end = clock.Now()
+	j.lastTouch.Store(int64(end))
 	// A completion that only joined the worker's local batch cannot have
 	// released successor work or finished the job, so parked workers are
 	// only woken when the batch was actually applied — without this,
 	// every batched completion would broadcast the pool awake during
 	// rundown, defeating the point of completion batching.
-	if m.Complete(w, task) {
+	end, applied := m.Complete(w, task, end)
+	if applied {
 		p.checkFinished(j)
 		p.progress()
 	}
-}
-
-// execTask runs the work function over the task's granules. A nil work
-// function is a pure scheduling run.
-func execTask(work core.WorkFn, task core.Task) (err error) {
-	if work == nil {
-		return nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("tenant: work panicked in %v: %v", task, r)
-		}
-	}()
-	task.Run.Each(func(g granule.ID) { work(g) })
-	return nil
+	return end
 }
 
 // progress records a progress event and wakes parked workers. The
@@ -654,17 +674,21 @@ func (p *Pool) progress() {
 // gen and retries, or the producer sees the waiter and broadcasts. The
 // broadcast serializes behind mu, which the parker holds until cond.Wait
 // releases it, so the wakeup cannot be lost.
-func (p *Pool) park(w int, g0 uint64) bool {
+//
+// at is the worker's latest reading — the end of its dry sweep — and is
+// where the idle interval starts; the reading taken on wakeup ends it and
+// is returned.
+func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stamp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed && len(p.active) == 0 && len(p.waitq) == 0 && p.retryWait == 0 {
 		p.cond.Broadcast()
-		return true
+		return true, at
 	}
 	p.nWaiting.Add(1)
 	if p.gen.Load() != g0 {
 		p.nWaiting.Add(-1)
-		return false
+		return false, at
 	}
 	if int(p.nWaiting.Load()) == p.cfg.Workers && len(p.active) > 0 {
 		// Every worker swept every active job dry at a stable gen: all
@@ -691,31 +715,34 @@ func (p *Pool) park(w int, g0 uint64) bool {
 		}
 		p.nWaiting.Add(-1)
 		p.cond.Broadcast()
-		return false
+		return false, at
 	}
-	i0 := time.Now()
 	if rec := p.cfg.Trace; rec != nil {
-		rec.Ring(w).Record(trace.KPark, rec.Now(), int32(w), -1, -1, 0, 0, 0)
+		rec.Ring(w).Record(trace.KPark, rec.At(at), int32(w), -1, -1, 0, 0, 0)
 	}
 	p.cond.Wait()
 	p.nWaiting.Add(-1)
-	d := time.Since(i0)
+	now = clock.Now()
+	d := now.Sub(at)
 	p.idleNS.Add(int64(d))
 	if p.met != nil {
 		p.met.IdleTime.Add(w, int64(d))
 	}
 	if rec := p.cfg.Trace; rec != nil {
-		rec.Ring(w).Record(trace.KUnpark, rec.Now(), int32(w), -1, -1, 0, 0, int64(d))
+		rec.Ring(w).Record(trace.KUnpark, rec.At(now), int32(w), -1, -1, 0, 0, int64(d))
 	}
-	return false
+	return false, now
 }
 
 // checkFinished retires j when its state machine has completed or its
 // manager recorded an error (completion-processing panic, abort). A job
 // between attempts is left alone: its current driver is the dead
-// attempt's, and the retry owns its fate.
+// attempt's, and the retry owns its fate. So is a job whose attempt is
+// being failed right now (failAttempt): its manager already shows the
+// error, but whether that means a retry or retirement is the failing
+// worker's call, not a bystander's.
 func (p *Pool) checkFinished(j *Job) {
-	if j.finished.Load() || j.retrying.Load() {
+	if j.finished.Load() || j.retrying.Load() || j.failing.Load() > 0 {
 		return
 	}
 	m := j.driver()
@@ -724,7 +751,10 @@ func (p *Pool) checkFinished(j *Job) {
 		return
 	}
 	p.mu.Lock()
-	if j.retrying.Load() {
+	// failing is raised before the manager's error becomes visible and
+	// lowered only after failJob has decided under p.mu, so having seen
+	// the error, this check cannot miss an attempt failure in progress.
+	if j.retrying.Load() || j.failing.Load() > 0 {
 		p.mu.Unlock()
 		return
 	}

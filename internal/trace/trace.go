@@ -29,7 +29,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/clock"
 )
 
 // Kind classifies one scheduling decision.
@@ -232,7 +233,7 @@ func (g *Ring) Reset() {
 // each worker, and call Take once the run has quiesced.
 type Recorder struct {
 	meta  Meta
-	start time.Time
+	start clock.Stamp
 	seq   atomic.Uint64
 	rings []*Ring
 
@@ -245,7 +246,7 @@ func NewRecorder(meta Meta, workers int) *Recorder {
 	if workers < 1 {
 		workers = 1
 	}
-	r := &Recorder{meta: meta, start: time.Now()}
+	r := &Recorder{meta: meta, start: clock.Now()}
 	r.rings = make([]*Ring, workers)
 	for i := range r.rings {
 		r.rings[i] = &Ring{rec: r}
@@ -264,7 +265,12 @@ func (r *Recorder) Ring(w int) *Ring {
 
 // Now is the wall-clock timestamp source for real-machine recording:
 // nanoseconds since the recorder was created (monotonic).
-func (r *Recorder) Now() int64 { return int64(time.Since(r.start)) }
+func (r *Recorder) Now() int64 { return r.At(clock.Now()) }
+
+// At converts a clock reading the caller already holds into the
+// recorder's time base, so a worker that stamps task boundaries anyway
+// records them without reading the clock again.
+func (r *Recorder) At(s clock.Stamp) int64 { return int64(s - r.start) }
 
 // Emit records one event from a context that has no ring of its own — a
 // controller retune under the manager lock, an abort from an arbitrary

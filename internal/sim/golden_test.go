@@ -275,7 +275,52 @@ func goldenFixtures() []goldenFixture {
 			}
 		}, Config{Procs: 16, Mgmt: StealsWorker}))
 
+	// The shapes the sim-scale benchmark workload runs and the fixtures
+	// above do not: its eight mixed co-tenants at P=64 under every
+	// management model, and its 32-job / P=1024 / grain-4 sharded run
+	// (scaled down to 64 Ki granules so the suite stays fast).
+	for _, m := range models {
+		fx = append(fx, multiFixture(fmt.Sprintf("scale8/%v/p64", m), scaleMixedJobs, Config{Procs: 64, Mgmt: m}))
+	}
+	fx = append(fx, multiFixture("scale32/sharded/p1024", scaleManyJobs, Config{Procs: 1024, Mgmt: Sharded}))
+
 	return fx
+}
+
+// scaleMixedJobs is sim-scale's "mixed" tenancy: eight unit-cost identity
+// chains of growing size with alternating priorities and three weights.
+func scaleMixedJobs(t *testing.T) []JobSpec {
+	t.Helper()
+	specs := make([]JobSpec, 8)
+	for i := range specs {
+		prog, err := workload.Chain(enable.Identity, 3, 2048+512*i, workload.UnitCost(), uint64(1+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = JobSpec{
+			Name: fmt.Sprintf("job%d", i), Prog: prog, Opt: goldenOpt(8),
+			Priority: i % 2, Weight: 1 + i%3,
+		}
+	}
+	return specs
+}
+
+// scaleManyJobs is sim-scale's "million" tenancy at one sixteenth of the
+// granules: 32 four-phase chains, three priorities, two weights.
+func scaleManyJobs(t *testing.T) []JobSpec {
+	t.Helper()
+	specs := make([]JobSpec, 32)
+	for i := range specs {
+		prog, err := workload.Chain(enable.Identity, 4, 512, workload.UnitCost(), uint64(1+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs[i] = JobSpec{
+			Name: fmt.Sprintf("job%d", i), Prog: prog, Opt: goldenOpt(4),
+			Priority: i % 3, Weight: 1 + i%2,
+		}
+	}
+	return specs
 }
 
 // TestGoldenDeterminism compares every fixture's fingerprint against

@@ -110,6 +110,12 @@ func metricsFixtures() []metricsFixture {
 				{Name: "late", Prog: goldenChain(t, 3, 512, 4), Opt: goldenOpt(4), Deadline: 1},
 			}
 		}))
+	// sim-scale's mixed tenancy under every model (the 64-worker run folds
+	// onto the suite's 8 registry shards, which the dump sums anyway).
+	for _, m := range []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async} {
+		fx = append(fx, metricsMultiFixture(
+			fmt.Sprintf("scale8/%v/p64", m), Config{Procs: 64, Mgmt: m}, scaleMixedJobs))
+	}
 	return fx
 }
 

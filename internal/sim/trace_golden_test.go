@@ -23,6 +23,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -94,6 +95,19 @@ func TestTraceOrderGolden(t *testing.T) {
 			}
 			return rec.Take()
 		}},
+	}
+	// sim-scale's mixed tenancy under every model, with the metric set on
+	// as well: the multi-program engine's fully instrumented event path.
+	for _, m := range []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async} {
+		m := m
+		fixtures = append(fixtures, fixture{name: fmt.Sprintf("trace/scale8/%v/p64", m), run: func(t *testing.T) *trace.Trace {
+			rec := trace.NewRecorder(trace.Meta{}, 64)
+			met := telemetry.NewSet(telemetry.NewRegistry(64, "virtual"))
+			if _, err := RunMulti(scaleMixedJobs(t), Config{Procs: 64, Mgmt: m, Trace: rec, Metrics: met}); err != nil {
+				t.Fatal(err)
+			}
+			return rec.Take()
+		}})
 	}
 
 	got := make(map[string]string, len(fixtures))

@@ -136,88 +136,123 @@ func BenchmarkExecutiveSORSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures discrete-event simulator speed on a
-// large identity chain (events per second drive all experiment runtimes).
-func BenchmarkSimulatorThroughput(b *testing.B) {
+// The simulator series drive the virtual backend the way a caller does —
+// rundown.New(WithVirtualTime(cfg)) then Run or RunAll — so they time the
+// same path the sim-scale benchmark workload does and depend on no legacy
+// wrapper.
+
+// simChain is the 4×16384 unit-cost identity chain at grain 64: the
+// head-to-head program of the single- and multi-program engines.
+func simChain(b *testing.B) rundown.Job {
+	b.Helper()
 	prog, err := rundown.Chain(rundown.KindIdentity, 4, 16384, rundown.UnitCost(), 5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := rundown.Simulate(prog, rundown.Options{
-			Grain: 64, Overlap: true, Costs: rundown.DefaultCosts(),
-		}, rundown.SimConfig{Procs: 64, Mgmt: rundown.StealsWorker})
+	return rundown.Job{Prog: prog, Opt: rundown.Options{Grain: 64, Overlap: true, Costs: rundown.DefaultCosts()}}
+}
+
+// simTenants builds n co-tenant unit-cost identity chains with mixed
+// priorities and weights, so the backfill order and deficit machinery are
+// on the hot path.
+func simTenants(b *testing.B, n, phases, grain, prios, weights int, granules func(i int) int) []rundown.Job {
+	b.Helper()
+	jobs := make([]rundown.Job, n)
+	for i := range jobs {
+		prog, err := rundown.Chain(rundown.KindIdentity, phases, granules(i), rundown.UnitCost(), uint64(5+i))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			b.ReportMetric(float64(res.Sched.Dispatches), "tasks")
+		jobs[i] = rundown.Job{
+			Name: "job" + strconv.Itoa(i), Prog: prog,
+			Opt:      rundown.Options{Grain: grain, Overlap: true, Costs: rundown.DefaultCosts()},
+			Priority: i % prios, Weight: 1 + i%weights,
 		}
+	}
+	return jobs
+}
+
+// benchSim runs jobs on a fresh virtual Runner per iteration — through
+// RunAll (the multi-program engine) when multi is set, else the first job
+// through Run (the single-program engine) — and reports simulated granules
+// per host second.
+func benchSim(b *testing.B, cfg rundown.SimConfig, multi bool, jobs ...rundown.Job) {
+	var granules int64
+	for _, j := range jobs {
+		granules += int64(j.Prog.TotalGranules())
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := rundown.New(rundown.WithVirtualTime(cfg))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if multi {
+			_, err = r.RunAll(ctx, jobs)
+		} else {
+			_, err = r.Run(ctx, jobs[0])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(granules)*float64(b.N)/b.Elapsed().Seconds(), "granules/sec")
+}
+
+var simModelSeries = []struct {
+	name  string
+	model rundown.MgmtModel
+}{
+	{"steals-worker", rundown.StealsWorker}, {"dedicated", rundown.Dedicated},
+	{"sharded", rundown.ShardedMgmt}, {"adaptive", rundown.AdaptiveMgmt}, {"async", rundown.AsyncMgmt},
+}
+
+// BenchmarkSimulatorThroughput measures discrete-event simulator speed on a
+// large identity chain (events per second drive all experiment runtimes).
+func BenchmarkSimulatorThroughput(b *testing.B) {
+	benchSim(b, rundown.SimConfig{Procs: 64, Mgmt: rundown.StealsWorker}, false, simChain(b))
+}
+
+// BenchmarkSimulatorOneJob is the single- versus multi-program engine
+// head-to-head: the same one-job chain under every management model,
+// through Run (single) and through a one-job RunAll (multi).
+func BenchmarkSimulatorOneJob(b *testing.B) {
+	job := simChain(b)
+	for _, m := range simModelSeries {
+		cfg := rundown.SimConfig{Procs: 64, Mgmt: m.model}
+		b.Run("single/"+m.name, func(b *testing.B) { benchSim(b, cfg, false, job) })
+		b.Run("multi/"+m.name, func(b *testing.B) { benchSim(b, cfg, true, job) })
 	}
 }
 
 // BenchmarkSimulatorThroughputMulti measures the multi-program
 // discrete-event engine: 8 co-tenant identity-chain jobs (mixed sizes,
-// priorities and weights, so the backfill order and deficit machinery are
-// on the hot path) sharing a 64-processor machine. Reports granules/sec
-// of simulated work and allocs/op — the PR 6 rewrite gates both: ≥ 5x
-// the seed engine's throughput, zero steady-state allocs per dispatch.
+// priorities and weights) sharing a 64-processor machine. Reports
+// granules/sec of simulated work and allocs/op; CI caps the latter.
 func BenchmarkSimulatorThroughputMulti(b *testing.B) {
-	const jobs = 8
-	specs := make([]rundown.SimJob, jobs)
-	var granules int64
-	for i := range specs {
-		n := 8192 + 2048*i
-		prog, err := rundown.Chain(rundown.KindIdentity, 3, n, rundown.UnitCost(), uint64(5+i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		granules += int64(prog.TotalGranules())
-		specs[i] = rundown.SimJob{
-			Name: "job" + strconv.Itoa(i), Prog: prog,
-			Opt:      rundown.Options{Grain: 8, Overlap: true, Costs: rundown.DefaultCosts()},
-			Priority: i % 2, Weight: 1 + i%3,
-		}
+	jobs := simTenants(b, 8, 3, 8, 2, 3, func(i int) int { return 8192 + 2048*i })
+	benchSim(b, rundown.SimConfig{Procs: 64, Mgmt: rundown.ShardedMgmt}, true, jobs...)
+}
+
+// BenchmarkSimulatorMultiModels is the sim-scale workload's mixed tenancy
+// (8 jobs, 2048+512i granules per phase, grain 8, P=64) under every
+// management model.
+func BenchmarkSimulatorMultiModels(b *testing.B) {
+	jobs := simTenants(b, 8, 3, 8, 2, 3, func(i int) int { return 2048 + 512*i })
+	for _, m := range simModelSeries {
+		cfg := rundown.SimConfig{Procs: 64, Mgmt: m.model}
+		b.Run(m.name, func(b *testing.B) { benchSim(b, cfg, true, jobs...) })
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rundown.SimulateMulti(specs, rundown.SimConfig{Procs: 64, Mgmt: rundown.ShardedMgmt}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(granules)*float64(b.N)/b.Elapsed().Seconds(), "granules/sec")
 }
 
 // BenchmarkSimulatorScaleMillion is the scale lab's acceptance workload:
 // one million granules spread over 32 co-tenant jobs on a 1024-worker
 // machine — the co-tenancy scale no CI host can run on real goroutines.
-// The engine must complete each run in single-digit seconds.
 func BenchmarkSimulatorScaleMillion(b *testing.B) {
-	const jobs = 32
-	specs := make([]rundown.SimJob, jobs)
-	var granules int64
-	for i := range specs {
-		prog, err := rundown.Chain(rundown.KindIdentity, 4, 1_000_000/(4*jobs), rundown.UnitCost(), uint64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		granules += int64(prog.TotalGranules())
-		specs[i] = rundown.SimJob{
-			Name: "job" + strconv.Itoa(i), Prog: prog,
-			Opt:      rundown.Options{Grain: 4, Overlap: true, Costs: rundown.DefaultCosts()},
-			Priority: i % 3, Weight: 1 + i%2,
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rundown.SimulateMulti(specs, rundown.SimConfig{Procs: 1024, Mgmt: rundown.ShardedMgmt}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(granules)*float64(b.N)/b.Elapsed().Seconds(), "granules/sec")
+	jobs := simTenants(b, 32, 4, 4, 3, 2, func(int) int { return 1_000_000 / (4 * 32) })
+	benchSim(b, rundown.SimConfig{Procs: 1024, Mgmt: rundown.ShardedMgmt}, true, jobs...)
 }
 
 // BenchmarkE9JobStreams regenerates the introduction's batching-vs-overlap

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/enable"
 	"repro/internal/granule"
 )
 
@@ -81,8 +82,34 @@ func (s *Scheduler) settle(pr *phaseRun) Cost {
 			released.Add(r)
 		}
 		charged := 0
+		identity := pr.tab.Kind() == enable.Identity
 		for i := 0; i < s.merged.NumRuns(); i++ {
 			run := s.merged.RunAt(i)
+			if identity {
+				// Identity enables run-for-run, and the two management sets
+				// almost always cover an enabled run entirely or not at all:
+				// decide per run, and fall back to per-granule emission only
+				// for a run that straddles a set's edge.
+				r := pr.tab.CompleteIdentity(run)
+				n := r.Len()
+				cq := pr.cqManaged.CountRange(r)
+				switch {
+				case cq == n:
+					// Released by the conflict-queue mechanism (or empty).
+				case cq == 0 && !pr.subsetManaged.IntersectsRange(r):
+					charged += n
+					released.AddRange(r)
+				default:
+					for g := r.Lo; g < r.Hi; g++ {
+						suppressed = false
+						emit(g)
+						if !suppressed {
+							charged++
+						}
+					}
+				}
+				continue
+			}
 			for p := run.Lo; p < run.Hi; p++ {
 				suppressed = false
 				if n := pr.tab.Complete(p, emit); !suppressed {

@@ -230,3 +230,82 @@ func TestCompleteBatchMatchesComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestIdentityCompletionStraddlingConflictQueueEdge covers the one shape
+// the per-run identity completion path cannot decide per run: a merged
+// completed run only part of which is conflict-queue managed. A task of
+// phase b dispatched while b was still overlapped has no attached
+// successor when b becomes current and the b->c pair is wired — it
+// releases through the table — while its neighbour, queued at that
+// moment, releases through its conflict queue. Completed in one batch the
+// two coalesce into a single run straddling the edge, and the scheduler
+// must charge and release exactly what completing them one at a time
+// does.
+func TestIdentityCompletionStraddlingConflictQueueEdge(t *testing.T) {
+	setup := func() (*Scheduler, []Task) {
+		prog := mustProgram(t,
+			&Phase{Name: "a", Granules: 8, Enable: enable.NewIdentity()},
+			&Phase{Name: "b", Granules: 8, Enable: enable.NewIdentity()},
+			&Phase{Name: "c", Granules: 8},
+		)
+		s, err := New(prog, Options{
+			Workers: 4, Grain: 2, Overlap: true, IdentityVia: IdentityConflictQueue, Costs: DefaultCosts(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		next := func(phase int, lo, hi granule.ID) Task {
+			t.Helper()
+			task, _, ok := s.NextTask()
+			if !ok || int(task.Phase) != phase || task.Run != granule.R(lo, hi) {
+				t.Fatalf("dispatched %v (ok=%v), want phase %d [%d,%d)", task, ok, phase, lo, hi)
+			}
+			return task
+		}
+		a := []Task{next(0, 0, 2), next(0, 2, 4), next(0, 4, 6), next(0, 6, 8)}
+		s.Complete(a[0])
+		s.Complete(a[1])
+		early := next(1, 0, 2) // leaves while b is only overlapped
+		s.Complete(a[2])
+		s.Complete(a[3])      // a done: b is current, b->c wired around early
+		late := next(1, 2, 4) // carries its successors
+		return s, []Task{early, late}
+	}
+
+	one, ts := setup()
+	base := one.Stats().EnableTouches
+	one.Complete(ts[0])
+	one.Complete(ts[1])
+	bat, ts := setup()
+	bat.CompleteBatch(ts)
+
+	for name, s := range map[string]*Scheduler{"one at a time": one, "batched": bat} {
+		if err := s.Check(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Only b's granules 0 and 1 went through the table; 2 and 3 were
+		// released by their conflict queue, uncharged.
+		if got := s.Stats().EnableTouches - base; got != 2 {
+			t.Errorf("%s: %d enablement touches charged, want 2", name, got)
+		}
+		// c's first four granules are now computable, exactly once each
+		// (the double-dispatch guard panics otherwise).
+		var succ granule.Set
+		for {
+			task, _, ok := s.NextTask()
+			if !ok {
+				break
+			}
+			if task.Phase == 2 {
+				succ.AddRange(task.Run)
+			}
+		}
+		if want := granule.NewSet(granule.R(0, 4)); !succ.Equal(want) {
+			t.Errorf("%s: phase c granules %v became computable, want %v", name, &succ, want)
+		}
+	}
+	if a, b := one.Stats(), bat.Stats(); a.EnableTouches != b.EnableTouches || a.CompleteCost != b.CompleteCost {
+		t.Errorf("statistics differ: one at a time %+v, batched %+v", a, b)
+	}
+}

@@ -2,6 +2,7 @@ package enable
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/granule"
 )
@@ -27,9 +28,12 @@ type Table struct {
 	// Only allocated for indirect kinds.
 	remaining []int32
 
-	// enables[p] lists the successor granules whose counters completion
-	// of current granule p decrements. Only allocated for indirect kinds.
-	enables [][]granule.ID
+	// succs[succOff[p]:succOff[p+1]] lists, in ascending order, the
+	// successor granules whose counters completion of current granule p
+	// decrements: the composite map as one compressed-sparse-row array.
+	// Only allocated for indirect kinds.
+	succs   []granule.ID
+	succOff []int
 
 	// requires is retained for ReverseIndirect/Seam tables so that
 	// successor-subset planning can scan only the subset's requirement
@@ -91,40 +95,68 @@ func Build(spec *Spec, nPred, nSucc int) (*Table, error) {
 		t.pending = overlap
 		t.buildCost = CostPerEntry // the relation is implicit; no map storage
 	case ForwardIndirect:
+		// The map is already in the table's direction: rows are appended
+		// in order.
 		t.remaining = make([]int32, nSucc)
-		t.enables = make([][]granule.ID, nPred)
-		entries := 0
+		t.succOff = make([]int, nPred+1)
+		t.succs = make([]granule.ID, 0, nPred)
 		for p := 0; p < nPred; p++ {
-			succs := spec.Forward(granule.ID(p))
-			if len(succs) == 0 {
-				continue
-			}
-			t.enables[p] = append([]granule.ID(nil), succs...)
-			for _, r := range succs {
+			row := spec.Forward(granule.ID(p))
+			t.succs = append(t.succs, row...)
+			t.succOff[p+1] = len(t.succs)
+			for _, r := range row {
 				t.remaining[r]++
 			}
-			entries += len(succs)
 		}
-		t.finishIndirect(entries)
+		t.finishIndirect(len(t.succs))
 	case ReverseIndirect, Seam:
+		// The map arrives transposed (per successor), so the rows are built
+		// in two passes over one call of Requires per successor. Pass one
+		// keeps each requirement list, duplicates dropped, back to back in
+		// reqs — remaining[r] is the length of r's stretch — and counts each
+		// row's entries into succOff. stamp[p] == r+1 marks p as already
+		// listed for r.
 		t.requires = spec.Requires
 		t.remaining = make([]int32, nSucc)
-		t.enables = make([][]granule.ID, nPred)
-		entries := 0
+		t.succOff = make([]int, nPred+1)
+		stamp := make([]int32, nPred)
+		reqs := make([]granule.ID, 0, nSucc)
 		for r := 0; r < nSucc; r++ {
-			reqs := spec.Requires(granule.ID(r))
-			seen := make(map[granule.ID]bool, len(reqs))
-			for _, p := range reqs {
-				if seen[p] {
+			for _, p := range spec.Requires(granule.ID(r)) {
+				if stamp[p] == int32(r)+1 {
 					continue // duplicate requirement counts once
 				}
-				seen[p] = true
+				stamp[p] = int32(r) + 1
+				if len(reqs) == cap(reqs) {
+					// Double outright: append's gentler growth of large
+					// slices would cost more reallocations the more
+					// granules the phase has.
+					reqs = slices.Grow(reqs, len(reqs)+1)
+				}
+				reqs = append(reqs, p)
 				t.remaining[r]++
-				t.enables[p] = append(t.enables[p], granule.ID(r))
-				entries++
+				t.succOff[p+1]++
 			}
 		}
-		t.finishIndirect(entries)
+		// Pass two turns the counts into row starts and deals the
+		// successors out to their rows, in ascending order. Each row's
+		// start doubles as its fill cursor, which leaves every start one
+		// row late; the final shift puts them back.
+		for p := 0; p < nPred; p++ {
+			t.succOff[p+1] += t.succOff[p]
+		}
+		t.succs = make([]granule.ID, len(reqs))
+		k := 0
+		for r := 0; r < nSucc; r++ {
+			for end := k + int(t.remaining[r]); k < end; k++ {
+				p := reqs[k]
+				t.succs[t.succOff[p]] = granule.ID(r)
+				t.succOff[p]++
+			}
+		}
+		copy(t.succOff[1:], t.succOff)
+		t.succOff[0] = 0
+		t.finishIndirect(len(reqs))
 	default:
 		return nil, fmt.Errorf("enable: invalid kind %v", spec.Kind)
 	}
@@ -142,6 +174,12 @@ func (t *Table) finishIndirect(entries int) {
 	}
 	t.pending = pending
 	t.buildCost = int64(entries) * CostPerEntry
+}
+
+// row returns the successor granules current granule p enables (indirect
+// kinds; p < nPred).
+func (t *Table) row(p granule.ID) []granule.ID {
+	return t.succs[t.succOff[p]:t.succOff[p+1]]
 }
 
 // Kind reports the mapping kind the table was built for.
@@ -176,11 +214,11 @@ func (t *Table) Complete(p granule.ID, emit func(r granule.ID)) int {
 		}
 		return 0
 	default:
-		if int(p) >= len(t.enables) {
+		if int(p) >= t.nPred {
 			return 0
 		}
 		touched := 0
-		for _, r := range t.enables[p] {
+		for _, r := range t.row(p) {
 			touched++
 			t.remaining[r]--
 			if t.remaining[r] == 0 {
@@ -190,6 +228,22 @@ func (t *Table) Complete(p granule.ID, emit func(r granule.ID)) int {
 		}
 		return touched
 	}
+}
+
+// CompleteIdentity is Complete for a whole finished run of current-phase
+// granules of an Identity table, in one step: successor granule i waits
+// for current granule i alone, so the run enables itself, clipped to the
+// phase pair's overlap. It returns that range — every granule of it is
+// one counter touch and one emission of Complete — and retires it from
+// Pending. The exactly-once rule of Complete applies.
+func (t *Table) CompleteIdentity(run granule.Range) granule.Range {
+	overlap := t.nSucc
+	if t.nPred < overlap {
+		overlap = t.nPred
+	}
+	r := run.Intersect(granule.Span(overlap))
+	t.pending -= r.Len()
+	return r
 }
 
 // CompleteRange applies Complete to every granule in run, coalescing the
@@ -237,8 +291,8 @@ func (t *Table) PredsFor(succs *granule.Set) (*granule.Set, int) {
 		return preds, scanned
 	default:
 		// Forward maps must be scanned in the map's own direction.
-		for p, succList := range t.enables {
-			for _, r := range succList {
+		for p := 0; p < t.nPred; p++ {
+			for _, r := range t.row(granule.ID(p)) {
 				scanned++
 				if succs.Contains(r) {
 					preds.Add(granule.ID(p))

@@ -2,6 +2,8 @@ package enable
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -83,6 +85,23 @@ func TestBuildIdentityShortSuccessor(t *testing.T) {
 	}
 }
 
+// TestCompleteIdentityMatchesComplete: the per-run form emits and retires
+// exactly what per-granule Complete calls do, including past the end of a
+// shorter successor phase.
+func TestCompleteIdentityMatchesComplete(t *testing.T) {
+	for _, run := range []granule.Range{granule.R(0, 3), granule.R(2, 6), granule.R(4, 6), granule.R(5, 5)} {
+		byRun, _ := Build(NewIdentity(), 6, 4)
+		byGranule, _ := Build(NewIdentity(), 6, 4)
+		var want []granule.ID
+		run.Each(func(p granule.ID) { want = append(want, collectEnabled(byGranule, p)...) })
+		got := byRun.CompleteIdentity(run)
+		if !slices.Equal(got.IDs(), want) || byRun.Pending() != byGranule.Pending() {
+			t.Errorf("run %v: enabled %v with %d pending; per granule %v with %d pending",
+				run, got, byRun.Pending(), want, byGranule.Pending())
+		}
+	}
+}
+
 func TestBuildForward(t *testing.T) {
 	// imap: p -> p/2 (two preds per successor granule).
 	imap := []granule.ID{0, 0, 1, 1, 2, 2}
@@ -146,6 +165,95 @@ func TestBuildReverseDuplicateRequirements(t *testing.T) {
 	got := collectEnabled(tab, 0)
 	if len(got) != 2 {
 		t.Fatalf("duplicate reqs: Complete(0) enabled %v", got)
+	}
+}
+
+// reverseRows expands a successor-side requirement table into the rows
+// Build must produce: for each current granule, the successors that name
+// it at least once, ascending.
+func reverseRows(reqs [][]granule.ID, nPred int) [][]granule.ID {
+	rows := make([][]granule.ID, nPred)
+	for r, list := range reqs {
+		seen := map[granule.ID]bool{}
+		for _, p := range list {
+			if !seen[p] {
+				seen[p] = true
+				rows[p] = append(rows[p], granule.ID(r))
+			}
+		}
+	}
+	return rows
+}
+
+// TestBuildReverseRows: duplicated requirements count once wherever they
+// sit in the list, empty lists make their successor ready at start, the
+// rows come out in ascending successor order, and the build cost is the
+// number of distinct entries — for both kinds that arrive transposed.
+func TestBuildReverseRows(t *testing.T) {
+	reqs := [][]granule.ID{
+		{2, 0, 2, 0}, // duplicates, interleaved
+		{},           // no requirement: ready at start
+		{4, 4, 4},    // one requirement, repeated
+		{0, 1, 2, 3, 4},
+		nil, // likewise ready at start
+		{3, 0, 3},
+	}
+	const nPred = 6 // granule 5 is required by nobody
+	for _, mk := range []func(RequiresFn) *Spec{NewReverse, NewSeam} {
+		spec := mk(func(r granule.ID) []granule.ID { return reqs[r] })
+		tab, err := Build(spec, nPred, len(reqs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tab.ReadyAtStart().IDs(), []granule.ID{1, 4}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: ready at start %v, want %v", spec.Kind, got, want)
+		}
+		if tab.Pending() != 4 {
+			t.Errorf("%v: pending %d, want 4", spec.Kind, tab.Pending())
+		}
+		if tab.BuildCost() != 10*CostPerEntry {
+			t.Errorf("%v: build cost %d, want 10 distinct entries", spec.Kind, tab.BuildCost())
+		}
+		rows := reverseRows(reqs, nPred)
+		for p := granule.ID(0); p < nPred; p++ {
+			if got := tab.row(p); !slices.Equal(got, rows[p]) {
+				t.Errorf("%v: row %d = %v, want %v", spec.Kind, p, got, rows[p])
+			}
+		}
+		// Completing every current granule once fires every pending
+		// successor exactly once.
+		fired := map[granule.ID]int{}
+		for p := granule.ID(0); p < nPred; p++ {
+			for _, r := range collectEnabled(tab, p) {
+				fired[r]++
+			}
+		}
+		if want := map[granule.ID]int{0: 1, 2: 1, 3: 1, 5: 1}; !reflect.DeepEqual(fired, want) || tab.Pending() != 0 {
+			t.Errorf("%v: fired %v (pending %d), want %v", spec.Kind, fired, tab.Pending(), want)
+		}
+	}
+}
+
+// TestBuildReverseAllocsIndependentOfSize: the reverse build allocates its
+// handful of arrays, not per granule — the same small bound holds at 256
+// granules and at 16 384 (the requirement-list scratch starts at one slot
+// per successor and doubles, so its growth depends on the mean list
+// length, which is fixed here).
+func TestBuildReverseAllocsIndependentOfSize(t *testing.T) {
+	for _, n := range []int{256, 16384} {
+		lists := make([][]granule.ID, n)
+		for r := range lists {
+			lists[r] = []granule.ID{granule.ID(r), granule.ID((r + 1) % n), granule.ID((r + 7) % n), granule.ID(r)}
+		}
+		spec := NewReverse(func(r granule.ID) []granule.ID { return lists[r] })
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Build(spec, n, n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 12 {
+			t.Errorf("Build of %d granules made %.0f allocations, want at most 12 at any size", n, allocs)
+		}
 	}
 }
 

@@ -268,8 +268,8 @@ func (s *mstate) clearModelState(ji int, at int64) {
 	j := s.jobs[ji]
 	switch s.model {
 	case Async:
-		s.bufferedN -= len(j.aready)
-		j.aready = j.aready[:0]
+		s.bufferedN -= j.aready.len()
+		j.aready.clear()
 		j.acomp = j.acomp[:0]
 		if s.met != nil {
 			s.met.ReadyOccupancy.Set(int64(s.bufferedN))
@@ -327,7 +327,7 @@ func (s *mstate) failJob(ji int, at int64, proc int, err error, retryable bool) 
 		// queue at fin, after which a push at the earlier at would be
 		// rejected as time travel.
 		if proc >= 0 {
-			s.push(mitem{at: at, proc: proc, gen: s.askGen[proc]})
+			s.pushAsk(at, proc)
 		}
 		s.wake(fin)
 		return
@@ -358,7 +358,7 @@ func (s *mstate) failJob(ji int, at int64, proc int, err error, retryable bool) 
 		s.tr.Record(trace.KAbort, at, int32(proc), int32(ji), -1, 0, 0, 0)
 	}
 	if proc >= 0 {
-		s.push(mitem{at: at, proc: proc, gen: s.askGen[proc]})
+		s.pushAsk(at, proc)
 	}
 }
 

@@ -287,40 +287,34 @@ func goldenFixtures() []goldenFixture {
 	return fx
 }
 
-// scaleMixedJobs is sim-scale's "mixed" tenancy: eight unit-cost identity
-// chains of growing size with alternating priorities and three weights.
-func scaleMixedJobs(t *testing.T) []JobSpec {
+// scaleTenants builds n co-tenant unit-cost identity chains, job i with
+// priority i%prios and weight 1+i%weights.
+func scaleTenants(t *testing.T, n, phases, grain, prios, weights int, granules func(i int) int) []JobSpec {
 	t.Helper()
-	specs := make([]JobSpec, 8)
+	specs := make([]JobSpec, n)
 	for i := range specs {
-		prog, err := workload.Chain(enable.Identity, 3, 2048+512*i, workload.UnitCost(), uint64(1+i))
+		prog, err := workload.Chain(enable.Identity, phases, granules(i), workload.UnitCost(), uint64(1+i))
 		if err != nil {
 			t.Fatal(err)
 		}
 		specs[i] = JobSpec{
-			Name: fmt.Sprintf("job%d", i), Prog: prog, Opt: goldenOpt(8),
-			Priority: i % 2, Weight: 1 + i%3,
+			Name: fmt.Sprintf("job%d", i), Prog: prog, Opt: goldenOpt(grain),
+			Priority: i % prios, Weight: 1 + i%weights,
 		}
 	}
 	return specs
 }
 
+// scaleMixedJobs is sim-scale's "mixed" tenancy: eight chains of growing
+// size with alternating priorities and three weights.
+func scaleMixedJobs(t *testing.T) []JobSpec {
+	return scaleTenants(t, 8, 3, 8, 2, 3, func(i int) int { return 2048 + 512*i })
+}
+
 // scaleManyJobs is sim-scale's "million" tenancy at one sixteenth of the
 // granules: 32 four-phase chains, three priorities, two weights.
 func scaleManyJobs(t *testing.T) []JobSpec {
-	t.Helper()
-	specs := make([]JobSpec, 32)
-	for i := range specs {
-		prog, err := workload.Chain(enable.Identity, 4, 512, workload.UnitCost(), uint64(1+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		specs[i] = JobSpec{
-			Name: fmt.Sprintf("job%d", i), Prog: prog, Opt: goldenOpt(4),
-			Priority: i % 3, Weight: 1 + i%2,
-		}
-	}
-	return specs
+	return scaleTenants(t, 32, 4, 4, 3, 2, func(int) int { return 512 })
 }
 
 // TestGoldenDeterminism compares every fixture's fingerprint against

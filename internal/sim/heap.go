@@ -1,22 +1,18 @@
 package sim
 
-// This file is the engine's hot-path plumbing: concrete 4-ary min-heaps
-// for the two event queues and a compacting FIFO ring for the
-// single-program request queue. The previous engine used container/heap,
-// which costs an interface box per Push and per Pop (the `any`
-// conversions) plus dynamic dispatch on every comparison; at millions of
-// granules those allocations dominated the profile. The typed heaps
-// allocate only when the backing array grows — in steady state, never —
-// and the 4-ary shape halves the tree depth of a binary heap, trading
-// three extra (cache-resident) sibling comparisons per level for half the
-// cache-missing parent/child hops.
+// This file is the engines' hot-path plumbing: the single-program
+// engine's typed 4-ary event heap, the multi-program engine's calendar
+// queue, the compacting FIFO both use, and the parked-worker bitset. None
+// of them allocates in steady state — backing arrays grow to a
+// scale-independent high-water mark and are reused — and none goes
+// through container/heap, whose interface boxing per Push and Pop used to
+// dominate the profile at millions of granules.
 //
-// Determinism: both heaps order by a strict total order (time, then the
-// unique insertion sequence number; the multi queue additionally ranks
-// asks before completions at equal times). A total order means heap
-// arity and sift implementation cannot affect pop order, so the switch
-// from container/heap is invisible to schedules — the golden suite pins
-// this.
+// Determinism: both event queues order by a strict total order (time,
+// then insertion order; the multi queue additionally ranks asks before
+// completions at equal times). A total order means the data structure
+// behind it cannot affect pop order, so none of this is visible to
+// schedules — the golden suite pins that.
 
 // eventHeap is the single-program completion-event queue: a 4-ary
 // min-heap ordered by (at, seq).
@@ -85,33 +81,45 @@ func (h eventHeap) peekTime() (int64, bool) {
 }
 
 // mqueue is the multi-program queue of asks and completions, ordered by
-// (at, ask-before-completion, seq). It is a calendar queue rather than a
-// heap: the engine's pushes are monotone (every event is scheduled at or
-// after the time of the event being processed — completion finishes,
-// re-asks, reopen retries and task-end events all derive from the
-// current event's time), so near-future events land in a ring of
+// (at, ask-before-completion, push order). It is a calendar queue rather
+// than a heap: the engine's pushes are monotone (every event is scheduled
+// at or after the time of the event being processed — completion
+// finishes, re-asks, reopen retries and task-end events all derive from
+// the current event's time), so near-future events land in a ring of
 // per-tick buckets with O(1) push and pop, and only far-future events
 // (beyond the mqWindow horizon — long serial actions, long tasks) take
-// the slow path through a small overflow heap. With tens of busy
-// workers the old heap's sift costs — two pops and pushes per task
-// across a ~P-deep heap — were the single largest line in the engine
-// profile; the calendar pop is a bounds check and an index increment.
+// the slow path through a small overflow heap.
 //
-// Payloads are stored once, in a freelisted slot array; buckets and the
-// overflow heap hold 4-byte slot indices. With many workers the asks of
-// a whole machine cluster on a few ticks, and index lists keep each
-// bucket's high-water footprint at 4 bytes per item instead of a full
-// ~90-byte mitem copy. Overflow migration moves an index, not a
-// payload.
+// An event is written once and read once. push builds it in a slot of
+// one shared, freelisted slot array and links the slot to the tail of its
+// bucket's ask or completion list; pop unlinks the head slot, copies its
+// three words out, and frees it. The lists are intrusive (the link is a
+// slot index inside the slot), so a bucket is four indices, the whole
+// ring is 4 KiB, and the slot array is as long as the most events ever
+// queued at once — about one per worker — however they cluster on ticks:
+// with a thousand workers in lockstep a per-bucket array would have to
+// grow to the cluster size in every one of the 256 buckets. Slots and
+// keys hold no pointers, so the collector never scans them and their
+// stores need no write barrier. Overflow migration moves an index.
+//
+// Slot lifetime: a slot belongs to its event from push until pop, and pop
+// frees it BEFORE the handler runs — the handler's own pushes may reuse
+// it, or grow (and so move) the slot array. That is why pop returns the
+// event by value and nothing else in the engine holds a slot index or a
+// pointer into slots.
 //
 // Determinism: the required order is a strict total order, and the
-// bucket layout reproduces it literally — buckets advance in time
-// order, each bucket holds asks and completions in separate
-// append-order (= seq-order) lists, and asks drain before completions.
-// The overflow heap orders by the same key, and items migrate from it
-// into buckets whenever the window advances, before any same-tick
-// bucket pushes can land behind them, so FIFO-within-tick is preserved
-// across the two structures. The golden suite pins the equivalence.
+// bucket layout reproduces it literally — buckets advance in time order,
+// each bucket chains asks and completions in separate push-order lists,
+// and asks drain before completions. The overflow heap orders by the same
+// key, numbering its own pushes (only overflow entries need an explicit
+// sequence number: an event is there because its tick was beyond the
+// horizon, so it was pushed before any same-tick event that went straight
+// to a bucket), and entries migrate from it into buckets whenever the
+// window advances, before any same-tick bucket pushes can land behind
+// them, so FIFO-within-tick is preserved across the two structures.
+// TestMqueueModel checks all of this against a sorted reference; the
+// golden suite pins the schedules.
 type mqueue struct {
 	base    int64 // time of buckets[cursor]; the window is [base, base+mqWindow)
 	cursor  int   // ring index of the bucket at time base
@@ -119,20 +127,35 @@ type mqueue struct {
 	minOK   bool
 	n       int // items in the bucket window
 	buckets []mbucket
-	slots   []mitem // shared payload store
-	free    []int32 // retired slot indices
+	slots   []mslot // shared event store; slot 0 is the nil link
+	free    int32   // head of the free-slot chain (0 = none)
 	over    []mkey  // 4-ary min-heap of events beyond the window horizon
+	overSeq uint64  // overflow pushes so far
 }
 
-type mbucket struct {
-	asks   []int32 // same-tick ask slots in push (= seq) order
-	dones  []int32 // same-tick completion slots in push (= seq) order
-	ai, di int     // drain positions
+// mslot is a queued event minus its time, which its bucket (or overflow
+// key) implies, plus the link to the next slot of its list.
+type mslot struct {
+	gen  int64
+	proc int32
+	job  int32
+	next int32
 }
+
+// mbucket is one tick: the ask list and the completion list, each a
+// head and tail slot index (0 = empty).
+type mbucket struct {
+	list [2]struct{ head, tail int32 }
+}
+
+const (
+	askList  = 0
+	doneList = 1
+)
 
 type mkey struct {
 	at  int64
-	ord uint64 // isDone<<62 | seq
+	ord uint64 // completion<<62 | overflow push number
 	idx int32
 }
 
@@ -150,22 +173,29 @@ func keyLess(a, b mkey) bool {
 // out are rare (phase serial actions) and pay one overflow-heap hop.
 const mqWindow = 256
 
-func (h *mqueue) alloc(it mitem) int32 {
-	if n := len(h.free); n > 0 {
-		idx := h.free[n-1]
-		h.free = h.free[:n-1]
-		h.slots[idx] = it
-		return idx
+func (h *mqueue) empty() bool { return h.n == 0 && len(h.over) == 0 }
+
+func (b *mbucket) empty() bool { return b.list[askList].head == 0 && b.list[doneList].head == 0 }
+
+// link appends slot idx — fresh from push, its next link still nil — to
+// the list of the bucket delta ticks after base (delta < mqWindow).
+func (h *mqueue) link(delta int64, list int, idx int32) {
+	l := &h.buckets[(h.cursor+int(delta))&(mqWindow-1)].list[list]
+	if l.tail != 0 {
+		h.slots[l.tail].next = idx
+	} else {
+		l.head = idx
 	}
-	h.slots = append(h.slots, it)
-	return int32(len(h.slots) - 1)
+	l.tail = idx
+	h.n++
 }
 
 func (h *mqueue) push(it mitem) {
-	if h.n == 0 && len(h.over) == 0 {
+	if h.empty() {
 		// Empty queue: re-anchor the window at the new event.
 		if h.buckets == nil {
 			h.buckets = make([]mbucket, mqWindow)
+			h.slots = make([]mslot, 1, 64)
 		}
 		h.base = it.at
 		h.cursor = 0
@@ -174,21 +204,23 @@ func (h *mqueue) push(it mitem) {
 	if delta < 0 {
 		panic("sim: event pushed before the current virtual time")
 	}
-	idx := h.alloc(it)
-	if delta < mqWindow {
-		b := &h.buckets[(h.cursor+int(delta))&(mqWindow-1)]
-		if it.isDone {
-			b.dones = append(b.dones, idx)
-		} else {
-			b.asks = append(b.asks, idx)
-		}
-		h.n++
+	idx := h.free
+	if idx != 0 {
+		h.free = h.slots[idx].next
 	} else {
-		ord := uint64(it.seq)
-		if it.isDone {
-			ord |= mqDoneBit
-		}
-		h.overPush(mkey{at: it.at, ord: ord, idx: idx})
+		idx = int32(len(h.slots))
+		h.slots = append(h.slots, mslot{})
+	}
+	h.slots[idx] = mslot{gen: it.gen, proc: it.proc, job: it.job}
+	list := askList
+	if it.isDone() {
+		list = doneList
+	}
+	if delta < mqWindow {
+		h.link(delta, list, idx)
+	} else {
+		h.overSeq++
+		h.overPush(mkey{at: it.at, ord: uint64(list)<<62 | h.overSeq, idx: idx})
 	}
 	if h.minOK && it.at < h.minTime {
 		h.minTime = it.at
@@ -211,22 +243,23 @@ func (h *mqueue) ensureMin() {
 		if d < 0 {
 			d = 0
 		}
-		for ; ; d++ {
-			b := &h.buckets[(h.cursor+d)&(mqWindow-1)]
-			if b.ai < len(b.asks) || b.di < len(b.dones) {
-				h.minTime = h.base + int64(d)
-				h.minOK = true
-				return
-			}
+		for h.buckets[(h.cursor+d)&(mqWindow-1)].empty() {
+			d++
 		}
-	}
-	if len(h.over) > 0 {
+		h.minTime = h.base + int64(d)
+		h.minOK = true
+	} else if len(h.over) > 0 {
 		h.minTime = h.over[0].at
 		h.minOK = true
 	}
 }
 
-func (h *mqueue) pop() mitem {
+// pop removes and returns the earliest event; ok is false on an empty
+// queue.
+func (h *mqueue) pop() (it mitem, ok bool) {
+	if h.empty() {
+		return mitem{}, false
+	}
 	h.ensureMin()
 	if h.n == 0 {
 		// The earliest event lives in the overflow: jump the window.
@@ -241,44 +274,38 @@ func (h *mqueue) pop() mitem {
 		}
 	}
 	b := &h.buckets[h.cursor]
-	var idx int32
-	if b.ai < len(b.asks) {
-		idx = b.asks[b.ai]
-		b.ai++
-	} else {
-		idx = b.dones[b.di]
-		b.di++
+	l := &b.list[askList]
+	if l.head == 0 {
+		l = &b.list[doneList]
 	}
+	idx := l.head
+	sl := &h.slots[idx]
+	it = mitem{at: h.base, gen: sl.gen, proc: sl.proc, job: sl.job}
+	if l.head = sl.next; l.head == 0 {
+		l.tail = 0
+		if b.empty() {
+			h.minOK = false // minTime remains the scan hint
+		}
+	}
+	sl.next = h.free
+	h.free = idx
 	h.n--
-	if b.ai == len(b.asks) && b.di == len(b.dones) {
-		b.asks = b.asks[:0]
-		b.dones = b.dones[:0]
-		b.ai, b.di = 0, 0
-		h.minOK = false // minTime remains the scan hint
-	}
-	h.free = append(h.free, idx)
-	return h.slots[idx]
+	return it, true
 }
 
 // migrate moves overflow events that the advanced window now covers into
 // their buckets. It runs on every window advance, before any new pushes
-// can land in those buckets, so migrated items keep their seq-order
+// can land in those buckets, so migrated items keep their push-order
 // position in the per-tick lists.
 func (h *mqueue) migrate() {
 	for len(h.over) > 0 && h.over[0].at < h.base+mqWindow {
 		k := h.overPop()
-		b := &h.buckets[(h.cursor+int(k.at-h.base))&(mqWindow-1)]
-		if k.ord >= mqDoneBit {
-			b.dones = append(b.dones, k.idx)
-		} else {
-			b.asks = append(b.asks, k.idx)
-		}
-		h.n++
+		h.link(k.at-h.base, int(k.ord>>62), k.idx)
 	}
 }
 
 func (h *mqueue) peekTime() (int64, bool) {
-	if h.n == 0 && len(h.over) == 0 {
+	if h.empty() {
 		return 0, false
 	}
 	h.ensureMin()
@@ -287,12 +314,12 @@ func (h *mqueue) peekTime() (int64, bool) {
 
 // askWouldPopFirst reports whether a fresh ask pushed now at time at
 // would be the very next item popped: nothing queued orders before a new
-// ask at at (an existing ask at the same time has a lower seq and wins;
-// an existing completion at the same time loses — asks drain first).
-// The completion path uses this to serve a worker's re-ask inline,
-// skipping a queue round trip.
+// ask at at (an existing ask at the same time was pushed earlier and
+// wins; an existing completion at the same time loses — asks drain
+// first). The completion path uses this to serve a worker's re-ask
+// inline, skipping a queue round trip.
 func (h *mqueue) askWouldPopFirst(at int64) bool {
-	if h.n == 0 && len(h.over) == 0 {
+	if h.empty() {
 		return true
 	}
 	h.ensureMin()
@@ -300,14 +327,13 @@ func (h *mqueue) askWouldPopFirst(at int64) bool {
 		return h.minTime > at
 	}
 	if h.n > 0 {
-		b := &h.buckets[(h.cursor+int(h.minTime-h.base))&(mqWindow-1)]
-		return b.ai >= len(b.asks)
+		return h.buckets[(h.cursor+int(at-h.base))&(mqWindow-1)].list[askList].head == 0
 	}
 	return h.over[0].ord >= mqDoneBit
 }
 
-// overPush/overPop maintain the overflow as a 4-ary min-heap of 20-byte
-// keys ordered by keyLess; payloads stay in the shared slot array.
+// overPush/overPop maintain the overflow as a 4-ary min-heap of keys
+// ordered by keyLess; the events stay in the shared slot array.
 func (h *mqueue) overPush(k mkey) {
 	s := append(h.over, k)
 	i := len(s) - 1
@@ -354,18 +380,19 @@ func (h *mqueue) overPop() mkey {
 	return top
 }
 
-// reqRing is the single-program management FIFO. The previous engine
-// popped by reslicing (reqs = reqs[1:]) and pushed with append — the
-// backing array marched forward and reallocated every cap-len pops. The
-// ring pops by advancing a head index and compacts in place when a push
-// hits the array's end with dead space at the front, so a warmed-up run
-// never allocates for requests again.
-type reqRing struct {
-	buf  []request
+// fifo is a first-in-first-out queue over one backing array: the
+// single-program management queue of requests, and each job's Async ready
+// buffer in multi-program mode. Popping by reslicing (q = q[1:]) and
+// pushing with append marches the array forward and reallocates it every
+// cap-len pops; the fifo pops by advancing a head index and compacts in
+// place when a push hits the array's end with dead space at the front, so
+// a warmed-up run never allocates for it again.
+type fifo[T any] struct {
+	buf  []T
 	head int
 }
 
-func (r *reqRing) push(q request) {
+func (r *fifo[T]) push(q T) {
 	if r.head > 0 && len(r.buf) == cap(r.buf) {
 		n := copy(r.buf, r.buf[r.head:])
 		r.buf = r.buf[:n]
@@ -374,17 +401,18 @@ func (r *reqRing) push(q request) {
 	r.buf = append(r.buf, q)
 }
 
-func (r *reqRing) pop() request {
+func (r *fifo[T]) pop() T {
 	q := r.buf[r.head]
 	r.head++
 	if r.head == len(r.buf) {
-		r.buf = r.buf[:0]
-		r.head = 0
+		r.clear()
 	}
 	return q
 }
 
-func (r *reqRing) len() int { return len(r.buf) - r.head }
+func (r *fifo[T]) len() int { return len(r.buf) - r.head }
+
+func (r *fifo[T]) clear() { r.buf, r.head = r.buf[:0], 0 }
 
 // parkedSet tracks parked workers as a bitset so wake passes iterate
 // only the set bits instead of scanning every worker: with a thousand

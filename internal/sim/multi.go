@@ -158,19 +158,19 @@ type mjob struct {
 	// ready buffer (tasks already pulled from this job's scheduler, each
 	// stamped with its production time), the completions queued behind the
 	// server, and the NextTasks scratch. See multi_async.go.
-	aready []asyncSlot
+	aready fifo[asyncSlot]
 	acomp  []core.Task
 	abuf   []core.Task
 }
 
-// mitem is one queue entry: a task completion (isDone) or an idle
-// worker's ask for work. Unlike the single-program simulator's FIFO
-// request list, the multi-program queue is strictly TIME-ordered
-// (insertion order only breaks ties): with one job, serving a
-// future-stamped wake before an earlier completion is harmless — nothing
-// else could have used the worker — but with several jobs one job's
-// serial-action delay must not commit workers before another job's
-// earlier release gets a chance to claim them.
+// mitem is one queue entry: an idle worker's ask for work, or a task
+// completion. Unlike the single-program simulator's FIFO request list,
+// the multi-program queue is strictly TIME-ordered (push order only
+// breaks ties): with one job, serving a future-stamped wake before an
+// earlier completion is harmless — nothing else could have used the
+// worker — but with several jobs one job's serial-action delay must not
+// commit workers before another job's earlier release gets a chance to
+// claim them.
 //
 // Asks carry the issuing generation of their worker: a parked worker
 // woken for time T can be re-woken for an earlier T' by another job's
@@ -179,20 +179,46 @@ type mjob struct {
 // failure bumps it, and the dead attempt's in-flight completions are
 // dropped when they surface (the worker is freed, the result
 // discarded).
+//
+// The record is the event's address only — when, who, which generation —
+// three pointer-free words that mqueue (heap.go) keeps in a slot and pop
+// returns by value. What a completion delivers (the task, its cost, an
+// injected failure) waits with the worker: see mflight.
 type mitem struct {
-	at     int64
-	seq    int64
-	isDone bool
-	proc   int
-	gen    int64
-	job    int
-	task   core.Task
-	dur    int64 // completed task's compute cost (isDone only)
-	fail   error // injected grain failure carried by this completion
+	at   int64
+	gen  int64
+	proc int32
+	job  int32 // the completing task's job; noJob marks an ask
 }
 
-// The queue holding mitems is the typed 4-ary mqueue in heap.go, ordered
-// by (at, asks-before-completions, seq).
+const noJob = -1
+
+func (it mitem) isDone() bool { return it.job >= 0 }
+
+// mworker is the part of a worker's state that every event of that worker
+// touches, kept together so an event costs one cache line of worker state
+// (TestMitemSize guards the 64 bytes): the running task, the generation a
+// live ask must carry (it bumps when a pending ask is superseded), when the
+// worker's own management lane is next free (Sharded), its home job (-1
+// when every job is done), and whether it is parked.
+type mworker struct {
+	flight mflight
+	askGen int64
+	free   int64
+	home   int32
+	parked bool
+}
+
+// mflight is the task a worker is running. A worker holds at most one:
+// it is dispatched only from its own ask, and asks again only once the
+// completion event has surfaced. So the record is written once, by
+// dispatch, and read in place by the completion handlers — valid from the
+// dispatch until the worker's NEXT dispatch, which means a completion
+// handler must be finished with it before it serves the worker's re-ask.
+type mflight struct {
+	task core.Task
+	dur  int64 // the task's compute cost
+}
 
 // SupportsMulti reports whether RunMulti can price model — the static
 // form of the ErrUnsupportedMgmt check, so a caller can discover a
@@ -265,13 +291,10 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 		model:      cfg.Mgmt,
 		workers:    workers,
 		procs:      cfg.Procs,
-		homes:      make([]int, workers),
-		parked:     make([]bool, workers),
+		worker:     make([]mworker, workers),
 		parkedB:    newParkedSet(workers),
 		parkedAt:   make([]int64, workers),
 		pendingAt:  make([]int64, workers),
-		askGen:     make([]int64, workers),
-		workerFree: make([]int64, workers),
 		orderDirty: true,
 	}
 	var totalGranules, totalCost int64
@@ -304,7 +327,6 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 	}
 	s.liveCount = len(s.jobs)
 	s.order = make([]int, 0, len(s.jobs))
-	s.cand = make([]int, 0, len(s.jobs))
 	s.obs = newObserver(cfg.Observer, cfg.ObserveEvery, totalCost, workers)
 	if s.obs != nil {
 		s.nowFn = s.frontier
@@ -330,7 +352,9 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 	}
 	if cfg.Faults != nil {
 		s.plan = fault.New(*cfg.Faults)
+		s.fails = make([]error, workers)
 	}
+	s.hooked = s.tr != nil || s.met != nil || s.plan != nil
 	s.crashed = make([]bool, workers)
 	s.livew = workers
 
@@ -366,31 +390,30 @@ type mstate struct {
 	obs     *observer
 	tr      *trace.Ring    // flight recorder (nil = tracing off)
 	met     *telemetry.Set // metric set (nil = metrics off)
+	// hooked is the per-event mode word: true when any of tr, met or plan
+	// is set. The dispatch and completion paths test it once and keep the
+	// recording and injection code out of line.
+	hooked bool
 
 	queue      mqueue
-	seq        int64
 	serverFree int64
-	workerFree []int64
 
-	homes     []int // worker -> job index; -1 when every job is done
-	parked    []bool
-	parkedB   parkedSet // same membership as parked, for sparse wake scans
+	worker    []mworker
+	parkedB   parkedSet // the workers with parked set, for sparse wake scans
 	parkedN   int
 	parkedAt  []int64
 	pendingAt []int64 // scheduled wake time of a parked worker; -1 = none
-	askGen    []int64 // bumps when a pending ask is superseded
 
 	// Incremental candidate machinery. order caches the live jobs sorted
 	// by the backfill comparator (priority desc, deficit desc, index asc);
-	// it is rebuilt only when orderDirty — set by any deficit, done-bit,
-	// or replenishment change — so the common ask reuses the cached order.
-	// cand is the per-ask scratch (home first, then order minus home).
+	// it is rebuilt only when an ask walks past its home job while
+	// orderDirty — set by any deficit, done-bit, or replenishment change —
+	// so the common ask never touches it (see mwalk).
 	// liveCount/creditCount make the deficit-replenishment check O(1):
 	// creditCount counts live jobs with deficit > 0, and the backfill
 	// set's credit for a given asker is creditCount minus its home's
 	// contribution.
 	order       []int
-	cand        []int
 	orderDirty  bool
 	liveCount   int
 	creditCount int
@@ -439,10 +462,12 @@ type mstate struct {
 	lastDone     int64
 
 	// Fault injection and tenancy state (see faults.go): the compiled
-	// campaign (nil = off), retired workers and the live floor, whether
-	// any job carries a deadline, the retry count, and the measured
-	// PreemptBound bound.
+	// campaign (nil = off), the injected failure each worker's running
+	// task will report (allocated with the campaign), retired workers and
+	// the live floor, whether any job carries a deadline, the retry count,
+	// and the measured PreemptBound bound.
 	plan            *fault.Plan
+	fails           []error
 	crashed         []bool
 	livew           int
 	hasDeadline     bool
@@ -480,12 +505,12 @@ func (s *mstate) chargeMgmt(w int, at int64, cost core.Cost) int64 {
 		return s.serve(at, cost)
 	}
 	start := at
-	if s.workerFree[w] > start {
-		start = s.workerFree[w]
+	if s.worker[w].free > start {
+		start = s.worker[w].free
 	}
 	fin := start + int64(cost)
 	s.mgmtUnits += int64(cost)
-	s.workerFree[w] = fin
+	s.worker[w].free = fin
 	if fin > s.serverFree {
 		s.serverFree = fin
 	}
@@ -516,8 +541,8 @@ func (s *mstate) rebalance() {
 		}
 	}
 	if len(live) == 0 {
-		for w := range s.homes {
-			s.homes[w] = -1
+		for w := range s.worker {
+			s.worker[w].home = -1
 		}
 		return
 	}
@@ -549,7 +574,7 @@ func (s *mstate) rebalance() {
 	slot := 0
 	for k, ji := range live {
 		for c := 0; c < shares[k]; c++ {
-			s.homes[slot] = ji
+			s.worker[slot].home = int32(ji)
 			slot++
 		}
 	}
@@ -595,23 +620,47 @@ func (s *mstate) noteDeficit(j *mjob, delta int64) {
 	s.orderDirty = true
 }
 
-// candidates returns the job order worker w asks for work in: home first,
-// then the backfill candidates by (priority, deficit, index), with the
-// deficit-round-robin credit replenished when collectively exhausted.
-// The replenishment check is O(1): the asker's backfill set is the live
-// jobs minus its home, so its size and credit are the global counters
-// minus the home's contribution. Replenishment itself (and any other
-// deficit or done-bit change) marks the cached order dirty; everything
-// else reuses it, and the returned slice is a reused scratch valid until
-// the next call.
-func (s *mstate) candidates(w int) []int {
-	home := s.homes[w]
-	homeLive := home >= 0 && !s.jobs[home].done
+// mwalk is one ask's walk over the jobs its worker may take work from:
+// home first, then the backfill candidates by (priority, deficit, index).
+// It yields that order lazily. The home job almost always dispatches, so
+// the usual ask pays the O(1) replenishment check in startWalk and one
+// nextCandidate call, and never looks at the cached order.
+//
+// The walk is order-equivalent to materialising the list when the ask
+// starts. The deficit-round-robin replenishment still happens at the
+// start of every ask, because later asks' orders depend on when it
+// happened. Sorting is deferred to the moment the walk passes home, and
+// nothing between the two can change what the sort reads: probing the
+// home job never touches a deficit, and the only done bit it can flip
+// (an Async probe draining the home job's last completions) is home's
+// own, which the walk skips either way. Once the walk is inside s.order
+// nothing rebuilds it — rebuildOrder runs only from nextCandidate, and
+// ask handlers do not nest — so a job finishing mid-walk is still
+// offered, as it was from the materialised list.
+type mwalk struct {
+	home int // the asker's home job when the ask began; dispatches elsewhere are backfill
+	k    int // next index into s.order, or walkHome / walkOrder
+}
+
+const (
+	walkHome  = -2 // the home job has not been offered yet
+	walkOrder = -1 // home is behind; s.order has not been opened yet
+)
+
+// startWalk begins worker w's candidate walk, replenishing the
+// deficit-round-robin credit when the asker's backfill set has
+// collectively exhausted it. The check is O(1): the backfill set is the
+// live jobs minus the asker's home, so its size and credit are the global
+// counters minus the home's contribution. Replenishment itself (and any
+// other deficit or done-bit change) marks the cached order dirty.
+func (s *mstate) startWalk(w int) mwalk {
+	wk := mwalk{home: int(s.worker[w].home), k: walkOrder}
 	nBackfill := s.liveCount
 	credit := s.creditCount
-	if homeLive {
+	if wk.home >= 0 && !s.jobs[wk.home].done {
+		wk.k = walkHome
 		nBackfill--
-		if s.jobs[home].deficit > 0 {
+		if s.jobs[wk.home].deficit > 0 {
 			credit--
 		}
 	}
@@ -622,59 +671,89 @@ func (s *mstate) candidates(w int) []int {
 			}
 		}
 	}
-	if s.orderDirty {
-		s.rebuildOrder()
+	return wk
+}
+
+// nextCandidate returns the next job of the walk, -1 when it is over.
+func (s *mstate) nextCandidate(wk *mwalk) int {
+	if wk.k == walkHome {
+		wk.k = walkOrder
+		return wk.home
 	}
-	out := s.cand[:0]
-	if homeLive {
-		out = append(out, home)
+	if wk.k == walkOrder {
+		if s.orderDirty {
+			s.rebuildOrder()
+		}
+		wk.k = 0
 	}
-	for _, ji := range s.order {
-		if ji != home {
-			out = append(out, ji)
+	for wk.k < len(s.order) {
+		ji := s.order[wk.k]
+		wk.k++
+		if ji != wk.home {
+			return ji
 		}
 	}
-	s.cand = out
-	return out
+	return -1
 }
 
 func (s *mstate) park(w int, at int64) {
-	if s.parked[w] {
+	if s.worker[w].parked {
 		return
 	}
 	if s.tr != nil {
 		s.tr.Record(trace.KPark, at, int32(w), -1, -1, 0, 0, 0)
 	}
 	s.mNoteStarve(at)
-	s.parked[w] = true
+	s.worker[w].parked = true
 	s.parkedB.set(w)
 	s.parkedN++
 	s.parkedAt[w] = at
 	s.pendingAt[w] = -1
 }
 
-// beginAsk is the shared prologue of every ask handler: it drops asks a
-// later wake superseded and settles the asker's park accounting. It
-// reports whether the ask is still live.
-func (s *mstate) beginAsk(req mitem) bool {
-	if req.gen != s.askGen[req.proc] {
-		return false // superseded by an earlier wake
+// parkRetry ends an ask whose walk found nothing: the worker parks at
+// at. A candidate skipped because its serial action was still running
+// reopens at a known time (reopen >= 0 is the earliest), so the worker
+// schedules its own retry for it — the wake that announced the gated work
+// ran when openAt was set and cannot see workers that park later.
+func (s *mstate) parkRetry(w int, at, reopen int64) {
+	s.park(w, at)
+	if reopen >= 0 {
+		s.pendingAt[w] = reopen
+		s.worker[w].askGen++
+		s.pushAsk(reopen, w)
 	}
-	if s.parked[req.proc] {
+}
+
+// ask serves a live ask of worker w at time at (the run loop has already
+// dropped asks a later wake superseded): it settles the worker's park
+// accounting, gives a crash rule its chance, and hands over to the
+// management model's handler.
+func (s *mstate) ask(w int, at int64) {
+	if s.worker[w].parked {
 		if s.tr != nil {
-			s.tr.Record(trace.KUnpark, req.at, int32(req.proc), -1, -1, 0, 0,
-				req.at-s.parkedAt[req.proc])
+			s.tr.Record(trace.KUnpark, at, int32(w), -1, -1, 0, 0, at-s.parkedAt[w])
 		}
-		s.mNoteStarve(req.at)
-		s.parked[req.proc] = false
-		s.parkedB.clear(req.proc)
+		s.mNoteStarve(at)
+		s.worker[w].parked = false
+		s.parkedB.clear(w)
 		s.parkedN--
-		s.pendingAt[req.proc] = -1
-		if d := req.at - s.parkedAt[req.proc]; d > 0 {
+		s.pendingAt[w] = -1
+		if d := at - s.parkedAt[w]; d > 0 {
 			s.idleUnits += d
 		}
 	}
-	return true
+	if s.plan != nil && s.maybeCrash(w, at) {
+		return // the worker is retired: its ask dies, it never asks again
+	}
+	switch s.model {
+	case Async:
+		s.masyncAsk(w, at)
+	case Adaptive:
+		s.madaptiveAsk(w, at)
+	default:
+		s.serveAsk(w, at)
+	}
 }
 
 // noteJobDone flips job j's done bookkeeping when its scheduler just
@@ -741,18 +820,23 @@ func (s *mstate) wake(at int64) {
 				continue // already scheduled no later than this wake
 			}
 			s.pendingAt[w] = at
-			s.askGen[w]++
-			s.push(mitem{at: at, proc: w, gen: s.askGen[w]})
+			s.worker[w].askGen++
+			s.pushAsk(at, w)
 			avail--
 		}
 	}
 }
 
-// push enqueues an item with the next tie-break sequence number.
-func (s *mstate) push(it mitem) {
-	s.seq++
-	it.seq = s.seq
-	s.queue.push(it)
+// pushAsk enqueues worker w's ask at time at under its current
+// generation.
+func (s *mstate) pushAsk(at int64, w int) {
+	s.queue.push(mitem{at: at, gen: s.worker[w].askGen, proc: int32(w), job: noJob})
+}
+
+// pushDone enqueues the completion of worker w's running task, which
+// belongs to attempt gen of job ji.
+func (s *mstate) pushDone(at int64, w, ji int, gen int64) {
+	s.queue.push(mitem{at: at, gen: gen, proc: int32(w), job: int32(ji)})
 }
 
 func (s *mstate) run(maxOps int64) error {
@@ -782,14 +866,14 @@ func (s *mstate) run(maxOps int64) error {
 	s.rebalance()
 	for i, j := range s.jobs {
 		j.homeAt0 = 0
-		for _, h := range s.homes {
-			if h == i {
+		for w := range s.worker {
+			if int(s.worker[w].home) == i {
 				j.homeAt0++
 			}
 		}
 	}
 	for w := 0; w < s.workers; w++ {
-		s.push(mitem{at: s.serverFree, proc: w, gen: s.askGen[w]})
+		s.pushAsk(s.serverFree, w)
 	}
 
 	var ops int64
@@ -823,86 +907,19 @@ func (s *mstate) run(maxOps int64) error {
 		}
 
 		// Idle executive moment (nothing due before the management
-		// resource frees up): absorb one deferred management item from
-		// the first unfinished job that has any (deterministic order).
-		// deferredN gates the scan — the idle condition is common, and
+		// resource frees up): absorb one deferred management item.
+		// deferredN gates the probe — the idle condition is common, and
 		// without the counter every such event would re-probe all jobs.
-		next, have := s.queue.peekTime()
-		if s.deferredN > 0 && (!have || next >= s.serverFree) {
-			absorbed := false
-			for _, j := range s.jobs {
-				if j.done || !j.hasDef {
-					continue
-				}
-				cost, ok := j.sched.DeferredMgmt()
-				s.syncReady(j)
-				if ok {
-					fin := s.serve(s.serverFree, cost)
-					s.wake(fin)
-					absorbed = true
-					break
-				}
-			}
-			if absorbed {
-				continue
-			}
+		if s.deferredN > 0 && s.absorbDeferred() {
+			continue
 		}
 
-		if have {
-			it := s.queue.pop()
-			if it.isDone {
-				j := s.jobs[it.job]
-				if j.done || it.gen != j.attempt {
-					// Orphaned completion of a retired or restarted
-					// attempt: the result is discarded, the worker is
-					// freed to ask again.
-					s.push(mitem{at: it.at, proc: it.proc, gen: s.askGen[it.proc]})
-					continue
-				}
-				if it.fail != nil {
-					// The completion carries an injected grain failure:
-					// retry the job or retire it; co-tenants keep running.
-					s.failJob(it.job, it.at, it.proc, it.fail, true)
-					continue
-				}
-				if s.plan != nil {
-					// A management-delay fault withholds this completion's
-					// submission to the executive: the event re-queues
-					// Delay later (the rule's budget bounds the re-queues).
-					if d, ok := s.plan.Mgmt(it.job, it.at); ok {
-						s.noteFault(it.at, it.proc, it.job, fault.MgmtDelay)
-						it.at += d
-						s.push(it)
-						continue
-					}
-				}
-			}
-			// One chokepoint records EVERY model's completions (the model
-			// handlers below diverge), before the scheduler absorbs the
-			// event — so dispatches it enables carry larger Seqs.
-			if it.isDone && s.tr != nil {
-				s.tr.Record(trace.KComplete, it.at, int32(it.proc), int32(it.job),
-					int32(it.task.Phase), uint32(it.task.Run.Lo), uint32(it.task.Run.Hi), it.dur)
-			}
-			if it.isDone && s.met != nil {
-				s.met.Completions.Inc(it.proc)
-			}
-			switch {
-			case !it.isDone:
-				switch s.model {
-				case Async:
-					s.masyncAsk(it)
-				case Adaptive:
-					s.madaptiveAsk(it)
-				default:
-					s.serveAsk(it)
-				}
-			case s.model == Async:
-				s.masyncComplete(it)
-			case s.model == Adaptive:
-				s.madaptiveComplete(it)
-			default:
-				s.completeTask(it)
+		if it, ok := s.queue.pop(); ok {
+			w := int(it.proc)
+			if it.isDone() {
+				s.complete(w, int(it.job), it.gen, it.at)
+			} else if it.gen == s.worker[w].askGen { // else superseded by an earlier wake
+				s.ask(w, it.at)
 			}
 			continue
 		}
@@ -950,24 +967,92 @@ func (s *mstate) run(maxOps int64) error {
 	}
 }
 
-// serveAsk handles an idle worker's ask: it walks the dispatch-policy
-// order, charging every probe's management cost, and parks the worker
-// when every candidate is dry. A candidate skipped because its serial
-// action is still running reopens at a known time, so a worker that then
-// parks schedules its own retry for the earliest such reopening — the
-// wake that announced the gated work ran when openAt was set and cannot
-// see workers that park later.
-func (s *mstate) serveAsk(req mitem) {
-	if !s.beginAsk(req) {
+// absorbDeferred is the idle executive's moment: when nothing is due
+// before the management resource frees up, it absorbs one deferred
+// management item from the first unfinished job that has any
+// (deterministic order) and reports whether it did.
+func (s *mstate) absorbDeferred() bool {
+	if next, have := s.queue.peekTime(); have && next < s.serverFree {
+		return false
+	}
+	for _, j := range s.jobs {
+		if j.done || !j.hasDef {
+			continue
+		}
+		cost, ok := j.sched.DeferredMgmt()
+		s.syncReady(j)
+		if ok {
+			s.wake(s.serve(s.serverFree, cost))
+			return true
+		}
+	}
+	return false
+}
+
+// complete handles the completion event of worker w's running task, of
+// attempt gen of job ji, surfacing at time at.
+func (s *mstate) complete(w, ji int, gen, at int64) {
+	if j := s.jobs[ji]; j.done || gen != j.attempt {
+		// Orphaned completion of a retired or restarted attempt: the
+		// result is discarded, the worker is freed to ask again.
+		s.pushAsk(at, w)
 		return
 	}
-	if s.plan != nil && s.maybeCrash(req.proc, req.at) {
-		return // the worker is retired: its ask dies, it never asks again
+	if s.hooked && !s.completeHooks(w, ji, gen, at) {
+		return
 	}
-	at := req.at
-	home := s.homes[req.proc]
+	switch s.model {
+	case Async:
+		s.masyncComplete(w, ji, at)
+	case Adaptive:
+		s.madaptiveComplete(w, at)
+	default:
+		s.completeTask(w, ji, at)
+	}
+}
+
+// completeHooks is complete's out-of-line half for runs with a fault
+// campaign, a flight recorder or a metric set. It reports false when a
+// fault consumed the event.
+func (s *mstate) completeHooks(w, ji int, gen, at int64) bool {
+	if s.plan != nil {
+		if fail := s.fails[w]; fail != nil {
+			// The completion carries an injected grain failure: retry the
+			// job or retire it; co-tenants keep running.
+			s.failJob(ji, at, w, fail, true)
+			return false
+		}
+		// A management-delay fault withholds this completion's submission
+		// to the executive: the event re-queues Delay later (the rule's
+		// budget bounds the re-queues).
+		if d, ok := s.plan.Mgmt(ji, at); ok {
+			s.noteFault(at, w, ji, fault.MgmtDelay)
+			s.pushDone(at+d, w, ji, gen)
+			return false
+		}
+	}
+	// One chokepoint records EVERY model's completions (the model handlers
+	// diverge), before the scheduler absorbs the event — so dispatches it
+	// enables carry larger Seqs.
+	if s.tr != nil {
+		f := &s.worker[w].flight
+		s.tr.Record(trace.KComplete, at, int32(w), int32(ji),
+			int32(f.task.Phase), uint32(f.task.Run.Lo), uint32(f.task.Run.Hi), f.dur)
+	}
+	if s.met != nil {
+		s.met.Completions.Inc(w)
+	}
+	return true
+}
+
+// serveAsk handles an idle worker's ask under the per-task models: it
+// walks the dispatch-policy order, charging every probe's management
+// cost, and parks the worker when every candidate is dry.
+func (s *mstate) serveAsk(w int, asked int64) {
+	at := asked
 	reopen := int64(-1)
-	for _, ji := range s.candidates(req.proc) {
+	wk := s.startWalk(w)
+	for ji := s.nextCandidate(&wk); ji >= 0; ji = s.nextCandidate(&wk) {
 		j := s.jobs[ji]
 		if at < j.openAt {
 			// The job's between-phase serial action is still running.
@@ -978,34 +1063,58 @@ func (s *mstate) serveAsk(req mitem) {
 		}
 		task, cost, ok := j.sched.NextTask()
 		s.syncReady(j)
-		fin := s.chargeMgmt(req.proc, at, cost)
+		fin := s.chargeMgmt(w, at, cost)
 		if ok {
-			if ji != home {
+			backfill := ji != wk.home
+			if backfill {
 				s.noteDeficit(j, -int64(task.Run.Len()))
 			}
 			if s.met != nil {
-				s.met.DispatchWait.Observe(fin - req.at)
+				s.met.DispatchWait.Observe(fin - asked)
 			}
-			s.dispatch(req.proc, ji, ji != home, task, fin)
+			s.dispatch(w, ji, backfill, task, fin)
 			return
 		}
 		at = fin
 	}
-	s.park(req.proc, at)
-	if reopen >= 0 {
-		s.pendingAt[req.proc] = reopen
-		s.askGen[req.proc]++
-		s.push(mitem{at: reopen, proc: req.proc, gen: s.askGen[req.proc]})
-	}
+	s.parkRetry(w, at, reopen)
 }
 
+// dispatch starts task, of job ji, on worker at time at: it prices the
+// task, records it as the worker's running task and schedules its
+// completion.
 func (s *mstate) dispatch(worker, ji int, backfill bool, task core.Task, at int64) {
 	j := s.jobs[ji]
 	dur := int64(j.sched.TaskCost(task))
 	var lag int64 // completion-event delay (stuck grain / wedged worker)
-	var fail error
+	if s.hooked {
+		dur, lag = s.dispatchHooks(worker, ji, backfill, task, at, dur)
+	}
+	end := at + dur
+	s.computeUnits += dur
+	j.compute += dur
+	if backfill {
+		j.backfill += dur
+		if n := task.Run.Len(); n > s.maxBackfillTask {
+			s.maxBackfillTask = n
+		}
+	}
+	if end+lag > s.worker[worker].free {
+		s.worker[worker].free = end + lag
+	}
+	s.worker[worker].flight = mflight{task: task, dur: dur}
+	s.pushDone(end+lag, worker, ji, j.attempt)
+}
+
+// dispatchHooks is dispatch's out-of-line half for runs with a fault
+// campaign, a flight recorder or a metric set: it applies the dispatch
+// injection (returning the possibly stretched cost and the
+// completion-event lag, and parking an injected failure in s.fails for
+// the completion to report) and records the dispatch.
+func (s *mstate) dispatchHooks(worker, ji int, backfill bool, task core.Task, at, dur int64) (int64, int64) {
+	var lag int64
 	if s.plan != nil {
-		dur, lag, fail = s.inject(worker, ji, task, at, dur)
+		dur, lag, s.fails[worker] = s.inject(worker, ji, task, at, dur)
 	}
 	if s.tr != nil {
 		s.tr.Record(trace.KDispatch, at, int32(worker), int32(ji),
@@ -1021,38 +1130,32 @@ func (s *mstate) dispatch(worker, ji int, backfill bool, task core.Task, at int6
 			s.met.Backfill.Inc(worker)
 		}
 	}
-	end := at + dur
-	s.computeUnits += dur
-	j.compute += dur
-	if backfill {
-		j.backfill += dur
-		if n := task.Run.Len(); n > s.maxBackfillTask {
-			s.maxBackfillTask = n
-		}
-	}
-	if end+lag > s.workerFree[worker] {
-		s.workerFree[worker] = end + lag
-	}
-	s.push(mitem{at: end + lag, isDone: true, proc: worker, gen: j.attempt, job: ji, task: task, dur: dur, fail: fail})
+	return dur, lag
 }
 
-func (s *mstate) completeTask(req mitem) {
-	// Done-work accrual for the observer (see the single-program loop):
-	// snapshots count a task's compute only once it has completed.
-	s.doneUnits += req.dur
-	j := s.jobs[req.job]
+// noteDone accrues a surfaced completion for the observer — snapshots
+// count a task's compute only once it has completed (see the
+// single-program loop) — and advances the completion frontier.
+func (s *mstate) noteDone(dur, at int64) {
+	s.doneUnits += dur
+	if at > s.lastDone {
+		s.lastDone = at
+		if at > s.front {
+			s.front = at
+		}
+	}
+}
+
+func (s *mstate) completeTask(w, ji int, at int64) {
+	f := &s.worker[w].flight
+	j := s.jobs[ji]
 	serial0 := j.sched.SerialCost()
-	cost := j.sched.Complete(req.task)
-	fin := s.chargeMgmt(req.proc, req.at, cost)
+	cost := j.sched.Complete(f.task)
+	fin := s.chargeMgmt(w, at, cost)
 	if j.sched.SerialCost() > serial0 && fin > j.openAt {
 		j.openAt = fin
 	}
-	if req.at > s.lastDone {
-		s.lastDone = req.at
-		if req.at > s.front {
-			s.front = req.at
-		}
-	}
+	s.noteDone(f.dur, at)
 	if fin > j.makespan {
 		j.makespan = fin
 		if fin > s.front {
@@ -1063,23 +1166,23 @@ func (s *mstate) completeTask(req mitem) {
 	s.syncReady(j)
 	s.wake(fin)
 	// Fast path: when the worker's re-ask would be the very next event
-	// anyway, serve it inline and skip the heap push/pop pair. This is
+	// anyway, serve it inline and skip the queue round trip. This is
 	// exactly the event the main loop would process next — any worker
-	// wake just issued at fin carries a lower sequence number and defeats
-	// the peek check, and deferred absorption (which the loop would try
-	// first, since completion processing leaves serverFree == fin) gates
-	// the path out entirely. The loop-top observer poll is replayed here
-	// so snapshot streams are untouched.
+	// wake just issued at fin was pushed first and defeats the peek check,
+	// and deferred absorption (which the loop would try first, since
+	// completion processing leaves serverFree == fin) gates the path out
+	// entirely. The loop-top observer poll is replayed here so snapshot
+	// streams are untouched.
 	if s.deferredN == 0 && s.queue.askWouldPopFirst(fin) {
 		if s.obs != nil {
 			if at, fired := s.obs.maybe(s.nowFn, s.snapFn); fired && s.tr != nil {
 				s.tr.Record(trace.KMark, at, -1, -1, -1, 0, 0, 0)
 			}
 		}
-		s.serveAsk(mitem{at: fin, proc: req.proc, gen: s.askGen[req.proc]})
+		s.ask(w, fin)
 		return
 	}
-	s.push(mitem{at: fin, proc: req.proc, gen: s.askGen[req.proc]})
+	s.pushAsk(fin, w)
 }
 
 // frontier is the run's virtual-time high-water mark, matching the
@@ -1128,9 +1231,9 @@ func (s *mstate) result() *MultiResult {
 			makespan = j.makespan
 		}
 	}
-	for w := range s.parked {
-		if s.parked[w] {
-			s.parked[w] = false
+	for w := range s.worker {
+		if s.worker[w].parked {
+			s.worker[w].parked = false
 			if d := makespan - s.parkedAt[w]; d > 0 {
 				s.idleUnits += d
 			}

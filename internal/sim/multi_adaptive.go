@@ -165,41 +165,32 @@ func (s *mstate) mFlush(sh *mshard, at int64) int64 {
 // local shard for free, or make one serialized visit that flushes the
 // shard's completion batch (to the job it belongs to) and then walks the
 // dispatch-policy candidates for the next refill.
-func (s *mstate) madaptiveAsk(req mitem) {
-	if !s.beginAsk(req) {
-		return
-	}
-	// The crash hook defers while the shard holds tasks (they are not
-	// re-queueable) and flushes the completion batch before retiring the
-	// worker, so no work is stranded.
-	if s.plan != nil && s.maybeCrash(req.proc, req.at) {
-		return
-	}
-	sh := &s.mab[req.proc]
+func (s *mstate) madaptiveAsk(w int, asked int64) {
+	sh := &s.mab[w]
 	if sh.next < len(sh.tasks) {
 		// Local shard pop: no management charge.
 		task := sh.tasks[sh.next]
 		sh.next++
-		s.mNoteStarve(req.at)
+		s.mNoteStarve(asked)
 		s.hoardNow--
 		if s.met != nil {
 			s.met.DispatchWait.Observe(0)
 		}
-		s.dispatch(req.proc, sh.job, sh.job != s.homes[req.proc], task, req.at)
+		s.dispatch(w, sh.job, sh.job != int(s.worker[w].home), task, asked)
 		return
 	}
 	// Refill visit. Completions flush first (they may release the very
 	// work the refill then pulls, and the worker may be about to switch
 	// jobs); one Acquire covers the combined visit.
-	at := req.at
+	at := asked
 	flushed := false
 	if len(sh.done) > 0 {
 		at = s.mFlush(sh, at)
 		flushed = true
 	}
-	home := s.homes[req.proc]
 	reopen := int64(-1)
-	for _, ji := range s.candidates(req.proc) {
+	wk := s.startWalk(w)
+	for ji := s.nextCandidate(&wk); ji >= 0; ji = s.nextCandidate(&wk) {
 		j := s.jobs[ji]
 		if at < j.openAt {
 			// The job's between-phase serial action is still running.
@@ -216,7 +207,8 @@ func (s *mstate) madaptiveAsk(req mitem) {
 			continue // dry probe: the candidate walk moves on
 		}
 		at = s.mAcquire(j, at)
-		if ji != home {
+		backfill := ji != wk.home
+		if backfill {
 			// Deficit credit for the whole foreign batch, charged when the
 			// work is taken from the job — the batched form of the plain
 			// per-dispatch charge.
@@ -236,9 +228,9 @@ func (s *mstate) madaptiveAsk(req mitem) {
 		s.mNoteStarve(at)
 		s.hoardNow += len(ts) - 1
 		if s.met != nil {
-			s.met.DispatchWait.Observe(at - req.at)
+			s.met.DispatchWait.Observe(at - asked)
 		}
-		s.dispatch(req.proc, ji, ji != home, ts[0], at)
+		s.dispatch(w, ji, backfill, ts[0], at)
 		return
 	}
 	if flushed {
@@ -246,29 +238,18 @@ func (s *mstate) madaptiveAsk(req mitem) {
 		s.mMaybeRetune(at)
 		s.wake(at)
 	}
-	s.park(req.proc, at)
-	if reopen >= 0 {
-		s.pendingAt[req.proc] = reopen
-		s.askGen[req.proc]++
-		s.push(mitem{at: reopen, proc: req.proc, gen: s.askGen[req.proc]})
-	}
+	s.parkRetry(w, at, reopen)
 }
 
 // madaptiveComplete accumulates a completion in the worker's shard,
 // flushing it through one serialized visit when the completion batch
 // fills. The shard's tag already names the completing job — a worker has
 // one outstanding task, dispatched from its own shard.
-func (s *mstate) madaptiveComplete(req mitem) {
-	s.doneUnits += req.dur
-	sh := &s.mab[req.proc]
-	sh.done = append(sh.done, req.task)
-	if req.at > s.lastDone {
-		s.lastDone = req.at
-		if req.at > s.front {
-			s.front = req.at
-		}
-	}
-	at := req.at
+func (s *mstate) madaptiveComplete(w int, at int64) {
+	f := &s.worker[w].flight
+	s.noteDone(f.dur, at)
+	sh := &s.mab[w]
+	sh.done = append(sh.done, f.task)
 	if len(sh.done) >= s.cbatchN {
 		at = s.mAcquire(s.jobs[sh.job], at)
 		at = s.mFlush(sh, at)
@@ -276,5 +257,5 @@ func (s *mstate) madaptiveComplete(req mitem) {
 		s.wake(at)
 	}
 	// The worker asks for new work once its completion is handed off.
-	s.push(mitem{at: at, proc: req.proc, gen: s.askGen[req.proc]})
+	s.pushAsk(at, w)
 }

@@ -64,7 +64,7 @@ func (s *mstate) masyncTopUp(j *mjob, now int64) bool {
 	if j.done {
 		return false
 	}
-	free := s.readyCap - len(j.aready)
+	free := s.readyCap - j.aready.len()
 	if free <= 0 {
 		return false
 	}
@@ -76,7 +76,7 @@ func (s *mstate) masyncTopUp(j *mjob, now int64) bool {
 		stamp = j.openAt
 	}
 	for _, task := range ts {
-		j.aready = append(j.aready, asyncSlot{task: task, at: stamp})
+		j.aready.push(asyncSlot{task: task, at: stamp})
 	}
 	j.abuf = ts[:0]
 	s.bufferedN += len(ts)
@@ -126,7 +126,7 @@ func (s *mstate) masyncServiceJob(ji int, now int64, force bool) {
 	// (see asyncService): bulk absorption belongs to the main loop's
 	// idle-executive path. A unit that released work gets one refill
 	// attempt so the release reaches the buffer this pass.
-	if !j.done && j.hasDef && len(j.aready) > s.lowWater {
+	if !j.done && j.hasDef && j.aready.len() > s.lowWater {
 		if cost, ok := j.sched.DeferredMgmt(); ok {
 			s.serve(now, cost)
 			s.syncReady(j)
@@ -146,17 +146,10 @@ func (s *mstate) masyncServiceJob(ji int, now int64, force bool) {
 // not the worker — the background server is always running; the ask is
 // just the moment virtual time can observe it), and only a home buffer
 // still dry after that opens the backfill gate to the next candidate.
-func (s *mstate) masyncAsk(req mitem) {
-	if !s.beginAsk(req) {
-		return
-	}
-	if s.plan != nil && s.maybeCrash(req.proc, req.at) {
-		return // the worker is retired: its ask dies, it never asks again
-	}
-	at := req.at
-	home := s.homes[req.proc]
+func (s *mstate) masyncAsk(w int, at int64) {
 	reopen := int64(-1)
-	for _, ji := range s.candidates(req.proc) {
+	wk := s.startWalk(w)
+	for ji := s.nextCandidate(&wk); ji >= 0; ji = s.nextCandidate(&wk) {
 		j := s.jobs[ji]
 		if at < j.openAt {
 			// The job's between-phase serial action is still running; its
@@ -167,54 +160,44 @@ func (s *mstate) masyncAsk(req mitem) {
 			}
 			continue
 		}
-		if len(j.aready) == 0 {
+		if j.aready.len() == 0 {
 			s.masyncServiceJob(ji, at, false)
 		}
-		if len(j.aready) == 0 {
+		if j.aready.len() == 0 {
 			continue // dry after the top-up attempt: backfill gate opens
 		}
-		sl := j.aready[0]
-		j.aready = j.aready[1:]
+		sl := j.aready.pop()
 		s.bufferedN--
 		dat := at
 		if sl.at > dat {
 			dat = sl.at
 		}
-		if ji != home {
+		backfill := ji != wk.home
+		if backfill {
 			s.noteDeficit(j, -int64(sl.task.Run.Len()))
 		}
 		if s.met != nil {
 			s.met.ReadyOccupancy.Set(int64(s.bufferedN))
-			s.met.DispatchWait.Observe(dat - req.at)
+			s.met.DispatchWait.Observe(dat - at)
 		}
-		s.dispatch(req.proc, ji, ji != home, sl.task, dat)
+		s.dispatch(w, ji, backfill, sl.task, dat)
 		// Top the buffer back up behind the pop so the next ask finds it
 		// warm.
 		s.masyncServiceJob(ji, dat, false)
 		return
 	}
-	s.park(req.proc, at)
-	if reopen >= 0 {
-		s.pendingAt[req.proc] = reopen
-		s.askGen[req.proc]++
-		s.push(mitem{at: reopen, proc: req.proc, gen: s.askGen[req.proc]})
-	}
+	s.parkRetry(w, at, reopen)
 }
 
 // masyncComplete queues a completion behind the server on its job's
 // completion queue. The worker asks for new work immediately — it hands
 // the completion off and never waits on management, the async executive's
 // defining property.
-func (s *mstate) masyncComplete(req mitem) {
-	s.doneUnits += req.dur
-	j := s.jobs[req.job]
-	j.acomp = append(j.acomp, req.task)
-	if req.at > s.lastDone {
-		s.lastDone = req.at
-		if req.at > s.front {
-			s.front = req.at
-		}
-	}
-	s.masyncServiceJob(req.job, req.at, false)
-	s.push(mitem{at: req.at, proc: req.proc, gen: s.askGen[req.proc]})
+func (s *mstate) masyncComplete(w, ji int, at int64) {
+	f := &s.worker[w].flight
+	s.noteDone(f.dur, at)
+	j := s.jobs[ji]
+	j.acomp = append(j.acomp, f.task)
+	s.masyncServiceJob(ji, at, false)
+	s.pushAsk(at, w)
 }

@@ -177,3 +177,30 @@ func TestMultiAsyncReadyCapKnobs(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiAdaptiveDeferredSuccessorSplitSweep: the Adaptive model with
+// deferred successor splitting on conflict-queued identity phases — a
+// batch refill can pull a description whose attached successor range was
+// detached for a later management task — completes without error across
+// machine sizes, batch sizes and phase widths. (A review of the model's
+// first version found panics in this corner by hand; the sweep keeps it
+// covered.)
+func TestMultiAdaptiveDeferredSuccessorSplitSweep(t *testing.T) {
+	opt := func(grain int) core.Options {
+		return core.Options{Grain: grain, Overlap: true, Costs: core.DefaultCosts(),
+			IdentityVia: core.IdentityConflictQueue, SuccSplit: core.SuccSplitDeferred}
+	}
+	for _, procs := range []int{4, 8, 16, 32, 64} {
+		for _, batch := range []int{2, 4, 8, 16} {
+			for _, n := range []int{64, 128, 256, 512} {
+				jobs := []JobSpec{
+					{Name: "a", Prog: twoPhase(t, n, enable.NewIdentity()), Opt: opt(2)},
+					{Name: "b", Prog: twoPhase(t, n/2, enable.NewIdentity()), Opt: opt(4), Priority: 1},
+				}
+				if _, err := RunMulti(jobs, Config{Procs: procs, Mgmt: Adaptive, Batch: batch}); err != nil {
+					t.Errorf("p%d batch %d n%d: %v", procs, batch, n, err)
+				}
+			}
+		}
+	}
+}

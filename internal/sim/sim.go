@@ -411,7 +411,7 @@ type state struct {
 	tr      *trace.Ring    // flight recorder (nil = tracing off)
 	met     *telemetry.Set // metric set (nil = metrics off)
 
-	reqs       reqRing // FIFO management queue
+	reqs       fifo[request] // FIFO management queue
 	events     eventHeap
 	seq        int64
 	serverFree int64   // time the serial management server becomes free

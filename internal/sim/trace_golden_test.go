@@ -99,7 +99,6 @@ func TestTraceOrderGolden(t *testing.T) {
 	// sim-scale's mixed tenancy under every model, with the metric set on
 	// as well: the multi-program engine's fully instrumented event path.
 	for _, m := range []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async} {
-		m := m
 		fixtures = append(fixtures, fixture{name: fmt.Sprintf("trace/scale8/%v/p64", m), run: func(t *testing.T) *trace.Trace {
 			rec := trace.NewRecorder(trace.Meta{}, 64)
 			met := telemetry.NewSet(telemetry.NewRegistry(64, "virtual"))

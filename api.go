@@ -248,20 +248,24 @@ type (
 	// the replayed makespan and the conservation checks.
 	ReplayResult = sim.ReplayResult
 	// TraceRecorder is a caller-owned flight recorder for long-lived
-	// pools (WithTraceRecorder): Take returns the merged trace so far,
-	// safe to call while the pool records.
+	// pools (WithTraceRecorder). PoolJob.Trace reads one job's schedule
+	// out of it and Take the merged trace of everything it retains, both
+	// safe while the pool records and neither ever blocking a worker.
 	TraceRecorder = trace.Recorder
 )
 
+// ErrTraceRecycled is what PoolJob.Trace returns once the recorder has
+// recycled part of the job's records (see NewTraceRecorder).
+var ErrTraceRecycled = trace.ErrRecycled
+
 // NewTraceRecorder builds a caller-owned flight recorder sized for
-// `workers` worker rings, for WithTraceRecorder + StartPool. Take the
-// merged trace at any time; Trace.FilterJob carves out one job's
-// schedule by its PoolJob.Index.
+// `workers` worker rings, for WithTraceRecorder + StartPool. It is made
+// to stay on for a pool's whole life: each ring retains its latest
+// 256 Ki events and recycles older ones, so memory is flat, and a job's
+// trace (PoolJob.Trace) stays available until that much newer traffic
+// has passed through a worker.
 func NewTraceRecorder(workers int) *TraceRecorder {
-	if workers < 1 {
-		workers = 1
-	}
-	return trace.NewRecorder(trace.Meta{}, workers)
+	return trace.NewBounded(trace.Meta{}, workers, trace.DefaultRetain)
 }
 
 // Unified telemetry (WithMetrics).

@@ -16,6 +16,7 @@ import (
 	rundown "repro"
 	"repro/internal/experiments"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func benchExperiment(b *testing.B, id string, metric func(t *experiments.Table) (string, float64)) {
@@ -570,6 +571,66 @@ func BenchmarkTraceRecordChainFine(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b) })
 	b.Run("on", func(b *testing.B) { run(b, rundown.WithTrace(nil)) })
+}
+
+// BenchmarkTraceDownload prices one job's trace download from a
+// long-lived pool's recorder (PoolJob.Trace, the read behind the daemon's
+// GET /v1/jobs/{id}/trace) against how much the recorder saw before the
+// job: nothing, or a million events. events_visited/op is the read's
+// cost in a unit that repeats on any host — the events inside the job's
+// extent, 2 per task plus lifecycle and park records, whatever the
+// history — so CI caps it (cmd/benchjson -max) and a read side that
+// scans the recorder's whole life again fails on a count, not a timing.
+func BenchmarkTraceDownload(b *testing.B) {
+	const workers = 4
+	for _, h := range []struct {
+		name   string
+		events int
+	}{{"0", 0}, {"1M", 1 << 20}} {
+		b.Run("history="+h.name, func(b *testing.B) {
+			rec := rundown.NewTraceRecorder(workers)
+			// Prior traffic goes in before the pool's workers own the rings.
+			for i := 0; i < h.events; i++ {
+				rec.Ring(i%workers).Record(trace.KComplete, int64(i), int32(i%workers), -1, 0, 0, 1, 1)
+			}
+			runner, err := rundown.New(rundown.WithWorkers(workers), rundown.WithPool(),
+				rundown.WithTraceRecorder(rec))
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool, err := runner.StartPool()
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog, err := rundown.Chain(rundown.KindIdentity, 2, 256, rundown.UnitCost(), 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			job, err := pool.Submit(prog, rundown.Options{Grain: 1, Overlap: true}, rundown.PoolJobConfig{Name: "probe"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := job.Wait(); err != nil {
+				b.Fatal(err)
+			}
+			before := rec.Visited()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr, err := job.Trace()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got := tr.Granules(); got != 2*256 {
+					b.Fatalf("downloaded trace completes %d granules, the job ran %d", got, 2*256)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(rec.Visited()-before)/float64(b.N), "events_visited/op")
+			if _, err := pool.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }
 
 // BenchmarkMetricsChainFine measures what unified telemetry costs on the

@@ -10,7 +10,8 @@
 //
 // -max takes a comma-separated list of Name:unit=N ceilings, Name being
 // the benchmark's name without the Benchmark prefix and the -GOMAXPROCS
-// suffix; benchjson exits nonzero if that benchmark is missing, does not
+// suffix (N follows the entry's last "=", so a sub-benchmark named
+// history=1M works); benchjson exits nonzero if that benchmark is missing, does not
 // report the unit, or reports more than N. It is meant for the metrics
 // that repeat exactly on any runner — allocs/op above all — where a
 // ceiling a little over today's value turns a reintroduced per-event
@@ -151,7 +152,14 @@ func checkMax(entries []entry, max string) error {
 		if spec == "" {
 			continue
 		}
-		lhs, limit, ok := strings.Cut(spec, "=")
+		// The ceiling follows the last "=": sub-benchmark names carry
+		// their own (TraceDownload/history=1M).
+		eq := strings.LastIndexByte(spec, '=')
+		ok := eq >= 0
+		lhs, limit := spec, ""
+		if ok {
+			lhs, limit = spec[:eq], spec[eq+1:]
+		}
 		name, unit, ok2 := strings.Cut(lhs, ":")
 		ceiling, err := strconv.ParseFloat(limit, 64)
 		if !ok || !ok2 || name == "" || unit == "" || err != nil {

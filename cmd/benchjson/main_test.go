@@ -9,12 +9,13 @@ const sample = `goos: linux
 BenchmarkSimulatorThroughput-2        	    1101	   1078674 ns/op	      1024 tasks	  251880 B/op	     115 allocs/op
 BenchmarkSimulatorThroughputMulti-2   	      68	  14759413 ns/op	  24976666 granules/sec	 2210864 B/op	     569 allocs/op
 BenchmarkSimulatorOneJob/multi/sharded-2	3	1336317 ns/op
+BenchmarkTraceDownload/history=1M-2	1	90417 ns/op	1031 events_visited/op
 PASS
 `
 
 func TestCheckMax(t *testing.T) {
 	entries, err := parse(strings.NewReader(sample))
-	if err != nil || len(entries) != 3 {
+	if err != nil || len(entries) != 4 {
 		t.Fatalf("parse: %d entries, err %v", len(entries), err)
 	}
 	for _, tc := range []struct {
@@ -32,6 +33,9 @@ func TestCheckMax(t *testing.T) {
 		{"SimulatorOneJob/multi/sharded:ns/op=2e6", ""},
 		{"SimulatorOneJob/multi/sharded:allocs/op=10", "reports no allocs/op"},
 		{"SimulatorScaleMillion:allocs/op=3000", "missing from input"},
+		// A sub-benchmark name may hold an "=" of its own.
+		{"TraceDownload/history=1M:events_visited/op=5122", ""},
+		{"TraceDownload/history=1M:events_visited/op=1000", "exceeds the ceiling"},
 		{"SimulatorThroughputMulti=3", "malformed"},
 		{"SimulatorThroughputMulti:allocs/op=many", "malformed"},
 	} {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -412,21 +413,34 @@ func (s *Server) handlePoolEvents(w http.ResponseWriter, r *http.Request) {
 	s.hub.serveSSE(w, r, poolTopic)
 }
 
-// handleTrace serves the job's slice of the pool's flight-recorder
-// trace in the versioned binary format — the file rundownsim -replay
-// and -tracediff consume.
+// handleTrace serves the job's schedule from the pool's flight recorder
+// in the versioned binary format — the file rundownsim -replay and
+// -tracediff consume. The read touches the job's own extent of the
+// recorder only; a job whose extent the recorder has since recycled
+// answers 410.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	e := s.lookup(w, r)
 	if e == nil {
 		return
 	}
-	t := s.rec.Take().FilterJob(e.handle.Index())
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.trace", e.id))
-	if err := trace.Write(w, t); err != nil {
-		// Headers are gone; all we can do is drop the connection short.
+	t, err := e.handle.Trace()
+	var size int64
+	if err == nil {
+		size, err = trace.Size(t)
+	}
+	switch {
+	case errors.Is(err, rundown.ErrTraceRecycled):
+		writeError(w, http.StatusGone, "trace of job %q is gone: %v", e.id, err)
+		return
+	case err != nil:
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.trace", e.id))
+	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
+	// Past the headers a failed write can only mean the client went away.
+	_ = trace.Write(w, t)
 }
 
 // PoolStatus is the GET /v1/status response: the live pool sample plus

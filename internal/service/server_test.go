@@ -16,6 +16,7 @@ import (
 	"time"
 
 	rundown "repro"
+	"repro/internal/trace"
 )
 
 // newTestServer builds a daemon with a small pool and a fast SSE
@@ -362,6 +363,11 @@ func TestTraceDownloadReplays(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("trace download: HTTP %d, %v", resp.StatusCode, err)
 	}
+	// The size is known before the first byte: announced, not chunked.
+	if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("trace download: Content-Length %d (encoding %v) for %d bytes",
+			resp.ContentLength, resp.TransferEncoding, len(raw))
+	}
 	f := t.TempDir() + "/job.trace"
 	if err := writeFile(f, raw); err != nil {
 		t.Fatalf("write trace: %v", err)
@@ -373,8 +379,13 @@ func TestTraceDownloadReplays(t *testing.T) {
 	if len(tr.Events) == 0 {
 		t.Fatal("downloaded trace has no events")
 	}
-	// The downloaded schedule replays in the virtual machine against
-	// the same (normalized) spec the daemon ran.
+	replaySpec(t, spec, tr)
+}
+
+// replaySpec replays a downloaded schedule in the virtual machine
+// against the same (normalized) spec the daemon ran.
+func replaySpec(t *testing.T, spec JobSpec, tr *rundown.Trace) {
+	t.Helper()
 	if err := spec.normalize(); err != nil {
 		t.Fatalf("normalize: %v", err)
 	}
@@ -389,6 +400,134 @@ func TestTraceDownloadReplays(t *testing.T) {
 	if res.Makespan <= 0 {
 		t.Errorf("replay makespan %d", res.Makespan)
 	}
+}
+
+// downloadTrace fetches a job's trace, returning the status code and,
+// on 200, the parsed trace.
+func downloadTrace(t *testing.T, ts *httptest.Server, id string) (int, *rundown.Trace) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Errorf("GET trace of %s: %v", id, err)
+		return 0, nil
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var body errorBody
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil || body.Error == "" {
+			t.Errorf("trace of %s: HTTP %d without the error envelope (%v)", id, resp.StatusCode, err)
+		}
+		return resp.StatusCode, nil
+	}
+	tr, err := trace.Read(resp.Body)
+	if err != nil {
+		t.Errorf("trace of %s does not parse: %v", id, err)
+		return resp.StatusCode, nil
+	}
+	return resp.StatusCode, tr
+}
+
+// TestTraceDownloadRacesSubmit is the reproducer for the job-name race:
+// a download reads the recorder's meta while a submit appends the new
+// job's name to it. Run under -race.
+func TestTraceDownloadRacesSubmit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var first JobStatus
+	if code := submit(t, ts, quickSpec("first"), &first); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitTerminal(t, ts, first.ID)
+
+	const n = 40
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			spec := quickSpec(fmt.Sprintf("later-%d", i))
+			spec.Workload.Granules, spec.Workload.WorkMicros = 4, 0
+			body, _ := json.Marshal(spec)
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			resp.Body.Close()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < n; i++ {
+			code, tr := downloadTrace(t, ts, first.ID)
+			if code != http.StatusOK || tr == nil {
+				t.Errorf("download %d: HTTP %d", i, code)
+				return
+			}
+			if len(tr.Meta.Jobs) != 1 || tr.Meta.Jobs[0] != "first" {
+				t.Errorf("download %d names jobs %v, want [first]", i, tr.Meta.Jobs)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+// TestTraceRetention runs the daemon's recorder past its retention
+// budget: the recorder's memory stays within the budget, the job whose
+// records were recycled answers 410 Gone in the error envelope, and jobs
+// inside the window — one still running, then the same one finished —
+// download and replay.
+func TestTraceRetention(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	var old JobStatus
+	if code := submit(t, ts, quickSpec("old"), &old); code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitTerminal(t, ts, old.ID)
+	if code, _ := downloadTrace(t, ts, old.ID); code != http.StatusOK {
+		t.Fatalf("fresh trace of old: HTTP %d", code)
+	}
+
+	// Two records per task on the one worker's ring: past the budget.
+	flood := JobSpec{Name: "flood", Grain: 1, Workload: WorkloadSpec{
+		Phases: 2, Granules: trace.DefaultRetain/4 + 4096,
+	}}
+	var fl JobStatus
+	if code := submit(t, ts, flood, &fl); code != http.StatusAccepted {
+		t.Fatalf("submit flood: HTTP %d", code)
+	}
+	if st := waitTerminal(t, ts, fl.ID); st.State != "done" {
+		t.Fatalf("flood: %s %s", st.State, st.Error)
+	}
+	if n := s.rec.Ring(0).Len(); n < trace.DefaultRetain || n > trace.DefaultRetain+2048 {
+		t.Fatalf("the worker ring retains %d events, budget %d", n, trace.DefaultRetain)
+	}
+	if code, _ := downloadTrace(t, ts, old.ID); code != http.StatusGone {
+		t.Fatalf("recycled trace of old: HTTP %d, want 410", code)
+	}
+	if code, _ := downloadTrace(t, ts, fl.ID); code != http.StatusGone {
+		t.Fatalf("trace of flood, longer than the budget: HTTP %d, want 410", code)
+	}
+
+	spec := longSpec("live")
+	var live JobStatus
+	if code := submit(t, ts, spec, &live); code != http.StatusAccepted {
+		t.Fatalf("submit live: HTTP %d", code)
+	}
+	for getStatus(t, ts, live.ID).Tasks == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if code, tr := downloadTrace(t, ts, live.ID); code != http.StatusOK || tr.Count(trace.KDispatch) == 0 {
+		t.Fatalf("trace of a running job: HTTP %d, %v", code, tr)
+	}
+	if st := waitTerminal(t, ts, live.ID); st.State != "done" {
+		t.Fatalf("live: %s %s", st.State, st.Error)
+	}
+	code, tr := downloadTrace(t, ts, live.ID)
+	if code != http.StatusOK {
+		t.Fatalf("trace of live: HTTP %d", code)
+	}
+	replaySpec(t, spec, tr)
 }
 
 func TestConcurrentScrapeAndSubmit(t *testing.T) {

@@ -1,12 +1,14 @@
 package tenant
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Job is the handle for one submitted program. It is created by
@@ -68,6 +70,11 @@ type Job struct {
 	activatedOnce bool
 	queueWaitNS   int64
 	started       atomic.Bool
+
+	// traceFrom and traceTo bracket the job's records in the pool's
+	// flight recorder: read at first activation (moved up at each retry)
+	// and at retirement. Guarded by pool.mu; nil until the job gets there.
+	traceFrom, traceTo trace.Cursor
 }
 
 // driver returns the job's current attempt's manager.
@@ -86,6 +93,30 @@ func (j *Job) Name() string { return j.cfg.Name }
 // column of the pool's flight-recorder records, so a caller can carve
 // this job's schedule out of a pool trace with Trace.FilterJob.
 func (j *Job) Index() int { return j.idx }
+
+// Trace extracts the job's schedule from the pool's flight recorder: what
+// Recorder.Take().FilterJob(j.Index()) returns, read from the job's own
+// extent of the recorder only, so the cost is the events recorded while
+// the job ran however long the pool has lived. Safe at any time; a job
+// still running yields its schedule so far. Records of tasks still in
+// flight when a job is aborted land after its extent closed and are left
+// out (their completions are dropped by the manager the same way). The
+// error is trace.ErrRecycled when a bounded recorder no longer retains
+// the extent.
+func (j *Job) Trace() (*trace.Trace, error) {
+	rec := j.pool.cfg.Trace
+	if rec == nil {
+		return nil, fmt.Errorf("tenant: job %q: the pool has no trace recorder", j.cfg.Name)
+	}
+	j.pool.mu.Lock()
+	from, to := j.traceFrom, j.traceTo
+	j.pool.mu.Unlock()
+	if from == nil {
+		// Still queued: nothing recorded yet.
+		from = rec.Cursor()
+	}
+	return rec.TakeJob(j.idx, from, to)
+}
 
 // Class returns the job's service class ("" = unclassified).
 func (j *Job) Class() string { return j.cfg.Class }

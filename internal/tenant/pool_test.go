@@ -233,18 +233,15 @@ func TestPoolBackfillAsync(t *testing.T) {
 	runBackfillRundown(t, Config{Workers: 4, Manager: executive.AsyncManager, ReadyCap: 2, LowWater: 1, Batch: 1})
 }
 
-func runBackfillRundown(t *testing.T, cfg Config) {
+// buildBackfillPair builds the rundown-backfill scenario's two programs.
+// blocker: its first phase holds one granule hostage until the filler
+// job is half done (gate channel), so the blocker's other home worker
+// faces a guaranteed rundown window — its own job has nothing
+// dispatchable while the filler still holds hundreds of tasks. Work
+// blocks instead of spinning: the host may have a single core. verify
+// checks, once both jobs finished, that every granule of both ran.
+func buildBackfillPair(t *testing.T) (blockerProg, fillerProg *core.Program, verify func()) {
 	t.Helper()
-	p, err := NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// blocker: its first phase holds one granule hostage until the filler
-	// job is half done (gate channel), so the blocker's other home worker
-	// faces a guaranteed rundown window — its own job has nothing
-	// dispatchable while the filler still holds hundreds of tasks. Work
-	// blocks instead of spinning: the host may have a single core.
 	gate := make(chan struct{})
 	var blockerRan atomic.Int64
 	blockerProg, err := core.NewProgram(
@@ -285,37 +282,57 @@ func runBackfillRundown(t *testing.T, cfg Config) {
 			Enable: en,
 		}
 	}
-	fillerProg, err := core.NewProgram(
+	fillerProg, err = core.NewProgram(
 		fillerPhase("f1", 0, enable.NewIdentity()), fillerPhase("f2", fillerN, nil),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return blockerProg, fillerProg, func() {
+		t.Helper()
+		for i := range fillerDone {
+			if !fillerDone[i].Load() {
+				t.Fatalf("filler granule %d never ran", i)
+			}
+		}
+		if blockerRan.Load() != 4 {
+			t.Fatalf("blocker ran %d granules, want 4", blockerRan.Load())
+		}
+	}
+}
 
+// submitBackfillPair submits the pair with the options the scenario
+// depends on: blocker first, so it owns home workers when filler arrives.
+func submitBackfillPair(t *testing.T, p *Pool, blockerProg, fillerProg *core.Program) (blocker, filler *Job) {
+	t.Helper()
 	blocker, err := p.Submit(blockerProg, core.Options{Grain: 1, Costs: core.DefaultCosts()},
 		JobConfig{Name: "blocker"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	filler, err := p.Submit(fillerProg, core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()},
+	filler, err = p.Submit(fillerProg, core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()},
 		JobConfig{Name: "filler"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return blocker, filler
+}
+
+func runBackfillRundown(t *testing.T, cfg Config) {
+	t.Helper()
+	p, err := NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blockerProg, fillerProg, verify := buildBackfillPair(t)
+	blocker, filler := submitBackfillPair(t, p, blockerProg, fillerProg)
 	if _, err := blocker.Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := filler.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	for i := range fillerDone {
-		if !fillerDone[i].Load() {
-			t.Fatalf("filler granule %d never ran", i)
-		}
-	}
-	if blockerRan.Load() != 4 {
-		t.Fatalf("blocker ran %d granules, want 4", blockerRan.Load())
-	}
+	verify()
 	rep, err := p.Close()
 	if err != nil {
 		t.Fatal(err)

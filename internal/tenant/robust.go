@@ -242,6 +242,10 @@ func (p *Pool) failJob(j *Job, m executive.PoolDriver, err error, retryable bool
 		}
 	}
 	if rec := p.cfg.Trace; rec != nil {
+		// The job's trace extent restarts here, before the KRetry: only
+		// the last attempt is a schedule (trace.FilterJob cuts at the
+		// record), and the cut itself must stay inside the extent.
+		j.traceFrom = rec.Cursor()
 		rec.Emit(trace.KRetry, rec.Now(), -1, int32(j.idx), -1, 0, 0, int64(attempt))
 	}
 	p.mu.Unlock()

@@ -76,7 +76,8 @@ type Config struct {
 	// backfill marker), pool-level park/unpark, and per-job start/finish/
 	// abort. Recording happens at pool level — the layer that knows which
 	// job a task belongs to — into per-worker rings with no
-	// synchronization; merge with Recorder.Take after Close.
+	// synchronization; merge with Recorder.Take, or read one job's schedule
+	// with Job.Trace, at any time.
 	Trace *trace.Recorder
 	// MaxActive is the admission high-water mark: at most this many jobs
 	// run concurrently (0 = unlimited). A Submit above the mark fails with
@@ -351,9 +352,9 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 			j.cfg.Name, p.cfg.MaxActive, ErrPoolSaturated)
 	}
 	if rec := p.cfg.Trace; rec != nil {
-		// Job names accumulate in submit order, matching the Job column of
-		// the records (mutated under p.mu, read only after Close).
-		rec.Meta().Jobs = append(rec.Meta().Jobs, j.cfg.Name)
+		// Job names accumulate in submit order (p.mu makes the order the
+		// index order), matching the Job column of the records.
+		rec.AddJob(j.cfg.Name)
 	}
 	p.jobs = append(p.jobs, j)
 	if p.cfg.MaxActive > 0 && len(p.active) >= p.cfg.MaxActive {
@@ -381,6 +382,9 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 // Caller holds p.mu.
 func (p *Pool) activateLocked(j *Job) {
 	if rec := p.cfg.Trace; rec != nil {
+		if j.traceFrom == nil {
+			j.traceFrom = rec.Cursor()
+		}
 		rec.Emit(trace.KStart, rec.Now(), -1, int32(j.idx), -1, 0, 0, 0)
 	}
 	if !j.activatedOnce {
@@ -486,10 +490,12 @@ func (p *Pool) Abort(err error) {
 // The worker keeps one clock chain (see internal/clock): now is its
 // latest reading, replaced by the stamp each manager call returns. A
 // manager entered without contention charges from the stamp it is handed,
-// so the chain is handed on only where the call follows the reading
-// directly (Flush, the probes within one sweep); the sweep and the
-// completion submission start from a fresh reading, because pool-level
-// work that can block sits before them (see sweep and runTask).
+// so the chain is handed on only where nothing that can block sits
+// between the reading and the call (Flush, the probes within one sweep,
+// the completion submission — its one intervening step, the trace
+// record, is a store into the worker's own ring that no reader can
+// delay); the sweep starts from a fresh reading, because pool-level work
+// that can block sits before it (see sweep).
 func (p *Pool) worker(ctx context.Context, w int) {
 	defer p.wg.Done()
 	var cache homeCache
@@ -624,12 +630,6 @@ func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, ba
 		ring.Record(trace.KComplete, p.cfg.Trace.At(end), int32(w), int32(j.idx),
 			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
 	}
-	// The completion is submitted with a fresh reading, not the
-	// compute-end one: an uncontended manager charges from the stamp it
-	// is handed, and the ring append above can block for as long as a
-	// trace download holds the ring (the recorder is shared with the
-	// daemon's readers) — time that is no job's management.
-	end = clock.Now()
 	j.lastTouch.Store(int64(end))
 	// A completion that only joined the worker's local batch cannot have
 	// released successor work or finished the job, so parked workers are
@@ -780,7 +780,12 @@ func (p *Pool) finishJobLocked(j *Job, err error) {
 		if err != nil {
 			k = trace.KAbort
 		}
+		if j.traceFrom == nil {
+			// Retired while still queued: the extent is this one record.
+			j.traceFrom = rec.Cursor()
+		}
 		rec.Emit(k, rec.Now(), -1, int32(j.idx), -1, 0, 0, 0)
+		j.traceTo = rec.Cursor()
 	}
 	for i, a := range p.active {
 		if a == j {

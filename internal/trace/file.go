@@ -60,16 +60,35 @@ func getEvent(b []byte, e *Event) {
 	e.Arg = int64(le.Uint64(b[37:]))
 }
 
+// encodeMeta renders t's meta block as the file stores it.
+func encodeMeta(t *Trace) ([]byte, error) {
+	meta := t.Meta
+	meta.Version = FormatVersion
+	mj, err := json.Marshal(&meta)
+	if err != nil {
+		return nil, fmt.Errorf("trace: encoding meta: %w", err)
+	}
+	return mj, nil
+}
+
+// Size reports how many bytes Write produces for t, so a server can
+// announce the length before the first byte.
+func Size(t *Trace) (int64, error) {
+	mj, err := encodeMeta(t)
+	if err != nil {
+		return 0, err
+	}
+	return int64(len(fileMagic) + 1 + 4 + len(mj) + 8 + len(t.Events)*recordSize + 4), nil
+}
+
 // Write serializes t to w in the versioned binary format.
 func Write(w io.Writer, t *Trace) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 
-	meta := t.Meta
-	meta.Version = FormatVersion
-	mj, err := json.Marshal(&meta)
+	mj, err := encodeMeta(t)
 	if err != nil {
-		return fmt.Errorf("trace: encoding meta: %w", err)
+		return err
 	}
 
 	if _, err := bw.WriteString(fileMagic); err != nil {

@@ -373,11 +373,13 @@ func WithLiveFaults() Option {
 
 // WithTraceRecorder attaches a caller-owned flight recorder to
 // StartPool pools: the pool records its scheduling decisions into rec
-// for its whole lifetime, and the caller can Take() merged snapshots
-// while the pool runs (race-safe; a live Take may miss the newest
-// events). This is the service daemon's per-job trace-download path —
-// unlike WithTrace, whose recorder is per-run and harvested into
-// Report.Trace automatically. Run/RunAll ignore it.
+// for its whole lifetime, and the caller reads it while the pool runs —
+// one job's schedule with PoolJob.Trace, at the cost of that job's
+// records only, or everything retained with Take() (both race-safe; a
+// live read may miss the newest events). This is the service daemon's
+// per-job trace-download path — unlike WithTrace, whose recorder is
+// per-run and harvested into Report.Trace automatically. Run/RunAll
+// ignore it.
 func WithTraceRecorder(rec *TraceRecorder) Option {
 	return func(c *runnerConfig) error {
 		if rec == nil {

@@ -45,12 +45,14 @@ type Caps struct {
 	FaultInjection bool
 	// Deadlines: per-job deadlines abort only the deadlined job with an
 	// error wrapping context.DeadlineExceeded. Pool-backed runs and
-	// virtual multi-program runs enforce them natively; single-job
-	// goroutine runs through the run context. False only when neither
-	// side of the pairing has a multi-job engine.
+	// virtual runs — Run and RunAll, which share one engine — enforce
+	// them natively; single-job goroutine runs through the run context.
+	// False only when neither side of the pairing has a multi-job engine.
 	Deadlines bool
 	// Retries: failed attempts restart on a fresh scheduler (Job.Retry /
-	// WithRetry). Needs a multi-job engine on at least one side.
+	// WithRetry). Needs a multi-job engine on at least one side: the
+	// tenant pool, or the virtual engine (whose Run is a one-job RunAll
+	// and retries the same way). Single-job goroutine runs never retry.
 	Retries bool
 	// Admission: WithAdmission's high-water mark and queueing apply —
 	// a real-pool feature, available whenever Manager can drive the pool.

@@ -169,6 +169,89 @@ func TestRunnerVirtualDeadlineNamesJob(t *testing.T) {
 	}
 }
 
+// TestRunnerVirtualRunHonoursDeadlineAndRetry: the virtual backend's Run
+// is the one-job case of its RunAll, so Job.Deadline, Job.Retry and
+// Job.Backoff bind it exactly as they bind RunAll — a deadlined chain
+// fails with context.DeadlineExceeded instead of finishing late, and a
+// one-shot injected grain error is retried instead of failing the run —
+// and both doors report the same outcome and accounting.
+func TestRunnerVirtualRunHonoursDeadlineAndRetry(t *testing.T) {
+	chain := func(name string) rundown.Job {
+		prog, err := rundown.Chain(rundown.KindIdentity, 3, 512, rundown.UnitCost(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rundown.Job{Name: name, Prog: prog,
+			Opt: rundown.Options{Grain: 8, Overlap: true, Costs: rundown.DefaultCosts()}}
+	}
+	cfg := rundown.SimConfig{Procs: 8, Mgmt: rundown.Dedicated}
+	// both runs job through Run and through RunAll on fresh runners.
+	both := func(job rundown.Job, opts ...rundown.Option) (one, all *rundown.Report, oneErr, allErr error) {
+		opts = append(opts, rundown.WithVirtualTime(cfg))
+		for i, run := range []func(*rundown.Runner) (*rundown.Report, error){
+			func(r *rundown.Runner) (*rundown.Report, error) { return r.Run(context.Background(), job) },
+			func(r *rundown.Runner) (*rundown.Report, error) {
+				return r.RunAll(context.Background(), []rundown.Job{job})
+			},
+		} {
+			r, err := rundown.New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := run(r)
+			if i == 0 {
+				one, oneErr = rep, err
+			} else {
+				all, allErr = rep, err
+			}
+		}
+		return
+	}
+
+	late := chain("late")
+	late.Deadline = 1000 * time.Nanosecond // the chain needs more than 1000 virtual units
+	one, all, oneErr, allErr := both(late)
+	for who, err := range map[string]error{"Run": oneErr, "RunAll": allErr} {
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err = %v, want wrapped context.DeadlineExceeded", who, err)
+		}
+		if !strings.Contains(err.Error(), `rundown: job "late"`) {
+			t.Errorf("%s: error does not name the job: %v", who, err)
+		}
+	}
+	if one == nil || all == nil {
+		t.Fatal("a deadline miss should still report the job's outcome")
+	}
+	if one.Makespan != all.Makespan || one.Jobs[0].DeadlineMargin != all.Jobs[0].DeadlineMargin ||
+		!one.Jobs[0].HasDeadline {
+		t.Errorf("deadline miss: Run reports makespan %d margin %v, RunAll %d %v",
+			one.Makespan, one.Jobs[0].DeadlineMargin, all.Makespan, all.Jobs[0].DeadlineMargin)
+	}
+
+	wobbly := chain("wobbly")
+	wobbly.Retry = 2
+	wobbly.Backoff = 64
+	one, all, oneErr, allErr = both(wobbly, rundown.WithFaults(rundown.FaultSpec{Seed: 1, Rules: []rundown.FaultRule{
+		{Kind: rundown.FaultGrainError, Job: 0, Phase: -1, Worker: -1, Count: 1},
+	}}))
+	if oneErr != nil || allErr != nil {
+		t.Fatalf("the retry should have recovered the injected error: Run %v, RunAll %v", oneErr, allErr)
+	}
+	if one.Sim == nil || one.SimMulti != nil || all.Sim != nil || all.SimMulti == nil {
+		t.Errorf("Run should report Sim and RunAll SimMulti: Run %v/%v, RunAll %v/%v",
+			one.Sim != nil, one.SimMulti != nil, all.Sim != nil, all.SimMulti != nil)
+	}
+	if one.Faults != 1 || one.Retries != 1 || one.Jobs[0].Attempts != 2 {
+		t.Errorf("Run: faults=%d retries=%d attempts=%d, want 1 1 2",
+			one.Faults, one.Retries, one.Jobs[0].Attempts)
+	}
+	if one.Makespan != all.Makespan || one.Tasks != all.Tasks || one.Faults != all.Faults ||
+		one.Retries != all.Retries || one.Jobs[0].Attempts != all.Jobs[0].Attempts {
+		t.Errorf("Run and RunAll disagree on the retried job:\n Run    %v faults=%d retries=%d\n RunAll %v faults=%d retries=%d",
+			one, one.Faults, one.Retries, all, all.Faults, all.Retries)
+	}
+}
+
 // TestRunnerPoolSentinels exercises the re-exported tenancy sentinels
 // through the public pool lifecycle: Submit after Close wraps
 // ErrPoolClosed, and a second Close returns the first Close's outcome.

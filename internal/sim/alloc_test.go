@@ -5,9 +5,8 @@ package sim
 // state), but all of that is warmup whose size depends on the machine and
 // phase structure, NOT on how many granules flow through: the typed
 // calendar queue recycles payload slots through a freelist, descriptions
-// recycle through the scheduler's slab freelist, the in-flight table and
-// request ring reuse their backing arrays, and completion batches reuse
-// their scratch. So the gate is differential: growing the program by K
+// recycle through the scheduler's slab freelist, the in-flight table
+// reuses its backing array, and completion batches reuse their scratch. So the gate is differential: growing the program by K
 // extra dispatches must cost (amortized) zero extra allocations — any
 // steady-state per-dispatch allocation would scale with K and fail.
 
@@ -30,7 +29,7 @@ func allocChain(t testing.TB, n int) *core.Program {
 	return prog
 }
 
-// runAllocs measures allocations per single-program run at n granules per
+// runAllocs measures allocations per Run (the one-job path) at n granules per
 // phase and returns them with the run's dispatch count.
 func runAllocs(t *testing.T, n int) (allocs float64, dispatches int64) {
 	t.Helper()
@@ -79,9 +78,10 @@ func multiAllocs(t *testing.T, n int) (allocs float64, dispatches int64) {
 	return allocs, dispatches
 }
 
-// TestRunSteadyStateAllocFree: quadrupling a single-program run's
-// dispatch count must not add allocations beyond a fraction of an alloc
-// per extra dispatch (slack for a handful of backing-array doublings).
+// TestRunSteadyStateAllocFree: quadrupling a Run's dispatch count — the
+// one-job path, with the phase and timeline recorders on — must not add
+// allocations beyond a fraction of an alloc per extra dispatch (slack for
+// a handful of backing-array doublings).
 func TestRunSteadyStateAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate is slow under -short")
@@ -101,8 +101,8 @@ func TestRunSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunMultiSteadyStateAllocFree: the same differential gate for the
-// multi-program engine — the calendar queue's slot freelist, the bucket
+// TestRunMultiSteadyStateAllocFree: the same differential gate for a
+// four-job run — the calendar queue's slot freelist, the bucket
 // index lists, and the per-job caches must all recycle.
 func TestRunMultiSteadyStateAllocFree(t *testing.T) {
 	if testing.Short() {

@@ -345,10 +345,10 @@ func TestChaosFaultsOffIsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestChaosSingleProgramFaults covers the single-program engine's
-// injection: slow and stuck grains complete with inflated virtual time,
-// panics and errors fail the run, a crash loses capacity but finishes,
-// and a dropped wakeup is recovered.
+// TestChaosSingleProgramFaults covers injection into a Run: slow and
+// stuck grains complete with inflated virtual time, panics and errors
+// fail the run, a crash loses capacity but finishes, and a dropped wakeup
+// is recovered.
 func TestChaosSingleProgramFaults(t *testing.T) {
 	build := func() (*core.Program, core.Options) {
 		prog, err := workload.Chain(enable.Identity, 3, 64, workload.FixedCost(100), 5)

@@ -1,15 +1,14 @@
 package sim
 
-// Deterministic fault injection in virtual time. Both engines — the
-// single-program state and the multi-program mstate — consult one
+// Deterministic fault injection in virtual time. The engine consults one
 // compiled fault.Plan at the same chokepoints the real backends do:
 //
 //   - grain faults strike in dispatch: a slow grain stretches the task's
 //     compute (work inflation the timeline and utilization then price), a
 //     stuck grain delays the completion EVENT without inflating compute,
 //     and a panicking/erroring grain stamps the completion with a failure
-//     the run loop turns into a job failure (multi: retry or isolated
-//     abort; single program: run error);
+//     the run loop turns into a job failure (retry, or an abort isolated
+//     from the co-tenants — which Run reports as the run's error);
 //   - worker faults strike at ask service: a crashed worker finishes the
 //     task in hand and never asks again (graceful capacity loss — under
 //     Adaptive the crash waits for the shard to drain and flushes the
@@ -100,95 +99,6 @@ func backoffDelay(base int64, attempts int) int64 {
 	return base << shift
 }
 
-// ---- single-program engine hooks ----
-
-// noteFault flight-records one injected fault firing.
-func (s *state) noteFault(at int64, w int, k fault.Kind) {
-	if s.tr != nil {
-		s.tr.Record(trace.KFault, at, int32(w), 0, -1, 0, 0, int64(k))
-	}
-	if s.met != nil {
-		s.met.Faults.Inc(0)
-	}
-}
-
-// inject applies grain- and worker-level faults to a dispatch: it
-// returns the (possibly stretched) compute cost, the completion-event
-// lag, and the failure the completion should carry. Only called with a
-// non-nil plan.
-func (s *state) inject(worker int, task core.Task, at, dur int64) (int64, int64, error) {
-	var lag int64
-	var fail error
-	if _, f, ok := s.plan.Worker(worker, at, fault.WorkerSlow); ok {
-		s.noteFault(at, worker, fault.WorkerSlow)
-		dur = satScale(dur, f)
-	}
-	if d, _, ok := s.plan.Worker(worker, at, fault.WorkerWedge); ok {
-		s.noteFault(at, worker, fault.WorkerWedge)
-		lag += d
-	}
-	k, d, f := s.plan.Grain(0, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), at)
-	switch k {
-	case fault.GrainSlow:
-		dur = satScale(dur, f)
-	case fault.GrainStall:
-		lag += d
-	case fault.GrainPanic:
-		fail = fmt.Errorf("sim: injected panic in phase %d granules [%d,%d)",
-			task.Phase, task.Run.Lo, task.Run.Hi)
-	case fault.GrainError:
-		fail = fmt.Errorf("sim: injected error in phase %d granules [%d,%d)",
-			task.Phase, task.Run.Lo, task.Run.Hi)
-	}
-	if k != 0 {
-		s.noteFault(at, worker, k)
-	}
-	return dur, lag, fail
-}
-
-// maybeCrash retires worker w when a WorkerCrash rule fires for it: the
-// ask in hand dies and the worker never asks again. Under Adaptive the
-// crash is deferred while the worker's shard holds tasks (they are not
-// re-queueable) and the pending completion batch is flushed first, so no
-// work is stranded. The last live worker refuses to crash — the rule is
-// consumed but ignored — so a campaign cannot strand a program with zero
-// workers.
-func (s *state) maybeCrash(w int, at int64) bool {
-	if s.crashed[w] {
-		return true
-	}
-	if s.model == Adaptive && s.ab[w].next < len(s.ab[w].tasks) {
-		return false
-	}
-	if _, _, ok := s.plan.Worker(w, at, fault.WorkerCrash); !ok {
-		return false
-	}
-	if s.livew <= 1 {
-		return false
-	}
-	if s.model == Adaptive {
-		ab := &s.ab[w]
-		if len(ab.done) > 0 {
-			cost := s.acquire + s.sched.CompleteBatch(ab.done)
-			s.acquireUnits += int64(s.acquire)
-			fin := s.serve(at, cost)
-			for _, t := range ab.done {
-				if pt := &s.phases[t.Phase]; fin > pt.End {
-					pt.End = fin
-				}
-			}
-			ab.done = ab.done[:0]
-			s.wake(fin)
-		}
-	}
-	s.crashed[w] = true
-	s.livew--
-	s.noteFault(at, w, fault.WorkerCrash)
-	return true
-}
-
-// ---- multi-program engine hooks ----
-
 // noteFault flight-records one injected fault firing against job ji.
 func (s *mstate) noteFault(at int64, w, ji int, k fault.Kind) {
 	if s.tr != nil {
@@ -199,7 +109,10 @@ func (s *mstate) noteFault(at int64, w, ji int, k fault.Kind) {
 	}
 }
 
-// inject is the multi-program dispatch injection (see state.inject).
+// inject applies grain- and worker-level faults to a dispatch: it
+// returns the (possibly stretched) compute cost, the completion-event
+// lag, and the failure the completion should carry. Only called with a
+// non-nil plan.
 func (s *mstate) inject(worker, ji int, task core.Task, at, dur int64) (int64, int64, error) {
 	var lag int64
 	var fail error
@@ -230,9 +143,13 @@ func (s *mstate) inject(worker, ji int, task core.Task, at, dur int64) (int64, i
 	return dur, lag, fail
 }
 
-// maybeCrash is the multi-program worker-crash hook (see state.maybeCrash):
-// called at the top of every ask handler, it retires the asker when a
-// crash rule fires, flushing an Adaptive shard's completion batch first.
+// maybeCrash retires worker w when a WorkerCrash rule fires for it: the
+// ask in hand dies and the worker never asks again. Under Adaptive the
+// crash is deferred while the worker's shard holds tasks (they are not
+// re-queueable) and the pending completion batch is flushed first, so no
+// work is stranded. The last live worker refuses to crash — the rule is
+// consumed but ignored — so a campaign cannot strand a program with zero
+// workers.
 func (s *mstate) maybeCrash(w int, at int64) bool {
 	if s.crashed[w] {
 		return true
@@ -316,6 +233,7 @@ func (s *mstate) failJob(ji int, at int64, proc int, err error, retryable bool) 
 			panic(fmt.Sprintf("sim: retry recompile of job %q failed: %v", j.spec.Name, nerr))
 		}
 		j.sched = sched
+		j.phases = newPhaseTraces(j.spec.Prog)
 		fin := s.serve(restart, sched.Start())
 		j.openAt = fin
 		s.syncReady(j)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -21,11 +22,12 @@ import (
 // The golden determinism suite pins the engine's complete observable
 // output — Result / MultiResult fields, per-phase traces, scheduler
 // statistics, timeline totals, and the full Observer snapshot stream — to
-// fingerprints captured from the engine before the PR 6 hot-path rewrite
-// (typed 4-ary event heaps, incremental backfill candidates, running
-// ready counts, cached frontier). Any divergence, down to a single
-// snapshot firing one event earlier, changes the fingerprint and fails
-// the suite: the rewrite must be a pure performance change.
+// fingerprints. Any divergence, down to a single snapshot firing one
+// event earlier, changes the fingerprint and fails the suite: a
+// performance change to the engine must be a pure performance change.
+// The RunMulti lines date from before the PR 6 hot-path rewrite; the Run
+// lines were regenerated once, when Run became the one-job run of the
+// RunMulti engine (PR 15), to that engine's pricing.
 //
 // Regenerate with `go test ./internal/sim -run TestGolden -update` ONLY
 // when an intentional semantic change is being made, and say so in the
@@ -112,11 +114,14 @@ func (g *goldenHasher) multiResult(res *MultiResult) {
 	}
 }
 
-// goldenFixture is one pinned configuration. run executes it and returns
-// (headline scalars for the readable part of the line, fingerprint).
+// goldenFixture is one pinned configuration: the jobs, the machine, and
+// whether the run goes through Run (one job, fingerprinting the Result
+// with its timeline) or RunMulti.
 type goldenFixture struct {
-	name string
-	run  func(t *testing.T) (headline string, hash uint64)
+	name   string
+	jobs   func(t *testing.T) []JobSpec
+	cfg    Config
+	single bool
 }
 
 func goldenChain(t *testing.T, phases, granules int, seed uint64) *core.Program {
@@ -159,52 +164,54 @@ func goldenOpt(grain int) core.Options {
 	return core.Options{Grain: grain, Overlap: true, Costs: core.DefaultCosts()}
 }
 
-// singleFixture runs one single-program configuration with an observer
-// attached and fingerprints everything.
+// singleFixture is a Run fixture.
 func singleFixture(name string, build func(t *testing.T) *core.Program,
 	opt core.Options, cfg Config) goldenFixture {
-	return goldenFixture{name: name, run: func(t *testing.T) (string, uint64) {
-		var sns []Snapshot
-		cfg.Observer = func(sn Snapshot) { sns = append(sns, sn) }
-		res, err := Run(build(t), opt, cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		g := newGoldenHasher()
-		g.result(res)
-		g.snapshots(sns)
-		head := fmt.Sprintf("makespan=%d compute=%d mgmt=%d idle=%d snaps=%d",
-			res.Makespan, res.ComputeUnits, res.MgmtUnits, res.IdleUnits, len(sns))
-		return head, g.h.Sum64()
-	}}
+	return goldenFixture{name: name, cfg: cfg, single: true,
+		jobs: func(t *testing.T) []JobSpec { return []JobSpec{{Prog: build(t), Opt: opt}} }}
 }
 
-// multiFixture runs one multi-program configuration with an observer
-// attached and fingerprints everything.
+// multiFixture is a RunMulti fixture.
 func multiFixture(name string, build func(t *testing.T) []JobSpec, cfg Config) goldenFixture {
-	return goldenFixture{name: name, run: func(t *testing.T) (string, uint64) {
-		var sns []Snapshot
-		cfg.Observer = func(sn Snapshot) { sns = append(sns, sn) }
-		res, err := RunMulti(build(t), cfg)
+	return goldenFixture{name: name, cfg: cfg, jobs: build}
+}
+
+// run executes the fixture with an observer attached and fingerprints
+// everything; it returns the headline scalars for the readable part of
+// the golden line, and the fingerprint.
+func (fx goldenFixture) run(t *testing.T) (headline string, hash uint64) {
+	var sns []Snapshot
+	cfg := fx.cfg
+	cfg.Observer = func(sn Snapshot) { sns = append(sns, sn) }
+	jobs := fx.jobs(t)
+	g := newGoldenHasher()
+	var makespan, compute, mgmt, idle int64
+	if fx.single {
+		res, err := Run(jobs[0].Prog, jobs[0].Opt, cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", fx.name, err)
 		}
-		g := newGoldenHasher()
+		g.result(res)
+		makespan, compute, mgmt, idle = res.Makespan, res.ComputeUnits, res.MgmtUnits, res.IdleUnits
+	} else {
+		res, err := RunMulti(jobs, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
 		g.multiResult(res)
-		g.snapshots(sns)
-		head := fmt.Sprintf("makespan=%d compute=%d mgmt=%d idle=%d snaps=%d",
-			res.Makespan, res.ComputeUnits, res.MgmtUnits, res.IdleUnits, len(sns))
-		return head, g.h.Sum64()
-	}}
+		makespan, compute, mgmt, idle = res.Makespan, res.ComputeUnits, res.MgmtUnits, res.IdleUnits
+	}
+	g.snapshots(sns)
+	return fmt.Sprintf("makespan=%d compute=%d mgmt=%d idle=%d snaps=%d",
+		makespan, compute, mgmt, idle, len(sns)), g.h.Sum64()
 }
 
 func goldenFixtures() []goldenFixture {
 	var fx []goldenFixture
 
-	// Single-program: every management model on the fine identity chain
-	// at two machine sizes, covering the typed event heap, the request
-	// ring, the adaptive shard path (fixed and tuned batch), and the
-	// async ready-buffer protocol.
+	// Run: every management model on the fine identity chain at two
+	// machine sizes, covering the adaptive shard path (fixed and tuned
+	// batch) and the async ready-buffer protocol.
 	models := []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async}
 	for _, m := range models {
 		for _, procs := range []int{8, 48} {
@@ -379,5 +386,43 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 	for name := range want {
 		t.Errorf("golden file has stale fixture %q (run -update?)", name)
+	}
+}
+
+// TestPhaseTraceConservation checks the per-job phase traces of every
+// golden fixture, Run and RunMulti alike: every dispatch is counted in
+// exactly one phase, the idle time attributed to phases never exceeds
+// the run's, and a phase's rundown begins inside its window.
+func TestPhaseTraceConservation(t *testing.T) {
+	for _, fx := range goldenFixtures() {
+		var res *MultiResult
+		var err error
+		if jobs := fx.jobs(t); fx.single {
+			_, res, err = RunJobContext(context.Background(), jobs[0], fx.cfg)
+		} else {
+			res, err = RunMulti(jobs, fx.cfg)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", fx.name, err)
+		}
+		var idle int64
+		for _, j := range res.Jobs {
+			var dispatched int64
+			for pi, pt := range j.Phases {
+				dispatched += pt.Dispatched
+				idle += pt.IdleUnits
+				if pt.RundownStart != -1 && (pt.RundownStart < pt.Start || pt.RundownStart > pt.End) {
+					t.Errorf("%s: job %s phase %d: rundown starts at %d outside the window [%d,%d]",
+						fx.name, j.Name, pi, pt.RundownStart, pt.Start, pt.End)
+				}
+			}
+			if dispatched != j.Sched.Dispatches {
+				t.Errorf("%s: job %s: phases count %d dispatches, scheduler %d",
+					fx.name, j.Name, dispatched, j.Sched.Dispatches)
+			}
+		}
+		if idle > res.IdleUnits {
+			t.Errorf("%s: phases account %d idle units, the run only %d", fx.name, idle, res.IdleUnits)
+		}
 	}
 }

@@ -1,86 +1,18 @@
 package sim
 
-// This file is the engines' hot-path plumbing: the single-program
-// engine's typed 4-ary event heap, the multi-program engine's calendar
-// queue, the compacting FIFO both use, and the parked-worker bitset. None
-// of them allocates in steady state — backing arrays grow to a
-// scale-independent high-water mark and are reused — and none goes
-// through container/heap, whose interface boxing per Push and Pop used to
-// dominate the profile at millions of granules.
+// This file is the engine's hot-path plumbing: the calendar queue of asks
+// and completions, the compacting FIFO behind the Async ready buffers, and
+// the parked-worker bitset. None of them allocates in steady state —
+// backing arrays grow to a scale-independent high-water mark and are
+// reused — and none goes through container/heap, whose interface boxing
+// per Push and Pop used to dominate the profile at millions of granules.
 //
-// Determinism: both event queues order by a strict total order (time,
-// then insertion order; the multi queue additionally ranks asks before
-// completions at equal times). A total order means the data structure
-// behind it cannot affect pop order, so none of this is visible to
-// schedules — the golden suite pins that.
+// Determinism: the event queue orders by a strict total order (time, asks
+// before completions at equal times, then insertion order). A total order
+// means the data structure behind it cannot affect pop order, so none of
+// this is visible to schedules — the golden suite pins that.
 
-// eventHeap is the single-program completion-event queue: a 4-ary
-// min-heap ordered by (at, seq).
-type eventHeap []event
-
-func (h eventHeap) before(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (h *eventHeap) push(e event) {
-	s := append(*h, e)
-	// Sift up.
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !s.before(s[i], s[p]) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-	*h = s
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	// Sift down.
-	i := 0
-	for {
-		c := i*4 + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for k := c + 1; k < end; k++ {
-			if s.before(s[k], s[m]) {
-				m = k
-			}
-		}
-		if !s.before(s[m], s[i]) {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
-}
-
-func (h eventHeap) peekTime() (int64, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
-}
-
-// mqueue is the multi-program queue of asks and completions, ordered by
+// mqueue is the event queue of asks and completions, ordered by
 // (at, ask-before-completion, push order). It is a calendar queue rather
 // than a heap: the engine's pushes are monotone (every event is scheduled
 // at or after the time of the event being processed — completion
@@ -380,9 +312,8 @@ func (h *mqueue) overPop() mkey {
 	return top
 }
 
-// fifo is a first-in-first-out queue over one backing array: the
-// single-program management queue of requests, and each job's Async ready
-// buffer in multi-program mode. Popping by reslicing (q = q[1:]) and
+// fifo is a first-in-first-out queue over one backing array: each job's
+// Async ready buffer. Popping by reslicing (q = q[1:]) and
 // pushing with append marches the array forward and reallocates it every
 // cap-len pops; the fifo pops by advancing a head index and compacts in
 // place when a push hits the array's end with dead space at the front, so

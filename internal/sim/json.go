@@ -48,6 +48,8 @@ type jobResultWire struct {
 	Sched         core.Stats `json:"sched"`
 	Error         string     `json:"error,omitempty"`
 	Attempts      int        `json:"attempts"`
+	// Phases keeps PhaseTrace's own field names, as Result.Phases does.
+	Phases []PhaseTrace `json:"phases,omitempty"`
 }
 
 // MarshalJSON encodes the result with Err flattened to its message.
@@ -60,6 +62,7 @@ func (j JobResult) MarshalJSON() ([]byte, error) {
 		HomeWorkers:   j.HomeWorkers,
 		Sched:         j.Sched,
 		Attempts:      j.Attempts,
+		Phases:        j.Phases,
 	}
 	if j.Err != nil {
 		w.Error = j.Err.Error()
@@ -82,6 +85,7 @@ func (j *JobResult) UnmarshalJSON(b []byte) error {
 		HomeWorkers:   w.HomeWorkers,
 		Sched:         w.Sched,
 		Attempts:      w.Attempts,
+		Phases:        w.Phases,
 	}
 	if w.Error != "" {
 		j.Err = errors.New(w.Error)

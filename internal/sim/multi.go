@@ -11,6 +11,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
+	"repro/internal/granule"
+	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -20,13 +22,13 @@ import (
 // alternatives; test with errors.Is.
 var ErrUnsupportedMgmt = errors.New("sim: unsupported management model")
 
-// This file is the MultiProgram mode: several jobs, each with its own
+// This file is the event engine: one or more jobs, each with its own
 // core.Scheduler, sharing one P-processor machine in virtual time — the
-// discrete-event analogue of internal/tenant's worker pool. It prices
-// what tenancy costs the hot path: every management probe (including a
-// failed ask at a foreign job) is charged to the executive resource under
-// the same management models as Run, and the dispatch policy mirrors the
-// pool exactly: a worker serves its home job while anything there is
+// discrete-event analogue of internal/tenant's worker pool. Run is its
+// one-job case (sim.go). It prices what tenancy costs the hot path: every
+// management probe (including a failed ask at a foreign job) is charged
+// to the executive resource, and the dispatch policy mirrors the pool
+// exactly: a worker serves its home job while anything there is
 // dispatchable, and backfills the other jobs — priority first, then
 // deficit-round-robin credit — only during its home job's rundown.
 
@@ -82,6 +84,11 @@ type JobResult struct {
 	Err error
 	// Attempts counts schedule attempts (1 = never retried).
 	Attempts int
+	// Phases traces each phase of the job's final attempt. A worker's park
+	// and its idle time are attributed to the current phase of the
+	// worker's home job, so in a shared machine a job's rundown numbers
+	// are those of the processors homed on it.
+	Phases []PhaseTrace
 }
 
 // MultiResult aggregates a multi-program run.
@@ -131,12 +138,16 @@ type mjob struct {
 	hasDef bool
 	// openAt gates dispatch: a serial action between phases (charged
 	// inside the completion that advanced the phase window) must finish
-	// before the next phase's queued granules may be handed out. The
-	// single-program simulator enforces this implicitly — every other
-	// worker is parked and the wake carries the serial's finish time —
-	// but in a shared pool another job's event can wake a worker inside
-	// the serial window, so the gate must be explicit.
+	// before the next phase's queued granules may be handed out. The wake
+	// that announces them carries the serial action's finish time, but a
+	// worker can ask inside the window all the same — woken by another
+	// job's event, or, on its own Sharded lane, straight after a
+	// completion — so the gate is explicit.
 	openAt int64
+
+	// phases is the per-phase schedule of the current attempt (see
+	// PhaseTrace), reported as JobResult.Phases.
+	phases []PhaseTrace
 
 	makespan int64
 	compute  int64
@@ -164,13 +175,11 @@ type mjob struct {
 }
 
 // mitem is one queue entry: an idle worker's ask for work, or a task
-// completion. Unlike the single-program simulator's FIFO request list,
-// the multi-program queue is strictly TIME-ordered (push order only
-// breaks ties): with one job, serving a future-stamped wake before an
-// earlier completion is harmless — nothing else could have used the
-// worker — but with several jobs one job's serial-action delay must not
-// commit workers before another job's earlier release gets a chance to
-// claim them.
+// completion. The queue is strictly TIME-ordered (push order only breaks
+// ties), so a wake stamped with a serial action's finish time never
+// commits its worker ahead of an earlier event: a failed probe is charged
+// where it happens in virtual time, and one job's serial-action delay
+// cannot hold workers another job's earlier release could claim.
 //
 // Asks carry the issuing generation of their worker: a parked worker
 // woken for time T can be re-woken for an earlier T' by another job's
@@ -239,12 +248,12 @@ func SupportsMulti(m MgmtModel) bool {
 }
 
 // RunMulti simulates jobs sharing one machine under cfg. All jobs start
-// at t=0. Config.BucketWidth, Gantt and the timeline are not used in
-// multi-program mode; Mgmt selects any management model (SupportsMulti
-// reports the accepted set). Under Adaptive, Config.Batch and
-// Options.AdaptiveBatch govern one pool-wide controller; under Async,
-// Config.ReadyCap and Config.LowWater size each job's slice of the
-// dedicated server's ready buffer.
+// at t=0. Mgmt selects any management model (SupportsMulti reports the
+// accepted set). Under Adaptive, Config.Batch and Options.AdaptiveBatch
+// govern one pool-wide controller; under Async, Config.ReadyCap and
+// Config.LowWater size each job's slice of the dedicated server's ready
+// buffer. Config.BucketWidth and Config.Gantt shape Result's timeline and
+// chart, which only Run reports.
 func RunMulti(jobs []JobSpec, cfg Config) (*MultiResult, error) {
 	return RunMultiContext(context.Background(), jobs, cfg)
 }
@@ -254,12 +263,23 @@ func RunMulti(jobs []JobSpec, cfg Config) (*MultiResult, error) {
 // returns an error wrapping ctx.Err() (test with errors.Is). A nil ctx
 // behaves like context.Background().
 func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiResult, error) {
+	s, err := newMstate(ctx, jobs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.execute()
+}
+
+// newMstate validates cfg and jobs and builds the machine: one scheduler
+// per job, the worker table, and whichever of the observer, flight
+// recorder, metric set and fault plan cfg asks for.
+func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// failEarly keeps the observer contract — one Final snapshot on
 	// every outcome — for runs that die before starting.
-	failEarly := func(err error) (*MultiResult, error) {
+	failEarly := func(err error) (*mstate, error) {
 		if cfg.Observer != nil {
 			cfg.Observer(Snapshot{Final: true})
 		}
@@ -316,7 +336,7 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 			return failEarly(fmt.Errorf("sim: job %q: %w", spec.Name, err))
 		}
 		s.jobs = append(s.jobs, &mjob{
-			spec: spec, sched: sched,
+			spec: spec, sched: sched, phases: newPhaseTraces(spec.Prog),
 			opt: opt, attempts: 1, retriesLeft: spec.Retry,
 		})
 		if spec.Deadline > 0 {
@@ -354,15 +374,29 @@ func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiRes
 		s.plan = fault.New(*cfg.Faults)
 		s.fails = make([]error, workers)
 	}
-	s.hooked = s.tr != nil || s.met != nil || s.plan != nil
 	s.crashed = make([]bool, workers)
 	s.livew = workers
-
-	maxOps := cfg.MaxOps
-	if maxOps <= 0 {
-		maxOps = totalGranules*64 + int64(workers)*1024 + 1_000_000
+	s.maxOps = cfg.MaxOps
+	if s.maxOps <= 0 {
+		s.maxOps = totalGranules*64 + int64(workers)*1024 + 1_000_000
 	}
-	if err := s.run(maxOps); err != nil {
+	return s, nil
+}
+
+// newPhaseTraces returns prog's per-phase traces, nothing scheduled yet.
+func newPhaseTraces(prog *core.Program) []PhaseTrace {
+	pts := make([]PhaseTrace, len(prog.Phases))
+	for i, ph := range prog.Phases {
+		pts[i] = PhaseTrace{Name: ph.Name, Start: -1, End: -1, RundownStart: -1}
+	}
+	return pts
+}
+
+// execute runs the machine to the end and closes the observer stream,
+// the trace and the metric set on either outcome.
+func (s *mstate) execute() (*MultiResult, error) {
+	s.hooked = s.tr != nil || s.met != nil || s.plan != nil || s.tl != nil
+	if err := s.run(); err != nil {
 		// Close the observer stream on failure too, with the counters
 		// accumulated so far; the trace closes with an abort record.
 		if s.tr != nil {
@@ -390,10 +424,15 @@ type mstate struct {
 	obs     *observer
 	tr      *trace.Ring    // flight recorder (nil = tracing off)
 	met     *telemetry.Set // metric set (nil = metrics off)
-	// hooked is the per-event mode word: true when any of tr, met or plan
-	// is set. The dispatch and completion paths test it once and keep the
-	// recording and injection code out of line.
+	// tl and gantt are Result's bucketed utilization timeline and
+	// per-processor chart, recorded for Run only (nil otherwise).
+	tl    *metrics.Timeline
+	gantt *metrics.Gantt
+	// hooked is the per-event mode word: true when any of tr, met, plan or
+	// tl is set. The dispatch and completion paths test it once and keep
+	// the recording and injection code out of line.
 	hooked bool
+	maxOps int64 // runaway guard: the most management operations run serves
 
 	queue      mqueue
 	serverFree int64
@@ -498,8 +537,11 @@ func (s *mstate) syncReady(j *mjob) {
 	}
 }
 
-// chargeMgmt mirrors the single-program state.chargeMgmt: serialize on
-// the management server, or — Sharded — inline on the worker's own lane.
+// chargeMgmt charges cost units of executive time for a request involving
+// worker w: on the serial management server under the serial models, or —
+// under the Sharded model — inline on the worker's own lane, so management
+// from different processors proceeds concurrently. Requests with no worker
+// (w < 0) always serialize.
 func (s *mstate) chargeMgmt(w int, at int64, cost core.Cost) int64 {
 	if s.model != Sharded || w < 0 {
 		return s.serve(at, cost)
@@ -510,13 +552,22 @@ func (s *mstate) chargeMgmt(w int, at int64, cost core.Cost) int64 {
 	}
 	fin := start + int64(cost)
 	s.mgmtUnits += int64(cost)
+	if s.tl != nil && cost > 0 {
+		s.tl.AddMgmt(start, fin)
+	}
 	s.worker[w].free = fin
+	// The serialized lane (phase activation, deferred idle-time work)
+	// must never lag the management frontier: without this, deferred
+	// composite-map builds would be charged in the past — overlapping
+	// work that already happened.
 	if fin > s.serverFree {
 		s.serverFree = fin
 	}
 	return fin
 }
 
+// serve charges cost units of executive time on the serial management
+// server starting no earlier than at, and returns the finish time.
 func (s *mstate) serve(at int64, cost core.Cost) int64 {
 	start := at
 	if s.serverFree > start {
@@ -524,6 +575,9 @@ func (s *mstate) serve(at int64, cost core.Cost) int64 {
 	}
 	fin := start + int64(cost)
 	s.mgmtUnits += int64(cost)
+	if s.tl != nil && cost > 0 {
+		s.tl.AddMgmt(start, fin)
+	}
 	s.serverFree = fin
 	return fin
 }
@@ -709,6 +763,27 @@ func (s *mstate) park(w int, at int64) {
 	s.parkedN++
 	s.parkedAt[w] = at
 	s.pendingAt[w] = -1
+	// Rundown begins with the first park once the phase is handing out
+	// work; a park that waits out the phase's serial action comes before.
+	if pt := s.homePhase(w); pt != nil && pt.RundownStart < 0 && pt.Start >= 0 {
+		pt.RundownStart = at
+	}
+}
+
+// homePhase returns the trace of the current phase of worker w's home
+// job — the phase a park of w, and the idle time that follows, belong to
+// — or nil when the worker has no home left.
+func (s *mstate) homePhase(w int) *PhaseTrace {
+	h := s.worker[w].home
+	if h < 0 {
+		return nil
+	}
+	j := s.jobs[h]
+	cur := j.sched.CurrentPhase()
+	if cur >= len(j.phases) {
+		return nil
+	}
+	return &j.phases[cur]
 }
 
 // parkRetry ends an ask whose walk found nothing: the worker parks at
@@ -741,6 +816,9 @@ func (s *mstate) ask(w int, at int64) {
 		s.pendingAt[w] = -1
 		if d := at - s.parkedAt[w]; d > 0 {
 			s.idleUnits += d
+			if pt := s.homePhase(w); pt != nil {
+				pt.IdleUnits += d
+			}
 		}
 	}
 	if s.plan != nil && s.maybeCrash(w, at) {
@@ -839,11 +917,11 @@ func (s *mstate) pushDone(at int64, w, ji int, gen int64) {
 	s.queue.push(mitem{at: at, gen: gen, proc: int32(w), job: int32(ji)})
 }
 
-func (s *mstate) run(maxOps int64) error {
+func (s *mstate) run() error {
 	// An already-cancelled context aborts before any work (the in-loop
 	// poll is batched and would let a small run finish unobserved).
 	if err := s.ctx.Err(); err != nil {
-		return fmt.Errorf("sim: multi run canceled at t=0: %w", err)
+		return fmt.Errorf("sim: run canceled at t=0: %w", err)
 	}
 	for ji, j := range s.jobs {
 		c0 := s.serverFree
@@ -879,14 +957,15 @@ func (s *mstate) run(maxOps int64) error {
 	var ops int64
 	for {
 		ops++
-		if ops > maxOps {
-			return fmt.Errorf("sim: multi run exceeded %d management operations (runaway?)", maxOps)
+		if ops > s.maxOps {
+			return fmt.Errorf("sim: exceeded %d management operations (runaway?)", s.maxOps)
 		}
-		// Cooperative cancellation, as in the single-program loop: one ctx
-		// poll per batch of management operations.
+		// Cooperative cancellation: one ctx poll per batch of management
+		// operations, so a cancelled caller gets back promptly without the
+		// hot loop paying an atomic load per event.
 		if ops&1023 == 0 {
 			if err := s.ctx.Err(); err != nil {
-				return fmt.Errorf("sim: multi run canceled at t=%d: %w", s.frontier(), err)
+				return fmt.Errorf("sim: run canceled at t=%d: %w", s.frontier(), err)
 			}
 		}
 		// Guarded here, not in maybe: an unobserved run must not pay even
@@ -963,7 +1042,7 @@ func (s *mstate) run(maxOps int64) error {
 				continue
 			}
 		}
-		return fmt.Errorf("sim: multi run stalled at t=%d: queue empty, jobs incomplete", s.serverFree)
+		return fmt.Errorf("sim: stalled at t=%d: queue empty, jobs incomplete", s.serverFree)
 	}
 }
 
@@ -1099,6 +1178,16 @@ func (s *mstate) dispatch(worker, ji int, backfill bool, task core.Task, at int6
 			s.maxBackfillTask = n
 		}
 	}
+	pt := &j.phases[task.Phase]
+	if pt.Start < 0 || at < pt.Start {
+		pt.Start = at
+	}
+	pt.Dispatched++
+	// Overlap attribution: compute performed for a non-current phase
+	// fills the current phase's rundown.
+	if cur := j.sched.CurrentPhase(); cur < len(j.phases) && granule.PhaseID(cur) != task.Phase {
+		j.phases[cur].OverlapUnits += dur
+	}
 	if end+lag > s.worker[worker].free {
 		s.worker[worker].free = end + lag
 	}
@@ -1107,8 +1196,8 @@ func (s *mstate) dispatch(worker, ji int, backfill bool, task core.Task, at int6
 }
 
 // dispatchHooks is dispatch's out-of-line half for runs with a fault
-// campaign, a flight recorder or a metric set: it applies the dispatch
-// injection (returning the possibly stretched cost and the
+// campaign, a flight recorder, a metric set or a timeline: it applies the
+// dispatch injection (returning the possibly stretched cost and the
 // completion-event lag, and parking an injected failure in s.fails for
 // the completion to report) and records the dispatch.
 func (s *mstate) dispatchHooks(worker, ji int, backfill bool, task core.Task, at, dur int64) (int64, int64) {
@@ -1130,12 +1219,28 @@ func (s *mstate) dispatchHooks(worker, ji int, backfill bool, task core.Task, at
 			s.met.Backfill.Inc(worker)
 		}
 	}
+	if s.tl != nil {
+		s.tl.AddBusy(worker, at, at+dur)
+		if s.gantt != nil {
+			s.gantt.Add(worker, at, at+dur, rune('A'+int(task.Phase)%26))
+		}
+	}
 	return dur, lag
 }
 
-// noteDone accrues a surfaced completion for the observer — snapshots
-// count a task's compute only once it has completed (see the
-// single-program loop) — and advances the completion frontier.
+// phaseEnd extends phase p's window to at: a completion of one of its
+// tasks surfaced, or finished processing, then.
+func (j *mjob) phaseEnd(p granule.PhaseID, at int64) {
+	if pt := &j.phases[p]; at > pt.End {
+		pt.End = at
+	}
+}
+
+// noteDone accrues a surfaced completion for the observer and advances
+// the completion frontier. computeUnits is charged in full at dispatch —
+// it includes in-flight tasks' future work, which would read as
+// utilization above 1 mid-run — so snapshots count a task's compute only
+// here, once its completion event has surfaced.
 func (s *mstate) noteDone(dur, at int64) {
 	s.doneUnits += dur
 	if at > s.lastDone {
@@ -1156,6 +1261,7 @@ func (s *mstate) completeTask(w, ji int, at int64) {
 		j.openAt = fin
 	}
 	s.noteDone(f.dur, at)
+	j.phaseEnd(f.task.Phase, fin)
 	if fin > j.makespan {
 		j.makespan = fin
 		if fin > s.front {
@@ -1185,6 +1291,30 @@ func (s *mstate) completeTask(w, ji int, at int64) {
 	s.pushAsk(fin, w)
 }
 
+// completeBatch applies the fused completion batch ts of job j on the
+// serialized server, starting no earlier than at, with the same
+// serial-gate, phase-window, makespan and done bookkeeping as the
+// per-task completion path (completeTask). It returns the finish time.
+func (s *mstate) completeBatch(j *mjob, ts []core.Task, at int64) int64 {
+	serial0 := j.sched.SerialCost()
+	fin := s.serve(at, j.sched.CompleteBatch(ts))
+	for _, t := range ts {
+		j.phaseEnd(t.Phase, fin)
+	}
+	if j.sched.SerialCost() > serial0 && fin > j.openAt {
+		j.openAt = fin
+	}
+	if fin > j.makespan {
+		j.makespan = fin
+		if fin > s.front {
+			s.front = fin
+		}
+	}
+	s.noteJobDone(j)
+	s.syncReady(j)
+	return fin
+}
+
 // frontier is the run's virtual-time high-water mark, matching the
 // makespan quantity result() reports: the last completion event or
 // completion-processing finish. The management server's own horizon
@@ -1199,10 +1329,11 @@ func (s *mstate) frontier() int64 {
 	return s.front
 }
 
-// snapshot builds an observation of the multi-program run at virtual
-// time at. Jobs counts the still-unfinished jobs, so a live observer
-// watches the tenancy drain; ComputeUnits counts completed tasks only
-// (see the single-program snapshot).
+// snapshot builds an observation of the run at virtual time at. Jobs
+// counts the still-unfinished jobs, so a live observer watches the
+// tenancy drain and the Final snapshot reads "drained" exactly as the
+// other backends' do; ComputeUnits counts completed tasks only (see
+// noteDone).
 func (s *mstate) snapshot(at int64) Snapshot {
 	sn := Snapshot{
 		VirtualTime:  at,
@@ -1215,6 +1346,9 @@ func (s *mstate) snapshot(at int64) Snapshot {
 		if !j.done {
 			sn.Jobs++
 		}
+	}
+	if s.model == Adaptive {
+		sn.Batch = s.batchN
 	}
 	if at > 0 {
 		capacity := float64(s.procs) * float64(at)
@@ -1267,6 +1401,7 @@ func (s *mstate) result() *MultiResult {
 			Sched:         j.sched.Stats(),
 			Err:           j.err,
 			Attempts:      j.attempts,
+			Phases:        j.phases,
 		})
 	}
 	if makespan > 0 {
@@ -1277,7 +1412,7 @@ func (s *mstate) result() *MultiResult {
 
 // finishMetrics flushes the run's accumulated time-split totals into the
 // metric set on any outcome — once, at the end, so the hot serve path
-// stays metric-free (the single-program engine does the same).
+// stays metric-free.
 func (s *mstate) finishMetrics() {
 	if s.met == nil {
 		return

@@ -1,26 +1,35 @@
 package sim
 
-// This file is the Async management model in multi-program mode: the
-// single-program ready-buffer protocol (async.go) replicated per job on
-// ONE shared dedicated server, so the virtual-time pricing matches what
-// the async executive would cost a tenant machine:
+import "repro/internal/core"
+
+// This file is the Async management model: the Dedicated model (a
+// separate executive processor beside all P workers) extended with the
+// async executive's ready-buffer protocol, kept per job on ONE shared
+// dedicated server, so the virtual-time pricing matches what
+// internal/executive's AsyncManager does on hardware and what it would
+// cost a tenant machine:
 //
 //   - the server keeps a bounded ready buffer PER JOB (each job's slice
 //     of Config.ReadyCap), topped up with batched NextTasks pulls charged
 //     on the server's serialized lane;
 //   - a worker's ask walks its dispatch-policy candidates (home first,
 //     then backfill order) and pops the first non-empty buffer for free —
-//     the backfill gate is the home buffer found dry after a top-up
-//     attempt, mirroring the plain models' "home has nothing
-//     dispatchable" probe. Deficit-round-robin credit is charged when a
-//     foreign slot is popped, exactly as the plain dispatch charges it;
+//     the hardware channel receive, so worker latency is decoupled from
+//     management service; the backfill gate is the home buffer found dry
+//     after a top-up attempt, mirroring the plain models' "home has
+//     nothing dispatchable" probe. Deficit-round-robin credit is charged
+//     when a foreign slot is popped, exactly as the plain dispatch charges
+//     it;
 //   - each buffered task carries the virtual time the server finished
 //     producing it (never earlier than its job's openAt serial gate), and
 //     a dispatch starts no earlier than that — production time, not
 //     server availability, is what a worker waits on;
 //   - completions queue per job and are applied in fused CompleteBatch
-//     drains whenever the server has caught up (or, last resort, the main
-//     loop forces a drain when no worker event is left to trigger one);
+//     drains whenever the server has caught up — under load they
+//     accumulate, exactly like the MPSC queue backing up behind a busy
+//     management goroutine, which is where completion-batch fusion pays
+//     (last resort: the main loop forces a drain when no worker event is
+//     left to trigger one);
 //   - deferred management is absorbed on the server whenever a job's
 //     buffer is above the low-water mark, on top of the generic
 //     idle-executive absorption in the main loop.
@@ -30,11 +39,24 @@ package sim
 // task can always be claimed — wake counts buffered tasks as
 // availability, and a worker parked behind a serial gate schedules its
 // own reopen retry.
+//
+// Like Dedicated, the server's processor is not part of the utilization
+// denominator: Procs counts the computing workers only, which is the
+// resource trade the paper's steals-worker/dedicated comparison prices.
 
-// masyncInit sizes the per-job ready buffers. With one shared server
-// feeding several jobs, the whole-machine default (2*workers) is split
-// across the jobs so aggregate buffering matches the single-program
-// model; an explicit Config.ReadyCap applies per job.
+// asyncSlot is one ready-buffer entry: a task plus the virtual time the
+// server finished producing it.
+type asyncSlot struct {
+	task core.Task
+	at   int64
+}
+
+// masyncInit sizes the per-job ready buffers with the hardware manager's
+// defaults (executive.Config): 2*workers slots (minimum 8), low water at a
+// quarter of that. With one shared server feeding several jobs the
+// whole-machine default is split across the jobs so aggregate buffering
+// does not grow with the job count; an explicit Config.ReadyCap applies
+// per job.
 func (s *mstate) masyncInit(cfg Config) {
 	rc := cfg.ReadyCap
 	if rc <= 0 {
@@ -97,21 +119,8 @@ func (s *mstate) masyncServiceJob(ji int, now int64, force bool) {
 	for {
 		worked := false
 		if len(j.acomp) > 0 && (force || s.serverFree <= now) {
-			serial0 := j.sched.SerialCost()
-			cost := j.sched.CompleteBatch(j.acomp)
+			s.completeBatch(j, j.acomp, now)
 			j.acomp = j.acomp[:0]
-			fin := s.serve(now, cost)
-			if j.sched.SerialCost() > serial0 && fin > j.openAt {
-				j.openAt = fin
-			}
-			if fin > j.makespan {
-				j.makespan = fin
-				if fin > s.front {
-					s.front = fin
-				}
-			}
-			s.noteJobDone(j)
-			s.syncReady(j)
 			worked = true
 		}
 		if s.masyncTopUp(j, now) {
@@ -122,10 +131,14 @@ func (s *mstate) masyncServiceJob(ji int, now int64, force bool) {
 			break
 		}
 	}
-	// At most one deferred unit per pass, as in the single-program server
-	// (see asyncService): bulk absorption belongs to the main loop's
-	// idle-executive path. A unit that released work gets one refill
-	// attempt so the release reaches the buffer this pass.
+	// At most one deferred unit per pass — the hardware cycle's rule
+	// (overlap deferred work with computation while workers are fed), and
+	// in virtual time also a modeling necessity: the buffer cannot drain
+	// mid-pass, so a per-iteration gate would let one pass absorb the
+	// whole deferred queue while workers starve behind it. Bulk
+	// absorption belongs to the main loop's idle-executive path, which is
+	// bounded by the event horizon. A unit that released work gets one
+	// refill attempt so the release reaches the buffer this pass.
 	if !j.done && j.hasDef && j.aready.len() > s.lowWater {
 		if cost, ok := j.sched.DeferredMgmt(); ok {
 			s.serve(now, cost)
@@ -198,6 +211,7 @@ func (s *mstate) masyncComplete(w, ji int, at int64) {
 	s.noteDone(f.dur, at)
 	j := s.jobs[ji]
 	j.acomp = append(j.acomp, f.task)
+	j.phaseEnd(f.task.Phase, at)
 	s.masyncServiceJob(ji, at, false)
 	s.pushAsk(at, w)
 }

@@ -1,85 +1,92 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/granule"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// TestMultiSingleJobMatchesRun: with one job the multi-program loop must
-// reproduce the single-program simulator exactly under every management
-// model — same makespan, compute, and management charge. The fixtures
-// cover both overlap (identity chain) and the serial-action path: the
-// multi loop's explicit openAt gate and time-ordered queue must collapse
-// to Run's implicit wake-delayed serial barrier when only one job runs.
-func TestMultiSingleJobMatchesRun(t *testing.T) {
-	serialProg := func() *core.Program {
-		prog, err := core.NewProgram(
-			&core.Phase{Name: "s1", Granules: 64},
-			&core.Phase{Name: "s2", Granules: 64, SerialCost: 500},
-			&core.Phase{Name: "s3", Granules: 64, SerialCost: 500},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return prog
-	}
+// TestRunIsOneJobRunAll: Run is the one-job run of the engine RunMulti
+// drives, so for every management model the two must report the same
+// run — the same scalars, the same observer snapshot stream and the same
+// trace, event for event. The fixtures cover overlap (identity chain),
+// the serial-action gate and the CASPER census (every mapping kind). A
+// second pricing path growing back under Run fails here first.
+func TestRunIsOneJobRunAll(t *testing.T) {
 	fixtures := []struct {
 		name  string
 		build func() *core.Program
-		// slackPerSerial bounds the makespan difference per serial action
-		// under StealsWorker ONLY: that model shares one management
-		// server, and the single-program FIFO serves a late-stamped ask
-		// BEFORE an earlier completion event, burying its failed probe in
-		// otherwise-idle server time where the time-ordered multi queue
-		// correctly places it after the serial action. The drift is at
-		// most one probe charge per serial action; every other model and
-		// fixture must match exactly.
-		serials int
+		grain int
 	}{
-		{"identity", func() *core.Program { return twoPhase(t, 256, enable.NewIdentity()) }, 0},
-		{"serial-actions", serialProg, 2},
+		{"identity", func() *core.Program { return goldenChain(t, 4, 1024, 1986) }, 4},
+		{"serial-actions", func() *core.Program {
+			prog, err := core.NewProgram(
+				&core.Phase{Name: "s1", Granules: 64},
+				&core.Phase{Name: "s2", Granules: 64, SerialCost: 500},
+				&core.Phase{Name: "s3", Granules: 64, SerialCost: 500},
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return prog
+		}, 4},
+		{"casper", func() *core.Program { return goldenCasper(t, 11) }, 2},
 	}
 	for _, fx := range fixtures {
-		for _, model := range []MgmtModel{StealsWorker, Dedicated, Sharded} {
-			opt := func() core.Options {
-				return core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}
-			}
-			single, err := Run(fx.build(), opt(), Config{Procs: 8, Mgmt: model})
+		for _, model := range []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async} {
+			name := fmt.Sprintf("%s/%v", fx.name, model)
+			var oneSnaps, multiSnaps []Snapshot
+			oneRec := trace.NewRecorder(trace.Meta{}, 16)
+			multiRec := trace.NewRecorder(trace.Meta{}, 16)
+			opt := goldenOpt(fx.grain)
+			opt.AdaptiveBatch = model == Adaptive
+
+			one, err := Run(fx.build(), opt, Config{Procs: 16, Mgmt: model, Trace: oneRec,
+				Observer: func(sn Snapshot) { oneSnaps = append(oneSnaps, sn) }})
 			if err != nil {
-				t.Fatalf("%s/%v: %v", fx.name, model, err)
+				t.Fatalf("%s: Run: %v", name, err)
 			}
-			multi, err := RunMulti([]JobSpec{
-				{Name: "solo", Prog: fx.build(), Opt: opt()},
-			}, Config{Procs: 8, Mgmt: model})
+			multi, err := RunMulti([]JobSpec{{Name: "solo", Prog: fx.build(), Opt: opt}},
+				Config{Procs: 16, Mgmt: model, Trace: multiRec,
+					Observer: func(sn Snapshot) { multiSnaps = append(multiSnaps, sn) }})
 			if err != nil {
-				t.Fatalf("%s/%v: %v", fx.name, model, err)
+				t.Fatalf("%s: RunMulti: %v", name, err)
 			}
-			slack := int64(0)
-			if model == StealsWorker && fx.serials > 0 {
-				// At most a couple of probe charges drift per serial action.
-				probe := int64(core.DefaultCosts().Dispatch)
-				slack = int64(fx.serials) * 2 * probe
+
+			job := multi.Jobs[0]
+			if one.Makespan != multi.Makespan || one.ComputeUnits != multi.ComputeUnits ||
+				one.MgmtUnits != multi.MgmtUnits || one.IdleUnits != multi.IdleUnits ||
+				one.Batch != multi.Batch || one.BatchChanges != multi.BatchChanges {
+				t.Errorf("%s: Run reports makespan=%d compute=%d mgmt=%d idle=%d batch=%d/%d, RunMulti %d %d %d %d %d/%d",
+					name, one.Makespan, one.ComputeUnits, one.MgmtUnits, one.IdleUnits, one.Batch, one.BatchChanges,
+					multi.Makespan, multi.ComputeUnits, multi.MgmtUnits, multi.IdleUnits, multi.Batch, multi.BatchChanges)
 			}
-			if d := multi.Makespan - single.Makespan; d < 0 || d > slack {
-				t.Errorf("%s/%v: multi makespan %d vs single %d (allowed slack %d)",
-					fx.name, model, multi.Makespan, single.Makespan, slack)
+			if one.Sched != job.Sched {
+				t.Errorf("%s: scheduler statistics differ:\n Run      %+v\n RunMulti %+v", name, one.Sched, job.Sched)
 			}
-			if multi.ComputeUnits != single.ComputeUnits {
-				t.Errorf("%s/%v: multi compute %d != single %d", fx.name, model, multi.ComputeUnits, single.ComputeUnits)
+			if !reflect.DeepEqual(one.Phases, job.Phases) {
+				t.Errorf("%s: phase traces differ:\n Run      %+v\n RunMulti %+v", name, one.Phases, job.Phases)
 			}
-			if d := multi.MgmtUnits - single.MgmtUnits; d < -slack || d > slack {
-				t.Errorf("%s/%v: multi mgmt %d vs single %d (allowed slack %d)",
-					fx.name, model, multi.MgmtUnits, single.MgmtUnits, slack)
+			if job.Makespan != multi.Makespan || multi.BackfillUnits != 0 {
+				t.Errorf("%s: one-job run: job makespan %d vs run %d, backfill %d",
+					name, job.Makespan, multi.Makespan, multi.BackfillUnits)
 			}
-			if multi.BackfillUnits != 0 {
-				t.Errorf("%s/%v: single-job run recorded backfill %d", fx.name, model, multi.BackfillUnits)
+			if !reflect.DeepEqual(oneSnaps, multiSnaps) {
+				t.Errorf("%s: observer streams differ (%d vs %d snapshots)", name, len(oneSnaps), len(multiSnaps))
 			}
-			if multi.Jobs[0].Makespan != multi.Makespan {
-				t.Errorf("%s/%v: job makespan %d != run makespan %d", fx.name, model, multi.Jobs[0].Makespan, multi.Makespan)
+			oneTr, multiTr := oneRec.Take(), multiRec.Take()
+			oneTr.Meta.Jobs, multiTr.Meta.Jobs = nil, nil // the job's name is the caller's
+			if !reflect.DeepEqual(oneTr.Meta, multiTr.Meta) {
+				t.Errorf("%s: trace metadata differs:\n Run      %+v\n RunMulti %+v", name, oneTr.Meta, multiTr.Meta)
+			}
+			if !reflect.DeepEqual(oneTr.Events, multiTr.Events) {
+				t.Errorf("%s: traces differ (%d vs %d events)", name, len(oneTr.Events), len(multiTr.Events))
 			}
 		}
 	}

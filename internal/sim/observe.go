@@ -15,8 +15,8 @@ package sim
 // nothing until it wakes), matching how the run loop accounts idle time.
 type Snapshot struct {
 	// VirtualTime is the frontier the run had reached when the snapshot
-	// fired: the later of the management server's horizon and the last
-	// task completion.
+	// fired: the latest completion event or completion-processing finish,
+	// the same quantity the makespan reports at the end.
 	VirtualTime int64
 	// Tasks is the number of tasks dispatched so far.
 	Tasks int64
@@ -35,9 +35,9 @@ type Snapshot struct {
 	// Batch is the Adaptive model's current refill batch size (zero under
 	// the other models) — live evidence of the controller moving.
 	Batch int
-	// Jobs is the number of unfinished jobs: 1 while a single-program
-	// run is live (0 on its Final snapshot); counts down to 0 in
-	// multi-program runs.
+	// Jobs is the number of unfinished jobs: it counts down to 0 as the
+	// jobs of a RunMulti finish, and reads 1 while a Run is live (0 on its
+	// Final snapshot).
 	Jobs int
 	// Final marks the closing snapshot, emitted once at the makespan with
 	// the run's finished totals.
@@ -56,7 +56,7 @@ func observeStride(totalCost int64, workers int) int64 {
 	return stride
 }
 
-// observer is the shared emission state for both run loops.
+// observer is the run loop's snapshot emission state.
 type observer struct {
 	fn     func(Snapshot)
 	stride int64

@@ -207,24 +207,40 @@ func TestObserverDeterministic(t *testing.T) {
 }
 
 // TestObserverAdaptiveBatch checks the Adaptive model reports its live
-// batch size through snapshots.
+// batch size through snapshots, to a Run observer and to the observer of
+// a two-job RunMulti alike.
 func TestObserverAdaptiveBatch(t *testing.T) {
+	opt := core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()}
 	var snaps []Snapshot
-	_, err := Run(twoPhase(t, 512, enable.NewIdentity()),
-		core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()},
-		Config{Procs: 8, Mgmt: Adaptive, Batch: 8,
-			Observer: func(s Snapshot) { snaps = append(snaps, s) }})
+	cfg := Config{Procs: 8, Mgmt: Adaptive, Batch: 8,
+		Observer: func(s Snapshot) { snaps = append(snaps, s) }}
+	check := func(who string) {
+		t.Helper()
+		if len(snaps) == 0 {
+			t.Fatalf("%s: no snapshots", who)
+		}
+		for i, s := range snaps {
+			if s.Batch <= 0 {
+				t.Errorf("%s: snapshot %d batch = %d, want > 0 under Adaptive", who, i, s.Batch)
+			}
+		}
+		snaps = snaps[:0]
+	}
+	if _, err := Run(twoPhase(t, 512, enable.NewIdentity()), opt, cfg); err != nil {
+		t.Fatal(err)
+	}
+	check("Run")
+	res, err := RunMulti([]JobSpec{
+		{Prog: twoPhase(t, 512, enable.NewIdentity()), Opt: opt},
+		{Prog: twoPhase(t, 256, enable.NewIdentity()), Opt: opt},
+	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots")
+	if last := snaps[len(snaps)-1]; last.Batch != res.Batch {
+		t.Errorf("RunMulti: final snapshot batch = %d, result reports %d", last.Batch, res.Batch)
 	}
-	for i, s := range snaps {
-		if s.Batch <= 0 {
-			t.Errorf("snapshot %d batch = %d, want > 0 under Adaptive", i, s.Batch)
-		}
-	}
+	check("RunMulti")
 }
 
 // TestObserverMulti checks the multi-program loop's snapshots: the job

@@ -17,9 +17,9 @@ package sim
 //  2. a completion (KComplete) is recorded before the scheduler absorbs
 //     it, so every dispatch it enables — same tick included — carries a
 //     larger Seq and orders after it;
-//  3. requests at one tick otherwise serve in FIFO arrival order
-//     (single-program) or queue tie-break order (multi-program), and
-//     their trace records inherit exactly that order.
+//  3. events at one tick otherwise serve in the queue's tie-break order
+//     (asks before completions, then push order), and their trace
+//     records inherit exactly that order.
 //
 // The contract makes virtual traces byte-stable: two identical-seed runs
 // produce identical merged traces (tracediff reports zero divergence),

@@ -5,7 +5,7 @@ package sim
 // the top of the loop iteration before the event it serves, (2) each
 // KComplete precedes the scheduler absorption that enables further
 // dispatches (so any enabled KDispatch carries a larger Seq), and (3)
-// otherwise events follow the engine's FIFO/queue tie-break order. The
+// otherwise events follow the queue's tie-break order. The
 // full merged event stream of fixed small configurations — every field
 // of every event — is fingerprinted against testdata/trace_golden.txt.
 // A change that reorders even two same-tick events changes the hash.
@@ -97,7 +97,7 @@ func TestTraceOrderGolden(t *testing.T) {
 		}},
 	}
 	// sim-scale's mixed tenancy under every model, with the metric set on
-	// as well: the multi-program engine's fully instrumented event path.
+	// as well: the fully instrumented event path.
 	for _, m := range []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async} {
 		fixtures = append(fixtures, fixture{name: fmt.Sprintf("trace/scale8/%v/p64", m), run: func(t *testing.T) *trace.Trace {
 			rec := trace.NewRecorder(trace.Meta{}, 64)

@@ -271,9 +271,9 @@ func WithFaults(spec FaultSpec) Option {
 // WithDeadline sets a default per-job deadline: a job not finished this
 // long after submission is aborted — only that job — with an error
 // wrapping context.DeadlineExceeded. Job.Deadline overrides it per job.
-// Honored by pool-backed runs and virtual RunAll (one virtual unit per
-// nanosecond); single-job goroutine runs enforce it through the run
-// context. Virtual single-program runs ignore deadlines.
+// Honored by pool-backed runs and virtual runs, Run and RunAll alike (one
+// virtual unit per nanosecond); single-job goroutine runs enforce it
+// through the run context.
 func WithDeadline(d time.Duration) Option {
 	return func(c *runnerConfig) error {
 		if d < 0 {
@@ -289,7 +289,7 @@ func WithDeadline(d time.Duration) Option {
 // scheduler up to n times, waiting backoff before the first retry and
 // doubling it per further retry (capped at 64×). Deadline aborts and
 // run cancellation never retry. Job.Retry / Job.Backoff override it per
-// job. Honored by pool-backed runs and virtual RunAll.
+// job. Honored by pool-backed runs and virtual runs (Run and RunAll).
 func WithRetry(n int, backoff time.Duration) Option {
 	return func(c *runnerConfig) error {
 		if n < 0 {

@@ -60,18 +60,18 @@ type Job struct {
 	// Runner's WithDeadline default; both 0 = none). A job past its
 	// deadline is aborted — only that job — with an error wrapping
 	// context.DeadlineExceeded. Virtual runs count one unit per
-	// nanosecond; virtual single-program runs ignore deadlines.
+	// nanosecond.
 	Deadline time.Duration
 	// Retry is how many times a failed attempt restarts on a fresh
 	// scheduler (0 inherits WithRetry's default). Honored by pool-backed
-	// and virtual RunAll runs.
+	// and virtual runs.
 	Retry int
 	// Backoff is the base delay before the first retry, doubled per
 	// further retry and capped at 64× (0 inherits WithRetry's default).
 	Backoff time.Duration
 }
 
-// JobReport is one job's outcome within a RunAll. Its JSON form is part
+// JobReport is one job's outcome within a run. Its JSON form is part
 // of the service daemon's pinned wire schema (see json.go): Err
 // flattens to an "error" string, durations are integer nanoseconds
 // with _ns-suffixed keys, and absent backend detail reports are
@@ -101,7 +101,7 @@ type JobReport struct {
 	// DeadlineMargin is the deadline budget left when the job finished
 	// (negative when it was retired past its deadline); HasDeadline
 	// reports whether the job had a deadline at all — the margin is
-	// meaningless without one. Virtual RunAll jobs measure it in
+	// meaningless without one. Virtual jobs measure it in
 	// nanosecond-equivalent virtual units.
 	DeadlineMargin time.Duration
 	HasDeadline    bool
@@ -143,7 +143,8 @@ type Report struct {
 	// Retries counts job attempt restarts across the run.
 	Retries int64 `json:"retries,omitempty"`
 
-	// Sim is the single-program virtual result (VirtualBackend Run).
+	// Sim is the single-program virtual result (VirtualBackend Run): the
+	// run's one job with its phase traces, timeline and chart.
 	Sim *SimResult `json:"sim,omitempty"`
 	// SimMulti is the multi-program virtual result (VirtualBackend
 	// RunAll).
@@ -153,7 +154,8 @@ type Report struct {
 	Exec *ExecReport `json:"exec,omitempty"`
 	// Pool is the pool-lifetime report (pool-backed runs).
 	Pool *PoolReport `json:"pool,omitempty"`
-	// Jobs holds per-job reports for RunAll, in submission order.
+	// Jobs holds per-job reports in submission order: every job of a
+	// RunAll, and the one job of a pool-backed or virtual Run.
 	Jobs []JobReport `json:"jobs,omitempty"`
 	// Trace is the run's merged flight-recorder trace (WithTrace runs
 	// only; nil otherwise). Virtual traces are deterministic; real-backend

@@ -302,34 +302,18 @@ type virtualBackend struct {
 func (b *virtualBackend) Kind() BackendKind { return VirtualBackend }
 
 func (b *virtualBackend) Run(ctx context.Context, job Job) (*Report, error) {
-	rec := b.c.newRecorder()
-	met := b.c.newMetrics("virtual")
-	cfg := b.c.simConfig()
-	cfg.Trace = rec
-	cfg.Metrics = met
-	res, err := sim.RunContext(ctx, job.Prog, b.c.jobOpt(job), cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := &Report{
-		Backend:     VirtualBackend,
-		Manager:     b.c.manager,
-		Model:       cfg.Mgmt,
-		Workers:     res.Procs,
-		Tasks:       res.Sched.Dispatches,
-		Makespan:    res.Makespan,
-		Utilization: res.Utilization,
-		MgmtRatio:   res.MgmtRatio,
-		Sim:         res,
-	}
-	b.c.finishMetrics(met, out)
-	if terr := b.c.finishTrace(rec, out); terr != nil {
-		return out, terr
-	}
-	return out, nil
+	return b.run(ctx, []Job{job}, true)
 }
 
 func (b *virtualBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
+	return b.run(ctx, jobs, false)
+}
+
+// run prices jobs on the one virtual-time engine. Run is its one-job
+// case: the same specs, failure policy and report, plus the
+// single-program detail (timeline, chart) in Report.Sim, and — like the
+// other backends' Run — every error names the job.
+func (b *virtualBackend) run(ctx context.Context, jobs []Job, single bool) (*Report, error) {
 	rec := b.c.newRecorder()
 	met := b.c.newMetrics("virtual")
 	cfg := b.c.simConfig()
@@ -347,19 +331,28 @@ func (b *virtualBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error
 			Backoff:  int64(b.c.jobBackoff(job)),
 		}
 	}
-	res, err := sim.RunMultiContext(ctx, specs, cfg)
+	rep := &Report{
+		Backend: VirtualBackend,
+		Manager: b.c.manager,
+		Model:   cfg.Mgmt,
+	}
+	var res *sim.MultiResult
+	var err error
+	if single {
+		rep.Sim, res, err = sim.RunJobContext(ctx, specs[0], cfg)
+		if err != nil {
+			err = fmt.Errorf("rundown: job %q: %w", specs[0].Name, err)
+		}
+	} else {
+		res, err = sim.RunMultiContext(ctx, specs, cfg)
+		rep.SimMulti = res
+	}
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		Backend:     VirtualBackend,
-		Manager:     b.c.manager,
-		Model:       cfg.Mgmt,
-		Workers:     res.Procs,
-		Makespan:    res.Makespan,
-		Utilization: res.Utilization,
-		SimMulti:    res,
-	}
+	rep.Workers = res.Procs
+	rep.Makespan = res.Makespan
+	rep.Utilization = res.Utilization
 	rep.Faults = res.Faults
 	rep.Retries = res.Retries
 	var firstErr error

@@ -1,8 +1,6 @@
 package rundown
 
 import (
-	"context"
-
 	"repro/internal/casper"
 	"repro/internal/core"
 	"repro/internal/enable"
@@ -122,8 +120,8 @@ var (
 // NewProgram builds and validates a program.
 func NewProgram(phases ...*Phase) (*Program, error) { return core.NewProgram(phases...) }
 
-// NewScheduler builds a scheduler for driving manually (most callers use
-// Simulate or Execute instead).
+// NewScheduler builds a scheduler for driving manually (most callers
+// hand the program to a Runner instead).
 func NewScheduler(p *Program, opt Options) (*Scheduler, error) { return core.New(p, opt) }
 
 // DefaultCosts returns the reference management cost calibration.
@@ -136,16 +134,18 @@ func FreeCosts() MgmtCosts { return core.FreeCosts() }
 type (
 	// SimConfig parameterizes the discrete-event machine model.
 	SimConfig = sim.Config
-	// SimResult aggregates a simulation run.
+	// SimResult aggregates a one-job simulation run (Report.Sim).
 	SimResult = sim.Result
+	// MultiSimResult aggregates a multi-program simulation, with per-job
+	// makespans and cross-job backfill units (Report.SimMulti).
+	MultiSimResult = sim.MultiResult
+	// SimJobResult is one job's outcome within a virtual run
+	// (JobReport.Sim).
+	SimJobResult = sim.JobResult
 	// PhaseTrace records one phase's schedule within a run.
 	PhaseTrace = sim.PhaseTrace
 	// MgmtModel selects where executive computation runs.
 	MgmtModel = sim.MgmtModel
-	// SimSnapshot is the virtual backend's native snapshot type
-	// (SimConfig.Observer); Runner observers receive the unified
-	// Snapshot instead.
-	SimSnapshot = sim.Snapshot
 )
 
 // Executive resource models.
@@ -175,62 +175,11 @@ const (
 	AsyncMgmt = sim.Async
 )
 
-// Simulate runs prog on the deterministic discrete-event machine model.
-// It is a thin wrapper over the Runner front door:
-// New(WithVirtualTime(cfg)) then Run. Use a Runner directly for
-// cancellation and the unified Report.
-func Simulate(prog *Program, opt Options, cfg SimConfig) (*SimResult, error) {
-	r, err := New(WithVirtualTime(cfg))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := r.Run(context.Background(), Job{Prog: prog, Opt: opt})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Sim, nil
-}
-
-// Multi-program simulation (virtual-time tenancy).
-type (
-	// SimJob describes one job of a multi-program simulation.
-	SimJob = sim.JobSpec
-	// MultiSimResult aggregates a multi-program simulation, with per-job
-	// makespans and cross-job backfill units.
-	MultiSimResult = sim.MultiResult
-	// SimJobResult is one job's outcome within a multi-program run.
-	SimJobResult = sim.JobResult
-)
-
-// ErrUnsupportedMgmt reports a management model a simulation mode cannot
-// price. Every current model prices multi-program runs (SupportsMulti
-// accepts them all, AdaptiveMgmt and AsyncMgmt included), so only an
-// unknown or future model trips it. Test with errors.Is — or avoid
-// tripping it at all by consulting Capabilities(manager,
-// model).VirtualMulti before running.
+// ErrUnsupportedMgmt reports a management model the virtual machine
+// cannot price. Every named model (MgmtModelNames) prices Run and RunAll
+// alike, so only an unknown MgmtModel value trips it: the run fails with
+// an error wrapping this sentinel. Test with errors.Is.
 var ErrUnsupportedMgmt = sim.ErrUnsupportedMgmt
-
-// SimulateMulti runs several jobs sharing one simulated machine under the
-// tenant pool's overlap-first dispatch policy: each worker serves its home
-// job while anything there is dispatchable and backfills the other jobs
-// (priority first, then deficit-round-robin credit) during its home job's
-// rundown. Deterministic, like Simulate. It is a thin wrapper over
-// New(WithVirtualTime(cfg)) then RunAll.
-func SimulateMulti(jobs []SimJob, cfg SimConfig) (*MultiSimResult, error) {
-	r, err := New(WithVirtualTime(cfg))
-	if err != nil {
-		return nil, err
-	}
-	rjobs := make([]Job, len(jobs))
-	for i, j := range jobs {
-		rjobs[i] = Job{Name: j.Name, Prog: j.Prog, Opt: j.Opt, Priority: j.Priority, Weight: j.Weight}
-	}
-	rep, err := r.RunAll(context.Background(), rjobs)
-	if err != nil {
-		return nil, err
-	}
-	return rep.SimMulti, nil
-}
 
 // Flight-recorder traces (WithTrace).
 type (
@@ -326,18 +275,10 @@ func ReplayTrace(prog *Program, opt Options, t *Trace) (*ReplayResult, error) {
 
 // Execution on goroutines.
 type (
-	// ExecConfig parameterizes the goroutine executive: worker count,
-	// manager selection (ExecConfig.Manager), and the sharded manager's
-	// deque capacity and completion batch size.
-	ExecConfig = executive.Config
 	// ExecReport aggregates a goroutine run's measurements.
 	ExecReport = executive.Report
 	// ExecManager selects the executive's management layer.
 	ExecManager = executive.ManagerKind
-	// ExecSnapshot is the goroutine executive's native snapshot type
-	// (ExecConfig.Observer); Runner observers receive the unified
-	// Snapshot instead.
-	ExecSnapshot = executive.Snapshot
 )
 
 // Executive managers.
@@ -350,9 +291,9 @@ const (
 	ShardedManager = executive.ShardedManager
 	// AsyncManager runs all management on one dedicated background
 	// goroutine — the paper's separate executive processor realized on
-	// hardware: workers pull from a bounded ready-buffer
-	// (ExecConfig.ReadyCap) and push completions into a lock-free MPSC
-	// queue, never touching the state-machine lock.
+	// hardware: workers pull from a bounded ready-buffer (WithReadyCap)
+	// and push completions into a lock-free MPSC queue, never touching
+	// the state-machine lock.
 	AsyncManager = executive.AsyncManager
 )
 
@@ -376,61 +317,11 @@ func ParseMgmtModel(s string) (MgmtModel, error) { return sim.ParseModel(s) }
 // MgmtModelNames lists the accepted ParseMgmtModel names.
 func MgmtModelNames() []string { return sim.ModelNames() }
 
-// Execute runs prog's Work functions on real goroutine workers under the
-// configured manager (SerialManager by default). It is a thin wrapper
-// over the Runner front door: New with the matching options, then Run.
-// Use a Runner directly for cancellation and the unified Report.
-func Execute(prog *Program, opt Options, cfg ExecConfig) (*ExecReport, error) {
-	r, err := New(execConfigOptions(cfg)...)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := r.Run(context.Background(), Job{Prog: prog, Opt: opt})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Exec, nil
-}
-
-// managerKnobOptions converts the worker/manager knobs both legacy
-// config structs share (ExecConfig and PoolConfig carry the same six
-// fields) into Runner options — one conversion point, so a knob added
-// to the configs cannot be threaded for one wrapper and dropped for the
-// other.
-func managerKnobOptions(workers int, manager ExecManager, dequeCap, batch, readyCap, lowWater int) []Option {
-	return []Option{
-		WithWorkers(workers), WithManager(manager),
-		WithDequeCap(dequeCap), WithBatch(batch),
-		WithReadyCap(readyCap), WithLowWater(lowWater),
-	}
-}
-
-// execConfigOptions converts a legacy ExecConfig into Runner options.
-func execConfigOptions(cfg ExecConfig) []Option {
-	opts := managerKnobOptions(cfg.Workers, cfg.Manager, cfg.DequeCap, cfg.Batch, cfg.ReadyCap, cfg.LowWater)
-	if cfg.Adaptive {
-		opts = append(opts, WithAdaptiveBatching(cfg.MgmtTarget))
-	}
-	if cfg.Faults != nil {
-		opts = append(opts, WithFaults(*cfg.Faults))
-	}
-	if cfg.Observer != nil {
-		// Legacy observers expect the executive's native snapshots; pass
-		// them through unadapted.
-		opts = append(opts, withExecObserver(cfg.Observer, cfg.ObservePeriod))
-	}
-	return opts
-}
-
 // Multi-tenant execution: several programs sharing one goroutine worker
 // pool, one job's rundown filled by another job's work.
 type (
-	// PoolConfig parameterizes a shared worker pool: worker count plus
-	// the per-job manager selection (every job gets its own Manager of
-	// the configured kind wrapped around its own scheduler).
-	PoolConfig = tenant.Config
-	// Pool is the shared worker pool. Submit adds jobs; Close waits for
-	// them and returns the pool report.
+	// Pool is the shared worker pool (Runner.StartPool). Submit adds
+	// jobs; Close waits for them and returns the pool report.
 	Pool = tenant.Pool
 	// PoolJobConfig names a submitted job and sets its backfill priority
 	// and its weight (home-worker share and backfill credit).
@@ -441,9 +332,7 @@ type (
 	// PoolReport aggregates a pool's lifetime: utilization, idle time,
 	// and the cross-job backfill that filled rundowns.
 	PoolReport = tenant.Report
-	// PoolSnapshot is the pool's native snapshot type
-	// (PoolConfig.Observer); Runner observers receive the unified
-	// Snapshot instead.
+	// PoolSnapshot is one observation of a live pool (Pool.Sample).
 	PoolSnapshot = tenant.Snapshot
 	// AdmitFunc is a caller-defined admission predicate (WithAdmitFunc):
 	// consulted by Submit under the pool lock, a non-nil return rejects
@@ -455,39 +344,6 @@ type (
 	// interference bounds.
 	AdmissionView = tenant.AdmissionView
 )
-
-// NewPool starts a multi-tenant worker pool. Jobs submitted to it run
-// concurrently under an overlap-first dispatch policy: every worker
-// serves its home job exclusively while anything there is dispatchable,
-// and backfills the other jobs — priority first, then
-// deficit-round-robin fairness — only during its home job's rundown.
-// It is a thin wrapper over the Runner front door: New with the matching
-// options, then StartPool. RunAll on a pool-backed Runner covers the
-// common submit-everything-and-wait case without the explicit lifecycle.
-func NewPool(cfg PoolConfig) (*Pool, error) {
-	opts := append(managerKnobOptions(cfg.Workers, cfg.Manager, cfg.DequeCap, cfg.Batch, cfg.ReadyCap, cfg.LowWater),
-		WithPool())
-	if cfg.Faults != nil {
-		opts = append(opts, WithFaults(*cfg.Faults))
-	}
-	if cfg.MaxActive > 0 {
-		opts = append(opts, WithAdmission(cfg.MaxActive, cfg.Queue))
-	}
-	if cfg.PreemptBound > 0 {
-		opts = append(opts, WithPreemptBound(cfg.PreemptBound))
-	}
-	if cfg.StallTimeout != 0 {
-		opts = append(opts, WithStallTimeout(cfg.StallTimeout))
-	}
-	if cfg.Observer != nil {
-		opts = append(opts, withPoolObserver(cfg.Observer, cfg.ObservePeriod))
-	}
-	r, err := New(opts...)
-	if err != nil {
-		return nil, err
-	}
-	return r.StartPool()
-}
 
 // Deterministic fault injection (WithFaults).
 type (

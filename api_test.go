@@ -27,12 +27,9 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := rundown.Execute(prog,
+	rep := runExec(t, prog,
 		rundown.Options{Grain: 32, Overlap: true, Costs: rundown.DefaultCosts()},
-		rundown.ExecConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+		rundown.WithWorkers(4))
 	if rep.Tasks == 0 {
 		t.Error("no tasks recorded")
 	}
@@ -43,17 +40,14 @@ func TestFacadeQuickstart(t *testing.T) {
 	}
 }
 
-func TestFacadeSimulate(t *testing.T) {
+func TestFacadeVirtualRun(t *testing.T) {
 	prog, err := rundown.Chain(rundown.KindUniversal, 2, 64, rundown.UnitCost(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := rundown.Simulate(prog,
+	res := runVirtual(t, prog,
 		rundown.Options{Grain: 4, Overlap: true, Costs: rundown.FreeCosts()},
 		rundown.SimConfig{Procs: 8, Mgmt: rundown.Dedicated})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Makespan != 16 { // 128 unit granules / 8 procs
 		t.Errorf("makespan = %d, want 16", res.Makespan)
 	}
@@ -124,11 +118,9 @@ DISPATCH b
 	if len(res.Program.Phases) != 2 {
 		t.Fatalf("phases = %d", len(res.Program.Phases))
 	}
-	if _, err := rundown.Simulate(res.Program,
+	runVirtual(t, res.Program,
 		rundown.Options{Grain: 2, Overlap: true, Costs: rundown.DefaultCosts()},
-		rundown.SimConfig{Procs: 4, Mgmt: rundown.Dedicated}); err != nil {
-		t.Fatal(err)
-	}
+		rundown.SimConfig{Procs: 4, Mgmt: rundown.Dedicated})
 }
 
 func TestFacadeCasper(t *testing.T) {

@@ -129,18 +129,15 @@ func BenchmarkExecutiveSORSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := rundown.Execute(prog, rundown.Options{
+		runExec(b, prog, rundown.Options{
 			Grain: 256, Overlap: true, Costs: rundown.DefaultCosts(),
-		}, rundown.ExecConfig{Workers: 8}); err != nil {
-			b.Fatal(err)
-		}
+		}, rundown.WithWorkers(8))
 	}
 }
 
 // The simulator series drive the virtual backend the way a caller does —
 // rundown.New(WithVirtualTime(cfg)) then Run or RunAll — so they time the
-// same path the sim-scale benchmark workload does and depend on no legacy
-// wrapper.
+// same path the sim-scale benchmark workload does.
 
 // simChain is the 4×16384 unit-cost identity chain at grain 64: the
 // one-job program of the simulator series.
@@ -272,17 +269,27 @@ func BenchmarkE9JobStreams(b *testing.B) {
 // utilization gap at fine grain, where per-task serialization dominates
 // the serial manager.
 
-// managerBenchConfig is the common 8-worker setup of the comparison.
-func managerBenchConfig(kind rundown.ExecManager) rundown.ExecConfig {
-	return rundown.ExecConfig{Workers: 8, Manager: kind, DequeCap: 32, Batch: 16}
+// managerBenchOptions is the common 8-worker setup of the comparison.
+func managerBenchOptions(kind rundown.ExecManager) []rundown.Option {
+	return []rundown.Option{
+		rundown.WithWorkers(8), rundown.WithManager(kind),
+		rundown.WithDequeCap(32), rundown.WithBatch(16),
+	}
 }
 
+// benchManager runs build's program per iteration on one Runner under
+// kind (plus extra options) and reports median utilization and
+// computation-to-management ratio.
 func benchManager(b *testing.B, kind rundown.ExecManager,
-	build func(b *testing.B) (*rundown.Program, rundown.Options)) {
+	build func(b *testing.B) (*rundown.Program, rundown.Options), extra ...rundown.Option) {
+	runner, err := rundown.New(append(managerBenchOptions(kind), extra...)...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var utils, ratios []float64
 	for i := 0; i < b.N; i++ {
 		prog, opt := build(b)
-		rep, err := rundown.Execute(prog, opt, managerBenchConfig(kind))
+		rep, err := runner.Run(context.Background(), rundown.Job{Prog: prog, Opt: opt})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,7 +366,7 @@ func buildCheckerboard(b *testing.B) (*rundown.Program, rundown.Options) {
 }
 
 // Pool benchmarks: the multi-tenant worker pool (internal/tenant) layered
-// above the managers. The single-job pool against Execute is the
+// above the managers. The single-job pool against the executive is the
 // tenancy-layer overhead; the two-job pool reports how much of the
 // machine cross-job backfill recovers; the virtual-time pool prices the
 // dispatch policy deterministically (no wall-clock noise).
@@ -368,12 +375,14 @@ func buildCheckerboard(b *testing.B) (*rundown.Program, rundown.Options) {
 // single-job pool — compare against BenchmarkManagerChainFineSharded to
 // see what the tenancy layer costs when tenancy is not used.
 func BenchmarkPoolSingleJobSharded(b *testing.B) {
+	runner, err := rundown.New(managerBenchOptions(rundown.ShardedManager)...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var utils []float64
 	for i := 0; i < b.N; i++ {
 		prog, opt := buildChainFine(b)
-		p, err := rundown.NewPool(rundown.PoolConfig{
-			Workers: 8, Manager: rundown.ShardedManager, DequeCap: 32, Batch: 16,
-		})
+		p, err := runner.StartPool()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -397,11 +406,13 @@ func BenchmarkPoolSingleJobSharded(b *testing.B) {
 // the fine-grain chain beside the CASPER pipeline, mixed sizes on
 // purpose. Reports pool utilization and the backfill share of compute.
 func BenchmarkPoolTwoJobsSharded(b *testing.B) {
+	runner, err := rundown.New(managerBenchOptions(rundown.ShardedManager)...)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var utils, backfill []float64
 	for i := 0; i < b.N; i++ {
-		p, err := rundown.NewPool(rundown.PoolConfig{
-			Workers: 8, Manager: rundown.ShardedManager, DequeCap: 32, Batch: 16,
-		})
+		p, err := runner.StartPool()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -430,6 +441,54 @@ func BenchmarkPoolTwoJobsSharded(b *testing.B) {
 	}
 	b.ReportMetric(stats.Percentile(utils, 50), "utilization")
 	b.ReportMetric(stats.Percentile(backfill, 50)*100, "backfill-%")
+}
+
+// BenchmarkOneJob is the measurement behind "two wall-clock loops: why
+// both stay" (DESIGN.md): the bench module's exec-fine run — the 3×32768
+// identity chain at grains 2 and 8 under each of its four manager
+// configurations, GOMAXPROCS workers — through Run on the executive
+// engine and, with WithPool added, as a one-job pool run. ns/op and
+// allocs/op per cell; pool ÷ engine is the price of merging the loops.
+func BenchmarkOneJob(b *testing.B) {
+	sharded := func(extra ...rundown.Option) []rundown.Option {
+		return append([]rundown.Option{rundown.WithManager(rundown.ShardedManager),
+			rundown.WithDequeCap(32), rundown.WithBatch(16)}, extra...)
+	}
+	managers := []struct {
+		name string
+		opts []rundown.Option
+	}{
+		{"serial", []rundown.Option{rundown.WithManager(rundown.SerialManager)}},
+		{"sharded", sharded()},
+		{"adaptive", sharded(rundown.WithAdaptiveBatching(0))},
+		{"async", []rundown.Option{rundown.WithManager(rundown.AsyncManager)}},
+	}
+	prog, opt := buildChainFine(b)
+	for _, loop := range []string{"engine", "pool"} {
+		for _, m := range managers {
+			for _, grain := range []int{2, 8} {
+				b.Run(loop+"/"+m.name+"/g"+strconv.Itoa(grain), func(b *testing.B) {
+					opts := append([]rundown.Option(nil), m.opts...)
+					if loop == "pool" {
+						opts = append(opts, rundown.WithPool())
+					}
+					runner, err := rundown.New(opts...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					job := rundown.Job{Prog: prog, Opt: opt}
+					job.Opt.Grain = grain
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := runner.Run(context.Background(), job); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
 }
 
 // BenchmarkPoolMultiSim prices the tenancy dispatch policy in virtual
@@ -467,20 +526,7 @@ func BenchmarkManagerChainFineSharded(b *testing.B) {
 // injection off costs one nil check per task — this series must sit
 // within noise of the plain sharded series above.
 func BenchmarkManagerChainFineShardedFaultsOff(b *testing.B) {
-	var utils, ratios []float64
-	for i := 0; i < b.N; i++ {
-		prog, opt := buildChainFine(b)
-		cfg := managerBenchConfig(rundown.ShardedManager)
-		cfg.Faults = &rundown.FaultSpec{}
-		rep, err := rundown.Execute(prog, opt, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		utils = append(utils, rep.Utilization)
-		ratios = append(ratios, rep.MgmtRatio)
-	}
-	b.ReportMetric(stats.Percentile(utils, 50), "utilization")
-	b.ReportMetric(stats.Percentile(ratios, 50), "compute:mgmt")
+	benchManager(b, rundown.ShardedManager, buildChainFine, rundown.WithFaults(rundown.FaultSpec{}))
 }
 
 // BenchmarkManagerChainFineAdaptive / BenchmarkManagerCasperAdaptive are
@@ -513,30 +559,11 @@ func BenchmarkManagerCheckerboardAsync(b *testing.B) {
 	benchManager(b, rundown.AsyncManager, buildCheckerboard)
 }
 
-// BenchmarkRunnerChainFineSharded runs the fine-grain chain through the
-// Runner front door (New + Run with a context) instead of the legacy
-// Execute wrapper — compare against BenchmarkManagerChainFineSharded to
-// see what the unified entry point costs, which must be nothing
-// measurable: the Runner resolves options once and delegates to the same
-// executive.RunContext.
+// BenchmarkRunnerChainFineSharded is BenchmarkManagerChainFineSharded
+// under the name CI's bench-smoke requires: with the Runner the only
+// entry point, the two series are one.
 func BenchmarkRunnerChainFineSharded(b *testing.B) {
-	runner, err := rundown.New(
-		rundown.WithWorkers(8), rundown.WithManager(rundown.ShardedManager),
-		rundown.WithDequeCap(32), rundown.WithBatch(16),
-	)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var utils []float64
-	for i := 0; i < b.N; i++ {
-		prog, opt := buildChainFine(b)
-		rep, err := runner.Run(context.Background(), rundown.Job{Prog: prog, Opt: opt})
-		if err != nil {
-			b.Fatal(err)
-		}
-		utils = append(utils, rep.Utilization)
-	}
-	b.ReportMetric(stats.Percentile(utils, 50), "utilization")
+	benchManager(b, rundown.ShardedManager, buildChainFine)
 }
 
 // BenchmarkTraceRecordChainFine measures what the flight recorder costs

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -62,12 +63,17 @@ func main() {
 		}
 	}
 
-	simRes, err := rundown.Simulate(res.Program, rundown.Options{
+	runner, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: *procs, Mgmt: rundown.StealsWorker}))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paxrun: %v\n", err)
+		os.Exit(1)
+	}
+	rep, err := runner.Run(context.Background(), rundown.Job{Prog: res.Program, Opt: rundown.Options{
 		Grain:   *grain,
 		Overlap: *overlap,
 		Elevate: true,
 		Costs:   rundown.DefaultCosts(),
-	}, rundown.SimConfig{Procs: *procs, Mgmt: rundown.StealsWorker})
+	}})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paxrun: %v\n", err)
 		os.Exit(1)
@@ -76,5 +82,5 @@ func main() {
 	fmt.Printf("phases=%d granules=%d procs=%d overlap=%v\n",
 		len(res.Program.Phases), res.Program.TotalGranules(), *procs, *overlap)
 	fmt.Printf("makespan %d  utilization %s  compute:management %.1f\n",
-		simRes.Makespan, metrics.FormatPercent(simRes.Utilization), simRes.MgmtRatio)
+		rep.Sim.Makespan, metrics.FormatPercent(rep.Sim.Utilization), rep.Sim.MgmtRatio)
 }

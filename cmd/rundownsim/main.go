@@ -19,16 +19,14 @@
 //	rundownsim -jobs 3 -mapping identity -granules 4096 -procs 32 -overlap -faults seed=7,rules=4 -retry 2
 //
 // The command is built on the rundown.Runner front door: one Job spec,
-// one Run/RunAll call, and the backend — virtual machine, goroutine
-// executive, or tenant pool — is chosen by options. With -jobs N
-// (N >= 2), N copies of the configured workload (differing seeds) share
-// one machine under the multi-tenant pool's overlap-first dispatch
-// policy, priced in virtual time under every management model — the
-// async ready buffer and the adaptive batch controller included. (Were a
-// model ever to lose virtual multi-program pricing, Capabilities'
-// VirtualMulti gate would route the jobs to the real goroutine tenant
-// pool instead.) -observe streams live utilization/overhead snapshots to
-// stderr, and Ctrl-C cancels the run through the Runner's context.
+// one Run/RunAll call on the virtual machine, whose management model the
+// manager options choose. With -jobs N (N >= 2), N copies of the
+// configured workload (differing seeds) share one machine under the
+// multi-tenant pool's overlap-first dispatch policy, priced in virtual
+// time under every management model — the async ready buffer and the
+// adaptive batch controller included. -observe streams live
+// utilization/overhead snapshots to stderr, and Ctrl-C cancels the run
+// through the Runner's context.
 package main
 
 import (
@@ -328,12 +326,9 @@ func fail(format string, args ...any) {
 }
 
 // printSnapshot is the -observe stream: one stderr line per live
-// snapshot, wall-clock or virtual-time depending on the backend.
+// snapshot of the virtual machine.
 func printSnapshot(s rundown.Snapshot) {
 	when := fmt.Sprintf("t=%d", s.VirtualTime)
-	if s.Backend != rundown.VirtualBackend {
-		when = fmt.Sprintf("t=%v", s.Elapsed.Round(100*time.Microsecond))
-	}
 	mark := ""
 	if s.Final {
 		mark = " (final)"
@@ -343,11 +338,8 @@ func printSnapshot(s rundown.Snapshot) {
 }
 
 // runShared runs jobs copies of the workload (differing seeds) sharing
-// one machine through Runner.RunAll: in virtual time when the selected
-// management model supports multi-program pricing (every current model
-// does), otherwise on the real goroutine tenant pool — the capability is
-// checked statically via Capabilities instead of tripping
-// ErrUnsupportedMgmt at run time.
+// one virtual machine through Runner.RunAll; every management model
+// prices multi-program runs.
 func runShared(ctx context.Context, build func(seed uint64) (*rundown.Program, error),
 	opt rundown.Options, execOpts []rundown.Option, jobs, procs int, seed uint64, showMetrics bool) {
 	specs := make([]rundown.Job, jobs)
@@ -366,13 +358,6 @@ func runShared(ctx context.Context, build func(seed uint64) (*rundown.Program, e
 	if err != nil {
 		fail("%v", err)
 	}
-	if !virtual.Capabilities().VirtualMulti {
-		// The virtual multi-program queue cannot price this model; run the
-		// jobs on the real goroutine tenant pool end-to-end instead.
-		runPool(ctx, specs, execOpts, procs, showMetrics)
-		return
-	}
-
 	rep, err := virtual.RunAll(ctx, specs)
 	if err != nil && rep == nil {
 		fail("%v", err)
@@ -414,37 +399,4 @@ func runShared(ctx context.Context, build func(seed uint64) (*rundown.Program, e
 	if err != nil {
 		fail("%v", err)
 	}
-}
-
-// runPool runs the job specs on the real goroutine tenant pool
-// (wall-clock execution through RunAll). Chain programs carry no Work
-// functions, so this is a pure scheduling run — the management
-// architecture exercised end-to-end without synthetic compute.
-func runPool(ctx context.Context, specs []rundown.Job, execOpts []rundown.Option, procs int, showMetrics bool) {
-	runner, err := rundown.New(append(execOpts,
-		rundown.WithWorkers(procs), rundown.WithPool(),
-	)...)
-	if err != nil {
-		fail("%v", err)
-	}
-	rep, err := runner.RunAll(ctx, specs)
-	if err != nil {
-		fail("%v", err)
-	}
-	pool := rep.Pool
-
-	fmt.Printf("jobs=%d workers=%d manager=%v (goroutine tenant pool, wall-clock)\n",
-		len(specs), procs, rep.Manager)
-	fmt.Printf("pool wall           %v\n", pool.Wall)
-	fmt.Printf("pool mgmt           %v\n", pool.Mgmt)
-	fmt.Printf("pool idle           %v\n", pool.Idle)
-	fmt.Printf("tasks               %d\n", pool.Tasks)
-	fmt.Printf("backfill tasks      %d (%.1f%% of compute)\n", pool.BackfillTasks, pool.BackfillShare*100)
-
-	fmt.Println("\nper-job:")
-	for i, j := range rep.Jobs {
-		fmt.Printf("  job%-5d wall=%-12v tasks=%-6d mgmt=%-12v dispatches=%d\n",
-			i, j.Exec.Wall, j.Exec.Tasks, j.Exec.Mgmt, j.Exec.Sched.Dispatches)
-	}
-	printMetrics(rep, showMetrics)
 }

@@ -42,14 +42,11 @@
 // joins every internal goroutine, and returns an error wrapping
 // ctx.Err(). WithObserver streams live utilization/overhead Snapshots
 // from all backends — wall-clock sampled on hardware, emitted at
-// deterministic virtual-time marks in simulation. Capabilities reports
-// statically what a manager/model pairing supports (multi-program
-// pricing, pool dispatch, adaptive batching), so ErrUnsupportedMgmt is
-// checkable before anything runs. Note Caps.AdaptiveInPool is false for
-// every pairing: real pool-backed runs ignore adaptive batching by
-// design (pool-level parking absorbs the controller's shrink signal);
-// only the virtual multi-program machine prices the controller
-// pool-wide.
+// deterministic virtual-time marks in simulation. Every named manager
+// and model runs on every door; an unknown value fails the run where it
+// arrives (a model with ErrUnsupportedMgmt). Real pools ignore adaptive
+// batching by design (pool-level parking absorbs the controller's shrink
+// signal); only the virtual machine prices it pool-wide.
 //
 // # Flight recorder
 //
@@ -65,12 +62,6 @@
 // export the timeline. Virtual-backend traces are bit-deterministic;
 // real-backend traces carry wall-clock timestamps and compare
 // structurally.
-//
-// # Legacy entry points
-//
-// Simulate, SimulateMulti, Execute and NewPool predate the Runner and
-// are kept as thin wrappers over it — same semantics, no context, no
-// unified Report. New code should use a Runner.
 //
 // # Describing computations
 //

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,12 +31,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := rundown.Execute(prog, rundown.Options{
+	runner, err := rundown.New(rundown.WithWorkers(8))
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := runner.Run(context.Background(), rundown.Job{Prog: prog, Opt: rundown.Options{
 		Grain:   128,
 		Overlap: true,
 		Elevate: true,
 		Costs:   rundown.DefaultCosts(),
-	}, rundown.ExecConfig{Workers: 8})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,6 +38,10 @@ func main() {
 		ref.SerialSweep(1)
 	}
 
+	runner, err := rundown.New(rundown.WithWorkers(8))
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, seam := range []bool{false, true} {
 		g, err := rundown.NewGrid(n, 1.5, rundown.HotEdgeBoundary(n))
 		if err != nil {
@@ -46,11 +51,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := rundown.Execute(prog, rundown.Options{
+		rep, err := runner.Run(context.Background(), rundown.Job{Prog: prog, Opt: rundown.Options{
 			Grain:   64,
 			Overlap: true,
 			Costs:   rundown.DefaultCosts(),
-		}, rundown.ExecConfig{Workers: 8})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}

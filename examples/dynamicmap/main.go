@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,11 @@ func main() {
 	}
 
 	// Real goroutine run: dependence-respecting overlap, checked results.
-	rep, err := rundown.Execute(prog, rundown.Options{
+	runner, err := rundown.New(rundown.WithWorkers(8))
+	if err != nil {
+		log.Fatal(err)
+	}
+	rep, err := runner.Run(context.Background(), rundown.Job{Prog: prog, Opt: rundown.Options{
 		Grain:      128,
 		Overlap:    true,
 		Elevate:    true,
@@ -71,7 +76,7 @@ func main() {
 		// a short run (the simulator studies the deferred strategy).
 		InlineMaps: true,
 		Costs:      rundown.DefaultCosts(),
-	}, rundown.ExecConfig{Workers: 8})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -84,12 +89,16 @@ func main() {
 			log.Fatalf("b[%d] = %v, want %v", g, b[g], want)
 		}
 	}
-	st := rep.Sched
+	st := rep.Exec.Sched
 	fmt.Printf("goroutine run: wall=%v tasks=%d — gathers never ran before their sources\n", rep.Wall, rep.Tasks)
 	fmt.Printf("executive work: composite-map entries=%d elevations=%d releases=%d\n\n",
 		st.TableEntries, st.Elevations, st.Releases)
 
 	// Deterministic comparison of the three stances on the same workload.
+	simulator, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: 32, Mgmt: rundown.StealsWorker}))
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, c := range []struct {
 		name    string
 		overlap bool
@@ -100,13 +109,13 @@ func main() {
 		{"overlap+elevation", true, true},
 	} {
 		prog, _ := rundown.Chain(rundown.KindReverse, 2, 4096, rundown.UniformCost(100, 400, 9), 9)
-		res, err := rundown.Simulate(prog, rundown.Options{
+		rep, err := simulator.Run(context.Background(), rundown.Job{Prog: prog, Opt: rundown.Options{
 			Grain: 64, Overlap: c.overlap, Elevate: c.elevate, Costs: rundown.DefaultCosts(),
-		}, rundown.SimConfig{Procs: 32, Mgmt: rundown.StealsWorker})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-18s makespan=%-7d utilization=%5.1f%% idle=%d\n",
-			c.name, res.Makespan, 100*res.Utilization, res.IdleUnits)
+			c.name, rep.Makespan, 100*rep.Utilization, rep.Sim.IdleUnits)
 	}
 }

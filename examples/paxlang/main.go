@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -57,17 +58,21 @@ func main() {
 		fmt.Printf("  %2d %-10s -> next via %-16v (%s)\n", i, d.Instance, d.Mapping, status)
 	}
 
+	runner, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: 24, Mgmt: rundown.StealsWorker}))
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, overlap := range []bool{false, true} {
-		sim, err := rundown.Simulate(res.Program, rundown.Options{
+		rep, err := runner.Run(context.Background(), rundown.Job{Prog: res.Program, Opt: rundown.Options{
 			Overlap: overlap,
 			Elevate: true,
 			Costs:   rundown.DefaultCosts(),
-		}, rundown.SimConfig{Procs: 24, Mgmt: rundown.StealsWorker})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\noverlap=%-5v makespan=%-8d utilization=%.1f%% idle=%d",
-			overlap, sim.Makespan, 100*sim.Utilization, sim.IdleUnits)
+			overlap, rep.Makespan, 100*rep.Utilization, rep.Sim.IdleUnits)
 	}
 	fmt.Println()
 }

@@ -2,8 +2,7 @@ package rundown_test
 
 // Public-surface tests for the fault-injection and tenancy layer: the
 // error-wrapping audit (every abort path wraps ctx.Err() AND names the
-// failing job), deadlines and retries through the Runner options, and the
-// capability bits that advertise them.
+// failing job), and deadlines and retries through the Runner options.
 
 import (
 	"context"
@@ -256,7 +255,11 @@ func TestRunnerVirtualRunHonoursDeadlineAndRetry(t *testing.T) {
 // through the public pool lifecycle: Submit after Close wraps
 // ErrPoolClosed, and a second Close returns the first Close's outcome.
 func TestRunnerPoolSentinels(t *testing.T) {
-	pool, err := rundown.NewPool(rundown.PoolConfig{Workers: 2})
+	r, err := rundown.New(rundown.WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := r.StartPool()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,19 +282,44 @@ func TestRunnerPoolSentinels(t *testing.T) {
 	}
 }
 
-// TestCapabilitiesRobustnessBits pins the new capability bits against the
-// predicates the backends enforce.
-func TestCapabilitiesRobustnessBits(t *testing.T) {
-	for _, mk := range []rundown.ExecManager{rundown.SerialManager, rundown.ShardedManager, rundown.AsyncManager} {
-		caps := rundown.Capabilities(mk, rundown.StealsWorker)
-		if !caps.FaultInjection || !caps.Deadlines {
-			t.Errorf("%v: FaultInjection/Deadlines should hold everywhere: %+v", mk, caps)
-		}
-		if caps.Retries != (caps.RealMulti || caps.VirtualMulti) {
-			t.Errorf("%v: Retries bit disagrees with the multi-job predicates: %+v", mk, caps)
-		}
-		if caps.Admission != caps.RealMulti {
-			t.Errorf("%v: Admission bit disagrees with RealMulti: %+v", mk, caps)
-		}
+// TestRunnerExecRunHonoursRetry: a retry budget binds Run on the
+// goroutine backend as it binds the pool and the virtual machine. The
+// executive has no attempt model, so a job with retries to spend runs as
+// a one-job pool run — and the Report says so.
+func TestRunnerExecRunHonoursRetry(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts []rundown.Option
+	}{
+		{"default", nil},
+		{"pool", []rundown.Option{rundown.WithPool()}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := rundown.Chain(rundown.KindIdentity, 3, 512, rundown.UnitCost(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := rundown.New(append(c.opts,
+				rundown.WithWorkers(4),
+				rundown.WithRetry(2, 0),
+				rundown.WithFaults(rundown.FaultSpec{Rules: []rundown.FaultRule{
+					{Kind: rundown.FaultGrainError, Job: -1, Phase: 1, Granule: 7, Worker: -1},
+				}}),
+			)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := r.Run(context.Background(), rundown.Job{Prog: prog,
+				Opt: rundown.Options{Grain: 4, Overlap: true, Costs: rundown.DefaultCosts()}})
+			if err != nil {
+				t.Fatalf("the retry should have recovered the injected error: %v", err)
+			}
+			if rep.Backend != rundown.PoolBackend {
+				t.Errorf("report backend = %v, want %v (the engine that ran the attempts)", rep.Backend, rundown.PoolBackend)
+			}
+			if len(rep.Jobs) != 1 || rep.Jobs[0].Attempts != 2 || rep.Retries != 1 {
+				t.Errorf("jobs=%+v retries=%d, want one job with 2 attempts and 1 retry", rep.Jobs, rep.Retries)
+			}
+		})
 	}
 }

@@ -46,12 +46,9 @@ IF (i .LT. 3) THEN GO TO top
 		t.Fatalf("phases = %d, want %d", len(res.Program.Phases), 2*sweeps)
 	}
 
-	rep, err := rundown.Execute(res.Program,
+	rep := runExec(t, res.Program,
 		rundown.Options{Grain: 32, Overlap: true, Costs: rundown.DefaultCosts()},
-		rundown.ExecConfig{Workers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
+		rundown.WithWorkers(6))
 	if rep.Tasks == 0 {
 		t.Fatal("no tasks executed")
 	}
@@ -92,14 +89,8 @@ func TestIntegrationSimExecutiveAgree(t *testing.T) {
 	}
 	// Pre-splitting makes the task partition deterministic regardless of
 	// timing, so both drivers must dispatch exactly the same task count.
-	simRes, err := rundown.Simulate(build(), opt, rundown.SimConfig{Procs: 5, Mgmt: rundown.Dedicated})
-	if err != nil {
-		t.Fatal(err)
-	}
-	execRep, err := rundown.Execute(build(), opt, rundown.ExecConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	simRes := runVirtual(t, build(), opt, rundown.SimConfig{Procs: 5, Mgmt: rundown.Dedicated})
+	execRep := runExec(t, build(), opt, rundown.WithWorkers(4))
 	if simRes.Sched.Dispatches != execRep.Sched.Dispatches {
 		t.Errorf("dispatch counts differ: sim %d vs executive %d",
 			simRes.Sched.Dispatches, execRep.Sched.Dispatches)
@@ -131,16 +122,8 @@ func TestIntegrationAsyncSimExecutiveAgree(t *testing.T) {
 		Grain: 16, Overlap: true, Split: rundown.SplitPre,
 		Costs: rundown.DefaultCosts(),
 	}
-	simRes, err := rundown.Simulate(build(), opt, rundown.SimConfig{Procs: 4, Mgmt: rundown.AsyncMgmt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	execRep, err := rundown.Execute(build(), opt, rundown.ExecConfig{
-		Workers: 4, Manager: rundown.AsyncManager,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	simRes := runVirtual(t, build(), opt, rundown.SimConfig{Procs: 4, Mgmt: rundown.AsyncMgmt})
+	execRep := runExec(t, build(), opt, rundown.WithWorkers(4), rundown.WithManager(rundown.AsyncManager))
 	if simRes.Sched.Dispatches != execRep.Sched.Dispatches {
 		t.Errorf("dispatch counts differ: sim %d vs executive %d",
 			simRes.Sched.Dispatches, execRep.Sched.Dispatches)
@@ -169,11 +152,9 @@ func TestIntegrationCasperProfileExecutive(t *testing.T) {
 		idx := i
 		ph.Work = func(g rundown.GranuleID) { counts[idx][g]++ }
 	}
-	if _, err := rundown.Execute(prog,
+	runExec(t, prog,
 		rundown.Options{Grain: 16, Overlap: true, Elevate: true, Costs: rundown.DefaultCosts()},
-		rundown.ExecConfig{Workers: 8}); err != nil {
-		t.Fatal(err)
-	}
+		rundown.WithWorkers(8))
 	for i := range counts {
 		for g, c := range counts[i] {
 			if c != 1 {

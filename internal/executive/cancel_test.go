@@ -188,26 +188,6 @@ func TestParseManager(t *testing.T) {
 	}
 }
 
-// TestSupportsPoolMatchesNewPoolDriver pins the static capability check
-// to the constructor's actual behaviour for every registered kind.
-func TestSupportsPoolMatchesNewPoolDriver(t *testing.T) {
-	for _, kind := range ManagerKinds() {
-		prog, _, _, _ := buildCopyChain(t, 16)
-		sched, err := core.New(prog, core.Options{Workers: 2, Costs: core.DefaultCosts()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = NewPoolDriver(sched, Config{Workers: 2, Manager: kind})
-		if (err == nil) != SupportsPool(kind) {
-			t.Errorf("%v: SupportsPool = %v but NewPoolDriver err = %v",
-				kind, SupportsPool(kind), err)
-		}
-	}
-	if SupportsPool(ManagerKind(250)) {
-		t.Error("SupportsPool accepted an unknown kind")
-	}
-}
-
 // TestExecutiveObserver checks the wall-clock sampler: snapshots arrive
 // while the run is live (given a sufficiently long run), elapsed time is
 // monotonic, and the closing snapshot is Final with the Report's totals.

@@ -413,7 +413,7 @@ func (e *engine) worker(w int) {
 		workErr := RunTask(work, task)
 		at = clock.Now()
 		if workErr == nil && tf.factor > 1 {
-			stretchCompute(at.Sub(now), tf.factor)
+			fault.Stretch(at.Sub(now), tf.factor)
 			at = clock.Now()
 		}
 		if workErr != nil {

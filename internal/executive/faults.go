@@ -24,12 +24,10 @@ package executive
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/granule"
 	"repro/internal/trace"
 )
 
@@ -116,23 +114,10 @@ func (e *engine) injectTask(w int, task core.Task, work *core.WorkFn, tf *taskFa
 	case fault.GrainStall:
 		tf.stall += d
 	case fault.GrainPanic:
-		ph := task.Phase
-		*work = func(granule.ID) {
-			panic(fmt.Sprintf("fault: injected panic in phase %d", ph))
-		}
+		*work = fault.PanicWork(task.Phase)
 	case fault.GrainError:
 		tf.err = fmt.Errorf("executive: injected error in phase %d granules [%d,%d)",
 			task.Phase, task.Run.Lo, task.Run.Hi)
-	}
-}
-
-// stretchCompute sleeps the slow-fault extension of a task that just ran
-// for dur — called inside the worker's compute-measurement window, so a
-// slow grain shows up as inflated compute exactly as it does in virtual
-// time.
-func stretchCompute(dur time.Duration, factor int64) {
-	if factor > 1 {
-		fault.Sleep(int64(dur) * (factor - 1) / int64(time.Microsecond))
 	}
 }
 

@@ -232,26 +232,13 @@ func ParseManager(s string) (ManagerKind, error) {
 		s, strings.Join(ManagerNames(), "|"))
 }
 
-// Every built-in manager implements the PoolDriver surface; these
-// compile-time assertions are what keeps SupportsPool's static answer
-// honest.
+// Every built-in manager implements the PoolDriver surface the
+// multi-tenant pool drives.
 var (
 	_ PoolDriver = (*serial)(nil)
 	_ PoolDriver = (*sharded)(nil)
 	_ PoolDriver = (*async)(nil)
 )
-
-// SupportsPool reports whether kind's manager implements the PoolDriver
-// surface the multi-tenant pool drives — the static form of the
-// NewPoolDriver capability check (a conformance test pins the two
-// together). False also covers unknown kinds.
-func SupportsPool(kind ManagerKind) bool {
-	switch kind {
-	case SerialManager, ShardedManager, AsyncManager:
-		return true
-	}
-	return false
-}
 
 // recordAbort flight-records the failure point of a run. Every manager
 // calls it exactly where its error transitions nil -> non-nil, so a

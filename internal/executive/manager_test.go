@@ -206,4 +206,11 @@ func TestUnknownManagerRejected(t *testing.T) {
 	if _, err := Run(prog, core.Options{}, Config{Workers: 2, Manager: ManagerKind(250)}); err == nil {
 		t.Error("unknown manager kind accepted")
 	}
+	sched, err := core.New(prog, core.Options{Workers: 2, Costs: core.DefaultCosts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPoolDriver(sched, Config{Workers: 2, Manager: ManagerKind(250)}); err == nil {
+		t.Error("unknown manager kind accepted as a pool driver")
+	}
 }

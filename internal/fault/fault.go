@@ -29,6 +29,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/granule"
 )
 
 // Kind classifies one injected fault.
@@ -398,4 +400,21 @@ func Sleep(units int64) {
 		d = maxSleep
 	}
 	time.Sleep(d)
+}
+
+// Stretch sleeps the slow-fault extension of a task that just ran for
+// dur — inside the worker's compute-measurement window, so a slow grain
+// or worker shows up as inflated compute exactly as in virtual time.
+func Stretch(dur time.Duration, factor int64) {
+	if factor > 1 {
+		Sleep(int64(dur) * (factor - 1) / int64(time.Microsecond))
+	}
+}
+
+// PanicWork is the work body a real backend substitutes for a granule
+// struck by GrainPanic: the failure goes through the engine's own recover.
+func PanicWork(phase granule.PhaseID) func(granule.ID) {
+	return func(granule.ID) {
+		panic(fmt.Sprintf("fault: injected panic in phase %d", phase))
+	}
 }

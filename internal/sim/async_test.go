@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -258,11 +259,19 @@ func TestAsyncConservationRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestMultiAcceptsEveryModel: RunMulti prices every management model —
-// the Async ready buffer and the Adaptive shards included — and each run
-// executes every granule of every job.
+// TestMultiAcceptsEveryModel: RunMulti prices every named management
+// model — the Async ready buffer and the Adaptive shards included — and
+// each run executes every granule of every job; a value outside
+// ModelNames is rejected with ErrUnsupportedMgmt.
 func TestMultiAcceptsEveryModel(t *testing.T) {
-	for _, model := range []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async} {
+	for _, name := range append(ModelNames(), "") {
+		model := MgmtModel(250)
+		if name != "" {
+			var err error
+			if model, err = ParseModel(name); err != nil {
+				t.Fatal(err)
+			}
+		}
 		jobs := []JobSpec{
 			{Prog: twoPhase(t, 64, enable.NewIdentity()),
 				Opt: core.Options{Grain: 4, Costs: core.DefaultCosts()}},
@@ -271,6 +280,12 @@ func TestMultiAcceptsEveryModel(t *testing.T) {
 		}
 		want := int64(jobs[0].Prog.TotalCost() + jobs[1].Prog.TotalCost())
 		res, err := RunMulti(jobs, Config{Procs: 4, Mgmt: model})
+		if name == "" {
+			if !errors.Is(err, ErrUnsupportedMgmt) {
+				t.Errorf("%v: err = %v, want wrapped ErrUnsupportedMgmt", model, err)
+			}
+			continue
+		}
 		if err != nil {
 			t.Errorf("%v: RunMulti rejected a supported model: %v", model, err)
 			continue

@@ -229,31 +229,12 @@ type mflight struct {
 	dur  int64 // the task's compute cost
 }
 
-// SupportsMulti reports whether RunMulti can price model — the static
-// form of the ErrUnsupportedMgmt check, so a caller can discover a
-// rejection before building jobs and running. Every current model is
-// supported: the Async model keeps per-job ready buffers on the shared
-// dedicated server (an ask pops the asker's candidate buffers in
-// dispatch-policy order, so cross-job backfill never strands a buffered
-// task), and the Adaptive model tags each worker's batch shard with the
-// job it was refilled from, flushing the shard's completion batch before
-// the worker may switch jobs. RunMulti's own gate is derived from this
-// predicate, so capability and behaviour cannot drift apart.
-func SupportsMulti(m MgmtModel) bool {
-	switch m {
-	case StealsWorker, Dedicated, Sharded, Adaptive, Async:
-		return true
-	}
-	return false
-}
-
 // RunMulti simulates jobs sharing one machine under cfg. All jobs start
-// at t=0. Mgmt selects any management model (SupportsMulti reports the
-// accepted set). Under Adaptive, Config.Batch and Options.AdaptiveBatch
-// govern one pool-wide controller; under Async, Config.ReadyCap and
-// Config.LowWater size each job's slice of the dedicated server's ready
-// buffer. Config.BucketWidth and Config.Gantt shape Result's timeline and
-// chart, which only Run reports.
+// at t=0. Mgmt selects any management model. Under Adaptive,
+// Config.Batch and Options.AdaptiveBatch govern one pool-wide controller;
+// under Async, Config.ReadyCap and Config.LowWater size each job's slice
+// of the dedicated server's ready buffer. Config.BucketWidth and
+// Config.Gantt shape Result's timeline and chart, which only Run reports.
 func RunMulti(jobs []JobSpec, cfg Config) (*MultiResult, error) {
 	return RunMultiContext(context.Background(), jobs, cfg)
 }
@@ -291,19 +272,18 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 	if cfg.Procs < 1 {
 		return failEarly(fmt.Errorf("sim: need at least 1 processor"))
 	}
-	if !SupportsMulti(cfg.Mgmt) {
-		// Unreachable for the known models (SupportsMulti accepts them
-		// all); this keeps an unknown or future model from being mispriced
-		// silently.
-		return failEarly(fmt.Errorf("%w: the %v model has no multi-program pricing",
-			ErrUnsupportedMgmt, cfg.Mgmt))
-	}
 	workers := cfg.Procs
-	if cfg.Mgmt == StealsWorker {
+	switch cfg.Mgmt {
+	case StealsWorker:
 		workers = cfg.Procs - 1
 		if workers < 1 {
 			return failEarly(fmt.Errorf("sim: StealsWorker model needs at least 2 processors"))
 		}
+	case Dedicated, Sharded, Adaptive, Async:
+	default:
+		// An unknown model must not be mispriced silently.
+		return failEarly(fmt.Errorf("%w: the %v model has no multi-program pricing",
+			ErrUnsupportedMgmt, cfg.Mgmt))
 	}
 
 	s := &mstate{

@@ -68,26 +68,6 @@ func contains(haystack, needle string) bool {
 	return false
 }
 
-// TestSupportsMultiMatchesRunMulti pins SupportsMulti to RunMulti's
-// actual accept/reject behaviour for every model: the static capability
-// check must never disagree with the runtime gate.
-func TestSupportsMultiMatchesRunMulti(t *testing.T) {
-	for _, m := range []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async} {
-		jobs := []JobSpec{
-			{Prog: twoPhase(t, 32, enable.NewIdentity()), Opt: core.Options{Grain: 4, Costs: core.DefaultCosts()}},
-			{Prog: twoPhase(t, 32, enable.NewIdentity()), Opt: core.Options{Grain: 4, Costs: core.DefaultCosts()}},
-		}
-		_, err := RunMulti(jobs, Config{Procs: 4, Mgmt: m})
-		rejected := errors.Is(err, ErrUnsupportedMgmt)
-		if err != nil && !rejected {
-			t.Fatalf("%v: unexpected error: %v", m, err)
-		}
-		if rejected == SupportsMulti(m) {
-			t.Errorf("%v: SupportsMulti = %v but RunMulti rejected = %v", m, SupportsMulti(m), rejected)
-		}
-	}
-}
-
 // cancelProg builds a chain long enough that the event loop's batched ctx
 // poll (every 1024 management operations) fires many times.
 func cancelProg(t *testing.T) *core.Program {

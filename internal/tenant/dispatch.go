@@ -94,6 +94,10 @@ func (p *Pool) sweep(w int, c *homeCache) (j *Job, m executive.PoolDriver, t cor
 func (p *Pool) backfillPlan(home *Job) []*Job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// Nobody to backfill (every dry sweep of a one-job pool): no allocation.
+	if n := len(p.active); n == 0 || n == 1 && p.active[0] == home {
+		return nil
+	}
 	cands := make([]*Job, 0, len(p.active))
 	credit := false
 	for _, j := range p.active {
@@ -104,9 +108,6 @@ func (p *Pool) backfillPlan(home *Job) []*Job {
 		if j.deficit > 0 {
 			credit = true
 		}
-	}
-	if len(cands) == 0 {
-		return nil
 	}
 	if !credit {
 		for _, j := range p.active {

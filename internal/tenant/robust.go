@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
-	"repro/internal/granule"
 	"repro/internal/trace"
 )
 
@@ -141,23 +140,10 @@ func (p *Pool) injectTask(w int, j *Job, task core.Task, work *core.WorkFn, tf *
 	case fault.GrainStall:
 		tf.stall += d
 	case fault.GrainPanic:
-		ph := task.Phase
-		*work = func(granule.ID) {
-			panic(fmt.Sprintf("fault: injected panic in phase %d", ph))
-		}
+		*work = fault.PanicWork(task.Phase)
 	case fault.GrainError:
 		tf.err = fmt.Errorf("tenant: injected error in job %q phase %d granules [%d,%d)",
 			j.cfg.Name, task.Phase, task.Run.Lo, task.Run.Hi)
-	}
-}
-
-// stretchCompute sleeps the slow-fault extension of a task that just ran
-// for dur — inside the worker's compute-measurement window, so a slow
-// grain or worker shows up as inflated compute exactly as in virtual
-// time.
-func stretchCompute(dur time.Duration, factor int64) {
-	if factor > 1 {
-		fault.Sleep(int64(dur) * (factor - 1) / int64(time.Microsecond))
 	}
 }
 

@@ -404,6 +404,9 @@ func (p *Pool) activateLocked(j *Job) {
 		p.met.ActiveJobs.Set(int64(len(p.active)))
 	}
 	p.rebalanceLocked()
+	// A worker whose dry sweep predates j must sweep again, not find j
+	// idle in park's stall probe before the caller's progress() lands.
+	p.gen.Add(1)
 }
 
 // Close marks the pool as accepting no more jobs, lets every submitted
@@ -587,7 +590,7 @@ func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, ba
 	}
 	end := clock.Now()
 	if err == nil && tf.factor > 1 {
-		stretchCompute(end.Sub(now), tf.factor)
+		fault.Stretch(end.Sub(now), tf.factor)
 		end = clock.Now()
 	}
 	dur := end.Sub(now)
@@ -695,22 +698,25 @@ func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stam
 		// deques are empty and every completion batch was flushed, so an
 		// unfinished job with nothing in flight can never make progress —
 		// a true stall. Fail those jobs; the pool itself survives.
-		for _, j := range append([]*Job(nil), p.active...) {
+		var stalled []*Job // collected first: retiring one edits p.active
+		for _, j := range p.active {
+			if j.driver().InFlight() == 0 {
+				stalled = append(stalled, j)
+			}
+		}
+		for _, j := range stalled {
 			m := j.driver()
-			if m.InFlight() == 0 {
-				err := fmt.Errorf("tenant: job %q stalled at phase %d: all pool workers idle, nothing in flight",
-					j.cfg.Name, j.sched.CurrentPhase())
-				m.Abort(err)
-				if merr := m.Err(); merr == nil {
-					// The manager refused the abort: the job's final
-					// completion landed (async drain) between the dry
-					// sweep and this probe — it finished, it did not
-					// stall. Retire it with its results.
-					p.finishJobLocked(j, nil)
-				} else {
-					p.finishJobLocked(j, merr)
-					p.stalled++
-				}
+			m.Abort(fmt.Errorf("tenant: job %q stalled at phase %d: all pool workers idle, nothing in flight",
+				j.cfg.Name, j.sched.CurrentPhase()))
+			if merr := m.Err(); merr == nil {
+				// The manager refused the abort: the job's final
+				// completion landed (async drain) between the dry
+				// sweep and this probe — it finished, it did not
+				// stall. Retire it with its results.
+				p.finishJobLocked(j, nil)
+			} else {
+				p.finishJobLocked(j, merr)
+				p.stalled++
 			}
 		}
 		p.nWaiting.Add(-1)
@@ -752,9 +758,10 @@ func (p *Pool) checkFinished(j *Job) {
 	}
 	p.mu.Lock()
 	// failing is raised before the manager's error becomes visible and
-	// lowered only after failJob has decided under p.mu, so having seen
-	// the error, this check cannot miss an attempt failure in progress.
-	if j.retrying.Load() || j.failing.Load() > 0 {
+	// lowered only after failJob has decided under p.mu, so this check
+	// cannot miss an attempt failure in progress; one already carried out
+	// — a zero-backoff retry won this lock first — shows as a new driver.
+	if j.retrying.Load() || j.failing.Load() > 0 || j.driver() != m {
 		p.mu.Unlock()
 		return
 	}

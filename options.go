@@ -40,7 +40,6 @@ type runnerConfig struct {
 
 	observer      Observer
 	observePeriod time.Duration
-	observeEvery  int64
 
 	traceOn bool
 	traceW  io.Writer // nil = capture in Report.Trace only
@@ -63,22 +62,14 @@ type runnerConfig struct {
 	// service daemon's per-job trace downloads); per-run tracing uses
 	// newRecorder instead.
 	traceRec *trace.Recorder
-
-	// Native-observer passthroughs for the legacy wrappers (Execute,
-	// NewPool), which accept backend-native snapshot callbacks in their
-	// config structs. They take precedence over the unified observer.
-	rawExecObs func(executive.Snapshot)
-	rawPoolObs func(tenant.Snapshot)
 }
 
 // WithWorkers sets the worker count (real backends) or the processor
 // count P (virtual backend, unless WithVirtualTime's SimConfig.Procs is
 // set). Unset, real backends use runtime.GOMAXPROCS(0); the virtual
 // backend has no default — it requires a processor count through this
-// option or SimConfig.Procs, preserving the legacy Simulate wrapper's
-// validation. Values < 1 are recorded verbatim and rejected by the
-// backend at Run time, preserving the legacy entry points' error
-// behaviour.
+// option or SimConfig.Procs. Values < 1 are recorded verbatim and
+// rejected by the backend at Run time.
 func WithWorkers(n int) Option {
 	return func(c *runnerConfig) error {
 		c.workers = n
@@ -103,16 +94,15 @@ func WithManager(m ExecManager) Option {
 
 // WithAdaptiveBatching enables the adaptive batching controller with the
 // given lock-overhead-share setpoint (<= 0 selects the default, 0.02).
-// Only the sharded manager honors it on real backends (matching
-// ExecConfig.Adaptive); on the virtual backend it selects the Adaptive
-// management model unless an async manager was chosen. Virtual
-// multi-program runs (RunAll) price it too, as ONE pool-wide controller
-// retuning the shared batch knobs from a machine-wide starvation
-// integral. Real pool-backed runs (RunAll on real backends, WithPool)
-// deliberately do NOT honor it: pool workers park at pool level, where
-// the controller's shrink signal reads zero, so pool jobs run
-// fixed-parameter managers — adaptive tenancy on hardware is a ROADMAP
-// follow-on, now with the virtual pricing in hand.
+// Only the sharded manager honors it on real backends; on the virtual
+// backend it selects the Adaptive management model unless an async
+// manager was chosen. Virtual multi-program runs (RunAll) price it too,
+// as ONE pool-wide controller retuning the shared batch knobs from a
+// machine-wide starvation integral. Real pool-backed runs (RunAll on
+// real backends, WithPool, a Run that retries) deliberately do NOT honor
+// it: pool workers park at pool level, where the controller's shrink
+// signal reads zero, so pool jobs run fixed-parameter managers — a
+// traced pool run records no retune events.
 func WithAdaptiveBatching(target float64) Option {
 	return func(c *runnerConfig) error {
 		c.adaptive = true
@@ -161,8 +151,8 @@ func WithLowWater(n int) Option {
 // applied — those take precedence, so one option set retargets cleanly
 // between real and virtual machines. The same rule covers every other
 // overlapping field: an explicit option (WithBatch, WithReadyCap,
-// WithLowWater, WithObserver, WithObserveEvery) overrides the
-// corresponding cfg value when set.
+// WithLowWater, WithObserver) overrides the corresponding cfg value when
+// set.
 func WithVirtualTime(cfg SimConfig) Option {
 	return func(c *runnerConfig) error {
 		if c.pool {
@@ -197,12 +187,6 @@ func WithObserver(fn Observer) Option {
 // backends (<= 0 selects 10ms).
 func WithObservePeriod(d time.Duration) Option {
 	return func(c *runnerConfig) error { c.observePeriod = d; return nil }
-}
-
-// WithObserveEvery sets the virtual-time snapshot stride for the virtual
-// backend (<= 0 selects roughly 16 snapshots per run).
-func WithObserveEvery(units int64) Option {
-	return func(c *runnerConfig) error { c.observeEvery = units; return nil }
 }
 
 // WithTrace turns on the flight recorder: every run captures a
@@ -289,7 +273,7 @@ func WithDeadline(d time.Duration) Option {
 // scheduler up to n times, waiting backoff before the first retry and
 // doubling it per further retry (capped at 64×). Deadline aborts and
 // run cancellation never retry. Job.Retry / Job.Backoff override it per
-// job. Honored by pool-backed runs and virtual runs (Run and RunAll).
+// job; Job.Retry says what a budget costs a goroutine Run.
 func WithRetry(n int, backoff time.Duration) Option {
 	return func(c *runnerConfig) error {
 		if n < 0 {
@@ -441,30 +425,6 @@ func (c *runnerConfig) finishMetrics(met *telemetry.Set, rep *Report) {
 	rep.Metrics = met.Registry.Dump()
 }
 
-// withExecObserver passes a native executive observer through unadapted;
-// the legacy Execute wrapper uses it to honor ExecConfig.Observer.
-func withExecObserver(fn func(ExecSnapshot), period time.Duration) Option {
-	return func(c *runnerConfig) error {
-		c.rawExecObs = fn
-		if period > 0 {
-			c.observePeriod = period
-		}
-		return nil
-	}
-}
-
-// withPoolObserver passes a native pool observer through unadapted; the
-// legacy NewPool wrapper uses it to honor PoolConfig.Observer.
-func withPoolObserver(fn func(PoolSnapshot), period time.Duration) Option {
-	return func(c *runnerConfig) error {
-		c.rawPoolObs = fn
-		if period > 0 {
-			c.observePeriod = period
-		}
-		return nil
-	}
-}
-
 // resolve applies defaults after every option has run.
 func (c *runnerConfig) resolve() {
 	if !c.workersSet {
@@ -520,14 +480,11 @@ func (c *runnerConfig) execConfig() executive.Config {
 		LowWater: c.lowWater,
 		Adaptive: c.adaptive,
 		Faults:   c.faults,
+		// Read only when Adaptive / Observer are set.
+		MgmtTarget:    c.mgmtTarget,
+		ObservePeriod: c.observePeriod,
 	}
-	if c.adaptive {
-		cfg.MgmtTarget = c.mgmtTarget
-	}
-	if c.rawExecObs != nil {
-		cfg.Observer = c.rawExecObs
-		cfg.ObservePeriod = c.observePeriod
-	} else if c.observer != nil {
+	if c.observer != nil {
 		fn := c.observer
 		cfg.Observer = func(s executive.Snapshot) {
 			// Jobs reads drained only when the program truly completed —
@@ -546,7 +503,6 @@ func (c *runnerConfig) execConfig() executive.Config {
 				Utilization: s.Utilization, OverheadShare: s.OverheadShare,
 			})
 		}
-		cfg.ObservePeriod = c.observePeriod
 	}
 	return cfg
 }
@@ -567,11 +523,9 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 		StallTimeout:  c.stallTimeout,
 		PreemptBound:  c.preemptBound,
 		Admit:         c.admit,
+		ObservePeriod: c.observePeriod, // read only with an Observer
 	}
-	if c.rawPoolObs != nil {
-		cfg.Observer = c.rawPoolObs
-		cfg.ObservePeriod = c.observePeriod
-	} else if c.observer != nil {
+	if c.observer != nil {
 		fn := c.observer
 		cfg.Observer = func(s tenant.Snapshot) {
 			fn(Snapshot{
@@ -581,7 +535,6 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 				Utilization:   s.Utilization, OverheadShare: s.OverheadShare,
 			})
 		}
-		cfg.ObservePeriod = c.observePeriod
 	}
 	return cfg
 }
@@ -618,9 +571,6 @@ func (c *runnerConfig) simConfig() sim.Config {
 				Batch: s.Batch,
 			})
 		}
-	}
-	if c.observeEvery > 0 {
-		cfg.ObserveEvery = c.observeEvery
 	}
 	if c.faults != nil {
 		cfg.Faults = c.faults

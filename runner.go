@@ -14,8 +14,7 @@ import (
 // Run and RunAll execute the same backend-agnostic Job spec on the
 // virtual discrete-event machine, on real goroutine workers, or inside a
 // multi-tenant worker pool — selected purely by the options given to
-// New. Legacy entry points (Simulate, SimulateMulti, Execute, NewPool)
-// are thin wrappers over a Runner.
+// New. There is no other way in.
 //
 //	r, _ := rundown.New(rundown.WithWorkers(8), rundown.WithManager(rundown.AsyncManager))
 //	rep, err := r.Run(ctx, rundown.Job{Prog: prog, Opt: opt})
@@ -82,13 +81,6 @@ func (r *Runner) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
 // Backend reports which machine the Runner drives.
 func (r *Runner) Backend() BackendKind { return r.backend.Kind() }
 
-// Capabilities reports what the Runner's configured manager/model
-// pairing supports — in particular whether RunAll is available on the
-// virtual backend before anything runs.
-func (r *Runner) Capabilities() Caps {
-	return Capabilities(r.cfg.manager, r.cfg.model())
-}
-
 // StartPool starts a live multi-tenant pool configured from the Runner's
 // options, for callers that need the incremental Submit/Wait/Close
 // lifecycle rather than the one-shot RunAll. Virtual runners cannot
@@ -116,8 +108,8 @@ func jobName(job Job, i int) string {
 }
 
 // execBackend runs single jobs on a dedicated goroutine executive and
-// delegates RunAll to the pool backend (the executive has no multi-job
-// surface of its own).
+// delegates to the pool backend what the executive has no model for:
+// several jobs (RunAll) and a job with a retry budget (attempts).
 type execBackend struct {
 	c *runnerConfig
 }
@@ -125,6 +117,9 @@ type execBackend struct {
 func (b *execBackend) Kind() BackendKind { return ExecBackend }
 
 func (b *execBackend) Run(ctx context.Context, job Job) (*Report, error) {
+	if b.c.jobRetry(job) > 0 {
+		return b.RunAll(ctx, []Job{job})
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -47,6 +48,36 @@ func checkRunnerJob(t *testing.T, dst []float64) {
 			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], float64(i)*0.5+1)
 		}
 	}
+}
+
+// runVirtual runs prog as one job on a virtual Runner and returns the
+// single-program detail of its Report.
+func runVirtual(t testing.TB, prog *rundown.Program, opt rundown.Options, cfg rundown.SimConfig) *rundown.SimResult {
+	t.Helper()
+	r, err := rundown.New(rundown.WithVirtualTime(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background(), rundown.Job{Prog: prog, Opt: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Sim
+}
+
+// runExec runs prog as one job on goroutine workers and returns the
+// execution detail of its Report.
+func runExec(t testing.TB, prog *rundown.Program, opt rundown.Options, opts ...rundown.Option) *rundown.ExecReport {
+	t.Helper()
+	r, err := rundown.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background(), rundown.Job{Prog: prog, Opt: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.Exec
 }
 
 // TestRunnerThreeBackends is the tentpole acceptance check: one
@@ -124,87 +155,64 @@ func TestRunnerManagerSweep(t *testing.T) {
 	}
 }
 
-// TestRunnerRunAllVirtualMatchesSimulateMulti pins the wrapper: RunAll
-// on a virtual Runner and SimulateMulti produce identical results (both
-// deterministic).
-func TestRunnerRunAllVirtualMatchesSimulateMulti(t *testing.T) {
-	mkJobs := func() []rundown.Job {
+// TestRunnerRunAllVirtualDeterministic: two RunAlls of the same jobs on
+// the virtual backend report the same run, with a per-job report each.
+func TestRunnerRunAllVirtualDeterministic(t *testing.T) {
+	run := func() *rundown.Report {
 		j1, _ := buildRunnerJob(t, 512)
 		j2, _ := buildRunnerJob(t, 256)
 		j1.Name, j2.Name = "a", "b"
 		j2.Priority = 1
-		return []rundown.Job{j1, j2}
+		r, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: 8, Mgmt: rundown.ShardedMgmt}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.RunAll(context.Background(), []rundown.Job{j1, j2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
 	}
-	r, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: 8, Mgmt: rundown.ShardedMgmt}))
-	if err != nil {
-		t.Fatal(err)
+	a, b := run(), run()
+	if a.SimMulti.Makespan != b.SimMulti.Makespan || a.SimMulti.ComputeUnits != b.SimMulti.ComputeUnits {
+		t.Fatalf("first run makespan=%d compute=%d, second makespan=%d compute=%d",
+			a.SimMulti.Makespan, a.SimMulti.ComputeUnits, b.SimMulti.Makespan, b.SimMulti.ComputeUnits)
 	}
-	rep, err := r.RunAll(context.Background(), mkJobs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := mkJobs()
-	specs := make([]rundown.SimJob, len(jobs))
-	for i, j := range jobs {
-		specs[i] = rundown.SimJob{Name: j.Name, Prog: j.Prog, Opt: j.Opt, Priority: j.Priority, Weight: j.Weight}
-	}
-	direct, err := rundown.SimulateMulti(specs, rundown.SimConfig{Procs: 8, Mgmt: rundown.ShardedMgmt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SimMulti.Makespan != direct.Makespan || rep.SimMulti.ComputeUnits != direct.ComputeUnits {
-		t.Fatalf("RunAll makespan=%d compute=%d, SimulateMulti makespan=%d compute=%d",
-			rep.SimMulti.Makespan, rep.SimMulti.ComputeUnits, direct.Makespan, direct.ComputeUnits)
-	}
-	if len(rep.Jobs) != 2 || rep.Jobs[0].Sim == nil || rep.Jobs[1].Sim == nil {
-		t.Fatalf("per-job reports missing: %+v", rep.Jobs)
+	if len(a.Jobs) != 2 || a.Jobs[0].Sim == nil || a.Jobs[1].Sim == nil {
+		t.Fatalf("per-job reports missing: %+v", a.Jobs)
 	}
 }
 
-// TestCapabilitiesCrossCheck is the acceptance check for capability
-// introspection: Capabilities must agree with what RunAll actually
-// accepts, asserted against ErrUnsupportedMgmt for every management
-// model, and against the pool constructor for every manager kind.
-func TestCapabilitiesCrossCheck(t *testing.T) {
-	models := []rundown.MgmtModel{
-		rundown.StealsWorker, rundown.Dedicated, rundown.ShardedMgmt,
-		rundown.AdaptiveMgmt, rundown.AsyncMgmt,
-	}
-	for _, model := range models {
-		caps := rundown.Capabilities(rundown.SerialManager, model)
+// TestRunnerAcceptsEveryNamedModelAndManager is what the capability
+// table used to promise, checked where the input arrives: every
+// MgmtModelNames entry prices a RunAll and a Run on the virtual backend,
+// every ExecManagerNames entry drives a RunAll on the pool, and a value
+// outside either list fails the run — the model with ErrUnsupportedMgmt.
+func TestRunnerAcceptsEveryNamedModelAndManager(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range rundown.MgmtModelNames() {
+		model, err := rundown.ParseMgmtModel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
 		r, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: 4, Mgmt: model}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := r.Capabilities().VirtualMulti; got != caps.VirtualMulti {
-			t.Errorf("%v: Runner.Capabilities().VirtualMulti = %v, Capabilities() = %v", model, got, caps.VirtualMulti)
-		}
 		j1, _ := buildRunnerJob(t, 64)
 		j2, _ := buildRunnerJob(t, 64)
-		_, err = r.RunAll(context.Background(), []rundown.Job{j1, j2})
-		unsupported := errors.Is(err, rundown.ErrUnsupportedMgmt)
-		if err != nil && !unsupported {
-			t.Fatalf("%v: unexpected RunAll error: %v", model, err)
-		}
-		if unsupported == caps.VirtualMulti {
-			t.Errorf("%v: Capabilities.VirtualMulti = %v but RunAll unsupported = %v",
-				model, caps.VirtualMulti, unsupported)
-		}
-		// Single-program virtual runs accept every model.
-		if !caps.VirtualSingle {
-			t.Errorf("%v: VirtualSingle = false", model)
+		if _, err := r.RunAll(ctx, []rundown.Job{j1, j2}); err != nil {
+			t.Errorf("%s: RunAll: %v", name, err)
 		}
 		j3, _ := buildRunnerJob(t, 64)
-		if _, err := r.Run(context.Background(), j3); err != nil {
-			t.Errorf("%v: single virtual run failed: %v", model, err)
+		if _, err := r.Run(ctx, j3); err != nil {
+			t.Errorf("%s: Run: %v", name, err)
 		}
 	}
-	// Real side: RealMulti must match what a pool-backed RunAll accepts.
-	for _, kind := range []rundown.ExecManager{rundown.SerialManager, rundown.ShardedManager, rundown.AsyncManager} {
-		caps := rundown.Capabilities(kind, rundown.StealsWorker)
-		if !caps.RealMulti {
-			t.Errorf("%v: RealMulti = false", kind)
-			continue
+	for _, name := range rundown.ExecManagerNames() {
+		kind, err := rundown.ParseExecManager(name)
+		if err != nil {
+			t.Fatal(err)
 		}
 		r, err := rundown.New(rundown.WithWorkers(4), rundown.WithManager(kind))
 		if err != nil {
@@ -212,15 +220,37 @@ func TestCapabilitiesCrossCheck(t *testing.T) {
 		}
 		j1, d1 := buildRunnerJob(t, 256)
 		j2, d2 := buildRunnerJob(t, 256)
-		rep, err := r.RunAll(context.Background(), []rundown.Job{j1, j2})
+		rep, err := r.RunAll(ctx, []rundown.Job{j1, j2})
 		if err != nil {
-			t.Fatalf("%v: RunAll: %v", kind, err)
+			t.Fatalf("%s: RunAll: %v", name, err)
 		}
 		if rep.Backend != rundown.PoolBackend || rep.Pool == nil {
-			t.Errorf("%v: RunAll report backend = %v, pool = %v", kind, rep.Backend, rep.Pool)
+			t.Errorf("%s: RunAll report backend = %v, pool = %v", name, rep.Backend, rep.Pool)
 		}
 		checkRunnerJob(t, d1)
 		checkRunnerJob(t, d2)
+	}
+
+	job, _ := buildRunnerJob(t, 64)
+	r, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: 4, Mgmt: rundown.MgmtModel(250)}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(ctx, job); !errors.Is(err, rundown.ErrUnsupportedMgmt) {
+		t.Errorf("Run under MgmtModel(250) = %v, want wrapped ErrUnsupportedMgmt", err)
+	}
+	if _, err := r.RunAll(ctx, []rundown.Job{job, job}); !errors.Is(err, rundown.ErrUnsupportedMgmt) {
+		t.Errorf("RunAll under MgmtModel(250) = %v, want wrapped ErrUnsupportedMgmt", err)
+	}
+	r, err = rundown.New(rundown.WithWorkers(2), rundown.WithManager(rundown.ExecManager(250)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(ctx, job); err == nil || !strings.Contains(err.Error(), "unknown manager") {
+		t.Errorf("Run under ExecManager(250) = %v, want an unknown-manager error", err)
+	}
+	if _, err := r.RunAll(ctx, []rundown.Job{job, job}); err == nil || !strings.Contains(err.Error(), "unknown manager") {
+		t.Errorf("RunAll under ExecManager(250) = %v, want an unknown-manager error", err)
 	}
 }
 

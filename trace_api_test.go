@@ -178,30 +178,12 @@ func TestTraceWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAdaptiveInPoolCapability pins Caps.AdaptiveInPool: the adaptive
-// batching controller never applies inside a REAL tenant pool — the
-// capability is false for every pairing, and a traced pool run under
-// WithAdaptiveBatching records zero KRetune events (the pool's Submit
-// deliberately omits AdaptiveBatch from per-job drivers, because
-// pool-level parking absorbs the idle signal the controller shrinks on).
-func TestAdaptiveInPoolCapability(t *testing.T) {
-	managers := []rundown.ExecManager{
-		rundown.SerialManager, rundown.ShardedManager, rundown.AsyncManager,
-	}
-	models := []rundown.MgmtModel{
-		rundown.StealsWorker, rundown.Dedicated, rundown.ShardedMgmt,
-		rundown.AdaptiveMgmt, rundown.AsyncMgmt,
-	}
-	for _, m := range managers {
-		for _, mm := range models {
-			if caps := rundown.Capabilities(m, mm); caps.AdaptiveInPool {
-				t.Errorf("Capabilities(%v, %v).AdaptiveInPool = true, want false for every pairing", m, mm)
-			}
-		}
-	}
-
-	// Behavioural pin: adaptive batching requested, pool backend, traced —
-	// the trace must carry no retune events.
+// TestPoolIgnoresAdaptiveBatching pins what WithAdaptiveBatching's doc
+// says of real pool-backed runs: a traced pool run under it records zero
+// KRetune events (the pool's Submit deliberately omits AdaptiveBatch from
+// per-job drivers, because pool-level parking absorbs the idle signal the
+// controller shrinks on).
+func TestPoolIgnoresAdaptiveBatching(t *testing.T) {
 	progA, optA := traceChainFine(t, 512)
 	progB, optB := traceChainFine(t, 512)
 	r, err := rundown.New(
@@ -223,7 +205,7 @@ func TestAdaptiveInPoolCapability(t *testing.T) {
 		t.Fatal("no trace captured")
 	}
 	if n := rep.Trace.Count(trace.KRetune); n != 0 {
-		t.Errorf("pool run under WithAdaptiveBatching recorded %d KRetune events, want 0 (AdaptiveInPool is false)", n)
+		t.Errorf("pool run under WithAdaptiveBatching recorded %d KRetune events, want 0", n)
 	}
 }
 

@@ -328,7 +328,8 @@ type (
 	PoolJobConfig = tenant.JobConfig
 	// PoolJob is the handle of a submitted job; Wait returns its
 	// ExecReport.
-	PoolJob = tenant.Job
+	PoolJob      = tenant.Job
+	PoolJobState = tenant.State // what PoolJob.State reports
 	// PoolReport aggregates a pool's lifetime: utilization, idle time,
 	// and the cross-job backfill that filled rundowns.
 	PoolReport = tenant.Report
@@ -414,6 +415,15 @@ var (
 	// ErrPoolSaturated reports a Submit refused by admission control
 	// (WithAdmission's high-water mark, queueing off).
 	ErrPoolSaturated = tenant.ErrPoolSaturated
+)
+
+// Pool job states; PoolJobBackoff (between attempts) prints "running".
+const (
+	PoolJobQueued  = tenant.Queued
+	PoolJobRunning = tenant.Running
+	PoolJobBackoff = tenant.Backoff
+	PoolJobDone    = tenant.Done
+	PoolJobFailed  = tenant.Failed
 )
 
 // Verification and inference over access footprints.

@@ -545,8 +545,8 @@ func BenchmarkManagerCasperAdaptive(b *testing.B) {
 // BenchmarkManagerChainFineAsync / BenchmarkManagerCasperAsync are the
 // async pair of the manager comparison: the dedicated-management-
 // goroutine executive on the same workloads as the serial/sharded/
-// adaptive series, so BENCH_pr4.json carries all four architectures
-// side by side.
+// adaptive series, so one run carries all four architectures side by
+// side.
 func BenchmarkManagerChainFineAsync(b *testing.B) {
 	benchManager(b, rundown.AsyncManager, buildChainFine)
 }
@@ -606,8 +606,9 @@ func BenchmarkTraceRecordChainFine(b *testing.B) {
 // job: nothing, or a million events. events_visited/op is the read's
 // cost in a unit that repeats on any host — the events inside the job's
 // extent, 2 per task plus lifecycle and park records, whatever the
-// history — so CI caps it (cmd/benchjson -max) and a read side that
-// scans the recorder's whole life again fails on a count, not a timing.
+// history — so internal/trace's TestTakeJobVisitsOnlyTheExtent caps it
+// and a read side that scans the recorder's whole life again fails on a
+// count, not a timing.
 func BenchmarkTraceDownload(b *testing.B) {
 	const workers = 4
 	for _, h := range []struct {

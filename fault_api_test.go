@@ -293,6 +293,8 @@ func TestRunnerExecRunHonoursRetry(t *testing.T) {
 	}{
 		{"default", nil},
 		{"pool", []rundown.Option{rundown.WithPool()}},
+		{"sharded", []rundown.Option{rundown.WithManager(rundown.ShardedManager)}},
+		{"async", []rundown.Option{rundown.WithManager(rundown.AsyncManager)}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			prog, err := rundown.Chain(rundown.KindIdentity, 3, 512, rundown.UnitCost(), 1)

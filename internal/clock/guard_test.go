@@ -15,10 +15,10 @@ import (
 // pool's start and end, a job's submission and retirement. Everything
 // else measures intervals and reads clock.Now.
 var wallClockAllowed = map[string]bool{
-	"tenant/tenant.go:NewPool":         true,
-	"tenant/tenant.go:Submit":          true,
-	"tenant/tenant.go:Close":           true,
-	"tenant/tenant.go:finishJobLocked": true,
+	"tenant/tenant.go:NewPool":   true,
+	"tenant/tenant.go:Submit":    true,
+	"tenant/tenant.go:Close":     true,
+	"tenant/lifecycle.go:retire": true,
 }
 
 // TestNoWallClockOnHotPaths fails when a non-test file of the goroutine

@@ -76,6 +76,7 @@ type async struct {
 
 	failed    atomic.Bool // Abort/stall/panic happened; mirrors err != nil
 	finished  atomic.Bool // set under smMu exactly once when the run is over
+	started   atomic.Bool // Start spawned the management goroutine
 	closeOnce sync.Once
 	loopDone  chan struct{} // closed when the management goroutine exits
 
@@ -149,8 +150,13 @@ func (m *async) SetNotify(fn func()) { m.notify = fn }
 
 // Join blocks until the management goroutine has exited. Call only after
 // the run is over (workers exited or Abort called); it is the point after
-// which the state machine is quiescent and its statistics safe to read.
-func (m *async) Join() { <-m.loopDone }
+// which the state machine is quiescent and its statistics safe to read. A
+// manager never started (a pool job retired while queued) has none.
+func (m *async) Join() {
+	if m.started.Load() {
+		<-m.loopDone
+	}
+}
 
 // Start activates the program, performs the first refill synchronously so
 // workers find work immediately, and spawns the management goroutine.
@@ -161,6 +167,7 @@ func (m *async) Start() {
 	m.refillLocked()
 	m.charge(t0)
 	m.smMu.Unlock()
+	m.started.Store(true)
 	go m.loop()
 }
 
@@ -510,11 +517,13 @@ func (m *async) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
 	return at, false
 }
 
-// Done reports whether the state machine has completed every phase.
-func (m *async) Done() bool {
+// Outcome reports completion and the run error under smMu, which every
+// fail() call and every completing cycle holds.
+func (m *async) Outcome() (bool, error) {
 	m.smMu.Lock()
 	defer m.smMu.Unlock()
-	return m.sm.Done()
+	err := m.Err()
+	return err == nil && m.sm.Done(), err
 }
 
 // InFlight reports dispatched-but-incomplete tasks. Tasks in the ready

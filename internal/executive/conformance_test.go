@@ -193,7 +193,7 @@ func TestManagerDoneInvariant(t *testing.T) {
 		if err := mgr.Err(); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		if !mgr.Done() {
+		if done, _ := mgr.Outcome(); !done {
 			t.Fatalf("%v: workers exited but the state machine is not done", kind)
 		}
 		if inf := mgr.InFlight(); inf != 0 {

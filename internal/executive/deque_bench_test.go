@@ -11,8 +11,7 @@ import (
 // The BenchmarkDeque* suite is the microscopic half of the perf story
 // (BenchmarkManager* in the repo root is the macroscopic half): owner-side
 // push/pop with no lock, steals as single CASes, and zero allocations on
-// every steady-state path. CI runs these with -race as a smoke and emits
-// BENCH_pr3.json so the trajectory has data points.
+// every steady-state path. CI runs these once each as a smoke.
 
 // BenchmarkDequePushPop: the owner's uncontended push/pop pair — the cost
 // a worker pays per locally-buffered task.

@@ -100,7 +100,7 @@ type Manager interface {
 // non-blocking probes a pool worker needs to serve several jobs: instead
 // of parking inside one job's manager, a worker that gets TryNext
 // ok=false moves on to another job, and the pool owns parking and stall
-// detection across all of them. Both built-in managers implement it.
+// detection across all of them. Every built-in manager implements it.
 type PoolDriver interface {
 	Manager
 	// TryNext returns a task without parking. Like Next it absorbs
@@ -114,8 +114,12 @@ type PoolDriver interface {
 	// worker switches jobs so completions cannot linger unflushed. It
 	// reports whether anything was applied.
 	Flush(w int, at clock.Stamp) (now clock.Stamp, applied bool)
-	// Done reports whether the job's state machine has completed.
-	Done() bool
+	// Outcome reports whether the job's state machine has completed and
+	// the run error, both under one entry of the lock that serializes
+	// them. (false, nil) means the run is still going; once either value
+	// is set it never changes (Abort refuses a completed run, and a
+	// failed run drops every later completion).
+	Outcome() (done bool, err error)
 	// InFlight reports dispatched-but-incomplete tasks. When every pool
 	// worker is parked (all deques drained, all batches flushed),
 	// InFlight()==0 on an unfinished job identifies a true stall.
@@ -150,15 +154,7 @@ func NewPoolDriver(sm StateMachine, cfg Config) (PoolDriver, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("executive: need at least 1 worker")
 	}
-	mgr, err := newManager(sm, cfg)
-	if err != nil {
-		return nil, err
-	}
-	pd, ok := mgr.(PoolDriver)
-	if !ok {
-		return nil, fmt.Errorf("executive: manager %v cannot drive a multi-job pool", cfg.Manager)
-	}
-	return pd, nil
+	return newManager(sm, cfg)
 }
 
 // ManagerKind selects the Manager implementation an executive run uses.
@@ -274,7 +270,7 @@ func completionPanic(err *error) {
 }
 
 // newManager builds the configured Manager over sm.
-func newManager(sm StateMachine, cfg Config) (Manager, error) {
+func newManager(sm StateMachine, cfg Config) (PoolDriver, error) {
 	switch cfg.Manager {
 	case SerialManager:
 		return newSerial(sm, cfg), nil

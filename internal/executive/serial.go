@@ -196,11 +196,13 @@ func (m *serial) completeLocked(t core.Task) {
 // Flush is a no-op: serial completions are submitted immediately.
 func (m *serial) Flush(w int, at clock.Stamp) (clock.Stamp, bool) { return at, false }
 
-// Done reports whether the state machine has completed every phase.
-func (m *serial) Done() bool {
+// Outcome reports completion and the run error in one lock entry. A
+// failed run's state machine is not consulted (a completion-processing
+// panic may have left it inconsistent).
+func (m *serial) Outcome() (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sm.Done()
+	return m.err == nil && m.sm.Done(), m.err
 }
 
 // InFlight reports dispatched-but-incomplete tasks.

@@ -581,11 +581,13 @@ func (m *sharded) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
 	return m.flush(w, at), true
 }
 
-// Done reports whether the state machine has completed every phase.
-func (m *sharded) Done() bool {
+// Outcome reports completion and the run error in one lock entry. A
+// failed run's state machine is not consulted (a completion-processing
+// panic may have left it inconsistent).
+func (m *sharded) Outcome() (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.sm.Done()
+	return m.err == nil && m.sm.Done(), m.err
 }
 
 // InFlight reports dispatched-but-incomplete tasks, including tasks

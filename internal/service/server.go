@@ -178,9 +178,9 @@ type JobStatus struct {
 	Report *rundown.JobReport `json:"report,omitempty"`
 }
 
-// status builds the entry's current JobStatus. Terminal state is read
-// off the handle's Done channel, so a "done"/"failed" status always has
-// the report behind it.
+// status builds the entry's current JobStatus. A terminal state has the
+// report behind it: Wait returns at once, the pool closes the handle's
+// Done channel in the step that makes the state terminal.
 func (s *Server) status(e *jobEntry) JobStatus {
 	h := e.handle
 	st := JobStatus{
@@ -191,14 +191,9 @@ func (s *Server) status(e *jobEntry) JobStatus {
 		Tasks:         h.Tasks(),
 		BackfillTasks: h.BackfillTasks(),
 	}
-	select {
-	case <-h.Done():
-	default:
-		if h.Started() {
-			st.State = "running"
-		} else {
-			st.State = "queued"
-		}
+	state := h.State()
+	st.State = state.String()
+	if state != rundown.PoolJobDone && state != rundown.PoolJobFailed {
 		return st
 	}
 	exec, err := h.Wait()
@@ -211,10 +206,7 @@ func (s *Server) status(e *jobEntry) JobStatus {
 	rep.DeadlineMargin, rep.HasDeadline = h.DeadlineMargin()
 	st.Report = rep
 	if err != nil {
-		st.State = "failed"
 		st.Error = err.Error()
-	} else {
-		st.State = "done"
 	}
 	return st
 }
@@ -393,11 +385,9 @@ func (s *Server) handleAbort(w http.ResponseWriter, r *http.Request) {
 	if e == nil {
 		return
 	}
-	select {
-	case <-e.handle.Done():
+	if st := e.handle.State(); st == rundown.PoolJobDone || st == rundown.PoolJobFailed {
 		writeError(w, http.StatusConflict, "job %q already finished", e.id)
 		return
-	default:
 	}
 	e.handle.Abort(errAborted)
 	writeJSON(w, http.StatusAccepted, s.status(e))

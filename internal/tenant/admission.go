@@ -96,4 +96,8 @@ func (p *Pool) InjectFaults(rules []fault.Rule) error {
 // retires directly; a running job is aborted through its manager, which
 // refuses if the state machine already completed (the job keeps its
 // results and Wait returns nil). A finished job is left untouched.
-func (j *Job) Abort(err error) { j.pool.killJob(j, err) }
+func (j *Job) Abort(err error) {
+	j.pool.mu.Lock()
+	j.pool.kill(j, err)
+	j.pool.mu.Unlock()
+}

@@ -109,8 +109,8 @@ func TestPoolAbortSparesFinishedJobs(t *testing.T) {
 
 // TestPoolAbortSparesCompletedUnretiredJobs: a job whose state machine
 // has completed but which no worker sweep has retired yet must keep its
-// results through an Abort — once mgr.Done() is true, Abort may never
-// poison the job with the abort error.
+// results through an Abort — once the manager's Outcome reports done,
+// Abort may never poison the job with the abort error.
 func TestPoolAbortSparesCompletedUnretiredJobs(t *testing.T) {
 	pool, err := NewPool(Config{Workers: 2, Manager: executive.ShardedManager})
 	if err != nil {
@@ -125,7 +125,10 @@ func TestPoolAbortSparesCompletedUnretiredJobs(t *testing.T) {
 	// have been retired by a worker sweep at this point; Abort must treat
 	// both states as "finished".
 	deadline := time.Now().Add(5 * time.Second)
-	for !j.driver().Done() {
+	for {
+		if done, _ := j.cur.Load().mgr.Outcome(); done {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("job never completed")
 		}

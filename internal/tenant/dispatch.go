@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/executive"
 )
 
 // This file is the cross-job dispatch policy. Two decisions live here:
@@ -48,43 +47,43 @@ func (p *Pool) home(w int, c *homeCache) *Job {
 
 // sweep makes one pass over the dispatch policy for worker w: home job
 // first, then the backfill candidates in policy order. ok=false means
-// nothing was dispatchable anywhere at sweep time. The returned driver
-// is the one the task was taken from — the worker completes to it, even
-// if a retry swaps the job's current driver in the meantime. now is the
-// last stamp a manager handed back (the dispatch stamp when ok).
+// nothing was dispatchable anywhere at sweep time. The returned attempt
+// is the one the task was taken from — the worker completes to its
+// manager, even if a retry swaps the job's attempt in the meantime. now is
+// the last stamp a manager handed back (the dispatch stamp when ok).
 //
 // The sweep does not chain the worker's previous reading into TryNext: it
 // arrives from pool-level work — the home lookup, the backfill plan, the
 // pool lock behind both — that is no job's management, and a manager
 // entered without contention charges from the stamp it is handed. So the
 // clock is read afresh before the home probe and again after the plan.
-func (p *Pool) sweep(w int, c *homeCache) (j *Job, m executive.PoolDriver, t core.Task, backfill bool, now clock.Stamp, ok bool) {
+func (p *Pool) sweep(w int, c *homeCache) (a *attempt, t core.Task, backfill bool, now clock.Stamp, ok bool) {
 	home := p.home(w, c)
 	at := clock.Now()
 	if home != nil {
-		hm := home.driver()
-		if t, at, ok = hm.TryNext(w, at); ok {
+		ha := home.cur.Load()
+		if t, at, ok = ha.mgr.TryNext(w, at); ok {
 			p.gen.Add(1)
-			return home, hm, t, false, at, true
+			return ha, t, false, at, true
 		}
-		p.checkFinished(home)
+		p.settle(ha)
 	}
 	plan := p.backfillPlan(home)
 	if len(plan) > 0 {
 		at = clock.Now()
 	}
 	for _, cand := range plan {
-		cm := cand.driver()
-		if t, at, ok = cm.TryNext(w, at); ok {
+		ca := cand.cur.Load()
+		if t, at, ok = ca.mgr.TryNext(w, at); ok {
 			p.mu.Lock()
 			cand.deficit -= int64(t.Run.Len())
 			p.mu.Unlock()
 			p.gen.Add(1)
-			return cand, cm, t, true, at, true
+			return ca, t, true, at, true
 		}
-		p.checkFinished(cand)
+		p.settle(ca)
 	}
-	return nil, nil, core.Task{}, false, at, false
+	return nil, core.Task{}, false, at, false
 }
 
 // backfillPlan snapshots the backfill candidates for a worker homed on

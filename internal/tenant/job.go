@@ -20,12 +20,12 @@ type Job struct {
 
 	prog *core.Program
 	opt  core.Options // retained so a retry can recompile the scheduler
-	// sched and mgrv belong to the job's current ATTEMPT: a retry swaps
-	// in a fresh scheduler+manager pair. sched is swapped under pool.mu
-	// (read racily only by the stall probe, also under pool.mu); the
-	// driver is an atomic so workers and timers read it lock-free.
-	sched *core.Scheduler
-	mgrv  atomic.Value // executive.PoolDriver
+	// state is the lifecycle word, written only by move under
+	// pool.mu and read lock-free; cur is the current attempt, stored at
+	// Submit and swapped only by Pool.reactivate, under pool.mu, while the
+	// job is in Backoff (see lifecycle.go).
+	state atomic.Uint32
+	cur   atomic.Pointer[attempt]
 
 	// deficit is the job's deficit-round-robin backfill credit in
 	// granules, guarded by pool.mu.
@@ -36,17 +36,10 @@ type Job struct {
 	backfillTasks   atomic.Int64 // tasks run by foreign-home workers
 	backfillCompute atomic.Int64
 
-	// attempts counts scheduler instantiations (1 = no retry yet);
-	// retriesLeft is guarded by pool.mu; retrying marks the backoff
-	// window between a failed attempt and its restart; mgmtPrior
-	// accumulates dead attempts' management nanoseconds.
+	// attempts is 1 plus the retries spent so far (it runs one ahead of
+	// cur.n during a backoff); retriesLeft is guarded by pool.mu.
 	attempts    atomic.Int32
 	retriesLeft int
-	retrying    atomic.Bool
-	// failing counts attempt failures being processed right now (see
-	// Pool.failAttempt).
-	failing   atomic.Int32
-	mgmtPrior atomic.Int64
 	// lastTouch is the clock.Stamp of the job's last dispatch or
 	// completion submission — the watchdog's wedge signal, an interval
 	// measured on the monotonic clock so a wall-clock step cannot fail a
@@ -57,19 +50,14 @@ type Job struct {
 	deadline *time.Timer
 
 	submitted time.Time
-	finished  atomic.Bool
 	end       time.Time // guarded by pool.mu until done is closed
 	err       error     // guarded by pool.mu until done is closed
 	done      chan struct{}
 
-	// activatedOnce marks the first activation and queueWaitNS the
-	// submit-to-activation wait it measured (for a job retired while
-	// still queued, the whole life). Both written under pool.mu before
-	// done closes; read after Wait. started mirrors activatedOnce for
-	// lock-free progress polling (service SSE snapshots).
-	activatedOnce bool
-	queueWaitNS   int64
-	started       atomic.Bool
+	// queueWaitNS is the submit-to-first-activation wait (for a job
+	// retired while still queued, the whole life). Written under pool.mu
+	// before done closes; read after Wait.
+	queueWaitNS int64
 
 	// traceFrom and traceTo bracket the job's records in the pool's
 	// flight recorder: read at first activation (moved up at each retry)
@@ -77,13 +65,8 @@ type Job struct {
 	traceFrom, traceTo trace.Cursor
 }
 
-// driver returns the job's current attempt's manager.
-func (j *Job) driver() executive.PoolDriver {
-	return j.mgrv.Load().(executive.PoolDriver)
-}
-
-// Attempts reports how many times the job's scheduler was instantiated:
-// 1 plus the number of retries taken so far.
+// Attempts reports how many attempts the job has been given: 1 plus the
+// number of retries taken so far.
 func (j *Job) Attempts() int { return int(j.attempts.Load()) }
 
 // Name returns the job's label.
@@ -121,13 +104,9 @@ func (j *Job) Trace() (*trace.Trace, error) {
 // Class returns the job's service class ("" = unclassified).
 func (j *Job) Class() string { return j.cfg.Class }
 
-// Started reports whether the job has been activated at least once —
-// false while it waits behind admission control. Safe to poll.
-func (j *Job) Started() bool { return j.started.Load() }
-
-// Finished reports whether the job has been retired. Safe to poll;
-// Done is the blocking form.
-func (j *Job) Finished() bool { return j.finished.Load() }
+// State reports where the job is in its lifecycle. Safe to poll; Done is
+// the blocking form of "reached a terminal state".
+func (j *Job) State() State { return State(j.state.Load()) }
 
 // Tasks reports how many tasks the job has completed so far. Safe to
 // poll while the job runs (monotonic, eventually consistent).
@@ -144,20 +123,21 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // zero — parked time belongs to the pool, not to any one job.
 func (j *Job) Wait() (*executive.Report, error) {
 	<-j.done
-	// An async manager's management goroutine may still be winding down
-	// for a moment after the job is retired; join it so the scheduler
-	// statistics read below are quiescent.
-	m := j.driver()
-	if jn, ok := m.(executive.Joiner); ok {
+	// Scheduler statistics and management time come from one attempt, the
+	// job's last. An async manager's management goroutine may still be
+	// winding down for a moment after the job is retired; join it so the
+	// statistics are quiescent.
+	a := j.cur.Load()
+	if jn, ok := a.mgr.(executive.Joiner); ok {
 		jn.Join()
 	}
 	rep := &executive.Report{
 		Manager: j.pool.cfg.Manager,
 		Wall:    j.end.Sub(j.submitted),
 		Compute: time.Duration(j.compute.Load()),
-		Mgmt:    m.Mgmt() + time.Duration(j.mgmtPrior.Load()),
+		Mgmt:    a.mgmt(),
 		Tasks:   j.tasks.Load(),
-		Sched:   j.sched.Stats(),
+		Sched:   a.sched.Stats(),
 	}
 	if rep.Mgmt > 0 {
 		rep.MgmtRatio = float64(rep.Compute) / float64(rep.Mgmt)

@@ -65,7 +65,7 @@ func (p *Pool) snapshot() Snapshot {
 	for _, j := range jobs {
 		sn.Tasks += j.tasks.Load()
 		sn.Compute += time.Duration(j.compute.Load())
-		sn.Mgmt += j.driver().Mgmt() + time.Duration(j.mgmtPrior.Load())
+		sn.Mgmt += j.cur.Load().mgmt()
 	}
 	sn.Utilization, sn.OverheadShare = telemetry.Shares(
 		int64(sn.Compute), int64(sn.Mgmt), p.cfg.Workers, int64(sn.Elapsed))

@@ -462,7 +462,7 @@ func (d *stallDriver) Abort(err error)                                 { d.err =
 func (d *stallDriver) Err() error                                      { return d.err }
 func (d *stallDriver) Mgmt() time.Duration                             { return 0 }
 func (d *stallDriver) Idle() time.Duration                             { return 0 }
-func (d *stallDriver) Done() bool                                      { return false }
+func (d *stallDriver) Outcome() (bool, error)                          { return false, d.err }
 func (d *stallDriver) InFlight() int                                   { return 0 }
 
 // TestPoolStallDetector injects a wedged job directly (the public Submit
@@ -480,15 +480,14 @@ func TestPoolStallDetector(t *testing.T) {
 	}
 	j := &Job{
 		pool: p, cfg: JobConfig{Name: "wedged", Weight: 1},
-		prog: prog, sched: sched,
+		prog: prog,
 		done: make(chan struct{}), submitted: time.Now(),
 	}
-	j.mgrv.Store(executive.PoolDriver(&stallDriver{}))
+	j.cur.Store(&attempt{job: j, n: 1, sched: sched, mgr: &stallDriver{}})
 	j.attempts.Store(1)
 	p.mu.Lock()
 	p.jobs = append(p.jobs, j)
-	p.active = append(p.active, j)
-	p.rebalanceLocked()
+	p.activate(j, Queued)
 	p.mu.Unlock()
 	p.progress()
 

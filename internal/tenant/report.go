@@ -68,7 +68,7 @@ func (p *Pool) report() *Report {
 	}
 	for _, j := range p.jobs {
 		r.Compute += time.Duration(j.compute.Load())
-		r.Mgmt += j.driver().Mgmt() + time.Duration(j.mgmtPrior.Load())
+		r.Mgmt += j.cur.Load().mgmt()
 		r.Tasks += j.tasks.Load()
 	}
 	if r.Compute > 0 {

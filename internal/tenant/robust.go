@@ -5,25 +5,16 @@ package tenant
 // backoff, admission control, the wedge watchdog, and the deterministic
 // fault-injection hooks that let all of it be exercised on demand.
 //
-// The attempt model mirrors the simulator's: a job's current scheduler
-// and manager belong to its current ATTEMPT. When an attempt dies
-// (injected error, work panic, wedge) the old manager is aborted first —
-// so every in-flight completion of the dead attempt is dropped at the
-// manager's own post-failure gate — and, when retries remain, a fresh
-// scheduler+manager pair is swapped in after the backoff. Workers carry
-// the (job, driver) pair they took a task from, so a stale worker can
-// never submit old-attempt state into a new attempt: its captured driver
-// is the aborted one.
+// The job lifecycle itself — states, attempts, and the one function that
+// decides between a retry and retirement — is in lifecycle.go.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/executive"
 	"repro/internal/fault"
 	"repro/internal/trace"
 )
@@ -166,188 +157,6 @@ func (p *Pool) holdCompletion(w int, j *Job, tf *taskFaults) {
 
 // ---- failure handling: retry, deadline, watchdog ----
 
-// failAttempt fails job j's attempt owned by driver m with a retryable
-// error: abort the manager, then let failJob choose between a retry and
-// retirement. Other workers see the manager's error the moment Abort
-// lands — before failJob has marked the job as retrying — and would
-// retire the job with it (checkFinished), spending no retry; failing
-// tells them to stand back until the decision is made.
-func (p *Pool) failAttempt(j *Job, m executive.PoolDriver, err error) {
-	j.failing.Add(1)
-	m.Abort(err)
-	merr := m.Err()
-	if merr != nil {
-		p.failJob(j, m, merr, true)
-	}
-	j.failing.Add(-1)
-	if merr == nil {
-		// The abort was refused: the state machine completed first.
-		p.checkFinished(j)
-	}
-}
-
-// failJob handles the failure of job j's attempt owned by driver m
-// (which the caller has already aborted, outside p.mu). A retryable,
-// non-deadline failure with retries left restarts the job on a fresh
-// scheduler after its capped exponential backoff; otherwise the job
-// retires with err. A stale call — m is no longer j's current driver —
-// is dropped: the attempt it belonged to already died.
-func (p *Pool) failJob(j *Job, m executive.PoolDriver, err error, retryable bool) {
-	p.mu.Lock()
-	if j.finished.Load() || (m != nil && j.driver() != m) {
-		p.mu.Unlock()
-		return
-	}
-	if !retryable || j.retriesLeft <= 0 || errors.Is(err, context.DeadlineExceeded) {
-		p.finishJobLocked(j, err)
-		p.mu.Unlock()
-		p.progress()
-		return
-	}
-	j.retriesLeft--
-	attempt := int(j.attempts.Add(1))
-	p.retries.Add(1)
-	if p.met != nil {
-		p.met.Retries.Inc(0)
-	}
-	p.retryWait++
-	j.retrying.Store(true)
-	// Fold the dead attempt's management time into the job's total before
-	// the driver is replaced.
-	j.mgmtPrior.Add(int64(m.Mgmt()))
-	// Out of the active set while backing off: no worker sweeps it, no
-	// home workers are parked on it.
-	for i, a := range p.active {
-		if a == j {
-			p.active = append(p.active[:i], p.active[i+1:]...)
-			if p.met != nil {
-				p.met.ActiveJobs.Set(int64(len(p.active)))
-			}
-			p.rebalanceLocked()
-			break
-		}
-	}
-	if rec := p.cfg.Trace; rec != nil {
-		// The job's trace extent restarts here, before the KRetry: only
-		// the last attempt is a schedule (trace.FilterJob cuts at the
-		// record), and the cut itself must stay inside the extent.
-		j.traceFrom = rec.Cursor()
-		rec.Emit(trace.KRetry, rec.Now(), -1, int32(j.idx), -1, 0, 0, int64(attempt))
-	}
-	p.mu.Unlock()
-	time.AfterFunc(backoffDur(j.cfg.Backoff, attempt), func() { p.reactivate(j) })
-	p.progress()
-}
-
-// reactivate restarts job j on a fresh scheduler+manager pair after its
-// retry backoff. A job retired in the meantime (deadline, Abort, Close
-// teardown) is left retired — the retry slot is simply returned.
-func (p *Pool) reactivate(j *Job) {
-	var mgr executive.PoolDriver
-	if !j.finished.Load() {
-		sched, err := core.New(j.prog, j.opt)
-		if err == nil {
-			mgr, err = executive.NewPoolDriver(sched, executive.Config{
-				Workers: p.cfg.Workers, Manager: p.cfg.Manager,
-				DequeCap: p.cfg.DequeCap, Batch: p.cfg.Batch,
-				ReadyCap: p.cfg.ReadyCap, LowWater: p.cfg.LowWater,
-				Metrics: p.cfg.Metrics,
-			})
-		}
-		if err != nil {
-			// Unreachable in practice: the same (prog, opt) compiled at
-			// Submit. Retire the job with the recompile error.
-			p.mu.Lock()
-			p.retryWait--
-			p.finishJobLocked(j, fmt.Errorf("tenant: retry of job %q failed to restart: %w", j.cfg.Name, err))
-			p.mu.Unlock()
-			p.progress()
-			return
-		}
-		if sched != nil {
-			j.sched = sched
-		}
-		if n, ok := mgr.(executive.Notifier); ok {
-			n.SetNotify(p.progress)
-		}
-	}
-	p.mu.Lock()
-	p.retryWait--
-	if j.finished.Load() {
-		p.mu.Unlock()
-		p.progress()
-		return
-	}
-	j.mgrv.Store(mgr)
-	j.retrying.Store(false)
-	p.activateLocked(j)
-	p.mu.Unlock()
-	p.progress()
-}
-
-// deadlineFire aborts job j — and only j — when its deadline timer
-// fires: the error wraps context.DeadlineExceeded and never retries.
-func (p *Pool) deadlineFire(j *Job) {
-	p.killJob(j, fmt.Errorf("tenant: job %q exceeded its deadline of %v: %w",
-		j.cfg.Name, j.cfg.Deadline, context.DeadlineExceeded))
-}
-
-// killJob fails one job with err without retrying it — the shared body
-// of the deadline timer and the explicit Job.Abort. A job still queued
-// behind admission control (or backing off between attempts) is retired
-// directly; a running job is aborted through its manager, which refuses
-// if the state machine already completed — a job that beat the abort
-// keeps its results.
-//
-// The whole thing loops because the abort races concurrent attempt
-// failures: if a retry swaps in a fresh driver between the driver()
-// capture and the Abort, the abort lands on the dead attempt and failJob
-// drops it as stale — and the caller fires only once, so without
-// re-firing here the new attempt would outlive the abort unbounded.
-// Each pass either retires the job or observes an attempt swap, so the
-// loop is bounded by the retry budget.
-func (p *Pool) killJob(j *Job, err error) {
-	for {
-		p.mu.Lock()
-		if j.finished.Load() {
-			p.mu.Unlock()
-			return
-		}
-		queued := false
-		for i, q := range p.waitq {
-			if q == j {
-				p.waitq = append(p.waitq[:i], p.waitq[i+1:]...)
-				queued = true
-				break
-			}
-		}
-		if queued || j.retrying.Load() {
-			p.finishJobLocked(j, err)
-			p.mu.Unlock()
-			p.progress()
-			return
-		}
-		m := j.driver()
-		p.mu.Unlock()
-		// The abort happens outside p.mu (manager locks and the async
-		// notify path re-enter the pool), exactly as in Pool.Abort.
-		m.Abort(err)
-		if merr := m.Err(); merr == nil {
-			p.checkFinished(j)
-			p.progress()
-			return
-		} else {
-			p.failJob(j, m, merr, false)
-		}
-		if j.finished.Load() {
-			p.progress()
-			return
-		}
-		// failJob dropped the abort as stale: m's attempt already died and
-		// a retry owns the job now. Go again against the current attempt.
-	}
-}
-
 // watchdog is the pool's liveness probe, running while StallTimeout is
 // enabled. Each tick it re-wakes parked workers (the recovery path an
 // injected dropped wakeup is priced against) and sweeps the active jobs
@@ -377,22 +186,20 @@ func (p *Pool) watchdog(timeout time.Duration) {
 		p.mu.Unlock()
 		now := int64(clock.Now())
 		for _, j := range jobs {
-			if j.finished.Load() || j.retrying.Load() {
-				continue
-			}
 			lt := j.lastTouch.Load()
-			if lt == 0 || now-lt < int64(timeout) {
+			if j.State() != Running || lt == 0 || now-lt < int64(timeout) {
 				continue
 			}
-			m := j.driver()
-			inflight := m.InFlight()
+			a := j.cur.Load()
+			inflight := a.mgr.InFlight()
 			if inflight == 0 {
 				continue
 			}
-			err := fmt.Errorf("tenant: job %q wedged: no progress for %v with %d tasks in flight",
-				j.cfg.Name, time.Duration(now-lt), inflight)
-			p.failAttempt(j, m, err) // retires j instead if it finished since the probe
-			p.progress()
+			// Refused if the job finished since the probe; settle then
+			// retires it with its results.
+			a.mgr.Abort(transient{fmt.Errorf("tenant: job %q wedged: no progress for %v with %d tasks in flight",
+				j.cfg.Name, time.Duration(now-lt), inflight)})
+			p.settle(a)
 		}
 	}
 }

@@ -23,7 +23,6 @@ package tenant
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime/pprof"
 	"strconv"
@@ -172,10 +171,10 @@ type Pool struct {
 	homes   []*Job // per-worker home job; nil entries when no active jobs
 	closed  bool
 	stalled int // jobs failed by the pool stall detector
-	// retryWait counts jobs between attempts (backoff timer pending).
-	// Workers must not exit — and Close must not join them — while a
-	// retry is outstanding, even with the active set empty.
-	retryWait int
+	// backoff holds the jobs between attempts, each with its pending retry
+	// timer. Workers must not exit — and Close must not join them — while
+	// a retry is outstanding, even with the active set empty.
+	backoff map[*Job]*time.Timer
 
 	// epoch bumps (under mu) whenever the active set changes, so workers
 	// can cache their home job and re-read only on change.
@@ -233,10 +232,11 @@ func NewPool(cfg Config) (*Pool, error) {
 		return nil, fmt.Errorf("tenant: %w", err)
 	}
 	p := &Pool{
-		cfg:   cfg,
-		homes: make([]*Job, cfg.Workers),
-		start: time.Now(),
-		met:   cfg.Metrics,
+		cfg:     cfg,
+		homes:   make([]*Job, cfg.Workers),
+		backoff: make(map[*Job]*time.Timer),
+		start:   time.Now(),
+		met:     cfg.Metrics,
 	}
 	p.cond = sync.NewCond(&p.mu)
 	if rec := cfg.Trace; rec != nil {
@@ -291,41 +291,18 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 		opt.Workers = p.cfg.Workers
 	}
 	opt = capTenantGrain(prog, opt, p.cfg.PreemptBound)
-	sched, err := core.New(prog, opt)
-	if err != nil {
-		return nil, err
-	}
-	// Options.AdaptiveBatch is deliberately NOT threaded through here:
-	// pool workers drive the non-blocking PoolDriver surface and park at
-	// pool level, never on the manager's condition variable, so the
-	// controller's hoarded-idle (shrink) signal would be structurally
-	// zero — a grow-only controller is worse than fixed parameters.
-	// Adaptive tenancy is a ROADMAP follow-on.
-	mgr, err := executive.NewPoolDriver(sched, executive.Config{
-		Workers: p.cfg.Workers, Manager: p.cfg.Manager,
-		DequeCap: p.cfg.DequeCap, Batch: p.cfg.Batch,
-		ReadyCap: p.cfg.ReadyCap, LowWater: p.cfg.LowWater,
-		Metrics: p.cfg.Metrics,
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Async managers make progress on their own management goroutine —
-	// completions apply and refills land where no pool worker sees them —
-	// so the pool registers its progress bump as the manager's notify
-	// callback: parked workers wake and re-sweep when the job's
-	// management goroutine produces work or finishes the job.
-	if n, ok := mgr.(executive.Notifier); ok {
-		n.SetNotify(p.progress)
-	}
 	if jc.Weight <= 0 {
 		jc.Weight = 1
 	}
 	j := &Job{
-		pool: p, cfg: jc, prog: prog, opt: opt, sched: sched,
+		pool: p, cfg: jc, prog: prog, opt: opt,
 		done: make(chan struct{}), submitted: time.Now(),
 	}
-	j.mgrv.Store(mgr)
+	first, err := p.newAttempt(j, nil)
+	if err != nil {
+		return nil, err
+	}
+	j.cur.Store(first)
 	j.attempts.Store(1)
 	j.retriesLeft = jc.Retry
 
@@ -361,12 +338,15 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 		// Admitted but queued: the manager starts when a slot frees.
 		p.waitq = append(p.waitq, j)
 	} else {
-		p.activateLocked(j)
+		p.activate(j, Queued)
 	}
 	// The deadline clock starts at Submit — queue wait under admission
-	// control counts against it.
+	// control counts against it. A deadline abort never retries.
 	if d := jc.Deadline; d > 0 {
-		j.deadline = time.AfterFunc(d, func() { p.deadlineFire(j) })
+		j.deadline = time.AfterFunc(d, func() {
+			j.Abort(fmt.Errorf("tenant: job %q exceeded its deadline of %v: %w",
+				j.cfg.Name, d, context.DeadlineExceeded))
+		})
 	}
 	p.mu.Unlock()
 
@@ -376,37 +356,6 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 	p.classInc(jc.Class, classSubmitted)
 	p.progress()
 	return j, nil
-}
-
-// activateLocked starts job j's manager and puts it in the active set.
-// Caller holds p.mu.
-func (p *Pool) activateLocked(j *Job) {
-	if rec := p.cfg.Trace; rec != nil {
-		if j.traceFrom == nil {
-			j.traceFrom = rec.Cursor()
-		}
-		rec.Emit(trace.KStart, rec.Now(), -1, int32(j.idx), -1, 0, 0, 0)
-	}
-	if !j.activatedOnce {
-		// First activation (a retry reactivates but never re-queues): the
-		// submit-to-start gap is the admission-control queue wait.
-		j.activatedOnce = true
-		j.started.Store(true)
-		j.queueWaitNS = int64(time.Since(j.submitted))
-		if p.met != nil {
-			p.met.QueueWait.Observe(j.queueWaitNS)
-		}
-	}
-	j.driver().Start()
-	j.lastTouch.Store(int64(clock.Now()))
-	p.active = append(p.active, j)
-	if p.met != nil {
-		p.met.ActiveJobs.Set(int64(len(p.active)))
-	}
-	p.rebalanceLocked()
-	// A worker whose dry sweep predates j must sweep again, not find j
-	// idle in park's stall probe before the caller's progress() lands.
-	p.gen.Add(1)
 }
 
 // Close marks the pool as accepting no more jobs, lets every submitted
@@ -442,45 +391,26 @@ func (p *Pool) Close() (*Report, error) {
 	return p.closeRep, p.closeErr
 }
 
-// Abort fails every active job with err (finished jobs keep their
-// results), releasing their workers and waiters; the pool itself
+// Abort fails every unfinished job with err — running, queued or between
+// attempts; pending retries are cancelled and finished jobs keep their
+// results — releasing their workers and waiters; the pool itself
 // survives and Close still returns normally. It is the pool's
 // cancellation point: a caller whose context fires aborts the pool with
 // an error wrapping ctx.Err(), and every outstanding Job.Wait returns
 // that error.
 func (p *Pool) Abort(err error) {
 	p.mu.Lock()
-	jobs := append([]*Job(nil), p.active...)
-	// Queued and backing-off jobs have no running manager to abort; they
-	// retire directly. An abort is final — pending retries are cancelled
-	// (their backoff timers fire into a finished job and stand down).
-	for _, j := range p.jobs {
-		if j.retrying.Load() && !j.finished.Load() {
-			p.finishJobLocked(j, err)
-		}
+	victims := append(append([]*Job(nil), p.active...), p.waitq...)
+	for j := range p.backoff {
+		victims = append(victims, j)
 	}
-	for len(p.waitq) > 0 {
-		j := p.waitq[0]
-		p.waitq = p.waitq[1:]
-		p.finishJobLocked(j, err)
+	// The queue is emptied first: a slot freed below must not start a job
+	// this abort is about to fail.
+	p.waitq = nil
+	for _, j := range victims {
+		p.kill(j, err)
 	}
 	p.mu.Unlock()
-	// Manager aborts happen outside p.mu: each takes its own manager
-	// lock, and the async manager's notify path re-enters the pool.
-	for _, j := range jobs {
-		// A manager whose state machine already completed refuses the
-		// abort under its own lock (no check-then-act window here): the
-		// job executed fully — perhaps retired by no worker sweep yet —
-		// and keeps its results instead of being poisoned with the abort
-		// error. The refusal reads back as Err() == nil.
-		m := j.driver()
-		m.Abort(err)
-		if merr := m.Err(); merr == nil {
-			p.checkFinished(j)
-		} else {
-			p.failJob(j, m, merr, false)
-		}
-	}
 	p.progress()
 }
 
@@ -503,24 +433,23 @@ func (p *Pool) worker(ctx context.Context, w int) {
 	defer p.wg.Done()
 	var cache homeCache
 	var labeled *Job // job currently named in this goroutine's pprof labels
-	// The previous task's job AND the driver it was taken from: after a
-	// retry swaps a fresh manager into the job, this worker's batched
-	// completions still belong to the old (aborted) attempt and must be
-	// flushed there, where the post-failure gate drops them.
-	var last *Job
-	var lastMgr executive.PoolDriver
+	// The attempt the previous task was taken from: after a retry swaps a
+	// fresh attempt into the job, this worker's batched completions still
+	// belong to the old (aborted) one and must be flushed there, where the
+	// post-failure gate drops them.
+	var last *attempt
 	now := clock.Now()
 	for {
 		g0 := p.gen.Load()
 		asked := now
-		j, m, task, backfill, at, ok := p.sweep(w, &cache)
+		a, task, backfill, at, ok := p.sweep(w, &cache)
 		now = at
 		if ok {
 			if p.met != nil {
-				if j != labeled {
+				if a.job != labeled {
+					labeled = a.job
 					pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
-						pprof.Labels("rundown_job", j.cfg.Name)))
-					labeled = j
+						pprof.Labels("rundown_job", labeled.cfg.Name)))
 				}
 				// Ask-to-dispatch: the sweep that found the task, from the
 				// worker's previous completion (or wakeup) to the task in
@@ -531,24 +460,24 @@ func (p *Pool) worker(ctx context.Context, w int) {
 				// pool imposes on a task.
 				p.met.DispatchWait.Observe(int64(now - asked))
 			}
-			if lastMgr != nil && lastMgr != m {
+			if last != nil && last != a {
 				// The previous job's completions must not linger in this
 				// worker's batch while it works elsewhere: a job's final
 				// completions would otherwise wait for this worker's next
 				// dry sweep, stretching that job's observed makespan.
 				var applied bool
-				if now, applied = lastMgr.Flush(w, now); applied {
-					p.checkFinished(last)
+				if now, applied = last.mgr.Flush(w, now); applied {
+					p.settle(last)
 					p.progress()
 				}
 			}
-			last, lastMgr = j, m
-			now = p.runTask(w, j, m, task, backfill, now)
+			last = a
+			now = p.runTask(w, a, task, backfill, now)
 			continue
 		}
 		// Dry sweep: every active job's TryNext flushed this worker's
 		// batch and found nothing dispatchable.
-		last, lastMgr = nil, nil
+		last = nil
 		var exit bool
 		if exit, now = p.park(w, g0, now); exit {
 			return
@@ -556,15 +485,15 @@ func (p *Pool) worker(ctx context.Context, w int) {
 	}
 }
 
-// runTask executes task for job j outside every lock, then submits the
-// completion to m — the driver the task was taken from, which after a
-// retry may no longer be j's current one (the stale completion is then
-// dropped at the aborted manager's gate). Panics in user work fail the
-// job, not the pool; a failed attempt with retries left restarts. now is
-// the dispatch stamp — the start of the task's compute interval — and the
-// stamp returned is the worker's latest reading once the completion is
-// submitted.
-func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, backfill bool, now clock.Stamp) clock.Stamp {
+// runTask executes task outside every lock, then submits the completion
+// to a's manager — the attempt the task was taken from, which after a
+// retry may no longer be its job's current one (the stale completion is
+// then dropped at the aborted manager's gate). Panics in user work fail
+// the attempt, not the pool. now is the dispatch stamp — the start of the
+// task's compute interval — and the stamp returned is the worker's latest
+// reading once the completion is submitted.
+func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clock.Stamp) clock.Stamp {
+	j := a.job
 	j.lastTouch.Store(int64(now))
 	if p.met != nil {
 		p.met.Dispatches.Inc(w)
@@ -596,7 +525,8 @@ func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, ba
 	dur := end.Sub(now)
 
 	if err != nil {
-		p.failAttempt(j, m, err)
+		a.mgr.Abort(transient{err})
+		p.settle(a)
 		return end
 	}
 	j.compute.Add(int64(dur))
@@ -639,9 +569,9 @@ func (p *Pool) runTask(w int, j *Job, m executive.PoolDriver, task core.Task, ba
 	// only woken when the batch was actually applied — without this,
 	// every batched completion would broadcast the pool awake during
 	// rundown, defeating the point of completion batching.
-	end, applied := m.Complete(w, task, end)
+	end, applied := a.mgr.Complete(w, task, end)
 	if applied {
-		p.checkFinished(j)
+		p.settle(a)
 		p.progress()
 	}
 	return end
@@ -684,7 +614,7 @@ func (p *Pool) progress() {
 func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stamp) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed && len(p.active) == 0 && len(p.waitq) == 0 && p.retryWait == 0 {
+	if p.closed && len(p.active) == 0 && len(p.waitq) == 0 && len(p.backoff) == 0 {
 		p.cond.Broadcast()
 		return true, at
 	}
@@ -700,22 +630,19 @@ func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stam
 		// a true stall. Fail those jobs; the pool itself survives.
 		var stalled []*Job // collected first: retiring one edits p.active
 		for _, j := range p.active {
-			if j.driver().InFlight() == 0 {
+			if j.cur.Load().mgr.InFlight() == 0 {
 				stalled = append(stalled, j)
 			}
 		}
 		for _, j := range stalled {
-			m := j.driver()
-			m.Abort(fmt.Errorf("tenant: job %q stalled at phase %d: all pool workers idle, nothing in flight",
-				j.cfg.Name, j.sched.CurrentPhase()))
-			if merr := m.Err(); merr == nil {
-				// The manager refused the abort: the job's final
-				// completion landed (async drain) between the dry
-				// sweep and this probe — it finished, it did not
-				// stall. Retire it with its results.
-				p.finishJobLocked(j, nil)
-			} else {
-				p.finishJobLocked(j, merr)
+			// A manager that refuses the abort finished, it did not stall:
+			// its final completion landed (async drain) between the dry
+			// sweep and this probe, and settle retires it with its results.
+			a := j.cur.Load()
+			a.mgr.Abort(fmt.Errorf("tenant: job %q stalled at phase %d: all pool workers idle, nothing in flight",
+				j.cfg.Name, a.sched.CurrentPhase()))
+			p.settleLocked(a)
+			if j.State() == Failed {
 				p.stalled++
 			}
 		}
@@ -738,93 +665,4 @@ func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stam
 		rec.Ring(w).Record(trace.KUnpark, rec.At(now), int32(w), -1, -1, 0, 0, int64(d))
 	}
 	return false, now
-}
-
-// checkFinished retires j when its state machine has completed or its
-// manager recorded an error (completion-processing panic, abort). A job
-// between attempts is left alone: its current driver is the dead
-// attempt's, and the retry owns its fate. So is a job whose attempt is
-// being failed right now (failAttempt): its manager already shows the
-// error, but whether that means a retry or retirement is the failing
-// worker's call, not a bystander's.
-func (p *Pool) checkFinished(j *Job) {
-	if j.finished.Load() || j.retrying.Load() || j.failing.Load() > 0 {
-		return
-	}
-	m := j.driver()
-	err := m.Err()
-	if err == nil && !m.Done() {
-		return
-	}
-	p.mu.Lock()
-	// failing is raised before the manager's error becomes visible and
-	// lowered only after failJob has decided under p.mu, so this check
-	// cannot miss an attempt failure in progress; one already carried out
-	// — a zero-backoff retry won this lock first — shows as a new driver.
-	if j.retrying.Load() || j.failing.Load() > 0 || j.driver() != m {
-		p.mu.Unlock()
-		return
-	}
-	p.finishJobLocked(j, err)
-	p.mu.Unlock()
-}
-
-// finishJobLocked retires j exactly once: records the end time and error,
-// removes it from the active set, rebalances homes, and releases waiters.
-// Caller holds p.mu.
-func (p *Pool) finishJobLocked(j *Job, err error) {
-	if j.finished.Load() {
-		return
-	}
-	j.finished.Store(true)
-	j.end = time.Now()
-	j.err = err
-	if j.deadline != nil {
-		j.deadline.Stop()
-	}
-	if rec := p.cfg.Trace; rec != nil {
-		k := trace.KFinish
-		if err != nil {
-			k = trace.KAbort
-		}
-		if j.traceFrom == nil {
-			// Retired while still queued: the extent is this one record.
-			j.traceFrom = rec.Cursor()
-		}
-		rec.Emit(k, rec.Now(), -1, int32(j.idx), -1, 0, 0, 0)
-		j.traceTo = rec.Cursor()
-	}
-	for i, a := range p.active {
-		if a == j {
-			p.active = append(p.active[:i], p.active[i+1:]...)
-			break
-		}
-	}
-	// The freed slot admits queued jobs in submit order.
-	for len(p.waitq) > 0 && (p.cfg.MaxActive <= 0 || len(p.active) < p.cfg.MaxActive) {
-		next := p.waitq[0]
-		p.waitq = p.waitq[1:]
-		p.activateLocked(next)
-	}
-	if !j.activatedOnce {
-		// Retired while still queued (deadline, pool abort): the whole
-		// life was queue wait.
-		j.queueWaitNS = int64(j.end.Sub(j.submitted))
-	}
-	if p.met != nil {
-		p.met.JobsDone.Inc(0)
-		p.met.ActiveJobs.Set(int64(len(p.active)))
-		if errors.Is(err, context.DeadlineExceeded) {
-			p.met.DeadlineMisses.Inc(0)
-		} else if err == nil && j.cfg.Deadline > 0 {
-			p.met.DeadlineMargin.Observe(int64(j.cfg.Deadline - j.end.Sub(j.submitted)))
-		}
-		if j.cfg.Class != "" {
-			p.met.Class(j.cfg.Class).Done.Inc(0)
-		}
-	}
-	p.rebalanceLocked()
-	close(j.done)
-	p.gen.Add(1)
-	p.cond.Broadcast()
 }

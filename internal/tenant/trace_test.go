@@ -125,7 +125,7 @@ func TestJobTraceMatchesFilterJob(t *testing.T) {
 			}
 
 			// A running job reads its schedule so far.
-			if tr, err := steady.Trace(); err != nil || (!steady.Finished() && tr.Count(trace.KFinish) != 0) {
+			if tr, err := steady.Trace(); err != nil || (steady.State() < Done && tr.Count(trace.KFinish) != 0) {
 				t.Fatalf("live trace of steady: %v, err %v", tr, err)
 			}
 			if _, err := steady.Wait(); err != nil {

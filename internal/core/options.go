@@ -165,3 +165,32 @@ func (o Options) withDefaults(p *Program) Options {
 	}
 	return o
 }
+
+// CapGrain applies a preemption bound to a job's options: the task grain
+// — the largest non-preemptible unit a worker can hold, and therefore the
+// longest a home job emerging from rundown can wait behind an in-flight
+// foreign grain — is capped at bound granules (<= 0 = no cap). An unset
+// Grain is materialized to its default for p first, so the cap composes
+// with the default instead of replacing it.
+func (o Options) CapGrain(p *Program, bound int) Options {
+	if bound <= 0 {
+		return o
+	}
+	if o.Grain <= 0 {
+		o.Grain = o.withDefaults(p).Grain
+	}
+	if o.Grain > bound {
+		o.Grain = bound
+	}
+	return o
+}
+
+// Backoff is the capped exponential retry backoff every backend applies,
+// in its own time unit: the first retry (attempt 2; attempts count from
+// 1) waits base, each further retry doubles it, capped at 64× base.
+func Backoff[T ~int64](base T, attempt int) T {
+	if base <= 0 {
+		return 0
+	}
+	return base << min(max(attempt-2, 0), 6)
+}

@@ -50,58 +50,52 @@ package executive
 // (workers x elapsed) plus the lock-overhead and hoarded-idle shares of
 // it.
 
+// The controller's fixed parameters. Nothing ever set them to anything
+// else, so they are constants, not configuration.
+const (
+	// tunerMinCap and tunerMaxCap bound the deque capacity.
+	tunerMinCap, tunerMaxCap = 1, 512
+	// tunerIdleTarget is the hoarded-idle share (parked time overlapping
+	// nonempty peer deques) above which — overhead being cheap — the
+	// controller shrinks.
+	tunerIdleTarget = 0.25
+	// tunerStarveTarget is the lock-starvation share (parked time
+	// overlapping another worker's occupation of the management path)
+	// above which the controller grows even though the measured
+	// acquisition overhead reads cheap — the large-P saturation signal.
+	tunerStarveTarget = 0.2
+	// tunerLowBand is the fraction of MgmtTarget below which the overhead
+	// is considered cheap enough to trade batching away for distribution.
+	// The hold band [MgmtTarget*tunerLowBand, MgmtTarget] must be wider
+	// than one halving of the overhead, i.e. tunerLowBand < 0.5, or a
+	// single step could jump across it and oscillate.
+	tunerLowBand = 0.4
+	// tunerCooldown is how many epochs to hold after a change so the next
+	// observation reflects the new parameters.
+	tunerCooldown = 1
+)
+
 // TunerConfig parameterizes a Tuner. The zero value selects the defaults
 // noted on each field.
 type TunerConfig struct {
-	// Cap is the starting deque capacity / refill batch. <= 0 selects 16.
+	// Cap is the starting deque capacity / refill batch, clamped to
+	// [1, 512]. <= 0 selects 16.
 	Cap int
 	// Batch is the starting completion batch. <= 0 selects Cap/2 (min 1).
 	Batch int
-	// MinCap and MaxCap bound the deque capacity (defaults 1 and 512).
-	MinCap, MaxCap int
 	// MgmtTarget is the lock-overhead share of capacity to steer toward
 	// (<= 0 selects 0.02: an untuned batch-1 fine-grain run burns ~5% of
 	// the machine on lock entry, so the trigger must sit well under
 	// that). Above it the controller grows; the shrink rule only fires
-	// below MgmtTarget*LowBand.
+	// below MgmtTarget*tunerLowBand.
 	MgmtTarget float64
-	// IdleTarget is the hoarded-idle share (parked time overlapping
-	// nonempty peer deques) above which — overhead being cheap — the
-	// controller shrinks (<= 0 selects 0.25).
-	IdleTarget float64
-	// StarveTarget is the lock-starvation share (parked time overlapping
-	// another worker's occupation of the management path) above which the
-	// controller grows even though the measured acquisition overhead
-	// reads cheap — the large-P saturation signal (<= 0 selects 0.2).
-	StarveTarget float64
-	// LowBand is the fraction of MgmtTarget below which the overhead is
-	// considered cheap enough to trade batching away for distribution
-	// (<= 0 selects 0.4). The hold band [MgmtTarget*LowBand, MgmtTarget]
-	// must be wider than one halving of the overhead, i.e. LowBand <
-	// 0.5, or a single step could jump across it and oscillate.
-	LowBand float64
-	// Cooldown is how many epochs to hold after a change so the next
-	// observation reflects the new parameters (< 0 selects 0 epochs;
-	// 0 selects 1).
-	Cooldown int
 }
 
 func (c TunerConfig) withDefaults() TunerConfig {
 	if c.Cap <= 0 {
 		c.Cap = 16
 	}
-	if c.MinCap <= 0 {
-		c.MinCap = 1
-	}
-	if c.MaxCap <= 0 {
-		c.MaxCap = 512
-	}
-	if c.Cap < c.MinCap {
-		c.Cap = c.MinCap
-	}
-	if c.Cap > c.MaxCap {
-		c.Cap = c.MaxCap
-	}
+	c.Cap = min(max(c.Cap, tunerMinCap), tunerMaxCap)
 	if c.Batch <= 0 {
 		c.Batch = c.Cap / 2
 	}
@@ -110,20 +104,6 @@ func (c TunerConfig) withDefaults() TunerConfig {
 	}
 	if c.MgmtTarget <= 0 {
 		c.MgmtTarget = 0.02
-	}
-	if c.IdleTarget <= 0 {
-		c.IdleTarget = 0.25
-	}
-	if c.StarveTarget <= 0 {
-		c.StarveTarget = 0.2
-	}
-	if c.LowBand <= 0 {
-		c.LowBand = 0.4
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 1
-	} else if c.Cooldown < 0 {
-		c.Cooldown = 0
 	}
 	return c
 }
@@ -188,7 +168,7 @@ func (t *Tuner) Observe(capacity, overhead, hoardedIdle, lockStarve int64) (cap,
 		// too often — amortize more tasks per visit.
 		t.shrinkArm, t.starveArm = false, false
 		changed = t.set(t.cap*2, t.batch*2)
-	case starveShare > t.cfg.IdleTarget && overShare < t.cfg.MgmtTarget*t.cfg.LowBand:
+	case starveShare > tunerIdleTarget && overShare < t.cfg.MgmtTarget*tunerLowBand:
 		// Workers starve while peers sit on refilled tasks: hand work
 		// out in smaller lots. The signal must persist two consecutive
 		// epochs, so a one-epoch blip (a phase boundary, the final
@@ -202,7 +182,7 @@ func (t *Tuner) Observe(capacity, overhead, hoardedIdle, lockStarve int64) (cap,
 		} else {
 			t.shrinkArm = true
 		}
-	case lockShare > t.cfg.StarveTarget && starveShare <= t.cfg.IdleTarget:
+	case lockShare > tunerStarveTarget && starveShare <= tunerIdleTarget:
 		// Workers park behind a busy management path while the measured
 		// acquisition overhead reads ~0 (they wait on the condition
 		// variable, not the mutex, so their time never lands in
@@ -228,19 +208,14 @@ func (t *Tuner) Observe(capacity, overhead, hoardedIdle, lockStarve int64) (cap,
 	}
 	if changed {
 		t.changes++
-		t.cooldown = t.cfg.Cooldown
+		t.cooldown = tunerCooldown
 	}
 	return t.cap, t.batch, changed
 }
 
 // set clamps and applies new parameters, reporting whether anything moved.
 func (t *Tuner) set(cap, batch int) bool {
-	if cap < t.cfg.MinCap {
-		cap = t.cfg.MinCap
-	}
-	if cap > t.cfg.MaxCap {
-		cap = t.cfg.MaxCap
-	}
+	cap = min(max(cap, tunerMinCap), tunerMaxCap)
 	if batch < 1 {
 		batch = 1
 	}

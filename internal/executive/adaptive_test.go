@@ -150,7 +150,7 @@ func TestTunerLockStarvationGrows(t *testing.T) {
 	}
 
 	// The veto holds even when the shrink rule itself cannot fire: with
-	// the overhead share inside the hold band (above MgmtTarget*LowBand,
+	// the overhead share inside the hold band (above MgmtTarget*tunerLowBand,
 	// below MgmtTarget) the shrink case's guard fails, but high hoarded
 	// idle must still block the lock-starvation grow — growing the
 	// refill while tasks sit hoarded deepens the starvation.
@@ -203,23 +203,23 @@ func TestTunerNeverOscillatesSteady(t *testing.T) {
 	}
 }
 
-// TestTunerClamps: growth saturates at MaxCap, shrink at MinCap, and the
-// batch never exceeds the cap.
+// TestTunerClamps: growth saturates at tunerMaxCap, shrink at
+// tunerMinCap, and the batch never exceeds the cap.
 func TestTunerClamps(t *testing.T) {
-	tu := NewTuner(TunerConfig{Cap: 16, MaxCap: 64, MgmtTarget: 0.05})
+	tu := NewTuner(TunerConfig{Cap: tunerMaxCap / 4, MgmtTarget: 0.05})
 	const capacity = 1_000_000
 	for e := 0; e < 30; e++ {
 		tu.Observe(capacity, capacity/2, 0, 0) // overhead share 50%: grow hard
 	}
-	if tu.Cap() != 64 {
-		t.Fatalf("cap = %d, want clamped at 64", tu.Cap())
+	if tu.Cap() != tunerMaxCap {
+		t.Fatalf("cap = %d, want clamped at %d", tu.Cap(), tunerMaxCap)
 	}
-	tu2 := NewTuner(TunerConfig{Cap: 8, MinCap: 2, MgmtTarget: 0.05})
+	tu2 := NewTuner(TunerConfig{Cap: 4 * tunerMinCap, MgmtTarget: 0.05})
 	for e := 0; e < 30; e++ {
 		tu2.Observe(capacity, 0, capacity/2, 0) // hoarded idle 50%: shrink hard
 	}
-	if tu2.Cap() != 2 {
-		t.Fatalf("cap = %d, want clamped at 2", tu2.Cap())
+	if tu2.Cap() != tunerMinCap {
+		t.Fatalf("cap = %d, want clamped at %d", tu2.Cap(), tunerMinCap)
 	}
 	if tu2.Batch() > tu2.Cap() {
 		t.Fatalf("batch %d exceeds cap %d", tu2.Batch(), tu2.Cap())

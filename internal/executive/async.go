@@ -80,8 +80,7 @@ type async struct {
 	closeOnce sync.Once
 	loopDone  chan struct{} // closed when the management goroutine exits
 
-	errMu sync.Mutex
-	err   error
+	err error // guarded by smMu (every fail and Outcome holds it)
 
 	notify func() // pool progress callback; nil outside a pool
 
@@ -144,8 +143,7 @@ func newAsync(sm StateMachine, cfg Config) *async {
 	}
 }
 
-// SetNotify registers the pool progress callback (Notifier). Call before
-// Start.
+// SetNotify registers the pool progress callback. Call before Start.
 func (m *async) SetNotify(fn func()) { m.notify = fn }
 
 // Join blocks until the management goroutine has exited. Call only after
@@ -343,14 +341,10 @@ func (m *async) finishLocked() {
 }
 
 // fail records err (first wins) and raises the fast-path abort flag.
+// Caller holds smMu.
 func (m *async) fail(err error) {
-	m.errMu.Lock()
-	first := m.err == nil
-	if first {
+	if m.err == nil {
 		m.err = err
-	}
-	m.errMu.Unlock()
-	if first {
 		recordAbort(m.rec)
 	}
 	m.failed.Store(true)
@@ -411,10 +405,20 @@ func (m *async) vet(t core.Task, ok bool) (core.Task, bool) {
 	return t, true
 }
 
-// Next blocks until a task is available: fast path one channel receive,
-// slow path ring the doorbell (so the management goroutine re-evaluates
-// after the last completion), help inline past the watermark, then park
-// in the receive — the next refill's send is the targeted wakeup.
+// Enter pushes done to the management goroutine (complete) and then asks
+// for a task: fast path one channel receive, slow path ring the doorbell
+// (so the management goroutine re-evaluates after the last completion) and
+// help inline past the watermark (poll); AskWait then parks in the receive
+// — the next refill's send is the targeted wakeup. Workers never touch the
+// state-machine lock, so there is no critical section to fuse.
+//
+// AskTry cannot absorb management on the calling worker in the common
+// case — management belongs to the background goroutine — so ok=false
+// means "nothing buffered right now": the doorbell has been rung, and the
+// pool's progress callback (SetNotify) fires when the management goroutine
+// produces work, waking pool-parked workers. For the same reason applied
+// is always false: the completion was only handed over, and the callback
+// reports its application (an inline fallback cycle fires it too).
 //
 // The stamp returned with a task is a reading taken once it is in hand.
 // Unlike the sharded manager's deque pop, the worker-side hand-off here —
@@ -422,10 +426,16 @@ func (m *async) vet(t core.Task, ok bool) (core.Task, bool) {
 // receive — costs many times a fine-grain task's work, so it is kept out
 // of the task's compute interval; as before it is charged to no share
 // (Mgmt is the management goroutine's state-machine time).
-func (m *async) Next(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+func (m *async) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
+	if done.ID != 0 {
+		at = m.complete(done, at)
+	}
+	if ask == AskNone {
+		return core.Task{}, at, false, false
+	}
 	t, at, ok, dry := m.poll(at)
-	if !dry {
-		return t, at, ok
+	if !dry || ask == AskTry {
+		return t, at, ok, false
 	}
 	i0 := clock.Now()
 	if m.rec != nil {
@@ -438,21 +448,10 @@ func (m *async) Next(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
 		m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(now), int32(w), 0, -1, 0, 0, int64(now-i0))
 	}
 	t, ok = m.vet(t, ok)
-	return t, now, ok
+	return t, now, ok, false
 }
 
-// TryNext is the non-blocking Next the multi-tenant pool drives. Unlike
-// the inline managers it cannot absorb management on the calling worker
-// in the common case — management belongs to the background goroutine —
-// so ok=false means "nothing buffered right now": the doorbell has been
-// rung, and the pool's progress callback (Notifier) fires when the
-// management goroutine produces work, waking pool-parked workers.
-func (m *async) TryNext(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	t, at, ok, _ := m.poll(at)
-	return t, at, ok
-}
-
-// poll is the non-blocking part of Next: receive, else ring the doorbell,
+// poll is the non-blocking part of an ask: receive, else ring the doorbell,
 // help inline past the watermark, and receive once more. dry reports that
 // the buffer was still empty (and the run not failed) after all that.
 func (m *async) poll(at clock.Stamp) (t core.Task, now clock.Stamp, ok, dry bool) {
@@ -476,21 +475,18 @@ func (m *async) poll(at clock.Stamp) (t core.Task, now clock.Stamp, ok, dry bool
 	}
 }
 
-// Complete pushes the completion into the MPSC queue and rings the
-// management doorbell. It reports false: the completion has only been
-// handed to the management goroutine, so no successor work can have been
-// released by this call — the pool learns about releases through the
-// Notifier callback instead. A completion arriving after the run failed
-// is dropped, matching the other managers' post-failure contract.
-func (m *async) Complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
+// complete pushes the completion into the MPSC queue and rings the
+// management doorbell. A completion arriving after the run failed is
+// dropped, matching the other managers' post-failure contract.
+func (m *async) complete(t core.Task, at clock.Stamp) clock.Stamp {
 	if m.failed.Load() || m.finished.Load() {
-		return at, false
+		return at
 	}
 	for !m.comp.push(t) {
 		// Queue full: the management goroutine is far behind. Help drain
 		// inline, or yield to whoever currently owns the state machine.
 		if m.failed.Load() || m.finished.Load() {
-			return at, false
+			return at
 		}
 		at = m.tryInlineCycle(clock.Now())
 		runtime.Gosched()
@@ -499,14 +495,7 @@ func (m *async) Complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool)
 	if m.comp.size() >= int64(m.batch) {
 		at = m.helpIfStale(at)
 	}
-	return at, false
-}
-
-// CompleteNext is Complete then Next: workers never touch the
-// state-machine lock, so there is no critical section to fuse.
-func (m *async) CompleteNext(w int, done core.Task, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	at, _ = m.Complete(w, done, at)
-	return m.Next(w, at)
+	return at
 }
 
 // Flush has nothing to flush — completions are already queued to the
@@ -522,8 +511,7 @@ func (m *async) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
 func (m *async) Outcome() (bool, error) {
 	m.smMu.Lock()
 	defer m.smMu.Unlock()
-	err := m.Err()
-	return err == nil && m.sm.Done(), err
+	return m.err == nil && m.sm.Done(), m.err
 }
 
 // InFlight reports dispatched-but-incomplete tasks. Tasks in the ready
@@ -541,7 +529,7 @@ func (m *async) InFlight() int {
 // already completed (checked under smMu, the lock that serialized the
 // finishing cycle, so there is no window): a late cancellation must not
 // poison a fully-executed run's results. Callers observe the refusal
-// through Err() == nil.
+// through Outcome's nil error.
 func (m *async) Abort(err error) {
 	m.smMu.Lock()
 	if !m.failed.Load() && m.sm.Done() {
@@ -550,17 +538,10 @@ func (m *async) Abort(err error) {
 	}
 	// fail() under smMu: releasing the lock between the Done check and
 	// the error store would let a final management cycle complete the
-	// run in the gap and still get poisoned. smMu -> errMu is the
-	// established order (management cycles call fail under smMu).
+	// run in the gap and still get poisoned.
 	m.fail(err)
 	m.smMu.Unlock()
 	m.ring()
-}
-
-func (m *async) Err() error {
-	m.errMu.Lock()
-	defer m.errMu.Unlock()
-	return m.err
 }
 
 func (m *async) Mgmt() time.Duration { return time.Duration(m.mgmtNS.Load()) }

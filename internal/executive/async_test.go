@@ -118,7 +118,7 @@ func TestAsyncInlineFallback(t *testing.T) {
 	m := newAsync(sched, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 4, Batch: 1})
 	m.Start()
 	for {
-		task, _, ok := m.Next(0, clock.Now())
+		task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskWait)
 		if !ok {
 			break
 		}
@@ -127,10 +127,10 @@ func TestAsyncInlineFallback(t *testing.T) {
 		// Pretend the management goroutine has been descheduled since the
 		// epoch: the completion's watermark check must drain inline.
 		m.lastDrain.Store(1)
-		m.Complete(0, task, clock.Now())
+		m.Enter(0, task, clock.Now(), AskNone)
 	}
 	m.Join()
-	if err := m.Err(); err != nil {
+	if _, err := m.Outcome(); err != nil {
 		t.Fatal(err)
 	}
 	checkCopyChain(t, a, b, c)
@@ -154,7 +154,7 @@ func TestAsyncNoSpareCore(t *testing.T) {
 }
 
 // TestAsyncAbortReleasesWorkers: Abort from one worker must release
-// workers parked in the ready-buffer receive and surface through Err.
+// workers parked in the ready-buffer receive and surface through Outcome.
 func TestAsyncAbortReleasesWorkers(t *testing.T) {
 	prog, _, _, _ := buildCopyChain(t, 64)
 	sched, err := core.New(prog, core.Options{
@@ -165,7 +165,7 @@ func TestAsyncAbortReleasesWorkers(t *testing.T) {
 	}
 	m := newAsync(sched, Config{Workers: 2, Manager: AsyncManager})
 	m.Start()
-	if _, _, ok := m.Next(0, clock.Now()); !ok {
+	if _, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskWait); !ok {
 		t.Fatal("no first task")
 	}
 	done := make(chan bool)
@@ -173,7 +173,7 @@ func TestAsyncAbortReleasesWorkers(t *testing.T) {
 		// Parks once the buffer drains (worker 0 never completes, so the
 		// program cannot finish), released only by the abort.
 		for {
-			if _, _, ok := m.Next(1, clock.Now()); !ok {
+			if _, _, ok, _ := m.Enter(1, core.Task{}, clock.Now(), AskWait); !ok {
 				done <- true
 				return
 			}
@@ -184,8 +184,8 @@ func TestAsyncAbortReleasesWorkers(t *testing.T) {
 		t.Fatal("parked worker not released")
 	}
 	m.Join()
-	if m.Err() != errAbortTest {
-		t.Fatalf("Err = %v, want the abort error", m.Err())
+	if _, err := m.Outcome(); err != errAbortTest {
+		t.Fatalf("Outcome error = %v, want the abort error", err)
 	}
 }
 

@@ -197,7 +197,7 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 		met = telemetry.NewSet(telemetry.NewRegistry(cfg.Workers, "ns"))
 	}
 	cfg.Metrics = met // managers record steal/retune counters into the same set
-	mgr, err := newManager(sched, cfg)
+	mgr, err := NewManager(sched, cfg)
 	if err != nil {
 		return failEarly(err)
 	}
@@ -233,7 +233,7 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 	met.QueueWait.Observe(0)
 
 	// Cancellation watcher: ctx firing aborts the manager, which releases
-	// parked workers and makes every subsequent Next return ok=false. The
+	// parked workers and makes every subsequent Enter return ok=false. The
 	// watcher is joined before RunContext returns so teardown is
 	// goroutine-leak-free.
 	stopWatch := WatchCancel(ctx, func(err error) {
@@ -264,13 +264,11 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 	// A manager with its own management goroutine (async) may still be
 	// driving the state machine for a moment after the workers exit; join
 	// it before reading the final statistics.
-	if j, ok := mgr.(Joiner); ok {
-		j.Join()
-	}
+	mgr.Join()
 	stopWatch()
 	smp.Stop()
 
-	if err := mgr.Err(); err != nil {
+	if _, err := mgr.Outcome(); err != nil {
 		// The observer contract promises a closing Final snapshot on
 		// every outcome: a failed or cancelled run closes the stream with
 		// the counters accumulated so far. (The manager recorded its own
@@ -385,7 +383,7 @@ func (e *engine) worker(w int) {
 		ring = e.rec.Ring(w)
 	}
 	at := clock.Now()
-	task, now, ok := e.mgr.Next(w, at)
+	task, now, ok, _ := e.mgr.Enter(w, core.Task{}, at, AskWait)
 	for ok {
 		if e.fine {
 			// The dispatch wait is the whole executive entry — completion
@@ -401,19 +399,19 @@ func (e *engine) worker(w int) {
 		}
 		work := e.prog.Phases[task.Phase].Work
 
-		var tf taskFaults
+		var fx fault.Effects
 		if e.plan != nil {
-			e.injectTask(w, task, &work, &tf, now)
-			if tf.err != nil {
-				e.mgr.Abort(tf.err)
+			var err error
+			if fx, err = e.injectTask(w, task, &work, now); err != nil {
+				e.mgr.Abort(err)
 				return
 			}
 		}
 
 		workErr := RunTask(work, task)
 		at = clock.Now()
-		if workErr == nil && tf.factor > 1 {
-			fault.Stretch(at.Sub(now), tf.factor)
+		if workErr == nil && fx.Factor > 1 {
+			fault.Stretch(at.Sub(now), fx.Factor)
 			at = clock.Now()
 		}
 		if workErr != nil {
@@ -422,7 +420,7 @@ func (e *engine) worker(w int) {
 		}
 		dur := at.Sub(now)
 		if e.plan != nil {
-			at = e.beforeComplete(w, &tf)
+			at = e.beforeComplete(w, fx)
 		}
 		e.met.ComputeTime.Add(w, int64(dur))
 		e.met.Completions.Inc(w)
@@ -434,13 +432,11 @@ func (e *engine) worker(w int) {
 				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
 		}
 		if e.plan != nil && e.crashing(w, at) {
-			e.mgr.Complete(w, task, at)
-			if r, ok := e.mgr.(Retirer); ok {
-				r.Retire(w)
-			}
+			e.mgr.Enter(w, task, at, AskNone)
+			e.mgr.Retire(w)
 			return
 		}
-		task, now, ok = e.mgr.CompleteNext(w, task, at)
+		task, now, ok, _ = e.mgr.Enter(w, task, at, AskWait)
 	}
 }
 

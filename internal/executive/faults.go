@@ -12,9 +12,8 @@ package executive
 //     machinery end to end — and an erroring grain aborts with an
 //     injected error before execute runs;
 //   - worker crash retires the goroutine after its completion is
-//     submitted: graceful capacity loss, no task lost. Managers that
-//     census workers for stall detection or keep per-worker state are
-//     told through the optional Retirer interface;
+//     submitted: graceful capacity loss, no task lost. The manager is
+//     told through Retire, for its stall census and per-worker state;
 //   - management faults delay a completion's submission (MgmtDelay).
 //     DropWakeup and the unbounded wedge are pool/simulator concepts —
 //     the plain executive has no watchdog to recover them, so injecting
@@ -30,15 +29,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/trace"
 )
-
-// Retirer is implemented by managers that must be told when a worker
-// retires mid-run (fault injection's WorkerCrash): the manager flushes
-// the worker's local state and removes it from the census its stall
-// detector counts against, so the survivors' all-parked probe stays
-// sound with fewer workers alive.
-type Retirer interface {
-	Retire(w int)
-}
 
 // Retire removes w from the serial stall census. Serial keeps no
 // per-worker state to flush; the broadcast re-evaluates the all-parked
@@ -70,14 +60,6 @@ func (m *sharded) Retire(w int) {
 // queued before the crash point.
 func (m *async) Retire(w int) { m.ring() }
 
-// taskFaults carries one dispatch's injected effects from the
-// pre-execute consultation to the post-execute application.
-type taskFaults struct {
-	factor int64 // compute stretch (GrainSlow × WorkerSlow product)
-	stall  int64 // completion withhold in units (GrainStall + WorkerWedge)
-	err    error // injected failure (GrainError)
-}
-
 // noteFault flight-records and counts one injected fault firing.
 func (e *engine) noteFault(w int, k fault.Kind, at clock.Stamp) {
 	if e.rec != nil {
@@ -86,49 +68,31 @@ func (e *engine) noteFault(w int, k fault.Kind, at clock.Stamp) {
 	e.met.Faults.Inc(w)
 }
 
-// injectTask consults the plan for worker- and grain-level faults on one
-// dispatch at stamp now (a Rule's After field reads as nanoseconds since
-// the run started), possibly replacing work with a panicking body
-// (GrainPanic). Only called with a non-nil plan.
-func (e *engine) injectTask(w int, task core.Task, work *core.WorkFn, tf *taskFaults, now clock.Stamp) {
-	at := int64(now - e.start)
-	tf.factor = 1
-	if _, f, ok := e.plan.Worker(w, at, fault.WorkerSlow); ok {
-		e.noteFault(w, fault.WorkerSlow, now)
-		tf.factor *= f
-	}
-	if d, _, ok := e.plan.Worker(w, at, fault.WorkerWedge); ok {
-		// On the plain executive a wedge is a bounded withhold (the pool's
-		// release-gated wedge needs a stall probe or deadline above it).
-		e.noteFault(w, fault.WorkerWedge, now)
-		tf.stall += d
-	}
-	k, d, f := e.plan.Grain(0, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), at)
-	if k == 0 {
-		return
-	}
-	e.noteFault(w, k, now)
-	switch k {
-	case fault.GrainSlow:
-		tf.factor *= f
-	case fault.GrainStall:
-		tf.stall += d
+// injectTask consults the plan for one dispatch at stamp now (a Rule's
+// After field reads as nanoseconds since the run started), possibly
+// replacing work with a panicking body (GrainPanic) or returning the
+// injected failure (GrainError). Only called with a non-nil plan.
+func (e *engine) injectTask(w int, task core.Task, work *core.WorkFn, now clock.Stamp) (fault.Effects, error) {
+	fx := e.plan.Dispatch(w, 0, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi),
+		int64(now-e.start), func(k fault.Kind) { e.noteFault(w, k, now) })
+	switch fx.Grain {
 	case fault.GrainPanic:
 		*work = fault.PanicWork(task.Phase)
 	case fault.GrainError:
-		tf.err = fmt.Errorf("executive: injected error in phase %d granules [%d,%d)",
+		return fx, fmt.Errorf("executive: injected error in phase %d granules [%d,%d)",
 			task.Phase, task.Run.Lo, task.Run.Hi)
 	}
+	return fx, nil
 }
 
-// beforeComplete withholds the completion (stuck grain, wedged worker)
-// and delays its submission to management (MgmtDelay). It returns the
-// reading taken after the holds, so they are charged to nobody's
-// management time. Only called with a non-nil plan.
-func (e *engine) beforeComplete(w int, tf *taskFaults) clock.Stamp {
-	if tf.stall > 0 {
-		fault.Sleep(tf.stall)
-	}
+// beforeComplete withholds the completion (stuck grain; a wedged worker —
+// on the plain executive a bounded withhold, the pool's release-gated
+// wedge needs a stall probe or deadline above it) and delays its
+// submission to management (MgmtDelay). It returns the reading taken after
+// the holds, so they are charged to nobody's management time. Only called
+// with a non-nil plan.
+func (e *engine) beforeComplete(w int, fx fault.Effects) clock.Stamp {
+	fault.Sleep(fx.Stall + fx.Wedge)
 	now := clock.Now()
 	if d, ok := e.plan.Mgmt(0, int64(now-e.start)); ok {
 		e.noteFault(w, fault.MgmtDelay, now)
@@ -140,9 +104,9 @@ func (e *engine) beforeComplete(w int, tf *taskFaults) clock.Stamp {
 
 // crashing reports whether a WorkerCrash rule fires for worker w at
 // stamp now — consulted at the fused executive entry, whose crash
-// chokepoint sits between its two halves: the worker submits its
-// completion with the plain Complete, retires, and never asks for work
-// again, so no task is lost and none is taken that will not run. The last
+// chokepoint sits between its two halves: the worker enters with AskNone
+// to submit its completion, retires, and never asks for work again, so no
+// task is lost and none is taken that will not run. The last
 // live worker refuses (the rule is consumed but ignored). Only called
 // with a non-nil plan.
 func (e *engine) crashing(w int, now clock.Stamp) bool {

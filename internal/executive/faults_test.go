@@ -65,7 +65,7 @@ func TestFaultInjectedPanicRecovered(t *testing.T) {
 
 // TestFaultWorkerCrashGracefulLoss retires workers mid-run and expects the
 // survivors to finish the program correctly: capacity loss, no task loss.
-// The Retirer path keeps each manager's stall census sound, so the run
+// Retire keeps each manager's stall census sound, so the run
 // must neither hang nor trip a spurious stall abort.
 func TestFaultWorkerCrashGracefulLoss(t *testing.T) {
 	for _, mk := range faultManagers {

@@ -45,15 +45,33 @@ type StateMachine interface {
 
 var _ StateMachine = (*core.Scheduler)(nil)
 
-// A Manager owns the state machine on behalf of the worker pool: it
+// Ask says what a worker entering the executive wants back.
+type Ask uint8
+
+const (
+	// AskNone: nothing — the entry only reports a completion (a worker
+	// about to retire, a pool worker leaving the job).
+	AskNone Ask = iota
+	// AskTry: a task if one is dispatchable now. The manager absorbs
+	// deferred management before declaring the job dry but never parks;
+	// ok=false means nothing for this worker right now — rundown, done, or
+	// aborted — and the caller (the pool) decides where to look next.
+	AskTry
+	// AskWait: a task, parking until one exists. ok=false means the worker
+	// must exit: the program is done, the run was aborted, or the manager
+	// detected a stall.
+	AskWait
+)
+
+// A Manager owns the state machine on behalf of the worker goroutines: it
 // decides how scheduler interactions are serialized, where completions
-// accumulate, and when parked workers wake. The worker loop in Run is
-// manager-agnostic.
+// accumulate, and when parked workers wake. Both worker loops — the
+// engine's in this package and the tenant pool's — are manager-agnostic
+// and drive this one contract.
 //
-// The contract: one Start, then each worker takes its first task with
-// Next and loops execute -> CompleteNext until ok=false (program done, run
-// aborted, or stall detected). Abort may be called from any worker at any
-// time.
+// The contract: one Start, then each worker enters the executive once per
+// task with Enter — report the task it finished, take the next — until
+// ok=false. Abort may be called from any goroutine at any time.
 //
 // Clock discipline: every task-path call takes at, the caller's latest
 // clock reading, and returns now, the manager's own latest — at itself
@@ -67,94 +85,77 @@ var _ StateMachine = (*core.Scheduler)(nil)
 type Manager interface {
 	// Start activates the program on the state machine.
 	Start()
-	// Next blocks until a task is available for worker w and returns it.
-	// ok=false means the worker must exit: the program is done, the run
-	// was aborted, or the manager detected a stall.
-	Next(w int, at clock.Stamp) (t core.Task, now clock.Stamp, ok bool)
-	// CompleteNext is the one executive entry a worker makes per task: it
-	// reports that worker w finished executing done and blocks, like
-	// Next, for the worker's next task. The serial manager does both in
-	// one critical section — how a PAX processor entered the executive;
-	// managers whose task path holds no lock compose Complete and Next.
-	CompleteNext(w int, done core.Task, at clock.Stamp) (t core.Task, now clock.Stamp, ok bool)
-	// Complete reports that worker w finished executing t without asking
-	// for more work: a pool worker, which may switch jobs between tasks,
-	// and a worker about to retire. The manager may submit it to the
-	// state machine immediately (serial) or accumulate it for batched
-	// submission (sharded). It reports whether completions were applied
-	// to the state machine by this call — false means t only joined a
-	// local batch, so no successor work can have been released (the pool
-	// uses this to skip waking parked workers).
-	Complete(w int, t core.Task, at clock.Stamp) (now clock.Stamp, applied bool)
-	// Abort terminates the run with err; parked workers are released.
-	Abort(err error)
-	// Err returns the run error, if any. Call after the workers exit.
-	Err() error
-	// Mgmt and Idle return the summed management-lock and parked time.
-	Mgmt() time.Duration
-	Idle() time.Duration
-}
-
-// PoolDriver is the manager surface the multi-tenant pool
-// (internal/tenant) drives. It keeps the Manager contract but adds the
-// non-blocking probes a pool worker needs to serve several jobs: instead
-// of parking inside one job's manager, a worker that gets TryNext
-// ok=false moves on to another job, and the pool owns parking and stall
-// detection across all of them. Every built-in manager implements it.
-type PoolDriver interface {
-	Manager
-	// TryNext returns a task without parking. Like Next it absorbs
-	// deferred management (and, sharded, flushes this worker's completion
-	// batch) before declaring the job dry, so ok=false means the job has
-	// nothing for this worker to do right now — the job is in rundown,
-	// done, or aborted.
-	TryNext(w int, at clock.Stamp) (t core.Task, now clock.Stamp, ok bool)
-	// Flush submits worker w's accumulated completions immediately
-	// (no-op for managers that do not batch). The pool calls it when a
-	// worker switches jobs so completions cannot linger unflushed. It
-	// reports whether anything was applied.
+	// Enter is the one executive entry a worker makes per task. done is
+	// the task worker w just finished executing — the zero Task (state
+	// machines issue IDs from 1) when it has none to report — and ask says
+	// whether it wants a task back and may park for it. The serial manager
+	// does both halves in one critical section, the way a PAX processor
+	// entered the executive; managers whose task path holds no lock
+	// compose their completion and dispatch paths. A completion arriving
+	// after the run failed is dropped without touching the state machine.
+	//
+	// ok reports that next is a task to run. applied reports that this
+	// call applied completions to the state machine — done itself, or a
+	// batch the dispatch path flushed on the way to its refill — so
+	// successor work may have been released; false means done only joined
+	// a local batch or a queue (the pool wakes parked workers on applied).
+	Enter(w int, done core.Task, at clock.Stamp, ask Ask) (next core.Task, now clock.Stamp, ok, applied bool)
+	// Flush submits worker w's accumulated completions immediately (a
+	// doorbell ring for the async manager, nothing for the serial one).
+	// The pool calls it when a worker switches jobs so completions cannot
+	// linger unflushed. It reports whether anything was applied.
 	Flush(w int, at clock.Stamp) (now clock.Stamp, applied bool)
-	// Outcome reports whether the job's state machine has completed and
-	// the run error, both under one entry of the lock that serializes
-	// them. (false, nil) means the run is still going; once either value
-	// is set it never changes (Abort refuses a completed run, and a
-	// failed run drops every later completion).
+	// Abort terminates the run with err; parked workers are released. A
+	// run whose state machine already completed refuses the abort.
+	Abort(err error)
+	// Outcome reports whether the state machine has completed and the run
+	// error, both under one entry of the lock that serializes them.
+	// (false, nil) means the run is still going; once either value is set
+	// it never changes (Abort refuses a completed run, and a failed run
+	// drops every later completion).
 	Outcome() (done bool, err error)
 	// InFlight reports dispatched-but-incomplete tasks. When every pool
 	// worker is parked (all deques drained, all batches flushed),
 	// InFlight()==0 on an unfinished job identifies a true stall.
 	InFlight() int
-}
-
-// Joiner is implemented by managers that run management on a goroutine of
-// their own (AsyncManager). Join blocks until that goroutine has exited;
-// call it only after the run is over (workers exited, or Abort was
-// called) and before reading final state-machine statistics — until Join
-// returns, the management goroutine may still be touching the state
-// machine.
-type Joiner interface {
+	// Mgmt and Idle return the summed management-lock and parked time.
+	Mgmt() time.Duration
+	Idle() time.Duration
+	// Retire tells the manager worker w is gone for good (fault
+	// injection's WorkerCrash): it flushes the worker's local state and
+	// removes it from the census its stall detector counts against.
+	Retire(w int)
+	// Join blocks until the manager's own management goroutine, if it has
+	// one (async), has exited. Call it only after the run is over (workers
+	// exited, or Abort was called) and before reading final state-machine
+	// statistics.
 	Join()
-}
-
-// Notifier is implemented by managers whose scheduling progress happens
-// off the worker goroutines (AsyncManager: completions apply and refills
-// land on the management goroutine). A pool that parks workers above the
-// manager would never observe that progress through its own calls, so it
-// registers a callback here — invoked, outside all manager locks, after
-// every management cycle that applied completions, buffered new tasks, or
-// finished the run. SetNotify must be called before Start.
-type Notifier interface {
+	// SetNotify registers a callback for scheduling progress made off the
+	// worker goroutines (async: completions apply and refills land on the
+	// management goroutine). A pool that parks workers above the manager
+	// would never observe that progress through its own calls. It is
+	// invoked, outside all manager locks, after every management cycle
+	// that applied completions, buffered new tasks, or finished the run;
+	// managers that only make progress inside Enter never call it. Must be
+	// called before Start.
 	SetNotify(func())
 }
 
-// NewPoolDriver builds the configured Manager over sm and returns its
-// pool-driving surface. It is the constructor internal/tenant uses; Run
-// keeps its own private path.
-func NewPoolDriver(sm StateMachine, cfg Config) (PoolDriver, error) {
+// NewManager builds the configured Manager over sm.
+func NewManager(sm StateMachine, cfg Config) (Manager, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("executive: need at least 1 worker")
 	}
-	return newManager(sm, cfg)
+	switch cfg.Manager {
+	case SerialManager:
+		return newSerial(sm, cfg), nil
+	case ShardedManager:
+		return newSharded(sm, cfg), nil
+	case AsyncManager:
+		return newAsync(sm, cfg), nil
+	default:
+		return nil, fmt.Errorf("executive: unknown manager kind %v", cfg.Manager)
+	}
 }
 
 // ManagerKind selects the Manager implementation an executive run uses.
@@ -228,14 +229,6 @@ func ParseManager(s string) (ManagerKind, error) {
 		s, strings.Join(ManagerNames(), "|"))
 }
 
-// Every built-in manager implements the PoolDriver surface the
-// multi-tenant pool drives.
-var (
-	_ PoolDriver = (*serial)(nil)
-	_ PoolDriver = (*sharded)(nil)
-	_ PoolDriver = (*async)(nil)
-)
-
 // recordAbort flight-records the failure point of a run. Every manager
 // calls it exactly where its error transitions nil -> non-nil, so a
 // trace carries at most one KAbort and RunContext's failure path can
@@ -266,19 +259,5 @@ func applyBatch(sm StateMachine, ts []core.Task) (err error) {
 func completionPanic(err *error) {
 	if r := recover(); r != nil {
 		*err = fmt.Errorf("executive: completion processing panicked: %v", r)
-	}
-}
-
-// newManager builds the configured Manager over sm.
-func newManager(sm StateMachine, cfg Config) (PoolDriver, error) {
-	switch cfg.Manager {
-	case SerialManager:
-		return newSerial(sm, cfg), nil
-	case ShardedManager:
-		return newSharded(sm, cfg), nil
-	case AsyncManager:
-		return newAsync(sm, cfg), nil
-	default:
-		return nil, fmt.Errorf("executive: unknown manager kind %v", cfg.Manager)
 	}
 }

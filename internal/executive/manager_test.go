@@ -44,14 +44,16 @@ func driveWorkers(mgr Manager, workers int) error {
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			t, at, ok := mgr.Next(w, clock.Now())
+			t, at, ok, _ := mgr.Enter(w, core.Task{}, clock.Now(), AskWait)
 			for ok {
-				t, at, ok = mgr.CompleteNext(w, t, at)
+				t, at, ok, _ = mgr.Enter(w, t, at, AskWait)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return mgr.Err()
+	mgr.Join()
+	_, err := mgr.Outcome()
+	return err
 }
 
 // TestStallDetector: when every worker is parked with nothing in flight
@@ -60,7 +62,7 @@ func driveWorkers(mgr Manager, workers int) error {
 func TestStallDetector(t *testing.T) {
 	for _, kind := range ManagerKinds() {
 		for _, workers := range []int{1, 4, 9} {
-			mgr, err := newManager(&stubSM{phase: 7}, Config{
+			mgr, err := NewManager(&stubSM{phase: 7}, Config{
 				Workers: workers, Manager: kind, DequeCap: 4, Batch: 2,
 			})
 			if err != nil {
@@ -210,7 +212,7 @@ func TestUnknownManagerRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewPoolDriver(sched, Config{Workers: 2, Manager: ManagerKind(250)}); err == nil {
-		t.Error("unknown manager kind accepted as a pool driver")
+	if _, err := NewManager(sched, Config{Workers: 2, Manager: ManagerKind(250)}); err == nil {
+		t.Error("unknown manager kind accepted by NewManager")
 	}
 }

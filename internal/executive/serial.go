@@ -16,9 +16,9 @@ import (
 // management time, so the paper's computation-to-management ratio can be
 // observed on real hardware.
 //
-// A worker enters the executive once per task: CompleteNext reports the
-// finished task and takes the next one in a single critical section, the
-// way a PAX processor did — one lock, one wakeup, two clock readings.
+// A worker enters the executive once per task: Enter reports the finished
+// task and takes the next one in a single critical section, the way a PAX
+// processor did — one lock, one wakeup, two clock readings.
 type serial struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -62,34 +62,33 @@ func (m *serial) Start() {
 	m.mgmt += clock.Now().Sub(t0)
 }
 
-// Next asks the serial executive for work, absorbing deferred management
-// in idle moments and parking when nothing is ready.
-func (m *serial) Next(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
+// Enter is the fused executive entry: completion processing for done,
+// then the dispatch of the worker's next task, in one critical section
+// whatever the ask. Parked peers are woken once, after the completion (it
+// is what may have released work for them). A completion arriving after
+// the run failed (abort, cancellation, panic) is dropped without touching
+// the state machine: the run's results are void, and nothing may mutate
+// the state machine after the failure point — Job.Wait and the report path
+// read its statistics as soon as the job is retired.
+func (m *serial) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
 	t0 := enter(&m.mu, at)
 	defer m.mu.Unlock()
-	return m.nextLocked(w, t0, true)
-}
-
-// TryNext is the non-blocking Next the multi-tenant pool drives: when the
-// executive has nothing dispatchable — even after absorbing deferred
-// management — the worker goes to look at another job instead of parking.
-func (m *serial) TryNext(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	t0 := enter(&m.mu, at)
-	defer m.mu.Unlock()
-	return m.nextLocked(w, t0, false)
-}
-
-// CompleteNext is the fused executive entry: completion processing for
-// done, then the dispatch of the worker's next task, under one lock
-// acquisition. Parked peers are woken once, after the completion (it is
-// what may have released work for them).
-func (m *serial) CompleteNext(w int, done core.Task, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	t0 := enter(&m.mu, at)
-	defer m.mu.Unlock()
-	if m.err == nil {
+	applied := done.ID != 0 && m.err == nil
+	if applied {
 		m.completeLocked(done)
 	}
-	return m.nextLocked(w, t0, true)
+	if ask == AskNone {
+		if !applied {
+			// Nothing was done: charge nothing. A failed run's Mgmt must
+			// not move under a report already built from it.
+			return core.Task{}, t0, false, false
+		}
+		now := clock.Now()
+		m.mgmt += now.Sub(t0)
+		return core.Task{}, now, false, true
+	}
+	t, now, ok := m.nextLocked(w, t0, ask == AskWait)
+	return t, now, ok, applied
 }
 
 // nextLocked dispatches one task to worker w. The caller holds mu and has
@@ -165,24 +164,6 @@ func (m *serial) wake() {
 	}
 }
 
-// Complete submits the completion immediately under the global lock. A
-// completion arriving after the run failed (abort, cancellation, panic)
-// is dropped without touching the state machine: the run's results are
-// void, and nothing may mutate the state machine after the failure point
-// — Job.Wait and the report path read its statistics as soon as the job
-// is retired.
-func (m *serial) Complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
-	t0 := enter(&m.mu, at)
-	defer m.mu.Unlock()
-	if m.err != nil {
-		return t0, false
-	}
-	m.completeLocked(t)
-	now := clock.Now()
-	m.mgmt += now.Sub(t0)
-	return now, true
-}
-
 // completeLocked applies one completion and wakes parked peers. A panic
 // in completion processing fails the run. Caller holds mu, m.err == nil.
 func (m *serial) completeLocked(t core.Task) {
@@ -193,8 +174,12 @@ func (m *serial) completeLocked(t core.Task) {
 	m.wake()
 }
 
-// Flush is a no-op: serial completions are submitted immediately.
+// Flush is a no-op: serial completions are submitted immediately. So are
+// Join (no management goroutine) and SetNotify (all progress happens
+// inside Enter).
 func (m *serial) Flush(w int, at clock.Stamp) (clock.Stamp, bool) { return at, false }
+func (m *serial) Join()                                           {}
+func (m *serial) SetNotify(func())                                {}
 
 // Outcome reports completion and the run error in one lock entry. A
 // failed run's state machine is not consulted (a completion-processing
@@ -216,7 +201,7 @@ func (m *serial) InFlight() int {
 // already completed refuses the abort (checked under the same lock that
 // serialized the completion, so there is no window): every Work
 // function ran and the results are valid — a late cancellation must not
-// poison them. Callers observe the refusal through Err() == nil.
+// poison them. Callers observe the refusal through Outcome's nil error.
 func (m *serial) Abort(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -228,12 +213,6 @@ func (m *serial) Abort(err error) {
 		recordAbort(m.rec)
 	}
 	m.cond.Broadcast()
-}
-
-func (m *serial) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
 }
 
 func (m *serial) Mgmt() time.Duration {

@@ -51,7 +51,7 @@ type sharded struct {
 	cap     int             // deque refill batch size, guarded by mu (the tuner moves it)
 
 	// batch is the completion batch size. It is read lock-free on the
-	// per-task Complete path and rewritten under mu by the tuner, hence
+	// per-task completion path and rewritten under mu by the tuner, hence
 	// atomic.
 	batch atomic.Int32
 
@@ -155,43 +155,32 @@ func (m *sharded) Start() {
 	m.mgmt += m.epochStart.Sub(t0)
 }
 
-// Next on the fast path is one lock-free deque pop and no clock reading:
-// the stamp returned is the caller's own, so the task's compute interval
-// starts where the worker's previous interval ended.
-func (m *sharded) Next(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	return m.next(w, at, true)
-}
-
-// TryNext is the non-blocking Next the multi-tenant pool drives: local
-// deque, then a steal sweep, then one non-parking pass through the global
-// refill path (which flushes this worker's completion batch and absorbs
-// deferred management before declaring the state machine dry). ok=false
-// means nothing is dispatchable right now; the pool decides whether to
-// look at another job or park.
-func (m *sharded) TryNext(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	return m.next(w, at, false)
-}
-
-// CompleteNext is Complete then Next: the sharded manager already enters
-// the global lock once per batch rather than once per task, so there is
-// nothing further to fuse.
-func (m *sharded) CompleteNext(w int, done core.Task, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	at, _ = m.Complete(w, done, at)
-	return m.next(w, at, true)
-}
-
-func (m *sharded) next(w int, at clock.Stamp, park bool) (core.Task, clock.Stamp, bool) {
-	if m.failed.Load() {
-		return core.Task{}, at, false
+// Enter is the completion path then the dispatch path: the sharded manager
+// already enters the global lock once per batch rather than once per task,
+// so there is nothing further to fuse. The dispatch fast path is one
+// lock-free deque pop and no clock reading — the stamp returned is the
+// caller's own, so the task's compute interval starts where the worker's
+// previous interval ended — then a steal sweep, then the global refill
+// path, which flushes this worker's completion batch and absorbs deferred
+// management before declaring the state machine dry, and parks only for
+// AskWait.
+func (m *sharded) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
+	applied := false
+	if done.ID != 0 {
+		at, applied = m.complete(w, done, at)
+	}
+	if ask == AskNone || m.failed.Load() {
+		return core.Task{}, at, false, applied
 	}
 	if t, ok := m.shards[w].dq.popBottom(); ok {
-		return t, at, true
+		return t, at, true, applied
 	}
 	t, at, ok := m.steal(w, at)
 	if ok {
-		return t, at, true
+		return t, at, true, applied
 	}
-	return m.refill(w, at, park)
+	t, at, ok, flushed := m.refill(w, at, ask == AskWait)
+	return t, at, ok, applied || flushed
 }
 
 // steal sweeps the other shards and CAS-steals up to half of the first
@@ -280,13 +269,14 @@ func (m *sharded) sweep(w int) (t core.Task, victim int, got int64) {
 // pull a deque refill, absorb deferred management, or (when park is set)
 // park. Returning ok=false means the program is done, the run was
 // aborted, the manager detected a stall, or — non-parking callers only —
-// nothing is dispatchable right now.
+// nothing is dispatchable right now. applied reports that a pass flushed a
+// nonempty batch into the state machine.
 //
 // One reading closes each management interval — after the flush and the
 // NextTasks pull (and any deferred unit before them), after a park — and
 // opens the next, so a refill that hands out up to cap tasks reads the
 // clock once, twice when the lock was contended.
-func (m *sharded) refill(w int, at clock.Stamp, park bool) (core.Task, clock.Stamp, bool) {
+func (m *sharded) refill(w int, at clock.Stamp, park bool) (_ core.Task, _ clock.Stamp, _, applied bool) {
 	if m.tuner != nil {
 		m.visitors.Add(1)
 		defer m.visitors.Add(-1)
@@ -296,9 +286,9 @@ func (m *sharded) refill(w int, at clock.Stamp, park bool) (core.Task, clock.Sta
 	triedSteal := false
 	for {
 		if m.err != nil {
-			return core.Task{}, t0, false
+			return core.Task{}, t0, false, applied
 		}
-		m.flushLocked(w)
+		applied = m.flushLocked(w) || applied
 		var ts []core.Task
 		// A recovered completion-processing panic may have left the state
 		// machine inconsistent; do not touch it again.
@@ -330,15 +320,15 @@ func (m *sharded) refill(w int, at clock.Stamp, park bool) (core.Task, clock.Sta
 		m.mgmt += now.Sub(t0)
 		t0 = now
 		if m.err != nil {
-			return core.Task{}, now, false
+			return core.Task{}, now, false, applied
 		}
 		m.retuneLocked(now)
 		if len(ts) > 0 {
-			return ts[0], now, true
+			return ts[0], now, true, applied
 		}
 		if m.sm.Done() {
 			m.cond.Broadcast()
-			return core.Task{}, now, false
+			return core.Task{}, now, false, applied
 		}
 
 		// Idle executive moment: absorb deferred management (successor
@@ -350,7 +340,7 @@ func (m *sharded) refill(w int, at clock.Stamp, park bool) (core.Task, clock.Sta
 		}
 
 		if !park {
-			return core.Task{}, now, false
+			return core.Task{}, now, false, applied
 		}
 
 		// The state machine is dry, but a peer's deque may have refilled
@@ -361,7 +351,7 @@ func (m *sharded) refill(w int, at clock.Stamp, park bool) (core.Task, clock.Sta
 			t0 = m.enter(now)
 			triedSteal = true
 			if ok {
-				return t, t0, true
+				return t, t0, true, applied
 			}
 			continue
 		}
@@ -372,7 +362,7 @@ func (m *sharded) refill(w int, at clock.Stamp, park bool) (core.Task, clock.Sta
 		if m.waiting+1 == m.workers && m.sm.InFlight() == 0 {
 			m.failLocked(fmt.Errorf("executive: stalled at phase %d: all workers idle, nothing in flight",
 				m.sm.CurrentPhase()))
-			return core.Task{}, now, false
+			return core.Task{}, now, false, applied
 		}
 		// For the adaptive controller: a park that begins while peer
 		// deques still hold tasks is starvation a smaller refill batch
@@ -479,9 +469,9 @@ func (m *sharded) wakeLocked(n int) {
 	}
 }
 
-// Complete accumulates t in worker w's local batch, submitting the batch
+// complete accumulates t in worker w's local batch, submitting the batch
 // to the state machine in one lock acquisition when it fills.
-func (m *sharded) Complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
+func (m *sharded) complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
 	sh := &m.shards[w]
 	sh.done = append(sh.done, t)
 	if len(sh.done) < int(m.batch.Load()) {
@@ -509,11 +499,12 @@ func (m *sharded) flush(w int, at clock.Stamp) clock.Stamp {
 // machine. Completions release successor work, so parked peers are woken —
 // one Signal per task now ready (or one for pending deferred management)
 // rather than an unconditional Broadcast; completion of the program or an
-// error still releases everyone. Caller holds m.mu.
-func (m *sharded) flushLocked(w int) {
+// error still releases everyone. It reports whether a batch was applied.
+// Caller holds m.mu.
+func (m *sharded) flushLocked(w int) bool {
 	sh := &m.shards[w]
 	if len(sh.done) == 0 {
-		return
+		return false
 	}
 	if m.err != nil {
 		// The run already failed (abort, cancellation, earlier panic): the
@@ -521,7 +512,7 @@ func (m *sharded) flushLocked(w int) {
 		// machine after the failure point, because the pool and Job.Wait
 		// read its statistics as soon as the job is retired.
 		sh.done = sh.done[:0]
-		return
+		return false
 	}
 	if err := applyBatch(m.sm, sh.done); err != nil {
 		m.failLocked(err)
@@ -541,6 +532,7 @@ func (m *sharded) flushLocked(w int) {
 			m.wakeStealerLocked()
 		}
 	}
+	return true
 }
 
 // wakeStealerLocked wakes one parked worker when the state machine is dry
@@ -581,6 +573,11 @@ func (m *sharded) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
 	return m.flush(w, at), true
 }
 
+// Join and SetNotify are no-ops: management runs on the workers, inside
+// Enter.
+func (m *sharded) Join()            {}
+func (m *sharded) SetNotify(func()) {}
+
 // Outcome reports completion and the run error in one lock entry. A
 // failed run's state machine is not consulted (a completion-processing
 // panic may have left it inconsistent).
@@ -601,7 +598,7 @@ func (m *sharded) InFlight() int {
 // Abort terminates the run with err — unless the state machine has
 // already completed (checked under the global lock, no window): a late
 // cancellation must not poison a fully-executed run's results. Callers
-// observe the refusal through Err() == nil.
+// observe the refusal through Outcome's nil error.
 func (m *sharded) Abort(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -609,12 +606,6 @@ func (m *sharded) Abort(err error) {
 		return
 	}
 	m.failLocked(err)
-}
-
-func (m *sharded) Err() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
 }
 
 func (m *sharded) Mgmt() time.Duration {

@@ -178,14 +178,11 @@ func (s *panicSM) CompleteBatch(ts []core.Task) core.Cost {
 // worker, not take the process down or strand a parked peer.
 func TestCompletionPanicFailsRun(t *testing.T) {
 	for _, kind := range ManagerKinds() {
-		mgr, err := newManager(&panicSM{sleepSM{n: 64}}, conformanceConfig(kind, 4))
+		mgr, err := NewManager(&panicSM{sleepSM{n: 64}}, conformanceConfig(kind, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = driveWorkers(mgr, 4)
-		if j, ok := mgr.(Joiner); ok {
-			j.Join()
-		}
 		if err == nil || !strings.Contains(err.Error(), "completion processing panicked: state machine poisoned") {
 			t.Errorf("%v: run error %v, want the completion panic", kind, err)
 		}

@@ -317,6 +317,54 @@ func (p *Plan) Worker(w int, at int64, k Kind) (int64, int64, bool) {
 	return 0, 0, false
 }
 
+// Effects is what the worker- and grain-level rules do to one dispatch.
+// The zero value is no fault.
+type Effects struct {
+	// Factor is the compute stretch, WorkerSlow × GrainSlow (1 = none).
+	Factor int64
+	// Stall is how long the completion is withheld (GrainStall), in units.
+	Stall int64
+	// Wedged reports that a WorkerWedge rule fired and Wedge is its Delay:
+	// a bounded withhold where nothing above the worker can recover it, a
+	// release-gated one (Plan.Release) under the pool's watchdog.
+	Wedged bool
+	Wedge  int64
+	// Grain is the grain-level kind that fired (0 = none). GrainSlow and
+	// GrainStall are already folded into Factor and Stall; GrainPanic and
+	// GrainError are the caller's to turn into its own failure.
+	Grain Kind
+}
+
+// Dispatch is the one consultation a backend makes per dispatched task:
+// worker w takes granules [lo, hi) of (job, phase) at time at. Rules fire
+// in a fixed order — WorkerSlow, WorkerWedge, then the first matching
+// grain rule — and note is called once per firing, in that order, for the
+// backend's KFault record.
+func (p *Plan) Dispatch(w, job, phase int, lo, hi uint32, at int64, note func(Kind)) Effects {
+	fx := Effects{Factor: 1}
+	if _, f, ok := p.Worker(w, at, WorkerSlow); ok {
+		note(WorkerSlow)
+		fx.Factor *= f
+	}
+	if d, _, ok := p.Worker(w, at, WorkerWedge); ok {
+		note(WorkerWedge)
+		fx.Wedged, fx.Wedge = true, d
+	}
+	k, d, f := p.Grain(job, phase, lo, hi, at)
+	if k == 0 {
+		return fx
+	}
+	note(k)
+	fx.Grain = k
+	switch k {
+	case GrainSlow:
+		fx.Factor *= f
+	case GrainStall:
+		fx.Stall = d
+	}
+	return fx
+}
+
 // Mgmt consults the MgmtDelay rules for job's completion submitted at
 // time at. It returns the fired rule's Delay.
 func (p *Plan) Mgmt(job int, at int64) (int64, bool) {

@@ -35,39 +35,6 @@ import (
 	"repro/internal/trace"
 )
 
-// capGrain applies the PreemptBound contract to a job's options: the
-// task grain — the largest non-preemptible unit a worker can hold, and
-// therefore the longest a home job emerging from rundown can wait for an
-// in-flight foreign grain — is capped at bound granules. When Grain is
-// unset the core default (ceil(maxPhaseGranules / 2*Workers)) is
-// materialized first so the cap composes with it instead of replacing
-// it.
-func capGrain(prog *core.Program, opt core.Options, bound int) core.Options {
-	if bound <= 0 {
-		return opt
-	}
-	if opt.Grain <= 0 {
-		maxG := 1
-		for _, ph := range prog.Phases {
-			if ph.Granules > maxG {
-				maxG = ph.Granules
-			}
-		}
-		w := opt.Workers
-		if w <= 0 {
-			w = 1
-		}
-		opt.Grain = (maxG + 2*w - 1) / (2 * w)
-		if opt.Grain < 1 {
-			opt.Grain = 1
-		}
-	}
-	if opt.Grain > bound {
-		opt.Grain = bound
-	}
-	return opt
-}
-
 // satScale stretches dur by a slow-fault factor, saturating well below
 // int64 overflow: fault.New clamps each Factor, but worker and grain
 // stretches compound, and a wrapped negative duration would push a
@@ -81,22 +48,6 @@ func satScale(dur, factor int64) int64 {
 		return maxVirtual
 	}
 	return dur * factor
-}
-
-// backoffDelay is the capped exponential retry backoff: the first retry
-// waits base, each further retry doubles it, capped at 64× base.
-func backoffDelay(base int64, attempts int) int64 {
-	if base <= 0 {
-		return 0
-	}
-	shift := attempts - 2 // attempts counts from 1; the first retry is attempt 2
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > 6 {
-		shift = 6
-	}
-	return base << shift
 }
 
 // noteFault flight-records one injected fault firing against job ji.
@@ -114,22 +65,10 @@ func (s *mstate) noteFault(at int64, w, ji int, k fault.Kind) {
 // lag, and the failure the completion should carry. Only called with a
 // non-nil plan.
 func (s *mstate) inject(worker, ji int, task core.Task, at, dur int64) (int64, int64, error) {
-	var lag int64
+	fx := s.plan.Dispatch(worker, ji, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), at,
+		func(k fault.Kind) { s.noteFault(at, worker, ji, k) })
 	var fail error
-	if _, f, ok := s.plan.Worker(worker, at, fault.WorkerSlow); ok {
-		s.noteFault(at, worker, ji, fault.WorkerSlow)
-		dur = satScale(dur, f)
-	}
-	if d, _, ok := s.plan.Worker(worker, at, fault.WorkerWedge); ok {
-		s.noteFault(at, worker, ji, fault.WorkerWedge)
-		lag += d
-	}
-	k, d, f := s.plan.Grain(ji, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), at)
-	switch k {
-	case fault.GrainSlow:
-		dur = satScale(dur, f)
-	case fault.GrainStall:
-		lag += d
+	switch fx.Grain {
 	case fault.GrainPanic:
 		fail = fmt.Errorf("sim: injected panic in job %q phase %d granules [%d,%d)",
 			s.jobs[ji].spec.Name, task.Phase, task.Run.Lo, task.Run.Hi)
@@ -137,10 +76,7 @@ func (s *mstate) inject(worker, ji int, task core.Task, at, dur int64) (int64, i
 		fail = fmt.Errorf("sim: injected error in job %q phase %d granules [%d,%d)",
 			s.jobs[ji].spec.Name, task.Phase, task.Run.Lo, task.Run.Hi)
 	}
-	if k != 0 {
-		s.noteFault(at, worker, ji, k)
-	}
-	return dur, lag, fail
+	return satScale(dur, fx.Factor), fx.Stall + fx.Wedge, fail
 }
 
 // maybeCrash retires worker w when a WorkerCrash rule fires for it: the
@@ -226,7 +162,7 @@ func (s *mstate) failJob(ji int, at int64, proc int, err error, retryable bool) 
 		if s.met != nil {
 			s.met.Retries.Inc(0)
 		}
-		restart := at + backoffDelay(j.spec.Backoff, j.attempts)
+		restart := at + core.Backoff(j.spec.Backoff, j.attempts)
 		sched, nerr := core.New(j.spec.Prog, j.opt)
 		if nerr != nil {
 			// Unreachable: the same (prog, opt) compiled at setup.

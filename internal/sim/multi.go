@@ -310,7 +310,7 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		if opt.Workers <= 0 {
 			opt.Workers = workers
 		}
-		opt = capGrain(spec.Prog, opt, cfg.PreemptBound)
+		opt = opt.CapGrain(spec.Prog, cfg.PreemptBound)
 		sched, err := core.New(spec.Prog, opt)
 		if err != nil {
 			return failEarly(fmt.Errorf("sim: job %q: %w", spec.Name, err))
@@ -327,7 +327,7 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 	}
 	s.liveCount = len(s.jobs)
 	s.order = make([]int, 0, len(s.jobs))
-	s.obs = newObserver(cfg.Observer, cfg.ObserveEvery, totalCost, workers)
+	s.obs = newObserver(cfg.Observer, totalCost, workers)
 	if s.obs != nil {
 		s.nowFn = s.frontier
 		s.snapFn = s.snapshot

@@ -44,16 +44,12 @@ type Snapshot struct {
 	Final bool
 }
 
-// observeStride picks the default snapshot stride for a run whose total
-// cost divided over the workers estimates the makespan: about 16
-// snapshots per run.
+// observeStride picks the snapshot stride for a run whose total cost
+// divided over the workers estimates the makespan: about 16 snapshots per
+// run.
 func observeStride(totalCost int64, workers int) int64 {
 	est := totalCost/int64(workers) + 1
-	stride := est / 16
-	if stride < 1 {
-		stride = 1
-	}
-	return stride
+	return max(est/16, 1)
 }
 
 // observer is the run loop's snapshot emission state.
@@ -63,13 +59,11 @@ type observer struct {
 	next   int64
 }
 
-func newObserver(fn func(Snapshot), every, totalCost int64, workers int) *observer {
+func newObserver(fn func(Snapshot), totalCost int64, workers int) *observer {
 	if fn == nil {
 		return nil
 	}
-	if every <= 0 {
-		every = observeStride(totalCost, workers)
-	}
+	every := observeStride(totalCost, workers)
 	return &observer{fn: fn, stride: every, next: every}
 }
 

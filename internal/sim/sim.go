@@ -139,13 +139,10 @@ type Config struct {
 	// virtual frontier advances, plus one Final snapshot on every
 	// outcome — at the makespan on success, at the frontier reached on
 	// failure or cancellation. Emission points are deterministic (fixed
-	// virtual-time marks), so observation never perturbs the schedule.
+	// virtual-time marks, roughly 16 per run from a makespan estimate), so
+	// observation never perturbs the schedule.
 	// Both Run and RunMulti honor it.
 	Observer func(Snapshot)
-	// ObserveEvery is the snapshot stride in virtual units; <= 0 selects
-	// roughly 16 snapshots from a makespan estimate. Ignored without
-	// Observer.
-	ObserveEvery int64
 	// Trace, when non-nil, flight-records every scheduling decision —
 	// dispatches, completions, parks/unparks, controller retunes,
 	// observation marks, start/finish/abort — stamped with virtual times.

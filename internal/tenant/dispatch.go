@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/executive"
 )
 
 // This file is the cross-job dispatch policy. Two decisions live here:
@@ -52,9 +53,9 @@ func (p *Pool) home(w int, c *homeCache) *Job {
 // manager, even if a retry swaps the job's attempt in the meantime. now is
 // the last stamp a manager handed back (the dispatch stamp when ok).
 //
-// The sweep does not chain the worker's previous reading into TryNext: it
-// arrives from pool-level work — the home lookup, the backfill plan, the
-// pool lock behind both — that is no job's management, and a manager
+// The sweep does not chain the worker's previous reading into its probes:
+// it arrives from pool-level work — the home lookup, the backfill plan,
+// the pool lock behind both — that is no job's management, and a manager
 // entered without contention charges from the stamp it is handed. So the
 // clock is read afresh before the home probe and again after the plan.
 func (p *Pool) sweep(w int, c *homeCache) (a *attempt, t core.Task, backfill bool, now clock.Stamp, ok bool) {
@@ -62,11 +63,9 @@ func (p *Pool) sweep(w int, c *homeCache) (a *attempt, t core.Task, backfill boo
 	at := clock.Now()
 	if home != nil {
 		ha := home.cur.Load()
-		if t, at, ok = ha.mgr.TryNext(w, at); ok {
-			p.gen.Add(1)
+		if t, at, ok = p.enter(w, ha, core.Task{}, at, executive.AskTry); ok {
 			return ha, t, false, at, true
 		}
-		p.settle(ha)
 	}
 	plan := p.backfillPlan(home)
 	if len(plan) > 0 {
@@ -74,16 +73,37 @@ func (p *Pool) sweep(w int, c *homeCache) (a *attempt, t core.Task, backfill boo
 	}
 	for _, cand := range plan {
 		ca := cand.cur.Load()
-		if t, at, ok = ca.mgr.TryNext(w, at); ok {
+		if t, at, ok = p.enter(w, ca, core.Task{}, at, executive.AskTry); ok {
 			p.mu.Lock()
 			cand.deficit -= int64(t.Run.Len())
 			p.mu.Unlock()
-			p.gen.Add(1)
 			return ca, t, true, at, true
 		}
-		p.settle(ca)
 	}
 	return nil, core.Task{}, false, at, false
+}
+
+// enter is the pool's one call into a job's executive: worker w reports
+// done (the zero Task for a bare probe) to attempt a and asks for a task.
+// A task handed out under the manager's own serialization proves the
+// attempt neither finished nor failed, so the outcome is consulted only
+// when none came back: a dry ask, or an applied completion, may have ended
+// the attempt. Parked workers are woken only when a batch was actually
+// applied — a completion that merely joined the worker's local batch
+// cannot have released successor work, and waking the pool for each one
+// would defeat the point of completion batching.
+func (p *Pool) enter(w int, a *attempt, done core.Task, at clock.Stamp, ask executive.Ask) (core.Task, clock.Stamp, bool) {
+	t, now, ok, applied := a.mgr.Enter(w, done, at, ask)
+	switch {
+	case ok:
+		p.gen.Add(1)
+	case applied || ask != executive.AskNone:
+		p.settle(a)
+	}
+	if applied {
+		p.progress()
+	}
+	return t, now, ok
 }
 
 // backfillPlan snapshots the backfill candidates for a worker homed on

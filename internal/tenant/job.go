@@ -128,9 +128,7 @@ func (j *Job) Wait() (*executive.Report, error) {
 	// winding down for a moment after the job is retired; join it so the
 	// statistics are quiescent.
 	a := j.cur.Load()
-	if jn, ok := a.mgr.(executive.Joiner); ok {
-		jn.Join()
-	}
+	a.mgr.Join()
 	rep := &executive.Report{
 		Manager: j.pool.cfg.Manager,
 		Wall:    j.end.Sub(j.submitted),

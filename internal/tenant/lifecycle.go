@@ -60,8 +60,13 @@ var legal = [nStates][nStates]bool{
 	Backoff: {Running: true, Failed: true},
 }
 
-// moved, when non-nil, observes every transition. Only tests set it.
-var moved func(from, to State)
+// moved, when non-nil, observes every transition; probed every verdict of
+// park's all-workers-parked probe (the number of jobs it found stalled).
+// Only tests set them.
+var (
+	moved  func(from, to State)
+	probed func(stalled int)
+)
 
 // move is the only writer of a job's state. Caller holds the pool's mu and
 // names the state it believes the job is in; a wrong belief or an edge
@@ -83,7 +88,7 @@ type attempt struct {
 	job   *Job
 	n     int // 1 for the first attempt
 	sched *core.Scheduler
-	mgr   executive.PoolDriver
+	mgr   executive.Manager
 	prior time.Duration // management time of attempts 1..n-1
 }
 
@@ -98,12 +103,11 @@ func (p *Pool) newAttempt(j *Job, prev *attempt) (*attempt, error) {
 		return nil, err
 	}
 	// Options.AdaptiveBatch is deliberately NOT threaded through here:
-	// pool workers drive the non-blocking PoolDriver surface and park at
-	// pool level, never on the manager's condition variable, so the
+	// pool workers never ask with AskWait and park at pool level, never on the manager's condition variable, so the
 	// controller's hoarded-idle (shrink) signal would be structurally
 	// zero — a grow-only controller is worse than fixed parameters.
 	// Adaptive tenancy is a ROADMAP follow-on.
-	mgr, err := executive.NewPoolDriver(sched, executive.Config{
+	mgr, err := executive.NewManager(sched, executive.Config{
 		Workers: p.cfg.Workers, Manager: p.cfg.Manager,
 		DequeCap: p.cfg.DequeCap, Batch: p.cfg.Batch,
 		ReadyCap: p.cfg.ReadyCap, LowWater: p.cfg.LowWater,
@@ -117,9 +121,7 @@ func (p *Pool) newAttempt(j *Job, prev *attempt) (*attempt, error) {
 	// so the pool registers its progress bump as the manager's notify
 	// callback: parked workers wake and re-sweep when the job's
 	// management goroutine produces work or finishes the job.
-	if n, ok := mgr.(executive.Notifier); ok {
-		n.SetNotify(p.progress)
-	}
+	mgr.SetNotify(p.progress)
 	a := &attempt{job: j, n: 1, sched: sched, mgr: mgr}
 	if prev != nil {
 		a.n, a.prior = prev.n+1, prev.mgmt()
@@ -187,7 +189,7 @@ func (p *Pool) settleLocked(a *attempt) {
 		j.traceFrom = rec.Cursor()
 		rec.Emit(trace.KRetry, rec.Now(), -1, int32(j.idx), -1, 0, 0, int64(next))
 	}
-	p.backoff[j] = time.AfterFunc(backoffDur(j.cfg.Backoff, next), func() { p.reactivate(j) })
+	p.backoff[j] = time.AfterFunc(core.Backoff(j.cfg.Backoff, next), func() { p.reactivate(j) })
 	p.gen.Add(1)
 	p.cond.Broadcast()
 }

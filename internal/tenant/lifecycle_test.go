@@ -12,6 +12,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,11 +32,22 @@ var reached struct {
 	n [nStates][nStates]int
 }
 
+// probeVerdicts counts the all-parked probe's verdicts: idle found no job
+// stalled, stalled found at least one.
+var probeVerdicts struct{ idle, stalled atomic.Int64 }
+
 func TestMain(m *testing.M) {
 	moved = func(from, to State) {
 		reached.Lock()
 		reached.n[from][to]++
 		reached.Unlock()
+	}
+	probed = func(stalled int) {
+		if stalled == 0 {
+			probeVerdicts.idle.Add(1)
+		} else {
+			probeVerdicts.stalled.Add(1)
+		}
 	}
 	code := m.Run()
 	// Only a run of the whole suite can be held to the whole table.

@@ -1,7 +1,9 @@
 package tenant
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/enable"
 	"repro/internal/executive"
 	"repro/internal/granule"
+	"repro/internal/trace"
 )
 
 // buildCopyChain builds the three-phase identity copy chain used across
@@ -227,8 +230,8 @@ func TestPoolBackfillDuringRundown(t *testing.T) {
 
 // TestPoolBackfillAsync runs the same rundown-backfill scenario with
 // per-job async managers: the tentpole requirement that tenant backfill
-// works unchanged over the PoolDriver surface, with job progress arriving
-// through the Notifier callback instead of worker-applied completions.
+// works unchanged over the one Manager contract, with job progress arriving
+// through the SetNotify callback instead of worker-applied completions.
 func TestPoolBackfillAsync(t *testing.T) {
 	runBackfillRundown(t, Config{Workers: 4, Manager: executive.AsyncManager, ReadyCap: 2, LowWater: 1, Batch: 1})
 }
@@ -439,31 +442,156 @@ func TestPoolRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// stallDriver is a PoolDriver that never yields work and never finishes:
-// the shape of a wedged job, unreachable through the real state machine's
-// liveness guarantees. The pool must fail the job, not deadlock.
-type stallDriver struct{ err error }
+// stallDriver is a Manager that never yields work: with inflight zero the
+// shape of a wedged job, unreachable through the real state machine's
+// liveness guarantees, which the pool must fail, not deadlock on; with
+// inflight set, a job whose work is in the hands of a goroutine that is
+// not a pool worker (an async job's management goroutine), until finish
+// ends it.
+type stallDriver struct {
+	mu       sync.Mutex
+	inflight int
+	done     bool
+	err      error
+	probes   int // InFlight calls: one per all-parked probe of this job
+}
 
 func (d *stallDriver) Start() {}
-func (d *stallDriver) Next(_ int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	return core.Task{}, at, false
-}
-func (d *stallDriver) TryNext(_ int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	return core.Task{}, at, false
-}
-func (d *stallDriver) CompleteNext(_ int, _ core.Task, at clock.Stamp) (core.Task, clock.Stamp, bool) {
-	return core.Task{}, at, false
-}
-func (d *stallDriver) Complete(_ int, _ core.Task, at clock.Stamp) (clock.Stamp, bool) {
-	return at, true
+func (d *stallDriver) Enter(_ int, _ core.Task, at clock.Stamp, _ executive.Ask) (core.Task, clock.Stamp, bool, bool) {
+	return core.Task{}, at, false, false
 }
 func (d *stallDriver) Flush(_ int, at clock.Stamp) (clock.Stamp, bool) { return at, false }
-func (d *stallDriver) Abort(err error)                                 { d.err = err }
-func (d *stallDriver) Err() error                                      { return d.err }
 func (d *stallDriver) Mgmt() time.Duration                             { return 0 }
 func (d *stallDriver) Idle() time.Duration                             { return 0 }
-func (d *stallDriver) Outcome() (bool, error)                          { return false, d.err }
-func (d *stallDriver) InFlight() int                                   { return 0 }
+func (d *stallDriver) Retire(int)                                      {}
+func (d *stallDriver) Join()                                           {}
+func (d *stallDriver) SetNotify(func())                                {}
+func (d *stallDriver) Abort(err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !d.done && d.err == nil {
+		d.err = err
+	}
+}
+func (d *stallDriver) Outcome() (bool, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.done, d.err
+}
+func (d *stallDriver) InFlight() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.probes++
+	return d.inflight
+}
+func (d *stallDriver) finish() (probes int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.done, d.inflight = true, 0
+	return d.probes
+}
+
+// injectJob activates a job over prog whose manager build returns (the
+// public Submit path cannot build a manager that misbehaves, or wrap one).
+func injectJob(t *testing.T, p *Pool, name string, prog *core.Program, build func(*core.Scheduler) executive.Manager) *Job {
+	t.Helper()
+	sched, err := core.New(prog, core.Options{Workers: p.cfg.Workers, Grain: 4, Overlap: true, Costs: core.DefaultCosts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &Job{
+		pool: p, cfg: JobConfig{Name: name, Weight: 1},
+		prog: prog,
+		done: make(chan struct{}), submitted: time.Now(),
+	}
+	j.cur.Store(&attempt{job: j, n: 1, sched: sched, mgr: build(sched)})
+	j.attempts.Store(1)
+	p.mu.Lock()
+	p.jobs = append(p.jobs, j)
+	p.activate(j, Queued)
+	p.mu.Unlock()
+	p.progress()
+	return j
+}
+
+// injectStalled injects a job driven by the stallDriver fake.
+func injectStalled(t *testing.T, p *Pool, name string, mgr *stallDriver) *Job {
+	t.Helper()
+	prog, _, _, _ := buildCopyChain(t, 16)
+	return injectJob(t, p, name, prog, func(*core.Scheduler) executive.Manager { return mgr })
+}
+
+// countingManager counts the calls a pool makes into a job's manager.
+// flowing is set while the last Enter handed out a task: an Outcome call
+// then is the per-task lock entry the fused home path exists to remove.
+type countingManager struct {
+	executive.Manager
+	calls, outcomesInFlow atomic.Int64
+	flowing               atomic.Bool
+}
+
+func (c *countingManager) Enter(w int, done core.Task, at clock.Stamp, ask executive.Ask) (core.Task, clock.Stamp, bool, bool) {
+	c.calls.Add(1)
+	t, now, ok, applied := c.Manager.Enter(w, done, at, ask)
+	c.flowing.Store(ok)
+	return t, now, ok, applied
+}
+func (c *countingManager) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
+	c.calls.Add(1)
+	return c.Manager.Flush(w, at)
+}
+func (c *countingManager) Outcome() (bool, error) {
+	c.calls.Add(1)
+	if c.flowing.Load() {
+		c.outcomesInFlow.Add(1)
+	}
+	return c.Manager.Outcome()
+}
+func (c *countingManager) InFlight() int {
+	c.calls.Add(1)
+	return c.Manager.InFlight()
+}
+
+// TestPoolHomePathEntersOncePerTask: a pool worker serving its home job
+// enters the job's serial executive once per task — report the finished
+// task, take the next — as an engine worker does, and asks for the outcome
+// only when no task came back. (Before the fused entry it was three lock
+// entries per task: the ask, the completion, the outcome.)
+func TestPoolHomePathEntersOncePerTask(t *testing.T) {
+	p, err := NewPool(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, a, b, c := buildCopyChain(t, 2048)
+	var mgr *countingManager
+	j := injectJob(t, p, "counted", prog, func(sched *core.Scheduler) executive.Manager {
+		inner, err := executive.NewManager(sched, executive.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr = &countingManager{Manager: inner}
+		return mgr
+	})
+	rep, err := j.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkCopyChain(t, a, b, c)
+	calls, slack := mgr.calls.Load(), int64(8*len(prog.Phases))
+	t.Logf("%d tasks, %d manager calls", rep.Tasks, calls)
+	if rep.Tasks < 1000 {
+		t.Fatalf("only %d tasks ran; the bound below needs many", rep.Tasks)
+	}
+	if calls > rep.Tasks+slack {
+		t.Errorf("%d manager calls for %d tasks: want at most one per task plus %d", calls, rep.Tasks, slack)
+	}
+	if n := mgr.outcomesInFlow.Load(); n != 0 {
+		t.Errorf("Outcome was asked %d times while tasks were flowing", n)
+	}
+}
 
 // TestPoolStallDetector injects a wedged job directly (the public Submit
 // path cannot build one) and expects the pool's termination detector to
@@ -473,23 +601,8 @@ func TestPoolStallDetector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, _, _, _ := buildCopyChain(t, 16)
-	sched, err := core.New(prog, core.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := &Job{
-		pool: p, cfg: JobConfig{Name: "wedged", Weight: 1},
-		prog: prog,
-		done: make(chan struct{}), submitted: time.Now(),
-	}
-	j.cur.Store(&attempt{job: j, n: 1, sched: sched, mgr: &stallDriver{}})
-	j.attempts.Store(1)
-	p.mu.Lock()
-	p.jobs = append(p.jobs, j)
-	p.activate(j, Queued)
-	p.mu.Unlock()
-	p.progress()
+	stalledBefore := probeVerdicts.stalled.Load()
+	j := injectStalled(t, p, "wedged", &stallDriver{})
 
 	select {
 	case <-j.Done():
@@ -505,5 +618,92 @@ func TestPoolStallDetector(t *testing.T) {
 	}
 	if rep.Stalled != 1 {
 		t.Errorf("report counts %d stalled jobs, want 1", rep.Stalled)
+	}
+	if probeVerdicts.stalled.Load() == stalledBefore {
+		t.Error("the all-parked probe never reported a stall verdict")
+	}
+}
+
+// TestPoolProbeWaitsWhileWorkIsInFlight: when every worker is parked and
+// the one active job still has work in flight — in the hands of a
+// goroutine that is not a pool worker — the all-parked probe must wait for
+// that goroutine's wakeup like any other parker. It used to return and
+// rebroadcast, so the workers re-swept and re-probed in a storm against
+// the one goroutine that could make progress. The job is probed once per
+// park: a handful of times here, tens of thousands in a spin.
+func TestPoolProbeWaitsWhileWorkIsInFlight(t *testing.T) {
+	p, err := NewPool(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := &stallDriver{inflight: 1}
+	j := injectStalled(t, p, "elsewhere", mgr)
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-j.Done():
+		t.Fatal("a job with work in flight was retired by the stall probe")
+	default:
+	}
+	probes := mgr.finish()
+	p.progress() // the wakeup the manager's notify callback would deliver
+	if _, err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if probes > 8 {
+		t.Errorf("the job was probed %d times in 50ms with nothing to report: the all-parked probe spins", probes)
+	}
+}
+
+// TestPoolAsyncProbeParks is the same property on a real one-job async
+// pool, where a worker that outruns the management goroutine finds itself
+// the last to park with completions queued but not yet applied: every
+// all-parked probe that found nothing stalled must go on to park (a
+// pool-level KPark inside the job's extent), not return for another sweep.
+// A chain of barrier phases one granule wide makes each phase boundary a
+// round trip through the management goroutine.
+func TestPoolAsyncProbeParks(t *testing.T) {
+	specs := make([]*core.Phase, 256)
+	for i := range specs {
+		specs[i] = &core.Phase{Name: fmt.Sprintf("p%d", i), Granules: 1, Work: func(granule.ID) {}}
+	}
+	prog, err := core.NewProgram(specs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := trace.NewRecorder(trace.Meta{}, 1)
+	p, err := NewPool(Config{Workers: 1, Manager: executive.AsyncManager, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idleBefore := probeVerdicts.idle.Load()
+	j, err := p.Submit(prog, core.Options{Costs: core.DefaultCosts()}, JobConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	idle := probeVerdicts.idle.Load() - idleBefore
+	if _, err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var parks int64
+	running := false
+	for _, e := range rec.Take().Events {
+		switch {
+		case e.Kind == trace.KStart && e.Job == 0:
+			running = true
+		case e.Kind == trace.KFinish && e.Job == 0:
+			running = false
+		case e.Kind == trace.KPark && e.Job == -1 && running:
+			parks++
+		}
+	}
+	t.Logf("%d all-parked probes found nothing stalled; %d parks while the job ran", idle, parks)
+	if parks < idle {
+		t.Errorf("%d all-parked probes found nothing stalled but the worker parked only %d times: the rest spun", idle, parks)
 	}
 }

@@ -33,64 +33,7 @@ var ErrPoolSaturated = errors.New("tenant: pool saturated")
 // wedges must be detectable or they would hang the suite.
 const defaultStallTimeout = 250 * time.Millisecond
 
-// backoffDur is the capped exponential retry backoff: the first retry
-// waits base, each further retry doubles it, capped at 64× base.
-func backoffDur(base time.Duration, attempts int) time.Duration {
-	if base <= 0 {
-		return 0
-	}
-	shift := attempts - 2 // attempts counts from 1; the first retry is attempt 2
-	if shift < 0 {
-		shift = 0
-	}
-	if shift > 6 {
-		shift = 6
-	}
-	return base << shift
-}
-
-// capTenantGrain applies Config.PreemptBound to a job's options: the
-// task grain — the largest non-preemptible unit a worker can hold, and
-// therefore the longest a home job emerging from rundown can wait behind
-// an in-flight foreign grain — is capped at bound granules. When Grain
-// is unset the core default is materialized first so the cap composes
-// with it.
-func capTenantGrain(prog *core.Program, opt core.Options, bound int) core.Options {
-	if bound <= 0 {
-		return opt
-	}
-	if opt.Grain <= 0 {
-		maxG := 1
-		for _, ph := range prog.Phases {
-			if ph.Granules > maxG {
-				maxG = ph.Granules
-			}
-		}
-		w := opt.Workers
-		if w <= 0 {
-			w = 1
-		}
-		opt.Grain = (maxG + 2*w - 1) / (2 * w)
-		if opt.Grain < 1 {
-			opt.Grain = 1
-		}
-	}
-	if opt.Grain > bound {
-		opt.Grain = bound
-	}
-	return opt
-}
-
 // ---- fault injection ----
-
-// taskFaults carries one dispatch's injected effects from the
-// pre-execute consultation to the post-execute application.
-type taskFaults struct {
-	factor int64 // compute stretch (GrainSlow × WorkerSlow product)
-	stall  int64 // completion withhold in units (GrainStall)
-	wedge  bool  // completion withheld until Plan release (WorkerWedge)
-	err    error // injected failure (GrainError)
-}
 
 // noteFault flight-records and counts one injected fault firing against
 // job ji.
@@ -103,50 +46,31 @@ func (p *Pool) noteFault(w, ji int, k fault.Kind) {
 	}
 }
 
-// injectTask consults the plan for worker- and grain-level faults on one
-// dispatch, possibly replacing work with a panicking body (GrainPanic).
-// On the pool a WorkerWedge blocks the completion until the Plan is
-// released (Close calls ReleaseAll), so only the watchdog or a deadline
-// can fail the wedged job — the injected hang the stall machinery exists
-// to detect. Only called with a non-nil plan.
-func (p *Pool) injectTask(w int, j *Job, task core.Task, work *core.WorkFn, tf *taskFaults) {
-	at := time.Since(p.start).Nanoseconds()
-	tf.factor = 1
-	if _, f, ok := p.plan.Worker(w, at, fault.WorkerSlow); ok {
-		p.noteFault(w, j.idx, fault.WorkerSlow)
-		tf.factor *= f
-	}
-	if _, _, ok := p.plan.Worker(w, at, fault.WorkerWedge); ok {
-		p.noteFault(w, j.idx, fault.WorkerWedge)
-		tf.wedge = true
-	}
-	k, d, f := p.plan.Grain(j.idx, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), at)
-	if k == 0 {
-		return
-	}
-	p.noteFault(w, j.idx, k)
-	switch k {
-	case fault.GrainSlow:
-		tf.factor *= f
-	case fault.GrainStall:
-		tf.stall += d
+// injectTask consults the plan for one dispatch, possibly replacing work
+// with a panicking body (GrainPanic) or returning the injected failure
+// (GrainError). Only called with a non-nil plan.
+func (p *Pool) injectTask(w int, j *Job, task core.Task, work *core.WorkFn) (fault.Effects, error) {
+	fx := p.plan.Dispatch(w, j.idx, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi),
+		time.Since(p.start).Nanoseconds(), func(k fault.Kind) { p.noteFault(w, j.idx, k) })
+	switch fx.Grain {
 	case fault.GrainPanic:
 		*work = fault.PanicWork(task.Phase)
 	case fault.GrainError:
-		tf.err = fmt.Errorf("tenant: injected error in job %q phase %d granules [%d,%d)",
+		return fx, fmt.Errorf("tenant: injected error in job %q phase %d granules [%d,%d)",
 			j.cfg.Name, task.Phase, task.Run.Lo, task.Run.Hi)
 	}
+	return fx, nil
 }
 
 // holdCompletion applies the completion-side faults after the task ran:
-// the stuck-grain withhold, the wedge (blocking on the Plan's release
-// channel), and the management-submission delay. Only called with a
-// non-nil plan.
-func (p *Pool) holdCompletion(w int, j *Job, tf *taskFaults) {
-	if tf.stall > 0 {
-		fault.Sleep(tf.stall)
-	}
-	if tf.wedge {
+// the stuck-grain withhold, the wedge, and the management-submission
+// delay. On the pool a WorkerWedge blocks the completion until the Plan is
+// released (Close calls ReleaseAll), so only the watchdog or a deadline
+// can fail the wedged job — the injected hang the stall machinery exists
+// to detect. Only called with a non-nil plan.
+func (p *Pool) holdCompletion(w int, j *Job, fx fault.Effects) {
+	fault.Sleep(fx.Stall)
+	if fx.Wedged {
 		<-p.plan.Release()
 	}
 	if d, ok := p.plan.Mgmt(j.idx, time.Since(p.start).Nanoseconds()); ok {

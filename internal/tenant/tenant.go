@@ -15,8 +15,8 @@
 //     backfill capacity is shared fairly among the other jobs.
 //
 // Each job owns its own core.Scheduler state machine wrapped in its own
-// executive Manager (serial and sharded both supported, via the
-// executive.PoolDriver surface); the pool owns cross-job dispatch,
+// executive Manager (every kind, through the one executive.Manager
+// contract the engine drives too); the pool owns cross-job dispatch,
 // parking, stall detection, and lifecycle. Layering: pool above manager
 // above state machine.
 package tenant
@@ -290,7 +290,7 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 	if opt.Workers <= 0 {
 		opt.Workers = p.cfg.Workers
 	}
-	opt = capTenantGrain(prog, opt, p.cfg.PreemptBound)
+	opt = opt.CapGrain(prog, p.cfg.PreemptBound)
 	if jc.Weight <= 0 {
 		jc.Weight = 1
 	}
@@ -420,15 +420,22 @@ func (p *Pool) Abort(err error) {
 // worker label; a job label is layered on per job switch when metrics
 // are on.
 //
+// A home task enters its job's executive once: the completion and the ask
+// for the next home task are one Enter, exactly the engine's per-task
+// entry, and the task it hands back runs without a sweep. A backfill task
+// — or a home task finished after the home assignment changed — completes
+// with AskNone and the worker sweeps again, home first, so dispatch stays
+// overlap-first.
+//
 // The worker keeps one clock chain (see internal/clock): now is its
 // latest reading, replaced by the stamp each manager call returns. A
 // manager entered without contention charges from the stamp it is handed,
 // so the chain is handed on only where nothing that can block sits
 // between the reading and the call (Flush, the probes within one sweep,
-// the completion submission — its one intervening step, the trace
-// record, is a store into the worker's own ring that no reader can
-// delay); the sweep starts from a fresh reading, because pool-level work
-// that can block sits before it (see sweep).
+// the completing Enter — its one intervening step, the trace record, is a
+// store into the worker's own ring that no reader can delay); the sweep
+// starts from a fresh reading, because pool-level work that can block
+// sits before it (see sweep).
 func (p *Pool) worker(ctx context.Context, w int) {
 	defer p.wg.Done()
 	var cache homeCache
@@ -444,20 +451,31 @@ func (p *Pool) worker(ctx context.Context, w int) {
 		asked := now
 		a, task, backfill, at, ok := p.sweep(w, &cache)
 		now = at
-		if ok {
+		if !ok {
+			// Dry sweep: every active job's probe flushed this worker's
+			// batch and found nothing dispatchable.
+			last = nil
+			var exit bool
+			if exit, now = p.park(w, g0, now); exit {
+				return
+			}
+			continue
+		}
+		for ok {
 			if p.met != nil {
 				if a.job != labeled {
 					labeled = a.job
 					pprof.SetGoroutineLabels(pprof.WithLabels(ctx,
 						pprof.Labels("rundown_job", labeled.cfg.Name)))
 				}
-				// Ask-to-dispatch: the sweep that found the task, from the
-				// worker's previous completion (or wakeup) to the task in
-				// hand — lock waits and dry probes of other jobs included.
+				// Ask-to-dispatch: from the worker's previous compute-end on
+				// the home path — the whole executive entry — and from its
+				// previous completion (or wakeup) when a sweep found the
+				// task, lock waits and dry probes of other jobs included.
 				// Time parked is not: a parked worker waits for work to
 				// exist, not on management, and the service's latency-class
-				// admission reads this histogram's p99 as the delay the
-				// pool imposes on a task.
+				// admission reads this histogram's p99 as the delay the pool
+				// imposes on a task.
 				p.met.DispatchWait.Observe(int64(now - asked))
 			}
 			if last != nil && last != a {
@@ -472,27 +490,29 @@ func (p *Pool) worker(ctx context.Context, w int) {
 				}
 			}
 			last = a
-			now = p.runTask(w, a, task, backfill, now)
-			continue
-		}
-		// Dry sweep: every active job's TryNext flushed this worker's
-		// batch and found nothing dispatchable.
-		last = nil
-		var exit bool
-		if exit, now = p.park(w, g0, now); exit {
-			return
+			var ran bool
+			if now, ran = p.runTask(w, a, task, backfill, now); !ran {
+				break
+			}
+			// The home assignment is unchanged when the pool's epoch is: a
+			// retry, a retirement or a new job all rebalance.
+			ask := executive.AskNone
+			if !backfill && cache.epoch == p.epoch.Load() {
+				ask = executive.AskTry
+			}
+			asked = now
+			task, now, ok = p.enter(w, a, task, now, ask)
 		}
 	}
 }
 
-// runTask executes task outside every lock, then submits the completion
-// to a's manager — the attempt the task was taken from, which after a
-// retry may no longer be its job's current one (the stale completion is
-// then dropped at the aborted manager's gate). Panics in user work fail
-// the attempt, not the pool. now is the dispatch stamp — the start of the
-// task's compute interval — and the stamp returned is the worker's latest
-// reading once the completion is submitted.
-func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clock.Stamp) clock.Stamp {
+// runTask executes task outside every lock and records it, up to the
+// point where the completion is due at a's manager. Panics in user work
+// fail the attempt, not the pool: ran=false means the attempt was aborted
+// and there is no completion to submit. now is the dispatch stamp — the
+// start of the task's compute interval — and the stamp returned is the
+// worker's latest reading, the one the completing Enter is charged from.
+func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clock.Stamp) (end clock.Stamp, ran bool) {
 	j := a.job
 	j.lastTouch.Store(int64(now))
 	if p.met != nil {
@@ -509,17 +529,17 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 		}
 	}
 	work := j.prog.Phases[task.Phase].Work
-	var tf taskFaults
+	var fx fault.Effects
+	var err error
 	if p.plan != nil {
-		p.injectTask(w, j, task, &work, &tf)
+		fx, err = p.injectTask(w, j, task, &work)
 	}
-	err := tf.err
 	if err == nil {
 		err = executive.RunTask(work, task)
 	}
-	end := clock.Now()
-	if err == nil && tf.factor > 1 {
-		fault.Stretch(end.Sub(now), tf.factor)
+	end = clock.Now()
+	if err == nil && fx.Factor > 1 {
+		fault.Stretch(end.Sub(now), fx.Factor)
 		end = clock.Now()
 	}
 	dur := end.Sub(now)
@@ -527,7 +547,7 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 	if err != nil {
 		a.mgr.Abort(transient{err})
 		p.settle(a)
-		return end
+		return end, false
 	}
 	j.compute.Add(int64(dur))
 	j.tasks.Add(1)
@@ -553,7 +573,7 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 		}
 	}
 	if p.plan != nil {
-		p.holdCompletion(w, j, &tf)
+		p.holdCompletion(w, j, fx)
 		end = clock.Now()
 	}
 	// Recorded BEFORE the completion is submitted to management, so any
@@ -564,17 +584,7 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
 	}
 	j.lastTouch.Store(int64(end))
-	// A completion that only joined the worker's local batch cannot have
-	// released successor work or finished the job, so parked workers are
-	// only woken when the batch was actually applied — without this,
-	// every batched completion would broadcast the pool awake during
-	// rundown, defeating the point of completion batching.
-	end, applied := a.mgr.Complete(w, task, end)
-	if applied {
-		p.settle(a)
-		p.progress()
-	}
-	return end
+	return end, true
 }
 
 // progress records a progress event and wakes parked workers. The
@@ -634,6 +644,9 @@ func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stam
 				stalled = append(stalled, j)
 			}
 		}
+		if probed != nil {
+			probed(len(stalled))
+		}
 		for _, j := range stalled {
 			// A manager that refuses the abort finished, it did not stall:
 			// its final completion landed (async drain) between the dry
@@ -646,9 +659,17 @@ func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stam
 				p.stalled++
 			}
 		}
-		p.nWaiting.Add(-1)
-		p.cond.Broadcast()
-		return false, at
+		if len(stalled) > 0 {
+			p.nWaiting.Add(-1)
+			p.cond.Broadcast()
+			return false, at
+		}
+		// Nothing stalled: what is in flight is in the hands of a goroutine
+		// that is not a pool worker (an async job's management goroutine,
+		// a captive of an injected wedge), and sweeping again cannot hurry
+		// it. Wait like any other parker — its notify callback, retire,
+		// activate and the watchdog's re-wake are the wakeups, and the gen
+		// re-check above already closed the race with them.
 	}
 	if rec := p.cfg.Trace; rec != nil {
 		rec.Ring(w).Record(trace.KPark, rec.At(at), int32(w), -1, -1, 0, 0, 0)

@@ -65,8 +65,8 @@ type Job struct {
 	// Retry is how many times a failed attempt restarts on a fresh
 	// scheduler (0 inherits WithRetry's default). The executive engine
 	// has no attempts, so a goroutine Run with a budget is a one-job pool
-	// run (Report.Backend says so), measured at 1.2–2.5× the engine's
-	// wall time at grain 2 (BenchmarkOneJob; DESIGN.md has the table).
+	// run (Report.Backend says so; BenchmarkOneJob and DESIGN.md §4.4
+	// have what that costs against the engine).
 	Retry int
 	// Backoff is the base delay before the first retry, doubled per
 	// further retry and capped at 64× (0 inherits WithRetry's default).
@@ -183,8 +183,8 @@ func (r *Report) String() string {
 // Snapshot is one live observation of a running job, streamed to the
 // Runner's Observer. Real backends sample it on a wall clock
 // (WithObservePeriod); the virtual backend emits it at deterministic
-// virtual-time marks (SimConfig.ObserveEvery), so observed simulations
-// remain reproducible. All counters are cumulative since the run
+// virtual-time marks (about 16 per run), so observed simulations remain
+// reproducible. All counters are cumulative since the run
 // started. The json tags pin the service daemon's SSE event schema.
 type Snapshot struct {
 	// Backend identifies the emitting machine.

@@ -23,20 +23,7 @@ import (
 // dispatch boundary with an error wrapping ctx.Err(), releases parked
 // workers, and tears down goroutine-free.
 type Runner struct {
-	cfg     runnerConfig
-	backend Backend
-}
-
-// Backend dispatches Jobs on one machine model. The three built-in
-// backends — virtual time, goroutine executive, tenant pool — are chosen
-// by Runner options; Runner.Run and Runner.RunAll delegate to it.
-type Backend interface {
-	// Kind identifies the machine.
-	Kind() BackendKind
-	// Run executes one job to completion.
-	Run(ctx context.Context, job Job) (*Report, error)
-	// RunAll executes several jobs sharing the machine.
-	RunAll(ctx context.Context, jobs []Job) (*Report, error)
+	cfg runnerConfig
 }
 
 // New builds a Runner from functional options. With no options it runs
@@ -51,14 +38,6 @@ func New(opts ...Option) (*Runner, error) {
 		}
 	}
 	r.cfg.resolve()
-	switch {
-	case r.cfg.virtual:
-		r.backend = &virtualBackend{c: &r.cfg}
-	case r.cfg.pool:
-		r.backend = &poolBackend{c: &r.cfg}
-	default:
-		r.backend = &execBackend{c: &r.cfg}
-	}
 	return r, nil
 }
 
@@ -66,7 +45,17 @@ func New(opts ...Option) (*Runner, error) {
 // report. Cancelling ctx aborts the run with an error wrapping
 // ctx.Err().
 func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
-	return r.backend.Run(ctx, job)
+	switch r.Backend() {
+	case VirtualBackend:
+		return r.cfg.runVirtual(ctx, []Job{job}, true)
+	case ExecBackend:
+		// The executive has no model for a retry budget (attempts); the
+		// pool does.
+		if r.cfg.jobRetry(job) == 0 {
+			return r.cfg.runExec(ctx, job)
+		}
+	}
+	return r.cfg.runPool(ctx, []Job{job})
 }
 
 // RunAll executes jobs sharing the configured machine: the tenant pool's
@@ -75,11 +64,24 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 // error in Report.Jobs; the returned error is the first job error (so a
 // partial Report and an error can both be non-nil on real backends).
 func (r *Runner) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
-	return r.backend.RunAll(ctx, jobs)
+	if r.Backend() == VirtualBackend {
+		return r.cfg.runVirtual(ctx, jobs, false)
+	}
+	// The executive has no model for several jobs; the pool does.
+	return r.cfg.runPool(ctx, jobs)
 }
 
 // Backend reports which machine the Runner drives.
-func (r *Runner) Backend() BackendKind { return r.backend.Kind() }
+func (r *Runner) Backend() BackendKind {
+	switch {
+	case r.cfg.virtual:
+		return VirtualBackend
+	case r.cfg.pool:
+		return PoolBackend
+	default:
+		return ExecBackend
+	}
+}
 
 // StartPool starts a live multi-tenant pool configured from the Runner's
 // options, for callers that need the incremental Submit/Wait/Close
@@ -107,36 +109,25 @@ func jobName(job Job, i int) string {
 	return fmt.Sprintf("job%d", i)
 }
 
-// execBackend runs single jobs on a dedicated goroutine executive and
-// delegates to the pool backend what the executive has no model for:
-// several jobs (RunAll) and a job with a retry budget (attempts).
-type execBackend struct {
-	c *runnerConfig
-}
-
-func (b *execBackend) Kind() BackendKind { return ExecBackend }
-
-func (b *execBackend) Run(ctx context.Context, job Job) (*Report, error) {
-	if b.c.jobRetry(job) > 0 {
-		return b.RunAll(ctx, []Job{job})
-	}
+// runExec runs one job on a dedicated goroutine executive.
+func (c *runnerConfig) runExec(ctx context.Context, job Job) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// A single-job goroutine run enforces the deadline through its run
 	// context: the executive aborts at the next dispatch boundary with an
 	// error wrapping context.DeadlineExceeded.
-	if d := b.c.jobDeadline(job); d > 0 {
+	if d := c.jobDeadline(job); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	rec := b.c.newRecorder()
-	met := b.c.newMetrics("ns")
-	cfg := b.c.execConfig()
+	rec := c.newRecorder()
+	met := c.newMetrics("ns")
+	cfg := c.execConfig()
 	cfg.Trace = rec
 	cfg.Metrics = met
-	rep, err := executive.RunContext(ctx, job.Prog, b.c.jobOpt(job), cfg)
+	rep, err := executive.RunContext(ctx, job.Prog, c.jobOpt(job), cfg)
 	if err != nil {
 		// Every failure names the job it killed, and cancellation or
 		// deadline errors keep wrapping ctx.Err() through this layer.
@@ -144,37 +135,23 @@ func (b *execBackend) Run(ctx context.Context, job Job) (*Report, error) {
 	}
 	out := &Report{
 		Backend:     ExecBackend,
-		Manager:     b.c.manager,
-		Workers:     b.c.workers,
+		Manager:     c.manager,
+		Workers:     c.workers,
 		Tasks:       rep.Tasks,
 		Wall:        rep.Wall,
 		Utilization: rep.Utilization,
 		MgmtRatio:   rep.MgmtRatio,
 		Exec:        rep,
 	}
-	b.c.finishMetrics(met, out)
-	if terr := b.c.finishTrace(rec, out); terr != nil {
+	c.finishMetrics(met, out)
+	if terr := c.finishTrace(rec, out); terr != nil {
 		return out, terr
 	}
 	return out, nil
 }
 
-func (b *execBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
-	return (&poolBackend{c: b.c}).RunAll(ctx, jobs)
-}
-
-// poolBackend runs jobs on the multi-tenant worker pool.
-type poolBackend struct {
-	c *runnerConfig
-}
-
-func (b *poolBackend) Kind() BackendKind { return PoolBackend }
-
-func (b *poolBackend) Run(ctx context.Context, job Job) (*Report, error) {
-	return b.RunAll(ctx, []Job{job})
-}
-
-func (b *poolBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
+// runPool runs jobs on the multi-tenant worker pool.
+func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -182,8 +159,8 @@ func (b *poolBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
 	// every outcome — for runs that die before the pool exists (once
 	// the pool is up, its own Close emits the Final snapshot).
 	failEarly := func(err error) (*Report, error) {
-		if b.c.observer != nil {
-			b.c.observer(Snapshot{Backend: PoolBackend, Final: true})
+		if c.observer != nil {
+			c.observer(Snapshot{Backend: PoolBackend, Final: true})
 		}
 		return nil, err
 	}
@@ -200,9 +177,9 @@ func (b *poolBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return failEarly(fmt.Errorf("rundown: run canceled: %w", err))
 	}
-	rec := b.c.newRecorder()
-	met := b.c.newMetrics("ns")
-	pcfg := b.c.poolConfig()
+	rec := c.newRecorder()
+	met := c.newMetrics("ns")
+	pcfg := c.poolConfig()
 	pcfg.Trace = rec
 	pcfg.Metrics = met
 	pool, err := tenant.NewPool(pcfg)
@@ -220,11 +197,11 @@ func (b *poolBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
 
 	handles := make([]*tenant.Job, 0, len(jobs))
 	for i, job := range jobs {
-		h, err := pool.Submit(job.Prog, b.c.jobOpt(job), tenant.JobConfig{
+		h, err := pool.Submit(job.Prog, c.jobOpt(job), tenant.JobConfig{
 			Name: jobName(job, i), Priority: job.Priority, Weight: job.Weight,
-			Deadline: b.c.jobDeadline(job),
-			Retry:    b.c.jobRetry(job),
-			Backoff:  b.c.jobBackoff(job),
+			Deadline: c.jobDeadline(job),
+			Retry:    c.jobRetry(job),
+			Backoff:  c.jobBackoff(job),
 		})
 		if err != nil {
 			submitErr := fmt.Errorf("rundown: job %q: %w", jobName(job, i), err)
@@ -247,8 +224,8 @@ func (b *poolBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
 
 	rep := &Report{
 		Backend: PoolBackend,
-		Manager: b.c.manager,
-		Workers: b.c.workers,
+		Manager: c.manager,
+		Workers: c.workers,
 	}
 	var firstErr error
 	for i, h := range handles {
@@ -282,53 +259,39 @@ func (b *poolBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
 	if firstErr == nil {
 		firstErr = closeErr
 	}
-	b.c.finishMetrics(met, rep)
-	if terr := b.c.finishTrace(rec, rep); terr != nil && firstErr == nil {
+	c.finishMetrics(met, rep)
+	if terr := c.finishTrace(rec, rep); terr != nil && firstErr == nil {
 		firstErr = terr
 	}
 	return rep, firstErr
 }
 
-// virtualBackend runs jobs on the deterministic discrete-event machine.
-type virtualBackend struct {
-	c *runnerConfig
-}
-
-func (b *virtualBackend) Kind() BackendKind { return VirtualBackend }
-
-func (b *virtualBackend) Run(ctx context.Context, job Job) (*Report, error) {
-	return b.run(ctx, []Job{job}, true)
-}
-
-func (b *virtualBackend) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
-	return b.run(ctx, jobs, false)
-}
-
-// run prices jobs on the one virtual-time engine. Run is its one-job
-// case: the same specs, failure policy and report, plus the
-// single-program detail (timeline, chart) in Report.Sim, and — like the
-// other backends' Run — every error names the job.
-func (b *virtualBackend) run(ctx context.Context, jobs []Job, single bool) (*Report, error) {
-	rec := b.c.newRecorder()
-	met := b.c.newMetrics("virtual")
-	cfg := b.c.simConfig()
+// runVirtual prices jobs on the deterministic discrete-event machine, the
+// one virtual-time engine. Run is its one-job case (single): the same
+// specs, failure policy and report, plus the single-program detail
+// (timeline, chart) in Report.Sim, and — like the other backends' Run —
+// every error names the job.
+func (c *runnerConfig) runVirtual(ctx context.Context, jobs []Job, single bool) (*Report, error) {
+	rec := c.newRecorder()
+	met := c.newMetrics("virtual")
+	cfg := c.simConfig()
 	cfg.Trace = rec
 	cfg.Metrics = met
 	specs := make([]sim.JobSpec, len(jobs))
 	for i, job := range jobs {
 		specs[i] = sim.JobSpec{
-			Name: jobName(job, i), Prog: job.Prog, Opt: b.c.jobOpt(job),
+			Name: jobName(job, i), Prog: job.Prog, Opt: c.jobOpt(job),
 			Priority: job.Priority, Weight: job.Weight,
 			// One virtual unit per nanosecond keeps the same Job spec
 			// meaningful on both clocks.
-			Deadline: int64(b.c.jobDeadline(job)),
-			Retry:    b.c.jobRetry(job),
-			Backoff:  int64(b.c.jobBackoff(job)),
+			Deadline: int64(c.jobDeadline(job)),
+			Retry:    c.jobRetry(job),
+			Backoff:  int64(c.jobBackoff(job)),
 		}
 	}
 	rep := &Report{
 		Backend: VirtualBackend,
-		Manager: b.c.manager,
+		Manager: c.manager,
 		Model:   cfg.Mgmt,
 	}
 	var res *sim.MultiResult
@@ -376,8 +339,8 @@ func (b *virtualBackend) run(ctx context.Context, jobs []Job, single bool) (*Rep
 	if res.MgmtUnits > 0 {
 		rep.MgmtRatio = float64(res.ComputeUnits) / float64(res.MgmtUnits)
 	}
-	b.c.finishMetrics(met, rep)
-	if terr := b.c.finishTrace(rec, rep); terr != nil && firstErr == nil {
+	c.finishMetrics(met, rep)
+	if terr := c.finishTrace(rec, rep); terr != nil && firstErr == nil {
 		firstErr = terr
 	}
 	return rep, firstErr

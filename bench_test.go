@@ -443,50 +443,38 @@ func BenchmarkPoolTwoJobsSharded(b *testing.B) {
 	b.ReportMetric(stats.Percentile(backfill, 50)*100, "backfill-%")
 }
 
-// BenchmarkOneJob is the measurement behind "two wall-clock loops: why
-// both stay" (DESIGN.md): the bench module's exec-fine run — the 3×32768
-// identity chain at grains 2 and 8 under each of its four manager
-// configurations, GOMAXPROCS workers — through Run on the executive
-// engine and, with WithPool added, as a one-job pool run. ns/op and
-// allocs/op per cell; pool ÷ engine is the price of merging the loops.
+// BenchmarkOneJob is the bench module's exec-fine run as a go test series
+// (DESIGN.md §4.4 keeps its history): the 3×32768 identity chain at grains
+// 2 and 8 under each manager, GOMAXPROCS workers, through Run — a one-job
+// run of the one wall-clock worker loop. ns/op and allocs/op per cell.
 func BenchmarkOneJob(b *testing.B) {
-	sharded := func(extra ...rundown.Option) []rundown.Option {
-		return append([]rundown.Option{rundown.WithManager(rundown.ShardedManager),
-			rundown.WithDequeCap(32), rundown.WithBatch(16)}, extra...)
-	}
 	managers := []struct {
 		name string
 		opts []rundown.Option
 	}{
 		{"serial", []rundown.Option{rundown.WithManager(rundown.SerialManager)}},
-		{"sharded", sharded()},
-		{"adaptive", sharded(rundown.WithAdaptiveBatching(0))},
+		{"sharded", []rundown.Option{rundown.WithManager(rundown.ShardedManager),
+			rundown.WithDequeCap(32), rundown.WithBatch(16)}},
 		{"async", []rundown.Option{rundown.WithManager(rundown.AsyncManager)}},
 	}
 	prog, opt := buildChainFine(b)
-	for _, loop := range []string{"engine", "pool"} {
-		for _, m := range managers {
-			for _, grain := range []int{2, 8} {
-				b.Run(loop+"/"+m.name+"/g"+strconv.Itoa(grain), func(b *testing.B) {
-					opts := append([]rundown.Option(nil), m.opts...)
-					if loop == "pool" {
-						opts = append(opts, rundown.WithPool())
-					}
-					runner, err := rundown.New(opts...)
-					if err != nil {
+	for _, m := range managers {
+		for _, grain := range []int{2, 8} {
+			b.Run(m.name+"/g"+strconv.Itoa(grain), func(b *testing.B) {
+				runner, err := rundown.New(m.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				job := rundown.Job{Prog: prog, Opt: opt}
+				job.Opt.Grain = grain
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := runner.Run(context.Background(), job); err != nil {
 						b.Fatal(err)
 					}
-					job := rundown.Job{Prog: prog, Opt: opt}
-					job.Opt.Grain = grain
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := runner.Run(context.Background(), job); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -498,17 +486,6 @@ func BenchmarkPoolMultiSim(b *testing.B) {
 	benchExperiment(b, "E11", func(t *experiments.Table) (string, float64) {
 		return "pool-utilization", cellF(t, 3, 4)
 	})
-}
-
-// adaptiveOpts turns on the online batch controller for a workload
-// builder: DequeCap/Batch become starting values the manager retunes from
-// its measured lock-wait and hoarded-idle shares each epoch.
-func adaptiveOpts(build func(b *testing.B) (*rundown.Program, rundown.Options)) func(b *testing.B) (*rundown.Program, rundown.Options) {
-	return func(b *testing.B) (*rundown.Program, rundown.Options) {
-		prog, opt := build(b)
-		opt.AdaptiveBatch = true
-		return prog, opt
-	}
 }
 
 func BenchmarkManagerChainFineSerial(b *testing.B) {
@@ -529,24 +506,10 @@ func BenchmarkManagerChainFineShardedFaultsOff(b *testing.B) {
 	benchManager(b, rundown.ShardedManager, buildChainFine, rundown.WithFaults(rundown.FaultSpec{}))
 }
 
-// BenchmarkManagerChainFineAdaptive / BenchmarkManagerCasperAdaptive are
-// the adaptive pair of the manager comparison: the same workloads as the
-// fixed-parameter sharded benchmarks with the batch controller turned on,
-// so the utilization delta prices what online tuning buys (or costs) on
-// this host.
-func BenchmarkManagerChainFineAdaptive(b *testing.B) {
-	benchManager(b, rundown.ShardedManager, adaptiveOpts(buildChainFine))
-}
-
-func BenchmarkManagerCasperAdaptive(b *testing.B) {
-	benchManager(b, rundown.ShardedManager, adaptiveOpts(buildCasperPipeline))
-}
-
 // BenchmarkManagerChainFineAsync / BenchmarkManagerCasperAsync are the
 // async pair of the manager comparison: the dedicated-management-
-// goroutine executive on the same workloads as the serial/sharded/
-// adaptive series, so one run carries all four architectures side by
-// side.
+// goroutine executive on the same workloads as the serial and sharded
+// series, so one run carries all three architectures side by side.
 func BenchmarkManagerChainFineAsync(b *testing.B) {
 	benchManager(b, rundown.AsyncManager, buildChainFine)
 }

@@ -6,11 +6,12 @@
 // The executive-selection flags (-manager, -adaptive, -ready, -low-water,
 // -batch) are the shared set from internal/cliflags, identical to
 // cmd/rundownsim's; -manager additionally accepts "both" to run the
-// manager comparisons head-to-head.
+// manager comparisons head-to-head. -adaptive is parsed and ignored:
+// adaptive batching is priced in virtual time, by E12, on every run.
 //
 // Usage:
 //
-//	experiments [-scale quick|full] [-only E3] [-md] [-manager serial|sharded|async|both] [-adaptive]
+//	experiments [-scale quick|full] [-only E3] [-md] [-manager serial|sharded|async|both]
 package main
 
 import (
@@ -47,7 +48,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	experiments.SetAdaptive(exec.Adaptive)
 	experiments.SetExecKnobs(exec.Ready, exec.LowWater, exec.Batch)
 
 	var scale experiments.Scale

@@ -20,18 +20,19 @@
 //	r, _ := rundown.New(rundown.WithWorkers(8), rundown.WithManager(rundown.AsyncManager))
 //	rep, err := r.Run(ctx, rundown.Job{Prog: prog, Opt: opt})
 //
-// Three backends stand behind the same two methods:
+// Two machines stand behind the same two methods, and on each Run is the
+// one-job case of RunAll:
 //
-//   - the goroutine executive (default): real workers run the phases'
-//     Work functions under a pluggable manager — the paper-faithful
+//   - goroutines (default): real workers — one worker loop, the
+//     multi-tenant pool's — run the phases' Work functions; several jobs
+//     share the worker set under overlap-first dispatch, so one job's
+//     rundown is filled by another job's work. Each job's scheduler sits
+//     behind a pluggable executive manager — the paper-faithful
 //     SerialManager (one global executive lock), the ShardedManager
 //     (per-worker task deques, batched completion submission, work
-//     stealing, optional adaptive batching), or the AsyncManager (all
-//     management on one dedicated background goroutine, the paper's
-//     separate executive processor);
-//   - the multi-tenant pool (WithPool, and RunAll on any real Runner):
-//     several jobs share one worker set under overlap-first dispatch, so
-//     one job's rundown is filled by another job's work;
+//     stealing), or the AsyncManager (all management on one dedicated
+//     background goroutine, the paper's separate executive processor).
+//     WithPool only relabels this machine;
 //   - the virtual machine (WithVirtualTime): a deterministic
 //     discrete-event simulation of a P-processor machine that prices
 //     every management operation, with a resource model per manager
@@ -44,15 +45,15 @@
 // from all backends — wall-clock sampled on hardware, emitted at
 // deterministic virtual-time marks in simulation. Every named manager
 // and model runs on every door; an unknown value fails the run where it
-// arrives (a model with ErrUnsupportedMgmt). Real pools ignore adaptive
-// batching by design (pool-level parking absorbs the controller's shrink
-// signal); only the virtual machine prices it pool-wide.
+// arrives (a model with ErrUnsupportedMgmt). Adaptive batching is a
+// virtual-time model: goroutine runs keep the sharded manager's
+// parameters fixed.
 //
 // # Flight recorder
 //
 // WithTrace turns on the flight recorder: every scheduling decision —
-// dispatch, completion, steal, backfill, park/unpark, batch retune,
-// abort — is captured as a compact binary record in per-worker rings and
+// dispatch, completion, backfill, park/unpark, injected fault, retry,
+// abort, and in virtual time batch retune — is captured as a compact binary record in per-worker rings and
 // merged into Report.Trace (and written to the given io.Writer, if any,
 // in a versioned checksummed format readable with ReadTraceFile). On
 // top of the trace: ReplayTrace re-executes a recorded schedule

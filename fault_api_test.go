@@ -283,9 +283,9 @@ func TestRunnerPoolSentinels(t *testing.T) {
 }
 
 // TestRunnerExecRunHonoursRetry: a retry budget binds Run on the
-// goroutine backend as it binds the pool and the virtual machine. The
-// executive has no attempt model, so a job with retries to spend runs as
-// a one-job pool run — and the Report says so.
+// goroutine backend, whatever its label and manager, as it binds RunAll
+// and the virtual machine: every goroutine Run is a one-job pool run, and
+// the pool has attempts.
 func TestRunnerExecRunHonoursRetry(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -316,8 +316,8 @@ func TestRunnerExecRunHonoursRetry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("the retry should have recovered the injected error: %v", err)
 			}
-			if rep.Backend != rundown.PoolBackend {
-				t.Errorf("report backend = %v, want %v (the engine that ran the attempts)", rep.Backend, rundown.PoolBackend)
+			if rep.Backend != r.Backend() {
+				t.Errorf("report backend = %v, want the Runner's, %v", rep.Backend, r.Backend())
 			}
 			if len(rep.Jobs) != 1 || rep.Jobs[0].Attempts != 2 || rep.Retries != 1 {
 				t.Errorf("jobs=%+v retries=%d, want one job with 2 attempts and 1 retry", rep.Jobs, rep.Retries)

@@ -5,10 +5,26 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/enable"
-	"repro/internal/executive"
 	"repro/internal/granule"
 	"repro/internal/sim"
+	"repro/internal/tenant"
 )
+
+// runOnPool runs prog to completion as the one job of a fresh pool of
+// workers goroutines under the serial manager.
+func runOnPool(tb testing.TB, prog *core.Program, opt core.Options, workers int) {
+	tb.Helper()
+	p, err := tenant.NewPool(tenant.Config{Workers: workers})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.Submit(prog, opt, tenant.JobConfig{}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
 
 func TestNewGridValidation(t *testing.T) {
 	if _, err := NewGrid(2, 1.0, nil); err == nil {
@@ -74,11 +90,7 @@ func TestSORParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := executive.Run(prog,
-			core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()},
-			executive.Config{Workers: 6}); err != nil {
-			t.Fatal(err)
-		}
+		runOnPool(t, prog, core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()}, 6)
 		for p := range ref.Phi {
 			if g.Phi[p] != ref.Phi[p] {
 				t.Fatalf("seam=%v: phi[%d] = %v, want %v", seam, p, g.Phi[p], ref.Phi[p])
@@ -91,11 +103,7 @@ func TestSORConverges(t *testing.T) {
 	g, _ := NewGrid(16, 1.5, HotEdgeBoundary(16))
 	r0 := g.Residual()
 	prog, _ := g.SORProgram(30, true)
-	if _, err := executive.Run(prog,
-		core.Options{Grain: 16, Overlap: true, Costs: core.DefaultCosts()},
-		executive.Config{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
+	runOnPool(t, prog, core.Options{Grain: 16, Overlap: true, Costs: core.DefaultCosts()}, 4)
 	if r := g.Residual(); r >= r0/10 {
 		t.Errorf("residual %v did not drop an order of magnitude from %v", r, r0)
 	}
@@ -202,11 +210,7 @@ func TestPipelineSerialVsParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := executive.Run(prog,
-			core.Options{Grain: 8, Overlap: overlap, Elevate: true, Costs: core.DefaultCosts()},
-			executive.Config{Workers: 6}); err != nil {
-			t.Fatal(err)
-		}
+		runOnPool(t, prog, core.Options{Grain: 8, Overlap: overlap, Elevate: true, Costs: core.DefaultCosts()}, 6)
 		for i := range ref.Out {
 			if p.Out[i] != ref.Out[i] {
 				t.Fatalf("overlap=%v: out[%d] = %v, want %v", overlap, i, p.Out[i], ref.Out[i])
@@ -282,10 +286,6 @@ func BenchmarkSORSweepExecutive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g, _ := NewGrid(128, 1.2, HotEdgeBoundary(128))
 		prog, _ := g.SORProgram(2, true)
-		if _, err := executive.Run(prog,
-			core.Options{Grain: 256, Overlap: true, Costs: core.DefaultCosts()},
-			executive.Config{Workers: 8}); err != nil {
-			b.Fatal(err)
-		}
+		runOnPool(b, prog, core.Options{Grain: 256, Overlap: true, Costs: core.DefaultCosts()}, 8)
 	}
 }

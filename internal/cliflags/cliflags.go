@@ -20,8 +20,9 @@ type Exec struct {
 	// verbatim to a filter that accepts extra values (experiments'
 	// "both").
 	Manager string
-	// Adaptive is -adaptive: the adaptive batching controller (sharded
-	// manager on hardware, the Adaptive model in virtual time).
+	// Adaptive is -adaptive: the adaptive batching controller — the
+	// Adaptive model in virtual time; goroutine runs keep the sharded
+	// manager's parameters fixed.
 	Adaptive bool
 	// Ready and LowWater are the async manager's ready-buffer knobs.
 	Ready    int
@@ -40,7 +41,7 @@ func Register(fs *flag.FlagSet, managerDefault, managerUsage string) *Exec {
 	e := &Exec{fs: fs}
 	fs.StringVar(&e.Manager, "manager", managerDefault, managerUsage)
 	fs.BoolVar(&e.Adaptive, "adaptive", false,
-		"adaptive batching: worker-local buffers with the batch size retuned online (sharded manager / Adaptive sim model)")
+		"adaptive batching: worker-local buffers with the batch size retuned online (the Adaptive sim model; goroutine runs stay fixed sharded)")
 	fs.IntVar(&e.Ready, "ready", 0,
 		"ready-buffer bound for -manager async (0 = 2*workers, min 8)")
 	fs.IntVar(&e.LowWater, "low-water", 0,

@@ -127,12 +127,11 @@ type Options struct {
 	// 2*Workers granules ("avoid solving an unnecessarily large
 	// enablement problem").
 	SubsetSize int
-	// AdaptiveBatch enables online retuning of the batched executive's
-	// parameters (the sharded manager's DequeCap and Batch; the simulator's
-	// Adaptive-model refill batch) from the observed
+	// AdaptiveBatch enables online retuning of the simulator's
+	// Adaptive-model refill batch from the observed
 	// computation-to-management ratio each refill epoch, instead of the
-	// fixed defaults. The scheduler state machine itself ignores it; the
-	// drivers (internal/executive, internal/sim) consume it.
+	// fixed default. The scheduler state machine itself ignores it, and so
+	// do the goroutine managers; internal/sim consumes it.
 	AdaptiveBatch bool
 	// MgmtTarget is the amortizable lock-overhead share of machine
 	// capacity the adaptive controller steers toward (the paper's E5

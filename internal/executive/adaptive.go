@@ -44,11 +44,13 @@ package executive
 //     cooldown epoch follows every change, so a steady workload settles
 //     and stays put.
 //
-// The Tuner is deterministic and unit-agnostic: the goroutine sharded
-// manager feeds it wall-clock nanoseconds, the discrete-event simulator
-// feeds it virtual units. Both express an epoch as total machine capacity
-// (workers x elapsed) plus the lock-overhead and hoarded-idle shares of
-// it.
+// The Tuner is deterministic and unit-agnostic: an epoch is total machine
+// capacity (workers x elapsed) plus the lock-overhead and hoarded-idle
+// shares of it. Its one driver is the discrete-event simulator's Adaptive
+// model, in virtual units (E12 prices it). The goroutine sharded manager
+// runs fixed parameters: its workers park in the pool, above the manager,
+// where the shrink and starvation inputs cannot be measured, and no
+// hardware benchmark separated the controller from fixed sharded.
 
 // The controller's fixed parameters. Nothing ever set them to anything
 // else, so they are constants, not configuration.
@@ -109,8 +111,7 @@ func (c TunerConfig) withDefaults() TunerConfig {
 }
 
 // Tuner is the adaptive batching controller. Not safe for concurrent use;
-// callers serialize Observe (the sharded manager calls it under its global
-// lock, the simulator is single-threaded).
+// callers serialize Observe (the simulator is single-threaded).
 type Tuner struct {
 	cfg       TunerConfig
 	cap       int
@@ -144,12 +145,12 @@ func (t *Tuner) Changes() int { return t.changes }
 // in the epoch (lock acquisition time on hardware, Acquire charges in the
 // simulator — NOT total management time); hoardedIdle is the processor
 // time spent parked while peer deques held redistributable tasks;
-// lockStarve is the processor time spent parked while another worker
+// starved is the processor time spent parked while another worker
 // occupied the management path (the large-P lock-saturation signal —
 // drivers without the measurement pass 0). All in one consistent unit. It
 // returns the cap and batch to use for the next epoch and whether they
 // changed.
-func (t *Tuner) Observe(capacity, overhead, hoardedIdle, lockStarve int64) (cap, batch int, changed bool) {
+func (t *Tuner) Observe(capacity, overhead, hoardedIdle, starved int64) (cap, batch int, changed bool) {
 	if capacity <= 0 {
 		return t.cap, t.batch, false
 	}
@@ -160,7 +161,7 @@ func (t *Tuner) Observe(capacity, overhead, hoardedIdle, lockStarve int64) (cap,
 	}
 	overShare := float64(overhead) / float64(capacity)
 	starveShare := float64(hoardedIdle) / float64(capacity)
-	lockShare := float64(lockStarve) / float64(capacity)
+	lockShare := float64(starved) / float64(capacity)
 
 	switch {
 	case overShare > t.cfg.MgmtTarget:

@@ -1,7 +1,6 @@
 package executive
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // async is the dedicated-management-processor Manager: the paper's "some
@@ -21,9 +19,10 @@ import (
 //
 //   - Ready-buffer: workers pull tasks from a bounded buffered channel
 //     (Config.ReadyCap) the management goroutine keeps topped up via
-//     NextTasks. A channel receive is the whole per-task dispatch cost on
-//     the worker side, and each send wakes at most one parked receiver —
-//     the targeted wakeup, with the runtime doing the targeting.
+//     NextTasks. A non-blocking channel receive is the whole per-task
+//     dispatch cost on the worker side; a worker that finds the buffer
+//     empty is told so and parks in the pool, which the management
+//     goroutine wakes through the progress callback (SetNotify).
 //   - Completions: workers push into a lock-free MPSC queue (mpsc.go) and
 //     ring the management doorbell; the management goroutine drains the
 //     queue in batches of Config.Batch via CompleteBatch.
@@ -41,24 +40,22 @@ import (
 //     spinning. The same path absorbs a full completion queue.
 //
 // Measurement: Mgmt() is the state-machine time of management cycles
-// (wherever they ran); Idle() is worker time blocked on an empty ready
-// buffer. The management goroutine itself is not a worker: like the sim's
-// Dedicated model, its processor is not in the utilization denominator —
-// that is exactly the resource trade the paper's comparison prices.
+// (wherever they ran). The management goroutine itself is not a worker:
+// like the sim's Dedicated model, its processor is not in the utilization
+// denominator — that is exactly the resource trade the paper's comparison
+// prices.
 //
-// Invariants the stall detectors rely on: every task popped from the
+// Invariants the pool's stall probe relies on: every task popped from the
 // state machine is immediately in the ready channel, held by a worker, or
 // queued/applied as a completion, so the state machine's InFlight count
 // covers everything outside it. The management goroutine parks on the
-// doorbell only when InFlight > 0 (completions are coming and will ring)
-// or after finishing; workers ring the doorbell whenever they push a
-// completion or find the buffer empty, so the cycle after the last
-// completion always observes the final state.
+// doorbell between cycles; workers ring it whenever they push a completion
+// or find the buffer empty, and Abort rings it, so the cycle after the
+// last completion — or after the pool's stall verdict — always observes
+// the final state.
 type async struct {
-	sm      StateMachine
-	workers int
-	rec     *trace.Recorder // flight recorder (nil = tracing off)
-	met     *telemetry.Set  // ready-buffer occupancy gauge (nil = metrics off)
+	sm  StateMachine
+	met *telemetry.Set // ready-buffer occupancy gauge (nil = metrics off)
 
 	readyCap int
 	lowWater int
@@ -85,7 +82,6 @@ type async struct {
 	notify func() // pool progress callback; nil outside a pool
 
 	mgmtNS       atomic.Int64 // state-machine time of management cycles
-	idleNS       atomic.Int64 // worker time blocked on the empty ready buffer
 	lastDrain    atomic.Int64 // clock.Stamp of the last finished management cycle
 	inlineCycles atomic.Int64 // fallback cycles run on worker goroutines
 
@@ -127,8 +123,6 @@ func newAsync(sm StateMachine, cfg Config) *async {
 	}
 	return &async{
 		sm:       sm,
-		workers:  cfg.Workers,
-		rec:      cfg.Trace,
 		met:      cfg.Metrics,
 		readyCap: readyCap,
 		lowWater: low,
@@ -169,8 +163,8 @@ func (m *async) Start() {
 	go m.loop()
 }
 
-// loop is the management goroutine: run cycles until the program is done,
-// aborted, or stalled; park on the doorbell in between.
+// loop is the management goroutine: run cycles until the program is done
+// or aborted; park on the doorbell in between.
 func (m *async) loop() {
 	defer close(m.loopDone)
 	for {
@@ -195,7 +189,7 @@ func (m *async) cycle() bool {
 }
 
 // cycleLocked is the management pass: drain completions, top up the ready
-// buffer, overlap deferred management, detect completion and stalls.
+// buffer, overlap deferred management, detect completion.
 // Caller holds smMu. It returns alive=false when the run is over and
 // progressed=true when completions were applied, tasks were buffered, or
 // the run finished — the events a pool parked elsewhere must hear about.
@@ -251,17 +245,10 @@ func (m *async) cycleLocked(t0 clock.Stamp) (alive, progressed bool) {
 		}
 
 		if !drained && !refilled {
-			// Nothing to apply, nothing to hand out, no deferred work. If
-			// nothing is in flight either, no future completion can ring
-			// the doorbell: the scheduler has stalled — a bug its liveness
-			// guarantees should prevent; fail loudly instead of parking
-			// forever.
-			if m.sm.InFlight() == 0 {
-				m.fail(fmt.Errorf("executive: stalled at phase %d: ready-buffer empty, nothing in flight",
-					m.sm.CurrentPhase()))
-				m.finishLocked()
-				return false, true
-			}
+			// Nothing to apply, nothing to hand out, no deferred work: wait
+			// for the doorbell. If nothing is in flight either the
+			// scheduler has stalled, which is the pool's verdict to reach
+			// (every worker parked, InFlight zero) — its Abort rings.
 			return true, progressed
 		}
 
@@ -330,10 +317,10 @@ func (m *async) refillLocked() bool {
 	return len(ts) > 0
 }
 
-// finishLocked marks the run over and closes the ready buffer, releasing
-// every worker parked in a receive. Caller holds smMu. The doorbell ring
-// covers the case where an inline-fallback cycle finished the run while
-// the management goroutine was parked.
+// finishLocked marks the run over and closes the ready buffer, so every
+// later receive reports it. Caller holds smMu. The doorbell ring covers
+// the case where an inline-fallback cycle finished the run while the
+// management goroutine was parked.
 func (m *async) finishLocked() {
 	m.finished.Store(true)
 	m.closeOnce.Do(func() { close(m.ready) })
@@ -345,7 +332,6 @@ func (m *async) finishLocked() {
 func (m *async) fail(err error) {
 	if m.err == nil {
 		m.err = err
-		recordAbort(m.rec)
 	}
 	m.failed.Store(true)
 }
@@ -407,12 +393,11 @@ func (m *async) vet(t core.Task, ok bool) (core.Task, bool) {
 
 // Enter pushes done to the management goroutine (complete) and then asks
 // for a task: fast path one channel receive, slow path ring the doorbell
-// (so the management goroutine re-evaluates after the last completion) and
-// help inline past the watermark (poll); AskWait then parks in the receive
-// — the next refill's send is the targeted wakeup. Workers never touch the
-// state-machine lock, so there is no critical section to fuse.
+// (so the management goroutine re-evaluates after the last completion),
+// help inline past the watermark, and receive once more. Workers never
+// touch the state-machine lock, so there is no critical section to fuse.
 //
-// AskTry cannot absorb management on the calling worker in the common
+// An ask cannot absorb management on the calling worker in the common
 // case — management belongs to the background goroutine — so ok=false
 // means "nothing buffered right now": the doorbell has been rung, and the
 // pool's progress callback (SetNotify) fires when the management goroutine
@@ -430,36 +415,11 @@ func (m *async) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task
 	if done.ID != 0 {
 		at = m.complete(done, at)
 	}
-	if ask == AskNone {
-		return core.Task{}, at, false, false
-	}
-	t, at, ok, dry := m.poll(at)
-	if !dry || ask == AskTry {
-		return t, at, ok, false
-	}
-	i0 := clock.Now()
-	if m.rec != nil {
-		m.rec.Ring(w).Record(trace.KPark, m.rec.At(i0), int32(w), 0, -1, 0, 0, 0)
-	}
-	t, ok = <-m.ready
-	now := clock.Now()
-	m.idleNS.Add(int64(now - i0))
-	if m.rec != nil {
-		m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(now), int32(w), 0, -1, 0, 0, int64(now-i0))
-	}
-	t, ok = m.vet(t, ok)
-	return t, now, ok, false
-}
-
-// poll is the non-blocking part of an ask: receive, else ring the doorbell,
-// help inline past the watermark, and receive once more. dry reports that
-// the buffer was still empty (and the run not failed) after all that.
-func (m *async) poll(at clock.Stamp) (t core.Task, now clock.Stamp, ok, dry bool) {
-	if m.failed.Load() {
+	if ask == AskNone || m.failed.Load() {
 		return core.Task{}, at, false, false
 	}
 	select {
-	case t, ok = <-m.ready:
+	case t, ok := <-m.ready:
 		t, ok = m.vet(t, ok)
 		return t, clock.Now(), ok, false
 	default:
@@ -467,11 +427,11 @@ func (m *async) poll(at clock.Stamp) (t core.Task, now clock.Stamp, ok, dry bool
 	m.ring()
 	at = m.helpIfStale(at)
 	select {
-	case t, ok = <-m.ready:
+	case t, ok := <-m.ready:
 		t, ok = m.vet(t, ok)
 		return t, clock.Now(), ok, false
 	default:
-		return core.Task{}, at, false, true
+		return core.Task{}, at, false, false
 	}
 }
 
@@ -545,7 +505,6 @@ func (m *async) Abort(err error) {
 }
 
 func (m *async) Mgmt() time.Duration { return time.Duration(m.mgmtNS.Load()) }
-func (m *async) Idle() time.Duration { return time.Duration(m.idleNS.Load()) }
 
 // InlineCycles reports how many management cycles ran on worker
 // goroutines through the no-spare-core fallback (diagnostics).

@@ -1,15 +1,16 @@
-package executive
+package executive_test
 
 import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	rundown "repro"
 	"repro/internal/core"
+	"repro/internal/executive"
 	"repro/internal/testutil"
 )
 
@@ -29,21 +30,21 @@ func buildSlowChain(t *testing.T, phases, n int, d time.Duration) *core.Program 
 // every manager must pass: cancelling a running fine-grain chain returns
 // a ctx.Err()-wrapped error within the stall budget and leaks no
 // goroutines — the cancel watcher, the workers, and any dedicated
-// management goroutine are all joined before RunContext returns.
+// management goroutine are all joined before Run returns.
 func TestManagerConformanceCancel(t *testing.T) {
-	for _, kind := range ManagerKinds() {
+	for _, kind := range executive.ManagerKinds() {
 		t.Run(kind.String(), func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			prog := buildSlowChain(t, 3, 256, time.Millisecond)
 			ctx, cancel := context.WithCancel(context.Background())
 
 			type outcome struct {
-				rep *Report
+				rep *rundown.Report
 				err error
 			}
 			done := make(chan outcome, 1)
 			go func() {
-				rep, err := RunContext(ctx, prog, core.Options{
+				rep, err := run(ctx, prog, core.Options{
 					Grain: 1, Overlap: true, Costs: core.DefaultCosts(),
 				}, conformanceConfig(kind, 8))
 				done <- outcome{rep, err}
@@ -57,8 +58,10 @@ func TestManagerConformanceCancel(t *testing.T) {
 				if !errors.Is(out.err, context.Canceled) {
 					t.Fatalf("err = %v, want wrapped context.Canceled", out.err)
 				}
-				if out.rep != nil {
-					t.Fatalf("cancelled run returned a report: %v", out.rep)
+				// The report of a failed run is partial: it carries the
+				// job's failure, not a finished program.
+				if out.rep != nil && !errors.Is(out.rep.Jobs[0].Err, context.Canceled) {
+					t.Fatalf("cancelled run reported job error %v", out.rep.Jobs[0].Err)
 				}
 			case <-time.After(cancelBudget):
 				buf := make([]byte, 1<<20)
@@ -74,12 +77,12 @@ func TestManagerConformanceCancel(t *testing.T) {
 // begins must abort promptly under every manager, without waiting for
 // the workload.
 func TestManagerCancelBeforeStart(t *testing.T) {
-	for _, kind := range ManagerKinds() {
+	for _, kind := range executive.ManagerKinds() {
 		before := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		prog := buildSlowChain(t, 2, 64, 5*time.Millisecond)
-		_, err := RunContext(ctx, prog, core.Options{
+		_, err := run(ctx, prog, core.Options{
 			Grain: 1, Overlap: true, Costs: core.DefaultCosts(),
 		}, conformanceConfig(kind, 4))
 		if !errors.Is(err, context.Canceled) {
@@ -90,13 +93,13 @@ func TestManagerCancelBeforeStart(t *testing.T) {
 }
 
 // TestRunContextUncancelled pins that threading a live context through a
-// run that completes normally changes nothing: same results as Run, no
-// stray abort from the watcher teardown.
+// run that completes normally changes nothing: correct results, no stray
+// abort from the watcher teardown.
 func TestRunContextUncancelled(t *testing.T) {
-	for _, kind := range ManagerKinds() {
+	for _, kind := range executive.ManagerKinds() {
 		prog, a, b, c := buildCopyChain(t, 512)
 		ctx, cancel := context.WithCancel(context.Background())
-		rep, err := RunContext(ctx, prog, core.Options{
+		rep, err := run(ctx, prog, core.Options{
 			Grain: 4, Overlap: true, Costs: core.DefaultCosts(),
 		}, conformanceConfig(kind, 4))
 		cancel()
@@ -110,26 +113,39 @@ func TestRunContextUncancelled(t *testing.T) {
 	}
 }
 
+// observed collects a run's observer stream.
+type observed struct {
+	mu    sync.Mutex
+	snaps []rundown.Snapshot
+}
+
+func (o *observed) option() rundown.Option {
+	return rundown.WithObserver(func(s rundown.Snapshot) {
+		o.mu.Lock()
+		o.snaps = append(o.snaps, s)
+		o.mu.Unlock()
+	})
+}
+
+func (o *observed) take() []rundown.Snapshot {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]rundown.Snapshot(nil), o.snaps...)
+}
+
 // TestObserverFinalOnCancel: a mid-run cancel must still close the
-// observer stream with a Final snapshot (with Done=false — the program
-// did not complete), so stream consumers always see the run end.
+// observer stream with exactly one Final snapshot, so stream consumers
+// always see the run end.
 func TestObserverFinalOnCancel(t *testing.T) {
-	for _, kind := range ManagerKinds() {
-		var mu sync.Mutex
-		var snaps []Snapshot
+	for _, kind := range executive.ManagerKinds() {
+		var obs observed
 		ctx, cancel := context.WithCancel(context.Background())
-		cfg := conformanceConfig(kind, 4)
-		cfg.Observer = func(s Snapshot) {
-			mu.Lock()
-			snaps = append(snaps, s)
-			mu.Unlock()
-		}
 		prog := buildSlowChain(t, 3, 256, time.Millisecond)
 		done := make(chan error, 1)
 		go func() {
-			_, err := RunContext(ctx, prog, core.Options{
+			_, err := run(ctx, prog, core.Options{
 				Grain: 1, Overlap: true, Costs: core.DefaultCosts(),
-			}, cfg)
+			}, conformanceConfig(kind, 4), obs.option())
 			done <- err
 		}()
 		time.Sleep(15 * time.Millisecond)
@@ -142,48 +158,15 @@ func TestObserverFinalOnCancel(t *testing.T) {
 		case <-time.After(cancelBudget):
 			t.Fatalf("%v: cancelled run did not return", kind)
 		}
-		mu.Lock()
-		got := append([]Snapshot(nil), snaps...)
-		mu.Unlock()
-		if len(got) == 0 || !got[len(got)-1].Final {
-			t.Fatalf("%v: cancelled run did not close the observer stream with Final: %v", kind, got)
+		got := obs.take()
+		finals := 0
+		for _, s := range got {
+			if s.Final {
+				finals++
+			}
 		}
-		if got[len(got)-1].Done {
-			t.Fatalf("%v: cancelled run's Final snapshot claims Done", kind)
-		}
-	}
-}
-
-func TestParseManager(t *testing.T) {
-	cases := []struct {
-		in   string
-		want ManagerKind
-	}{
-		{"serial", SerialManager},
-		{"SERIAL", SerialManager},
-		{"Serial", SerialManager},
-		{" sharded ", ShardedManager},
-		{"SHARDED", ShardedManager},
-		{"async", AsyncManager},
-		{"ASYNC", AsyncManager},
-	}
-	for _, c := range cases {
-		got, err := ParseManager(c.in)
-		if err != nil {
-			t.Errorf("ParseManager(%q): %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseManager(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	_, err := ParseManager("quantum")
-	if err == nil {
-		t.Fatal("ParseManager accepted an unknown manager")
-	}
-	for _, name := range ManagerNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("ParseManager error %q does not enumerate %q", err, name)
+		if len(got) == 0 || !got[len(got)-1].Final || finals != 1 {
+			t.Fatalf("%v: cancelled run did not close the observer stream with one Final: %v", kind, got)
 		}
 	}
 }
@@ -192,26 +175,16 @@ func TestParseManager(t *testing.T) {
 // while the run is live (given a sufficiently long run), elapsed time is
 // monotonic, and the closing snapshot is Final with the Report's totals.
 func TestExecutiveObserver(t *testing.T) {
-	for _, kind := range ManagerKinds() {
-		var mu sync.Mutex
-		var snaps []Snapshot
+	for _, kind := range executive.ManagerKinds() {
+		var obs observed
 		prog := buildSlowChain(t, 2, 128, time.Millisecond)
-		cfg := conformanceConfig(kind, 4)
-		cfg.Observer = func(s Snapshot) {
-			mu.Lock()
-			snaps = append(snaps, s)
-			mu.Unlock()
-		}
-		cfg.ObservePeriod = 2 * time.Millisecond
-		rep, err := Run(prog, core.Options{
+		rep, err := run(context.Background(), prog, core.Options{
 			Grain: 1, Overlap: true, Costs: core.DefaultCosts(),
-		}, cfg)
+		}, conformanceConfig(kind, 4), obs.option(), rundown.WithObservePeriod(2*time.Millisecond))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
-		mu.Lock()
-		got := append([]Snapshot(nil), snaps...)
-		mu.Unlock()
+		got := obs.take()
 		if len(got) == 0 {
 			t.Fatalf("%v: no snapshots", kind)
 		}
@@ -219,9 +192,9 @@ func TestExecutiveObserver(t *testing.T) {
 		if !last.Final {
 			t.Fatalf("%v: last snapshot not Final", kind)
 		}
-		if last.Tasks != rep.Tasks || last.Compute != rep.Compute {
-			t.Errorf("%v: final snapshot tasks=%d compute=%v, report tasks=%d compute=%v",
-				kind, last.Tasks, last.Compute, rep.Tasks, rep.Compute)
+		if last.Tasks != rep.Tasks || last.Utilization != rep.Utilization {
+			t.Errorf("%v: final snapshot tasks=%d utilization=%v, report tasks=%d utilization=%v",
+				kind, last.Tasks, last.Utilization, rep.Tasks, rep.Utilization)
 		}
 		for i := 1; i < len(got); i++ {
 			if got[i].Elapsed < got[i-1].Elapsed {

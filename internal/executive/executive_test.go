@@ -1,7 +1,6 @@
 package executive
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -49,224 +48,9 @@ func checkCopyChain(t *testing.T, a, b, c []int64) {
 	}
 }
 
-func TestExecutiveBarrier(t *testing.T) {
-	prog, a, b, c := buildCopyChain(t, 2048)
-	rep, err := Run(prog, core.Options{Grain: 32, Overlap: false, Costs: core.DefaultCosts()},
-		Config{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCopyChain(t, a, b, c)
-	if rep.Tasks == 0 || rep.Wall <= 0 {
-		t.Errorf("report %v", rep)
-	}
-}
-
-func TestExecutiveOverlapIdentity(t *testing.T) {
-	for _, mode := range []core.IdentityMode{core.IdentityConflictQueue, core.IdentityTable} {
-		prog, a, b, c := buildCopyChain(t, 2048)
-		rep, err := Run(prog, core.Options{
-			Grain: 16, Overlap: true, IdentityVia: mode, Costs: core.DefaultCosts(),
-		}, Config{Workers: 8})
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
-		}
-		checkCopyChain(t, a, b, c)
-		if rep.Sched.Completions == 0 {
-			t.Errorf("mode %v: no completions", mode)
-		}
-	}
-}
-
-func TestExecutiveOverlapDeferredSplit(t *testing.T) {
-	prog, a, b, c := buildCopyChain(t, 1024)
-	_, err := Run(prog, core.Options{
-		Grain: 8, Overlap: true,
-		IdentityVia: core.IdentityConflictQueue, SuccSplit: core.SuccSplitDeferred,
-		Costs: core.DefaultCosts(),
-	}, Config{Workers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkCopyChain(t, a, b, c)
-}
-
-func TestExecutiveReverseGather(t *testing.T) {
-	// Phase 1 computes A[p]; phase 2 gathers D[r] = A[2r] + A[2r+1],
-	// declared as a reverse indirect mapping — the overlapped executive
-	// must never run a gather before both sources are written.
-	n := 512
-	a := make([]int64, 2*n)
-	d := make([]int64, n)
-	prog, err := core.NewProgram(
-		&core.Phase{
-			Name: "produce", Granules: 2 * n,
-			Work: func(g granule.ID) { a[g] = int64(g) * 7 },
-			Enable: enable.NewReverse(func(r granule.ID) []granule.ID {
-				return []granule.ID{2 * r, 2*r + 1}
-			}),
-		},
-		&core.Phase{
-			Name: "gather", Granules: n,
-			Work: func(g granule.ID) { d[g] = a[2*g] + a[2*g+1] },
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(prog, core.Options{
-		Grain: 8, Overlap: true, Elevate: true, SubsetSize: 32,
-		Costs: core.DefaultCosts(),
-	}, Config{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		want := int64(2*r)*7 + int64(2*r+1)*7
-		if d[r] != want {
-			t.Fatalf("d[%d] = %d, want %d", r, d[r], want)
-		}
-	}
-}
-
-func TestExecutiveSerialAction(t *testing.T) {
-	var order []string
-	var mu atomic.Int64
-	prog, err := core.NewProgram(
-		&core.Phase{
-			Name: "a", Granules: 64,
-			Work: func(g granule.ID) { mu.Add(1) },
-		},
-		&core.Phase{
-			Name: "b", Granules: 64,
-			SerialBefore: func() {
-				if mu.Load() != 64 {
-					order = append(order, "early")
-				}
-				order = append(order, "serial")
-			},
-			Work: func(g granule.ID) { mu.Add(1) },
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(prog, core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()},
-		Config{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 1 || order[0] != "serial" {
-		t.Fatalf("serial action order = %v", order)
-	}
-	if mu.Load() != 128 {
-		t.Fatalf("work count = %d", mu.Load())
-	}
-}
-
-// TestExecutiveEquivalence: overlapped execution must produce bit-identical
-// results to barrier execution for a correctly declared program.
-func TestExecutiveEquivalence(t *testing.T) {
-	run := func(overlap bool) []int64 {
-		n := 1024
-		a := make([]int64, n)
-		b := make([]int64, n)
-		c := make([]int64, n)
-		for i := range a {
-			a[i] = int64(i)
-		}
-		prog, err := core.NewProgram(
-			&core.Phase{
-				Name: "p1", Granules: n,
-				Work:   func(g granule.ID) { b[g] = a[g]*a[g] + 1 },
-				Enable: enable.NewIdentity(),
-			},
-			&core.Phase{
-				Name: "p2", Granules: n,
-				Work:   func(g granule.ID) { c[g] = b[g] ^ (b[g] >> 3) },
-				Enable: enable.NewUniversal(),
-			},
-			&core.Phase{
-				Name: "p3", Granules: n,
-				Work: func(g granule.ID) { a[g] = -int64(g) }, // disjoint output: universal is sound
-			},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Run(prog, core.Options{Grain: 16, Overlap: overlap, Costs: core.DefaultCosts()},
-			Config{Workers: 6})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	barrier := run(false)
-	overlap := run(true)
-	for i := range barrier {
-		if barrier[i] != overlap[i] {
-			t.Fatalf("results diverge at %d: %d vs %d", i, barrier[i], overlap[i])
-		}
-	}
-}
-
-func TestExecutiveSingleWorker(t *testing.T) {
-	prog, a, b, c := buildCopyChain(t, 256)
-	if _, err := Run(prog, core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()},
-		Config{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	checkCopyChain(t, a, b, c)
-}
-
-func TestExecutiveConfigValidation(t *testing.T) {
-	prog, _, _, _ := buildCopyChain(t, 16)
-	if _, err := Run(prog, core.Options{}, Config{Workers: 0}); err == nil {
-		t.Error("zero workers accepted")
-	}
-}
-
-func TestExecutiveWorkPanicSurfaces(t *testing.T) {
-	prog, err := core.NewProgram(
-		&core.Phase{Name: "a", Granules: 4, Work: func(g granule.ID) {
-			if g == 2 {
-				panic("boom")
-			}
-		}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(prog, core.Options{Grain: 1}, Config{Workers: 2}); err == nil {
-		t.Fatal("work panic did not surface as an error")
-	}
-}
-
 func TestReportString(t *testing.T) {
 	rep := &Report{MgmtRatio: 3.5}
 	if rep.String() == "" {
 		t.Error("empty report string")
-	}
-}
-
-func BenchmarkExecutiveOverlap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		n := 1 << 14
-		dst := make([]float64, n)
-		src := make([]float64, n)
-		prog, _ := core.NewProgram(
-			&core.Phase{
-				Name: "fill", Granules: n,
-				Work:   func(g granule.ID) { src[g] = float64(g) * 1.5 },
-				Enable: enable.NewIdentity(),
-			},
-			&core.Phase{
-				Name: "scale", Granules: n,
-				Work: func(g granule.ID) { dst[g] = src[g] * 2 },
-			},
-		)
-		if _, err := Run(prog, core.Options{Grain: 256, Overlap: true, Costs: core.DefaultCosts()},
-			Config{Workers: 8}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

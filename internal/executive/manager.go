@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // StateMachine is the slice of the core scheduler state machine a Manager
@@ -50,32 +49,28 @@ type Ask uint8
 
 const (
 	// AskNone: nothing — the entry only reports a completion (a worker
-	// about to retire, a pool worker leaving the job).
+	// leaving the job, or crashing).
 	AskNone Ask = iota
 	// AskTry: a task if one is dispatchable now. The manager absorbs
-	// deferred management before declaring the job dry but never parks;
-	// ok=false means nothing for this worker right now — rundown, done, or
-	// aborted — and the caller (the pool) decides where to look next.
+	// deferred management before declaring the job dry; ok=false means
+	// nothing for this worker right now — rundown, done, or aborted — and
+	// the worker loop decides where to look next, or parks.
 	AskTry
-	// AskWait: a task, parking until one exists. ok=false means the worker
-	// must exit: the program is done, the run was aborted, or the manager
-	// detected a stall.
-	AskWait
 )
 
 // A Manager owns the state machine on behalf of the worker goroutines: it
-// decides how scheduler interactions are serialized, where completions
-// accumulate, and when parked workers wake. Both worker loops — the
-// engine's in this package and the tenant pool's — are manager-agnostic
-// and drive this one contract.
+// decides how scheduler interactions are serialized and where completions
+// accumulate. It never parks a worker: waiting for work, idle accounting,
+// stall detection and wakeups belong to the worker loop (tenant.Pool),
+// which is manager-agnostic and drives this one contract.
 //
 // The contract: one Start, then each worker enters the executive once per
-// task with Enter — report the task it finished, take the next — until
-// ok=false. Abort may be called from any goroutine at any time.
+// task with Enter — report the task it finished, take the next. Abort may
+// be called from any goroutine at any time.
 //
 // Clock discipline: every task-path call takes at, the caller's latest
 // clock reading, and returns now, the manager's own latest — at itself
-// when the call read nothing. The manager charges its management and idle
+// when the call read nothing. The manager charges its management
 // intervals between the two and never re-reads a boundary the caller
 // already stamped; the caller chains from now (a dispatched task's
 // compute interval starts there). A manager entered without contention
@@ -88,25 +83,26 @@ type Manager interface {
 	// Enter is the one executive entry a worker makes per task. done is
 	// the task worker w just finished executing — the zero Task (state
 	// machines issue IDs from 1) when it has none to report — and ask says
-	// whether it wants a task back and may park for it. The serial manager
-	// does both halves in one critical section, the way a PAX processor
-	// entered the executive; managers whose task path holds no lock
-	// compose their completion and dispatch paths. A completion arriving
-	// after the run failed is dropped without touching the state machine.
+	// whether it wants a task back. The serial manager does both halves in
+	// one critical section, the way a PAX processor entered the executive;
+	// managers whose task path holds no lock compose their completion and
+	// dispatch paths. A completion arriving after the run failed is dropped
+	// without touching the state machine.
 	//
 	// ok reports that next is a task to run. applied reports that this
 	// call applied completions to the state machine — done itself, or a
 	// batch the dispatch path flushed on the way to its refill — so
 	// successor work may have been released; false means done only joined
-	// a local batch or a queue (the pool wakes parked workers on applied).
+	// a local batch or a queue. The pool wakes parked workers on applied:
+	// no manager wakes anyone.
 	Enter(w int, done core.Task, at clock.Stamp, ask Ask) (next core.Task, now clock.Stamp, ok, applied bool)
 	// Flush submits worker w's accumulated completions immediately (a
 	// doorbell ring for the async manager, nothing for the serial one).
 	// The pool calls it when a worker switches jobs so completions cannot
 	// linger unflushed. It reports whether anything was applied.
 	Flush(w int, at clock.Stamp) (now clock.Stamp, applied bool)
-	// Abort terminates the run with err; parked workers are released. A
-	// run whose state machine already completed refuses the abort.
+	// Abort terminates the run with err. A run whose state machine already
+	// completed refuses the abort.
 	Abort(err error)
 	// Outcome reports whether the state machine has completed and the run
 	// error, both under one entry of the lock that serializes them.
@@ -118,21 +114,16 @@ type Manager interface {
 	// worker is parked (all deques drained, all batches flushed),
 	// InFlight()==0 on an unfinished job identifies a true stall.
 	InFlight() int
-	// Mgmt and Idle return the summed management-lock and parked time.
+	// Mgmt returns the summed management time.
 	Mgmt() time.Duration
-	Idle() time.Duration
-	// Retire tells the manager worker w is gone for good (fault
-	// injection's WorkerCrash): it flushes the worker's local state and
-	// removes it from the census its stall detector counts against.
-	Retire(w int)
 	// Join blocks until the manager's own management goroutine, if it has
 	// one (async), has exited. Call it only after the run is over (workers
-	// exited, or Abort was called) and before reading final state-machine
+	// left, or Abort was called) and before reading final state-machine
 	// statistics.
 	Join()
 	// SetNotify registers a callback for scheduling progress made off the
 	// worker goroutines (async: completions apply and refills land on the
-	// management goroutine). A pool that parks workers above the manager
+	// management goroutine). The pool parks workers above the manager and
 	// would never observe that progress through its own calls. It is
 	// invoked, outside all manager locks, after every management cycle
 	// that applied completions, buffered new tasks, or finished the run;
@@ -148,7 +139,7 @@ func NewManager(sm StateMachine, cfg Config) (Manager, error) {
 	}
 	switch cfg.Manager {
 	case SerialManager:
-		return newSerial(sm, cfg), nil
+		return newSerial(sm), nil
 	case ShardedManager:
 		return newSharded(sm, cfg), nil
 	case AsyncManager:
@@ -227,16 +218,6 @@ func ParseManager(s string) (ManagerKind, error) {
 	}
 	return 0, fmt.Errorf("executive: unknown manager %q (valid managers: %s)",
 		s, strings.Join(ManagerNames(), "|"))
-}
-
-// recordAbort flight-records the failure point of a run. Every manager
-// calls it exactly where its error transitions nil -> non-nil, so a
-// trace carries at most one KAbort and RunContext's failure path can
-// rely on it being there.
-func recordAbort(rec *trace.Recorder) {
-	if rec != nil {
-		rec.Emit(trace.KAbort, rec.Now(), -1, 0, -1, 0, 0, 0)
-	}
 }
 
 // applyCompletion and applyBatch submit completions to the state machine

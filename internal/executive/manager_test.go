@@ -1,20 +1,18 @@
 package executive
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/clock"
 	"repro/internal/core"
-	"repro/internal/enable"
-	"repro/internal/granule"
 )
 
 // stubSM is a StateMachine that never yields work and never finishes: the
 // shape of a stalled scheduler, unreachable through the real state
-// machine's liveness guarantees. Managers must detect it and fail loudly
-// instead of parking every worker forever. All methods are called under
+// machine's liveness guarantees. All methods are called under
 // the manager's own serialization, so the stub needs no locking.
 type stubSM struct {
 	phase int
@@ -35,18 +33,35 @@ func (s *stubSM) NextTasks(dst []core.Task, max int) ([]core.Task, core.Cost) {
 	return dst, 0
 }
 
-// driveWorkers runs the plain worker protocol over mgr until every worker
-// exits, then returns the run error.
-func driveWorkers(mgr Manager, workers int) error {
+// driveWorkers plays the worker loop over mgr with no pool around it: each
+// goroutine enters the executive once per task — running the task's work
+// when prog is given — and, having nowhere to park, yields and asks again
+// while the run is neither done nor failed. It returns the run error.
+func driveWorkers(mgr Manager, workers int, prog *core.Program) error {
 	mgr.Start()
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			t, at, ok, _ := mgr.Enter(w, core.Task{}, clock.Now(), AskWait)
-			for ok {
-				t, at, ok, _ = mgr.Enter(w, t, at, AskWait)
+			var t core.Task
+			for {
+				next, _, ok, _ := mgr.Enter(w, t, clock.Now(), AskTry)
+				if t = next; ok {
+					if prog == nil {
+						continue
+					}
+					if err := RunTask(prog.Phases[t.Phase].Work, t); err != nil {
+						mgr.Abort(err)
+						return
+					}
+					continue
+				}
+				mgr.Flush(w, clock.Now())
+				if done, err := mgr.Outcome(); done || err != nil {
+					return
+				}
+				runtime.Gosched()
 			}
 		}(w)
 	}
@@ -56,9 +71,13 @@ func driveWorkers(mgr Manager, workers int) error {
 	return err
 }
 
-// TestStallDetector: when every worker is parked with nothing in flight
-// and the state machine is not done, both managers must surface a stall
-// error rather than deadlock.
+// TestStallDetector is the managers' half of stall detection, which is the
+// pool's to perform (TestPoolStallDetector drives it for every manager):
+// over a state machine that never yields work and never finishes, a
+// manager must not park the asking worker or fail the run on its own
+// authority — every ask comes straight back dry — and must report exactly
+// what the pool's all-parked probe reads: unfinished, no error, nothing in
+// flight. The pool's verdict then sticks.
 func TestStallDetector(t *testing.T) {
 	for _, kind := range ManagerKinds() {
 		for _, workers := range []int{1, 4, 9} {
@@ -68,122 +87,23 @@ func TestStallDetector(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			err = driveWorkers(mgr, workers)
-			if err == nil {
-				t.Fatalf("%v/%d workers: stalled run returned no error", kind, workers)
+			mgr.Start()
+			for w := 0; w < workers; w++ {
+				if _, _, ok, applied := mgr.Enter(w, core.Task{}, clock.Now(), AskTry); ok || applied {
+					t.Fatalf("%v/%d workers: a dry state machine dispatched (ok=%v applied=%v)", kind, workers, ok, applied)
+				}
 			}
-			if !strings.Contains(err.Error(), "stalled at phase 7") {
-				t.Fatalf("%v/%d workers: error %q does not identify the stall", kind, workers, err)
+			if done, err := mgr.Outcome(); done || err != nil {
+				t.Fatalf("%v/%d workers: outcome (%v, %v) before any verdict, want (false, nil)", kind, workers, done, err)
 			}
-		}
-	}
-}
-
-// TestWorkPanicMidPhase: a work-function panic in the middle phase of a
-// three-phase program must surface as a run error under both managers,
-// with the remaining workers released.
-func TestWorkPanicMidPhase(t *testing.T) {
-	for _, kind := range ManagerKinds() {
-		n := 512
-		a := make([]int64, n)
-		prog, err := core.NewProgram(
-			&core.Phase{
-				Name: "fill", Granules: n,
-				Work:   func(g granule.ID) { a[g] = int64(g) },
-				Enable: enable.NewIdentity(),
-			},
-			&core.Phase{
-				Name: "poison", Granules: n,
-				Work: func(g granule.ID) {
-					if g == granule.ID(n/2) {
-						panic("mid-phase poison")
-					}
-				},
-				Enable: enable.NewIdentity(),
-			},
-			&core.Phase{
-				Name: "after", Granules: n,
-				Work: func(g granule.ID) { a[g] = -a[g] },
-			},
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = Run(prog, core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()},
-			Config{Workers: 8, Manager: kind, DequeCap: 4, Batch: 2})
-		if err == nil {
-			t.Fatalf("%v: mid-phase panic did not surface", kind)
-		}
-		if !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("%v: error %q does not mention the panic", kind, err)
-		}
-	}
-}
-
-// TestShardedCorrectness runs the copy chain under the sharded manager
-// across deque/batch extremes and verifies the computed values.
-func TestShardedCorrectness(t *testing.T) {
-	cases := []struct{ workers, deque, batch, grain int }{
-		{1, 1, 1, 4},
-		{4, 2, 1, 4},
-		{8, 16, 8, 8},
-		{12, 64, 32, 2},
-	}
-	for _, tc := range cases {
-		prog, a, b, c := buildCopyChain(t, 2048)
-		rep, err := Run(prog, core.Options{
-			Grain: tc.grain, Overlap: true, Costs: core.DefaultCosts(),
-		}, Config{
-			Workers: tc.workers, Manager: ShardedManager,
-			DequeCap: tc.deque, Batch: tc.batch,
-		})
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
-		checkCopyChain(t, a, b, c)
-		if rep.Manager != ShardedManager {
-			t.Errorf("%+v: report manager = %v", tc, rep.Manager)
-		}
-		if rep.Sched.Completions == 0 {
-			t.Errorf("%+v: no completions recorded", tc)
-		}
-	}
-}
-
-// TestShardedReverseGather mirrors TestExecutiveReverseGather under the
-// sharded manager: batched completions must never let a reverse-indirect
-// gather run before both of its sources are written.
-func TestShardedReverseGather(t *testing.T) {
-	n := 512
-	a := make([]int64, 2*n)
-	d := make([]int64, n)
-	prog, err := core.NewProgram(
-		&core.Phase{
-			Name: "produce", Granules: 2 * n,
-			Work: func(g granule.ID) { a[g] = int64(g) * 7 },
-			Enable: enable.NewReverse(func(r granule.ID) []granule.ID {
-				return []granule.ID{2 * r, 2*r + 1}
-			}),
-		},
-		&core.Phase{
-			Name: "gather", Granules: n,
-			Work: func(g granule.ID) { d[g] = a[2*g] + a[2*g+1] },
-		},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(prog, core.Options{
-		Grain: 8, Overlap: true, Elevate: true, SubsetSize: 32,
-		Costs: core.DefaultCosts(),
-	}, Config{Workers: 8, Manager: ShardedManager, DequeCap: 4, Batch: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < n; r++ {
-		want := int64(2*r)*7 + int64(2*r+1)*7
-		if d[r] != want {
-			t.Fatalf("d[%d] = %d, want %d", r, d[r], want)
+			if n := mgr.InFlight(); n != 0 {
+				t.Fatalf("%v/%d workers: %d tasks in flight on a machine that dispatched none", kind, workers, n)
+			}
+			mgr.Abort(errAbortTest)
+			mgr.Join()
+			if _, err := mgr.Outcome(); err != errAbortTest {
+				t.Fatalf("%v/%d workers: outcome error %v, want the stall verdict", kind, workers, err)
+			}
 		}
 	}
 }
@@ -205,14 +125,45 @@ func TestManagerKindParse(t *testing.T) {
 
 func TestUnknownManagerRejected(t *testing.T) {
 	prog, _, _, _ := buildCopyChain(t, 16)
-	if _, err := Run(prog, core.Options{}, Config{Workers: 2, Manager: ManagerKind(250)}); err == nil {
-		t.Error("unknown manager kind accepted")
-	}
 	sched, err := core.New(prog, core.Options{Workers: 2, Costs: core.DefaultCosts()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewManager(sched, Config{Workers: 2, Manager: ManagerKind(250)}); err == nil {
 		t.Error("unknown manager kind accepted by NewManager")
+	}
+}
+
+func TestParseManager(t *testing.T) {
+	cases := []struct {
+		in   string
+		want ManagerKind
+	}{
+		{"serial", SerialManager},
+		{"SERIAL", SerialManager},
+		{"Serial", SerialManager},
+		{" sharded ", ShardedManager},
+		{"SHARDED", ShardedManager},
+		{"async", AsyncManager},
+		{"ASYNC", AsyncManager},
+	}
+	for _, c := range cases {
+		got, err := ParseManager(c.in)
+		if err != nil {
+			t.Errorf("ParseManager(%q): %v", c.in, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("ParseManager(%q) = %v, want %v", c.in, got, c.want)
+		}
+	}
+	_, err := ParseManager("quantum")
+	if err == nil {
+		t.Fatal("ParseManager accepted an unknown manager")
+	}
+	for _, name := range ManagerNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("ParseManager error %q does not enumerate %q", err, name)
+		}
 	}
 }

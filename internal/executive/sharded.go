@@ -1,7 +1,6 @@
 package executive
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,7 +8,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // sharded is the parallel Manager: each worker owns a lock-free Chase-Lev
@@ -31,29 +29,19 @@ import (
 //     other shards and CAS-steals up to half of the first non-empty deque
 //     it finds into its own — no lock, no allocation — before falling back
 //     to the global refill path.
-//   - Adaptive batching (Config.Adaptive): cap and batch are retuned
-//     online by a Tuner from the observed management and idle shares each
-//     refill epoch; see adaptive.go.
 //
-// Invariants the stall detector relies on: a worker only parks after its
-// deque is empty, a steal sweep failed, and its completion batch was
-// flushed under the global lock; nothing refills a parked worker's deque
-// or batch. So when every worker is parked, no task is held anywhere
-// outside the state machine and InFlight()==0 identifies a true stall.
+// Invariants the pool's stall probe relies on: a dry ask returns only after
+// the worker's deque is empty, a steal sweep failed, and its completion
+// batch was flushed under the global lock. So when every pool worker has
+// swept the job dry, no task is held anywhere outside the state machine
+// and InFlight()==0 identifies a true stall.
 type sharded struct {
-	mu   sync.Mutex // guards sm, cap, waiting, err, mgmt, idle
-	cond *sync.Cond
+	mu sync.Mutex // guards sm, err, mgmt
 
-	sm      StateMachine
-	workers int
-	rec     *trace.Recorder // flight recorder (nil = tracing off)
-	met     *telemetry.Set  // steal/retune counters (nil = metrics off)
-	cap     int             // deque refill batch size, guarded by mu (the tuner moves it)
-
-	// batch is the completion batch size. It is read lock-free on the
-	// per-task completion path and rewritten under mu by the tuner, hence
-	// atomic.
-	batch atomic.Int32
+	sm    StateMachine
+	met   *telemetry.Set // steal counters (nil = metrics off)
+	cap   int            // deque refill batch size
+	batch int            // completion batch size
 
 	shards []shard
 	failed atomic.Bool // fast-path abort flag, mirrors err != nil
@@ -69,33 +57,9 @@ type sharded struct {
 	// sharded management.
 	stealNS atomic.Int64
 
-	// Adaptive controller state, guarded by mu; tuner is nil when
-	// adaptivity is disabled. lockNS accumulates time spent *acquiring*
-	// the global lock (contention wait, the amortizable per-visit
-	// overhead the tuner steers on — distinct from mgmt, the time spent
-	// inside it).
-	tuner      *Tuner
-	lockNS     time.Duration
-	hoardIdle  time.Duration // parked time that began with peer deques nonempty
-	lockStarve time.Duration // parked time that began with the mgmt path occupied
-	epochStart clock.Stamp
-	epochLock  time.Duration // lockNS snapshot at epoch start
-	epochHI    time.Duration // hoardIdle snapshot at epoch start
-	epochLS    time.Duration // lockStarve snapshot at epoch start
-
-	// visitors counts workers currently inside the global management path
-	// (refill, batch flush). Maintained only when the tuner is enabled;
-	// read at park time to classify the wait: parking while another
-	// worker occupies the path is lock starvation — the signal the
-	// overhead share cannot see at large P, because cond-parked waiters
-	// never touch the mutex.
-	visitors atomic.Int32
-
-	// Accumulators, guarded by mu.
-	mgmt    time.Duration
-	idle    time.Duration
-	waiting int
-	err     error
+	// Guarded by mu.
+	mgmt time.Duration
+	err  error
 }
 
 // shard is one worker's local state. dq is the lock-free task deque: the
@@ -109,40 +73,26 @@ type shard struct {
 	refillBuf []core.Task
 }
 
-// adaptiveEpoch is the minimum wall time between tuner observations.
-const adaptiveEpoch = time.Millisecond
-
 func newSharded(sm StateMachine, cfg Config) *sharded {
-	dequeCap, batch := cfg.DequeCap, cfg.Batch
-	if dequeCap <= 0 {
-		dequeCap = 16
-	}
-	if batch <= 0 {
-		batch = 8
-	}
 	m := &sharded{
-		sm:      sm,
-		workers: cfg.Workers,
-		rec:     cfg.Trace,
-		met:     cfg.Metrics,
-		cap:     dequeCap,
-		shards:  make([]shard, cfg.Workers),
+		sm:     sm,
+		met:    cfg.Metrics,
+		cap:    cfg.DequeCap,
+		batch:  cfg.Batch,
+		shards: make([]shard, cfg.Workers),
 	}
-	m.batch.Store(int32(batch))
+	if m.cap <= 0 {
+		m.cap = 16
+	}
+	if m.batch <= 0 {
+		m.batch = 8
+	}
 	for i := range m.shards {
-		m.shards[i].dq = newDeque(dequeCap)
-	}
-	if cfg.Adaptive {
-		m.tuner = NewTuner(TunerConfig{
-			Cap: dequeCap, Batch: batch, MgmtTarget: cfg.MgmtTarget,
-		})
-		m.cap = m.tuner.Cap()
-		m.batch.Store(int32(m.tuner.Batch()))
+		m.shards[i].dq = newDeque(m.cap)
 	}
 	if m.met != nil {
 		m.met.BatchSize.Set(int64(m.cap))
 	}
-	m.cond = sync.NewCond(&m.mu)
 	return m
 }
 
@@ -151,8 +101,7 @@ func (m *sharded) Start() {
 	defer m.mu.Unlock()
 	t0 := clock.Now()
 	m.sm.Start()
-	m.epochStart = clock.Now()
-	m.mgmt += m.epochStart.Sub(t0)
+	m.mgmt += clock.Now().Sub(t0)
 }
 
 // Enter is the completion path then the dispatch path: the sharded manager
@@ -162,8 +111,7 @@ func (m *sharded) Start() {
 // caller's own, so the task's compute interval starts where the worker's
 // previous interval ended — then a steal sweep, then the global refill
 // path, which flushes this worker's completion batch and absorbs deferred
-// management before declaring the state machine dry, and parks only for
-// AskWait.
+// management before declaring the state machine dry.
 func (m *sharded) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
 	applied := false
 	if done.ID != 0 {
@@ -179,7 +127,7 @@ func (m *sharded) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Ta
 	if ok {
 		return t, at, true, applied
 	}
-	t, at, ok, flushed := m.refill(w, at, ask == AskWait)
+	t, at, ok, flushed := m.refill(w, at)
 	return t, at, ok, applied || flushed
 }
 
@@ -197,24 +145,9 @@ func (m *sharded) steal(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
 	if len(m.shards) < 2 {
 		return core.Task{}, at, false
 	}
-	var ring *trace.Ring
-	if m.rec != nil {
-		ring = m.rec.Ring(w)
-		ring.Record(trace.KStealAttempt, m.rec.At(at), int32(w), 0, -1, 0, 0, 0)
-	}
-	t, victim, got := m.sweep(w)
+	t, won := m.sweep(w)
 	now := clock.Now()
 	m.stealNS.Add(int64(now - at))
-	won := got > 0
-	if ring != nil {
-		if won {
-			// Arg carries the victim; Lo the number of tasks taken.
-			ring.Record(trace.KStealWin, m.rec.At(now), int32(w), 0,
-				int32(t.Phase), uint32(got), 0, int64(victim))
-		} else {
-			ring.Record(trace.KStealLose, m.rec.At(now), int32(w), 0, -1, 0, 0, 0)
-		}
-	}
 	if m.met != nil {
 		m.met.StealAttempts.Inc(w)
 		if won {
@@ -226,10 +159,9 @@ func (m *sharded) steal(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
 	return t, now, won
 }
 
-// sweep is one pass over the other shards. It returns the task to run,
-// the victim's index and how many tasks were taken; got == 0 means the
-// sweep lost.
-func (m *sharded) sweep(w int) (t core.Task, victim int, got int64) {
+// sweep is one pass over the other shards. It returns the task to run;
+// won is false when every deque was empty or the loot was re-stolen.
+func (m *sharded) sweep(w int) (t core.Task, won bool) {
 	n := len(m.shards)
 	own := m.shards[w].dq
 	start := int(m.stealTick.Add(1) % uint64(n))
@@ -244,7 +176,7 @@ func (m *sharded) sweep(w int) (t core.Task, victim int, got int64) {
 			continue
 		}
 		take := (k + 1) / 2
-		got = 0
+		got := int64(0)
 		for got < take {
 			t, ok := v.steal()
 			if !ok {
@@ -258,32 +190,28 @@ func (m *sharded) sweep(w int) (t core.Task, victim int, got int64) {
 		}
 		// The last transfer is the highest-priority task stolen; run it.
 		if t, ok := own.popBottom(); ok {
-			return t, idx, got
+			return t, true
 		}
 		// Everything we moved was re-stolen already; keep sweeping.
 	}
-	return core.Task{}, 0, 0
+	return core.Task{}, false
 }
 
 // refill is the global-lock path: flush this worker's completion batch,
-// pull a deque refill, absorb deferred management, or (when park is set)
-// park. Returning ok=false means the program is done, the run was
-// aborted, the manager detected a stall, or — non-parking callers only —
+// pull a deque refill, and absorb deferred management (successor
+// splitting, incremental composite-map builds) before declaring the state
+// machine dry. ok=false means the program is done, the run was aborted, or
 // nothing is dispatchable right now. applied reports that a pass flushed a
 // nonempty batch into the state machine.
 //
 // One reading closes each management interval — after the flush and the
-// NextTasks pull (and any deferred unit before them), after a park — and
-// opens the next, so a refill that hands out up to cap tasks reads the
-// clock once, twice when the lock was contended.
-func (m *sharded) refill(w int, at clock.Stamp, park bool) (_ core.Task, _ clock.Stamp, _, applied bool) {
-	if m.tuner != nil {
-		m.visitors.Add(1)
-		defer m.visitors.Add(-1)
-	}
-	t0 := m.enter(at)
+// NextTasks pull (and any deferred unit before them) — and opens the next,
+// so a refill that hands out up to cap tasks reads the clock once, twice
+// when the lock was contended.
+func (m *sharded) refill(w int, at clock.Stamp) (_ core.Task, _ clock.Stamp, _, applied bool) {
+	t0 := enter(&m.mu, at)
 	defer m.mu.Unlock()
-	triedSteal := false
+	sh := &m.shards[w]
 	for {
 		if m.err != nil {
 			return core.Task{}, t0, false, applied
@@ -293,179 +221,26 @@ func (m *sharded) refill(w int, at clock.Stamp, park bool) (_ core.Task, _ clock
 		// A recovered completion-processing panic may have left the state
 		// machine inconsistent; do not touch it again.
 		if m.err == nil {
-			ts, _ = m.sm.NextTasks(m.shards[w].refillBuf[:0], m.cap)
-			m.shards[w].refillBuf = ts[:0]
+			ts, _ = m.sm.NextTasks(sh.refillBuf[:0], m.cap)
+			sh.refillBuf = ts[:0]
 		}
-		if len(ts) > 0 {
-			sh := &m.shards[w]
-			// Reverse push: the owner's popBottom then yields ts[1],
-			// ts[2], ... in the state machine's priority order, and
-			// thieves steal from ts[len-1], the lowest-priority end.
-			for i := len(ts) - 1; i >= 1; i-- {
-				sh.dq.pushBottom(ts[i])
-			}
-			// Wake parked peers — one per task they could acquire: they
-			// can pull their own refill from the state machine, or —
-			// when this refill drained it — steal from the deque we
-			// just filled.
-			if m.waiting > 0 {
-				if avail := len(ts) - 1 + m.sm.ReadyTasks(); avail > 0 {
-					m.wakeLocked(avail)
-				} else {
-					m.wakeStealerLocked()
-				}
-			}
+		// Reverse push: the owner's popBottom then yields ts[1], ts[2], ...
+		// in the state machine's priority order, and thieves steal from
+		// ts[len-1], the lowest-priority end.
+		for i := len(ts) - 1; i >= 1; i-- {
+			sh.dq.pushBottom(ts[i])
 		}
 		now := clock.Now()
 		m.mgmt += now.Sub(t0)
 		t0 = now
-		if m.err != nil {
-			return core.Task{}, now, false, applied
-		}
-		m.retuneLocked(now)
 		if len(ts) > 0 {
 			return ts[0], now, true, applied
 		}
-		if m.sm.Done() {
-			m.cond.Broadcast()
+		if m.err != nil || m.sm.Done() || !m.sm.HasDeferred() {
 			return core.Task{}, now, false, applied
 		}
-
-		// Idle executive moment: absorb deferred management (successor
-		// splitting, incremental composite-map builds) before parking.
-		// The next pass's reading charges it.
-		if m.sm.HasDeferred() {
-			_, _ = m.sm.DeferredMgmt()
-			continue
-		}
-
-		if !park {
-			return core.Task{}, now, false, applied
-		}
-
-		// The state machine is dry, but a peer's deque may have refilled
-		// since our last sweep: try stealing once more before parking.
-		if !triedSteal {
-			m.mu.Unlock()
-			t, now, ok := m.steal(w, now)
-			t0 = m.enter(now)
-			triedSteal = true
-			if ok {
-				return t, t0, true, applied
-			}
-			continue
-		}
-
-		// Every other worker parked only after flushing its batch and
-		// emptying its deque, so InFlight()==0 here means no task exists
-		// anywhere outside the state machine: a true stall.
-		if m.waiting+1 == m.workers && m.sm.InFlight() == 0 {
-			m.failLocked(fmt.Errorf("executive: stalled at phase %d: all workers idle, nothing in flight",
-				m.sm.CurrentPhase()))
-			return core.Task{}, now, false, applied
-		}
-		// For the adaptive controller: a park that begins while peer
-		// deques still hold tasks is starvation a smaller refill batch
-		// would have fed (hoarded idle); a park with every deque empty
-		// is a genuine rundown tail, which must not shrink the batch. A
-		// park that begins while another worker actively occupies the
-		// management path is lock starvation — the grow signal that
-		// scales with P where the overhead share saturates; see
-		// adaptive.go. visitors counts every worker inside the path,
-		// including this one and every cond-parked waiter (they park
-		// inside refill, so their increment persists through the wait);
-		// subtracting m.waiting — stable here, under mu — leaves only
-		// the active occupants, so a phase barrier or rundown tail full
-		// of parked peers does not read as a saturated lock.
-		hoardedAtPark, lockBusyAtPark := false, false
-		if m.tuner != nil {
-			for i := range m.shards {
-				if m.shards[i].dq.size() > 0 {
-					hoardedAtPark = true
-					break
-				}
-			}
-			lockBusyAtPark = m.visitors.Load()-int32(m.waiting) > 1
-		}
-		// Idle begins at the reading that closed the last management
-		// interval and ends at the one that opens the next.
-		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KPark, m.rec.At(now), int32(w), 0, -1, 0, 0, 0)
-		}
-		m.waiting++
-		m.cond.Wait()
-		m.waiting--
-		t0 = clock.Now()
-		d := t0.Sub(now)
-		m.idle += d
-		if m.rec != nil {
-			m.rec.Ring(w).Record(trace.KUnpark, m.rec.At(t0), int32(w), 0, -1, 0, 0, int64(d))
-		}
-		if hoardedAtPark {
-			m.hoardIdle += d
-		}
-		if lockBusyAtPark {
-			m.lockStarve += d
-		}
-		triedSteal = false
-	}
-}
-
-// enter acquires m.mu for a caller whose latest reading is at and returns
-// the stamp management time is charged from (see enter in serial.go). A
-// contended acquisition's wait — from at to the reading taken once the
-// lock is held — goes to lockNS: the per-visit overhead batch sizing
-// amortizes, which the adaptive controller steers on.
-func (m *sharded) enter(at clock.Stamp) clock.Stamp {
-	now := enter(&m.mu, at)
-	m.lockNS += now.Sub(at)
-	return now
-}
-
-// retuneLocked feeds the adaptive controller one epoch when enough wall
-// time has passed since the last observation: the lock-acquisition wait
-// is the amortizable overhead, and parked time that began with peer
-// deques nonempty the hoarded-idle (starvation) share. Caller holds m.mu
-// and passes its latest reading.
-func (m *sharded) retuneLocked(now clock.Stamp) {
-	if m.tuner == nil {
-		return
-	}
-	elapsed := now.Sub(m.epochStart)
-	if elapsed < adaptiveEpoch {
-		return
-	}
-	capacity := int64(elapsed) * int64(m.workers)
-	cap, batch, changed := m.tuner.Observe(capacity,
-		int64(m.lockNS-m.epochLock), int64(m.hoardIdle-m.epochHI),
-		int64(m.lockStarve-m.epochLS))
-	if changed {
-		m.cap = cap
-		m.batch.Store(int32(batch))
-		if m.rec != nil {
-			m.rec.Emit(trace.KRetune, m.rec.At(now), -1, 0, -1, 0, 0, int64(cap))
-		}
-		if m.met != nil {
-			m.met.Retunes.Inc(0)
-			m.met.BatchSize.Set(int64(cap))
-		}
-	}
-	m.epochStart = now
-	m.epochLock = m.lockNS
-	m.epochHI = m.hoardIdle
-	m.epochLS = m.lockStarve
-}
-
-// wakeLocked wakes up to n parked workers — targeted Signals instead of a
-// Broadcast thundering herd when fewer tasks than sleepers exist. Caller
-// holds m.mu.
-func (m *sharded) wakeLocked(n int) {
-	if n >= m.waiting {
-		m.cond.Broadcast()
-		return
-	}
-	for i := 0; i < n; i++ {
-		m.cond.Signal()
+		// The next pass's reading charges the deferred unit.
+		_, _ = m.sm.DeferredMgmt()
 	}
 }
 
@@ -474,20 +249,17 @@ func (m *sharded) wakeLocked(n int) {
 func (m *sharded) complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
 	sh := &m.shards[w]
 	sh.done = append(sh.done, t)
-	if len(sh.done) < int(m.batch.Load()) {
+	if len(sh.done) < m.batch {
 		return at, false
 	}
 	return m.flush(w, at), true
 }
 
 // flush applies worker w's completion batch under the global lock,
-// charging the visit from at (see enter) to the reading it returns.
+// charging the visit from at (see enter in serial.go) to the reading it
+// returns.
 func (m *sharded) flush(w int, at clock.Stamp) clock.Stamp {
-	if m.tuner != nil {
-		m.visitors.Add(1)
-		defer m.visitors.Add(-1)
-	}
-	t0 := m.enter(at)
+	t0 := enter(&m.mu, at)
 	defer m.mu.Unlock()
 	m.flushLocked(w)
 	now := clock.Now()
@@ -496,71 +268,33 @@ func (m *sharded) flush(w int, at clock.Stamp) clock.Stamp {
 }
 
 // flushLocked applies worker w's accumulated completions to the state
-// machine. Completions release successor work, so parked peers are woken —
-// one Signal per task now ready (or one for pending deferred management)
-// rather than an unconditional Broadcast; completion of the program or an
-// error still releases everyone. It reports whether a batch was applied.
-// Caller holds m.mu.
+// machine and reports whether a batch was applied. Caller holds m.mu.
 func (m *sharded) flushLocked(w int) bool {
 	sh := &m.shards[w]
 	if len(sh.done) == 0 {
 		return false
 	}
-	if m.err != nil {
-		// The run already failed (abort, cancellation, earlier panic): the
-		// batch is dropped, not applied — nothing may mutate the state
-		// machine after the failure point, because the pool and Job.Wait
-		// read its statistics as soon as the job is retired.
-		sh.done = sh.done[:0]
-		return false
-	}
-	if err := applyBatch(m.sm, sh.done); err != nil {
-		m.failLocked(err)
+	// A batch arriving after the run failed (abort, cancellation, earlier
+	// panic) is dropped, not applied — nothing may mutate the state machine
+	// after the failure point, because the pool and Job.Wait read its
+	// statistics as soon as the job is retired.
+	applied := m.err == nil
+	if applied {
+		if err := applyBatch(m.sm, sh.done); err != nil {
+			m.failLocked(err)
+		}
 	}
 	sh.done = sh.done[:0]
-	switch {
-	case m.err != nil || m.sm.Done():
-		m.cond.Broadcast()
-	case m.waiting > 0:
-		if avail := m.sm.ReadyTasks(); avail > 0 {
-			m.wakeLocked(avail)
-		} else if m.sm.HasDeferred() {
-			// No task is ready but deferred management is: one worker
-			// can absorb it (and wake the others if it releases work).
-			m.cond.Signal()
-		} else {
-			m.wakeStealerLocked()
-		}
-	}
-	return true
+	return applied
 }
 
-// wakeStealerLocked wakes one parked worker when the state machine is dry
-// but a peer's deque still holds stealable tasks. A worker can park in
-// the window between its failed steal sweep and a peer's refill landing;
-// without this, a flush or refill that released nothing new would leave
-// it asleep while the remaining work drains single-threaded (the old
-// unconditional Broadcast covered the window by brute force). The woken
-// worker re-sweeps before re-parking, and its own later flushes wake the
-// next stealer if deques are still nonempty. Caller holds m.mu.
-func (m *sharded) wakeStealerLocked() {
-	for i := range m.shards {
-		if m.shards[i].dq.size() > 0 {
-			m.cond.Signal()
-			return
-		}
-	}
-}
-
-// failLocked records err (first wins) and releases everyone. Caller holds
-// m.mu.
+// failLocked records err (first wins) and raises the fast-path abort flag.
+// Caller holds m.mu.
 func (m *sharded) failLocked(err error) {
 	if m.err == nil {
 		m.err = err
-		recordAbort(m.rec)
 	}
 	m.failed.Store(true)
-	m.cond.Broadcast()
 }
 
 // Flush submits worker w's accumulated completion batch to the state
@@ -612,10 +346,4 @@ func (m *sharded) Mgmt() time.Duration {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.mgmt + time.Duration(m.stealNS.Load())
-}
-
-func (m *sharded) Idle() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.idle
 }

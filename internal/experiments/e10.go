@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/casper"
 	"repro/internal/core"
 	"repro/internal/enable"
@@ -13,10 +15,6 @@ import (
 // managerFilter optionally restricts E10 to one manager; cmd/experiments
 // sets it from the -manager flag. Empty means run both head-to-head.
 var managerFilter = ""
-
-// adaptiveArm adds a third E10 arm — the sharded manager with the
-// adaptive batching controller — when cmd/experiments passes -adaptive.
-var adaptiveArm = false
 
 // SetManagerFilter restricts E10 and E13 to one executive manager
 // ("serial", "sharded" or "async"); "both" or "" restores the
@@ -33,11 +31,8 @@ func SetManagerFilter(s string) error {
 	return nil
 }
 
-// SetAdaptive toggles E10's sharded+adaptive arm.
-func SetAdaptive(b bool) { adaptiveArm = b }
-
 // asyncReady/asyncLowWater/execBatch parameterize the goroutine
-// executives in E10 and E13: the async manager's ready-buffer bounds
+// runs in E10 and E13: the async manager's ready-buffer bounds
 // and the completion batch size for every manager kind. Zero keeps the
 // executive defaults. cmd/experiments sets them from the shared
 // -ready/-low-water/-batch flags (internal/cliflags).
@@ -49,14 +44,20 @@ func SetExecKnobs(ready, lowWater, batch int) {
 	asyncReady, asyncLowWater, execBatch = ready, lowWater, batch
 }
 
-// execConfig builds the goroutine executive configuration the
-// experiments share, applying the CLI knobs from SetExecKnobs.
-func execConfig(workers int, kind executive.ManagerKind) executive.Config {
-	cfg := executive.Config{Workers: workers, Manager: kind, Batch: execBatch}
-	if kind == executive.AsyncManager {
-		cfg.ReadyCap, cfg.LowWater = asyncReady, asyncLowWater
+// runOnGoroutines runs prog through the front door — a Runner on workers
+// goroutines under kind, with the CLI knobs from SetExecKnobs — and returns
+// the job's execution report.
+func runOnGoroutines(prog *core.Program, opt core.Options, workers int, kind executive.ManagerKind) (*executive.Report, error) {
+	r, err := rundown.New(rundown.WithWorkers(workers), rundown.WithManager(kind),
+		rundown.WithBatch(execBatch), rundown.WithReadyCap(asyncReady), rundown.WithLowWater(asyncLowWater))
+	if err != nil {
+		return nil, err
 	}
-	return cfg
+	rep, err := r.Run(context.TODO(), rundown.Job{Prog: prog, Opt: opt})
+	if err != nil {
+		return nil, err
+	}
+	return rep.Exec, nil
 }
 
 // e10Workload is one real-work program generator for the manager
@@ -152,26 +153,11 @@ func E10Managers(scale Scale) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", wl.name, err)
 			}
-			rep, err := executive.Run(prog, opt, execConfig(workers, kind))
+			rep, err := runOnGoroutines(prog, opt, workers, kind)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%v: %w", wl.name, kind, err)
 			}
 			t.AddRow(wl.name, kind.String(), workers, rep.Tasks,
-				rep.Wall.Round(10_000).String(),
-				fmt.Sprintf("%.3f", rep.Utilization),
-				fmt.Sprintf("%.1f", rep.MgmtRatio))
-		}
-		if adaptiveArm && (managerFilter == "" || managerFilter == "sharded") {
-			prog, opt, err := wl.build(scale)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", wl.name, err)
-			}
-			opt.AdaptiveBatch = true
-			rep, err := executive.Run(prog, opt, execConfig(workers, executive.ShardedManager))
-			if err != nil {
-				return nil, fmt.Errorf("%s/sharded+adaptive: %w", wl.name, err)
-			}
-			t.AddRow(wl.name, "sharded+adaptive", workers, rep.Tasks,
 				rep.Wall.Round(10_000).String(),
 				fmt.Sprintf("%.3f", rep.Utilization),
 				fmt.Sprintf("%.1f", rep.MgmtRatio))
@@ -181,10 +167,6 @@ func E10Managers(scale Scale) (*Table, error) {
 		"utilization and compute:management gap between managers at fine grain")
 	if managerFilter != "" {
 		t.Note("restricted to -manager %s", managerFilter)
-	}
-	if adaptiveArm && (managerFilter == "" || managerFilter == "sharded") {
-		t.Note("sharded+adaptive: DequeCap/Batch retuned online from lock-wait and " +
-			"hoarded-idle shares (-adaptive)")
 	}
 	return t, nil
 }

@@ -56,7 +56,7 @@ func E13AsyncExecutive(scale Scale) (*Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", wl.name, err)
 				}
-				rep, err := executive.Run(prog, opt, execConfig(workers, kind))
+				rep, err := runOnGoroutines(prog, opt, workers, kind)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%v/%d: %w", wl.name, kind, workers, err)
 				}

@@ -513,10 +513,10 @@ func TestE13AsyncExecutive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := executive.Run(prog, core.Options{
+		rep, err := runOnGoroutines(prog, core.Options{
 			Grain: 1, Overlap: true, IdentityVia: core.IdentityTable,
 			Costs: core.DefaultCosts(),
-		}, executive.Config{Workers: hwWorkers, Manager: kind})
+		}, hwWorkers, kind)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 // Package fault is the deterministic fault-injection layer: a seeded
 // Spec of failure Rules compiled into a per-run Plan that every backend
 // consults at the same chokepoints — the simulator in virtual time
-// (bit-identical outcomes per seed), the goroutine executive and the
-// tenant pool on real hardware (same rules, wall-clock delays).
+// (bit-identical outcomes per seed), the tenant pool's goroutines on real
+// hardware (same rules, wall-clock delays).
 //
 // Three fault levels mirror where a rundown can rot:
 //
@@ -38,7 +38,7 @@ type Kind uint8
 
 const (
 	// GrainPanic makes the work function of the matched granule's task
-	// panic (real backends go through the engine's recover machinery;
+	// panic (real backends go through executive.RunTask's recover;
 	// virtual backends price the same per-job failure).
 	GrainPanic Kind = 1 + iota
 	// GrainError fails the matched granule's task with an injected error.
@@ -325,14 +325,17 @@ type Effects struct {
 	// Stall is how long the completion is withheld (GrainStall), in units.
 	Stall int64
 	// Wedged reports that a WorkerWedge rule fired and Wedge is its Delay:
-	// a bounded withhold where nothing above the worker can recover it, a
-	// release-gated one (Plan.Release) under the pool's watchdog.
+	// the withhold in virtual time; the pool gates the completion on
+	// Plan.Release instead, under its watchdog.
 	Wedged bool
 	Wedge  int64
 	// Grain is the grain-level kind that fired (0 = none). GrainSlow and
 	// GrainStall are already folded into Factor and Stall; GrainPanic and
 	// GrainError are the caller's to turn into its own failure.
 	Grain Kind
+	// Crash reports that a WorkerCrash rule fired: the worker retires after
+	// this task's completion is submitted. Set by DispatchCrash only.
+	Crash bool
 }
 
 // Dispatch is the one consultation a backend makes per dispatched task:
@@ -362,6 +365,17 @@ func (p *Plan) Dispatch(w, job, phase int, lo, hi uint32, at int64, note func(Ki
 	case GrainStall:
 		fx.Stall = d
 	}
+	return fx
+}
+
+// DispatchCrash is Dispatch for a backend whose workers can be lost at the
+// dispatch chokepoint (the tenant pool): the same consultation also
+// carries the WorkerCrash verdict. The simulator consults WorkerCrash at
+// its own chokepoint, the ask. The caller notes the crash itself once it
+// has decided to honour it — the last live worker refuses.
+func (p *Plan) DispatchCrash(w, job, phase int, lo, hi uint32, at int64, note func(Kind)) Effects {
+	fx := p.Dispatch(w, job, phase, lo, hi, at, note)
+	_, _, fx.Crash = p.Worker(w, at, WorkerCrash)
 	return fx
 }
 
@@ -460,7 +474,7 @@ func Stretch(dur time.Duration, factor int64) {
 }
 
 // PanicWork is the work body a real backend substitutes for a granule
-// struck by GrainPanic: the failure goes through the engine's own recover.
+// struck by GrainPanic: the failure goes through the worker loop's own recover.
 func PanicWork(phase granule.PhaseID) func(granule.ID) {
 	return func(granule.ID) {
 		panic(fmt.Sprintf("fault: injected panic in phase %d", phase))

@@ -149,7 +149,8 @@ func (p *Pool) backfillPlan(home *Job) []*Job {
 // largest-remainder: every job gets floor(W * weight / totalWeight) home
 // workers, leftovers go to the highest (priority, remainder, submit
 // order). With more jobs than workers the overflow jobs hold no home
-// workers and progress through backfill only. Caller holds p.mu.
+// workers and progress through backfill only. Only live workers are
+// handed homes (see crash). Caller holds p.mu.
 func (p *Pool) rebalanceLocked() {
 	defer p.epoch.Add(1)
 	n := len(p.active)
@@ -163,7 +164,7 @@ func (p *Pool) rebalanceLocked() {
 	for _, j := range p.active {
 		total += j.cfg.Weight
 	}
-	w := p.cfg.Workers
+	w := len(p.alive)
 	type share struct {
 		j    *Job
 		n    int
@@ -195,7 +196,7 @@ func (p *Pool) rebalanceLocked() {
 	slot := 0
 	for _, s := range shares {
 		for k := 0; k < s.n; k++ {
-			p.homes[slot] = s.j
+			p.homes[p.alive[slot]] = s.j
 			slot++
 		}
 	}

@@ -116,11 +116,11 @@ func (j *Job) Tasks() int64 { return j.tasks.Load() }
 // not).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// Wait blocks until the job finishes and returns its report. The report
-// has the same shape as an executive.Run report: Wall is submit-to-finish,
-// Mgmt is the job's own manager-serialized management time, Utilization is
-// against the full pool (a job sharing the pool cannot use more). Idle is
-// zero — parked time belongs to the pool, not to any one job.
+// Wait blocks until the job finishes and returns its report: Wall is
+// submit-to-retire, Mgmt is the job's own manager-serialized management
+// time, Utilization is against the full pool (a job sharing the pool cannot
+// use more). Idle is zero — parked time belongs to the pool, not to any one
+// job (the Runner fills it in for a one-job run, where the two coincide).
 func (j *Job) Wait() (*executive.Report, error) {
 	<-j.done
 	// Scheduler statistics and management time come from one attempt, the

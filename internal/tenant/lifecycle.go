@@ -102,11 +102,8 @@ func (p *Pool) newAttempt(j *Job, prev *attempt) (*attempt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Options.AdaptiveBatch is deliberately NOT threaded through here:
-	// pool workers never ask with AskWait and park at pool level, never on the manager's condition variable, so the
-	// controller's hoarded-idle (shrink) signal would be structurally
-	// zero — a grow-only controller is worse than fixed parameters.
-	// Adaptive tenancy is a ROADMAP follow-on.
+	// Options.AdaptiveBatch selects a management model in virtual time
+	// only: on goroutines the sharded manager runs fixed parameters.
 	mgr, err := executive.NewManager(sched, executive.Config{
 		Workers: p.cfg.Workers, Manager: p.cfg.Manager,
 		DequeCap: p.cfg.DequeCap, Batch: p.cfg.Batch,

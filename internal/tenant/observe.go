@@ -100,16 +100,15 @@ func (p *Pool) startObserver() {
 	})
 }
 
-// stopObserver joins the sampling goroutine and emits the Final
-// snapshot built from the finished report. Called by Close after the
-// workers have joined; safe when no observer was configured, and
-// idempotent so a second Close stays as harmless as it was before
-// observers existed (only the first Close emits the Final snapshot).
+// stopObserver emits the Final snapshot built from the finished report.
+// Called by Close after the workers and the sampling goroutine have
+// joined; safe when no observer was configured, and idempotent so a second
+// Close stays as harmless as it was before observers existed (only the
+// first Close emits the Final snapshot).
 func (p *Pool) stopObserver(r *Report) {
 	if p.sampler == nil {
 		return
 	}
-	p.sampler.Stop()
 	if !p.obsFinal.CompareAndSwap(false, true) {
 		return
 	}

@@ -79,15 +79,46 @@ func runSingleJobPool(t *testing.T, prog *core.Program, opt core.Options, cfg Co
 	return rep, poolRep
 }
 
-// TestPoolConformance proves a single-job pool is report-equivalent to
-// executive.Run under every manager. With one worker the scheduling
-// decision sequence is deterministic, so the state-machine statistics and
-// task counts must match Execute exactly; with several workers the
-// decision interleaving is timing-dependent, so equivalence is the
-// structural part: identical results, every granule exactly once, and a
-// complete report. The async manager skips the exact part even at one
-// worker — its management goroutine's refill boundaries race the worker's
-// pulls, so the decision sequence is inherently timing-dependent.
+// driveAlone runs prog on the calling goroutine as the one worker of a bare
+// manager — the executive protocol with no pool around it — and returns
+// the task count and the state machine's statistics.
+func driveAlone(t *testing.T, prog *core.Program, opt core.Options, cfg executive.Config) (int64, core.Stats) {
+	t.Helper()
+	opt.Workers = cfg.Workers
+	sched, err := core.New(prog, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := executive.NewManager(sched, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Start()
+	var tasks int64
+	task, at, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), executive.AskTry)
+	for ok {
+		if err := executive.RunTask(prog.Phases[task.Phase].Work, task); err != nil {
+			t.Fatal(err)
+		}
+		tasks++
+		task, at, ok, _ = mgr.Enter(0, task, at, executive.AskTry)
+	}
+	if done, err := mgr.Outcome(); !done || err != nil {
+		t.Fatalf("hand-driven run ended with done=%v err=%v", done, err)
+	}
+	return tasks, sched.Stats()
+}
+
+// TestPoolConformance proves the pool adds nothing to a job's scheduling
+// under every manager. With one worker the decision sequence is
+// deterministic, so a single-job pool's state-machine statistics and task
+// count must match the same manager driven by hand, with no pool around
+// it, exactly; with several workers the decision interleaving is
+// timing-dependent, so equivalence is the structural part: identical
+// results, every granule exactly once, and a complete report. The async
+// manager skips the exact part even at one worker — its management
+// goroutine's refill boundaries race the worker's pulls, so the decision
+// sequence is inherently timing-dependent.
 func TestPoolConformance(t *testing.T) {
 	const n = 2048
 	opt := func() core.Options {
@@ -97,12 +128,9 @@ func TestPoolConformance(t *testing.T) {
 		if kind != executive.AsyncManager {
 			// One worker: exact equivalence.
 			prog, a1, b1, c1 := buildCopyChain(t, n)
-			execRep, err := executive.Run(prog, opt(), executive.Config{
+			tasks, stats := driveAlone(t, prog, opt(), executive.Config{
 				Workers: 1, Manager: kind, DequeCap: 8, Batch: 4,
 			})
-			if err != nil {
-				t.Fatalf("%v: %v", kind, err)
-			}
 			checkCopyChain(t, a1, b1, c1)
 
 			prog2, a2, b2, c2 := buildCopyChain(t, n)
@@ -111,15 +139,14 @@ func TestPoolConformance(t *testing.T) {
 			})
 			checkCopyChain(t, a2, b2, c2)
 
-			if poolRep.Manager != execRep.Manager {
-				t.Errorf("%v: manager %v != %v", kind, poolRep.Manager, execRep.Manager)
+			if poolRep.Manager != kind {
+				t.Errorf("%v: report names manager %v", kind, poolRep.Manager)
 			}
-			if poolRep.Tasks != execRep.Tasks {
-				t.Errorf("%v: pool ran %d tasks, Execute ran %d", kind, poolRep.Tasks, execRep.Tasks)
+			if poolRep.Tasks != tasks {
+				t.Errorf("%v: pool ran %d tasks, the bare manager %d", kind, poolRep.Tasks, tasks)
 			}
-			if poolRep.Sched != execRep.Sched {
-				t.Errorf("%v: scheduler stats diverge:\npool:    %+v\nexecute: %+v",
-					kind, poolRep.Sched, execRep.Sched)
+			if poolRep.Sched != stats {
+				t.Errorf("%v: scheduler stats diverge:\npool: %+v\nbare: %+v", kind, poolRep.Sched, stats)
 			}
 		}
 
@@ -442,12 +469,9 @@ func TestPoolRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// stallDriver is a Manager that never yields work: with inflight zero the
-// shape of a wedged job, unreachable through the real state machine's
-// liveness guarantees, which the pool must fail, not deadlock on; with
-// inflight set, a job whose work is in the hands of a goroutine that is
-// not a pool worker (an async job's management goroutine), until finish
-// ends it.
+// stallDriver is a Manager that never yields work while something is in
+// flight: a job whose work is in the hands of a goroutine that is not a
+// pool worker (an async job's management goroutine), until finish ends it.
 type stallDriver struct {
 	mu       sync.Mutex
 	inflight int
@@ -462,8 +486,6 @@ func (d *stallDriver) Enter(_ int, _ core.Task, at clock.Stamp, _ executive.Ask)
 }
 func (d *stallDriver) Flush(_ int, at clock.Stamp) (clock.Stamp, bool) { return at, false }
 func (d *stallDriver) Mgmt() time.Duration                             { return 0 }
-func (d *stallDriver) Idle() time.Duration                             { return 0 }
-func (d *stallDriver) Retire(int)                                      {}
 func (d *stallDriver) Join()                                           {}
 func (d *stallDriver) SetNotify(func())                                {}
 func (d *stallDriver) Abort(err error) {
@@ -514,11 +536,24 @@ func injectJob(t *testing.T, p *Pool, name string, prog *core.Program, build fun
 	return j
 }
 
-// injectStalled injects a job driven by the stallDriver fake.
-func injectStalled(t *testing.T, p *Pool, name string, mgr *stallDriver) *Job {
-	t.Helper()
-	prog, _, _, _ := buildCopyChain(t, 16)
-	return injectJob(t, p, name, prog, func(*core.Scheduler) executive.Manager { return mgr })
+// dryMachine is a state machine that never yields work and never
+// finishes: the shape of a wedged job, unreachable through the real state
+// machine's liveness guarantees, which the pool must fail, not deadlock on.
+type dryMachine struct{}
+
+func (dryMachine) Start() core.Cost                       { return 0 }
+func (dryMachine) NextTask() (core.Task, core.Cost, bool) { return core.Task{}, 0, false }
+func (dryMachine) Complete(core.Task) core.Cost           { return 0 }
+func (dryMachine) CompleteBatch([]core.Task) core.Cost    { return 0 }
+func (dryMachine) DeferredMgmt() (core.Cost, bool)        { return 0, false }
+func (dryMachine) HasDeferred() bool                      { return false }
+func (dryMachine) Done() bool                             { return false }
+func (dryMachine) InFlight() int                          { return 0 }
+func (dryMachine) ReadyTasks() int                        { return 0 }
+func (dryMachine) CurrentPhase() int                      { return 0 }
+func (dryMachine) Stats() core.Stats                      { return core.Stats{} }
+func (dryMachine) NextTasks(dst []core.Task, _ int) ([]core.Task, core.Cost) {
+	return dst, 0
 }
 
 // countingManager counts the calls a pool makes into a job's manager.
@@ -593,34 +628,50 @@ func TestPoolHomePathEntersOncePerTask(t *testing.T) {
 	}
 }
 
-// TestPoolStallDetector injects a wedged job directly (the public Submit
-// path cannot build one) and expects the pool's termination detector to
-// fail it once every worker parks.
+// TestPoolStallDetector: stall detection on hardware lives in the pool, in
+// one place, under every manager. A job whose real manager sits over a dry
+// state machine (injected directly — the public Submit path cannot build
+// one) is asked by every worker, comes back dry every time without parking
+// anyone or failing on its own authority, and is failed by the pool's
+// all-parked probe once every worker has parked.
 func TestPoolStallDetector(t *testing.T) {
-	p, err := NewPool(Config{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stalledBefore := probeVerdicts.stalled.Load()
-	j := injectStalled(t, p, "wedged", &stallDriver{})
+	for _, kind := range executive.ManagerKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			const workers = 3
+			p, err := NewPool(Config{Workers: workers, Manager: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stalledBefore := probeVerdicts.stalled.Load()
+			prog, _, _, _ := buildCopyChain(t, 16)
+			j := injectJob(t, p, "wedged", prog, func(*core.Scheduler) executive.Manager {
+				mgr, err := executive.NewManager(dryMachine{}, executive.Config{Workers: workers, Manager: kind})
+				if err != nil {
+					t.Fatal(err)
+				}
+				mgr.SetNotify(p.progress)
+				return mgr
+			})
 
-	select {
-	case <-j.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("stalled job not detected within 10s")
-	}
-	if _, err := j.Wait(); err == nil || !strings.Contains(err.Error(), "stalled") {
-		t.Fatalf("wedged job error = %v, want stall", err)
-	}
-	rep, err := p.Close()
-	if err == nil || !strings.Contains(err.Error(), "stalled") {
-		t.Fatalf("Close error = %v, want stall", err)
-	}
-	if rep.Stalled != 1 {
-		t.Errorf("report counts %d stalled jobs, want 1", rep.Stalled)
-	}
-	if probeVerdicts.stalled.Load() == stalledBefore {
-		t.Error("the all-parked probe never reported a stall verdict")
+			select {
+			case <-j.Done():
+			case <-time.After(10 * time.Second):
+				t.Fatal("stalled job not detected within 10s")
+			}
+			if _, err := j.Wait(); err == nil || !strings.Contains(err.Error(), "tenant: job \"wedged\" stalled") {
+				t.Fatalf("wedged job error = %v, want the pool's stall verdict", err)
+			}
+			rep, err := p.Close()
+			if err == nil || !strings.Contains(err.Error(), "stalled") {
+				t.Fatalf("Close error = %v, want stall", err)
+			}
+			if rep.Stalled != 1 {
+				t.Errorf("report counts %d stalled jobs, want 1", rep.Stalled)
+			}
+			if probeVerdicts.stalled.Load() == stalledBefore {
+				t.Error("the all-parked probe never reported a stall verdict")
+			}
+		})
 	}
 }
 
@@ -637,7 +688,8 @@ func TestPoolProbeWaitsWhileWorkIsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := &stallDriver{inflight: 1}
-	j := injectStalled(t, p, "elsewhere", mgr)
+	prog, _, _, _ := buildCopyChain(t, 16)
+	j := injectJob(t, p, "elsewhere", prog, func(*core.Scheduler) executive.Manager { return mgr })
 	time.Sleep(50 * time.Millisecond)
 	select {
 	case <-j.Done():

@@ -50,7 +50,7 @@ func (p *Pool) noteFault(w, ji int, k fault.Kind) {
 // with a panicking body (GrainPanic) or returning the injected failure
 // (GrainError). Only called with a non-nil plan.
 func (p *Pool) injectTask(w int, j *Job, task core.Task, work *core.WorkFn) (fault.Effects, error) {
-	fx := p.plan.Dispatch(w, j.idx, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi),
+	fx := p.plan.DispatchCrash(w, j.idx, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi),
 		time.Since(p.start).Nanoseconds(), func(k fault.Kind) { p.noteFault(w, j.idx, k) })
 	switch fx.Grain {
 	case fault.GrainPanic:

@@ -16,15 +16,17 @@
 //
 // Each job owns its own core.Scheduler state machine wrapped in its own
 // executive Manager (every kind, through the one executive.Manager
-// contract the engine drives too); the pool owns cross-job dispatch,
-// parking, stall detection, and lifecycle. Layering: pool above manager
-// above state machine.
+// contract); the pool owns the worker loop — the only one on hardware, a
+// Runner.Run is a one-job pool — cross-job dispatch, parking, stall
+// detection, and lifecycle. Layering: pool above manager above state
+// machine.
 package tenant
 
 import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -169,6 +171,7 @@ type Pool struct {
 	active  []*Job // incomplete jobs, submit order
 	waitq   []*Job // admitted-but-queued jobs (admission control), submit order
 	homes   []*Job // per-worker home job; nil entries when no active jobs
+	alive   []int  // workers not lost to an injected WorkerCrash
 	closed  bool
 	stalled int // jobs failed by the pool stall detector
 	// backoff holds the jobs between attempts, each with its pending retry
@@ -234,11 +237,15 @@ func NewPool(cfg Config) (*Pool, error) {
 	p := &Pool{
 		cfg:     cfg,
 		homes:   make([]*Job, cfg.Workers),
+		alive:   make([]int, cfg.Workers),
 		backoff: make(map[*Job]*time.Timer),
 		start:   time.Now(),
 		met:     cfg.Metrics,
 	}
 	p.cond = sync.NewCond(&p.mu)
+	for w := range p.alive {
+		p.alive[w] = w
+	}
 	if rec := cfg.Trace; rec != nil {
 		m := rec.Meta()
 		if m.Backend == "" {
@@ -376,6 +383,9 @@ func (p *Pool) Close() (*Report, error) {
 		p.plan.ReleaseAll()
 		p.wg.Wait()
 		p.stopWatchdog()
+		// Joined before the end reading, so no live sample reports a later
+		// Elapsed than the Final snapshot's.
+		p.sampler.Stop()
 		p.end = time.Now()
 
 		for _, j := range p.jobs {
@@ -421,8 +431,8 @@ func (p *Pool) Abort(err error) {
 // are on.
 //
 // A home task enters its job's executive once: the completion and the ask
-// for the next home task are one Enter, exactly the engine's per-task
-// entry, and the task it hands back runs without a sweep. A backfill task
+// for the next home task are one Enter, the way a PAX processor entered
+// the executive, and the task it hands back runs without a sweep. A backfill task
 // — or a home task finished after the home assignment changed — completes
 // with AskNone and the worker sweeps again, home first, so dispatch stays
 // overlap-first.
@@ -490,9 +500,12 @@ func (p *Pool) worker(ctx context.Context, w int) {
 				}
 			}
 			last = a
-			var ran bool
-			if now, ran = p.runTask(w, a, task, backfill, now); !ran {
+			var ran, crash bool
+			if now, ran, crash = p.runTask(w, a, task, backfill, now); !ran {
 				break
+			}
+			if crash && p.crash(w, a, task, now) {
+				return
 			}
 			// The home assignment is unchanged when the pool's epoch is: a
 			// retry, a retirement or a new job all rebalance.
@@ -512,7 +525,8 @@ func (p *Pool) worker(ctx context.Context, w int) {
 // and there is no completion to submit. now is the dispatch stamp — the
 // start of the task's compute interval — and the stamp returned is the
 // worker's latest reading, the one the completing Enter is charged from.
-func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clock.Stamp) (end clock.Stamp, ran bool) {
+// crash is an injected WorkerCrash's verdict on the worker (see crash).
+func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clock.Stamp) (end clock.Stamp, ran, crash bool) {
 	j := a.job
 	j.lastTouch.Store(int64(now))
 	if p.met != nil {
@@ -547,7 +561,7 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 	if err != nil {
 		a.mgr.Abort(transient{err})
 		p.settle(a)
-		return end, false
+		return end, false, false
 	}
 	j.compute.Add(int64(dur))
 	j.tasks.Add(1)
@@ -584,7 +598,32 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
 	}
 	j.lastTouch.Store(int64(end))
-	return end, true
+	return end, true, fx.Crash
+}
+
+// crash retires worker w for good — fault.WorkerCrash, graceful capacity
+// loss — at the fused entry's chokepoint, between its two halves: the task
+// in hand is completed with AskNone and the worker's batch flushed, so no
+// task is lost and none is taken that will not run (tasks left in its
+// sharded deque stay stealable). The worker leaves the census the
+// all-parked probe counts against and the home assignment. The last live
+// worker refuses: the rule is consumed but ignored.
+func (p *Pool) crash(w int, a *attempt, task core.Task, at clock.Stamp) bool {
+	p.mu.Lock()
+	if len(p.alive) == 1 {
+		p.mu.Unlock()
+		return false
+	}
+	p.alive = slices.DeleteFunc(p.alive, func(v int) bool { return v == w })
+	p.rebalanceLocked()
+	p.mu.Unlock()
+	_, at, _ = p.enter(w, a, task, at, executive.AskNone)
+	if _, applied := a.mgr.Flush(w, at); applied {
+		p.settle(a)
+	}
+	p.noteFault(w, a.job.idx, fault.WorkerCrash)
+	p.progress() // the survivors re-sweep, and re-probe against the new census
+	return true
 }
 
 // progress records a progress event and wakes parked workers. The
@@ -633,8 +672,8 @@ func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stam
 		p.nWaiting.Add(-1)
 		return false, at
 	}
-	if int(p.nWaiting.Load()) == p.cfg.Workers && len(p.active) > 0 {
-		// Every worker swept every active job dry at a stable gen: all
+	if int(p.nWaiting.Load()) == len(p.alive) && len(p.active) > 0 {
+		// Every live worker swept every active job dry at a stable gen: all
 		// deques are empty and every completion batch was flushed, so an
 		// unfinished job with nothing in flight can never make progress —
 		// a true stall. Fail those jobs; the pool itself survives.

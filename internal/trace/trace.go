@@ -66,7 +66,10 @@ const (
 	// KStealAttempt / KStealWin / KStealLose record a sharded-manager
 	// steal sweep by Proc: the attempt when the sweep starts, then either
 	// a win (Arg: the victim worker, Lo/Hi: the first stolen task's
-	// range) or a loss (every victim was dry).
+	// range) or a loss (every victim was dry). Traces written before the
+	// wall-clock loops merged carry them; no backend records them now (the
+	// managers no longer see the recorder — the steal counters of the
+	// metric set are the live form).
 	KStealAttempt
 	KStealWin
 	KStealLose

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/executive"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -19,7 +18,7 @@ import (
 type Option func(*runnerConfig) error
 
 // runnerConfig is the resolved Runner configuration. Zero value plus
-// defaults = goroutine executive, serial manager, GOMAXPROCS workers.
+// defaults = goroutine workers, serial manager, GOMAXPROCS of them.
 type runnerConfig struct {
 	workers    int
 	workersSet bool
@@ -92,17 +91,16 @@ func WithManager(m ExecManager) Option {
 	}
 }
 
-// WithAdaptiveBatching enables the adaptive batching controller with the
-// given lock-overhead-share setpoint (<= 0 selects the default, 0.02).
-// Only the sharded manager honors it on real backends; on the virtual
-// backend it selects the Adaptive management model unless an async
-// manager was chosen. Virtual multi-program runs (RunAll) price it too,
-// as ONE pool-wide controller retuning the shared batch knobs from a
-// machine-wide starvation integral. Real pool-backed runs (RunAll on
-// real backends, WithPool, a Run that retries) deliberately do NOT honor
-// it: pool workers park at pool level, where the controller's shrink
-// signal reads zero, so pool jobs run fixed-parameter managers — a
-// traced pool run records no retune events.
+// WithAdaptiveBatching selects the adaptive batching controller with the
+// given lock-overhead-share setpoint (<= 0 selects the default, 0.02): on
+// the virtual backend, the Adaptive management model unless an async
+// manager was chosen, Run and RunAll alike — ONE pool-wide controller
+// retuning the shared batch knobs from a machine-wide starvation integral.
+// Goroutine backends run the sharded manager with fixed parameters
+// whatever this option says (a traced run records no retune events):
+// workers park in the pool, above the manager, where the controller's
+// shrink and starvation inputs cannot be measured, and no hardware
+// benchmark separated the controller from fixed sharded.
 func WithAdaptiveBatching(target float64) Option {
 	return func(c *runnerConfig) error {
 		c.adaptive = true
@@ -164,10 +162,10 @@ func WithVirtualTime(cfg SimConfig) Option {
 	}
 }
 
-// WithPool makes Run submit its single job to a multi-tenant worker pool
-// instead of a dedicated executive, so the job runs under pool dispatch
-// exactly as RunAll jobs do. RunAll uses the pool on real backends either
-// way.
+// WithPool labels the goroutine machine PoolBackend instead of
+// ExecBackend (Runner.Backend, Report.Backend, Snapshot.Backend, the trace
+// header). It changes nothing else: every goroutine Run and RunAll runs on
+// the multi-tenant worker pool.
 func WithPool() Option {
 	return func(c *runnerConfig) error {
 		if c.virtual {
@@ -191,8 +189,9 @@ func WithObservePeriod(d time.Duration) Option {
 
 // WithTrace turns on the flight recorder: every run captures a
 // structured trace of its scheduling decisions — dispatches,
-// completions, steals, parks, retunes, aborts — and attaches the merged
-// trace to Report.Trace. When w is non-nil the trace is also written to
+// completions, backfills, parks, injected faults, retries, aborts and, in
+// virtual time, batch retunes — and attaches the merged trace to
+// Report.Trace. When w is non-nil the trace is also written to
 // it in the versioned binary format (readable back with ReadTraceFile)
 // after the run completes; pass nil to capture in memory only. Virtual
 // traces are deterministic (identical runs produce identical traces);
@@ -255,9 +254,8 @@ func WithFaults(spec FaultSpec) Option {
 // WithDeadline sets a default per-job deadline: a job not finished this
 // long after submission is aborted — only that job — with an error
 // wrapping context.DeadlineExceeded. Job.Deadline overrides it per job.
-// Honored by pool-backed runs and virtual runs, Run and RunAll alike (one
-// virtual unit per nanosecond); single-job goroutine runs enforce it
-// through the run context.
+// Honored on every backend, Run and RunAll alike (one virtual unit per
+// nanosecond).
 func WithDeadline(d time.Duration) Option {
 	return func(c *runnerConfig) error {
 		if d < 0 {
@@ -273,7 +271,7 @@ func WithDeadline(d time.Duration) Option {
 // scheduler up to n times, waiting backoff before the first retry and
 // doubling it per further retry (capped at 64×). Deadline aborts and
 // run cancellation never retry. Job.Retry / Job.Backoff override it per
-// job; Job.Retry says what a budget costs a goroutine Run.
+// job.
 func WithRetry(n int, backoff time.Duration) Option {
 	return func(c *runnerConfig) error {
 		if n < 0 {
@@ -318,7 +316,7 @@ func WithPreemptBound(n int) Option {
 // WithStallTimeout arms the pool watchdog: a job with tasks in flight
 // and no progress for d is failed as wedged (and retried if it has
 // retries left). Negative d disables the watchdog even under WithFaults
-// (which otherwise arms a default). Only pool-backed runs consult it.
+// (which otherwise arms a default). Only goroutine backends consult it.
 func WithStallTimeout(d time.Duration) Option {
 	return func(c *runnerConfig) error {
 		c.stallTimeout = d
@@ -381,7 +379,11 @@ func (c *runnerConfig) newRecorder() *trace.Recorder {
 	if !c.traceOn {
 		return nil
 	}
-	return trace.NewRecorder(trace.Meta{}, c.workers)
+	var meta trace.Meta
+	if c.backend() == ExecBackend {
+		meta.Backend = "exec" // the pool and the simulator name themselves
+	}
+	return trace.NewRecorder(meta, c.workers)
 }
 
 // finishTrace merges a finished run's trace into rep and writes the
@@ -455,8 +457,7 @@ func (c *runnerConfig) model() MgmtModel {
 }
 
 // jobOpt returns job's scheduler options with the Runner-level adaptive
-// setting folded in (the executive and the sim both read adaptivity from
-// the job options).
+// setting folded in (the sim reads adaptivity from the job options).
 func (c *runnerConfig) jobOpt(job Job) Options {
 	opt := job.Opt
 	if c.adaptive {
@@ -468,46 +469,19 @@ func (c *runnerConfig) jobOpt(job Job) Options {
 	return opt
 }
 
-// execConfig builds the executive configuration for single-job goroutine
-// runs.
-func (c *runnerConfig) execConfig() executive.Config {
-	cfg := executive.Config{
-		Workers:  c.workers,
-		Manager:  c.manager,
-		DequeCap: c.dequeCap,
-		Batch:    c.batch,
-		ReadyCap: c.readyCap,
-		LowWater: c.lowWater,
-		Adaptive: c.adaptive,
-		Faults:   c.faults,
-		// Read only when Adaptive / Observer are set.
-		MgmtTarget:    c.mgmtTarget,
-		ObservePeriod: c.observePeriod,
+// backend names the machine the options select.
+func (c *runnerConfig) backend() BackendKind {
+	switch {
+	case c.virtual:
+		return VirtualBackend
+	case c.pool:
+		return PoolBackend
+	default:
+		return ExecBackend
 	}
-	if c.observer != nil {
-		fn := c.observer
-		cfg.Observer = func(s executive.Snapshot) {
-			// Jobs reads drained only when the program truly completed —
-			// a cancelled run's Final snapshot keeps Jobs=1, matching the
-			// virtual backend's unfinished-jobs accounting. A bare
-			// pre-start-failure Final (Elapsed zero: the run never
-			// started) reads 0, as the other backends' failEarly
-			// snapshots do.
-			jobs := 1
-			if s.Done || (s.Final && s.Elapsed == 0) {
-				jobs = 0
-			}
-			fn(Snapshot{
-				Backend: ExecBackend, Final: s.Final,
-				Elapsed: s.Elapsed, Tasks: s.Tasks, Jobs: jobs,
-				Utilization: s.Utilization, OverheadShare: s.OverheadShare,
-			})
-		}
-	}
-	return cfg
 }
 
-// poolConfig builds the tenant pool configuration for shared runs.
+// poolConfig builds the tenant pool configuration for goroutine runs.
 func (c *runnerConfig) poolConfig() tenant.Config {
 	cfg := tenant.Config{
 		Workers:       c.workers,
@@ -526,10 +500,10 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 		ObservePeriod: c.observePeriod, // read only with an Observer
 	}
 	if c.observer != nil {
-		fn := c.observer
+		fn, backend := c.observer, c.backend()
 		cfg.Observer = func(s tenant.Snapshot) {
 			fn(Snapshot{
-				Backend: PoolBackend, Final: s.Final,
+				Backend: backend, Final: s.Final,
 				Elapsed: s.Elapsed, Tasks: s.Tasks, Jobs: s.ActiveJobs,
 				BackfillTasks: s.BackfillTasks,
 				Utilization:   s.Utilization, OverheadShare: s.OverheadShare,

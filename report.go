@@ -9,15 +9,13 @@ import (
 type BackendKind uint8
 
 const (
-	// ExecBackend runs jobs on real goroutine workers through the
-	// executive (internal/executive). Run uses one dedicated worker set
-	// per job; RunAll shares one worker set between the jobs through the
-	// tenant pool, exactly as PoolBackend does.
+	// ExecBackend runs jobs on real goroutine workers: the multi-tenant
+	// worker pool (internal/tenant) — one shared worker set, overlap-first
+	// cross-job dispatch, one job's rundown filled by another job's work —
+	// over one executive manager per job (internal/executive). RunAll
+	// shares a fresh pool between the jobs; Run is its one-job case.
 	ExecBackend BackendKind = iota
-	// PoolBackend runs jobs on the multi-tenant worker pool
-	// (internal/tenant): one shared worker set, overlap-first cross-job
-	// dispatch, one job's rundown filled by another job's work. Run
-	// submits a single job to a fresh pool.
+	// PoolBackend is the same machine under the label WithPool selects.
 	PoolBackend
 	// VirtualBackend runs jobs on the deterministic discrete-event
 	// machine model (internal/sim): virtual time, priced management,
@@ -63,10 +61,7 @@ type Job struct {
 	// nanosecond.
 	Deadline time.Duration
 	// Retry is how many times a failed attempt restarts on a fresh
-	// scheduler (0 inherits WithRetry's default). The executive engine
-	// has no attempts, so a goroutine Run with a budget is a one-job pool
-	// run (Report.Backend says so; BenchmarkOneJob and DESIGN.md §4.4
-	// have what that costs against the engine).
+	// scheduler (0 inherits WithRetry's default).
 	Retry int
 	// Backoff is the base delay before the first retry, doubled per
 	// further retry and capped at 64× (0 inherits WithRetry's default).
@@ -151,13 +146,15 @@ type Report struct {
 	// SimMulti is the multi-program virtual result (VirtualBackend
 	// RunAll).
 	SimMulti *MultiSimResult `json:"sim_multi,omitempty"`
-	// Exec is the goroutine execution report (ExecBackend Run, and each
-	// pool job's report also appears in Jobs).
+	// Exec is the goroutine execution report of a one-job run, the same
+	// object as Jobs[0].Exec: Wall is the job's submit-to-retire window
+	// and Idle the workers' parked time within it, so Compute+Mgmt+Idle
+	// fits inside Workers·Wall (plus the async manager's own processor).
 	Exec *ExecReport `json:"exec,omitempty"`
-	// Pool is the pool-lifetime report (pool-backed runs).
+	// Pool is the pool-lifetime report (goroutine backends).
 	Pool *PoolReport `json:"pool,omitempty"`
 	// Jobs holds per-job reports in submission order: every job of a
-	// RunAll, and the one job of a pool-backed or virtual Run.
+	// RunAll, and the one job of a Run.
 	Jobs []JobReport `json:"jobs,omitempty"`
 	// Trace is the run's merged flight-recorder trace (WithTrace runs
 	// only; nil otherwise). Virtual traces are deterministic; real-backend

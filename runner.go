@@ -12,9 +12,10 @@ import (
 
 // Runner is the package's front door: one configured entry point whose
 // Run and RunAll execute the same backend-agnostic Job spec on the
-// virtual discrete-event machine, on real goroutine workers, or inside a
-// multi-tenant worker pool — selected purely by the options given to
-// New. There is no other way in.
+// virtual discrete-event machine or on real goroutine workers — selected
+// purely by the options given to New. There is no other way in. On either
+// machine Run is the one-job case of RunAll: one virtual-time engine, one
+// goroutine worker loop (the tenant pool's).
 //
 //	r, _ := rundown.New(rundown.WithWorkers(8), rundown.WithManager(rundown.AsyncManager))
 //	rep, err := r.Run(ctx, rundown.Job{Prog: prog, Opt: opt})
@@ -27,7 +28,7 @@ type Runner struct {
 }
 
 // New builds a Runner from functional options. With no options it runs
-// jobs on the goroutine executive with the serial manager and
+// jobs on goroutines under the serial manager with
 // runtime.GOMAXPROCS(0) workers. Conflicting options (for example
 // WithPool with WithVirtualTime) make New fail.
 func New(opts ...Option) (*Runner, error) {
@@ -45,15 +46,8 @@ func New(opts ...Option) (*Runner, error) {
 // report. Cancelling ctx aborts the run with an error wrapping
 // ctx.Err().
 func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
-	switch r.Backend() {
-	case VirtualBackend:
+	if r.cfg.virtual {
 		return r.cfg.runVirtual(ctx, []Job{job}, true)
-	case ExecBackend:
-		// The executive has no model for a retry budget (attempts); the
-		// pool does.
-		if r.cfg.jobRetry(job) == 0 {
-			return r.cfg.runExec(ctx, job)
-		}
 	}
 	return r.cfg.runPool(ctx, []Job{job})
 }
@@ -64,24 +58,16 @@ func (r *Runner) Run(ctx context.Context, job Job) (*Report, error) {
 // error in Report.Jobs; the returned error is the first job error (so a
 // partial Report and an error can both be non-nil on real backends).
 func (r *Runner) RunAll(ctx context.Context, jobs []Job) (*Report, error) {
-	if r.Backend() == VirtualBackend {
+	if r.cfg.virtual {
 		return r.cfg.runVirtual(ctx, jobs, false)
 	}
-	// The executive has no model for several jobs; the pool does.
 	return r.cfg.runPool(ctx, jobs)
 }
 
-// Backend reports which machine the Runner drives.
-func (r *Runner) Backend() BackendKind {
-	switch {
-	case r.cfg.virtual:
-		return VirtualBackend
-	case r.cfg.pool:
-		return PoolBackend
-	default:
-		return ExecBackend
-	}
-}
+// Backend reports which machine the Runner drives. ExecBackend and
+// PoolBackend are two labels for the same goroutine machine (WithPool
+// picks the second); Report.Backend and Snapshot.Backend repeat it.
+func (r *Runner) Backend() BackendKind { return r.cfg.backend() }
 
 // StartPool starts a live multi-tenant pool configured from the Runner's
 // options, for callers that need the incremental Submit/Wait/Close
@@ -109,48 +95,8 @@ func jobName(job Job, i int) string {
 	return fmt.Sprintf("job%d", i)
 }
 
-// runExec runs one job on a dedicated goroutine executive.
-func (c *runnerConfig) runExec(ctx context.Context, job Job) (*Report, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// A single-job goroutine run enforces the deadline through its run
-	// context: the executive aborts at the next dispatch boundary with an
-	// error wrapping context.DeadlineExceeded.
-	if d := c.jobDeadline(job); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	rec := c.newRecorder()
-	met := c.newMetrics("ns")
-	cfg := c.execConfig()
-	cfg.Trace = rec
-	cfg.Metrics = met
-	rep, err := executive.RunContext(ctx, job.Prog, c.jobOpt(job), cfg)
-	if err != nil {
-		// Every failure names the job it killed, and cancellation or
-		// deadline errors keep wrapping ctx.Err() through this layer.
-		return nil, fmt.Errorf("rundown: job %q: %w", jobName(job, 0), err)
-	}
-	out := &Report{
-		Backend:     ExecBackend,
-		Manager:     c.manager,
-		Workers:     c.workers,
-		Tasks:       rep.Tasks,
-		Wall:        rep.Wall,
-		Utilization: rep.Utilization,
-		MgmtRatio:   rep.MgmtRatio,
-		Exec:        rep,
-	}
-	c.finishMetrics(met, out)
-	if terr := c.finishTrace(rec, out); terr != nil {
-		return out, terr
-	}
-	return out, nil
-}
-
-// runPool runs jobs on the multi-tenant worker pool.
+// runPool runs jobs on a fresh multi-tenant worker pool: the goroutine
+// machine, whatever the job count.
 func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -160,7 +106,7 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 	// the pool is up, its own Close emits the Final snapshot).
 	failEarly := func(err error) (*Report, error) {
 		if c.observer != nil {
-			c.observer(Snapshot{Backend: PoolBackend, Final: true})
+			c.observer(Snapshot{Backend: c.backend(), Final: true})
 		}
 		return nil, err
 	}
@@ -187,10 +133,9 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 		return failEarly(err)
 	}
 
-	// Cancellation watcher (the executive's shared WatchCancel): ctx
-	// firing aborts every active job with a ctx.Err()-wrapped error; the
-	// watcher is joined before returning so teardown is
-	// goroutine-leak-free.
+	// Cancellation watcher: ctx firing aborts every active job with a
+	// ctx.Err()-wrapped error; the watcher is joined before returning so
+	// teardown is goroutine-leak-free.
 	stopWatch := executive.WatchCancel(ctx, func(err error) {
 		pool.Abort(fmt.Errorf("rundown: run canceled: %w", err))
 	})
@@ -223,7 +168,7 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 	}
 
 	rep := &Report{
-		Backend: PoolBackend,
+		Backend: c.backend(),
 		Manager: c.manager,
 		Workers: c.workers,
 	}
@@ -254,7 +199,13 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 		rep.MgmtRatio = float64(poolRep.Compute) / float64(poolRep.Mgmt)
 	}
 	if len(rep.Jobs) == 1 {
+		// With one job the pool's parked time is the job's, less what the
+		// workers spent outside its submit-to-retire window (Exec.Wall),
+		// where they can only have been parked: subtracting the whole of it
+		// keeps Compute+Mgmt+Idle within Workers·Wall by construction.
 		rep.Exec = rep.Jobs[0].Exec
+		lead := time.Duration(c.workers) * (poolRep.Wall - rep.Exec.Wall)
+		rep.Exec.Idle = max(poolRep.Idle-lead, 0)
 	}
 	if firstErr == nil {
 		firstErr = closeErr

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -224,7 +225,7 @@ func TestRunnerAcceptsEveryNamedModelAndManager(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: RunAll: %v", name, err)
 		}
-		if rep.Backend != rundown.PoolBackend || rep.Pool == nil {
+		if rep.Backend != r.Backend() || rep.Pool == nil {
 			t.Errorf("%s: RunAll report backend = %v, pool = %v", name, rep.Backend, rep.Pool)
 		}
 		checkRunnerJob(t, d1)
@@ -508,6 +509,113 @@ func TestRunnerManagerDrivesVirtualModel(t *testing.T) {
 		}
 		if rep.Model != c.want {
 			t.Errorf("case %d: model = %v, want %v", i, rep.Model, c.want)
+		}
+	}
+}
+
+// oneJobCorpus is three program shapes over a ledger that counts every
+// granule's executions and every granule that ran before one enabling it:
+// a barrier chain (no overlap), an identity chain with overlap, and a
+// reverse-indirect gather with elevation.
+func oneJobCorpus(t *testing.T) map[string]func() (rundown.Job, func()) {
+	t.Helper()
+	build := func(opt rundown.Options, gather bool) func() (rundown.Job, func()) {
+		return func() (rundown.Job, func()) {
+			const n = 512
+			m := n
+			if gather {
+				m = n / 2
+			}
+			seen := [2][]atomic.Int32{make([]atomic.Int32, n), make([]atomic.Int32, m)}
+			var early atomic.Int64
+			first := &rundown.Phase{Name: "produce", Granules: n, Enable: rundown.Identity(),
+				Work: func(g rundown.GranuleID) { seen[0][g].Add(1) }}
+			second := &rundown.Phase{Name: "consume", Granules: m,
+				Work: func(g rundown.GranuleID) {
+					needs := []rundown.GranuleID{g}
+					if gather {
+						needs = []rundown.GranuleID{2 * g, 2*g + 1}
+					}
+					for _, p := range needs {
+						if seen[0][p].Load() == 0 {
+							early.Add(1)
+						}
+					}
+					seen[1][g].Add(1)
+				}}
+			if gather {
+				first.Enable = rundown.Reverse(func(r rundown.GranuleID) []rundown.GranuleID {
+					return []rundown.GranuleID{2 * r, 2*r + 1}
+				})
+			}
+			prog, err := rundown.NewProgram(first, second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rundown.Job{Name: "solo", Prog: prog, Opt: opt}, func() {
+				t.Helper()
+				for p := range seen {
+					for g := range seen[p] {
+						if c := seen[p][g].Load(); c != 1 {
+							t.Fatalf("phase %d granule %d executed %d times", p, g, c)
+						}
+					}
+				}
+				if e := early.Load(); e != 0 {
+					t.Fatalf("%d granules ran before a granule enabling them", e)
+				}
+			}
+		}
+	}
+	costs := rundown.DefaultCosts()
+	return map[string]func() (rundown.Job, func()){
+		"barrier": build(rundown.Options{Grain: 8, Costs: costs}, false),
+		"overlap": build(rundown.Options{Grain: 8, Overlap: true, Costs: costs}, false),
+		"gather":  build(rundown.Options{Grain: 8, Overlap: true, Elevate: true, SubsetSize: 32, Costs: costs}, true),
+	}
+}
+
+// TestRunEqualsRunAllOneJob pins Run ≡ RunAll([job]) on goroutines, which
+// holds by construction — both are runPool — under every manager and
+// program shape: the same exactly-once, enabler-first ledger, the same
+// report shape (headline, Exec, Pool, one JobReport whose Exec is the
+// report's), every dispatched task completed, and, where one worker makes
+// the decision sequence deterministic, the same scheduler statistics.
+func TestRunEqualsRunAllOneJob(t *testing.T) {
+	ctx := context.Background()
+	for _, kind := range []rundown.ExecManager{rundown.SerialManager, rundown.ShardedManager, rundown.AsyncManager} {
+		for name, build := range oneJobCorpus(t) {
+			for _, workers := range []int{1, 4} {
+				r, err := rundown.New(rundown.WithWorkers(workers), rundown.WithManager(kind))
+				if err != nil {
+					t.Fatal(err)
+				}
+				job, check := build()
+				one, err := r.Run(ctx, job)
+				if err != nil {
+					t.Fatalf("%v/%s/P=%d: Run: %v", kind, name, workers, err)
+				}
+				check()
+				job, check = build()
+				all, err := r.RunAll(ctx, []rundown.Job{job})
+				if err != nil {
+					t.Fatalf("%v/%s/P=%d: RunAll: %v", kind, name, workers, err)
+				}
+				check()
+				for how, rep := range map[string]*rundown.Report{"Run": one, "RunAll": all} {
+					if rep.Backend != r.Backend() || rep.Manager != kind || rep.Workers != workers ||
+						rep.Exec == nil || rep.Pool == nil || len(rep.Jobs) != 1 || rep.Jobs[0].Exec != rep.Exec {
+						t.Fatalf("%v/%s/P=%d: %s report shape: %+v", kind, name, workers, how, rep)
+					}
+					if s := rep.Exec.Sched; rep.Tasks != rep.Exec.Tasks || s.Dispatches != rep.Tasks || s.Completions != rep.Tasks {
+						t.Errorf("%v/%s/P=%d: %s ran %d tasks (job %d), dispatched %d, completed %d",
+							kind, name, workers, how, rep.Tasks, rep.Exec.Tasks, s.Dispatches, s.Completions)
+					}
+				}
+				if workers == 1 && kind != rundown.AsyncManager && one.Exec.Sched != all.Exec.Sched {
+					t.Errorf("%v/%s: one-worker statistics differ:\nRun    %+v\nRunAll %+v", kind, name, one.Exec.Sched, all.Exec.Sched)
+				}
+			}
 		}
 	}
 }

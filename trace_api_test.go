@@ -179,13 +179,10 @@ func TestTraceWriteReadRoundTrip(t *testing.T) {
 }
 
 // TestPoolIgnoresAdaptiveBatching pins what WithAdaptiveBatching's doc
-// says of real pool-backed runs: a traced pool run under it records zero
-// KRetune events (the pool's Submit deliberately omits AdaptiveBatch from
-// per-job drivers, because pool-level parking absorbs the idle signal the
-// controller shrinks on).
+// says of goroutine runs, Run and RunAll alike: the option selects a
+// management model in virtual time only, the sharded manager runs fixed
+// parameters, and a traced run records zero KRetune events.
 func TestPoolIgnoresAdaptiveBatching(t *testing.T) {
-	progA, optA := traceChainFine(t, 512)
-	progB, optB := traceChainFine(t, 512)
 	r, err := rundown.New(
 		rundown.WithWorkers(4), rundown.WithManager(rundown.ShardedManager),
 		rundown.WithAdaptiveBatching(0),
@@ -194,18 +191,25 @@ func TestPoolIgnoresAdaptiveBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := r.RunAll(context.Background(), []rundown.Job{
-		{Name: "a", Prog: progA, Opt: optA},
-		{Name: "b", Prog: progB, Opt: optB},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Trace == nil {
-		t.Fatal("no trace captured")
-	}
-	if n := rep.Trace.Count(trace.KRetune); n != 0 {
-		t.Errorf("pool run under WithAdaptiveBatching recorded %d KRetune events, want 0", n)
+	for _, njobs := range []int{1, 2} {
+		jobs := make([]rundown.Job, njobs)
+		for i := range jobs {
+			jobs[i].Prog, jobs[i].Opt = traceChainFine(t, 512)
+		}
+		run := func() (*rundown.Report, error) { return r.RunAll(context.Background(), jobs) }
+		if njobs == 1 {
+			run = func() (*rundown.Report, error) { return r.Run(context.Background(), jobs[0]) }
+		}
+		rep, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Trace == nil {
+			t.Fatal("no trace captured")
+		}
+		if n := rep.Trace.Count(trace.KRetune); n != 0 {
+			t.Errorf("%d-job run under WithAdaptiveBatching recorded %d KRetune events, want 0", njobs, n)
+		}
 	}
 }
 
@@ -217,7 +221,7 @@ func TestPoolTraceAttributesJobs(t *testing.T) {
 	progB, optB := traceChainFine(t, 256)
 	r, err := rundown.New(
 		rundown.WithWorkers(4), rundown.WithManager(rundown.ShardedManager),
-		rundown.WithTrace(nil),
+		rundown.WithPool(), rundown.WithTrace(nil),
 	)
 	if err != nil {
 		t.Fatal(err)

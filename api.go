@@ -131,9 +131,31 @@ func DefaultCosts() MgmtCosts { return core.DefaultCosts() }
 func FreeCosts() MgmtCosts { return core.FreeCosts() }
 
 // Simulation.
+
+// SimConfig holds what only the virtual machine has to be told (see
+// WithVirtualTime).
+type SimConfig struct {
+	// Procs is the machine's processor count P (>= 1; >= 2 for
+	// StealsWorker, which reserves one processor for the executive). <= 0
+	// inherits WithWorkers.
+	Procs int
+	// Mgmt selects the executive resource model, unless a manager-shaped
+	// option does.
+	Mgmt MgmtModel
+	// BucketWidth sets the utilization-curve resolution of
+	// SimResult.Timeline in virtual units; <= 0 chooses roughly 200 buckets
+	// from a makespan estimate. Run only.
+	BucketWidth int64
+	// Gantt records per-processor spans for ASCII rendering
+	// (SimResult.Gantt). Only use on small runs; memory is O(tasks). Run
+	// only.
+	Gantt bool
+	// MaxOps bounds the number of management operations as a runaway
+	// guard; <= 0 means a generous default.
+	MaxOps int64
+}
+
 type (
-	// SimConfig parameterizes the discrete-event machine model.
-	SimConfig = sim.Config
 	// SimResult aggregates a one-job simulation run (Report.Sim).
 	SimResult = sim.Result
 	// MultiSimResult aggregates a multi-program simulation, with per-job
@@ -163,15 +185,15 @@ const (
 	// price of the deque-based sharded manager: worker-local task
 	// buffers pop for free, every refill or completion flush is one
 	// serialized lock visit charging MgmtCosts.Acquire, and the batch
-	// size is fixed (SimConfig.Batch) or retuned online from the
+	// size is fixed (WithBatch) or retuned online from the
 	// observed overhead and starvation shares (Options.AdaptiveBatch).
 	AdaptiveMgmt = sim.Adaptive
 	// AsyncMgmt is the Dedicated model extended with the async
 	// executive's ready-buffer protocol — the virtual-time price of
 	// AsyncManager: a separate executive processor keeps a bounded
-	// ready-buffer (SimConfig.ReadyCap) topped up, workers pop it for
+	// ready-buffer (WithReadyCap) topped up, workers pop it for
 	// free and queue completions back without waiting, and deferred
-	// management overlaps computation above SimConfig.LowWater.
+	// management overlaps computation above WithLowWater.
 	AsyncMgmt = sim.Async
 )
 

@@ -304,6 +304,110 @@ func TestChaosWorkerCrashDegradesGracefully(t *testing.T) {
 	}
 }
 
+// crashThreeOfEight is the re-apportionment scenario of DESIGN.md §7: the
+// chaos pair plus a weight-1 copy of alpha on eight workers, three of which
+// crash as soon as t >= 100. The tenant package's twin test
+// (TestPoolCrashReapportionsHomes) stages the same jobs and crashes on the
+// goroutine pool and reads the same share.Policy type.
+func crashThreeOfEight(t *testing.T) ([]JobSpec, fault.Spec) {
+	t.Helper()
+	jobs := chaosJobs(t)
+	gamma := chaosJobs(t)[0]
+	gamma.Name, gamma.Weight = "gamma", 1
+	jobs = append(jobs, gamma)
+	var spec fault.Spec
+	for w := 0; w < 3; w++ {
+		spec.Rules = append(spec.Rules, fault.Rule{Kind: fault.WorkerCrash, Worker: w, Job: -1, Phase: -1, After: 100})
+	}
+	return jobs, spec
+}
+
+// TestChaosCrashReapportionsHomes: a worker crash re-apportions the home
+// workers over the survivors, as it does in the pool. At every observation
+// mark no retired worker is anybody's home and the live jobs' homes add up
+// to the live workers; once beta is done, alpha (weight 2) and gamma
+// (weight 1) split the five survivors 3 : 2, and alpha finishes first.
+// (Homes handed to dead workers left alpha two live workers against
+// gamma's three, and it finished last.)
+func TestChaosCrashReapportionsHomes(t *testing.T) {
+	jobs, spec := crashThreeOfEight(t)
+	var s *mstate
+	split := false
+	cfg := Config{Procs: 8, Mgmt: Dedicated, Faults: &spec, Observer: func(sn Snapshot) {
+		if sn.Final {
+			return
+		}
+		homes := 0
+		for _, j := range s.jobs {
+			homes += j.pol.Homes()
+		}
+		if live := s.pol.LiveWorkers(); sn.Jobs > 0 && homes != live {
+			t.Errorf("t=%d: %d home workers over %d live workers", sn.VirtualTime, homes, live)
+		}
+		for w := 0; w < s.workers; w++ {
+			if s.pol.Retired(w) && s.pol.Home(w) != nil {
+				t.Errorf("t=%d: retired worker %d is a home of job %d", sn.VirtualTime, w, s.pol.Home(w).ID)
+			}
+		}
+		if s.pol.LiveWorkers() == 5 && s.jobs[1].done && !s.jobs[0].done && !s.jobs[2].done {
+			split = true
+			if a, g := s.jobs[0].pol.Homes(), s.jobs[2].pol.Homes(); a != 3 || g != 2 {
+				t.Errorf("t=%d: alpha:gamma hold %d:%d of the five survivors, want 3:2", sn.VirtualTime, a, g)
+			}
+		}
+	}}
+	s, err := newMstate(context.Background(), jobs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults != 3 {
+		t.Fatalf("%d crashes fired, want 3", res.Faults)
+	}
+	if !split {
+		t.Error("no observation mark fell between beta's finish and the next: the 3:2 split went unchecked")
+	}
+	if a, g := res.Jobs[0].Makespan, res.Jobs[2].Makespan; a >= g {
+		t.Errorf("alpha (weight 2) finished at %d, after gamma (weight 1) at %d", a, g)
+	}
+}
+
+// TestChaosBackoffIsolatesCoTenant: a retry backoff is a wait, not a
+// reservation of the shared executive. Under every model, beta — which never
+// fails — finishes no later when alpha's one retry waits 20 000 units than
+// when it restarts at once. (Charging the restart's Start at failure time
+// pushed the serial server's horizon to the restart, and beta's management
+// queued behind it for the whole wait.)
+func TestChaosBackoffIsolatesCoTenant(t *testing.T) {
+	for _, model := range chaosModels {
+		model := model
+		t.Run(model.String(), func(t *testing.T) {
+			beta := func(backoff int64) int64 {
+				jobs := chaosJobs(t)
+				jobs[0].Retry, jobs[0].Backoff = 1, backoff
+				spec := fault.Spec{Rules: []fault.Rule{{Kind: fault.GrainError, Job: 0, Phase: 1, Granule: 7, Worker: -1}}}
+				res, err := RunMulti(jobs, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a := res.Jobs[0]; a.Err != nil || a.Attempts != 2 {
+					t.Fatalf("alpha: attempts=%d err=%v, want one successful retry", a.Attempts, a.Err)
+				}
+				if res.Jobs[1].Err != nil {
+					t.Fatalf("beta caught alpha's failure: %v", res.Jobs[1].Err)
+				}
+				return res.Jobs[1].Makespan
+			}
+			if at0, waited := beta(0), beta(20_000); waited > at0 {
+				t.Errorf("alpha's backoff delayed beta: makespan %d with backoff 20000, %d with none", waited, at0)
+			}
+		})
+	}
+}
+
 // TestChaosPreemptBoundCapsBackfill pins the bounded-degradation
 // contract: with PreemptBound set, no backfill dispatch exceeds the
 // bound, and the measured MaxBackfillTask reports it.

@@ -85,9 +85,9 @@ func (s *mstate) inject(worker, ji int, task core.Task, at, dur int64) (int64, i
 // re-queueable) and the pending completion batch is flushed first, so no
 // work is stranded. The last live worker refuses to crash — the rule is
 // consumed but ignored — so a campaign cannot strand a program with zero
-// workers.
+// workers. The survivors' homes are re-apportioned at the crash.
 func (s *mstate) maybeCrash(w int, at int64) bool {
-	if s.crashed[w] {
+	if s.pol.Retired(w) {
 		return true
 	}
 	if s.model == Adaptive && s.mab[w].next < len(s.mab[w].tasks) {
@@ -96,7 +96,7 @@ func (s *mstate) maybeCrash(w int, at int64) bool {
 	if _, _, ok := s.plan.Worker(w, at, fault.WorkerCrash); !ok {
 		return false
 	}
-	if s.livew <= 1 {
+	if s.pol.LiveWorkers() <= 1 {
 		return false
 	}
 	if s.model == Adaptive {
@@ -107,8 +107,7 @@ func (s *mstate) maybeCrash(w int, at int64) bool {
 			s.wake(at)
 		}
 	}
-	s.crashed[w] = true
-	s.livew--
+	s.pol.RetireWorker(w)
 	s.noteFault(at, w, -1, fault.WorkerCrash)
 	return true
 }
@@ -144,17 +143,23 @@ func (s *mstate) clearModelState(ji int, at int64) {
 }
 
 // failJob handles job ji's failure at time at (proc is the worker whose
-// completion carried it, -1 for a deadline abort). A retryable failure
-// with retries left restarts the job on a fresh scheduler after its
-// capped exponential backoff; otherwise the job retires with err while
-// its co-tenants keep running. Either way the attempt generation bumps
-// first, orphaning every in-flight completion of the dead attempt — the
-// run loop frees those workers and discards their results, so a failed
-// job can never corrupt a surviving one.
+// completion carried it, -1 for a deadline abort). Either way the attempt
+// generation bumps first, orphaning every in-flight completion of the dead
+// attempt — the run loop frees those workers and discards their results, so
+// a failed job can never corrupt a surviving one — and the job leaves the
+// dispatch policy's live set, so its home workers go to its co-tenants. A
+// retryable failure with retries left then waits out its capped exponential
+// backoff (see restartDue); otherwise the job retires with err.
 func (s *mstate) failJob(ji int, at int64, proc int, err error, retryable bool) {
 	j := s.jobs[ji]
 	j.attempt++
 	s.clearModelState(ji, at)
+	s.pol.Remove(&j.pol)
+	if j.restartAt >= 0 {
+		// Failed for good (a deadline) while waiting to restart.
+		j.restartAt = -1
+		s.restartN--
+	}
 	if retryable && j.retriesLeft > 0 {
 		j.retriesLeft--
 		j.attempts++
@@ -162,58 +167,77 @@ func (s *mstate) failJob(ji int, at int64, proc int, err error, retryable bool) 
 		if s.met != nil {
 			s.met.Retries.Inc(0)
 		}
-		restart := at + core.Backoff(j.spec.Backoff, j.attempts)
 		sched, nerr := core.New(j.spec.Prog, j.opt)
 		if nerr != nil {
 			// Unreachable: the same (prog, opt) compiled at setup.
 			panic(fmt.Sprintf("sim: retry recompile of job %q failed: %v", j.spec.Name, nerr))
 		}
+		// Not started until the restart: the job offers no work meanwhile.
 		j.sched = sched
 		j.phases = newPhaseTraces(j.spec.Prog)
-		fin := s.serve(restart, sched.Start())
-		j.openAt = fin
-		s.syncReady(j)
-		s.orderDirty = true
+		j.restartAt = at + core.Backoff(j.spec.Backoff, j.attempts)
+		s.restartN++
 		if s.tr != nil {
 			s.tr.Record(trace.KRetry, at, int32(proc), int32(ji), -1, 0, 0, int64(j.attempts))
 		}
-		// Re-ask before waking: wake(fin) can re-anchor an emptied event
-		// queue at fin, after which a push at the earlier at would be
-		// rejected as time travel.
-		if proc >= 0 {
-			s.pushAsk(at, proc)
+	} else {
+		j.err = err
+		j.done = true
+		if s.met != nil {
+			s.met.JobsDone.Inc(0)
+			s.met.ActiveJobs.Add(-1)
+			if errors.Is(err, context.DeadlineExceeded) {
+				s.met.DeadlineMisses.Inc(0)
+			}
 		}
-		s.wake(fin)
-		return
-	}
-	j.err = err
-	j.done = true
-	if s.met != nil {
-		s.met.JobsDone.Inc(0)
-		s.met.ActiveJobs.Add(-1)
-		if errors.Is(err, context.DeadlineExceeded) {
-			s.met.DeadlineMisses.Inc(0)
+		if at > j.makespan {
+			j.makespan = at
+			if at > s.front {
+				s.front = at
+			}
 		}
-	}
-	s.liveCount--
-	if j.deficit > 0 {
-		s.creditCount--
-	}
-	s.orderDirty = true
-	s.rebalance()
-	if at > j.makespan {
-		j.makespan = at
-		if at > s.front {
-			s.front = at
+		if s.tr != nil {
+			s.tr.Record(trace.KAbort, at, int32(proc), int32(ji), -1, 0, 0, 0)
 		}
 	}
-	s.syncReady(j)
-	if s.tr != nil {
-		s.tr.Record(trace.KAbort, at, int32(proc), int32(ji), -1, 0, 0, 0)
-	}
+	s.syncReady(j) // a dead attempt, or an unstarted one, offers nothing
 	if proc >= 0 {
 		s.pushAsk(at, proc)
 	}
+}
+
+// nextRestart returns the job whose pending restart comes first (nil when
+// no job waits out a backoff).
+func (s *mstate) nextRestart() *mjob {
+	var first *mjob
+	for _, j := range s.jobs {
+		if j.restartAt >= 0 && (first == nil || j.restartAt < first.restartAt) {
+			first = j
+		}
+	}
+	return first
+}
+
+// restartDue starts the next attempt of the job whose backoff runs out
+// first, once nothing comes before it: a restart is an event of its own
+// time. Only then is the fresh scheduler's Start charged to the executive —
+// a backoff reserves nothing, co-tenants' management proceeds through the
+// wait — and the job rejoins the dispatch policy's live set. An empty queue
+// the run loop can still refill is not yet that time (see checkDeadlines).
+// It reports whether a job restarted.
+func (s *mstate) restartDue() bool {
+	j := s.nextRestart()
+	if next, have := s.queue.peekTime(); have && next < j.restartAt || !have && s.queueCanRefill() {
+		return false
+	}
+	fin := s.serve(j.restartAt, j.sched.Start())
+	j.restartAt = -1
+	s.restartN--
+	j.openAt = fin
+	s.pol.Add(&j.pol)
+	s.syncReady(j)
+	s.wake(fin)
+	return true
 }
 
 // queueCanRefill reports whether a run-loop recovery branch can
@@ -262,6 +286,12 @@ func (s *mstate) checkDeadlines() bool {
 		// regenerated event carries the real frontier, and the next pass
 		// fails any job it cannot save.
 		return false
+	}
+	// A pending restart is an event to come, like a queued one.
+	if s.restartN > 0 {
+		if r := s.nextRestart().restartAt; !have || r < next {
+			next, have = r, true
+		}
 	}
 	fired := false
 	for ji, j := range s.jobs {

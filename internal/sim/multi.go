@@ -1,18 +1,16 @@
 package sim
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"repro/internal/core"
-	"repro/internal/executive"
 	"repro/internal/fault"
 	"repro/internal/granule"
 	"repro/internal/metrics"
+	"repro/internal/share"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -27,13 +25,9 @@ var ErrUnsupportedMgmt = errors.New("sim: unsupported management model")
 // discrete-event analogue of internal/tenant's worker pool. Run is its
 // one-job case (sim.go). It prices what tenancy costs the hot path: every
 // management probe (including a failed ask at a foreign job) is charged
-// to the executive resource, and the dispatch policy mirrors the pool
-// exactly: a worker serves its home job while anything there is
-// dispatchable, and backfills the other jobs — priority first, then
-// deficit-round-robin credit — only during its home job's rundown.
-
-// mdrrQuantum matches the tenant pool's deficit-round-robin quantum.
-const mdrrQuantum = 64
+// to the executive resource. Which job a worker serves is not decided
+// here: the engine drives the same share.Policy object the pool does
+// (DESIGN.md §5.2).
 
 // JobSpec describes one job of a multi-program run.
 type JobSpec struct {
@@ -126,10 +120,13 @@ type MultiResult struct {
 
 // mjob is one job's runtime state.
 type mjob struct {
-	spec    JobSpec
-	sched   *core.Scheduler
-	deficit int64
-	done    bool
+	spec  JobSpec
+	sched *core.Scheduler
+	// pol is the job's standing in the dispatch policy: in the live set from
+	// the start of the run until the job is done, except while it waits out
+	// a retry backoff.
+	pol  share.Job
+	done bool
 	// ready and hasDef cache sched.ReadyTasks() and sched.HasDeferred(),
 	// refreshed by mstate.syncReady after every scheduler call, so wake
 	// and the idle-absorption probe read counters instead of re-querying
@@ -158,11 +155,13 @@ type mjob struct {
 	// re-create the scheduler from, the attempt generation completion
 	// events must match to be believed (a failure bumps it, orphaning the
 	// dead attempt's in-flight work), the attempt count, the remaining
-	// retry budget, and the terminal error.
+	// retry budget, when the next attempt starts (-1 = no restart pending),
+	// and the terminal error.
 	opt         core.Options
 	attempt     int64
 	attempts    int
 	retriesLeft int
+	restartAt   int64
 	err         error
 
 	// Async model state: the job's slice of the shared dedicated server's
@@ -208,13 +207,12 @@ func (it mitem) isDone() bool { return it.job >= 0 }
 // touches, kept together so an event costs one cache line of worker state
 // (TestMitemSize guards the 64 bytes): the running task, the generation a
 // live ask must carry (it bumps when a pending ask is superseded), when the
-// worker's own management lane is next free (Sharded), its home job (-1
-// when every job is done), and whether it is parked.
+// worker's own management lane is next free (Sharded), and whether it is
+// parked.
 type mworker struct {
 	flight mflight
 	askGen int64
 	free   int64
-	home   int32
 	parked bool
 }
 
@@ -287,15 +285,15 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 	}
 
 	s := &mstate{
-		ctx:        ctx,
-		model:      cfg.Mgmt,
-		workers:    workers,
-		procs:      cfg.Procs,
-		worker:     make([]mworker, workers),
-		parkedB:    newParkedSet(workers),
-		parkedAt:   make([]int64, workers),
-		pendingAt:  make([]int64, workers),
-		orderDirty: true,
+		ctx:       ctx,
+		model:     cfg.Mgmt,
+		workers:   workers,
+		procs:     cfg.Procs,
+		pol:       share.New(workers),
+		worker:    make([]mworker, workers),
+		parkedB:   newParkedSet(workers),
+		parkedAt:  make([]int64, workers),
+		pendingAt: make([]int64, workers),
 	}
 	var totalGranules, totalCost int64
 	for i := range jobs {
@@ -317,7 +315,8 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		}
 		s.jobs = append(s.jobs, &mjob{
 			spec: spec, sched: sched, phases: newPhaseTraces(spec.Prog),
-			opt: opt, attempts: 1, retriesLeft: spec.Retry,
+			pol: share.Job{ID: i, Priority: spec.Priority, Weight: spec.Weight},
+			opt: opt, attempts: 1, retriesLeft: spec.Retry, restartAt: -1,
 		})
 		if spec.Deadline > 0 {
 			s.hasDeadline = true
@@ -325,8 +324,6 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		totalGranules += int64(spec.Prog.TotalGranules())
 		totalCost += int64(spec.Prog.TotalCost())
 	}
-	s.liveCount = len(s.jobs)
-	s.order = make([]int, 0, len(s.jobs))
 	s.obs = newObserver(cfg.Observer, totalCost, workers)
 	if s.obs != nil {
 		s.nowFn = s.frontier
@@ -354,8 +351,6 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		s.plan = fault.New(*cfg.Faults)
 		s.fails = make([]error, workers)
 	}
-	s.crashed = make([]bool, workers)
-	s.livew = workers
 	s.maxOps = cfg.MaxOps
 	if s.maxOps <= 0 {
 		s.maxOps = totalGranules*64 + int64(workers)*1024 + 1_000_000
@@ -417,25 +412,15 @@ type mstate struct {
 	queue      mqueue
 	serverFree int64
 
+	// pol is the cross-job dispatch policy: the live job set, the workers
+	// not lost to a crash, every worker's home job and the backfill order.
+	pol *share.Policy
+
 	worker    []mworker
 	parkedB   parkedSet // the workers with parked set, for sparse wake scans
 	parkedN   int
 	parkedAt  []int64
 	pendingAt []int64 // scheduled wake time of a parked worker; -1 = none
-
-	// Incremental candidate machinery. order caches the live jobs sorted
-	// by the backfill comparator (priority desc, deficit desc, index asc);
-	// it is rebuilt only when an ask walks past its home job while
-	// orderDirty — set by any deficit, done-bit, or replenishment change —
-	// so the common ask never touches it (see mwalk).
-	// liveCount/creditCount make the deficit-replenishment check O(1):
-	// creditCount counts live jobs with deficit > 0, and the backfill
-	// set's credit for a given asker is creditCount minus its home's
-	// contribution.
-	order       []int
-	orderDirty  bool
-	liveCount   int
-	creditCount int
 
 	// readyTotal sums the jobs' cached ready counts; deferredN counts live
 	// jobs with cached deferred work. Both are maintained by syncReady so
@@ -457,7 +442,7 @@ type mstate struct {
 	batchN       int
 	cbatchN      int
 	acquireUnits int64
-	tuner        *executive.Tuner
+	tuner        *Tuner
 	epochLen     int64
 	lastObsAt    int64
 	lastObsAcq   int64
@@ -482,14 +467,13 @@ type mstate struct {
 
 	// Fault injection and tenancy state (see faults.go): the compiled
 	// campaign (nil = off), the injected failure each worker's running
-	// task will report (allocated with the campaign), retired workers and
-	// the live floor, whether any job carries a deadline, the retry count,
-	// and the measured PreemptBound bound.
+	// task will report (allocated with the campaign), whether any job
+	// carries a deadline, how many jobs wait out a retry backoff, the retry
+	// count, and the measured PreemptBound bound.
 	plan            *fault.Plan
 	fails           []error
-	crashed         []bool
-	livew           int
 	hasDeadline     bool
+	restartN        int
 	retries         int64
 	maxBackfillTask int
 }
@@ -562,174 +546,6 @@ func (s *mstate) serve(at int64, cost core.Cost) int64 {
 	return fin
 }
 
-// rebalance assigns home workers over the unfinished jobs by weighted
-// largest-remainder, leftovers to the highest (priority, remainder,
-// index) — the tenant pool's policy in virtual time.
-func (s *mstate) rebalance() {
-	live := make([]int, 0, len(s.jobs))
-	total := 0
-	for i, j := range s.jobs {
-		if !j.done {
-			live = append(live, i)
-			total += j.spec.Weight
-		}
-	}
-	if len(live) == 0 {
-		for w := range s.worker {
-			s.worker[w].home = -1
-		}
-		return
-	}
-	n := len(live)
-	shares := make([]int, n)
-	rems := make([]int, n)
-	assigned := 0
-	for k, ji := range live {
-		exact := s.workers * s.jobs[ji].spec.Weight
-		shares[k] = exact / total
-		rems[k] = exact % total
-		assigned += shares[k]
-	}
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(a, b int) int {
-		ja, jb := s.jobs[live[a]], s.jobs[live[b]]
-		if c := cmp.Compare(jb.spec.Priority, ja.spec.Priority); c != 0 {
-			return c
-		}
-		return cmp.Compare(rems[b], rems[a])
-	})
-	for i := 0; assigned < s.workers; i = (i + 1) % n {
-		shares[order[i]]++
-		assigned++
-	}
-	slot := 0
-	for k, ji := range live {
-		for c := 0; c < shares[k]; c++ {
-			s.worker[slot].home = int32(ji)
-			slot++
-		}
-	}
-}
-
-// rebuildOrder recomputes the cached live-job order by the backfill
-// comparator. The comparator is a strict total order (the index breaks
-// every tie), so the globally sorted list with a given asker's home
-// skipped is exactly what sorting that asker's backfill set would have
-// produced — one shared cache serves every worker.
-func (s *mstate) rebuildOrder() {
-	s.order = s.order[:0]
-	for i, j := range s.jobs {
-		if !j.done {
-			s.order = append(s.order, i)
-		}
-	}
-	slices.SortStableFunc(s.order, func(a, b int) int {
-		ja, jb := s.jobs[a], s.jobs[b]
-		if c := cmp.Compare(jb.spec.Priority, ja.spec.Priority); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(jb.deficit, ja.deficit); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	s.orderDirty = false
-}
-
-// noteDeficit applies a deficit change to job j, keeping creditCount (live
-// jobs with positive deficit) exact and invalidating the cached order.
-func (s *mstate) noteDeficit(j *mjob, delta int64) {
-	was := j.deficit > 0
-	j.deficit += delta
-	if now := j.deficit > 0; now != was && !j.done {
-		if now {
-			s.creditCount++
-		} else {
-			s.creditCount--
-		}
-	}
-	s.orderDirty = true
-}
-
-// mwalk is one ask's walk over the jobs its worker may take work from:
-// home first, then the backfill candidates by (priority, deficit, index).
-// It yields that order lazily. The home job almost always dispatches, so
-// the usual ask pays the O(1) replenishment check in startWalk and one
-// nextCandidate call, and never looks at the cached order.
-//
-// The walk is order-equivalent to materialising the list when the ask
-// starts. The deficit-round-robin replenishment still happens at the
-// start of every ask, because later asks' orders depend on when it
-// happened. Sorting is deferred to the moment the walk passes home, and
-// nothing between the two can change what the sort reads: probing the
-// home job never touches a deficit, and the only done bit it can flip
-// (an Async probe draining the home job's last completions) is home's
-// own, which the walk skips either way. Once the walk is inside s.order
-// nothing rebuilds it — rebuildOrder runs only from nextCandidate, and
-// ask handlers do not nest — so a job finishing mid-walk is still
-// offered, as it was from the materialised list.
-type mwalk struct {
-	home int // the asker's home job when the ask began; dispatches elsewhere are backfill
-	k    int // next index into s.order, or walkHome / walkOrder
-}
-
-const (
-	walkHome  = -2 // the home job has not been offered yet
-	walkOrder = -1 // home is behind; s.order has not been opened yet
-)
-
-// startWalk begins worker w's candidate walk, replenishing the
-// deficit-round-robin credit when the asker's backfill set has
-// collectively exhausted it. The check is O(1): the backfill set is the
-// live jobs minus the asker's home, so its size and credit are the global
-// counters minus the home's contribution. Replenishment itself (and any
-// other deficit or done-bit change) marks the cached order dirty.
-func (s *mstate) startWalk(w int) mwalk {
-	wk := mwalk{home: int(s.worker[w].home), k: walkOrder}
-	nBackfill := s.liveCount
-	credit := s.creditCount
-	if wk.home >= 0 && !s.jobs[wk.home].done {
-		wk.k = walkHome
-		nBackfill--
-		if s.jobs[wk.home].deficit > 0 {
-			credit--
-		}
-	}
-	if nBackfill > 0 && credit == 0 {
-		for _, j := range s.jobs {
-			if !j.done {
-				s.noteDeficit(j, int64(j.spec.Weight)*mdrrQuantum)
-			}
-		}
-	}
-	return wk
-}
-
-// nextCandidate returns the next job of the walk, -1 when it is over.
-func (s *mstate) nextCandidate(wk *mwalk) int {
-	if wk.k == walkHome {
-		wk.k = walkOrder
-		return wk.home
-	}
-	if wk.k == walkOrder {
-		if s.orderDirty {
-			s.rebuildOrder()
-		}
-		wk.k = 0
-	}
-	for wk.k < len(s.order) {
-		ji := s.order[wk.k]
-		wk.k++
-		if ji != wk.home {
-			return ji
-		}
-	}
-	return -1
-}
-
 func (s *mstate) park(w int, at int64) {
 	if s.worker[w].parked {
 		return
@@ -754,11 +570,11 @@ func (s *mstate) park(w int, at int64) {
 // job — the phase a park of w, and the idle time that follows, belong to
 // — or nil when the worker has no home left.
 func (s *mstate) homePhase(w int) *PhaseTrace {
-	h := s.worker[w].home
-	if h < 0 {
+	h := s.pol.Home(w)
+	if h == nil {
 		return nil
 	}
-	j := s.jobs[h]
+	j := s.jobs[h.ID]
 	cur := j.sched.CurrentPhase()
 	if cur >= len(j.phases) {
 		return nil
@@ -815,8 +631,8 @@ func (s *mstate) ask(w int, at int64) {
 }
 
 // noteJobDone flips job j's done bookkeeping when its scheduler just
-// finished: the job leaves the live and credit counts, the cached
-// backfill order, and the home-worker map. Call before syncReady (which
+// finished: the job leaves the dispatch policy's live set, which hands its
+// home workers to the jobs still running. Call before syncReady (which
 // zeroes a done job's cached contribution).
 func (s *mstate) noteJobDone(j *mjob) {
 	if j.done || !j.sched.Done() {
@@ -833,12 +649,7 @@ func (s *mstate) noteJobDone(j *mjob) {
 			s.met.DeadlineMargin.Observe(j.spec.Deadline - j.makespan)
 		}
 	}
-	s.liveCount--
-	if j.deficit > 0 {
-		s.creditCount--
-	}
-	s.orderDirty = true
-	s.rebalance()
+	s.pol.Remove(&j.pol)
 }
 
 // wake schedules asks for parked workers at time at, bounded by the
@@ -921,14 +732,11 @@ func (s *mstate) run() error {
 			s.met.QueueWait.Observe(0)
 		}
 	}
-	s.rebalance()
-	for i, j := range s.jobs {
-		j.homeAt0 = 0
-		for w := range s.worker {
-			if int(s.worker[w].home) == i {
-				j.homeAt0++
-			}
-		}
+	for _, j := range s.jobs {
+		s.pol.Add(&j.pol)
+	}
+	for _, j := range s.jobs {
+		j.homeAt0 = j.pol.Homes()
 	}
 	for w := 0; w < s.workers; w++ {
 		s.pushAsk(s.serverFree, w)
@@ -962,6 +770,9 @@ func (s *mstate) run() error {
 		// Deadline enforcement: a deadlined job is failed exactly AT its
 		// deadline once no queued event could finish it in time.
 		if s.hasDeadline && s.checkDeadlines() {
+			continue
+		}
+		if s.restartN > 0 && s.restartDue() {
 			continue
 		}
 
@@ -1110,8 +921,9 @@ func (s *mstate) completeHooks(w, ji int, gen, at int64) bool {
 func (s *mstate) serveAsk(w int, asked int64) {
 	at := asked
 	reopen := int64(-1)
-	wk := s.startWalk(w)
-	for ji := s.nextCandidate(&wk); ji >= 0; ji = s.nextCandidate(&wk) {
+	wk := s.pol.Start(w)
+	for c := s.pol.Next(&wk); c != nil; c = s.pol.Next(&wk) {
+		ji := c.ID
 		j := s.jobs[ji]
 		if at < j.openAt {
 			// The job's between-phase serial action is still running.
@@ -1124,9 +936,9 @@ func (s *mstate) serveAsk(w int, asked int64) {
 		s.syncReady(j)
 		fin := s.chargeMgmt(w, at, cost)
 		if ok {
-			backfill := ji != wk.home
+			backfill := c != wk.Home
 			if backfill {
-				s.noteDeficit(j, -int64(task.Run.Len()))
+				s.pol.Charge(c, task.Run.Len())
 			}
 			if s.met != nil {
 				s.met.DispatchWait.Observe(fin - asked)
@@ -1256,10 +1068,10 @@ func (s *mstate) completeTask(w, ji int, at int64) {
 	// exactly the event the main loop would process next — any worker
 	// wake just issued at fin was pushed first and defeats the peek check,
 	// and deferred absorption (which the loop would try first, since
-	// completion processing leaves serverFree == fin) gates the path out
-	// entirely. The loop-top observer poll is replayed here so snapshot
+	// completion processing leaves serverFree == fin) and a pending restart
+	// (likewise) gate the path out entirely. The loop-top observer poll is replayed here so snapshot
 	// streams are untouched.
-	if s.deferredN == 0 && s.queue.askWouldPopFirst(fin) {
+	if s.deferredN == 0 && s.restartN == 0 && s.queue.askWouldPopFirst(fin) {
 		if s.obs != nil {
 			if at, fired := s.obs.maybe(s.nowFn, s.snapFn); fired && s.tr != nil {
 				s.tr.Record(trace.KMark, at, -1, -1, -1, 0, 0, 0)

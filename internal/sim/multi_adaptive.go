@@ -2,7 +2,6 @@ package sim
 
 import (
 	"repro/internal/core"
-	"repro/internal/executive"
 	"repro/internal/trace"
 )
 
@@ -17,10 +16,10 @@ import (
 //   - a refill visit FLUSHES the shard's completion batch to its job
 //     before probing for new work, so a worker switching jobs can never
 //     strand completions of the job it leaves (flush-before-switch);
-//     the probe order is the dispatch policy's candidate walk — home
-//     first, then backfill by (priority, deficit, index) — with the
-//     deficit credit for a foreign refill charged for the whole pulled
-//     batch at pull time;
+//     the probe order is the dispatch policy's candidate walk (home
+//     first, then backfill in share.Policy's order), with the backfill
+//     credit for a foreign refill charged for the whole pulled batch at
+//     pull time;
 //   - one Acquire covers the combined flush+refill visit (the visited
 //     job's own Acquire cost — each job prices its own lock);
 //   - starvation is priced pool-wide: ONE hoarded-idle integral
@@ -62,7 +61,7 @@ func (s *mstate) madaptiveInit(cfg Config, totalCost int64) {
 	}
 	for _, j := range s.jobs {
 		if j.spec.Opt.AdaptiveBatch {
-			s.tuner = executive.NewTuner(executive.TunerConfig{
+			s.tuner = NewTuner(TunerConfig{
 				Cap: b, MgmtTarget: j.spec.Opt.MgmtTarget,
 			})
 			s.batchN, s.cbatchN = s.tuner.Cap(), s.tuner.Batch()
@@ -102,10 +101,7 @@ func (s *mstate) mNoteStarve(now int64) {
 // mMaybeRetune feeds the shared controller one epoch of pool-wide
 // virtual-time measurements when enough virtual time has passed: the
 // Acquire charges are the amortizable lock overhead, and the hoarded-idle
-// integral the starvation a smaller batch would have fed. The virtual-time
-// model has no cond-parked-behind-the-lock state — every wait is priced
-// into the serialized server directly — so the lock-starvation input is
-// zero.
+// integral the starvation a smaller batch would have fed.
 func (s *mstate) mMaybeRetune(now int64) {
 	if s.tuner == nil || now-s.lastObsAt < s.epochLen {
 		return
@@ -113,7 +109,7 @@ func (s *mstate) mMaybeRetune(now int64) {
 	s.mNoteStarve(now)
 	capacity := (now - s.lastObsAt) * int64(s.workers)
 	cap, batch, changed := s.tuner.Observe(capacity,
-		s.acquireUnits-s.lastObsAcq, s.hiInt-s.lastObsHI, 0)
+		s.acquireUnits-s.lastObsAcq, s.hiInt-s.lastObsHI)
 	if changed {
 		s.batchN, s.cbatchN = cap, batch
 		if s.tr != nil {
@@ -160,7 +156,7 @@ func (s *mstate) madaptiveAsk(w int, asked int64) {
 		if s.met != nil {
 			s.met.DispatchWait.Observe(0)
 		}
-		s.dispatch(w, sh.job, sh.job != int(s.worker[w].home), task, asked)
+		s.dispatch(w, sh.job, &s.jobs[sh.job].pol != s.pol.Home(w), task, asked)
 		return
 	}
 	// Refill visit. Completions flush first (they may release the very
@@ -173,8 +169,9 @@ func (s *mstate) madaptiveAsk(w int, asked int64) {
 		flushed = true
 	}
 	reopen := int64(-1)
-	wk := s.startWalk(w)
-	for ji := s.nextCandidate(&wk); ji >= 0; ji = s.nextCandidate(&wk) {
+	wk := s.pol.Start(w)
+	for c := s.pol.Next(&wk); c != nil; c = s.pol.Next(&wk) {
+		ji := c.ID
 		j := s.jobs[ji]
 		if at < j.openAt {
 			// The job's between-phase serial action is still running.
@@ -191,16 +188,16 @@ func (s *mstate) madaptiveAsk(w int, asked int64) {
 			continue // dry probe: the candidate walk moves on
 		}
 		at = s.mAcquire(j, at)
-		backfill := ji != wk.home
+		backfill := c != wk.Home
 		if backfill {
-			// Deficit credit for the whole foreign batch, charged when the
+			// Backfill credit for the whole foreign batch, charged when the
 			// work is taken from the job — the batched form of the plain
 			// per-dispatch charge.
-			var n int64
+			n := 0
 			for _, t := range ts {
-				n += int64(t.Run.Len())
+				n += t.Run.Len()
 			}
-			s.noteDeficit(j, -n)
+			s.pol.Charge(c, n)
 		}
 		s.mMaybeRetune(at)
 		// Wake after the refill: the visit's flush (and NextTasks' liveness

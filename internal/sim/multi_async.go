@@ -161,8 +161,9 @@ func (s *mstate) masyncServiceJob(ji int, now int64, force bool) {
 // still dry after that opens the backfill gate to the next candidate.
 func (s *mstate) masyncAsk(w int, at int64) {
 	reopen := int64(-1)
-	wk := s.startWalk(w)
-	for ji := s.nextCandidate(&wk); ji >= 0; ji = s.nextCandidate(&wk) {
+	wk := s.pol.Start(w)
+	for c := s.pol.Next(&wk); c != nil; c = s.pol.Next(&wk) {
+		ji := c.ID
 		j := s.jobs[ji]
 		if at < j.openAt {
 			// The job's between-phase serial action is still running; its
@@ -185,9 +186,9 @@ func (s *mstate) masyncAsk(w int, at int64) {
 		if sl.at > dat {
 			dat = sl.at
 		}
-		backfill := ji != wk.home
+		backfill := c != wk.Home
 		if backfill {
-			s.noteDeficit(j, -int64(sl.task.Run.Len()))
+			s.pol.Charge(c, sl.task.Run.Len())
 		}
 		if s.met != nil {
 			s.met.ReadyOccupancy.Set(int64(s.bufferedN))

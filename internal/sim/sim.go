@@ -39,7 +39,7 @@
 //     each Acquire — too small and the lock serializes the machine, too
 //     large and refills hoard tasks idle workers needed (the rundown
 //     tail). With Options.AdaptiveBatch the batch is retuned online by
-//     the executive.Tuner feedback loop; otherwise Config.Batch fixes it.
+//     the Tuner feedback loop (tuner.go); otherwise Config.Batch fixes it.
 //   - Async: the Dedicated model extended with the async executive's
 //     ready-buffer/low-water protocol — workers pop a bounded buffer the
 //     dedicated server keeps topped up and queue completions back without

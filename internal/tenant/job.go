@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/executive"
+	"repro/internal/share"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -27,9 +28,9 @@ type Job struct {
 	state atomic.Uint32
 	cur   atomic.Pointer[attempt]
 
-	// deficit is the job's deficit-round-robin backfill credit in
-	// granules, guarded by pool.mu.
-	deficit int64
+	// pol is the job's standing in the dispatch policy (in its live set
+	// while the job is Running), guarded by pool.mu.
+	pol share.Job
 
 	compute         atomic.Int64 // nanoseconds of granule work
 	tasks           atomic.Int64

@@ -236,7 +236,8 @@ func (p *Pool) activate(j *Job, from State) {
 	if p.met != nil {
 		p.met.ActiveJobs.Set(int64(len(p.active)))
 	}
-	p.rebalanceLocked()
+	p.pol.Add(&j.pol)
+	p.epoch.Add(1)
 	// A worker whose dry sweep predates j must sweep again, not find j
 	// idle in park's stall probe before the caller's progress() lands.
 	p.gen.Add(1)
@@ -251,7 +252,8 @@ func (p *Pool) deactivate(j *Job) {
 	if p.met != nil {
 		p.met.ActiveJobs.Set(int64(len(p.active)))
 	}
-	p.rebalanceLocked()
+	p.pol.Remove(&j.pol)
+	p.epoch.Add(1)
 }
 
 // retire is the one terminal transition: Done when err is nil, Failed

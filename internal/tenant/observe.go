@@ -75,7 +75,7 @@ func (p *Pool) snapshot() Snapshot {
 	return sn
 }
 
-// noteMgmt mirrors the pool's summed per-job management time into the
+// noteMgmt copies the pool's summed per-job management time into the
 // metric set as a counter delta. Management accrues inside the per-job
 // managers (which know nothing of the pool's set), so the pool syncs the
 // total at its observation points: every sampler tick and Close. The

@@ -13,6 +13,7 @@ import (
 	"repro/internal/enable"
 	"repro/internal/executive"
 	"repro/internal/granule"
+	"repro/internal/share"
 	"repro/internal/trace"
 )
 
@@ -529,6 +530,8 @@ func injectJob(t *testing.T, p *Pool, name string, prog *core.Program, build fun
 	j.cur.Store(&attempt{job: j, n: 1, sched: sched, mgr: build(sched)})
 	j.attempts.Store(1)
 	p.mu.Lock()
+	j.idx = len(p.jobs)
+	j.pol = share.Job{ID: j.idx, Weight: 1}
 	p.jobs = append(p.jobs, j)
 	p.activate(j, Queued)
 	p.mu.Unlock()

@@ -11,12 +11,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
+	"repro/internal/granule"
 )
 
 func TestPoolCloseIdempotent(t *testing.T) {
@@ -438,4 +440,111 @@ func TestPoolMixedCampaign(t *testing.T) {
 	}
 	checkCopyChain(t, a1, b1, c1)
 	checkCopyChain(t, a2, b2, c2)
+}
+
+// TestPoolCrashReapportionsHomes is the goroutine twin of the virtual
+// engine's TestChaosCrashReapportionsHomes: three jobs of weights 2/1/1 on
+// eight workers, workers 0–2 lost to WorkerCrash, and the home map read off
+// the same share.Policy type. Every granule waits for a token, so the test
+// decides which job advances: alpha, one granule at a time, until the three
+// crashes have happened, then beta (32 granules against the others' 4096)
+// to its end. The five survivors divide 2:2:1 while all three jobs run (the
+// leftover goes to beta's priority) and 3:2 between alpha and gamma once
+// beta is done; no retired worker is anybody's home.
+func TestPoolCrashReapportionsHomes(t *testing.T) {
+	var spec fault.Spec
+	for w := 0; w < 3; w++ {
+		spec.Rules = append(spec.Rules, fault.Rule{Kind: fault.WorkerCrash, Worker: w, Job: -1, Phase: -1})
+	}
+	// The jobs sit blocked on their tokens by design: no watchdog.
+	p, err := NewPool(Config{Workers: 8, Faults: &spec, StallTimeout: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tokens [3]chan struct{}
+	var jobs [3]*Job
+	// blocked counts the workers inside a granule, waiting for its token; the
+	// test takes one off as it hands a token over.
+	var blocked atomic.Int32
+	for i, jc := range []JobConfig{{Name: "alpha", Weight: 2}, {Name: "beta", Weight: 1, Priority: 1}, {Name: "gamma", Weight: 1}} {
+		gate := make(chan struct{})
+		tokens[i] = gate
+		prog, err := core.NewProgram(&core.Phase{Name: "gated", Granules: []int{4096, 32, 4096}[i], Work: func(granule.ID) {
+			blocked.Add(1)
+			<-gate
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jobs[i], err = p.Submit(prog, core.Options{Grain: 1}, jc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	homes := func() (perJob [3]int, live int) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		for i, j := range jobs {
+			perJob[i] = j.pol.Homes()
+		}
+		for w := 0; w < 8; w++ {
+			if h := p.pol.Home(w); p.pol.Retired(w) && h != nil {
+				t.Errorf("retired worker %d is a home of job %d", w, h.ID)
+			}
+		}
+		return perJob, p.pol.LiveWorkers()
+	}
+
+	// Workers 0-2 are homed on alpha under every apportionment the three
+	// submits pass through, so the first task each takes — the one that
+	// carries its crash — is alpha's. One token at a time, and only once
+	// every live worker is back inside a granule, so the count of alpha
+	// granules spent is small and the same on any host.
+	deadline := time.Now().Add(20 * time.Second)
+	for live := 8; live > 5; {
+		for _, live = homes(); int(blocked.Load()) != live; _, live = homes() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d live workers hold a task", blocked.Load(), live)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+		if live > 5 {
+			tokens[0] <- struct{}{}
+			blocked.Add(-1)
+		}
+	}
+	if got, _ := homes(); got != [3]int{2, 2, 1} {
+		t.Errorf("alpha:beta:gamma hold %v of the five survivors, want [2 2 1]", got)
+	}
+	// Beta's home workers may still sit in an alpha granule they took while
+	// alpha was the only job: alpha and gamma keep trickling until a released
+	// worker has swept home-first into beta and run it out.
+	close(tokens[1])
+	for done := false; !done; {
+		select {
+		case tokens[0] <- struct{}{}:
+		case tokens[2] <- struct{}{}:
+		case <-jobs[1].Done():
+			done = true
+		}
+	}
+	if _, err := jobs[1].Wait(); err != nil {
+		t.Fatalf("beta: %v", err)
+	}
+	if got, live := homes(); got != [3]int{3, 0, 2} || live != 5 {
+		t.Errorf("with beta done alpha:beta:gamma hold %v of %d survivors, want [3 0 2] of 5", got, live)
+	}
+	close(tokens[0])
+	close(tokens[2])
+	for _, j := range []*Job{jobs[0], jobs[2]} {
+		if _, err := j.Wait(); err != nil {
+			t.Fatalf("%s: %v", j.Name(), err)
+		}
+	}
+	rep, err := p.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Faults != 3 {
+		t.Errorf("Report.Faults = %d, want the 3 crashes", rep.Faults)
+	}
 }

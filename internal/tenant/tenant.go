@@ -11,8 +11,11 @@
 //     short as running alone;
 //   - only when the home job is in rundown (nothing dispatchable even
 //     after absorbing deferred management) does the worker take foreign
-//     work, chosen by priority and then deficit-round-robin credit, so
-//     backfill capacity is shared fairly among the other jobs.
+//     work, chosen by priority and then backfill credit, so backfill
+//     capacity is shared fairly among the other jobs.
+//
+// The policy itself is internal/share, the same object the virtual-time
+// engine drives.
 //
 // Each job owns its own core.Scheduler state machine wrapped in its own
 // executive Manager (every kind, through the one executive.Manager
@@ -26,7 +29,6 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,15 +38,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/fault"
+	"repro/internal/share"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-// drrQuantum is the deficit-round-robin credit (in granules) one weight
-// unit earns per replenishment round. Backfill tasks draw down the
-// serving job's credit by their granule count, so over time each job's
-// share of the pool's spare capacity is proportional to its weight.
-const drrQuantum = 64
 
 // Config parameterizes a pool.
 type Config struct {
@@ -133,7 +130,7 @@ type JobConfig struct {
 	Name string
 	// Priority orders backfill: spare capacity goes to dispatchable jobs
 	// of the highest priority first. Higher is more important; equal
-	// priorities share by deficit-round-robin.
+	// priorities share by backfill credit (share.Quantum per weight unit).
 	Priority int
 	// Weight is the job's share of home workers and of backfill credit
 	// within its priority class (<= 0 selects 1).
@@ -167,11 +164,10 @@ type Pool struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	jobs    []*Job // every submitted job, submit order
-	active  []*Job // incomplete jobs, submit order
-	waitq   []*Job // admitted-but-queued jobs (admission control), submit order
-	homes   []*Job // per-worker home job; nil entries when no active jobs
-	alive   []int  // workers not lost to an injected WorkerCrash
+	jobs    []*Job        // every submitted job, submit order
+	active  []*Job        // incomplete jobs, activation order
+	waitq   []*Job        // admitted-but-queued jobs (admission control), submit order
+	pol     *share.Policy // dispatch policy over the active jobs and the workers no WorkerCrash took
 	closed  bool
 	stalled int // jobs failed by the pool stall detector
 	// backoff holds the jobs between attempts, each with its pending retry
@@ -179,7 +175,7 @@ type Pool struct {
 	// a retry is outstanding, even with the active set empty.
 	backoff map[*Job]*time.Timer
 
-	// epoch bumps (under mu) whenever the active set changes, so workers
+	// epoch bumps (under mu) whenever pol re-apportions the homes, so workers
 	// can cache their home job and re-read only on change.
 	epoch atomic.Uint64
 	// gen counts progress events (task acquired, completion submitted,
@@ -236,16 +232,12 @@ func NewPool(cfg Config) (*Pool, error) {
 	}
 	p := &Pool{
 		cfg:     cfg,
-		homes:   make([]*Job, cfg.Workers),
-		alive:   make([]int, cfg.Workers),
+		pol:     share.New(cfg.Workers),
 		backoff: make(map[*Job]*time.Timer),
 		start:   time.Now(),
 		met:     cfg.Metrics,
 	}
 	p.cond = sync.NewCond(&p.mu)
-	for w := range p.alive {
-		p.alive[w] = w
-	}
 	if rec := cfg.Trace; rec != nil {
 		m := rec.Meta()
 		if m.Backend == "" {
@@ -319,6 +311,7 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 		return nil, fmt.Errorf("tenant: submit %q: %w", jc.Name, ErrPoolClosed)
 	}
 	j.idx = len(p.jobs)
+	j.pol = share.Job{ID: j.idx, Priority: jc.Priority, Weight: jc.Weight}
 	if j.cfg.Name == "" {
 		j.cfg.Name = fmt.Sprintf("job%d", j.idx)
 	}
@@ -508,7 +501,7 @@ func (p *Pool) worker(ctx context.Context, w int) {
 				return
 			}
 			// The home assignment is unchanged when the pool's epoch is: a
-			// retry, a retirement or a new job all rebalance.
+			// retry, a retirement, a crash or a new job all re-apportion.
 			ask := executive.AskNone
 			if !backfill && cache.epoch == p.epoch.Load() {
 				ask = executive.AskTry
@@ -610,12 +603,12 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 // worker refuses: the rule is consumed but ignored.
 func (p *Pool) crash(w int, a *attempt, task core.Task, at clock.Stamp) bool {
 	p.mu.Lock()
-	if len(p.alive) == 1 {
+	if p.pol.LiveWorkers() == 1 {
 		p.mu.Unlock()
 		return false
 	}
-	p.alive = slices.DeleteFunc(p.alive, func(v int) bool { return v == w })
-	p.rebalanceLocked()
+	p.pol.RetireWorker(w)
+	p.epoch.Add(1)
 	p.mu.Unlock()
 	_, at, _ = p.enter(w, a, task, at, executive.AskNone)
 	if _, applied := a.mgr.Flush(w, at); applied {
@@ -672,7 +665,7 @@ func (p *Pool) park(w int, g0 uint64, at clock.Stamp) (exit bool, now clock.Stam
 		p.nWaiting.Add(-1)
 		return false, at
 	}
-	if int(p.nWaiting.Load()) == len(p.alive) && len(p.active) > 0 {
+	if int(p.nWaiting.Load()) == p.pol.LiveWorkers() && len(p.active) > 0 {
 		// Every live worker swept every active job dry at a stable gen: all
 		// deques are empty and every completion batch was flushed, so an
 		// unfinished job with nothing in flight can never make progress —

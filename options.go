@@ -147,10 +147,9 @@ func WithLowWater(n int) Option {
 // cfg.Mgmt is honored as given unless a manager-shaped option
 // (WithManager, WithAdaptiveBatching, WithDedicatedExec) was also
 // applied — those take precedence, so one option set retargets cleanly
-// between real and virtual machines. The same rule covers every other
-// overlapping field: an explicit option (WithBatch, WithReadyCap,
-// WithLowWater, WithObserver) overrides the corresponding cfg value when
-// set.
+// between real and virtual machines. Everything else about the run —
+// batch and buffer sizes, observer, trace, metrics, faults, the preemption
+// bound — is set by the same options as on the real machines.
 func WithVirtualTime(cfg SimConfig) Option {
 	return func(c *runnerConfig) error {
 		if c.pool {
@@ -513,27 +512,21 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 	return cfg
 }
 
-// simConfig builds the virtual-machine configuration, resolving the
-// model, the processor count, and the observer adapter.
-func (c *runnerConfig) simConfig() sim.Config {
-	cfg := c.simCfg
-	cfg.Mgmt = c.model()
+// simConfig builds the virtual machine's configuration — the one place the
+// options and the SimConfig literal meet: the model and the processor count
+// are resolved between them, the virtual-only values come from the literal,
+// and everything else from the options, plus the run's recorder and metric
+// set.
+func (c *runnerConfig) simConfig(rec *trace.Recorder, met *telemetry.Set) sim.Config {
+	cfg := sim.Config{
+		Procs: c.simCfg.Procs, Mgmt: c.model(),
+		BucketWidth: c.simCfg.BucketWidth, Gantt: c.simCfg.Gantt, MaxOps: c.simCfg.MaxOps,
+		Batch: c.batch, ReadyCap: c.readyCap, LowWater: c.lowWater,
+		Faults: c.faults, PreemptBound: c.preemptBound,
+		Trace: rec, Metrics: met,
+	}
 	if cfg.Procs <= 0 && c.workersSet {
 		cfg.Procs = c.workers
-	}
-	// Knob options override the corresponding SimConfig fields when set,
-	// matching the observer options' precedence: an explicit With*
-	// option wins over the SimConfig literal. Procs (above) is the one
-	// documented exception — an explicit SimConfig.Procs wins over
-	// WithWorkers, per the WithWorkers contract.
-	if c.batch > 0 {
-		cfg.Batch = c.batch
-	}
-	if c.readyCap > 0 {
-		cfg.ReadyCap = c.readyCap
-	}
-	if c.lowWater > 0 {
-		cfg.LowWater = c.lowWater
 	}
 	if c.observer != nil {
 		fn := c.observer
@@ -545,12 +538,6 @@ func (c *runnerConfig) simConfig() sim.Config {
 				Batch: s.Batch,
 			})
 		}
-	}
-	if c.faults != nil {
-		cfg.Faults = c.faults
-	}
-	if c.preemptBound > 0 {
-		cfg.PreemptBound = c.preemptBound
 	}
 	return cfg
 }

@@ -225,9 +225,7 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 func (c *runnerConfig) runVirtual(ctx context.Context, jobs []Job, single bool) (*Report, error) {
 	rec := c.newRecorder()
 	met := c.newMetrics("virtual")
-	cfg := c.simConfig()
-	cfg.Trace = rec
-	cfg.Metrics = met
+	cfg := c.simConfig(rec, met)
 	specs := make([]sim.JobSpec, len(jobs))
 	for i, job := range jobs {
 		specs[i] = sim.JobSpec{

@@ -14,15 +14,17 @@ import (
 // async is the dedicated-management-processor Manager: the paper's "some
 // real parallel machines may provide separate processors for the
 // executive" (the sim's Dedicated model) realized on hardware. One
-// background management goroutine owns the state machine exclusively;
-// workers never touch the state-machine lock on any steady-state path.
+// background management goroutine runs the state machine; while the ready
+// buffer is stocked workers never touch the state-machine lock.
 //
-//   - Ready-buffer: workers pull tasks from a bounded buffered channel
-//     (Config.ReadyCap) the management goroutine keeps topped up via
-//     NextTasks. A non-blocking channel receive is the whole per-task
-//     dispatch cost on the worker side; a worker that finds the buffer
-//     empty is told so and parks in the pool, which the management
-//     goroutine wakes through the progress callback (SetNotify).
+//   - Ready-buffer: workers pull tasks from a bounded Chase-Lev deque
+//     (deque.go, Config.ReadyCap slots) the management goroutine keeps
+//     topped up via NextTasks. Whoever holds smMu is its owner and pushes
+//     at the bottom; workers steal from the top, oldest first. One steal
+//     is the whole per-task dispatch cost on the worker side; a worker
+//     that finds the buffer empty and the executive busy is told so and
+//     parks in the pool, which the management goroutine wakes through
+//     the progress callback (SetNotify).
 //   - Completions: workers push into a lock-free MPSC queue (mpsc.go) and
 //     ring the management doorbell; the management goroutine drains the
 //     queue in batches of Config.Batch via CompleteBatch.
@@ -32,12 +34,13 @@ import (
 //     concurrent on a separate thread — and also when a refill comes up
 //     empty, because deferred work may be the only source of new releases.
 //   - Fallback: when GOMAXPROCS leaves the management goroutine no spare
-//     core it can sit descheduled while workers starve on an empty buffer.
-//     Workers detect that through the drain-latency watermark (no
-//     management cycle finished within asyncDrainStale while work is
-//     queued) and run a management cycle inline under smMu — degrading
-//     the async manager into a coarse-grained locked manager instead of
-//     spinning. The same path absorbs a full completion queue.
+//     core it sits descheduled while workers starve on an empty buffer. A
+//     worker that finds the buffer empty and the executive idle (smMu
+//     free) therefore enters it — runs one management cycle inline, the
+//     way a PAX processor that needed work entered the executive —
+//     instead of parking until the management goroutine gets a core. It
+//     never waits behind a live management goroutine. The same path
+//     absorbs a full completion queue.
 //
 // Measurement: Mgmt() is the state-machine time of management cycles
 // (wherever they ran). The management goroutine itself is not a worker:
@@ -46,7 +49,7 @@ import (
 // prices.
 //
 // Invariants the pool's stall probe relies on: every task popped from the
-// state machine is immediately in the ready channel, held by a worker, or
+// state machine is immediately in the ready buffer, held by a worker, or
 // queued/applied as a completion, so the state machine's InFlight count
 // covers everything outside it. The management goroutine parks on the
 // doorbell between cycles; workers ring it whenever they push a completion
@@ -61,28 +64,25 @@ type async struct {
 	lowWater int
 	batch    int // completion drain chunk per CompleteBatch call
 
-	ready chan core.Task // bounded ready-buffer; closed when the run is over
-	comp  *mpsc          // completion queue, workers -> management goroutine
-	wake  chan struct{}  // management doorbell, capacity 1
+	ready *deque        // bounded ready-buffer; never grows past readyCap
+	comp  *mpsc         // completion queue, workers -> management goroutine
+	wake  chan struct{} // management doorbell, capacity 1
 
 	// smMu serializes state-machine access between the management
-	// goroutine and inline-fallback cycles run on worker goroutines. The
-	// ready channel is sent to only under smMu (after a finished check),
-	// so a send can never race the close.
+	// goroutine and inline-fallback cycles run on worker goroutines. Its
+	// holder is also the ready buffer's owner: only it pushes.
 	smMu sync.Mutex
 
-	failed    atomic.Bool // Abort/stall/panic happened; mirrors err != nil
-	finished  atomic.Bool // set under smMu exactly once when the run is over
-	started   atomic.Bool // Start spawned the management goroutine
-	closeOnce sync.Once
-	loopDone  chan struct{} // closed when the management goroutine exits
+	failed   atomic.Bool   // Abort/stall/panic happened; mirrors err != nil
+	finished atomic.Bool   // set under smMu exactly once when the run is over
+	started  atomic.Bool   // Start spawned the management goroutine
+	loopDone chan struct{} // closed when the management goroutine exits
 
 	err error // guarded by smMu (every fail and Outcome holds it)
 
 	notify func() // pool progress callback; nil outside a pool
 
 	mgmtNS       atomic.Int64 // state-machine time of management cycles
-	lastDrain    atomic.Int64 // clock.Stamp of the last finished management cycle
 	inlineCycles atomic.Int64 // fallback cycles run on worker goroutines
 
 	// Management-side scratch, guarded by smMu: the refill buffer handed
@@ -91,11 +91,6 @@ type async struct {
 	refillBuf []core.Task
 	drainBuf  []core.Task
 }
-
-// asyncDrainStale is the drain-latency watermark: with work queued for
-// the management goroutine and no cycle finished for this long, workers
-// assume it is descheduled and drain inline.
-const asyncDrainStale = 200 * time.Microsecond
 
 func newAsync(sm StateMachine, cfg Config) *async {
 	readyCap := cfg.ReadyCap
@@ -127,7 +122,7 @@ func newAsync(sm StateMachine, cfg Config) *async {
 		readyCap: readyCap,
 		lowWater: low,
 		batch:    batch,
-		ready:    make(chan core.Task, readyCap),
+		ready:    newDeque(readyCap),
 		// Between two drains at most ReadyCap buffered + Workers executing
 		// tasks can complete; the extra Workers is racing margin. Overflow
 		// is not lost either way: a full push falls back to inline drain.
@@ -196,8 +191,7 @@ func (m *async) cycle() bool {
 //
 // The cycle keeps one clock chain: t0 is the caller's reading after it
 // took smMu, and each pass's single reading (charge) closes one management
-// interval, opens the next, and is the drain watermark workers compare
-// their own stamps against.
+// interval and opens the next.
 func (m *async) cycleLocked(t0 clock.Stamp) (alive, progressed bool) {
 	if m.finished.Load() {
 		return false, false
@@ -239,7 +233,7 @@ func (m *async) cycleLocked(t0 clock.Stamp) (alive, progressed bool) {
 		// up empty — it may be the only source of new releases. One unit
 		// per iteration keeps the loop responsive to arriving completions.
 		// The next pass's reading charges it.
-		if m.sm.HasDeferred() && (len(m.ready) > m.lowWater || !refilled) {
+		if m.sm.HasDeferred() && (m.ready.size() > int64(m.lowWater) || !refilled) {
 			_, _ = m.sm.DeferredMgmt()
 			continue
 		}
@@ -258,12 +252,11 @@ func (m *async) cycleLocked(t0 clock.Stamp) (alive, progressed bool) {
 }
 
 // charge closes the management interval that began at t0 with one clock
-// reading, publishes it as the drain watermark, and returns it as the
-// start of the next interval. Caller holds smMu.
+// reading and returns it as the start of the next interval. Caller holds
+// smMu.
 func (m *async) charge(t0 clock.Stamp) clock.Stamp {
 	now := clock.Now()
 	m.mgmtNS.Add(int64(now - t0))
-	m.lastDrain.Store(int64(now))
 	return now
 }
 
@@ -296,34 +289,33 @@ func (m *async) drainLocked() bool {
 }
 
 // refillLocked tops the ready buffer up from the state machine. Caller
-// holds smMu; sends cannot block because only the smMu holder sends and
-// the free-slot count is computed first, and cannot hit a closed channel
-// because finishLocked runs under the same mutex.
+// holds smMu, which makes it the deque's owner; the ring never grows
+// because only the owner pushes and concurrent steals can only make the
+// free-slot count computed first an underestimate.
 func (m *async) refillLocked() bool {
-	free := m.readyCap - len(m.ready)
+	free := m.readyCap - int(m.ready.size())
 	if free <= 0 {
 		return false
 	}
 	ts, _ := m.sm.NextTasks(m.refillBuf[:0], free)
 	m.refillBuf = ts[:0]
 	for _, t := range ts {
-		m.ready <- t
+		m.ready.pushBottom(t)
 	}
 	if m.met != nil && len(ts) > 0 {
 		// Occupancy right after the top-up; workers pop concurrently, so
 		// the gauge is a sample, not an invariant.
-		m.met.ReadyOccupancy.Set(int64(len(m.ready)))
+		m.met.ReadyOccupancy.Set(m.ready.size())
 	}
 	return len(ts) > 0
 }
 
-// finishLocked marks the run over and closes the ready buffer, so every
-// later receive reports it. Caller holds smMu. The doorbell ring covers
+// finishLocked marks the run over: no later cycle touches the state
+// machine or the ready buffer. Caller holds smMu. The doorbell ring covers
 // the case where an inline-fallback cycle finished the run while the
 // management goroutine was parked.
 func (m *async) finishLocked() {
 	m.finished.Store(true)
-	m.closeOnce.Do(func() { close(m.ready) })
 	m.ring()
 }
 
@@ -366,25 +358,10 @@ func (m *async) tryInlineCycle(at clock.Stamp) clock.Stamp {
 	return clock.Now()
 }
 
-// helpIfStale runs a management cycle on this worker goroutine when the
-// management goroutine appears descheduled: no cycle has finished within
-// the drain-latency watermark. This is the no-spare-core degradation
-// path — with GOMAXPROCS too small for a dedicated management thread the
-// async manager behaves like a coarse-grained locked manager instead of
-// letting workers spin behind a starved thread. The watermark is compared
-// against at, the reading the worker already holds (its last task's
-// compute-end), so the check costs no clock read.
-func (m *async) helpIfStale(at clock.Stamp) clock.Stamp {
-	if at.Sub(clock.Stamp(m.lastDrain.Load())) < asyncDrainStale {
-		return at
-	}
-	return m.tryInlineCycle(at)
-}
-
-// vet filters a ready-channel receive: a closed channel or a raised abort
-// flag ends the worker's run (a task received after Abort is dropped — the
-// run's results are void).
-func (m *async) vet(t core.Task, ok bool) (core.Task, bool) {
+// take removes the oldest buffered task. A task taken after Abort is
+// dropped — the run's results are void.
+func (m *async) take() (core.Task, bool) {
+	t, ok := m.ready.steal()
 	if !ok || m.failed.Load() {
 		return core.Task{}, false
 	}
@@ -392,25 +369,27 @@ func (m *async) vet(t core.Task, ok bool) (core.Task, bool) {
 }
 
 // Enter pushes done to the management goroutine (complete) and then asks
-// for a task: fast path one channel receive, slow path ring the doorbell
-// (so the management goroutine re-evaluates after the last completion),
-// help inline past the watermark, and receive once more. Workers never
-// touch the state-machine lock, so there is no critical section to fuse.
+// for a task: fast path one steal from the ready buffer; slow path ring the
+// doorbell (so the management goroutine re-evaluates after the last
+// completion), enter the executive if it is idle — one inline management
+// cycle, never waiting behind a live management goroutine — and steal once
+// more. With the buffer stocked workers never touch the state-machine
+// lock, so there is no critical section to fuse.
 //
-// An ask cannot absorb management on the calling worker in the common
-// case — management belongs to the background goroutine — so ok=false
-// means "nothing buffered right now": the doorbell has been rung, and the
-// pool's progress callback (SetNotify) fires when the management goroutine
-// produces work, waking pool-parked workers. For the same reason applied
-// is always false: the completion was only handed over, and the callback
-// reports its application (an inline fallback cycle fires it too).
+// ok=false means "nothing buffered and the executive is busy or has
+// nothing to hand out": the doorbell has been rung, and the pool's
+// progress callback (SetNotify) fires when a management cycle produces
+// work, waking pool-parked workers. applied is always false: the
+// completion was only handed over, and the callback reports its
+// application (an inline cycle fires it too).
 //
 // The stamp returned with a task is a reading taken once it is in hand.
 // Unlike the sharded manager's deque pop, the worker-side hand-off here —
-// a completion pushed through the MPSC ring, a doorbell, a channel
-// receive — costs many times a fine-grain task's work, so it is kept out
-// of the task's compute interval; as before it is charged to no share
-// (Mgmt is the management goroutine's state-machine time).
+// a completion pushed through the MPSC ring, a doorbell, a steal from a
+// ring every worker and the management goroutine share — costs many times
+// a fine-grain task's work, so it is kept out of the task's compute
+// interval; as before it is charged to no share (Mgmt is the state-machine
+// time of management cycles).
 func (m *async) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
 	if done.ID != 0 {
 		at = m.complete(done, at)
@@ -418,21 +397,15 @@ func (m *async) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task
 	if ask == AskNone || m.failed.Load() {
 		return core.Task{}, at, false, false
 	}
-	select {
-	case t, ok := <-m.ready:
-		t, ok = m.vet(t, ok)
-		return t, clock.Now(), ok, false
-	default:
+	if t, ok := m.take(); ok {
+		return t, clock.Now(), true, false
 	}
 	m.ring()
-	at = m.helpIfStale(at)
-	select {
-	case t, ok := <-m.ready:
-		t, ok = m.vet(t, ok)
-		return t, clock.Now(), ok, false
-	default:
-		return core.Task{}, at, false, false
+	at = m.tryInlineCycle(at)
+	if t, ok := m.take(); ok {
+		return t, clock.Now(), true, false
 	}
+	return core.Task{}, at, false, false
 }
 
 // complete pushes the completion into the MPSC queue and rings the
@@ -452,9 +425,6 @@ func (m *async) complete(t core.Task, at clock.Stamp) clock.Stamp {
 		runtime.Gosched()
 	}
 	m.ring()
-	if m.comp.size() >= int64(m.batch) {
-		at = m.helpIfStale(at)
-	}
 	return at
 }
 

@@ -30,11 +30,14 @@ func TestAsyncDefaults(t *testing.T) {
 	}
 }
 
-// TestAsyncInlineFallback drives the worker protocol by hand with the
-// drain-latency watermark forced stale before every completion, so the
-// worker-side fallback must run management cycles inline — the
-// no-spare-core degradation path.
+// TestAsyncInlineFallback drives the worker protocol by hand on one core
+// without ever yielding to the management goroutine — the no-spare-core
+// case — so every refill after the first must come from a worker that
+// found the buffer empty and the executive idle and entered it. While the
+// executive is busy (smMu held here) the same worker is told "dry" instead
+// of waiting behind it.
 func TestAsyncInlineFallback(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prog, a, b, c := buildCopyChain(t, 1024)
 	sched, err := core.New(prog, core.Options{
 		Workers: 1, Grain: 4, Overlap: true, Costs: core.DefaultCosts(),
@@ -44,21 +47,37 @@ func TestAsyncInlineFallback(t *testing.T) {
 	}
 	m := newAsync(sched, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 4, Batch: 1})
 	m.Start()
+	finish := func(task core.Task) {
+		work := prog.Phases[task.Phase].Work
+		task.Run.Each(func(g granule.ID) { work(g) })
+		m.Enter(0, task, clock.Now(), AskNone)
+	}
+
+	m.smMu.Lock()
+	var held []core.Task
 	for {
 		task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
 		if !ok {
-			if done, _ := m.Outcome(); done {
-				break
-			}
-			runtime.Gosched() // the management goroutine owns the progress
-			continue
+			break // a blocking lock here would deadlock the test instead
 		}
-		work := prog.Phases[task.Phase].Work
-		task.Run.Each(func(g granule.ID) { work(g) })
-		// Pretend the management goroutine has been descheduled since the
-		// epoch: the completion's watermark check must drain inline.
-		m.lastDrain.Store(1)
-		m.Enter(0, task, clock.Now(), AskNone)
+		held = append(held, task)
+	}
+	if len(held) == 0 || m.InlineCycles() != 0 {
+		t.Fatalf("busy executive: %d tasks taken, %d inline cycles; want the buffered tasks and no cycle",
+			len(held), m.InlineCycles())
+	}
+	m.smMu.Unlock()
+	for _, task := range held {
+		finish(task)
+	}
+
+	for {
+		task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
+		if ok {
+			finish(task)
+		} else if done, _ := m.Outcome(); done {
+			break
+		}
 	}
 	m.Join()
 	if _, err := m.Outcome(); err != nil {
@@ -66,7 +85,7 @@ func TestAsyncInlineFallback(t *testing.T) {
 	}
 	checkCopyChain(t, a, b, c)
 	if m.InlineCycles() == 0 {
-		t.Error("stale watermark never triggered an inline management cycle")
+		t.Error("an empty buffer and an idle executive never led to an inline management cycle")
 	}
 }
 

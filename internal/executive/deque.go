@@ -11,8 +11,10 @@ import (
 // "Dynamic Circular Work-Stealing Deque", SPAA 2005; atomics ordered per
 // Lê et al., "Correct and Efficient Work-Stealing for Weak Memory Models",
 // PPoPP 2013 — Go's sync/atomic operations are sequentially consistent, so
-// every fence in that formulation is implied). One goroutine owns the
-// deque; any number of thieves steal from it concurrently.
+// every fence in that formulation is implied). The deque has one owner at
+// a time — a worker's own goroutine in the sharded manager, whoever holds
+// the state-machine mutex in the async manager, the hand-off ordered by
+// that mutex; any number of thieves steal from it concurrently.
 //
 //   - The owner pushes and pops at the bottom with plain atomic loads and
 //     stores — no lock, no CAS — except when taking the last element,

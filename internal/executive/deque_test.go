@@ -274,6 +274,68 @@ func TestDequeTopMonotonic(t *testing.T) {
 	}
 }
 
+// TestDequeOwnerHandoffUnderMutex: the async manager's ready buffer has one
+// owner at a time — whoever holds the state-machine mutex — not one owner
+// goroutine. Several goroutines take turns as owner under a mutex, each
+// topping the deque up to a fixed capacity the way a refill does (free
+// slots computed from size() first), and steal in between; dedicated
+// thieves steal throughout. Every pushed task must be taken exactly once
+// and the ring must never grow past its hint.
+func TestDequeOwnerHandoffUnderMutex(t *testing.T) {
+	const (
+		capacity = 8
+		n        = 20000
+		owners   = 3
+		thieves  = 3
+	)
+	d := newDeque(capacity)
+	ring := d.ring.Load()
+
+	var mu sync.Mutex // the owner role
+	next := 0         // next task ID to push; guarded by mu
+	taken := make([]atomic.Int32, n)
+	var left atomic.Int64
+	left.Store(n)
+	stealAll := func() {
+		for {
+			task, ok := d.steal()
+			if !ok {
+				return
+			}
+			taken[task.ID].Add(1)
+			left.Add(-1)
+		}
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < owners+thieves; g++ {
+		wg.Add(1)
+		go func(owner bool) {
+			defer wg.Done()
+			for left.Load() > 0 {
+				if owner && mu.TryLock() {
+					for free := capacity - int(d.size()); free > 0 && next < n; free-- {
+						d.pushBottom(mkTask(next))
+						next++
+					}
+					mu.Unlock()
+				}
+				stealAll()
+			}
+		}(g < owners)
+	}
+	wg.Wait()
+
+	for id := range taken {
+		if c := taken[id].Load(); c != 1 {
+			t.Fatalf("task %d taken %d times, want exactly once", id, c)
+		}
+	}
+	if d.ring.Load() != ring {
+		t.Fatalf("ring grew to %d slots under a capacity-%d refill rule", d.ring.Load().size(), capacity)
+	}
+}
+
 // TestDequeStealZeroAlloc: the steady-state steal and pop paths must not
 // allocate — the per-steal allocation of the old mutex deque
 // (stolen := make([]core.Task, take)) is the regression this guards.

@@ -54,7 +54,7 @@ type Config struct {
 	// (AsyncManager). <=0 selects 8.
 	Batch int
 	// ReadyCap bounds the async manager's shared ready-buffer — the
-	// channel of dispatched tasks the management goroutine keeps topped
+	// deque of dispatched tasks the management goroutine keeps topped
 	// up (AsyncManager only). <=0 selects 2*Workers (minimum 8), the
 	// paper's two-tasks-per-processor outset condition applied to the
 	// buffer.

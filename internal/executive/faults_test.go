@@ -100,9 +100,9 @@ func TestFaultWorkerCrashGracefulLoss(t *testing.T) {
 					t.Fatal(err)
 				}
 				jobs := make([]rundown.Job, njobs)
-				ledgers := make([]*fineLedger, njobs)
+				ledgers := make([]*testutil.Ledger, njobs)
 				for i := range jobs {
-					jobs[i].Prog, ledgers[i] = fineChain(t, 3, 1<<11)
+					jobs[i].Prog, ledgers[i] = testutil.LedgerChain(t, 3, 1<<11)
 					jobs[i].Opt = fineOptions(8)
 				}
 				rep, err := r.RunAll(context.Background(), jobs)
@@ -110,7 +110,7 @@ func TestFaultWorkerCrashGracefulLoss(t *testing.T) {
 					t.Fatalf("crash campaign failed the run: %v", err)
 				}
 				for i, l := range ledgers {
-					l.check(t)
+					l.Check(t)
 					if ex := rep.Jobs[i].Exec; ex.Tasks == 0 || ex.Tasks != ex.Sched.Completions {
 						t.Errorf("job %d: executed %d tasks, completed %d", i, ex.Tasks, ex.Sched.Completions)
 					}
@@ -206,12 +206,12 @@ func TestFusedEntryUnderFaults(t *testing.T) {
 				{Kind: fault.GrainStall, Job: -1, Phase: -1, Worker: -1, Delay: 100, Count: 4},
 				{Kind: fault.MgmtDelay, Job: -1, Phase: -1, Worker: -1, Delay: 100, Count: 4},
 			}}
-			prog, ledger := fineChain(t, 3, 1<<11)
+			prog, ledger := testutil.LedgerChain(t, 3, 1<<11)
 			rep, err := run(context.Background(), prog, fineOptions(2), conformanceConfig(kind, 8), faulted(spec)...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ledger.check(t)
+			ledger.Check(t)
 			if ex := rep.Exec; ex.Tasks != ex.Sched.Completions || ex.Tasks != ex.Sched.Dispatches {
 				t.Errorf("executed %d tasks, dispatched %d, completed %d",
 					ex.Tasks, ex.Sched.Dispatches, ex.Sched.Completions)

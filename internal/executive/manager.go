@@ -170,8 +170,9 @@ const (
 	// bounded ready-buffer the management goroutine keeps refilled and
 	// push completions into a lock-free MPSC queue; deferred management
 	// overlaps computation on the management thread whenever the buffer
-	// is above its low-water mark, and workers fall back to inline
-	// draining when GOMAXPROCS leaves the management goroutine no core.
+	// is above its low-water mark, and a worker that finds the buffer
+	// empty and the executive idle runs a management cycle itself, which
+	// covers a GOMAXPROCS that leaves the management goroutine no core.
 	AsyncManager
 )
 

@@ -110,9 +110,3 @@ func (q *mpsc) pop() (core.Task, bool) {
 	q.head.Store(pos + 1)
 	return t, true
 }
-
-// size reports tail-head: published plus claimed-but-unpublished entries.
-// A moment-in-time estimate for anyone but the consumer.
-func (q *mpsc) size() int64 {
-	return q.tail.Load() - q.head.Load()
-}

@@ -53,9 +53,6 @@ func TestMPSCFull(t *testing.T) {
 	if n != 8 {
 		t.Fatalf("capacity %d, want 8", n)
 	}
-	if q.size() != 8 {
-		t.Fatalf("size %d, want 8", q.size())
-	}
 	if _, ok := q.pop(); !ok {
 		t.Fatal("pop on full queue failed")
 	}

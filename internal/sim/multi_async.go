@@ -14,7 +14,7 @@ import "repro/internal/core"
 //     on the server's serialized lane;
 //   - a worker's ask walks its dispatch-policy candidates (home first,
 //     then backfill order) and pops the first non-empty buffer for free —
-//     the hardware channel receive, so worker latency is decoupled from
+//     the hardware ready-buffer steal, so worker latency is decoupled from
 //     management service; the backfill gate is the home buffer found dry
 //     after a top-up attempt, mirroring the plain models' "home has
 //     nothing dispatchable" probe. Deficit-round-robin credit is charged

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/executive"
 	"repro/internal/granule"
 	"repro/internal/share"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
@@ -760,5 +762,47 @@ func TestPoolAsyncProbeParks(t *testing.T) {
 	t.Logf("%d all-parked probes found nothing stalled; %d parks while the job ran", idle, parks)
 	if parks < idle {
 		t.Errorf("%d all-parked probes found nothing stalled but the worker parked only %d times: the rest spun", idle, parks)
+	}
+}
+
+// TestPoolAsyncDoesNotParkPerRefill is the count gate on the async
+// manager's no-spare-core rule. With GOMAXPROCS equal to the worker count
+// the management goroutine has no core of its own, so a fine-grain chain
+// drains the ready buffer every ReadyCap tasks; a worker that finds it empty
+// and the executive idle must enter the executive itself. When it parked
+// instead — waiting for the management goroutine to be scheduled — the pool
+// recorded about one KPark per refill, Tasks/ReadyCap of them.
+func TestPoolAsyncDoesNotParkPerRefill(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const readyCap = 8
+	prog, ledger := testutil.LedgerChain(t, 3, 8192)
+	rec := trace.NewRecorder(trace.Meta{}, 2)
+	p, err := NewPool(Config{Workers: 2, Manager: executive.AsyncManager, ReadyCap: readyCap, Trace: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := p.Submit(prog, core.Options{
+		Grain: 2, Overlap: true, IdentityVia: core.IdentityTable, Costs: core.DefaultCosts(),
+	}, JobConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := j.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ledger.Check(t)
+	if rep.Tasks != rep.Sched.Completions {
+		t.Errorf("%d tasks executed, %d completions applied", rep.Tasks, rep.Sched.Completions)
+	}
+	parks := int64(rec.Take().Count(trace.KPark))
+	t.Logf("%d parks over %d tasks (one per refill would be %d)", parks, rep.Tasks, rep.Tasks/readyCap)
+	if limit := rep.Tasks / readyCap / 8; parks >= limit {
+		t.Errorf("%d parks over %d tasks, want fewer than %d: workers wait out refills instead of entering the executive",
+			parks, rep.Tasks, limit)
 	}
 }

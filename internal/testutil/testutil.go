@@ -1,13 +1,14 @@
-// Package testutil holds the test helpers the cancellation and observer
-// suites share across packages (root, internal/executive,
+// Package testutil holds the test helpers the cancellation, observer and
+// fine-grain suites share across packages (root, internal/executive,
 // internal/tenant): a sleeping-chain workload whose mid-run state is
-// reachable even on a single-CPU CI host, and the goroutine-leak check
-// with retries.
+// reachable even on a single-CPU CI host, the exec-fine chain over an
+// exactly-once ledger, and the goroutine-leak check with retries.
 package testutil
 
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,6 +40,61 @@ func SleepChain(tb testing.TB, phases, n int, d time.Duration) *core.Program {
 		tb.Fatal(err)
 	}
 	return prog
+}
+
+// Ledger is the exactly-once, enabler-first ledger behind a LedgerChain
+// program.
+type Ledger struct {
+	seen  [][]uint8
+	early atomic.Int64 // granules that ran before the granule enabling them
+}
+
+// Check verifies that every granule ran exactly once and none before its
+// enabler.
+func (l *Ledger) Check(tb testing.TB) {
+	tb.Helper()
+	for k := range l.seen {
+		for g, n := range l.seen[k] {
+			if n != 1 {
+				tb.Fatalf("phase %d granule %d executed %d times", k, g, n)
+			}
+		}
+	}
+	if n := l.early.Load(); n != 0 {
+		tb.Fatalf("%d granules ran before the granule that enables them", n)
+	}
+}
+
+// LedgerChain is the exec-fine program of the repository's benchmark: an
+// identity chain of phases × n granules whose work only marks a ledger,
+// released through the enablement table — management is all the work.
+func LedgerChain(tb testing.TB, phases, n int) (*core.Program, *Ledger) {
+	tb.Helper()
+	l := &Ledger{seen: make([][]uint8, phases)}
+	specs := make([]*core.Phase, phases)
+	for k := range specs {
+		l.seen[k] = make([]uint8, n)
+		mine := l.seen[k]
+		work := func(g granule.ID) { mine[g]++ }
+		if k > 0 {
+			pred := l.seen[k-1]
+			work = func(g granule.ID) {
+				if pred[g] == 0 {
+					l.early.Add(1)
+				}
+				mine[g]++
+			}
+		}
+		specs[k] = &core.Phase{Name: fmt.Sprintf("p%d", k), Granules: n, Work: work}
+		if k < phases-1 {
+			specs[k].Enable = enable.NewIdentity()
+		}
+	}
+	prog, err := core.NewProgram(specs...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog, l
 }
 
 // WaitGoroutines retries until the goroutine count falls back to the

@@ -8,11 +8,13 @@
 // difference of two readings, for which the monotonic half alone is both
 // sufficient and correct. Now is one monotonic read.
 //
-// Stamps are chained, not paired: a worker reads the clock at task
-// boundaries and hands its latest reading to the next callee, which
-// charges from it and returns its own last reading, so the end of one
-// interval is the start of the next and no boundary is read twice. See
-// DESIGN.md, "Clock discipline".
+// Stamps are chained, not paired: a worker reads the clock where its time
+// changes category — compute, management, idle — and hands its latest
+// reading to the next callee, which charges from it and returns its own
+// last reading, so the end of one interval is the start of the next and no
+// boundary is read twice. The zero Stamp in that chain means "not read
+// since the last boundary": whoever needs the boundary reads it (OrNow).
+// See DESIGN.md, "Clock discipline".
 package clock
 
 import "time"
@@ -27,6 +29,16 @@ type Stamp int64
 
 // Now reads the monotonic clock.
 func Now() Stamp { return Stamp(time.Since(epoch)) }
+
+// OrNow returns s, or a fresh reading when s is the zero Stamp — the
+// chain's "not read yet". (Now itself returns zero only within the clock's
+// resolution of package initialization, before any worker exists.)
+func (s Stamp) OrNow() Stamp {
+	if s != 0 {
+		return s
+	}
+	return Now()
+}
 
 // Sub returns the duration s-t.
 func (s Stamp) Sub(t Stamp) time.Duration { return time.Duration(s - t) }

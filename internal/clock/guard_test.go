@@ -81,3 +81,16 @@ func TestNowIsMonotonic(t *testing.T) {
 		prev = now
 	}
 }
+
+// TestOrNow: the zero Stamp is the chain's "not read yet" and OrNow reads
+// for it; a reading already taken is handed on untouched.
+func TestOrNow(t *testing.T) {
+	before := Now()
+	got := Stamp(0).OrNow()
+	if after := Now(); got < before || got > after {
+		t.Fatalf("Stamp(0).OrNow() = %d, want a reading between %d and %d", got, before, after)
+	}
+	if got := before.OrNow(); got != before {
+		t.Fatalf("%d.OrNow() = %d, want the stamp itself", before, got)
+	}
+}

@@ -42,11 +42,14 @@ import (
 //     never waits behind a live management goroutine. The same path
 //     absorbs a full completion queue.
 //
-// Measurement: Mgmt() is the state-machine time of management cycles
-// (wherever they ran). The management goroutine itself is not a worker:
-// like the sim's Dedicated model, its processor is not in the utilization
-// denominator — that is exactly the resource trade the paper's comparison
-// prices.
+// Measurement: management time is the state-machine time of management
+// cycles (wherever they ran). The management goroutine itself is not a
+// worker: like the sim's Dedicated model, its processor is not in the
+// utilization denominator — that is exactly the resource trade the paper's
+// comparison prices. A task's compute time is measured by the worker that
+// ran it — every hand-off is management, so every stretch is one task — and
+// travels with the completion through the queue; the cycle that applies
+// the completion adds it to the totals under smMu.
 //
 // Invariants the pool's stall probe relies on: every task popped from the
 // state machine is immediately in the ready buffer, held by a worker, or
@@ -78,11 +81,19 @@ type async struct {
 	started  atomic.Bool   // Start spawned the management goroutine
 	loopDone chan struct{} // closed when the management goroutine exits
 
-	err error // guarded by smMu (every fail and Outcome holds it)
+	// Guarded by smMu (every fail, Outcome and Totals holds it).
+	err     error
+	mgmt    time.Duration // state-machine time of management cycles
+	compute time.Duration // of the tasks counted in tasks
+	tasks   int64         // completions applied to sm
+
+	// open is each worker's open compute stretch — the dispatch stamp of the
+	// task it is running, 0 = none — written and read by that worker only,
+	// one cache line apiece.
+	open []workerStamp
 
 	notify func() // pool progress callback; nil outside a pool
 
-	mgmtNS       atomic.Int64 // state-machine time of management cycles
 	inlineCycles atomic.Int64 // fallback cycles run on worker goroutines
 
 	// Management-side scratch, guarded by smMu: the refill buffer handed
@@ -90,6 +101,13 @@ type async struct {
 	// steady-state cycles allocate nothing.
 	refillBuf []core.Task
 	drainBuf  []core.Task
+}
+
+// workerStamp is one worker's private clock.Stamp, padded so neighbours in
+// a slice do not share a cache line.
+type workerStamp struct {
+	at clock.Stamp
+	_  [56]byte
 }
 
 func newAsync(sm StateMachine, cfg Config) *async {
@@ -122,6 +140,7 @@ func newAsync(sm StateMachine, cfg Config) *async {
 		readyCap: readyCap,
 		lowWater: low,
 		batch:    batch,
+		open:     make([]workerStamp, cfg.Workers),
 		ready:    newDeque(readyCap),
 		// Between two drains at most ReadyCap buffered + Workers executing
 		// tasks can complete; the extra Workers is racing margin. Overflow
@@ -256,29 +275,32 @@ func (m *async) cycleLocked(t0 clock.Stamp) (alive, progressed bool) {
 // smMu.
 func (m *async) charge(t0 clock.Stamp) clock.Stamp {
 	now := clock.Now()
-	m.mgmtNS.Add(int64(now - t0))
+	m.mgmt += now.Sub(t0)
 	return now
 }
 
-// drainLocked applies queued completions in batches of m.batch. Caller
-// holds smMu. Panics in completion processing fail the run, as in the
-// other managers.
+// drainLocked applies queued completions in batches of m.batch, totalling
+// their count and the compute times that came with them. Caller holds
+// smMu. Panics in completion processing fail the run, as in the other
+// managers.
 func (m *async) drainLocked() bool {
 	any := false
 	for {
 		buf := m.drainBuf[:0]
 		for len(buf) < m.batch {
-			t, ok := m.comp.pop()
+			t, compute, ok := m.comp.pop()
 			if !ok {
 				break
 			}
 			buf = append(buf, t)
+			m.compute += compute
 		}
 		m.drainBuf = buf[:0]
 		if len(buf) == 0 {
 			return any
 		}
 		any = true
+		m.tasks += int64(len(buf))
 		if err := applyBatch(m.sm, buf); err != nil {
 			m.fail(err)
 		}
@@ -383,39 +405,48 @@ func (m *async) take() (core.Task, bool) {
 // completion was only handed over, and the callback reports its
 // application (an inline cycle fires it too).
 //
-// The stamp returned with a task is a reading taken once it is in hand.
-// Unlike the sharded manager's deque pop, the worker-side hand-off here —
-// a completion pushed through the MPSC ring, a doorbell, a steal from a
-// ring every worker and the management goroutine share — costs many times
-// a fine-grain task's work, so it is kept out of the task's compute
-// interval; as before it is charged to no share (Mgmt is the state-machine
-// time of management cycles).
+// The stamp returned with a task is a reading taken once it is in hand,
+// and done's compute time ends at the reading the entry begins with (at,
+// taken here when the caller did not). Unlike the sharded manager's deque
+// pop, the worker-side hand-off here — a completion pushed through the MPSC
+// ring, a doorbell, a steal from a ring every worker and the management
+// goroutine share — costs many times a fine-grain task's work, so it is
+// kept out of the task's compute interval; as before it is charged to no
+// share (management time is the state-machine time of management cycles).
 func (m *async) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
 	if done.ID != 0 {
-		at = m.complete(done, at)
+		at = m.complete(w, done, at.OrNow())
 	}
 	if ask == AskNone || m.failed.Load() {
 		return core.Task{}, at, false, false
 	}
-	if t, ok := m.take(); ok {
-		return t, clock.Now(), true, false
+	t, ok := m.take()
+	if !ok {
+		m.ring()
+		at = m.tryInlineCycle(at)
+		if t, ok = m.take(); !ok {
+			return core.Task{}, at, false, false
+		}
 	}
-	m.ring()
-	at = m.tryInlineCycle(at)
-	if t, ok := m.take(); ok {
-		return t, clock.Now(), true, false
-	}
-	return core.Task{}, at, false, false
+	now := clock.Now()
+	m.open[w].at = now
+	return t, now, true, false
 }
 
-// complete pushes the completion into the MPSC queue and rings the
+// complete closes worker w's compute stretch at the reading at, pushes the
+// completion and the stretch's length into the MPSC queue and rings the
 // management doorbell. A completion arriving after the run failed is
 // dropped, matching the other managers' post-failure contract.
-func (m *async) complete(t core.Task, at clock.Stamp) clock.Stamp {
+func (m *async) complete(w int, t core.Task, at clock.Stamp) clock.Stamp {
+	var compute time.Duration
+	if opened := m.open[w].at; opened != 0 {
+		compute = at.Sub(opened)
+		m.open[w].at = 0
+	}
 	if m.failed.Load() || m.finished.Load() {
 		return at
 	}
-	for !m.comp.push(t) {
+	for !m.comp.push(t, compute) {
 		// Queue full: the management goroutine is far behind. Help drain
 		// inline, or yield to whoever currently owns the state machine.
 		if m.failed.Load() || m.finished.Load() {
@@ -474,7 +505,11 @@ func (m *async) Abort(err error) {
 	m.ring()
 }
 
-func (m *async) Mgmt() time.Duration { return time.Duration(m.mgmtNS.Load()) }
+func (m *async) Totals() (compute, mgmt time.Duration, tasks int64) {
+	m.smMu.Lock()
+	defer m.smMu.Unlock()
+	return m.compute, m.mgmt, m.tasks
+}
 
 // InlineCycles reports how many management cycles ran on worker
 // goroutines through the no-spare-core fallback (diagnostics).

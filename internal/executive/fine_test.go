@@ -2,9 +2,11 @@ package executive_test
 
 import (
 	"context"
+	"io"
 	"testing"
 	"time"
 
+	rundown "repro"
 	"repro/internal/core"
 	"repro/internal/executive"
 	"repro/internal/testutil"
@@ -50,28 +52,36 @@ func TestSerialRunAllocations(t *testing.T) {
 // The async manager's management goroutine is a processor of its own,
 // outside Workers and the utilization denominator, so its capacity is P+1.
 // The 2% allowance covers Start, which is management on the submitter's
-// goroutine.
+// goroutine. Both sides of the worker loop's selection are pinned: the bare
+// run, where compute is measured in stretches the managers close, and a
+// flight-recorded one, where every task is stamped.
 func TestReportTimeAccounting(t *testing.T) {
 	for _, kind := range executive.ManagerKinds() {
 		for _, p := range []int{1, 2, 4} {
-			prog, ledger := testutil.LedgerChain(t, 3, 1<<12)
-			run, err := run(context.Background(), prog, fineOptions(2), conformanceConfig(kind, p))
-			if err != nil {
-				t.Fatalf("%v P=%d: %v", kind, p, err)
-			}
-			rep := run.Exec
-			ledger.Check(t)
-			if rep.Compute < 0 || rep.Mgmt < 0 || rep.Idle < 0 {
-				t.Errorf("%v P=%d: negative share in %v", kind, p, rep)
-			}
-			capacity := p
-			if kind == executive.AsyncManager {
-				capacity++
-			}
-			sum := rep.Compute + rep.Mgmt + rep.Idle
-			if limit := time.Duration(float64(capacity) * float64(rep.Wall) * 1.02); sum > limit {
-				t.Errorf("%v P=%d: compute+mgmt+idle = %v exceeds %d × wall × 1.02 = %v (%v)",
-					kind, p, sum, capacity, limit, rep)
+			for _, traced := range []bool{false, true} {
+				var more []rundown.Option
+				if traced {
+					more = append(more, rundown.WithTrace(io.Discard))
+				}
+				prog, ledger := testutil.LedgerChain(t, 3, 1<<12)
+				run, err := run(context.Background(), prog, fineOptions(2), conformanceConfig(kind, p), more...)
+				if err != nil {
+					t.Fatalf("%v P=%d traced=%v: %v", kind, p, traced, err)
+				}
+				rep := run.Exec
+				ledger.Check(t)
+				if rep.Compute <= 0 || rep.Mgmt < 0 || rep.Idle < 0 {
+					t.Errorf("%v P=%d traced=%v: no compute or a negative share in %v", kind, p, traced, rep)
+				}
+				capacity := p
+				if kind == executive.AsyncManager {
+					capacity++
+				}
+				sum := rep.Compute + rep.Mgmt + rep.Idle
+				if limit := time.Duration(float64(capacity) * float64(rep.Wall) * 1.02); sum > limit {
+					t.Errorf("%v P=%d traced=%v: compute+mgmt+idle = %v exceeds %d × wall × 1.02 = %v (%v)",
+						kind, p, traced, sum, capacity, limit, rep)
+				}
 			}
 		}
 	}

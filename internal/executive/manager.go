@@ -70,13 +70,29 @@ const (
 //
 // Clock discipline: every task-path call takes at, the caller's latest
 // clock reading, and returns now, the manager's own latest — at itself
-// when the call read nothing. The manager charges its management
-// intervals between the two and never re-reads a boundary the caller
-// already stamped; the caller chains from now (a dispatched task's
-// compute interval starts there). A manager entered without contention
-// charges from at, so a caller hands on a reading only if nothing that
-// can block — another lock, a channel, a sleep — happened since it was
-// taken, and reads afresh otherwise. See DESIGN.md, "Clock discipline".
+// when the call read nothing. The clock is read where a worker's time
+// changes category, not at every task boundary: a dispatched task opens a
+// compute stretch for worker w at the stamp returned with it, and the
+// stretch stays open across the tasks w reports with the zero Stamp ("not
+// read since this stretch began") until the manager is about to do
+// management on w's behalf — then it reads the clock itself (at.OrNow()),
+// closes the stretch there and charges management from the same reading.
+// AskNone and a dry ask close the stretch too. A caller that did read the
+// clock after the work returned (something consumes per-task stamps: a
+// trace, a metric, a fault plan, a watchdog) passes that reading and the
+// stretch is the one task. The manager never re-reads a boundary the
+// caller already stamped, and a manager entered without contention charges
+// from at, so a caller hands on a reading only if nothing that can block —
+// another lock, a channel, a sleep it does not want charged as management
+// — happened since it was taken, and reads afresh otherwise. See
+// DESIGN.md, "Clock discipline".
+//
+// Totals: the manager, not the worker loop, totals the compute time and
+// the count of the tasks whose completions it applies, under the lock that
+// serializes the state machine, so the totals are exact at the instant
+// Outcome reports the run done and Tasks equals the state machine's
+// completion count by construction. A completion dropped after the run
+// failed is not counted.
 type Manager interface {
 	// Start activates the program on the state machine.
 	Start()
@@ -95,6 +111,12 @@ type Manager interface {
 	// successor work may have been released; false means done only joined
 	// a local batch or a queue. The pool wakes parked workers on applied:
 	// no manager wakes anyone.
+	//
+	// at is w's reading taken after done's work returned, or the zero Stamp
+	// when w has not read the clock since the stretch done ran in began.
+	// now, returned with a task, is the stamp its compute is charged from;
+	// zero means the open stretch simply continues (nothing was read). With
+	// no task it is the manager's latest reading, the stretch closed.
 	Enter(w int, done core.Task, at clock.Stamp, ask Ask) (next core.Task, now clock.Stamp, ok, applied bool)
 	// Flush submits worker w's accumulated completions immediately (a
 	// doorbell ring for the async manager, nothing for the serial one).
@@ -114,8 +136,11 @@ type Manager interface {
 	// worker is parked (all deques drained, all batches flushed),
 	// InFlight()==0 on an unfinished job identifies a true stall.
 	InFlight() int
-	// Mgmt returns the summed management time.
-	Mgmt() time.Duration
+	// Totals returns the summed compute time and count of the tasks whose
+	// completions were applied, and the summed management time, in one
+	// entry of the lock that serializes them with Outcome. Compute and
+	// tasks do not move once the run has failed.
+	Totals() (compute, mgmt time.Duration, tasks int64)
 	// Join blocks until the manager's own management goroutine, if it has
 	// one (async), has exited. Call it only after the run is over (workers
 	// left, or Abort was called) and before reading final state-machine
@@ -139,7 +164,7 @@ func NewManager(sm StateMachine, cfg Config) (Manager, error) {
 	}
 	switch cfg.Manager {
 	case SerialManager:
-		return newSerial(sm), nil
+		return newSerial(sm, cfg.Workers), nil
 	case ShardedManager:
 		return newSharded(sm, cfg), nil
 	case AsyncManager:

@@ -2,14 +2,17 @@ package executive
 
 import (
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 )
 
 // mpsc is a bounded lock-free multi-producer single-consumer queue of
-// core.Tasks: the completion channel between the worker goroutines (any
-// number of producers) and the async manager's management goroutine (one
-// consumer at a time — whoever holds the manager's state-machine mutex).
+// completions — a core.Task and the compute time its worker measured for
+// it: the completion channel between the worker goroutines (any number of
+// producers) and the async manager's management goroutine (one consumer
+// at a time — whoever holds the manager's state-machine mutex), which
+// totals both under that mutex.
 // It is the bounded-ring sibling of deque.go's Chase-Lev deque, built on
 // the same atomic-slot discipline, but specialized the other way around:
 // the deque has one producer and many thieves, this queue many producers
@@ -51,12 +54,13 @@ type mpsc struct {
 	head  atomic.Int64 // next slot to pop (consumer only; atomic for size readers)
 }
 
-// mpscSlot is one ring slot: the lap/state sequence word plus the task,
-// which is written and read only inside the seq-established
-// happens-before edges.
+// mpscSlot is one ring slot: the lap/state sequence word plus the task and
+// its compute time, which are written and read only inside the
+// seq-established happens-before edges.
 type mpscSlot struct {
-	seq  atomic.Int64
-	task core.Task
+	seq     atomic.Int64
+	task    core.Task
+	compute time.Duration
 }
 
 // newMPSC sizes the ring for at least capHint entries (rounded up to a
@@ -74,17 +78,17 @@ func newMPSC(capHint int) *mpsc {
 	return q
 }
 
-// push appends t. Safe from any goroutine. It reports false when the ring
-// is full — the caller must drain (or help the drainer) and retry, never
-// drop the task.
-func (q *mpsc) push(t core.Task) bool {
+// push appends t with its compute time. Safe from any goroutine. It
+// reports false when the ring is full — the caller must drain (or help the
+// drainer) and retry, never drop the task.
+func (q *mpsc) push(t core.Task, compute time.Duration) bool {
 	for {
 		pos := q.tail.Load()
 		s := &q.slots[pos&q.mask]
 		switch seq := s.seq.Load(); {
 		case seq == pos:
 			if q.tail.CompareAndSwap(pos, pos+1) {
-				s.task = t
+				s.task, s.compute = t, compute
 				s.seq.Store(pos + 1)
 				return true
 			}
@@ -99,14 +103,14 @@ func (q *mpsc) push(t core.Task) bool {
 // of the manager's state-machine mutex may call it. ok=false means no
 // published task is available right now (empty, or the head producer has
 // claimed but not yet published its slot).
-func (q *mpsc) pop() (core.Task, bool) {
+func (q *mpsc) pop() (core.Task, time.Duration, bool) {
 	pos := q.head.Load()
 	s := &q.slots[pos&q.mask]
 	if s.seq.Load() != pos+1 {
-		return core.Task{}, false
+		return core.Task{}, 0, false
 	}
-	t := s.task
+	t, compute := s.task, s.compute
 	s.seq.Store(pos + q.mask + 1) // release the slot for the next lap
 	q.head.Store(pos + 1)
-	return t, true
+	return t, compute, true
 }

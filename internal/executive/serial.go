@@ -16,17 +16,23 @@ import (
 //
 // A worker enters the executive once per task: Enter reports the finished
 // task and takes the next one in a single critical section, the way a PAX
-// processor did — one lock, two clock readings.
+// processor did — one lock, two clock readings. Every task is management,
+// so every compute stretch is one task long.
 type serial struct {
 	mu sync.Mutex
 	sm StateMachine
 
 	// Guarded by mu.
-	mgmt time.Duration
-	err  error
+	mgmt    time.Duration
+	compute time.Duration // of the tasks counted in tasks
+	tasks   int64         // completions applied to sm
+	open    []clock.Stamp // per worker: its open compute stretch's start, 0 = none
+	err     error
 }
 
-func newSerial(sm StateMachine) *serial { return &serial{sm: sm} }
+func newSerial(sm StateMachine, workers int) *serial {
+	return &serial{sm: sm, open: make([]clock.Stamp, workers)}
+}
 
 // enter acquires mu on behalf of a caller whose latest clock reading is
 // at, and returns the stamp management time is charged from. Uncontended,
@@ -52,17 +58,25 @@ func (m *serial) Start() {
 
 // Enter is the fused executive entry: completion processing for done,
 // then the dispatch of the worker's next task, in one critical section
-// closed by one reading — the stamp returned, a dispatched task's
-// compute-start. A completion arriving after the run failed (abort,
-// cancellation, panic) is dropped without touching the state machine: the
-// run's results are void, and nothing may mutate the state machine after
-// the failure point — Job.Wait and the report path read its statistics as
-// soon as the job is retired.
+// opened by one reading — at, taken here when the caller did not, where w's
+// compute stretch closes — and closed by one more: the stamp returned, a
+// dispatched task's compute-start. A completion arriving after the run
+// failed (abort, cancellation, panic) is dropped without touching the state
+// machine or the totals: the run's results are void, and nothing may move
+// after the failure point — Job.Wait and the report path read both as soon
+// as the job is retired.
 func (m *serial) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
+	at = at.OrNow()
 	t0 := enter(&m.mu, at)
 	defer m.mu.Unlock()
+	opened := m.open[w]
+	m.open[w] = 0
 	applied := done.ID != 0 && m.err == nil
 	if applied {
+		m.tasks++
+		if opened != 0 {
+			m.compute += at.Sub(opened)
+		}
 		// A panic in completion processing fails the run.
 		m.err = applyCompletion(m.sm, done)
 	}
@@ -78,6 +92,9 @@ func (m *serial) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Tas
 	}
 	now := clock.Now()
 	m.mgmt += now.Sub(t0)
+	if ok {
+		m.open[w] = now
+	}
 	return next, now, ok, applied
 }
 
@@ -133,8 +150,8 @@ func (m *serial) Abort(err error) {
 	}
 }
 
-func (m *serial) Mgmt() time.Duration {
+func (m *serial) Totals() (compute, mgmt time.Duration, tasks int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.mgmt
+	return m.compute, m.mgmt, m.tasks
 }

@@ -30,13 +30,22 @@ import (
 //     it finds into its own — no lock, no allocation — before falling back
 //     to the global refill path.
 //
+// Compute stretches: a worker whose Enter is the lock-free fast path — a
+// batch append and a deque pop — does no management, so its compute
+// stretch stays open across tasks and the clock is not read. The stretch
+// closes where management begins (a full batch, an empty deque, AskNone)
+// with the one reading that also opens the management interval, its
+// duration joins the shard's running sum, and the next global-lock visit
+// folds that sum and the batch's task count into the manager's totals in
+// the same critical section that applies the batch.
+//
 // Invariants the pool's stall probe relies on: a dry ask returns only after
 // the worker's deque is empty, a steal sweep failed, and its completion
 // batch was flushed under the global lock. So when every pool worker has
 // swept the job dry, no task is held anywhere outside the state machine
 // and InFlight()==0 identifies a true stall.
 type sharded struct {
-	mu sync.Mutex // guards sm, err, mgmt
+	mu sync.Mutex // guards sm, err, mgmt, compute, tasks
 
 	sm    StateMachine
 	met   *telemetry.Set // steal counters (nil = metrics off)
@@ -58,19 +67,37 @@ type sharded struct {
 	stealNS atomic.Int64
 
 	// Guarded by mu.
-	mgmt time.Duration
-	err  error
+	mgmt    time.Duration
+	compute time.Duration // of the tasks counted in tasks
+	tasks   int64         // completions applied to sm
+	err     error
 }
 
 // shard is one worker's local state. dq is the lock-free task deque: the
 // owner pushes refills and pops the bottom; thieves CAS the top. done is
 // the owner-only completion batch and refillBuf the owner-only scratch the
 // refill path hands to NextTasks, so steady-state refills and steals
-// allocate nothing.
+// allocate nothing. open is the start of the owner's open compute stretch
+// (0 = none) and compute the closed stretches' time not yet folded into the
+// manager's total — the time of the tasks in done.
 type shard struct {
 	dq        *deque
 	done      []core.Task
 	refillBuf []core.Task
+	open      clock.Stamp
+	compute   time.Duration
+}
+
+// closeStretch ends the owner's open compute stretch, if any, at at — read
+// here when the caller has not read the clock since the stretch began —
+// and returns that reading.
+func (sh *shard) closeStretch(at clock.Stamp) clock.Stamp {
+	at = at.OrNow()
+	if sh.open != 0 {
+		sh.compute += at.Sub(sh.open)
+		sh.open = 0
+	}
+	return at
 }
 
 func newSharded(sm StateMachine, cfg Config) *sharded {
@@ -108,27 +135,39 @@ func (m *sharded) Start() {
 // already enters the global lock once per batch rather than once per task,
 // so there is nothing further to fuse. The dispatch fast path is one
 // lock-free deque pop and no clock reading — the stamp returned is the
-// caller's own, so the task's compute interval starts where the worker's
-// previous interval ended — then a steal sweep, then the global refill
+// caller's own: its reading, where the stretch it closed reopens, or zero,
+// and the open stretch runs on — then a steal sweep, then the global refill
 // path, which flushes this worker's completion batch and absorbs deferred
-// management before declaring the state machine dry.
+// management before declaring the state machine dry. Whatever leaves the
+// fast path closes the stretch first.
 func (m *sharded) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
+	sh := &m.shards[w]
+	if at != 0 {
+		sh.closeStretch(at)
+	}
 	applied := false
 	if done.ID != 0 {
 		at, applied = m.complete(w, done, at)
 	}
 	if ask == AskNone || m.failed.Load() {
-		return core.Task{}, at, false, applied
+		return core.Task{}, sh.closeStretch(at), false, applied
 	}
-	if t, ok := m.shards[w].dq.popBottom(); ok {
+	if t, ok := sh.dq.popBottom(); ok {
+		if at != 0 {
+			sh.open = at
+		}
 		return t, at, true, applied
 	}
-	t, at, ok := m.steal(w, at)
+	t, at, ok := m.steal(w, sh.closeStretch(at))
+	if !ok {
+		var flushed bool
+		t, at, ok, flushed = m.refill(w, at)
+		applied = applied || flushed
+	}
 	if ok {
-		return t, at, true, applied
+		sh.open = at
 	}
-	t, at, ok, flushed := m.refill(w, at)
-	return t, at, ok, applied || flushed
+	return t, at, ok, applied
 }
 
 // steal sweeps the other shards and CAS-steals up to half of the first
@@ -245,7 +284,8 @@ func (m *sharded) refill(w int, at clock.Stamp) (_ core.Task, _ clock.Stamp, _, 
 }
 
 // complete accumulates t in worker w's local batch, submitting the batch
-// to the state machine in one lock acquisition when it fills.
+// to the state machine in one lock acquisition when it fills. A zero at
+// comes back zero unless the batch was flushed.
 func (m *sharded) complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, bool) {
 	sh := &m.shards[w]
 	sh.done = append(sh.done, t)
@@ -257,9 +297,10 @@ func (m *sharded) complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, boo
 
 // flush applies worker w's completion batch under the global lock,
 // charging the visit from at (see enter in serial.go) to the reading it
-// returns.
+// returns. The worker's compute stretch ends where the visit begins: at,
+// read here when the caller has not read the clock since the stretch began.
 func (m *sharded) flush(w int, at clock.Stamp) clock.Stamp {
-	t0 := enter(&m.mu, at)
+	t0 := enter(&m.mu, m.shards[w].closeStretch(at))
 	defer m.mu.Unlock()
 	m.flushLocked(w)
 	now := clock.Now()
@@ -268,23 +309,27 @@ func (m *sharded) flush(w int, at clock.Stamp) clock.Stamp {
 }
 
 // flushLocked applies worker w's accumulated completions to the state
-// machine and reports whether a batch was applied. Caller holds m.mu.
+// machine, folding their count and compute time — the worker's stretches
+// closed since its last visit — into the manager's totals, and reports
+// whether a batch was applied. Caller holds m.mu and has closed w's stretch.
 func (m *sharded) flushLocked(w int) bool {
 	sh := &m.shards[w]
 	if len(sh.done) == 0 {
 		return false
 	}
 	// A batch arriving after the run failed (abort, cancellation, earlier
-	// panic) is dropped, not applied — nothing may mutate the state machine
-	// after the failure point, because the pool and Job.Wait read its
-	// statistics as soon as the job is retired.
+	// panic) is dropped, not applied or counted — nothing may mutate the
+	// state machine or the totals after the failure point, because the pool
+	// and Job.Wait read both as soon as the job is retired.
 	applied := m.err == nil
 	if applied {
+		m.tasks += int64(len(sh.done))
+		m.compute += sh.compute
 		if err := applyBatch(m.sm, sh.done); err != nil {
 			m.failLocked(err)
 		}
 	}
-	sh.done = sh.done[:0]
+	sh.done, sh.compute = sh.done[:0], 0
 	return applied
 }
 
@@ -342,8 +387,8 @@ func (m *sharded) Abort(err error) {
 	m.failLocked(err)
 }
 
-func (m *sharded) Mgmt() time.Duration {
+func (m *sharded) Totals() (compute, mgmt time.Duration, tasks int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.mgmt + time.Duration(m.stealNS.Load())
+	return m.compute, m.mgmt + time.Duration(m.stealNS.Load()), m.tasks
 }

@@ -122,11 +122,11 @@ func TestStealSweepRotation(t *testing.T) {
 
 // TestStealTimeCountsAsMgmt: steal sweeps run CAS loops and deque
 // transfers outside the global lock, so their time must still be folded
-// into Mgmt() — otherwise reported computation-to-management ratios
+// into Totals' management time — otherwise reported computation-to-management ratios
 // undercount sharded management.
 func TestStealTimeCountsAsMgmt(t *testing.T) {
 	m := shardedForTest(2, 8, 4)
-	before := m.Mgmt()
+	_, before, _ := m.Totals()
 	m.load(1, []core.Task{mkTask(1), mkTask(2)})
 	if _, _, ok := m.steal(0, clock.Now()); !ok {
 		t.Fatal("steal failed")
@@ -134,8 +134,8 @@ func TestStealTimeCountsAsMgmt(t *testing.T) {
 	if m.stealNS.Load() <= 0 {
 		t.Fatal("steal sweep recorded no time")
 	}
-	if got := m.Mgmt(); got <= before {
-		t.Errorf("Mgmt() = %v after a steal, want > %v (steal time folded in)", got, before)
+	if _, got, _ := m.Totals(); got <= before {
+		t.Errorf("management time = %v after a steal, want > %v (steal time folded in)", got, before)
 	}
 }
 

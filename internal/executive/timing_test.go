@@ -77,7 +77,7 @@ func TestSerialMgmtExcludesLockWait(t *testing.T) {
 		if sm.completed != sm.n {
 			t.Fatalf("%v: completed %d of %d tasks", kind, sm.completed, sm.n)
 		}
-		mgmt := mgr.Mgmt()
+		_, mgmt, _ := mgr.Totals()
 		if mgmt < sm.slept {
 			t.Errorf("%v: Mgmt %v is less than the %v spent inside completion processing", kind, mgmt, sm.slept)
 		}

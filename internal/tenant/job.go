@@ -32,8 +32,8 @@ type Job struct {
 	// while the job is Running), guarded by pool.mu.
 	pol share.Job
 
-	compute         atomic.Int64 // nanoseconds of granule work
-	tasks           atomic.Int64
+	// The job's compute time and task count live in its managers, totalled
+	// under the lock each already holds (attempt.totals).
 	backfillTasks   atomic.Int64 // tasks run by foreign-home workers
 	backfillCompute atomic.Int64
 
@@ -44,7 +44,7 @@ type Job struct {
 	// lastTouch is the clock.Stamp of the job's last dispatch or
 	// completion submission — the watchdog's wedge signal, an interval
 	// measured on the monotonic clock so a wall-clock step cannot fail a
-	// healthy job.
+	// healthy job. Stored only while the watchdog is armed (Pool.watchOn).
 	lastTouch atomic.Int64
 	// deadline is the job's deadline timer (nil without one), stopped
 	// when the job finishes. Guarded by pool.mu.
@@ -109,9 +109,10 @@ func (j *Job) Class() string { return j.cfg.Class }
 // the blocking form of "reached a terminal state".
 func (j *Job) State() State { return State(j.state.Load()) }
 
-// Tasks reports how many tasks the job has completed so far. Safe to
-// poll while the job runs (monotonic, eventually consistent).
-func (j *Job) Tasks() int64 { return j.tasks.Load() }
+// Tasks reports how many of the job's tasks have had their completions
+// applied so far, dead attempts' included. Safe to poll while the job runs
+// (monotonic; one entry of the current manager's lock).
+func (j *Job) Tasks() int64 { return j.cur.Load().totals().tasks }
 
 // Done returns a channel closed when the job finishes (successfully or
 // not).
@@ -124,18 +125,20 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // job (the Runner fills it in for a one-job run, where the two coincide).
 func (j *Job) Wait() (*executive.Report, error) {
 	<-j.done
-	// Scheduler statistics and management time come from one attempt, the
-	// job's last. An async manager's management goroutine may still be
+	// Scheduler statistics come from one attempt, the job's last; the totals
+	// from that attempt's manager and the constant it carries for the
+	// attempts before. An async manager's management goroutine may still be
 	// winding down for a moment after the job is retired; join it so the
 	// statistics are quiescent.
 	a := j.cur.Load()
 	a.mgr.Join()
+	tot := a.totals()
 	rep := &executive.Report{
 		Manager: j.pool.cfg.Manager,
 		Wall:    j.end.Sub(j.submitted),
-		Compute: time.Duration(j.compute.Load()),
-		Mgmt:    a.mgmt(),
-		Tasks:   j.tasks.Load(),
+		Compute: tot.compute,
+		Mgmt:    tot.mgmt,
+		Tasks:   tot.tasks,
 		Sched:   a.sched.Stats(),
 	}
 	if rep.Mgmt > 0 {

@@ -9,8 +9,8 @@ package tenant
 // an edge of the table below; anything else panics, so a new lifecycle bug
 // is a test failure, not one more flag. Everything a worker, Wait, a
 // report or the stall probe needs from the running program — its
-// scheduler, its manager, its number, the management time of the attempts
-// before it — hangs off one immutable attempt, read with one pointer load,
+// scheduler, its manager, its number, the totals of the attempts before it
+// — hangs off one immutable attempt, read with one pointer load,
 // so no reader can pair one attempt's manager with another's scheduler. A
 // worker carries the attempt it took a task from and completes to that
 // attempt's manager; after a retry that manager is the aborted one, whose
@@ -89,11 +89,24 @@ type attempt struct {
 	n     int // 1 for the first attempt
 	sched *core.Scheduler
 	mgr   executive.Manager
-	prior time.Duration // management time of attempts 1..n-1
+	prior totals // of attempts 1..n-1
 }
 
-// mgmt is the job's management time up to and including this attempt.
-func (a *attempt) mgmt() time.Duration { return a.prior + a.mgr.Mgmt() }
+// totals is what a job's managers measured: the compute time and count of
+// the tasks whose completions they applied, and their management time.
+type totals struct {
+	compute, mgmt time.Duration
+	tasks         int64
+}
+
+// totals is the job's totals up to and including this attempt: one entry
+// of the manager's lock, so the three agree with each other, and with a
+// done Outcome read after it. A dead attempt's compute and tasks stopped
+// moving when it failed, so the next attempt carries them as a constant.
+func (a *attempt) totals() totals {
+	c, m, n := a.mgr.Totals()
+	return totals{a.prior.compute + c, a.prior.mgmt + m, a.prior.tasks + n}
+}
 
 // newAttempt compiles j's program into the attempt that follows prev (nil
 // for the first). Called outside p.mu: compiling is the expensive part.
@@ -121,7 +134,7 @@ func (p *Pool) newAttempt(j *Job, prev *attempt) (*attempt, error) {
 	mgr.SetNotify(p.progress)
 	a := &attempt{job: j, n: 1, sched: sched, mgr: mgr}
 	if prev != nil {
-		a.n, a.prior = prev.n+1, prev.mgmt()
+		a.n, a.prior = prev.n+1, prev.totals()
 	}
 	return a, nil
 }
@@ -231,7 +244,9 @@ func (p *Pool) activate(j *Job, from State) {
 		}
 	}
 	j.cur.Load().mgr.Start()
-	j.lastTouch.Store(int64(clock.Now()))
+	if p.watchOn {
+		j.lastTouch.Store(int64(clock.Now()))
+	}
 	p.active = append(p.active, j)
 	if p.met != nil {
 		p.met.ActiveJobs.Set(int64(len(p.active)))

@@ -152,11 +152,12 @@ func TestPoolAbortDuringRetryRecompile(t *testing.T) {
 		j.Abort(boom)
 		rep, werr := j.Wait()
 		checkTerminal(t, j, werr)
-		// One attempt, one report: the scheduler statistics and the
-		// management time are the last attempt's, whichever that was.
-		if a := j.cur.Load(); rep.Sched != a.sched.Stats() || rep.Mgmt != a.mgmt() {
-			t.Fatalf("round %d: report stitched from two attempts: sched %+v mgmt %v, attempt %d has %+v and %v",
-				i, rep.Sched, rep.Mgmt, a.n, a.sched.Stats(), a.mgmt())
+		// One attempt, one report: the scheduler statistics and the totals
+		// are the last attempt's, whichever that was.
+		a := j.cur.Load()
+		if tot := a.totals(); rep.Sched != a.sched.Stats() || (totals{rep.Compute, rep.Mgmt, rep.Tasks}) != tot {
+			t.Fatalf("round %d: report stitched from two attempts: sched %+v compute %v mgmt %v tasks %d, attempt %d has %+v and %+v",
+				i, rep.Sched, rep.Compute, rep.Mgmt, rep.Tasks, a.n, a.sched.Stats(), tot)
 		}
 		poolRep, _ := p.Close()
 		if want := int64(j.Attempts() - 1); poolRep.Retries != want {

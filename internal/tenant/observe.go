@@ -11,8 +11,8 @@ import (
 // Config.Observer is sampled by a dedicated goroutine at
 // Config.ObservePeriod for as long as the pool lives, and Close emits
 // one Final snapshot built from the pool report. Sampling only reads
-// counters the pool and its jobs already maintain, so observation does
-// not perturb dispatch.
+// totals the pool and its jobs' managers already keep (one entry of each
+// manager's lock per sample), so observation does not perturb dispatch.
 
 // Snapshot is one observation of a live pool. All values are cumulative
 // since NewPool. The json tags pin the service daemon's pool-status and
@@ -63,9 +63,10 @@ func (p *Pool) snapshot() Snapshot {
 		Idle:            time.Duration(p.idleNS.Load()),
 	}
 	for _, j := range jobs {
-		sn.Tasks += j.tasks.Load()
-		sn.Compute += time.Duration(j.compute.Load())
-		sn.Mgmt += j.cur.Load().mgmt()
+		tot := j.cur.Load().totals()
+		sn.Tasks += tot.tasks
+		sn.Compute += tot.compute
+		sn.Mgmt += tot.mgmt
 	}
 	sn.Utilization, sn.OverheadShare = telemetry.Shares(
 		int64(sn.Compute), int64(sn.Mgmt), p.cfg.Workers, int64(sn.Elapsed))

@@ -487,10 +487,10 @@ func (d *stallDriver) Start() {}
 func (d *stallDriver) Enter(_ int, _ core.Task, at clock.Stamp, _ executive.Ask) (core.Task, clock.Stamp, bool, bool) {
 	return core.Task{}, at, false, false
 }
-func (d *stallDriver) Flush(_ int, at clock.Stamp) (clock.Stamp, bool) { return at, false }
-func (d *stallDriver) Mgmt() time.Duration                             { return 0 }
-func (d *stallDriver) Join()                                           {}
-func (d *stallDriver) SetNotify(func())                                {}
+func (d *stallDriver) Flush(_ int, at clock.Stamp) (clock.Stamp, bool)    { return at, false }
+func (d *stallDriver) Totals() (compute, mgmt time.Duration, tasks int64) { return 0, 0, 0 }
+func (d *stallDriver) Join()                                              {}
+func (d *stallDriver) SetNotify(func())                                   {}
 func (d *stallDriver) Abort(err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -67,9 +67,10 @@ func (p *Pool) report() *Report {
 		Retries:         p.retries.Load(),
 	}
 	for _, j := range p.jobs {
-		r.Compute += time.Duration(j.compute.Load())
-		r.Mgmt += j.cur.Load().mgmt()
-		r.Tasks += j.tasks.Load()
+		tot := j.cur.Load().totals()
+		r.Compute += tot.compute
+		r.Mgmt += tot.mgmt
+		r.Tasks += tot.tasks
 	}
 	if r.Compute > 0 {
 		r.BackfillShare = float64(r.BackfillCompute) / float64(r.Compute)

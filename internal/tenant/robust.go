@@ -62,21 +62,45 @@ func (p *Pool) injectTask(w int, j *Job, task core.Task, work *core.WorkFn) (fau
 	return fx, nil
 }
 
-// holdCompletion applies the completion-side faults after the task ran:
-// the stuck-grain withhold, the wedge, and the management-submission
-// delay. On the pool a WorkerWedge blocks the completion until the Plan is
-// released (Close calls ReleaseAll), so only the watchdog or a deadline
-// can fail the wedged job — the injected hang the stall machinery exists
-// to detect. Only called with a non-nil plan.
-func (p *Pool) holdCompletion(w int, j *Job, fx fault.Effects) {
+// holdCompletion applies the faults that hold a finished task's completion
+// back on the worker: the stuck-grain withhold and the wedge. Both end
+// before the task's compute-end reading, so they count as its compute. On
+// the pool a WorkerWedge blocks the completion until the Plan is released
+// (Close calls ReleaseAll), so only the watchdog or a deadline can fail the
+// wedged job — the injected hang the stall machinery exists to detect. Only
+// called with a non-nil plan.
+func (p *Pool) holdCompletion(fx fault.Effects) {
 	fault.Sleep(fx.Stall)
 	if fx.Wedged {
+		// A captive never submits this completion to a live attempt and may
+		// enter no lock again before the retry rewrites the granules it
+		// just wrote. Entering p.mu — which reactivate holds when it swaps
+		// the next attempt in — orders the captive's writes before every
+		// task of that attempt. (A task of the dead attempt still *running*
+		// when the swap happens has no such edge: ROADMAP 2(c), open.)
+		p.mu.Lock()
+		p.mu.Unlock()
 		<-p.plan.Release()
 	}
-	if d, ok := p.plan.Mgmt(j.idx, time.Since(p.start).Nanoseconds()); ok {
+}
+
+// delayCompletion consults the plan for a management-submission delay on
+// j's next completion and returns the reading the completing entry is
+// charged from. That reading is taken after the consultation, so the
+// consultation and the per-task records before it are the tail of the
+// task's compute and an armed plan alone adds nothing to a job's management
+// time; and before the delay, which is thereby management wherever the
+// entry that follows is (the serial manager; a sharded flush or refill) and
+// otherwise falls where any gap between a stamped task's end and the next
+// dispatch falls. Only called with a non-nil plan.
+func (p *Pool) delayCompletion(w int, j *Job) clock.Stamp {
+	d, ok := p.plan.Mgmt(j.idx, time.Since(p.start).Nanoseconds())
+	at := clock.Now()
+	if ok {
 		p.noteFault(w, j.idx, fault.MgmtDelay)
 		fault.Sleep(d)
 	}
+	return at
 }
 
 // ---- failure handling: retry, deadline, watchdog ----

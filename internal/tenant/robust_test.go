@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -331,6 +332,52 @@ func TestPoolWedgedWorkerProbe(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPoolWatchdogSparesSlowBatches: the watchdog's wedge signal is a
+// job's last dispatch or completion, touched per task while the watchdog
+// is armed — not its last visit to the executive. A healthy sharded job
+// whose tasks each take over a quarter of the stall timeout goes sixteen
+// tasks, several timeouts, between lock entries (Batch and the deque
+// refill are both 16), beside a co-tenant the injected wedge does get
+// failed, and must not be flagged with it.
+func TestPoolWatchdogSparesSlowBatches(t *testing.T) {
+	const timeout = 40 * time.Millisecond
+	p, err := NewPool(Config{
+		Workers: 2, Manager: executive.ShardedManager, DequeCap: 16, Batch: 16,
+		StallTimeout: timeout,
+		Faults: &fault.Spec{Rules: []fault.Rule{{
+			Kind: fault.WorkerWedge, Worker: -1, Job: -1, Phase: -1, Count: 1,
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedgedProg, _, _, _ := buildCopyChain(t, 32)
+	wedged, err := p.Submit(wedgedProg, core.Options{}, JobConfig{Name: "wedged"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A wedge strikes a worker, whatever it runs: spend it on the first job.
+	for p.plan.Fired(fault.WorkerWedge) == 0 {
+		runtime.Gosched()
+	}
+	slow, err := p.Submit(buildSleepChain(t, 2, 16, timeout/4+2*time.Millisecond),
+		core.Options{Grain: 1}, JobConfig{Name: "slow"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wedged.Wait(); err == nil || !strings.Contains(err.Error(), "wedged") {
+		t.Errorf("wedged job error = %v, want a wedge diagnosis", err)
+	}
+	rep, err := slow.Wait()
+	if err != nil {
+		t.Fatalf("healthy job of slow tasks failed beside the wedge: %v", err)
+	}
+	if rep.Wall < 4*timeout {
+		t.Errorf("slow job took %v: too short to have outlasted the %v stall timeout between flushes", rep.Wall, timeout)
+	}
+	p.Close()
 }
 
 // TestPoolWedgeRetryRecovers pairs the wedge with a retry budget: the

@@ -178,9 +178,11 @@ type Pool struct {
 	// epoch bumps (under mu) whenever pol re-apportions the homes, so workers
 	// can cache their home job and re-read only on change.
 	epoch atomic.Uint64
-	// gen counts progress events (task acquired, completion submitted,
-	// job submitted or finished). A worker parks only if gen is unchanged
-	// since its dry sweep began; see park.
+	// gen counts progress events — what a parked or parking worker must
+	// hear about: completions applied to a state machine, a job activated,
+	// backed off or retired, a manager's notify. A dispatch is not one:
+	// nothing a dry sweep missed became dispatchable by it. A worker parks
+	// only if gen is unchanged since its dry sweep began; see park.
 	gen atomic.Uint64
 	// nWaiting counts workers inside cond.Wait. Modified only under mu,
 	// read lock-free by progress to skip the broadcast when nobody waits.
@@ -202,6 +204,11 @@ type Pool struct {
 	watchStop chan struct{}
 	watchDone chan struct{}
 	watchOn   bool
+	// stamped says something consumes per-task clock stamps — a recorder, a
+	// metric set, an armed fault plan, an armed watchdog — so runTask takes
+	// them for every task; without any of those only backfill tasks are
+	// stamped (see runTask). Fixed at NewPool.
+	stamped bool
 
 	closeOnce sync.Once
 	closeRep  *Report
@@ -266,6 +273,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		p.watchDone = make(chan struct{})
 		go p.watchdog(timeout)
 	}
+	p.stamped = cfg.Trace != nil || p.met != nil || p.plan != nil || p.watchOn
 	p.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go func(w int) {
@@ -431,33 +439,34 @@ func (p *Pool) Abort(err error) {
 // overlap-first.
 //
 // The worker keeps one clock chain (see internal/clock): now is its
-// latest reading, replaced by the stamp each manager call returns. A
-// manager entered without contention charges from the stamp it is handed,
-// so the chain is handed on only where nothing that can block sits
-// between the reading and the call (Flush, the probes within one sweep,
-// the completing Enter — its one intervening step, the trace record, is a
-// store into the worker's own ring that no reader can delay); the sweep
-// starts from a fresh reading, because pool-level work that can block
-// sits before it (see sweep).
+// latest reading, replaced by the stamp each manager call returns — zero
+// while a compute stretch runs on unread (see runTask). A manager entered
+// without contention charges from the stamp it is handed, so the chain is
+// handed on only where nothing that can block sits between the reading and
+// the call (the probes within one sweep, the completing Enter — its one
+// intervening step, the trace record, is a store into the worker's own ring
+// that no reader can delay, and an injected MgmtDelay sleeps there in order
+// to be charged as management); the sweep starts from a fresh reading,
+// because pool-level work that can block sits before it (see sweep).
 func (p *Pool) worker(ctx context.Context, w int) {
 	defer p.wg.Done()
 	var cache homeCache
 	var labeled *Job // job currently named in this goroutine's pprof labels
-	// The attempt the previous task was taken from: after a retry swaps a
-	// fresh attempt into the job, this worker's batched completions still
-	// belong to the old (aborted) one and must be flushed there, where the
-	// post-failure gate drops them.
+	// The attempt the previous task was taken from: the sweep flushes this
+	// worker's batched completions there before it asks another attempt for
+	// work (see sweep). After a retry swaps a fresh attempt into the job the
+	// batch still belongs to the old (aborted) one and is flushed there,
+	// where the post-failure gate drops it.
 	var last *attempt
 	now := clock.Now()
 	for {
 		g0 := p.gen.Load()
 		asked := now
-		a, task, backfill, at, ok := p.sweep(w, &cache)
-		now = at
+		a, task, backfill, at, ok := p.sweep(w, &cache, last)
+		now, last = at, a
 		if !ok {
 			// Dry sweep: every active job's probe flushed this worker's
 			// batch and found nothing dispatchable.
-			last = nil
 			var exit bool
 			if exit, now = p.park(w, g0, now); exit {
 				return
@@ -481,18 +490,6 @@ func (p *Pool) worker(ctx context.Context, w int) {
 				// imposes on a task.
 				p.met.DispatchWait.Observe(int64(now - asked))
 			}
-			if last != nil && last != a {
-				// The previous job's completions must not linger in this
-				// worker's batch while it works elsewhere: a job's final
-				// completions would otherwise wait for this worker's next
-				// dry sweep, stretching that job's observed makespan.
-				var applied bool
-				if now, applied = last.mgr.Flush(w, now); applied {
-					p.settle(last)
-					p.progress()
-				}
-			}
-			last = a
 			var ran, crash bool
 			if now, ran, crash = p.runTask(w, a, task, backfill, now); !ran {
 				break
@@ -515,13 +512,29 @@ func (p *Pool) worker(ctx context.Context, w int) {
 // runTask executes task outside every lock and records it, up to the
 // point where the completion is due at a's manager. Panics in user work
 // fail the attempt, not the pool: ran=false means the attempt was aborted
-// and there is no completion to submit. now is the dispatch stamp — the
-// start of the task's compute interval — and the stamp returned is the
-// worker's latest reading, the one the completing Enter is charged from.
-// crash is an injected WorkerCrash's verdict on the worker (see crash).
+// and there is no completion to submit. crash is an injected WorkerCrash's
+// verdict on the worker (see crash).
+//
+// The task is stamped — now is its dispatch stamp, the start of its compute
+// interval, and the stamp returned is the reading taken when its work (and
+// any injected stall or wedge, which count as its compute) ended, the one
+// the completing Enter is charged from; an armed plan reads once more,
+// after its consultation (see delayCompletion) — only when something
+// consumes the stamps: the pool's recorder, metric set, fault plan or
+// watchdog (stamped), or the backfill accounting. Otherwise the worker's
+// time does not change category here: the clock is not read, nothing shared is written, the
+// stamp returned is zero, and the job's manager reads the clock when it
+// next does management (executive.Manager, "Clock discipline"). The task's
+// time and count are totalled by the manager either way.
 func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clock.Stamp) (end clock.Stamp, ran, crash bool) {
 	j := a.job
-	j.lastTouch.Store(int64(now))
+	work := j.prog.Phases[task.Phase].Work
+	if !p.stamped && !backfill {
+		return 0, p.ran(a, executive.RunTask(work, task)), false
+	}
+	if p.watchOn {
+		j.lastTouch.Store(int64(now))
+	}
 	if p.met != nil {
 		p.met.Dispatches.Inc(w)
 	}
@@ -535,7 +548,6 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 				int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), 0)
 		}
 	}
-	work := j.prog.Phases[task.Phase].Work
 	var fx fault.Effects
 	var err error
 	if p.plan != nil {
@@ -545,19 +557,18 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 		err = executive.RunTask(work, task)
 	}
 	end = clock.Now()
-	if err == nil && fx.Factor > 1 {
+	if !p.ran(a, err) {
+		return end, false, false
+	}
+	if fx.Factor > 1 {
 		fault.Stretch(end.Sub(now), fx.Factor)
 		end = clock.Now()
 	}
-	dur := end.Sub(now)
-
-	if err != nil {
-		a.mgr.Abort(transient{err})
-		p.settle(a)
-		return end, false, false
+	if fx.Stall > 0 || fx.Wedged {
+		p.holdCompletion(fx)
+		end = clock.Now()
 	}
-	j.compute.Add(int64(dur))
-	j.tasks.Add(1)
+	dur := end.Sub(now)
 	if p.met != nil {
 		p.met.ComputeTime.Add(w, int64(dur))
 		p.met.Completions.Inc(w)
@@ -579,10 +590,6 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 			}
 		}
 	}
-	if p.plan != nil {
-		p.holdCompletion(w, j, fx)
-		end = clock.Now()
-	}
 	// Recorded BEFORE the completion is submitted to management, so any
 	// dispatch it enables carries a larger Seq (the causal edge replay
 	// and diff rely on).
@@ -590,8 +597,24 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 		ring.Record(trace.KComplete, p.cfg.Trace.At(end), int32(w), int32(j.idx),
 			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
 	}
-	j.lastTouch.Store(int64(end))
+	if p.watchOn {
+		j.lastTouch.Store(int64(end))
+	}
+	if p.plan != nil {
+		end = p.delayCompletion(w, j)
+	}
 	return end, true, fx.Crash
+}
+
+// ran reports whether a task's work returned without error; one that did not
+// — a work error, a panic, an injected failure — fails its attempt with an
+// error a retry may cure.
+func (p *Pool) ran(a *attempt, err error) bool {
+	if err != nil {
+		a.mgr.Abort(transient{err})
+		p.settle(a)
+	}
+	return err == nil
 }
 
 // crash retires worker w for good — fault.WorkerCrash, graceful capacity

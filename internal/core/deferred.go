@@ -66,7 +66,7 @@ func (s *Scheduler) DeferredMgmt() (cost Cost, ok bool) {
 			return 0, true
 		}
 		if pr.pendingTab == nil {
-			pr.pendingTab = s.constructTable(pr, next)
+			pr.pendingTab = s.constructTable(pr)
 			pr.buildLeft = Cost(pr.pendingTab.BuildCost()) * s.opt.Costs.MapEntry
 		}
 		// Incremental construction: charge at most one chunk of map work

@@ -91,46 +91,61 @@ func NewProgram(phases ...*Phase) (*Program, error) {
 
 // Validate checks the program's static well-formedness: unique names,
 // non-negative granule counts, mapping specs that stay in range, and the
-// serial-action/null-mapping consistency rule.
+// serial-action/null-mapping consistency rule. Checking a mapping spec is
+// compiling it (enable.Spec.Compile), which happens once per program: a
+// second Validate, or a New, of the same program calls no mapping function.
 func (p *Program) Validate() error {
+	_, err := p.compile()
+	return err
+}
+
+// compile validates the program and returns, per phase, the compiled
+// enablement map to its successor (nil where the mapping is null).
+func (p *Program) compile() ([]*enable.Map, error) {
 	if len(p.Phases) == 0 {
-		return fmt.Errorf("core: program has no phases")
+		return nil, fmt.Errorf("core: program has no phases")
 	}
+	maps := make([]*enable.Map, len(p.Phases))
 	seen := make(map[string]bool, len(p.Phases))
 	for i, ph := range p.Phases {
 		if ph == nil {
-			return fmt.Errorf("core: phase %d is nil", i)
+			return nil, fmt.Errorf("core: phase %d is nil", i)
 		}
 		if ph.Name == "" {
-			return fmt.Errorf("core: phase %d has empty name", i)
+			return nil, fmt.Errorf("core: phase %d has empty name", i)
 		}
 		if seen[ph.Name] {
-			return fmt.Errorf("core: duplicate phase name %q", ph.Name)
+			return nil, fmt.Errorf("core: duplicate phase name %q", ph.Name)
 		}
 		seen[ph.Name] = true
 		if ph.Granules < 0 {
-			return fmt.Errorf("core: phase %q has negative granule count", ph.Name)
+			return nil, fmt.Errorf("core: phase %q has negative granule count", ph.Name)
 		}
 		if ph.SerialCost < 0 {
-			return fmt.Errorf("core: phase %q has negative serial cost", ph.Name)
+			return nil, fmt.Errorf("core: phase %q has negative serial cost", ph.Name)
 		}
-		if i+1 < len(p.Phases) {
-			next := p.Phases[i+1]
-			if ph.Enable != nil && ph.Enable.Kind != enable.Null {
-				if next.SerialBefore != nil || next.SerialCost > 0 {
-					return fmt.Errorf(
-						"core: phase %q declares %v mapping but successor %q requires a serial action; the mapping must be null",
-						ph.Name, ph.Enable.Kind, next.Name)
-				}
-				if err := ph.Enable.Validate(ph.Granules, next.Granules); err != nil {
-					return fmt.Errorf("core: phase %q -> %q: %w", ph.Name, next.Name, err)
-				}
-			}
-		} else if ph.Enable != nil && ph.Enable.Kind != enable.Null {
-			return fmt.Errorf("core: final phase %q declares a successor mapping", ph.Name)
+		if ph.EnableKind() == enable.Null {
+			continue
 		}
+		if i+1 == len(p.Phases) {
+			return nil, fmt.Errorf("core: final phase %q declares a successor mapping", ph.Name)
+		}
+		next := p.Phases[i+1]
+		if next == nil {
+			continue // reported on its own turn
+		}
+		if next.SerialBefore != nil || next.SerialCost > 0 {
+			return nil, fmt.Errorf(
+				"core: phase %q declares %v mapping but successor %q requires a serial action; the mapping must be null",
+				ph.Name, ph.Enable.Kind, next.Name)
+		}
+		m, err := ph.Enable.Compile(ph.Granules, next.Granules)
+		if err != nil {
+			return nil, fmt.Errorf("core: phase %q -> %q: %w", ph.Name, next.Name, err)
+		}
+		maps[i] = m
 	}
-	return nil
+	return maps, nil
 }
 
 // TotalGranules sums granule counts across phases.

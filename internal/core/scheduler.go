@@ -36,6 +36,7 @@ type phaseRun struct {
 	nQueued    int // granules currently in the waiting queue
 
 	// Overlap state for the pair (this phase -> next program phase).
+	emap          *enable.Map   // the pair's compiled relation, shared with every run of the program; nil = null
 	tab           *enable.Table // nil until overlap is prepared
 	pendingTab    *enable.Table // built but unpublished (incremental map build)
 	buildLeft     Cost          // map-construction work still to charge
@@ -121,7 +122,8 @@ func (s *Scheduler) putDesc(d *desc) {
 
 // New constructs a scheduler for prog with the given options.
 func New(prog *Program, opt Options) (*Scheduler, error) {
-	if err := prog.Validate(); err != nil {
+	maps, err := prog.compile()
+	if err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults(prog)
@@ -135,6 +137,7 @@ func New(prog *Program, opt Options) (*Scheduler, error) {
 			spec:       ph,
 			idx:        granule.PhaseID(i),
 			total:      ph.Granules,
+			emap:       maps[i],
 			completed:  granule.NewSet(),
 			dispatched: granule.NewSet(),
 		})

@@ -555,6 +555,7 @@ func TestProgramValidation(t *testing.T) {
 	}{
 		{"empty", nil},
 		{"nil phase", []*Phase{nil}},
+		{"nil phase after a mapping", []*Phase{{Name: "x", Granules: 1, Enable: enable.NewUniversal()}, nil}},
 		{"empty name", []*Phase{{Name: "", Granules: 1}}},
 		{"dup name", []*Phase{{Name: "x", Granules: 1}, {Name: "x", Granules: 1}}},
 		{"negative granules", []*Phase{{Name: "x", Granules: -1}}},

@@ -58,8 +58,7 @@ func (s *Scheduler) advance() Cost {
 			// cancelled no-op.
 			if s.current > 0 {
 				prev := s.phases[s.current-1]
-				if s.opt.Overlap && prev.spec.Enable != nil &&
-					prev.spec.Enable.Kind != enable.Null &&
+				if s.opt.Overlap && prev.emap != nil &&
 					prev.tab == nil && pr.total > 0 {
 					cost += s.enqueueRange(pr, granule.Span(pr.total), queue.Normal)
 				}
@@ -154,8 +153,7 @@ func (s *Scheduler) prepareOverlap(c int) Cost {
 		return 0
 	}
 	pr := s.phases[c]
-	spec := pr.spec.Enable
-	if spec == nil || spec.Kind == enable.Null {
+	if pr.emap == nil {
 		return 0
 	}
 	next := s.phases[c+1]
@@ -165,7 +163,7 @@ func (s *Scheduler) prepareOverlap(c int) Cost {
 	next.state = PhaseOverlapped
 	next.nextActivated = true
 
-	if spec.Kind.Indirect() && !s.opt.InlineMaps {
+	if pr.emap.Kind().Indirect() && !s.opt.InlineMaps {
 		s.deferred = append(s.deferred, deferredItem{
 			kind: deferBuildTable, predPhase: c, succPhase: c + 1,
 		})
@@ -181,21 +179,18 @@ func (s *Scheduler) prepareOverlap(c int) Cost {
 // The paper: the map "would have to be generated by the executive at or
 // after first phase initiation but before any second phase enablements".
 func (s *Scheduler) buildPair(pr, next *phaseRun) Cost {
-	tab := s.constructTable(pr, next)
+	tab := s.constructTable(pr)
 	tcost := Cost(tab.BuildCost()) * s.opt.Costs.MapEntry
 	s.stats.TableCost += tcost
 	return tcost + s.publishPair(pr, next, tab)
 }
 
-// constructTable builds the enablement table for the pair (no publication,
-// no cost charging).
-func (s *Scheduler) constructTable(pr, next *phaseRun) *enable.Table {
-	tab, err := enable.Build(pr.spec.Enable, pr.total, next.total)
-	if err != nil {
-		// Validate() passed at New; a failure here means the mapping
-		// functions are impure, which is a programming error.
-		panic(fmt.Sprintf("core: enablement table build failed at runtime: %v", err))
-	}
+// constructTable makes this run's table over pr's compiled map (no
+// publication, no cost charging). The program compiled the map, so this is
+// a counter copy that cannot fail; it is still counted — and by its callers
+// charged — as the modelled executive's map generation.
+func (s *Scheduler) constructTable(pr *phaseRun) *enable.Table {
+	tab := pr.emap.NewTable()
 	s.stats.TableBuilds++
 	s.stats.TableEntries += tab.BuildCost()
 	return tab
@@ -206,7 +201,7 @@ func (s *Scheduler) constructTable(pr, next *phaseRun) *enable.Table {
 // granules, attaches identity conflict-queue descriptions, and plans the
 // indirect successor subset.
 func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
-	spec := pr.spec.Enable
+	kind := tab.Kind()
 	var cost Cost
 
 	pr.tab = tab
@@ -245,13 +240,13 @@ func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 
 	// Identity via conflict queues: attach successor descriptions to the
 	// queued current-phase descriptions they are enabled by.
-	if spec.Kind == enable.Identity && s.opt.IdentityVia == IdentityConflictQueue {
+	if kind == enable.Identity && s.opt.IdentityVia == IdentityConflictQueue {
 		cost += s.attachIdentitySuccessors(pr, next)
 	}
 
 	// Indirect mappings: plan a successor subset, elevate its enabling
 	// current-phase granules, and arm the enablement counter.
-	if spec.Kind.Indirect() && s.opt.Elevate {
+	if kind.Indirect() && s.opt.Elevate {
 		cost += s.planSubset(pr, next, ready)
 	}
 	return cost

@@ -2,6 +2,7 @@ package enable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/granule"
@@ -88,7 +89,8 @@ func Verify(spec *Spec, pred AccessFn, nPred int, succ AccessFn, nSucc int) erro
 	if spec == nil {
 		spec = NewNull()
 	}
-	if err := spec.Validate(nPred, nSucc); err != nil {
+	m, err := spec.Compile(nPred, nSucc)
+	if err != nil {
 		return err
 	}
 	if spec.Kind == Null {
@@ -96,7 +98,7 @@ func Verify(spec *Spec, pred AccessFn, nPred int, succ AccessFn, nSucc int) erro
 	}
 	deps := Conflicts(pred, nPred, succ, nSucc)
 	for r := 0; r < nSucc; r++ {
-		req := requirementSet(spec, granule.ID(r), nPred)
+		req := m.requirementSet(granule.ID(r))
 		for _, q := range deps[r] {
 			if !req[q] {
 				return fmt.Errorf(
@@ -110,25 +112,23 @@ func Verify(spec *Spec, pred AccessFn, nPred int, succ AccessFn, nSucc int) erro
 
 // requirementSet returns the set of current granules whose completion the
 // mapping demands before enabling successor granule r.
-func requirementSet(spec *Spec, r granule.ID, nPred int) map[granule.ID]bool {
+func (m *Map) requirementSet(r granule.ID) map[granule.ID]bool {
 	req := make(map[granule.ID]bool)
-	switch spec.Kind {
+	switch m.kind {
 	case Universal:
 		// empty
 	case Identity:
-		if int(r) < nPred {
+		if int(r) < m.nPred {
 			req[r] = true
 		}
 	case ForwardIndirect:
-		for p := 0; p < nPred; p++ {
-			for _, rr := range spec.Forward(granule.ID(p)) {
-				if rr == r {
-					req[granule.ID(p)] = true
-				}
+		for p := 0; p < m.nPred; p++ {
+			if slices.Contains(m.row(granule.ID(p)), r) {
+				req[granule.ID(p)] = true
 			}
 		}
 	case ReverseIndirect, Seam:
-		for _, p := range spec.Requires(r) {
+		for _, p := range m.requirements(r) {
 			req[p] = true
 		}
 	}

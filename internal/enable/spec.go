@@ -2,6 +2,7 @@ package enable
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/granule"
 )
@@ -9,23 +10,37 @@ import (
 // ForwardFn maps a completed current-phase granule to the successor
 // granules it enables (the paper's forward information selection map; a
 // single-valued IMAP yields one-element slices). It must be pure.
+//
+// The returned slice is read before the next call and is never retained
+// or written, so a function may return a view of its own storage.
 type ForwardFn func(p granule.ID) []granule.ID
 
 // RequiresFn maps a successor granule to the current-phase granules that
 // must all complete before it is enabled (the paper's reverse mapping "from
 // desired second phase granule to required first phase granules"). It must
-// be pure.
+// be pure, and its result is read under ForwardFn's rule: before the next
+// call, never retained, never written.
 type RequiresFn func(r granule.ID) []granule.ID
 
 // Spec declares the enablement relation from one phase to its successor.
 // Construct Specs with the NewXxx constructors, which enforce that the
 // mapping functions required by each kind are present.
+//
+// A Spec is compiled once per phase-pair size (Compile) and the compiled
+// map is kept on it, so its fields must not change after first use and a
+// Spec is never copied by value.
 type Spec struct {
 	Kind Kind
 	// Forward is consulted for ForwardIndirect specs.
 	Forward ForwardFn
 	// Requires is consulted for ReverseIndirect and Seam specs.
 	Requires RequiresFn
+
+	// maps holds the relation compiled for each (nPred, nSucc) it has met
+	// — one entry unless the Spec is shared by pairs of different sizes.
+	// mu guards it, and is held while a mapping function runs.
+	mu   sync.Mutex
+	maps []*Map
 }
 
 // NewNull returns the mapping that forbids overlap.
@@ -53,7 +68,7 @@ func NewForwardIMAP(imap []granule.ID) *Spec {
 		if int(p) >= len(imap) {
 			return nil
 		}
-		return []granule.ID{imap[p]}
+		return imap[p : p+1]
 	})
 }
 
@@ -94,37 +109,29 @@ func NewSeam(neighbours RequiresFn) *Spec {
 	return &Spec{Kind: Seam, Requires: neighbours}
 }
 
-// Validate checks that the spec's functions, evaluated over nPred current
-// granules and nSucc successor granules, stay in range. It returns the
-// first out-of-range reference found.
-func (s *Spec) Validate(nPred, nSucc int) error {
-	switch s.Kind {
-	case Null, Universal, Identity:
-		return nil
-	case ForwardIndirect:
-		if s.Forward == nil {
-			return fmt.Errorf("enable: %v spec missing Forward function", s.Kind)
-		}
-		for p := 0; p < nPred; p++ {
-			for _, r := range s.Forward(granule.ID(p)) {
-				if r < 0 || int(r) >= nSucc {
-					return fmt.Errorf("enable: forward map sends %d to %d, outside successor [0,%d)", p, r, nSucc)
-				}
-			}
-		}
-		return nil
-	case ReverseIndirect, Seam:
-		if s.Requires == nil {
-			return fmt.Errorf("enable: %v spec missing Requires function", s.Kind)
-		}
-		for r := 0; r < nSucc; r++ {
-			for _, p := range s.Requires(granule.ID(r)) {
-				if p < 0 || int(p) >= nPred {
-					return fmt.Errorf("enable: requires map for %d names %d, outside predecessor [0,%d)", r, p, nPred)
-				}
-			}
-		}
-		return nil
+// Compile evaluates the relation over a phase pair of nPred current and
+// nSucc successor granules into its immutable compiled form. The first call
+// for a size calls each mapping function exactly once per granule — range
+// checks ride the same pass, and a panic in a mapping function comes back
+// as an error — and every later call returns the same Map without touching
+// the functions: compilation belongs to the program, not to each scheduler
+// built over it. Safe for concurrent use; mapping functions run under the
+// Spec's own lock and on the caller's goroutine only.
+func (s *Spec) Compile(nPred, nSucc int) (*Map, error) {
+	if nPred < 0 || nSucc < 0 {
+		return nil, fmt.Errorf("enable: negative phase size (%d, %d)", nPred, nSucc)
 	}
-	return fmt.Errorf("enable: invalid kind %v", s.Kind)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.maps {
+		if m.nPred == nPred && m.nSucc == nSucc {
+			return m, nil
+		}
+	}
+	m, err := compile(s, nPred, nSucc)
+	if err != nil {
+		return nil, err
+	}
+	s.maps = append(s.maps, m)
+	return m, nil
 }

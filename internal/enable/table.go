@@ -7,26 +7,15 @@ import (
 	"repro/internal/granule"
 )
 
-// Table is the runtime enablement state for one phase pair: the paper's
+// Map is the compiled form of a Spec over one phase pair: the paper's
 // "composite map of first phase granules that must be completed in order to
-// enable a particular second phase granule", plus the enablement counters
-// used during completion processing.
-//
-// Build charges a management cost proportional to the number of map entries
-// generated — the paper warns that "extensive composite granule map
-// generation could be self defeating" when executive computation comes at
-// the direct expense of worker computation. The scheduler charges that cost
-// to the management resource.
-//
-// Table is not safe for concurrent use; the (serial) executive owns it.
-type Table struct {
+// enable a particular second phase granule", in both directions, with the
+// enablement counters' initial values. It is immutable once Spec.Compile
+// returns it, so every run of the program — concurrent ones included —
+// shares one Map and copies only the counters (NewTable).
+type Map struct {
 	kind         Kind
 	nPred, nSucc int
-
-	// remaining[r] is the enablement counter for successor granule r:
-	// the number of not-yet-completed current granules it still requires.
-	// Only allocated for indirect kinds.
-	remaining []int32
 
 	// succs[succOff[p]:succOff[p+1]] lists, in ascending order, the
 	// successor granules whose counters completion of current granule p
@@ -35,162 +24,219 @@ type Table struct {
 	succs   []granule.ID
 	succOff []int
 
-	// requires is retained for ReverseIndirect/Seam tables so that
-	// successor-subset planning can scan only the subset's requirement
-	// lists instead of the whole composite map.
-	requires RequiresFn
+	// reqs[reqOff[r]:reqOff[r+1]] is successor granule r's requirement
+	// list as its mapping function returned it (duplicates included), kept
+	// for ReverseIndirect/Seam maps so that successor-subset planning can
+	// scan only the subset's lists instead of the whole composite map.
+	reqs   []granule.ID
+	reqOff []int
+
+	// initial[r] is the enablement counter successor granule r starts
+	// from: the number of distinct current granules it requires. Only
+	// allocated for indirect kinds.
+	initial []int32
 
 	// readyAtStart holds the successor granules computable the moment the
 	// successor phase is initiated (requirement set empty).
-	readyAtStart *granule.Set
+	readyAtStart granule.Set
 
-	pending   int   // successor granules not yet released
-	buildCost int64 // management units charged for construction
+	pendingAtStart int   // successor granules not ready at start
+	buildCost      int64 // management units charged for construction
+}
+
+// Table is the runtime enablement state of one run of a phase pair: a
+// compiled Map plus the enablement counters used during completion
+// processing.
+//
+// A scheduler charges BuildCost — proportional to the number of map
+// entries — to the management resource each time it puts a Table to use,
+// because the paper warns that "extensive composite granule map generation
+// could be self defeating" when executive computation comes at the direct
+// expense of worker computation; that the entries are computed once per
+// program and not once per run is this implementation's saving, not the
+// modelled machine's.
+//
+// Table is not safe for concurrent use; the (serial) executive owns it.
+type Table struct {
+	*Map
+
+	// remaining[r] is the enablement counter for successor granule r:
+	// the number of not-yet-completed current granules it still requires.
+	remaining []int32
+	pending   int // successor granules not yet released
 }
 
 // CostPerEntry is the management cost, in abstract units, of generating one
 // composite-map entry. Exported so experiments can sweep it.
 const CostPerEntry = 1
 
-// Build constructs the runtime table for spec over a phase pair with nPred
-// current granules and nSucc successor granules. It validates the spec and
-// reports the management cost of construction via Table.BuildCost.
+// Build returns a fresh runtime table for spec over a phase pair with nPred
+// current granules and nSucc successor granules, compiling the spec if this
+// is the first use of it at that size.
 func Build(spec *Spec, nPred, nSucc int) (*Table, error) {
 	if spec == nil {
 		spec = NewNull()
 	}
-	if nPred < 0 || nSucc < 0 {
-		return nil, fmt.Errorf("enable: negative phase size (%d, %d)", nPred, nSucc)
-	}
-	if err := spec.Validate(nPred, nSucc); err != nil {
+	m, err := spec.Compile(nPred, nSucc)
+	if err != nil {
 		return nil, err
 	}
-	t := &Table{
-		kind:         spec.Kind,
-		nPred:        nPred,
-		nSucc:        nSucc,
-		readyAtStart: granule.NewSet(),
-	}
+	return m.NewTable(), nil
+}
+
+// NewTable returns the enablement state for one run over m: m's arrays
+// shared, the counters copied.
+func (m *Map) NewTable() *Table {
+	return &Table{Map: m, remaining: slices.Clone(m.initial), pending: m.pendingAtStart}
+}
+
+// compile is Spec.Compile's one pass over the mapping functions.
+func compile(spec *Spec, nPred, nSucc int) (m *Map, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			m, err = nil, fmt.Errorf("enable: %v mapping function panicked: %v", spec.Kind, r)
+		}
+	}()
+	m = &Map{kind: spec.Kind, nPred: nPred, nSucc: nSucc}
 	switch spec.Kind {
 	case Null:
 		// Nothing is enabled before phase completion. The scheduler
 		// treats the whole successor phase as ready only after the
-		// serial action; the table exists only for uniformity.
-		t.pending = nSucc
+		// serial action; the map exists only for uniformity.
+		m.pendingAtStart = nSucc
 	case Universal:
-		t.readyAtStart.AddRange(granule.Span(nSucc))
-		t.pending = 0
-		t.buildCost = CostPerEntry // constant: one queue insertion
+		m.readyAtStart.AddRange(granule.Span(nSucc))
+		m.buildCost = CostPerEntry // constant: one queue insertion
 	case Identity:
 		// Successor granule i waits for current granule i. Successor
 		// granules beyond the current phase's extent have no
 		// dependence and are ready at start.
-		overlap := nSucc
-		if nPred < overlap {
-			overlap = nPred
-		}
+		overlap := min(nPred, nSucc)
 		if overlap < nSucc {
-			t.readyAtStart.AddRange(granule.R(granule.ID(overlap), granule.ID(nSucc)))
+			m.readyAtStart.AddRange(granule.R(granule.ID(overlap), granule.ID(nSucc)))
 		}
-		t.pending = overlap
-		t.buildCost = CostPerEntry // the relation is implicit; no map storage
+		m.pendingAtStart = overlap
+		m.buildCost = CostPerEntry // the relation is implicit; no map storage
 	case ForwardIndirect:
+		if spec.Forward == nil {
+			return nil, fmt.Errorf("enable: %v spec missing Forward function", spec.Kind)
+		}
 		// The map is already in the table's direction: rows are appended
 		// in order.
-		t.remaining = make([]int32, nSucc)
-		t.succOff = make([]int, nPred+1)
-		t.succs = make([]granule.ID, 0, nPred)
+		m.initial = make([]int32, nSucc)
+		m.succOff = make([]int, nPred+1)
+		m.succs = make([]granule.ID, 0, nPred)
 		for p := 0; p < nPred; p++ {
 			row := spec.Forward(granule.ID(p))
-			t.succs = append(t.succs, row...)
-			t.succOff[p+1] = len(t.succs)
 			for _, r := range row {
-				t.remaining[r]++
+				if r < 0 || int(r) >= nSucc {
+					return nil, fmt.Errorf("enable: forward map sends %d to %d, outside successor [0,%d)", p, r, nSucc)
+				}
+				m.initial[r]++
 			}
+			m.succs = append(m.succs, row...)
+			m.succOff[p+1] = len(m.succs)
 		}
-		t.finishIndirect(len(t.succs))
+		m.finishIndirect(len(m.succs))
 	case ReverseIndirect, Seam:
-		// The map arrives transposed (per successor), so the rows are built
-		// in two passes over one call of Requires per successor. Pass one
-		// keeps each requirement list, duplicates dropped, back to back in
-		// reqs — remaining[r] is the length of r's stretch — and counts each
-		// row's entries into succOff. stamp[p] == r+1 marks p as already
-		// listed for r.
-		t.requires = spec.Requires
-		t.remaining = make([]int32, nSucc)
-		t.succOff = make([]int, nPred+1)
+		if spec.Requires == nil {
+			return nil, fmt.Errorf("enable: %v spec missing Requires function", spec.Kind)
+		}
+		// The map arrives transposed (per successor), so the forward rows
+		// are built in two passes over one call of Requires per successor.
+		// Pass one keeps each requirement list back to back in reqs, and
+		// counts its distinct entries into initial[r] and into their rows'
+		// succOff. stamp[p] == r+1 marks p as already counted for r.
+		m.initial = make([]int32, nSucc)
+		m.succOff = make([]int, nPred+1)
+		m.reqOff = make([]int, nSucc+1)
+		m.reqs = make([]granule.ID, 0, nSucc)
 		stamp := make([]int32, nPred)
-		reqs := make([]granule.ID, 0, nSucc)
+		entries := 0
 		for r := 0; r < nSucc; r++ {
-			for _, p := range spec.Requires(granule.ID(r)) {
+			list := spec.Requires(granule.ID(r))
+			for _, p := range list {
+				if p < 0 || int(p) >= nPred {
+					return nil, fmt.Errorf("enable: requires map for %d names %d, outside predecessor [0,%d)", r, p, nPred)
+				}
 				if stamp[p] == int32(r)+1 {
 					continue // duplicate requirement counts once
 				}
 				stamp[p] = int32(r) + 1
-				if len(reqs) == cap(reqs) {
-					// Double outright: append's gentler growth of large
-					// slices would cost more reallocations the more
-					// granules the phase has.
-					reqs = slices.Grow(reqs, len(reqs)+1)
-				}
-				reqs = append(reqs, p)
-				t.remaining[r]++
-				t.succOff[p+1]++
+				m.initial[r]++
+				m.succOff[p+1]++
+				entries++
 			}
+			if need := len(m.reqs) + len(list); need > cap(m.reqs) {
+				// Double outright: append's gentler growth of large
+				// slices would cost more reallocations the more
+				// granules the phase has.
+				m.reqs = slices.Grow(m.reqs, need)
+			}
+			m.reqs = append(m.reqs, list...)
+			m.reqOff[r+1] = len(m.reqs)
 		}
 		// Pass two turns the counts into row starts and deals the
-		// successors out to their rows, in ascending order. Each row's
+		// successors out to their rows, in ascending order; -(r+1) is its
+		// duplicate mark, which no stamp of pass one equals. Each row's
 		// start doubles as its fill cursor, which leaves every start one
 		// row late; the final shift puts them back.
 		for p := 0; p < nPred; p++ {
-			t.succOff[p+1] += t.succOff[p]
+			m.succOff[p+1] += m.succOff[p]
 		}
-		t.succs = make([]granule.ID, len(reqs))
-		k := 0
+		m.succs = make([]granule.ID, entries)
 		for r := 0; r < nSucc; r++ {
-			for end := k + int(t.remaining[r]); k < end; k++ {
-				p := reqs[k]
-				t.succs[t.succOff[p]] = granule.ID(r)
-				t.succOff[p]++
+			for _, p := range m.requirements(granule.ID(r)) {
+				if stamp[p] == -int32(r)-1 {
+					continue
+				}
+				stamp[p] = -int32(r) - 1
+				m.succs[m.succOff[p]] = granule.ID(r)
+				m.succOff[p]++
 			}
 		}
-		copy(t.succOff[1:], t.succOff)
-		t.succOff[0] = 0
-		t.finishIndirect(len(reqs))
+		copy(m.succOff[1:], m.succOff)
+		m.succOff[0] = 0
+		m.finishIndirect(entries)
 	default:
 		return nil, fmt.Errorf("enable: invalid kind %v", spec.Kind)
 	}
-	return t, nil
+	return m, nil
 }
 
-func (t *Table) finishIndirect(entries int) {
-	pending := 0
-	for r, c := range t.remaining {
+func (m *Map) finishIndirect(entries int) {
+	for r, c := range m.initial {
 		if c == 0 {
-			t.readyAtStart.Add(granule.ID(r))
+			m.readyAtStart.Add(granule.ID(r))
 		} else {
-			pending++
+			m.pendingAtStart++
 		}
 	}
-	t.pending = pending
-	t.buildCost = int64(entries) * CostPerEntry
+	m.buildCost = int64(entries) * CostPerEntry
 }
 
 // row returns the successor granules current granule p enables (indirect
 // kinds; p < nPred).
-func (t *Table) row(p granule.ID) []granule.ID {
-	return t.succs[t.succOff[p]:t.succOff[p+1]]
+func (m *Map) row(p granule.ID) []granule.ID {
+	return m.succs[m.succOff[p]:m.succOff[p+1]]
 }
 
-// Kind reports the mapping kind the table was built for.
-func (t *Table) Kind() Kind { return t.kind }
+// requirements returns successor granule r's requirement list as compiled
+// (ReverseIndirect and Seam; r < nSucc).
+func (m *Map) requirements(r granule.ID) []granule.ID {
+	return m.reqs[m.reqOff[r]:m.reqOff[r+1]]
+}
 
-// BuildCost reports the management cost charged for constructing the table.
-func (t *Table) BuildCost() int64 { return t.buildCost }
+// Kind reports the mapping kind the map was compiled from.
+func (m *Map) Kind() Kind { return m.kind }
+
+// BuildCost reports the management cost of constructing the map.
+func (m *Map) BuildCost() int64 { return m.buildCost }
 
 // ReadyAtStart returns the successor granules computable at successor-phase
-// initiation. The returned set is owned by the table; callers clone it.
-func (t *Table) ReadyAtStart() *granule.Set { return t.readyAtStart }
+// initiation. The returned set is shared by every table over the map;
+// callers clone it.
+func (m *Map) ReadyAtStart() *granule.Set { return &m.readyAtStart }
 
 // Pending reports how many successor granules are still awaiting enablement
 // through completion processing (excludes ready-at-start granules).
@@ -265,16 +311,16 @@ func (t *Table) CompleteRange(run granule.Range, enabled *granule.Set) int {
 // this scan is proportional to the stored map size for forward mappings and
 // to the requirement lists for reverse mappings; it returns that entry
 // count alongside the set.
-func (t *Table) PredsFor(succs *granule.Set) (*granule.Set, int) {
+func (m *Map) PredsFor(succs *granule.Set) (*granule.Set, int) {
 	preds := granule.NewSet()
 	scanned := 0
-	switch t.kind {
+	switch m.kind {
 	case Null, Universal:
 		return preds, 0
 	case Identity:
 		succs.Each(func(r granule.ID) {
 			scanned++
-			if int(r) < t.nPred {
+			if int(r) < m.nPred {
 				preds.Add(r)
 			}
 		})
@@ -283,7 +329,7 @@ func (t *Table) PredsFor(succs *granule.Set) (*granule.Set, int) {
 		// The requirement lists of the subset alone determine the
 		// enabling predecessors — no full-map scan needed.
 		succs.Each(func(r granule.ID) {
-			for _, p := range t.requires(r) {
+			for _, p := range m.requirements(r) {
 				scanned++
 				preds.Add(p)
 			}
@@ -291,8 +337,8 @@ func (t *Table) PredsFor(succs *granule.Set) (*granule.Set, int) {
 		return preds, scanned
 	default:
 		// Forward maps must be scanned in the map's own direction.
-		for p := 0; p < t.nPred; p++ {
-			for _, r := range t.row(granule.ID(p)) {
+		for p := 0; p < m.nPred; p++ {
+			for _, r := range m.row(granule.ID(p)) {
 				scanned++
 				if succs.Contains(r) {
 					preds.Add(granule.ID(p))

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -234,25 +235,120 @@ func TestBuildReverseRows(t *testing.T) {
 	}
 }
 
-// TestBuildReverseAllocsIndependentOfSize: the reverse build allocates its
-// handful of arrays, not per granule — the same small bound holds at 256
-// granules and at 16 384 (the requirement-list scratch starts at one slot
-// per successor and doubles, so its growth depends on the mean list
-// length, which is fixed here).
+// TestBuildReverseAllocsIndependentOfSize: compiling a reverse map
+// allocates its handful of arrays, not per granule — the same small bound
+// holds at 256 granules and at 16 384 (the requirement-list array starts at
+// one slot per successor and doubles, so its growth depends on the mean
+// list length, which is fixed here) — and a table over a compiled map is
+// the table and its counters.
 func TestBuildReverseAllocsIndependentOfSize(t *testing.T) {
 	for _, n := range []int{256, 16384} {
 		lists := make([][]granule.ID, n)
 		for r := range lists {
 			lists[r] = []granule.ID{granule.ID(r), granule.ID((r + 1) % n), granule.ID((r + 7) % n), granule.ID(r)}
 		}
-		spec := NewReverse(func(r granule.ID) []granule.ID { return lists[r] })
+		requires := func(r granule.ID) []granule.ID { return lists[r] }
 		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Build(NewReverse(requires), n, n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 16 {
+			t.Errorf("first Build of %d granules made %.0f allocations, want at most 16 at any size", n, allocs)
+		}
+		spec := NewReverse(requires)
+		allocs = testing.AllocsPerRun(5, func() {
 			if _, err := Build(spec, n, n); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 12 {
-			t.Errorf("Build of %d granules made %.0f allocations, want at most 12 at any size", n, allocs)
+		if allocs > 2 {
+			t.Errorf("Build of %d granules over a compiled spec made %.0f allocations, want 2", n, allocs)
+		}
+	}
+}
+
+// countingReverse is a reverse spec over lists that counts evaluations.
+func countingReverse(lists [][]granule.ID, calls *int) *Spec {
+	return NewReverse(func(r granule.ID) []granule.ID {
+		*calls++
+		return lists[r]
+	})
+}
+
+// TestCompileMemoisedPerSize: one Spec shared by phase pairs of different
+// sizes is compiled once for each size, each compiled map is right for its
+// size, and going back to a size already met evaluates nothing.
+func TestCompileMemoisedPerSize(t *testing.T) {
+	lists := [][]granule.ID{{0, 1}, {1}, {2, 0}, {1, 1}, {}, {0}}
+	calls := 0
+	spec := countingReverse(lists, &calls)
+	for _, size := range []struct{ nPred, nSucc, calls int }{
+		{3, 6, 6}, {3, 4, 10}, {3, 6, 10}, {5, 4, 14}, {3, 4, 14},
+	} {
+		tab, err := Build(spec, size.nPred, size.nSucc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != size.calls {
+			t.Errorf("(%d, %d): %d evaluations so far, want %d", size.nPred, size.nSucc, calls, size.calls)
+		}
+		rows := reverseRows(lists[:size.nSucc], size.nPred)
+		for p := granule.ID(0); int(p) < size.nPred; p++ {
+			if got := tab.row(p); !slices.Equal(got, rows[p]) {
+				t.Errorf("(%d, %d): row %d = %v, want %v", size.nPred, size.nSucc, p, got, rows[p])
+			}
+		}
+	}
+	// Size (2, 6) leaves list 2's granule 2 out of range: an error, and
+	// not one that poisons the sizes that compiled.
+	if _, err := Build(spec, 2, 6); err == nil {
+		t.Error("out-of-range requirement compiled")
+	}
+	if _, err := Build(spec, 3, 6); err != nil {
+		t.Errorf("a failed size broke a compiled one: %v", err)
+	}
+}
+
+// TestTablesShareMapNotCounters: two tables over one compiled map complete
+// independently.
+func TestTablesShareMapNotCounters(t *testing.T) {
+	spec := NewReverse(func(r granule.ID) []granule.ID { return []granule.ID{0, 1} })
+	a, _ := Build(spec, 2, 3)
+	b, _ := Build(spec, 2, 3)
+	if a.Map != b.Map {
+		t.Fatal("two tables of one spec and size were compiled separately")
+	}
+	collectEnabled(a, 0)
+	if got := collectEnabled(a, 1); len(got) != 3 || a.Pending() != 0 {
+		t.Fatalf("first table: enabled %v, pending %d", got, a.Pending())
+	}
+	if b.Pending() != 3 {
+		t.Fatalf("completing one table moved the other's pending count to %d", b.Pending())
+	}
+	if got := collectEnabled(b, 1); len(got) != 0 {
+		t.Fatalf("second table enabled %v after one of two requirements", got)
+	}
+}
+
+// TestCompileRecoversMappingPanic: a mapping function that panics fails the
+// compilation with an error, for each direction, and nothing is memoised.
+func TestCompileRecoversMappingPanic(t *testing.T) {
+	armed := true
+	boom := func(g granule.ID) []granule.ID {
+		if armed && g == 2 {
+			panic("boom")
+		}
+		return []granule.ID{g}
+	}
+	for _, spec := range []*Spec{NewForward(boom), NewReverse(boom), NewSeam(boom)} {
+		armed = true
+		if _, err := spec.Compile(4, 4); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("%v: Compile = %v, want the panic as an error", spec.Kind, err)
+		}
+		armed = false
+		if _, err := spec.Compile(4, 4); err != nil {
+			t.Errorf("%v: a failed compilation was kept: %v", spec.Kind, err)
 		}
 	}
 }
@@ -435,16 +531,33 @@ func TestTableQuickExactlyOnce(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildReverse compiles a fresh spec per iteration: the one pass
+// over the mapping function a program pays.
 func BenchmarkBuildReverse(b *testing.B) {
 	const n = 1024
-	spec := NewReverse(func(r granule.ID) []granule.ID {
+	requires := func(r granule.ID) []granule.ID {
 		return []granule.ID{r, (r + 1) % n, (r + 7) % n}
-	})
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(spec, n, n); err != nil {
+		if _, err := Build(NewReverse(requires), n, n); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkNewTable is what every run after the first pays instead.
+func BenchmarkNewTable(b *testing.B) {
+	const n = 1024
+	m, err := NewReverse(func(r granule.ID) []granule.ID {
+		return []granule.ID{r, (r + 1) % n, (r + 7) % n}
+	}).Compile(n, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.NewTable()
 	}
 }
 

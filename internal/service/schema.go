@@ -10,7 +10,9 @@
 package service
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	rundown "repro"
@@ -98,6 +100,18 @@ const (
 	maxWorkMicros = 10000
 	maxCycles     = 16
 )
+
+// decodeJobSpec is the strict decoder of a submit body: unknown fields are
+// refused, defaults applied and the limits above enforced.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return spec, err
+	}
+	return spec, spec.normalize()
+}
 
 // normalize applies spec defaults and validates the result.
 func (s *JobSpec) normalize() error {

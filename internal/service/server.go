@@ -234,14 +234,8 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
-		return
-	}
-	if err := spec.normalize(); err != nil {
+	spec, err := decodeJobSpec(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/granule"
+	"repro/internal/workload"
 )
 
 func onePhase(t *testing.T, n int) *core.Program {
@@ -342,6 +343,45 @@ func BenchmarkSimIdentityOverlap(b *testing.B) {
 			Config{Procs: 64, Mgmt: StealsWorker})
 		if err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestVirtualChargesUnchanged: a program's enablement relation is compiled
+// once, but the modelled executive generates its composite maps on every
+// run — the first and the fifth run of one Program are charged the same
+// table cost, entries and builds and reach the same makespan, whether the
+// maps are built inline or in deferred pieces.
+func TestVirtualChargesUnchanged(t *testing.T) {
+	for _, inline := range []bool{false, true} {
+		prog, err := workload.CasperProgram(workload.CasperConfig{
+			GranulesPerLine: 2, Cycles: 2, Seed: 11, SerialCost: 25,
+			Cost: workload.UniformCost(50, 200, 11),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := core.Options{
+			Grain: 4, Overlap: true, Elevate: true, SubsetSize: 32,
+			InlineMaps: inline, Costs: core.DefaultCosts(),
+		}
+		var first *Result
+		for run := 1; run <= 5; run++ {
+			res, err := Run(prog, opt, Config{Procs: 16, Mgmt: StealsWorker})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Sched.TableBuilds == 0 || res.Sched.TableCost == 0 {
+				t.Fatalf("inline=%v run %d: no composite-map work charged (%+v)", inline, run, res.Sched)
+			}
+			if first == nil {
+				first = res
+				continue
+			}
+			if res.Makespan != first.Makespan || res.Sched != first.Sched {
+				t.Errorf("inline=%v run %d differs from run 1:\n makespan %d vs %d\n sched %+v\n    vs %+v",
+					inline, run, res.Makespan, first.Makespan, res.Sched, first.Sched)
+			}
 		}
 	}
 }

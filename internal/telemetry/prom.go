@@ -3,6 +3,7 @@ package telemetry
 import (
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -16,15 +17,24 @@ import (
 
 // promName sanitizes a metric name into the Prometheus charset
 // [a-zA-Z_:][a-zA-Z0-9_:]*. Registry names are already chosen to pass
-// through unchanged; this keeps arbitrary caller-registered names from
-// corrupting the exposition.
+// through unchanged — and then are returned as they are — this keeps
+// arbitrary caller-registered names from corrupting the exposition.
 func promName(name string) string {
-	var b strings.Builder
-	for i, r := range name {
-		ok := r == '_' || r == ':' ||
+	ok := func(i int, r rune) bool {
+		return r == '_' || r == ':' ||
 			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
 			(r >= '0' && r <= '9' && i > 0)
-		if ok {
+	}
+	clean := true
+	for i, r := range name {
+		clean = clean && ok(i, r)
+	}
+	if clean {
+		return name
+	}
+	var b strings.Builder
+	for i, r := range name {
+		if ok(i, r) {
 			b.WriteRune(r)
 		} else {
 			b.WriteByte('_')
@@ -33,39 +43,75 @@ func promName(name string) string {
 	return b.String()
 }
 
+// promWriter appends exposition lines to a builder piecewise: strings as
+// they are, integers through a scratch array, so a scrape formats nothing
+// through fmt and boxes no value.
+type promWriter struct {
+	b   *strings.Builder
+	num [20]byte // fits any int64 in decimal
+}
+
+func (w *promWriter) str(parts ...string) {
+	for _, p := range parts {
+		w.b.WriteString(p)
+	}
+}
+
+func (w *promWriter) int(v int64) {
+	w.b.Write(strconv.AppendInt(w.num[:0], v, 10))
+}
+
+// sample writes "<value>\n" after whatever names the sample.
+func (w *promWriter) sample(v int64) {
+	w.int(v)
+	w.b.WriteByte('\n')
+}
+
+// header writes the HELP line (when there is help text) and the TYPE line.
+func (w *promWriter) header(n, help, kind string) {
+	if help != "" {
+		w.str("# HELP ", n, " ", help, "\n")
+	}
+	w.str("# TYPE ", n, " ", kind, "\n")
+}
+
 // WriteProm writes the registry in the Prometheus text exposition
 // format: counters and gauges as single samples, histograms as
 // cumulative le-labeled buckets plus _sum and _count.
-func (r *Registry) WriteProm(w *strings.Builder) {
+func (r *Registry) WriteProm(b *strings.Builder) {
+	w := promWriter{b: b}
+	var buckets []BucketDump
 	r.visit(
 		func(c *Counter) {
 			n := promName(c.name)
-			if c.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", n, c.help)
-			}
-			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, c.Value())
+			w.header(n, c.help, "counter")
+			w.str(n, " ")
+			w.sample(c.Value())
 		},
 		func(g *Gauge) {
 			n := promName(g.name)
-			if g.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", n, g.help)
-			}
-			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, g.Value())
+			w.header(n, g.help, "gauge")
+			w.str(n, " ")
+			w.sample(g.Value())
 		},
 		func(h *Histogram) {
 			n := promName(h.name)
-			if h.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", n, h.help)
-			}
-			fmt.Fprintf(w, "# TYPE %s histogram\n", n)
+			w.header(n, h.help, "histogram")
 			var cum int64
-			for _, b := range h.snapshotBuckets(nil) {
-				cum += b.Count
-				fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, b.Upper, cum)
+			buckets = h.snapshotBuckets(buckets[:0])
+			for _, bk := range buckets {
+				cum += bk.Count
+				w.str(n, "_bucket{le=\"")
+				w.int(bk.Upper)
+				w.str("\"} ")
+				w.sample(cum)
 			}
-			fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count())
-			fmt.Fprintf(w, "%s_sum %d\n", n, h.Sum())
-			fmt.Fprintf(w, "%s_count %d\n", n, h.Count())
+			w.str(n, "_bucket{le=\"+Inf\"} ")
+			w.sample(h.Count())
+			w.str(n, "_sum ")
+			w.sample(h.Sum())
+			w.str(n, "_count ")
+			w.sample(h.Count())
 		},
 	)
 }
@@ -78,7 +124,7 @@ func (r *Registry) Handler() http.Handler {
 		var b strings.Builder
 		r.WriteProm(&b)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = w.Write([]byte(b.String()))
+		_, _ = io.WriteString(w, b.String())
 	})
 }
 

@@ -1,5 +1,7 @@
 package telemetry
 
+import "sync"
+
 // Set binds the standard rundown metric taxonomy — the one metric set
 // every backend records, so a dump reads the same whether the run was
 // priced in virtual time or executed on goroutines. NewSet registers
@@ -67,6 +69,11 @@ type Set struct {
 	// left at completion (met deadlines only; misses count in
 	// DeadlineMisses).
 	DeadlineMargin *Histogram
+
+	// classes memoises Class per class name (under classMu): it is
+	// called on every submit, reject and finish.
+	classMu sync.Mutex
+	classes map[string]ClassCounters
 }
 
 // NewSet registers the standard metric taxonomy on r and returns the
@@ -75,6 +82,7 @@ type Set struct {
 func NewSet(r *Registry) *Set {
 	return &Set{
 		Registry: r,
+		classes:  make(map[string]ClassCounters),
 
 		Dispatches:  r.Counter("rundown_dispatch_total", "tasks handed to workers"),
 		Completions: r.Counter("rundown_complete_total", "tasks completed"),
@@ -122,12 +130,19 @@ type ClassCounters struct {
 // into the metric name (lowercased; anything outside [a-z0-9_] becomes
 // '_').
 func (s *Set) Class(class string) ClassCounters {
-	n := sanitizeClass(class)
-	return ClassCounters{
-		Submitted: s.Registry.Counter("rundown_class_"+n+"_jobs_total", "jobs submitted in class "+class),
-		Rejected:  s.Registry.Counter("rundown_class_"+n+"_rejected_total", "jobs rejected by admission in class "+class),
-		Done:      s.Registry.Counter("rundown_class_"+n+"_done_total", "jobs finished in class "+class),
+	s.classMu.Lock()
+	defer s.classMu.Unlock()
+	c, ok := s.classes[class]
+	if !ok {
+		n := sanitizeClass(class)
+		c = ClassCounters{
+			Submitted: s.Registry.Counter("rundown_class_"+n+"_jobs_total", "jobs submitted in class "+class),
+			Rejected:  s.Registry.Counter("rundown_class_"+n+"_rejected_total", "jobs rejected by admission in class "+class),
+			Done:      s.Registry.Counter("rundown_class_"+n+"_done_total", "jobs finished in class "+class),
+		}
+		s.classes[class] = c
 	}
+	return c
 }
 
 // sanitizeClass maps an arbitrary class label into a metric-name-safe

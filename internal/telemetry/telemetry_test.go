@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -259,6 +260,85 @@ func TestPromExposition(t *testing.T) {
 			t.Fatalf("bucket counts not cumulative: %q after %d", line, last)
 		}
 		last = v
+	}
+}
+
+// writePromFmt is the exposition as it was formatted through fmt — the
+// reference WriteProm's append-based form must match byte for byte.
+func writePromFmt(r *Registry, w *strings.Builder) {
+	r.visit(
+		func(c *Counter) {
+			n := promName(c.name)
+			if c.help != "" {
+				fmt.Fprintf(w, "# HELP %s %s\n", n, c.help)
+			}
+			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, c.Value())
+		},
+		func(g *Gauge) {
+			n := promName(g.name)
+			if g.help != "" {
+				fmt.Fprintf(w, "# HELP %s %s\n", n, g.help)
+			}
+			fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, g.Value())
+		},
+		func(h *Histogram) {
+			n := promName(h.name)
+			if h.help != "" {
+				fmt.Fprintf(w, "# HELP %s %s\n", n, h.help)
+			}
+			fmt.Fprintf(w, "# TYPE %s histogram\n", n)
+			var cum int64
+			for _, b := range h.snapshotBuckets(nil) {
+				cum += b.Count
+				fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", n, b.Upper, cum)
+			}
+			fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count())
+			fmt.Fprintf(w, "%s_sum %d\n", n, h.Sum())
+			fmt.Fprintf(w, "%s_count %d\n", n, h.Count())
+		},
+	)
+}
+
+// TestPromExpositionByteIdentical: every metric type, with and without
+// help text, a negative gauge, an empty histogram, class series and a name
+// that needs sanitizing all render exactly as the fmt form did.
+func TestPromExpositionByteIdentical(t *testing.T) {
+	r := NewRegistry(2, "ns")
+	s := NewSet(r)
+	s.Dispatches.Add(1, 1<<40)
+	s.ActiveJobs.Set(-3)
+	for _, v := range []int64{0, 1, 10, 1000, 1 << 33} {
+		s.QueueWait.Observe(v)
+	}
+	s.Class("Latency-1").Submitted.Inc(0)
+	r.Counter("9 odd.name", "").Inc(0)
+	r.Gauge("no_help_gauge", "").Set(7)
+	r.Histogram("no_help_hist", "").Observe(5)
+
+	var got, want strings.Builder
+	r.WriteProm(&got)
+	writePromFmt(r, &want)
+	if got.String() != want.String() {
+		t.Fatalf("exposition changed\n--- got\n%s\n--- want\n%s", got.String(), want.String())
+	}
+	if !strings.Contains(got.String(), "__odd_name 1\n") {
+		t.Errorf("unsanitized name in exposition:\n%s", got.String())
+	}
+}
+
+// TestSetClassMemoised: the counters for a class are registered once and
+// handed back without rebuilding their names.
+func TestSetClassMemoised(t *testing.T) {
+	s := NewSet(NewRegistry(1, "ns"))
+	first := s.Class("batch")
+	if again := s.Class("batch"); again != first {
+		t.Fatalf("Class returned different counters for one class: %+v vs %+v", again, first)
+	}
+	if other := s.Class("latency"); other.Submitted == first.Submitted {
+		t.Fatal("two classes share a counter")
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Class("batch").Done.Inc(0) }); n != 0 {
+		t.Errorf("Class on a known class allocated %.1f objects per call, want 0", n)
 	}
 }
 

@@ -2,7 +2,9 @@
 // fine-grain suites share across packages (root, internal/executive,
 // internal/tenant): a sleeping-chain workload whose mid-run state is
 // reachable even on a single-CPU CI host, the exec-fine chain over an
-// exactly-once ledger, and the goroutine-leak check with retries.
+// exactly-once ledger, a reverse-indirect gather whose ledger holds across
+// concurrent runs of the one program, and the goroutine-leak check with
+// retries.
 package testutil
 
 import (
@@ -91,6 +93,69 @@ func LedgerChain(tb testing.TB, phases, n int) (*core.Program, *Ledger) {
 		}
 	}
 	prog, err := core.NewProgram(specs...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog, l
+}
+
+// GatherLedger is the ledger behind a GatherProgram. Its counts are
+// atomic, so one program may run as several jobs at once.
+type GatherLedger struct {
+	produced, gathered []atomic.Int32
+	early              atomic.Int64
+}
+
+// Check verifies that each of runs runs of the program ran every granule
+// exactly once, and that no gather ran before the granules it requires.
+func (l *GatherLedger) Check(tb testing.TB, runs int32) {
+	tb.Helper()
+	for k, seen := range [][]atomic.Int32{l.produced, l.gathered} {
+		for g := range seen {
+			if n := seen[g].Load(); n != runs {
+				tb.Fatalf("phase %d granule %d executed %d times over %d runs", k, g, n, runs)
+			}
+		}
+	}
+	if n := l.early.Load(); n != 0 {
+		tb.Fatalf("%d gathers ran before a granule they require", n)
+	}
+}
+
+// GatherProgram is a two-phase reverse-indirect program — n producers, n
+// gathers of fan producers each through a fixed selection map — over an
+// exactly-once, enabler-first ledger that holds when the one program runs
+// as several concurrent jobs: the k-th execution of a gather belongs to the
+// k-th job to have enabled it, so each producer it requires must have run
+// at least k times by then.
+func GatherProgram(tb testing.TB, n, fan int) (*core.Program, *GatherLedger) {
+	tb.Helper()
+	l := &GatherLedger{
+		produced: make([]atomic.Int32, n),
+		gathered: make([]atomic.Int32, n),
+	}
+	imap := make([]granule.ID, n*fan)
+	for i := range imap {
+		imap[i] = granule.ID((i*7919 + i/fan) % n)
+	}
+	prog, err := core.NewProgram(
+		&core.Phase{
+			Name: "produce", Granules: n,
+			Work:   func(g granule.ID) { l.produced[g].Add(1) },
+			Enable: enable.NewReverseIMAP(imap, fan),
+		},
+		&core.Phase{
+			Name: "gather", Granules: n,
+			Work: func(g granule.ID) {
+				k := l.gathered[g].Add(1)
+				for _, p := range imap[int(g)*fan : (int(g)+1)*fan] {
+					if l.produced[p].Load() < k {
+						l.early.Add(1)
+					}
+				}
+			},
+		},
+	)
 	if err != nil {
 		tb.Fatal(err)
 	}

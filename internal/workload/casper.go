@@ -179,6 +179,12 @@ func Chain(kind enable.Kind, phases, granules int, cost core.CostFn, seed uint64
 			Cost:     cost,
 		}
 	}
+	// A seam chain's pairs all declare the same relation over the same
+	// sizes: one Spec, compiled once for the whole chain.
+	var seam *enable.Spec
+	if kind == enable.Seam {
+		seam = enable.NewSeam(seamNeighbours(granules))
+	}
 	for i := 0; i < phases-1; i++ {
 		switch kind {
 		case enable.Null:
@@ -192,20 +198,24 @@ func Chain(kind enable.Kind, phases, granules int, cost core.CostFn, seed uint64
 		case enable.ReverseIndirect:
 			out[i].Enable = enable.NewReverseIMAP(RandomIMap(granules*2, granules, seed+uint64(i)), 2)
 		case enable.Seam:
-			n := granules
-			out[i].Enable = enable.NewSeam(func(r granule.ID) []granule.ID {
-				reqs := []granule.ID{r}
-				if r > 0 {
-					reqs = append(reqs, r-1)
-				}
-				if int(r) < n-1 {
-					reqs = append(reqs, r+1)
-				}
-				return reqs
-			})
+			out[i].Enable = seam
 		default:
 			return nil, fmt.Errorf("workload: unknown kind %v", kind)
 		}
 	}
 	return core.NewProgram(out...)
+}
+
+// seamNeighbours is the one-dimensional stencil of a seam chain: successor
+// granule r requires current granules r-1, r and r+1, clipped to [0, n).
+// Neighbour rows are consecutive IDs, so every row is a window of one flat
+// array and evaluating the mapping allocates nothing.
+func seamNeighbours(n int) enable.RequiresFn {
+	ids := make([]granule.ID, n)
+	for i := range ids {
+		ids[i] = granule.ID(i)
+	}
+	return func(r granule.ID) []granule.ID {
+		return ids[max(int(r)-1, 0):min(int(r)+2, n)]
+	}
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -231,5 +232,40 @@ func TestChainAllKinds(t *testing.T) {
 	}
 	if _, err := Chain(enable.Kind(99), 2, 4, nil, 0); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// TestStockMappingsReturnViews: the builders' mapping functions hand out
+// windows of arrays made once — evaluating one allocates nothing — and the
+// seam stencil is still r-1, r, r+1 clipped to the phase, with no granule
+// named twice (a duplicate would change what successor planning scans).
+func TestStockMappingsReturnViews(t *testing.T) {
+	for _, n := range []int{1, 2, 7} {
+		seam := seamNeighbours(n)
+		for r := 0; r < n; r++ {
+			var want []granule.ID
+			for p := r - 1; p <= r+1; p++ {
+				if p >= 0 && p < n {
+					want = append(want, granule.ID(p))
+				}
+			}
+			if got := seam(granule.ID(r)); !slices.Equal(got, want) {
+				t.Errorf("seam(%d) over %d granules = %v, want %v", r, n, got, want)
+			}
+		}
+	}
+	for _, kind := range []enable.Kind{enable.ForwardIndirect, enable.ReverseIndirect, enable.Seam} {
+		prog, err := Chain(kind, 2, 64, nil, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := prog.Phases[0].Enable
+		f := spec.Requires
+		if kind == enable.ForwardIndirect {
+			f = enable.RequiresFn(spec.Forward)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { f(17) }); allocs != 0 {
+			t.Errorf("%v chain: one evaluation of the mapping function allocates %.0f objects", kind, allocs)
+		}
 	}
 }

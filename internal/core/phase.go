@@ -166,13 +166,3 @@ func (p *Program) TotalCost() Cost {
 	}
 	return sum
 }
-
-// PhaseByName returns the index of the named phase, or -1.
-func (p *Program) PhaseByName(name string) int {
-	for i, ph := range p.Phases {
-		if ph.Name == name {
-			return i
-		}
-	}
-	return -1
-}

@@ -188,10 +188,6 @@ func (s *Scheduler) Ready() int {
 // completions not yet submitted, not only tasks actually executing.
 func (s *Scheduler) InFlight() int { return s.inflight.len() }
 
-// QueueDescs reports the number of descriptions in the waiting queue — a
-// lower bound on the number of NextTask calls that will succeed right now.
-func (s *Scheduler) QueueDescs() int { return s.wait.Len() }
-
 // ReadyTasks reports how many NextTask calls would succeed right now:
 // queued descriptions counted at grain granularity (a large description
 // splits into many tasks). Drivers use it to bound worker wake-ups.

@@ -10,16 +10,16 @@ package sim
 //     the run loop turns into a job failure (retry, or an abort isolated
 //     from the co-tenants — which Run reports as the run's error);
 //   - worker faults strike at ask service: a crashed worker finishes the
-//     task in hand and never asks again (graceful capacity loss — under
-//     Adaptive the crash waits for the shard to drain and flushes the
-//     completion batch, so no task is stranded); a wedged worker's next
-//     completion is withheld for Delay; a slow worker stretches every
-//     task it runs;
+//     task in hand and never asks again (graceful capacity loss — the
+//     crash waits while the model says the worker holds tasks, and applies
+//     the completions it holds, so no task is stranded); a wedged
+//     worker's next completion is withheld for Delay; a slow worker
+//     stretches every task it runs;
 //   - management faults strike the executive: a delayed completion
 //     submission re-queues the completion event Delay later, and a
 //     dropped wakeup makes wake() a no-op once — the run loop's
-//     queue-empty probe re-wakes, so the fault prices the recovery
-//     instead of hanging the run.
+//     queue-empty recovery (refill) re-wakes, so the fault prices the
+//     recovery instead of hanging the run.
 //
 // Every firing is flight-recorded as a KFault event (Arg = fault.Kind),
 // so replay and conservation tooling can see exactly what was injected
@@ -80,17 +80,17 @@ func (s *mstate) inject(worker, ji int, task core.Task, at, dur int64) (int64, i
 }
 
 // maybeCrash retires worker w when a WorkerCrash rule fires for it: the
-// ask in hand dies and the worker never asks again. Under Adaptive the
-// crash is deferred while the worker's shard holds tasks (they are not
-// re-queueable) and the pending completion batch is flushed first, so no
-// work is stranded. The last live worker refuses to crash — the rule is
+// ask in hand dies and the worker never asks again. The crash is deferred
+// while the model says the worker holds tasks only it can run, and the
+// completions it holds are applied first, so no work is stranded. The last
+// live worker refuses to crash — the rule is
 // consumed but ignored — so a campaign cannot strand a program with zero
 // workers. The survivors' homes are re-apportioned at the crash.
 func (s *mstate) maybeCrash(w int, at int64) bool {
 	if s.pol.Retired(w) {
 		return true
 	}
-	if s.model == Adaptive && s.mab[w].next < len(s.mab[w].tasks) {
+	if s.m.holds(w) {
 		return false
 	}
 	if _, _, ok := s.plan.Worker(w, at, fault.WorkerCrash); !ok {
@@ -99,61 +99,26 @@ func (s *mstate) maybeCrash(w int, at int64) bool {
 	if s.pol.LiveWorkers() <= 1 {
 		return false
 	}
-	if s.model == Adaptive {
-		sh := &s.mab[w]
-		if len(sh.done) > 0 {
-			at = s.mAcquire(s.jobs[sh.job], at)
-			at = s.mFlush(sh, at)
-			s.wake(at)
-		}
-	}
+	at = s.m.release(w, at)
 	s.pol.RetireWorker(w)
 	s.noteFault(at, w, -1, fault.WorkerCrash)
 	return true
-}
-
-// clearModelState discards job ji's model-held work — async ready and
-// completion buffers, adaptive shards — when an attempt dies: the tasks
-// belong to a scheduler that no longer exists, and a retried attempt
-// rebuilds them from its fresh scheduler.
-func (s *mstate) clearModelState(ji int, at int64) {
-	j := s.jobs[ji]
-	switch s.model {
-	case Async:
-		s.bufferedN -= j.aready.len()
-		j.aready.clear()
-		j.acomp = j.acomp[:0]
-		if s.met != nil {
-			s.met.ReadyOccupancy.Set(int64(s.bufferedN))
-		}
-	case Adaptive:
-		s.mNoteStarve(at)
-		for w := range s.mab {
-			sh := &s.mab[w]
-			if sh.job != ji {
-				continue
-			}
-			s.hoardNow -= len(sh.tasks) - sh.next
-			sh.job = -1
-			sh.tasks = sh.tasks[:0]
-			sh.next = 0
-			sh.done = sh.done[:0]
-		}
-	}
 }
 
 // failJob handles job ji's failure at time at (proc is the worker whose
 // completion carried it, -1 for a deadline abort). Either way the attempt
 // generation bumps first, orphaning every in-flight completion of the dead
 // attempt — the run loop frees those workers and discards their results, so
-// a failed job can never corrupt a surviving one — and the job leaves the
+// a failed job can never corrupt a surviving one — the model drops what it
+// holds of the dead attempt (tasks of a scheduler that no longer exists; a
+// retried attempt rebuilds them from its fresh one), and the job leaves the
 // dispatch policy's live set, so its home workers go to its co-tenants. A
 // retryable failure with retries left then waits out its capped exponential
 // backoff (see restartDue); otherwise the job retires with err.
 func (s *mstate) failJob(ji int, at int64, proc int, err error, retryable bool) {
 	j := s.jobs[ji]
 	j.attempt++
-	s.clearModelState(ji, at)
+	s.m.drop(ji, at)
 	s.pol.Remove(&j.pol)
 	if j.restartAt >= 0 {
 		// Failed for good (a deadline) while waiting to restart.
@@ -227,7 +192,7 @@ func (s *mstate) nextRestart() *mjob {
 // It reports whether a job restarted.
 func (s *mstate) restartDue() bool {
 	j := s.nextRestart()
-	if next, have := s.queue.peekTime(); have && next < j.restartAt || !have && s.queueCanRefill() {
+	if next, have := s.queue.peekTime(); have && next < j.restartAt || !have && s.refill(false) {
 		return false
 	}
 	fin := s.serve(j.restartAt, j.sched.Start())
@@ -240,36 +205,6 @@ func (s *mstate) restartDue() bool {
 	return true
 }
 
-// queueCanRefill reports whether a run-loop recovery branch can
-// regenerate events from an empty queue: deferred management work, Async
-// completions parked behind a busy server, or ready work a dropped
-// wakeup stranded behind parked workers. The conditions mirror the run
-// loop's recovery branches exactly — those branches run AFTER the
-// deadline check, so a true here guarantees the loop still makes
-// progress when the deadline check defers to it.
-func (s *mstate) queueCanRefill() bool {
-	if s.deferredN > 0 {
-		return true
-	}
-	if s.model == Async {
-		for _, j := range s.jobs {
-			if len(j.acomp) > 0 {
-				return true
-			}
-		}
-	}
-	if s.plan != nil && s.parkedN > 0 {
-		avail := s.readyTotal
-		if s.model == Async {
-			avail += s.bufferedN
-		}
-		if avail > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // checkDeadlines aborts every live job whose deadline has passed: a job
 // is failed exactly AT its deadline once no remaining event could finish
 // it in time (the next queued event lies beyond the deadline, or the
@@ -277,14 +212,13 @@ func (s *mstate) queueCanRefill() bool {
 // never retries. It reports whether any job was aborted.
 func (s *mstate) checkDeadlines() bool {
 	next, have := s.queue.peekTime()
-	if !have && s.queueCanRefill() {
+	if !have && s.refill(false) {
 		// An empty event queue is not the end of time: under Async,
 		// completions routinely park behind a busy server with every
-		// worker idle, and the run loop's recovery branches (deferred
-		// absorb, forced completion drain, dropped-wakeup re-wake)
-		// regenerate events from exactly this state. Defer to them — the
-		// regenerated event carries the real frontier, and the next pass
-		// fails any job it cannot save.
+		// worker idle, and the run loop regenerates events from exactly
+		// this state (refill). Defer to it — the regenerated event carries
+		// the real frontier, and the next pass fails any job it cannot
+		// save.
 		return false
 	}
 	// A pending restart is an event to come, like a queued one.

@@ -123,15 +123,15 @@ func (h *mqueue) link(delta int64, list int, idx int32) {
 }
 
 func (h *mqueue) push(it mitem) {
-	if h.empty() {
-		// Empty queue: re-anchor the window at the new event.
-		if h.buckets == nil {
-			h.buckets = make([]mbucket, mqWindow)
-			h.slots = make([]mslot, 1, 64)
-		}
-		h.base = it.at
-		h.cursor = 0
+	if h.buckets == nil {
+		h.buckets = make([]mbucket, mqWindow)
+		h.slots = make([]mslot, 1, 64)
 	}
+	// base is the time of the last pop — of the event now being served —
+	// also when that pop emptied the queue: re-anchoring the window at the
+	// first event pushed into an empty queue would refuse a later push of the
+	// same handler that lands before it (a completion far out, then a wake
+	// at the current time).
 	delta := it.at - h.base
 	if delta < 0 {
 		panic("sim: event pushed before the current virtual time")
@@ -154,7 +154,9 @@ func (h *mqueue) push(it mitem) {
 		h.overSeq++
 		h.overPush(mkey{at: it.at, ord: uint64(list)<<62 | h.overSeq, idx: idx})
 	}
-	if h.minOK && it.at < h.minTime {
+	if h.n+len(h.over) == 1 {
+		h.minTime, h.minOK = it.at, true // the only event: no scan from base
+	} else if h.minOK && it.at < h.minTime {
 		h.minTime = it.at
 	}
 	// When !minOK, minTime is a lower-bound hint (all queued times are

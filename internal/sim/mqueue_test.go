@@ -67,8 +67,12 @@ func (q refQueue) askFirst(at int64) bool {
 // calendar queue and a sorted reference, comparing pop order, peekTime and
 // askWouldPopFirst on every step. The push mix covers same-tick asks and
 // completions, events past the mqWindow horizon (the overflow heap, and
-// its migration when the window advances), and full drains followed by a
-// later push (empty-queue re-anchoring). Every popped event is held
+// its migration when the window advances), and full drains followed by
+// pushes in any order — the handler of the event whose pop emptied the
+// queue may push a far event first and a near one second (the Async model
+// dispatches, a completion far out, and then wakes parked workers at the
+// current time; the queue used to re-anchor its window at the first push
+// into an empty queue and panicked on the second). Every popped event is held
 // across the pushes that follow it — which reuse the slot pop just freed,
 // as a handler's own pushes do — and must come through them unchanged.
 func TestMqueueModel(t *testing.T) {
@@ -116,9 +120,6 @@ func TestMqueueModel(t *testing.T) {
 			it := mitem{at: floor + delta, gen: int64(seq), proc: int32(rng.Intn(64)), job: noJob}
 			if rng.Intn(2) == 0 {
 				it.job = int32(rng.Intn(8))
-			}
-			if len(ref) == 0 {
-				floor = it.at // an empty queue re-anchors at the push
 			}
 			q.push(it)
 			ref = ref.insert(refEvent{it, seq})

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -15,11 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrUnsupportedMgmt reports a management model a simulation mode cannot
-// price. Errors wrapping it name the rejected model and the supported
-// alternatives; test with errors.Is.
-var ErrUnsupportedMgmt = errors.New("sim: unsupported management model")
-
 // This file is the event engine: one or more jobs, each with its own
 // core.Scheduler, sharing one P-processor machine in virtual time — the
 // discrete-event analogue of internal/tenant's worker pool. Run is its
@@ -27,7 +21,9 @@ var ErrUnsupportedMgmt = errors.New("sim: unsupported management model")
 // management probe (including a failed ask at a foreign job) is charged
 // to the executive resource. Which job a worker serves is not decided
 // here: the engine drives the same share.Policy object the pool does
-// (DESIGN.md §5.2).
+// (DESIGN.md §5.2). Nor is what a management request is and where it is
+// charged: that is the run's management model, one value (model.go) the
+// engine asks at every point where the models differ.
 
 // JobSpec describes one job of a multi-program run.
 type JobSpec struct {
@@ -138,7 +134,7 @@ type mjob struct {
 	// before the next phase's queued granules may be handed out. The wake
 	// that announces them carries the serial action's finish time, but a
 	// worker can ask inside the window all the same — woken by another
-	// job's event, or, on its own Sharded lane, straight after a
+	// job's event, or, on a per-worker management lane, straight after a
 	// completion — so the gate is explicit.
 	openAt int64
 
@@ -163,14 +159,6 @@ type mjob struct {
 	retriesLeft int
 	restartAt   int64
 	err         error
-
-	// Async model state: the job's slice of the shared dedicated server's
-	// ready buffer (tasks already pulled from this job's scheduler, each
-	// stamped with its production time), the completions queued behind the
-	// server, and the NextTasks scratch. See multi_async.go.
-	aready fifo[asyncSlot]
-	acomp  []core.Task
-	abuf   []core.Task
 }
 
 // mitem is one queue entry: an idle worker's ask for work, or a task
@@ -207,8 +195,8 @@ func (it mitem) isDone() bool { return it.job >= 0 }
 // touches, kept together so an event costs one cache line of worker state
 // (TestMitemSize guards the 64 bytes): the running task, the generation a
 // live ask must carry (it bumps when a pending ask is superseded), when the
-// worker's own management lane is next free (Sharded), and whether it is
-// parked.
+// worker is next free of its task and of management charged on its own
+// lane (perTask.charge), and whether it is parked.
 type mworker struct {
 	flight mflight
 	askGen int64
@@ -270,23 +258,13 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 	if cfg.Procs < 1 {
 		return failEarly(fmt.Errorf("sim: need at least 1 processor"))
 	}
-	workers := cfg.Procs
-	switch cfg.Mgmt {
-	case StealsWorker:
-		workers = cfg.Procs - 1
-		if workers < 1 {
-			return failEarly(fmt.Errorf("sim: StealsWorker model needs at least 2 processors"))
-		}
-	case Dedicated, Sharded, Adaptive, Async:
-	default:
-		// An unknown model must not be mispriced silently.
-		return failEarly(fmt.Errorf("%w: the %v model has no multi-program pricing",
-			ErrUnsupportedMgmt, cfg.Mgmt))
+	workers, err := cfg.Mgmt.computing(cfg.Procs)
+	if err != nil {
+		return failEarly(err)
 	}
 
 	s := &mstate{
 		ctx:       ctx,
-		model:     cfg.Mgmt,
 		workers:   workers,
 		procs:     cfg.Procs,
 		pol:       share.New(workers),
@@ -325,10 +303,6 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		totalCost += int64(spec.Prog.TotalCost())
 	}
 	s.obs = newObserver(cfg.Observer, totalCost, workers)
-	if s.obs != nil {
-		s.nowFn = s.frontier
-		s.snapFn = s.snapshot
-	}
 	if cfg.Trace != nil {
 		s.tr = bindTrace(cfg.Trace, cfg.Mgmt, workers, s.jobs[0].spec.Prog)
 		m := cfg.Trace.Meta()
@@ -338,15 +312,7 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		}
 	}
 	s.met = cfg.Metrics
-	if cfg.Mgmt == Async {
-		s.masyncInit(cfg)
-	}
-	if cfg.Mgmt == Adaptive {
-		s.madaptiveInit(cfg, totalCost)
-		if s.met != nil {
-			s.met.BatchSize.Set(int64(s.batchN))
-		}
-	}
+	s.m = kinds[cfg.Mgmt].build(s, cfg, totalCost)
 	if cfg.Faults != nil {
 		s.plan = fault.New(*cfg.Faults)
 		s.fails = make([]error, workers)
@@ -375,10 +341,10 @@ func (s *mstate) execute() (*MultiResult, error) {
 		// Close the observer stream on failure too, with the counters
 		// accumulated so far; the trace closes with an abort record.
 		if s.tr != nil {
-			s.tr.Record(trace.KAbort, s.frontier(), -1, -1, -1, 0, 0, 0)
+			s.tr.Record(trace.KAbort, s.front, -1, -1, -1, 0, 0, 0)
 		}
 		s.finishMetrics()
-		s.obs.final(s.snapshot(s.frontier()))
+		s.obs.final(s.snapshot(s.front))
 		return nil, err
 	}
 	res := s.result()
@@ -391,9 +357,10 @@ func (s *mstate) execute() (*MultiResult, error) {
 }
 
 type mstate struct {
-	ctx     context.Context
-	jobs    []*mjob
-	model   MgmtModel
+	ctx  context.Context
+	jobs []*mjob
+	// m is the run's management model (model.go), built once by newMstate.
+	m       model
 	workers int
 	procs   int
 	obs     *observer
@@ -428,42 +395,19 @@ type mstate struct {
 	readyTotal int
 	deferredN  int
 
-	// Async model state: per-job ready-buffer knobs and the pool-wide
-	// buffered-task count (wake's extra availability). See multi_async.go.
-	readyCap  int
-	lowWater  int
-	bufferedN int
-
-	// Adaptive model state: per-worker job-tagged shards, the shared batch
-	// knobs, the per-visit Acquire accounting, and one pool-wide controller
-	// with its epoch snapshots and hoarded-idle integral. See
-	// multi_adaptive.go.
-	mab          []mshard
-	batchN       int
-	cbatchN      int
-	acquireUnits int64
-	tuner        *Tuner
-	epochLen     int64
-	lastObsAt    int64
-	lastObsAcq   int64
-	lastObsHI    int64
-	hoardNow     int
-	hiInt        int64
-	hiAt         int64
-
-	// front caches frontier()'s running maximum — lastDone and the job
-	// makespans are monotone, so the max never has to be rescanned.
+	// front is the run's virtual-time high-water mark, the makespan
+	// result() reports in the end: the last completion event or
+	// completion-processing finish, kept as a running max. The management
+	// server's own horizon (serverFree) is deliberately excluded — trailing
+	// zero-cost asks and deferred absorption can push it past the final
+	// makespan, and the observer stream must never report a VirtualTime
+	// beyond the Final snapshot's.
 	front int64
-
-	// Pre-bound observer thunks (see observer.maybe).
-	nowFn  func() int64
-	snapFn func(at int64) Snapshot
 
 	idleUnits    int64
 	computeUnits int64
 	doneUnits    int64 // compute of tasks whose completion event was served
 	mgmtUnits    int64
-	lastDone     int64
 
 	// Fault injection and tenancy state (see faults.go): the compiled
 	// campaign (nil = off), the injected failure each worker's running
@@ -501,48 +445,28 @@ func (s *mstate) syncReady(j *mjob) {
 	}
 }
 
-// chargeMgmt charges cost units of executive time for a request involving
-// worker w: on the serial management server under the serial models, or —
-// under the Sharded model — inline on the worker's own lane, so management
-// from different processors proceeds concurrently. Requests with no worker
-// (w < 0) always serialize.
-func (s *mstate) chargeMgmt(w int, at int64, cost core.Cost) int64 {
-	if s.model != Sharded || w < 0 {
-		return s.serve(at, cost)
-	}
-	start := at
-	if s.worker[w].free > start {
-		start = s.worker[w].free
-	}
-	fin := start + int64(cost)
-	s.mgmtUnits += int64(cost)
-	if s.tl != nil && cost > 0 {
-		s.tl.AddMgmt(start, fin)
-	}
-	s.worker[w].free = fin
-	// The serialized lane (phase activation, deferred idle-time work)
-	// must never lag the management frontier: without this, deferred
-	// composite-map builds would be charged in the past — overlapping
-	// work that already happened.
-	if fin > s.serverFree {
-		s.serverFree = fin
-	}
-	return fin
-}
-
 // serve charges cost units of executive time on the serial management
 // server starting no earlier than at, and returns the finish time.
 func (s *mstate) serve(at int64, cost core.Cost) int64 {
-	start := at
-	if s.serverFree > start {
-		start = s.serverFree
-	}
+	return s.chargeLane(&s.serverFree, at, cost)
+}
+
+// chargeLane charges cost units of executive time on the management lane
+// that is next free at *free — the serial server, or a worker's own
+// timeline — starting no earlier than at. It moves the lane's horizon to
+// the finish time and returns it. The serial lane (phase activation,
+// deferred idle-time work) never lags another lane's horizon: without
+// that, deferred composite-map builds would be charged in the past —
+// overlapping work that already happened.
+func (s *mstate) chargeLane(free *int64, at int64, cost core.Cost) int64 {
+	start := max(at, *free)
 	fin := start + int64(cost)
 	s.mgmtUnits += int64(cost)
 	if s.tl != nil && cost > 0 {
 		s.tl.AddMgmt(start, fin)
 	}
-	s.serverFree = fin
+	*free = fin
+	s.serverFree = max(s.serverFree, fin)
 	return fin
 }
 
@@ -553,7 +477,7 @@ func (s *mstate) park(w int, at int64) {
 	if s.tr != nil {
 		s.tr.Record(trace.KPark, at, int32(w), -1, -1, 0, 0, 0)
 	}
-	s.mNoteStarve(at)
+	s.m.parking(at)
 	s.worker[w].parked = true
 	s.parkedB.set(w)
 	s.parkedN++
@@ -582,30 +506,16 @@ func (s *mstate) homePhase(w int) *PhaseTrace {
 	return &j.phases[cur]
 }
 
-// parkRetry ends an ask whose walk found nothing: the worker parks at
-// at. A candidate skipped because its serial action was still running
-// reopens at a known time (reopen >= 0 is the earliest), so the worker
-// schedules its own retry for it — the wake that announced the gated work
-// ran when openAt was set and cannot see workers that park later.
-func (s *mstate) parkRetry(w int, at, reopen int64) {
-	s.park(w, at)
-	if reopen >= 0 {
-		s.pendingAt[w] = reopen
-		s.worker[w].askGen++
-		s.pushAsk(reopen, w)
-	}
-}
-
 // ask serves a live ask of worker w at time at (the run loop has already
 // dropped asks a later wake superseded): it settles the worker's park
 // accounting, gives a crash rule its chance, and hands over to the
-// management model's handler.
+// management model.
 func (s *mstate) ask(w int, at int64) {
 	if s.worker[w].parked {
 		if s.tr != nil {
 			s.tr.Record(trace.KUnpark, at, int32(w), -1, -1, 0, 0, at-s.parkedAt[w])
 		}
-		s.mNoteStarve(at)
+		s.m.parking(at)
 		s.worker[w].parked = false
 		s.parkedB.clear(w)
 		s.parkedN--
@@ -620,40 +530,12 @@ func (s *mstate) ask(w int, at int64) {
 	if s.plan != nil && s.maybeCrash(w, at) {
 		return // the worker is retired: its ask dies, it never asks again
 	}
-	switch s.model {
-	case Async:
-		s.masyncAsk(w, at)
-	case Adaptive:
-		s.madaptiveAsk(w, at)
-	default:
-		s.serveAsk(w, at)
-	}
-}
-
-// noteJobDone flips job j's done bookkeeping when its scheduler just
-// finished: the job leaves the dispatch policy's live set, which hands its
-// home workers to the jobs still running. Call before syncReady (which
-// zeroes a done job's cached contribution).
-func (s *mstate) noteJobDone(j *mjob) {
-	if j.done || !j.sched.Done() {
-		return
-	}
-	j.done = true
-	if s.met != nil {
-		s.met.JobsDone.Inc(0)
-		s.met.ActiveJobs.Add(-1)
-		// A deadlined job reaching here beat its deadline (a miss is
-		// aborted AT the deadline and never arrives); the margin is the
-		// budget it had left. Callers update j.makespan before calling.
-		if j.spec.Deadline > 0 {
-			s.met.DeadlineMargin.Observe(j.spec.Deadline - j.makespan)
-		}
-	}
-	s.pol.Remove(&j.pol)
+	s.m.ask(w, at)
 }
 
 // wake schedules asks for parked workers at time at, bounded by the
-// ready tasks across all unfinished jobs. A worker stays parked until its
+// ready tasks across all unfinished jobs plus whatever the model holds
+// that any worker could claim. A worker stays parked until its
 // ask is served: a wake carrying a serial-action delay schedules the ask
 // in the future, and a later release by ANOTHER job may land inside that
 // window — the earlier wake then supersedes the pending one (askGen
@@ -663,18 +545,12 @@ func (s *mstate) wake(at int64) {
 	if s.parkedN == 0 {
 		return
 	}
-	avail := s.readyTotal
-	if s.model == Async {
-		// Buffered tasks are poppable by any worker whose candidate walk
-		// reaches their job, so they count as availability; the dispatch
-		// waits for the slot's production stamp, not the ask.
-		avail += s.bufferedN
-	}
+	avail := s.readyTotal + s.m.claimable()
 	if avail <= 0 {
 		return
 	}
 	if s.plan != nil && s.plan.DropWakeup() {
-		// The wakeup vanishes; the run loop's queue-empty probe re-wakes.
+		// The wakeup vanishes; the run loop's queue-empty recovery re-wakes.
 		s.noteFault(at, -1, -1, fault.DropWakeup)
 		return
 	}
@@ -753,18 +629,13 @@ func (s *mstate) run() error {
 		// hot loop paying an atomic load per event.
 		if ops&1023 == 0 {
 			if err := s.ctx.Err(); err != nil {
-				return fmt.Errorf("sim: run canceled at t=%d: %w", s.frontier(), err)
+				return fmt.Errorf("sim: run canceled at t=%d: %w", s.front, err)
 			}
 		}
-		// Guarded here, not in maybe: an unobserved run must not pay even
-		// the thunk's indirect call per event. (The frontier itself is a
-		// cached running max, so an observed run pays O(1) too.) A mark
-		// that fires here is recorded BEFORE the events this iteration
-		// serves — the equal-tick ordering contract (trace.go).
+		// A mark that fires here is recorded BEFORE the events this
+		// iteration serves — the equal-tick ordering contract (trace.go).
 		if s.obs != nil {
-			if at, fired := s.obs.maybe(s.nowFn, s.snapFn); fired && s.tr != nil {
-				s.tr.Record(trace.KMark, at, -1, -1, -1, 0, 0, 0)
-			}
+			s.observe()
 		}
 
 		// Deadline enforcement: a deadlined job is failed exactly AT its
@@ -794,47 +665,56 @@ func (s *mstate) run() error {
 			continue
 		}
 
-		// Async: completions can be parked behind a busy server with no
-		// further worker event left to trigger a drain (every worker
-		// parked); force one per backlogged job so the run can finish.
-		if s.model == Async {
-			drained := false
-			for ji, j := range s.jobs {
-				if len(j.acomp) > 0 {
-					s.masyncServiceJob(ji, s.serverFree, true)
-					drained = true
-				}
-			}
-			if drained {
-				continue
-			}
+		if s.refill(true) {
+			continue
 		}
-
-		alldone := true
 		for _, j := range s.jobs {
 			if !j.done {
-				alldone = false
-				break
+				return fmt.Errorf("sim: stalled at t=%d: queue empty, jobs incomplete", s.serverFree)
 			}
 		}
-		if alldone {
-			return nil
-		}
-		// Dropped-wakeup recovery: ready work with every worker parked and
-		// nothing queued means a wake was injected away — re-wake (the
-		// DropWakeup budget bounds repeats; maxOps guards the rest).
-		if s.plan != nil && s.parkedN > 0 {
-			avail := s.readyTotal
-			if s.model == Async {
-				avail += s.bufferedN
-			}
-			if avail > 0 {
-				s.wake(s.serverFree)
-				continue
-			}
-		}
-		return fmt.Errorf("sim: stalled at t=%d: queue empty, jobs incomplete", s.serverFree)
+		return nil
 	}
+}
+
+// observe emits one snapshot (s.obs != nil) when the run's frontier has
+// crossed the observer's next mark, and flight-records the mark at the same
+// deterministic point. Advancing next past the frontier (not by one stride)
+// keeps long event gaps from flushing a burst of identical snapshots.
+func (s *mstate) observe() {
+	o := s.obs
+	if s.front < o.next {
+		return
+	}
+	o.fn(s.snapshot(s.front))
+	o.next = (s.front/o.stride + 1) * o.stride
+	if s.tr != nil {
+		s.tr.Record(trace.KMark, s.front, -1, -1, -1, 0, 0, 0)
+	}
+}
+
+// refill is the empty event queue's recovery, stated once: it reports
+// whether the run can still regenerate events from a queue with nothing in
+// it, and with act set it does so (one source per call). checkDeadlines and
+// restartDue ask without acting — an empty queue the loop can refill is not
+// the end of time — and the run loop acts, and is stalled when there is
+// nothing to act on and a job unfinished. The sources: deferred management
+// (absorbDeferred takes it at the top of the loop's next turn), completions
+// backlogged in the model with no worker event left to deliver them, and —
+// under a fault campaign — claimable work behind parked workers, which means
+// a wake was injected away (the DropWakeup budget bounds repeats; maxOps
+// guards the rest).
+func (s *mstate) refill(act bool) bool {
+	if s.deferredN > 0 || s.m.backlog(act) {
+		return true
+	}
+	if s.plan == nil || s.parkedN == 0 || s.readyTotal+s.m.claimable() <= 0 {
+		return false
+	}
+	if act {
+		s.wake(s.serverFree)
+	}
+	return true
 }
 
 // absorbDeferred is the idle executive's moment: when nothing is due
@@ -862,7 +742,8 @@ func (s *mstate) absorbDeferred() bool {
 // complete handles the completion event of worker w's running task, of
 // attempt gen of job ji, surfacing at time at.
 func (s *mstate) complete(w, ji int, gen, at int64) {
-	if j := s.jobs[ji]; j.done || gen != j.attempt {
+	j := s.jobs[ji]
+	if j.done || gen != j.attempt {
 		// Orphaned completion of a retired or restarted attempt: the
 		// result is discarded, the worker is freed to ask again.
 		s.pushAsk(at, w)
@@ -871,14 +752,15 @@ func (s *mstate) complete(w, ji int, gen, at int64) {
 	if s.hooked && !s.completeHooks(w, ji, gen, at) {
 		return
 	}
-	switch s.model {
-	case Async:
-		s.masyncComplete(w, ji, at)
-	case Adaptive:
-		s.madaptiveComplete(w, at)
-	default:
-		s.completeTask(w, ji, at)
+	// computeUnits is charged in full at dispatch — it includes in-flight
+	// tasks' future work, which would read as utilization above 1 mid-run —
+	// so snapshots count a task's compute only here, once its completion
+	// event has surfaced.
+	s.doneUnits += s.worker[w].flight.dur
+	if at > s.front {
+		s.front = at
 	}
+	s.m.complete(w, j, at)
 }
 
 // completeHooks is complete's out-of-line half for runs with a fault
@@ -901,7 +783,7 @@ func (s *mstate) completeHooks(w, ji int, gen, at int64) bool {
 			return false
 		}
 	}
-	// One chokepoint records EVERY model's completions (the model handlers
+	// One chokepoint records EVERY model's completions (the models
 	// diverge), before the scheduler absorbs the event — so dispatches it
 	// enables carry larger Seqs.
 	if s.tr != nil {
@@ -915,16 +797,20 @@ func (s *mstate) completeHooks(w, ji int, gen, at int64) bool {
 	return true
 }
 
-// serveAsk handles an idle worker's ask under the per-task models: it
-// walks the dispatch-policy order, charging every probe's management
-// cost, and parks the worker when every candidate is dry.
-func (s *mstate) serveAsk(w int, asked int64) {
-	at := asked
+// walk is the one candidate walk: worker w, whose ask was issued at asked
+// and has reached time at, offers itself to the jobs in dispatch-policy
+// order (home first, then the backfill order), skipping a job whose
+// between-phase serial action is still running, and asks the model to probe
+// each. The first probe that yields a task is dispatched — a task of a
+// job other than the worker's home is backfill and draws that job's credit
+// — and walk returns the job and the dispatch time. When every candidate
+// is dry the worker parks, at the time the model says the dry walk ended,
+// and walk returns nil.
+func (s *mstate) walk(w int, asked, at int64) (*mjob, int64) {
 	reopen := int64(-1)
 	wk := s.pol.Start(w)
 	for c := s.pol.Next(&wk); c != nil; c = s.pol.Next(&wk) {
-		ji := c.ID
-		j := s.jobs[ji]
+		j := s.jobs[c.ID]
 		if at < j.openAt {
 			// The job's between-phase serial action is still running.
 			if reopen < 0 || j.openAt < reopen {
@@ -932,23 +818,32 @@ func (s *mstate) serveAsk(w int, asked int64) {
 			}
 			continue
 		}
-		task, cost, ok := j.sched.NextTask()
-		s.syncReady(j)
-		fin := s.chargeMgmt(w, at, cost)
-		if ok {
-			backfill := c != wk.Home
-			if backfill {
-				s.pol.Charge(c, task.Run.Len())
-			}
-			if s.met != nil {
-				s.met.DispatchWait.Observe(fin - asked)
-			}
-			s.dispatch(w, ji, backfill, task, fin)
-			return
+		task, drawn, fin, ok := s.m.probe(w, j, at)
+		if !ok {
+			at = fin
+			continue
 		}
-		at = fin
+		backfill := c != wk.Home
+		if backfill {
+			s.pol.Charge(c, drawn)
+		}
+		if s.met != nil {
+			s.met.DispatchWait.Observe(fin - asked)
+		}
+		s.dispatch(w, c.ID, backfill, task, fin)
+		return j, fin
 	}
-	s.parkRetry(w, at, reopen)
+	s.park(w, s.m.dry(w, at))
+	// A candidate skipped because its serial action was still running
+	// reopens at a known time (reopen is the earliest), so the worker
+	// schedules its own retry for it — the wake that announced the gated
+	// work ran when openAt was set and cannot see workers that park later.
+	if reopen >= 0 {
+		s.pendingAt[w] = reopen
+		s.worker[w].askGen++
+		s.pushAsk(reopen, w)
+	}
+	return nil, at
 }
 
 // dispatch starts task, of job ji, on worker at time at: it prices the
@@ -1028,71 +923,26 @@ func (j *mjob) phaseEnd(p granule.PhaseID, at int64) {
 	}
 }
 
-// noteDone accrues a surfaced completion for the observer and advances
-// the completion frontier. computeUnits is charged in full at dispatch —
-// it includes in-flight tasks' future work, which would read as
-// utilization above 1 mid-run — so snapshots count a task's compute only
-// here, once its completion event has surfaced.
-func (s *mstate) noteDone(dur, at int64) {
-	s.doneUnits += dur
-	if at > s.lastDone {
-		s.lastDone = at
-		if at > s.front {
-			s.front = at
-		}
-	}
-}
-
-func (s *mstate) completeTask(w, ji int, at int64) {
-	f := &s.worker[w].flight
-	j := s.jobs[ji]
-	serial0 := j.sched.SerialCost()
-	cost := j.sched.Complete(f.task)
-	fin := s.chargeMgmt(w, at, cost)
-	if j.sched.SerialCost() > serial0 && fin > j.openAt {
-		j.openAt = fin
-	}
-	s.noteDone(f.dur, at)
-	j.phaseEnd(f.task.Phase, fin)
-	if fin > j.makespan {
-		j.makespan = fin
-		if fin > s.front {
-			s.front = fin
-		}
-	}
-	s.noteJobDone(j)
-	s.syncReady(j)
-	s.wake(fin)
-	// Fast path: when the worker's re-ask would be the very next event
-	// anyway, serve it inline and skip the queue round trip. This is
-	// exactly the event the main loop would process next — any worker
-	// wake just issued at fin was pushed first and defeats the peek check,
-	// and deferred absorption (which the loop would try first, since
-	// completion processing leaves serverFree == fin) and a pending restart
-	// (likewise) gate the path out entirely. The loop-top observer poll is replayed here so snapshot
-	// streams are untouched.
-	if s.deferredN == 0 && s.restartN == 0 && s.queue.askWouldPopFirst(fin) {
-		if s.obs != nil {
-			if at, fired := s.obs.maybe(s.nowFn, s.snapFn); fired && s.tr != nil {
-				s.tr.Record(trace.KMark, at, -1, -1, -1, 0, 0, 0)
-			}
-		}
-		s.ask(w, fin)
-		return
-	}
-	s.pushAsk(fin, w)
-}
-
 // completeBatch applies the fused completion batch ts of job j on the
-// serialized server, starting no earlier than at, with the same
-// serial-gate, phase-window, makespan and done bookkeeping as the
-// per-task completion path (completeTask). It returns the finish time.
+// serialized server, starting no earlier than at, and returns the finish
+// time.
 func (s *mstate) completeBatch(j *mjob, ts []core.Task, at int64) int64 {
 	serial0 := j.sched.SerialCost()
 	fin := s.serve(at, j.sched.CompleteBatch(ts))
 	for _, t := range ts {
 		j.phaseEnd(t.Phase, fin)
 	}
+	s.applied(j, serial0, fin)
+	return fin
+}
+
+// applied is the bookkeeping every model's completion path shares, once job
+// j's scheduler has absorbed completions whose processing finished at fin:
+// a serial action they started (SerialCost grew past serial0) gates the
+// job's dispatch until fin, the job's makespan and the run's frontier
+// advance, and a job whose scheduler just finished leaves the dispatch
+// policy's live set, which hands its home workers to the jobs still running.
+func (s *mstate) applied(j *mjob, serial0 core.Cost, fin int64) {
 	if j.sched.SerialCost() > serial0 && fin > j.openAt {
 		j.openAt = fin
 	}
@@ -1102,30 +952,28 @@ func (s *mstate) completeBatch(j *mjob, ts []core.Task, at int64) int64 {
 			s.front = fin
 		}
 	}
-	s.noteJobDone(j)
-	s.syncReady(j)
-	return fin
-}
-
-// frontier is the run's virtual-time high-water mark, matching the
-// makespan quantity result() reports: the last completion event or
-// completion-processing finish. The management server's own horizon
-// (serverFree) is deliberately excluded — trailing zero-cost asks and
-// deferred absorption can push it past the final makespan, and the
-// observer stream must never report a VirtualTime beyond the Final
-// snapshot's.
-// lastDone and the per-job makespans only ever increase, so front is
-// maintained as a running max where they are updated (completeTask) and
-// this is O(1).
-func (s *mstate) frontier() int64 {
-	return s.front
+	if !j.done && j.sched.Done() {
+		j.done = true
+		if s.met != nil {
+			s.met.JobsDone.Inc(0)
+			s.met.ActiveJobs.Add(-1)
+			// A deadlined job reaching here beat its deadline (a miss is
+			// aborted AT the deadline and never arrives); the margin is the
+			// budget it had left.
+			if j.spec.Deadline > 0 {
+				s.met.DeadlineMargin.Observe(j.spec.Deadline - j.makespan)
+			}
+		}
+		s.pol.Remove(&j.pol)
+	}
+	s.syncReady(j) // after the done bit, which zeroes the job's contribution
 }
 
 // snapshot builds an observation of the run at virtual time at. Jobs
 // counts the still-unfinished jobs, so a live observer watches the
 // tenancy drain and the Final snapshot reads "drained" exactly as the
 // other backends' do; ComputeUnits counts completed tasks only (see
-// noteDone).
+// complete).
 func (s *mstate) snapshot(at int64) Snapshot {
 	sn := Snapshot{
 		VirtualTime:  at,
@@ -1139,9 +987,7 @@ func (s *mstate) snapshot(at int64) Snapshot {
 			sn.Jobs++
 		}
 	}
-	if s.model == Adaptive {
-		sn.Batch = s.batchN
-	}
+	sn.Batch, _ = s.m.batch()
 	if at > 0 {
 		capacity := float64(s.procs) * float64(at)
 		sn.Utilization = float64(sn.ComputeUnits) / capacity
@@ -1151,12 +997,7 @@ func (s *mstate) snapshot(at int64) Snapshot {
 }
 
 func (s *mstate) result() *MultiResult {
-	makespan := s.lastDone
-	for _, j := range s.jobs {
-		if j.makespan > makespan {
-			makespan = j.makespan
-		}
-	}
+	makespan := s.front
 	for w := range s.worker {
 		if s.worker[w].parked {
 			s.worker[w].parked = false
@@ -1173,12 +1014,7 @@ func (s *mstate) result() *MultiResult {
 		Workers:      s.workers,
 		Procs:        s.procs,
 	}
-	if s.model == Adaptive {
-		res.Batch = s.batchN
-		if s.tuner != nil {
-			res.BatchChanges = s.tuner.Changes()
-		}
-	}
+	res.Batch, res.BatchChanges = s.m.batch()
 	res.Faults = s.plan.Injected()
 	res.Retries = s.retries
 	res.MaxBackfillTask = s.maxBackfillTask

@@ -52,7 +52,8 @@ func observeStride(totalCost int64, workers int) int64 {
 	return max(est/16, 1)
 }
 
-// observer is the run loop's snapshot emission state.
+// observer is the run loop's snapshot emission state (mstate.observe
+// emits the periodic snapshots).
 type observer struct {
 	fn     func(Snapshot)
 	stride int64
@@ -65,28 +66,6 @@ func newObserver(fn func(Snapshot), totalCost int64, workers int) *observer {
 	}
 	every := observeStride(totalCost, workers)
 	return &observer{fn: fn, stride: every, next: every}
-}
-
-// maybe emits one snapshot when the run's frontier has crossed the next
-// mark. now must report the frontier and snap must build the snapshot at
-// it; both are thunks the caller pre-binds once, so the per-event cost is
-// one indirect call against a cached O(1) frontier — never a fresh
-// closure allocation or an O(jobs) scan. Advancing next past the
-// frontier (not by one stride) keeps long event gaps from flushing a
-// burst of identical snapshots. It reports the frontier and whether a
-// snapshot fired, so the caller can flight-record the observation mark
-// at the same deterministic point (trace KMark).
-func (o *observer) maybe(now func() int64, snap func(at int64) Snapshot) (int64, bool) {
-	if o == nil {
-		return 0, false
-	}
-	frontier := now()
-	if frontier < o.next {
-		return frontier, false
-	}
-	o.fn(snap(frontier))
-	o.next = (frontier/o.stride + 1) * o.stride
-	return frontier, true
 }
 
 // final emits the closing snapshot.

@@ -4,46 +4,19 @@
 // state machine in virtual time, charging every management cost the
 // scheduler reports to the management server.
 //
-// There is one event engine (multi.go): a time-ordered queue of worker
-// asks and task completions over one or more jobs sharing the machine.
-// RunMulti runs several jobs on it; Run is its one-job case, converted
-// into the single-program Result. A program is therefore priced the same
-// whether it runs alone or is the only live job of a shared machine.
+// There is one event engine: a time-ordered queue of worker asks and task
+// completions over one or more jobs sharing the machine. RunMulti runs
+// several jobs on it; Run is its one-job case, converted into the
+// single-program Result. A program is therefore priced the same whether it
+// runs alone or is the only live job of a shared machine.
 //
-// Five management resource models are provided. The first two reproduce
-// the paper's discussion; the others price the parallel and asynchronous
-// managers this reproduction adds (internal/executive's ShardedManager
-// and AsyncManager):
-//
-//   - StealsWorker: the executive runs on one of the P processors ("in the
-//     PAX/CASPER UNIVAC 1100 test bed, executive computation was done at
-//     the direct expense of worker computation"), so only P-1 processors
-//     compute granules.
-//   - Dedicated: "some real parallel machines may provide separate
-//     executive computing resources" — all P processors compute and the
-//     executive runs beside them.
-//   - Sharded: management is distributed across the workers. Each
-//     processor pays its own dispatch and completion costs inline on its
-//     own timeline (per-shard management), so management work from
-//     different processors proceeds concurrently instead of queueing on
-//     one serial server; only phase activation and deferred idle-time
-//     work (table builds, successor splitting) remain serialized. This is
-//     the optimistic bound: it assumes entering the executive costs
-//     nothing beyond the state-machine work itself.
-//   - Adaptive: the batched-executive model — the virtual-time price of
-//     the deque-based sharded manager. Workers hold local task buffers
-//     and completion batches; popping the local buffer is free, but every
-//     refill (NextTasks) and batch flush (CompleteBatch) is one visit to
-//     the serialized management server charging MgmtCosts.Acquire plus
-//     the state-machine cost. Batch size governs how many tasks amortize
-//     each Acquire — too small and the lock serializes the machine, too
-//     large and refills hoard tasks idle workers needed (the rundown
-//     tail). With Options.AdaptiveBatch the batch is retuned online by
-//     the Tuner feedback loop (tuner.go); otherwise Config.Batch fixes it.
-//   - Async: the Dedicated model extended with the async executive's
-//     ready-buffer/low-water protocol — workers pop a bounded buffer the
-//     dedicated server keeps topped up and queue completions back without
-//     waiting; the virtual-time price of executive.AsyncManager.
+// Where executive computation runs is the run's management model
+// (MgmtModel): one value the engine builds at the start and asks wherever
+// the models differ — what an ask probes and costs, what a completion does,
+// what waits inside the model between events. StealsWorker and Dedicated
+// reproduce the paper's discussion; Sharded, Adaptive and Async price the
+// parallel and asynchronous managers this reproduction adds. Each is
+// documented where it is declared.
 //
 // The simulator is deterministic: identical inputs produce identical
 // schedules, event orders and metrics.
@@ -51,7 +24,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -59,48 +31,6 @@ import (
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
-
-// MgmtModel selects where executive computation runs.
-type MgmtModel uint8
-
-const (
-	// StealsWorker dedicates one of the P processors to the executive.
-	StealsWorker MgmtModel = iota
-	// Dedicated gives the executive its own processor beside the P workers.
-	Dedicated
-	// Sharded distributes management across the P workers: each processor
-	// pays its own management costs inline, concurrently with the others'.
-	Sharded
-	// Adaptive is the batched-executive model: per-worker task buffers
-	// and completion batches, each refill or flush paying one serialized
-	// Acquire-priced lock visit; the batch size is fixed (Config.Batch)
-	// or retuned online (Options.AdaptiveBatch).
-	Adaptive
-	// Async is the Dedicated model extended with the async executive's
-	// ready-buffer protocol (see multi_async.go): a separate executive
-	// processor keeps a bounded ready-buffer topped up, workers pop it
-	// for free and queue completions back without waiting, and deferred
-	// management overlaps computation above the buffer's low-water mark
-	// — the virtual-time price of executive.AsyncManager.
-	Async
-)
-
-func (m MgmtModel) String() string {
-	switch m {
-	case StealsWorker:
-		return "steals-worker"
-	case Dedicated:
-		return "dedicated"
-	case Sharded:
-		return "sharded"
-	case Adaptive:
-		return "adaptive"
-	case Async:
-		return "async"
-	default:
-		return fmt.Sprintf("MgmtModel(%d)", uint8(m))
-	}
-}
 
 // Config parameterizes a simulation run.
 type Config struct {
@@ -125,15 +55,16 @@ type Config struct {
 	// Options.AdaptiveBatch this is the controller's starting point;
 	// otherwise it is fixed for the whole run. Other models ignore it.
 	Batch int
-	// ReadyCap bounds the Async model's ready-buffer — how many
-	// dispatched-but-unclaimed tasks the dedicated executive keeps ahead
-	// of the workers. <= 0 selects 2*workers (minimum 8), matching
-	// executive.Config.ReadyCap. Other models ignore it.
+	// ReadyCap bounds each job's ready buffer under the Async model — how
+	// many dispatched-but-unclaimed tasks of one job the dedicated executive
+	// keeps ahead of the workers. <= 0 splits executive.Config.ReadyCap's
+	// default of 2*workers across the jobs (minimum 8 per job). Other models
+	// ignore it.
 	ReadyCap int
 	// LowWater is the Async model's deferred-overlap mark: the executive
-	// absorbs deferred management whenever the ready-buffer holds more
-	// than this many tasks. <= 0 selects ReadyCap/4 (minimum 1). Other
-	// models ignore it.
+	// absorbs a job's deferred management whenever the job's ready buffer
+	// holds more than this many tasks. <= 0 selects a quarter of the
+	// resolved ReadyCap (minimum 1). Other models ignore it.
 	LowWater int
 	// Observer, when non-nil, receives periodic Snapshots as the run's
 	// virtual frontier advances, plus one Final snapshot on every
@@ -236,8 +167,8 @@ type Result struct {
 }
 
 // Run simulates prog under the scheduler options opt on the machine cfg:
-// the one-job run of the engine RunMulti drives (multi.go), so a program
-// is priced the same alone as it is with co-tenants.
+// the one-job run of the engine RunMulti drives, so a program is priced
+// the same alone as it is with co-tenants.
 func Run(prog *core.Program, opt core.Options, cfg Config) (*Result, error) {
 	return RunContext(context.Background(), prog, opt, cfg)
 }

@@ -34,7 +34,7 @@ package sim
 //
 // The Tuner is deterministic and unit-agnostic: an epoch is total machine
 // capacity (workers x elapsed) plus the lock-overhead and hoarded-idle
-// shares of it. Its one driver is the Adaptive model (multi_adaptive.go),
+// shares of it. Its one driver is the Adaptive model (adaptive.go),
 // in virtual units (E12 prices it). The goroutine sharded manager runs
 // fixed parameters: its workers park in the pool, above the manager, where
 // the shrink input cannot be measured, and no hardware benchmark separated

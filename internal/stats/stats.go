@@ -1,60 +1,12 @@
 // Package stats provides the small statistical helpers used by the
-// benchmark harness: summaries, percentiles, and linear fits over float64
-// samples. It is intentionally dependency-free.
+// benchmark harness: percentiles over float64 samples and safe ratios. It
+// is intentionally dependency-free.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Summary holds the moments and extremes of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Std    float64 // sample standard deviation (n-1)
-	Min    float64
-	Max    float64
-	Sum    float64
-	Median float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.N = len(xs)
-	if s.N == 0 {
-		return s
-	}
-	s.Min = math.Inf(1)
-	s.Max = math.Inf(-1)
-	for _, x := range xs {
-		s.Sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = s.Sum / float64(s.N)
-	if s.N > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Std = math.Sqrt(ss / float64(s.N-1))
-	}
-	s.Median = Percentile(xs, 50)
-	return s
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g med=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.Median, s.Max)
-}
 
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks. It copies and sorts internally.
@@ -78,66 +30,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive xs (0 if any x <= 0).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// Linear fits y = a + b*x by least squares, returning the intercept a,
-// slope b, and coefficient of determination r2. Degenerate inputs (fewer
-// than two points or zero x-variance) return b = 0 with a = mean(y).
-func Linear(x, y []float64) (a, b, r2 float64) {
-	n := len(x)
-	if len(y) < n {
-		n = len(y)
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	mx := Mean(x[:n])
-	my := Mean(y[:n])
-	var sxx, sxy, syy float64
-	for i := 0; i < n; i++ {
-		dx := x[i] - mx
-		dy := y[i] - my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if n < 2 || sxx == 0 {
-		return my, 0, 0
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	if syy == 0 {
-		return a, b, 1
-	}
-	r2 = sxy * sxy / (sxx * syy)
-	return a, b, r2
 }
 
 // Ratio returns num/den, or 0 when den is 0 (avoids Inf in reports).

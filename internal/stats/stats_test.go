@@ -3,30 +3,9 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || !approx(s.Mean, 2.5) || !approx(s.Sum, 10) ||
-		!approx(s.Min, 1) || !approx(s.Max, 4) || !approx(s.Median, 2.5) {
-		t.Fatalf("summary = %+v", s)
-	}
-	if !approx(s.Std, math.Sqrt(5.0/3.0)) {
-		t.Errorf("std = %v", s.Std)
-	}
-	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
-		t.Errorf("empty summary = %+v", z)
-	}
-	if Summarize([]float64{7}).Std != 0 {
-		t.Error("single-sample std should be 0")
-	}
-	if s.String() == "" {
-		t.Error("String empty")
-	}
-}
 
 func TestPercentile(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
@@ -49,57 +28,8 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMeans(t *testing.T) {
-	if !approx(Mean([]float64{2, 4}), 3) || Mean(nil) != 0 {
-		t.Error("Mean wrong")
-	}
-	if !approx(GeoMean([]float64{1, 4}), 2) {
-		t.Error("GeoMean wrong")
-	}
-	if GeoMean([]float64{1, -1}) != 0 || GeoMean(nil) != 0 {
-		t.Error("GeoMean degenerate cases wrong")
-	}
-}
-
-func TestLinear(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7} // y = 1 + 2x
-	a, b, r2 := Linear(x, y)
-	if !approx(a, 1) || !approx(b, 2) || !approx(r2, 1) {
-		t.Errorf("fit = %v %v %v", a, b, r2)
-	}
-	a, b, _ = Linear([]float64{5, 5}, []float64{1, 2})
-	if b != 0 || !approx(a, 1.5) {
-		t.Errorf("degenerate fit = %v %v", a, b)
-	}
-	if _, b, _ := Linear(nil, nil); b != 0 {
-		t.Error("empty fit slope != 0")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(10, 4) != 2.5 || Ratio(1, 0) != 0 {
 		t.Error("Ratio wrong")
-	}
-}
-
-// TestQuickSummaryBounds: mean and median always lie within [min, max].
-func TestQuickSummaryBounds(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e12 {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		s := Summarize(clean)
-		return s.Mean >= s.Min-1e-6 && s.Mean <= s.Max+1e-6 &&
-			s.Median >= s.Min-1e-6 && s.Median <= s.Max+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -155,9 +155,6 @@ func NewRegistry(shards int, timeUnit string) *Registry {
 // TimeUnit reports the registry's time base label.
 func (r *Registry) TimeUnit() string { return r.timeUnit }
 
-// Shards reports the counter shard width.
-func (r *Registry) Shards() int { return r.shards }
-
 // Counter returns the counter registered under name, creating it on
 // first use. Registration races are resolved under the registry mutex;
 // the returned counter is shared by every caller of the same name.

@@ -1,9 +1,9 @@
 package tenant
 
 import (
+	"sync"
 	"time"
 
-	"repro/internal/executive"
 	"repro/internal/telemetry"
 )
 
@@ -93,10 +93,59 @@ func (p *Pool) noteMgmt(total int64) {
 	p.metMu.Unlock()
 }
 
-// startObserver spawns the sampling goroutine (the executive's shared
-// Sampler lifecycle). Caller ensures cfg.Observer is non-nil.
+// defaultObservePeriod is the sampling period when Config.ObservePeriod is
+// unset.
+const defaultObservePeriod = 10 * time.Millisecond
+
+// sampler periodically invokes a sample function on its own goroutine — the
+// lifecycle behind the pool's observer. stop halts the ticker and joins the
+// goroutine (leak-free teardown); the pool emits its Final snapshot itself
+// after stop, so a final observation never races a live sample.
+type sampler struct {
+	stopCh chan struct{}
+	once   sync.Once
+	wg     sync.WaitGroup
+}
+
+// startSampler begins calling sample every period (<= 0 selects
+// defaultObservePeriod); sample must be safe to call concurrently with the
+// observed pool (read atomics and lock-guarded accessors only).
+func startSampler(period time.Duration, sample func()) *sampler {
+	if period <= 0 {
+		period = defaultObservePeriod
+	}
+	s := &sampler{stopCh: make(chan struct{})}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		tick := time.NewTicker(period)
+		defer tick.Stop()
+		for {
+			select {
+			case <-s.stopCh:
+				return
+			case <-tick.C:
+				sample()
+			}
+		}
+	}()
+	return s
+}
+
+// stop halts sampling and joins the sampler goroutine. Safe on a nil
+// receiver and idempotent (even across concurrent calls).
+func (s *sampler) stop() {
+	if s == nil {
+		return
+	}
+	s.once.Do(func() { close(s.stopCh) })
+	s.wg.Wait()
+}
+
+// startObserver spawns the sampling goroutine. Caller ensures cfg.Observer
+// is non-nil.
 func (p *Pool) startObserver() {
-	p.sampler = executive.StartSampler(p.cfg.ObservePeriod, func() {
+	p.sampler = startSampler(p.cfg.ObservePeriod, func() {
 		p.cfg.Observer(p.snapshot())
 	})
 }

@@ -192,8 +192,8 @@ type Pool struct {
 	start time.Time
 	end   time.Time // set by Close after the workers join
 
-	sampler  *executive.Sampler // non-nil when an Observer samples the pool
-	obsFinal atomic.Bool        // Final snapshot emitted (first Close wins)
+	sampler  *sampler    // non-nil when an Observer samples the pool
+	obsFinal atomic.Bool // Final snapshot emitted (first Close wins)
 
 	// plan is the compiled fault campaign (nil when Config.Faults is nil:
 	// one nil check per task on the fault-free hot path).
@@ -386,7 +386,7 @@ func (p *Pool) Close() (*Report, error) {
 		p.stopWatchdog()
 		// Joined before the end reading, so no live sample reports a later
 		// Elapsed than the Final snapshot's.
-		p.sampler.Stop()
+		p.sampler.stop()
 		p.end = time.Now()
 
 		for _, j := range p.jobs {

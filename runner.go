@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/executive"
 	"repro/internal/sim"
 	"repro/internal/tenant"
 )
@@ -95,6 +94,31 @@ func jobName(job Job, i int) string {
 	return fmt.Sprintf("job%d", i)
 }
 
+// watchCancel spawns runPool's cancellation-watcher goroutine: when ctx
+// fires, abort is called once with the raw ctx.Err() (the caller wraps it in
+// its own error text). The returned stop function releases and joins the
+// watcher; call it exactly once, after the run is over, so teardown is
+// goroutine-leak-free. A never-cancellable ctx costs nothing.
+func watchCancel(ctx context.Context, abort func(error)) (stop func()) {
+	if ctx.Done() == nil {
+		return func() {}
+	}
+	runOver := make(chan struct{})
+	watchDone := make(chan struct{})
+	go func() {
+		defer close(watchDone)
+		select {
+		case <-ctx.Done():
+			abort(ctx.Err())
+		case <-runOver:
+		}
+	}()
+	return func() {
+		close(runOver)
+		<-watchDone
+	}
+}
+
 // runPool runs jobs on a fresh multi-tenant worker pool: the goroutine
 // machine, whatever the job count.
 func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error) {
@@ -136,7 +160,7 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 	// Cancellation watcher: ctx firing aborts every active job with a
 	// ctx.Err()-wrapped error; the watcher is joined before returning so
 	// teardown is goroutine-leak-free.
-	stopWatch := executive.WatchCancel(ctx, func(err error) {
+	stopWatch := watchCancel(ctx, func(err error) {
 		pool.Abort(fmt.Errorf("rundown: run canceled: %w", err))
 	})
 

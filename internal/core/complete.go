@@ -28,11 +28,7 @@ func (s *Scheduler) Complete(t Task) Cost {
 	s.stats.Merges++
 	s.stats.CompleteCost += s.opt.Costs.Complete + s.opt.Costs.Merge
 
-	if pr.completed.ContainsRange(d.run) && !d.run.Empty() {
-		panic(fmt.Sprintf("core: double completion of %v in phase %d", d.run, d.phase))
-	}
-	pr.completed.AddRange(d.run)
-	pr.nComplete += d.run.Len()
+	s.markComplete(pr, d.run)
 
 	// Release the conflict-queued successor: "upon completion of the
 	// described computation, all the queued conflicting computations
@@ -52,6 +48,17 @@ func (s *Scheduler) Complete(t Task) Cost {
 	cost += s.settle(pr)
 	s.putDesc(d)
 	return cost
+}
+
+// markComplete records run of pr as completed. A granule must never
+// complete twice: a run any granule of which is already complete would
+// push nComplete past the phase and release its successors early.
+func (s *Scheduler) markComplete(pr *phaseRun, run granule.Range) {
+	if pr.completed.any(run) {
+		panic(fmt.Sprintf("core: double completion of %v in phase %d", run, pr.idx))
+	}
+	pr.completed.set(run)
+	pr.nComplete += run.Len()
 }
 
 // settle is the tail of completion processing shared by Complete and
@@ -198,10 +205,8 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 	s.stats.Merges += int64(len(ts))
 	s.stats.CompleteCost += cost
 
-	// Merge the completed descriptions and drain their conflict rings.
-	// Task runs are pairwise disjoint (the dispatch path guards against
-	// double dispatch), so the per-task double-completion check against
-	// the already-completed set mirrors sequential semantics.
+	// Merge the completed descriptions and drain their conflict rings,
+	// with the double-completion guard per task as in Complete.
 	merged, succ := &s.merged, &s.succ // succ: conflict-released successor granules
 	merged.Reset()
 	succ.Reset()
@@ -210,9 +215,7 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 		if !ok {
 			panic(fmt.Sprintf("core: Complete of unknown %v", t))
 		}
-		if pr.completed.ContainsRange(d.run) && !d.run.Empty() {
-			panic(fmt.Sprintf("core: double completion of %v in phase %d", d.run, d.phase))
-		}
+		s.markComplete(pr, d.run)
 		merged.AddRange(d.run)
 		if !d.succ.Empty() {
 			succ.AddRange(d.succ)
@@ -220,10 +223,6 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 		}
 		s.putDesc(d)
 	}
-	for i := 0; i < merged.NumRuns(); i++ {
-		pr.completed.AddRange(merged.RunAt(i))
-	}
-	pr.nComplete += merged.Len()
 
 	// Release the conflict-queued successors as coalesced descriptions,
 	// ahead of normal work — one queue insertion per contiguous run

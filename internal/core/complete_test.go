@@ -309,3 +309,32 @@ func TestIdentityCompletionStraddlingConflictQueueEdge(t *testing.T) {
 		t.Errorf("statistics differ: one at a time %+v, batched %+v", a, b)
 	}
 }
+
+// TestDoubleCompletionOfPartRunPanics: a completion any granule of which is
+// already complete panics, on Complete and on a fused CompleteBatch group
+// alike — not only a completion whose whole run already completed, which
+// would let nComplete overrun the phase and release successors early.
+func TestDoubleCompletionOfPartRunPanics(t *testing.T) {
+	for _, batched := range []bool{false, true} {
+		prog := mustProgram(t, &Phase{Name: "a", Granules: 16})
+		s, err := New(prog, Options{Workers: 2, Grain: 4, Costs: DefaultCosts()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		ts, _ := s.NextTasks(nil, 2)
+		s.phases[0].completed.set(granule.R(ts[1].Run.Lo+1, ts[1].Run.Lo+2)) // one granule of the second task
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("batched=%v: completing %v with one granule already complete did not panic", batched, ts[1])
+				}
+			}()
+			if batched {
+				s.CompleteBatch(ts)
+			} else {
+				s.Complete(ts[1])
+			}
+		}()
+	}
+}

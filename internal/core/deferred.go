@@ -94,7 +94,8 @@ func (s *Scheduler) DeferredMgmt() (cost Cost, ok bool) {
 		// conflict-queue-managed); the rest flows through the enablement
 		// table from now on.
 		pr.cqManaged.RemoveRange(item.run)
-		enabled := pr.completed.IntersectRange(item.run)
+		enabled := granule.NewSet()
+		pr.completed.runs(item.run, enabled.AddRange)
 		cost = s.opt.Costs.Split + Cost(item.run.Len())*s.opt.Costs.PerEnable
 		s.stats.DeferredCost += cost
 		cost += s.releaseSet(next, enabled)

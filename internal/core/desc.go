@@ -30,7 +30,6 @@ func (t Task) String() string {
 type desc struct {
 	phase granule.PhaseID
 	run   granule.Range
-	class queue.Class
 
 	// succ is the PAX conflict queue of this description, in its only
 	// occurring shape: identity-mapped successor work enabled by this
@@ -57,5 +56,5 @@ type desc struct {
 }
 
 func (d *desc) String() string {
-	return fmt.Sprintf("desc{phase=%d run=%v class=%v}", d.phase, d.run, d.class)
+	return fmt.Sprintf("desc{phase=%d run=%v}", d.phase, d.run)
 }

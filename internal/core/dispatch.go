@@ -8,196 +8,139 @@ import (
 )
 
 // This file is the dispatch half of the state machine: draining the
-// waiting computation queue into worker-sized tasks, splitting
-// descriptions on demand, and handling attached successor descriptions.
+// waiting computation queue into worker-sized tasks, carved on demand off
+// the head description, and handing on attached successor ranges.
 
-// NextTask pops the highest-priority description, splitting it to the
-// grain if needed, and returns the dispatched task with the management cost
-// of the dispatch. ok is false when no work is ready (the processor idles —
-// this is computational rundown unless the program is done).
+// NextTask takes the highest-priority ready task, carving it to the grain
+// off the head description if needed, and returns it with the management
+// cost of the dispatch. ok is false when no work is ready (the processor
+// idles — this is computational rundown unless the program is done).
 func (s *Scheduler) NextTask() (t Task, cost Cost, ok bool) {
-	if !s.started {
-		panic("core: NextTask before Start")
+	var one [1]Task
+	ts, cost := s.NextTasks(one[:0], 1)
+	if len(ts) == 0 {
+		return Task{}, cost, false
 	}
-	n, class, ok := s.wait.Pop()
-	if !ok {
-		// Liveness fallback: with nothing queued AND nothing in flight,
-		// no completion can ever release work, so the executive must
-		// drain its deferred queue now or deadlock. When tasks are still
-		// in flight the driver simply idles this worker — completions
-		// (and the driver's own idle-executive DeferredMgmt calls) will
-		// make progress, and an unfinished composite-map build can still
-		// be cancelled by the predecessor completing.
-		for s.wait.Empty() && s.inflight.len() == 0 {
-			dc, any := s.DeferredMgmt()
-			if !any {
-				return Task{}, cost, false
-			}
-			cost += dc
-		}
-		n, class, ok = s.wait.Pop()
-		if !ok {
-			return Task{}, cost, false
-		}
-	}
-	d := n.Value
-	pr := s.phases[d.phase]
-	pr.nQueued -= d.run.Len()
-	s.readyTasks -= s.taskCount(d.run.Len())
-
-	cost += s.opt.Costs.Dispatch
-	s.stats.DispatchCost += s.opt.Costs.Dispatch
-
-	if d.run.Len() > s.opt.Grain {
-		cost += s.splitForDispatch(d, class, pr)
-	}
-
-	// Double-dispatch guard: a granule must never be handed out twice.
-	if pr.dispatched.IntersectsRange(d.run) {
-		panic(fmt.Sprintf("core: double dispatch of %v in phase %d", d.run, d.phase))
-	}
-	pr.dispatched.AddRange(d.run)
-
-	s.nextID++
-	s.stats.Dispatches++
-	t = Task{ID: s.nextID, Phase: d.phase, Run: d.run}
-	s.inflight.put(t.ID, d)
-	return t, cost, true
+	return ts[0], cost, true
 }
 
-// NextTasks pops up to max ready tasks in one call, appending them to dst
-// and returning it with the summed management cost. It dispatches the same
-// tasks, in the same order and with the same cost charges, as max
-// sequential NextTask calls, but carves large attachment-free descriptions
-// in place: the description is popped once and grain-sized tasks are taken
-// off its front directly, skipping the per-task pop/split/requeue cycle
-// the one-at-a-time path pays. A batching driver pulls a whole deque
-// refill under one lock acquisition this way. Fewer than max tasks
-// (possibly zero) are returned when the queue drains.
+// NextTasks takes up to max ready tasks in one call, appending them to dst
+// and returning it with the summed management cost: the same tasks, in the
+// same order and with the same charges, as max sequential NextTask calls.
+// A batching driver pulls a whole deque refill under one lock acquisition
+// this way. Fewer than max tasks (possibly zero) are returned when the
+// queue drains.
 func (s *Scheduler) NextTasks(dst []Task, max int) ([]Task, Cost) {
 	if !s.started {
 		panic("core: NextTask before Start")
 	}
 	var cost Cost
-	for n := 0; n < max; {
-		node, class, ok := s.wait.Peek()
-		if !ok || !node.Value.succ.Empty() || node.Value.run.Len() <= s.opt.Grain {
-			// Empty queue (let NextTask run its liveness fallback),
-			// attached successor descriptions to mirror-split, or a
-			// description that already fits the grain: sequential path.
-			t, c, taken := s.NextTask()
-			cost += c
-			if !taken {
+	for want := len(dst) + max; len(dst) < want; {
+		n, class, ok := s.wait.Peek()
+		if !ok {
+			// Liveness fallback: with nothing queued AND nothing in
+			// flight, no completion can ever release work, so the
+			// executive must drain its deferred queue now or deadlock.
+			// When tasks are still in flight the driver simply idles this
+			// worker — completions (and the driver's own idle-executive
+			// DeferredMgmt calls) will make progress, and an unfinished
+			// composite-map build can still be cancelled by the
+			// predecessor completing.
+			for s.wait.Empty() && s.inflight.len() == 0 {
+				dc, any := s.DeferredMgmt()
+				if !any {
+					return dst, cost
+				}
+				cost += dc
+			}
+			if n, class, ok = s.wait.Peek(); !ok {
 				break
 			}
-			dst = append(dst, t)
-			n++
-			continue
 		}
-
-		// Fused carve. No completion can interleave (the driver holds the
-		// state machine for the whole call) and carving releases nothing,
-		// so no higher-priority description can appear mid-carve: the
-		// sequential path would dispatch exactly these tasks in this
-		// order.
-		d := node.Value
-		s.wait.Remove(node, class)
-		pr := s.phases[d.phase]
-		pr.nQueued -= d.run.Len()
-		s.readyTasks -= s.taskCount(d.run.Len())
-		span, rest := d.run.TakeFront((max - n) * s.opt.Grain)
-
-		// Double-dispatch guard, once for the whole carved span.
-		if pr.dispatched.IntersectsRange(span) {
-			panic(fmt.Sprintf("core: double dispatch of %v in phase %d", span, d.phase))
-		}
-		pr.dispatched.AddRange(span)
-
-		// Charges mirror the sequential path: one dispatch per task, one
-		// split per carve that left a remainder behind.
-		carved := s.taskCount(span.Len())
-		splits := carved
-		if rest.Empty() {
-			splits--
-		}
-		dc := Cost(carved) * s.opt.Costs.Dispatch
-		sc := Cost(splits) * s.opt.Costs.Split
-		s.stats.DispatchCost += dc
-		s.stats.Splits += int64(splits)
-		s.stats.SplitCost += sc
-		cost += dc + sc
-
-		for !span.Empty() {
-			var front granule.Range
-			front, span = span.TakeFront(s.opt.Grain)
-			s.nextID++
-			s.stats.Dispatches++
-			t := Task{ID: s.nextID, Phase: d.phase, Run: front}
-			s.inflight.put(t.ID, s.getDesc(d.phase, front))
-			dst = append(dst, t)
-			n++
-		}
-		if rest.Empty() {
-			s.putDesc(d)
-		} else {
-			d.run = rest
-			s.pushDescFront(d, class)
-		}
+		var c Cost
+		dst, c = s.carve(dst, n, class, want-len(dst))
+		cost += c
 	}
 	return dst, cost
 }
 
-// splitForDispatch splits description d so its front fits the grain,
-// requeueing the remainder at the front of its class, and handles the
-// attached successor range per the successor-split mode.
-func (s *Scheduler) splitForDispatch(d *desc, class queue.Class, pr *phaseRun) Cost {
+// carve dispatches up to k tasks off the head description (node n, queued
+// in class), appending them to dst. A description larger than the grain
+// has a grain-sized front cut off in place — the remainder keeps its place
+// at the head of the queue — and a piece that fits the grain leaves the
+// queue whole. No completion can interleave (the driver holds the state
+// machine for the whole call) and carving releases nothing, so the head
+// stays the head: these are the tasks, and the charges, of k one-task
+// calls.
+func (s *Scheduler) carve(dst []Task, n *queue.Node[*desc], class queue.Class, k int) ([]Task, Cost) {
+	d := n.Value
+	pr := s.phases[d.phase]
+	span, _ := d.run.TakeFront(k * s.opt.Grain)
+
+	// Double-dispatch guard, once for the whole carved span.
+	if pr.dispatched.any(span) {
+		panic(fmt.Sprintf("core: double dispatch of %v in phase %d", span, d.phase))
+	}
+	pr.dispatched.set(span)
+	pr.nQueued -= span.Len()
+
 	var cost Cost
-	succ := d.succ
-	d.succ = granule.Range{}
-
-	front, rest := d.run.TakeFront(s.opt.Grain)
-	d.run = front
-	rd := s.getDesc(d.phase, rest)
-	s.pushDescFront(rd, class)
-	s.stats.Splits++
-	sc := s.opt.Costs.Split
-	s.stats.SplitCost += sc
-	cost += sc
-
-	if !succ.Empty() {
-		switch s.opt.SuccSplit {
-		case SuccSplitInline:
-			sf := succ.Intersect(front)
-			sr := succ.Intersect(rest)
-			switch {
-			case sf.Empty():
-				rd.succ = succ
-			case sr.Empty():
-				d.succ = succ
-			default:
-				// Split the queued successor range to mirror the split
-				// of its enabler, paying the split cost on the
-				// dispatch path.
-				d.succ = sf
-				rd.succ = sr
-				s.stats.Splits++
-				s.stats.SplitCost += s.opt.Costs.Split
-				cost += s.opt.Costs.Split
+	for {
+		t := d
+		if d.run.Len() > s.opt.Grain {
+			front, rest := d.run.TakeFront(s.opt.Grain)
+			t, d.run = s.getDesc(d.phase, front), rest
+			s.stats.Splits++
+			s.stats.SplitCost += s.opt.Costs.Split
+			cost += s.opt.Costs.Split
+			if !d.succ.Empty() {
+				cost += s.splitSucc(t, d)
 			}
-		case SuccSplitDeferred:
-			// Detach entirely; a successor-splitting management task
-			// will sort it out when the executive is idle. The range
-			// stays conflict-queue-managed (table emissions stay
-			// suppressed) until the task runs, so there is exactly one
-			// release authority at any moment.
-			s.deferred = append(s.deferred, deferredItem{
-				kind:      deferSplitSucc,
-				predPhase: int(pr.idx),
-				succPhase: int(d.phase) + 1,
-				run:       succ,
-			})
-			s.stats.DeferredItems++
+		} else {
+			s.wait.Remove(n, class)
+		}
+		s.readyTasks--
+		cost += s.opt.Costs.Dispatch
+		s.stats.DispatchCost += s.opt.Costs.Dispatch
+		s.nextID++
+		s.stats.Dispatches++
+		task := Task{ID: s.nextID, Phase: t.phase, Run: t.run}
+		s.inflight.put(task.ID, t)
+		dst = append(dst, task)
+		if task.Run.Hi == span.Hi {
+			return dst, cost
 		}
 	}
-	return cost
+}
+
+// splitSucc hands on the successor range attached to d when front t has
+// just been carved off it, per the successor-split mode.
+func (s *Scheduler) splitSucc(t, d *desc) Cost {
+	switch s.opt.SuccSplit {
+	case SuccSplitInline:
+		// The range is a subrange of its enabler's run: split it to mirror
+		// the split of its enabler, paying the split cost on the dispatch
+		// path when it straddles the cut.
+		t.succ, d.succ = d.succ.Intersect(t.run), d.succ.Intersect(d.run)
+		if !t.succ.Empty() && !d.succ.Empty() {
+			s.stats.Splits++
+			s.stats.SplitCost += s.opt.Costs.Split
+			return s.opt.Costs.Split
+		}
+	case SuccSplitDeferred:
+		// Detach entirely; a successor-splitting management task will sort
+		// it out when the executive is idle. The range stays
+		// conflict-queue-managed (table emissions stay suppressed) until
+		// the task runs, so there is exactly one release authority at any
+		// moment.
+		s.deferred = append(s.deferred, deferredItem{
+			kind:      deferSplitSucc,
+			predPhase: int(d.phase),
+			succPhase: int(d.phase) + 1,
+			run:       d.succ,
+		})
+		d.succ = granule.Range{}
+		s.stats.DeferredItems++
+	}
+	return 0
 }

@@ -30,8 +30,8 @@ type phaseRun struct {
 	total int
 	state PhaseState
 
-	completed  *granule.Set // granules whose tasks have completed
-	dispatched *granule.Set // granules handed out (superset of completed)
+	completed  bitmap // granules whose tasks have completed
+	dispatched bitmap // granules handed out (superset of completed)
 	nComplete  int
 	nQueued    int // granules currently in the waiting queue
 
@@ -95,8 +95,7 @@ func (s *Scheduler) getDesc(phase granule.PhaseID, run granule.Range) *desc {
 	if n := len(s.freeDescs); n > 0 {
 		d := s.freeDescs[n-1]
 		s.freeDescs = s.freeDescs[:n-1]
-		d.phase, d.run, d.class = phase, run, 0
-		d.succ = granule.Range{}
+		d.phase, d.run, d.succ = phase, run, granule.Range{}
 		return d
 	}
 	if len(s.descSlab) == 0 {
@@ -133,13 +132,15 @@ func New(prog *Program, opt Options) (*Scheduler, error) {
 		wait: queue.NewWait[*desc](),
 	}
 	for i, ph := range prog.Phases {
+		w := (ph.Granules + 63) / 64
+		guards := make(bitmap, 2*w) // both of the phase's guards, one allocation
 		s.phases = append(s.phases, &phaseRun{
 			spec:       ph,
 			idx:        granule.PhaseID(i),
 			total:      ph.Granules,
 			emap:       maps[i],
-			completed:  granule.NewSet(),
-			dispatched: granule.NewSet(),
+			completed:  guards[:w:w],
+			dispatched: guards[w:],
 		})
 	}
 	return s, nil
@@ -211,7 +212,7 @@ func (s *Scheduler) TaskCost(t Task) Cost {
 }
 
 // Check verifies cross-structure invariants; tests call it between driver
-// steps. It is O(phases + queue length).
+// steps. It is O(queue length + granules/64).
 func (s *Scheduler) Check() error {
 	queued := make(map[granule.PhaseID]int)
 	tasks := 0
@@ -232,8 +233,13 @@ func (s *Scheduler) Check() error {
 		if pr.state == PhaseComplete && pr.nComplete != pr.total {
 			return fmt.Errorf("phase %d: complete with %d/%d", pr.idx, pr.nComplete, pr.total)
 		}
-		if pr.completed.Len() != pr.nComplete {
-			return fmt.Errorf("phase %d: completed set %d != count %d", pr.idx, pr.completed.Len(), pr.nComplete)
+		done, dispatched := 0, true
+		pr.completed.runs(granule.Span(pr.total), func(r granule.Range) {
+			done += r.Len()
+			dispatched = dispatched && pr.dispatched.all(r)
+		})
+		if done != pr.nComplete || !dispatched {
+			return fmt.Errorf("phase %d: completed set %d, count %d, all dispatched %v", pr.idx, done, pr.nComplete, dispatched)
 		}
 	}
 	return nil

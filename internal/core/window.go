@@ -124,14 +124,6 @@ func (s *Scheduler) pushDesc(d *desc, class queue.Class) Cost {
 	return s.opt.Costs.Dispatch
 }
 
-// pushDescFront inserts d at the front of its class (split remainders keep
-// their place at the head of the queue).
-func (s *Scheduler) pushDescFront(d *desc, class queue.Class) {
-	s.wait.PushFront(&d.node, class)
-	s.phases[d.phase].nQueued += d.run.Len()
-	s.readyTasks += s.taskCount(d.run.Len())
-}
-
 // releasedClass is the class successor work is released to.
 func (s *Scheduler) releasedClass() queue.Class {
 	if s.opt.ReleasedAhead {
@@ -213,11 +205,11 @@ func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 	// Catch up completions that happened before the table existed (the
 	// current phase may have progressed while it was itself overlapped).
 	ready := tab.ReadyAtStart().Clone()
-	if !pr.completed.Empty() {
+	if pr.nComplete > 0 {
 		touched := 0
-		for i := 0; i < pr.completed.NumRuns(); i++ {
-			touched += tab.CompleteRange(pr.completed.RunAt(i), ready)
-		}
+		pr.completed.runs(granule.Span(pr.total), func(r granule.Range) {
+			touched += tab.CompleteRange(r, ready)
+		})
 		s.stats.CatchUps += int64(touched)
 		ccost := Cost(touched) * s.opt.Costs.PerEnable
 		s.stats.CompleteCost += ccost
@@ -315,7 +307,7 @@ func (s *Scheduler) planSubset(pr, next *phaseRun, released *granule.Set) Cost {
 
 	// Only uncompleted granules are counted; completed ones already
 	// contributed their enablement.
-	preds.Subtract(pr.completed)
+	pr.completed.runs(granule.Span(pr.total), preds.RemoveRange)
 	if preds.Empty() {
 		// Everything needed has completed; release the subset now.
 		cost += s.releaseSet(next, subset)

@@ -1,8 +1,7 @@
 // Package queue implements the queueing structures of the PAX executive as
 // described in Jones (1986): a double circularly-linked list with a queue
-// head (used both for the waiting computation queue and for the per-
-// description conflict queues), and a priority-classed waiting computation
-// queue built on top of it.
+// head, and the priority-classed waiting computation queue built on top of
+// it — one ring per class, dispatched in class order.
 //
 // The paper: "each internal description of one (or more) computational
 // granules included a queue head for a double circularly-linked list of
@@ -11,7 +10,14 @@
 // unconditionally computable and were placed in the waiting computation
 // queue. The waiting computation queue was kept in a known order and ...
 // such conflicting computations would be placed ahead of the normal
-// computations in the queue and, thus, given higher priority."
+// computations in the queue and, thus, given higher priority." (The
+// conflict queue occurs in one shape only, and internal/core keeps it as a
+// bare successor range on the description.)
+//
+// The waiting queue binds each class to its ring by pointer: promoting a
+// class into an empty one (an overlapped phase's background work becoming
+// normal work) re-points the two classes instead of walking the nodes
+// across, so every node keeps its ring, which now answers for the new class.
 package queue
 
 // Node is an element of a Ring. A Node belongs to at most one Ring at a
@@ -30,9 +36,9 @@ func NewNode[T any](v T) *Node[T] { return &Node[T]{Value: v} }
 func (n *Node[T]) Attached() bool { return n.ring != nil }
 
 // Ring is a double circularly-linked list with a sentinel head, the queue
-// structure of the PAX executive. All operations are O(1) except Len-free
-// traversal helpers. The zero Ring must be initialized with Init or via
-// NewRing. Ring is not safe for concurrent use.
+// structure of the PAX executive. All operations are O(1) except the
+// traversals (Each, DrainInto). The zero Ring is an empty ring ready to
+// use. Ring is not safe for concurrent use.
 type Ring[T any] struct {
 	head Node[T] // sentinel; head.next = front, head.prev = back
 	n    int
@@ -91,22 +97,6 @@ func (r *Ring[T]) PushBack(n *Node[T]) {
 	r.insert(n, r.head.prev)
 }
 
-// InsertAfter inserts n immediately after mark, which must be attached to r.
-func (r *Ring[T]) InsertAfter(n, mark *Node[T]) {
-	if mark.ring != r {
-		panic("queue: mark not in this ring")
-	}
-	r.insert(n, mark)
-}
-
-// InsertBefore inserts n immediately before mark, which must be attached to r.
-func (r *Ring[T]) InsertBefore(n, mark *Node[T]) {
-	if mark.ring != r {
-		panic("queue: mark not in this ring")
-	}
-	r.insert(n, mark.prev)
-}
-
 // Remove unlinks n from the ring. It panics if n is not attached to r.
 func (r *Ring[T]) Remove(n *Node[T]) {
 	if n.ring != r {
@@ -128,14 +118,6 @@ func (r *Ring[T]) Front() *Node[T] {
 	return r.head.next
 }
 
-// Back returns the last node, or nil when empty.
-func (r *Ring[T]) Back() *Node[T] {
-	if r.n == 0 {
-		return nil
-	}
-	return r.head.prev
-}
-
 // PopFront removes and returns the first node, or nil when empty.
 func (r *Ring[T]) PopFront() *Node[T] {
 	n := r.Front()
@@ -143,26 +125,6 @@ func (r *Ring[T]) PopFront() *Node[T] {
 		r.Remove(n)
 	}
 	return n
-}
-
-// PopBack removes and returns the last node, or nil when empty.
-func (r *Ring[T]) PopBack() *Node[T] {
-	n := r.Back()
-	if n != nil {
-		r.Remove(n)
-	}
-	return n
-}
-
-// Next returns the node after n within the ring, or nil at the end.
-func (r *Ring[T]) Next(n *Node[T]) *Node[T] {
-	if n.ring != r {
-		panic("queue: node not in this ring")
-	}
-	if n.next == &r.head {
-		return nil
-	}
-	return n.next
 }
 
 // Each calls f on every node value from front to back. f must not modify
@@ -178,8 +140,7 @@ func (r *Ring[T]) Each(f func(n *Node[T])) {
 }
 
 // DrainInto removes every node from r (front to back) and appends it to the
-// back of dst. This models PAX releasing an entire conflict queue into the
-// waiting computation queue upon completion of the described computation.
+// back of dst.
 func (r *Ring[T]) DrainInto(dst *Ring[T]) {
 	for {
 		n := r.PopFront()
@@ -187,16 +148,5 @@ func (r *Ring[T]) DrainInto(dst *Ring[T]) {
 			return
 		}
 		dst.PushBack(n)
-	}
-}
-
-// Drain removes every node, calling f on each value in front-to-back order.
-func (r *Ring[T]) Drain(f func(v T)) {
-	for {
-		n := r.PopFront()
-		if n == nil {
-			return
-		}
-		f(n.Value)
 	}
 }

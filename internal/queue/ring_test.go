@@ -32,18 +32,6 @@ func TestRingPushPop(t *testing.T) {
 	}
 }
 
-func TestRingPopBack(t *testing.T) {
-	r := NewRing[string]()
-	r.PushBack(NewNode("a"))
-	r.PushBack(NewNode("b"))
-	if n := r.PopBack(); n.Value != "b" {
-		t.Fatalf("PopBack = %q", n.Value)
-	}
-	if n := r.Back(); n.Value != "a" {
-		t.Fatalf("Back = %q", n.Value)
-	}
-}
-
 func TestRingRemoveMiddle(t *testing.T) {
 	r := NewRing[int]()
 	var nodes []*Node[int]
@@ -62,23 +50,6 @@ func TestRingRemoveMiddle(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("after remove: %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRingInsertAfterBefore(t *testing.T) {
-	r := NewRing[int]()
-	a, c := NewNode(1), NewNode(3)
-	r.PushBack(a)
-	r.PushBack(c)
-	r.InsertAfter(NewNode(2), a)
-	r.InsertBefore(NewNode(0), a)
-	var got []int
-	r.Each(func(n *Node[int]) { got = append(got, n.Value) })
-	want := []int{0, 1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v, want %v", got, want)
 		}
 	}
 }
@@ -124,31 +95,6 @@ func TestRingDrainInto(t *testing.T) {
 	}
 }
 
-func TestRingDrain(t *testing.T) {
-	r := NewRing[int]()
-	for i := 0; i < 3; i++ {
-		r.PushBack(NewNode(i))
-	}
-	var got []int
-	r.Drain(func(v int) { got = append(got, v) })
-	if !r.Empty() || len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Fatalf("Drain got %v", got)
-	}
-}
-
-func TestRingNext(t *testing.T) {
-	r := NewRing[int]()
-	a, b := NewNode(1), NewNode(2)
-	r.PushBack(a)
-	r.PushBack(b)
-	if r.Next(a) != b {
-		t.Fatal("Next(a) != b")
-	}
-	if r.Next(b) != nil {
-		t.Fatal("Next(back) != nil")
-	}
-}
-
 func TestRingZeroValue(t *testing.T) {
 	var r Ring[int]
 	r.PushBack(NewNode(7))
@@ -158,23 +104,22 @@ func TestRingZeroValue(t *testing.T) {
 }
 
 // TestRingQuickAgainstSlice models the ring with a plain slice under random
-// front/back push/pop sequences.
+// push-front/push-back/pop-front/remove-anywhere sequences.
 func TestRingQuickAgainstSlice(t *testing.T) {
 	f := func(seed int64, ops []uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewRing[int]()
-		var model []int
-		next := 0
-		for _, op := range ops {
+		var model []*Node[int]
+		for i, op := range ops {
 			switch op % 4 {
 			case 0:
-				r.PushBack(NewNode(next))
-				model = append(model, next)
-				next++
+				n := NewNode(i)
+				r.PushBack(n)
+				model = append(model, n)
 			case 1:
-				r.PushFront(NewNode(next))
-				model = append([]int{next}, model...)
-				next++
+				n := NewNode(i)
+				r.PushFront(n)
+				model = append([]*Node[int]{n}, model...)
 			case 2:
 				n := r.PopFront()
 				if len(model) == 0 {
@@ -182,30 +127,30 @@ func TestRingQuickAgainstSlice(t *testing.T) {
 						return false
 					}
 				} else {
-					if n == nil || n.Value != model[0] {
+					if n != model[0] {
 						return false
 					}
 					model = model[1:]
 				}
 			case 3:
-				n := r.PopBack()
 				if len(model) == 0 {
-					if n != nil {
-						return false
-					}
-				} else {
-					if n == nil || n.Value != model[len(model)-1] {
-						return false
-					}
-					model = model[:len(model)-1]
+					continue
 				}
+				k := rng.Intn(len(model))
+				r.Remove(model[k])
+				model = append(model[:k], model[k+1:]...)
 			}
 			if r.Len() != len(model) {
 				return false
 			}
-			_ = rng
 		}
-		return true
+		k := 0
+		ok := true
+		r.Each(func(n *Node[int]) {
+			ok = ok && k < len(model) && n == model[k]
+			k++
+		})
+		return ok && k == len(model)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -49,29 +50,79 @@ func TestWaitPeekRemove(t *testing.T) {
 	}
 }
 
+// drain pops w empty and returns the values in dispatch order.
+func drain(w *Wait[int]) []int {
+	var got []int
+	for {
+		n, _, ok := w.Pop()
+		if !ok {
+			return got
+		}
+		got = append(got, n.Value)
+	}
+}
+
 func TestWaitPromote(t *testing.T) {
 	w := NewWait[int]()
 	w.Push(NewNode(10), Background)
 	w.Push(NewNode(11), Background)
 	w.Push(NewNode(5), Normal)
 	w.Promote(Background, Normal)
-	if w.LenClass(Background) != 0 || w.LenClass(Normal) != 3 {
-		t.Fatalf("promote: bg=%d normal=%d", w.LenClass(Background), w.LenClass(Normal))
+	if w.Len() != 3 {
+		t.Fatalf("promote: Len = %d, want 3", w.Len())
 	}
 	// FIFO preserved: 5 was already in Normal, then 10, 11 appended.
-	var got []int
-	for {
-		n, _, ok := w.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, n.Value)
+	if got := drain(w); fmt.Sprint(got) != "[5 10 11]" {
+		t.Fatalf("order %v want [5 10 11]", got)
 	}
-	want := []int{5, 10, 11}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order %v want %v", got, want)
-		}
+}
+
+// TestWaitPromoteSwapsRings pins promotion on both of its paths. Into an
+// empty class the two classes' rings are swapped: the entries keep their
+// FIFO order, and a promoted node belongs to its new class — removing it
+// under its old class still panics, under the new one it succeeds. Into a
+// non-empty class the entries are drained across behind the class's own.
+func TestWaitPromoteSwapsRings(t *testing.T) {
+	w := NewWait[int]()
+	var nodes []*Node[int]
+	for i := 0; i < 4; i++ {
+		n := NewNode(i)
+		nodes = append(nodes, n)
+		w.Push(n, Background)
+	}
+	w.Push(NewNode(-1), Released)
+	w.Promote(Background, Normal)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("removing a promoted node under its old class did not panic")
+			}
+		}()
+		w.Remove(nodes[1], Background)
+	}()
+	w.Remove(nodes[1], Normal)
+	var classes []Class
+	w.Each(func(_ *Node[int], c Class) { classes = append(classes, c) })
+	if fmt.Sprint(classes) != "[released normal normal normal]" {
+		t.Fatalf("classes after promotion %v", classes)
+	}
+	// The emptied class is usable again, and a later promotion into the
+	// now non-empty Normal class drains behind it.
+	w.Push(NewNode(7), Background)
+	w.Push(NewNode(8), Background)
+	w.Promote(Background, Normal)
+	w.Push(NewNode(9), Background)
+	if got := drain(w); fmt.Sprint(got) != "[-1 0 2 3 7 8 9]" {
+		t.Fatalf("order %v, want [-1 0 2 3 7 8 9]", got)
+	}
+
+	// The zero Wait promotes too.
+	var z Wait[int]
+	z.Promote(Background, Normal)
+	z.Push(NewNode(1), Background)
+	z.Promote(Background, Normal)
+	if n, c, ok := z.Peek(); !ok || n.Value != 1 || c != Normal {
+		t.Fatalf("zero Wait: Peek = %v %v %v", n, c, ok)
 	}
 }
 

@@ -131,8 +131,8 @@ func TestNewOnCompiledProgramAllocs(t *testing.T) {
 		})
 	}
 	small, large := measure(256), measure(4096)
-	// The ready-at-start set is cloned run by run, and its run count
-	// follows the map, not the size; allow it a little room.
+	// Every bitmap, the ready-at-start copy among them, is one allocation
+	// whatever its size; allow the fixed count a little room.
 	if large > small+8 || large > 64 {
 		t.Errorf("New+Start allocated %.0f objects at 4096 granules, %.0f at 256: want a constant", large, small)
 	}

@@ -15,7 +15,8 @@ import (
 // the completed description, releases conflict-queued successor
 // descriptions, decrements enablement counters, and advances the phase
 // window when the current phase finishes. It returns the management cost.
-// In steady state it allocates nothing: see the scratch sets on Scheduler.
+// In steady state it allocates nothing: see the scratch bitmaps on
+// Scheduler.
 func (s *Scheduler) Complete(t Task) Cost {
 	d, ok := s.inflight.take(t.ID)
 	if !ok {
@@ -43,9 +44,8 @@ func (s *Scheduler) Complete(t Task) Cost {
 		s.stats.Releases++
 	}
 
-	s.merged.Reset()
-	s.merged.AddRange(d.run)
-	cost += s.settle(pr)
+	charged, fired := s.decrement(pr, d.run)
+	cost += s.settle(pr, charged, fired)
 	s.putDesc(d)
 	return cost
 }
@@ -54,102 +54,79 @@ func (s *Scheduler) Complete(t Task) Cost {
 // complete twice: a run any granule of which is already complete would
 // push nComplete past the phase and release its successors early.
 func (s *Scheduler) markComplete(pr *phaseRun, run granule.Range) {
-	if pr.completed.any(run) {
+	if pr.completed.Any(run) {
 		panic(fmt.Sprintf("core: double completion of %v in phase %d", run, pr.idx))
 	}
-	pr.completed.set(run)
+	pr.completed.Set(run)
 	pr.nComplete += run.Len()
 }
 
-// settle is the tail of completion processing shared by Complete and
-// completeGroup, over the runs just completed in pr (held in s.merged):
-// enablement-counter processing for the phase pair, the subset counter,
-// and the phase-window advance.
+// decrement is the enablement-counter processing of the completed run of
+// pr: the pair's table counters, with the successor granules they release
+// gathered in s.released, and the subset counter. It returns the counter
+// touches to charge and whether the subset counter fired. Every charge is
+// per granule, so a group of completions may be decremented run by run.
 //
 // Counter touches for conflict-queue-managed granules are not charged: PAX
 // releases those per description, in O(1), which is exactly why
 // computations are "described as large, contiguous collections of
 // granules". The counters are still advanced so that deferred
 // successor-splitting tasks and phase accounting stay consistent.
-func (s *Scheduler) settle(pr *phaseRun) Cost {
-	var cost Cost
-	if pr.tab != nil {
-		hasNext := int(pr.idx)+1 < len(s.phases)
-		released := &s.released
-		released.Reset()
-		suppressed := false
+func (s *Scheduler) decrement(pr *phaseRun, run granule.Range) (charged int, fired bool) {
+	if pr.tab == nil {
+		return 0, false
+	}
+	if pr.tab.Kind() == enable.Identity {
+		// Identity enables run for run; what is conflict-queue managed
+		// is its queue's to release. A run is almost always managed
+		// entirely or not at all.
+		switch r := pr.tab.CompleteIdentity(run); {
+		case !pr.cqManaged.Any(r):
+			charged = r.Len()
+			s.released.set(r)
+		case !pr.cqManaged.All(r):
+			pr.cqManaged.Gaps(r, func(g granule.Range) {
+				charged += g.Len()
+				s.released.set(g)
+			})
+		}
+	} else {
 		emit := func(r granule.ID) {
-			if pr.cqManaged.Contains(r) {
-				suppressed = true
-				return // released by the conflict-queue mechanism
-			}
-			if pr.subsetManaged.Contains(r) {
-				return // released as a unit by the subset counter
-			}
-			released.Add(r)
-		}
-		charged := 0
-		identity := pr.tab.Kind() == enable.Identity
-		for i := 0; i < s.merged.NumRuns(); i++ {
-			run := s.merged.RunAt(i)
-			if identity {
-				// Identity enables run-for-run, and the two management sets
-				// almost always cover an enabled run entirely or not at all:
-				// decide per run, and fall back to per-granule emission only
-				// for a run that straddles a set's edge.
-				r := pr.tab.CompleteIdentity(run)
-				n := r.Len()
-				cq := pr.cqManaged.CountRange(r)
-				switch {
-				case cq == n:
-					// Released by the conflict-queue mechanism (or empty).
-				case cq == 0 && !pr.subsetManaged.IntersectsRange(r):
-					charged += n
-					released.AddRange(r)
-				default:
-					for g := r.Lo; g < r.Hi; g++ {
-						suppressed = false
-						emit(g)
-						if !suppressed {
-							charged++
-						}
-					}
-				}
-				continue
-			}
-			for p := run.Lo; p < run.Hi; p++ {
-				suppressed = false
-				if n := pr.tab.Complete(p, emit); !suppressed {
-					charged += n
-				}
+			if !pr.subsetManaged.Has(r) { // released as a unit by the subset counter
+				s.released.set(granule.R(r, r+1))
 			}
 		}
-		if charged > 0 {
-			ec := Cost(charged) * s.opt.Costs.PerEnable
-			s.stats.EnableTouches += int64(charged)
-			s.stats.CompleteCost += ec
-			cost += ec
+		for p := run.Lo; p < run.Hi; p++ {
+			charged += pr.tab.Complete(p, emit)
 		}
-		if !released.Empty() && hasNext {
-			cost += s.releaseSet(s.phases[int(pr.idx)+1], released)
+	}
+	// Subset counter: the paper's status-bit-plus-counter mechanism.
+	if pr.subsetCounter.Armed() {
+		for hits := pr.subsetPreds.Count(run); hits > 0; hits-- {
+			fired = pr.subsetCounter.Dec() || fired
 		}
+	}
+	return charged, fired
+}
 
-		// Subset counter: the paper's status-bit-plus-counter mechanism.
-		if pr.subsetCounter.Armed() {
-			fired := false
-			for i := 0; i < s.merged.NumRuns(); i++ {
-				hits := pr.subsetPreds.CountRange(s.merged.RunAt(i))
-				for ; hits > 0; hits-- {
-					if pr.subsetCounter.Dec() {
-						fired = true
-					}
-				}
-			}
-			if fired && hasNext {
-				subset := pr.subsetManaged
-				pr.subsetManaged = granule.NewSet()
-				cost += s.releaseSet(s.phases[int(pr.idx)+1], subset)
-			}
+// settle is the tail of completion processing shared by Complete and
+// completeGroup, after their runs of pr are decremented: the charge for the
+// counter touches, the release of what the table and the subset counter
+// enabled, and the phase-window advance.
+func (s *Scheduler) settle(pr *phaseRun, charged int, fired bool) Cost {
+	var cost Cost
+	if charged > 0 {
+		ec := Cost(charged) * s.opt.Costs.PerEnable
+		s.stats.EnableTouches += int64(charged)
+		s.stats.CompleteCost += ec
+		cost += ec
+	}
+	if pr.tab != nil {
+		next := s.phases[int(pr.idx)+1]
+		s.released.drain(func(r granule.Range) { cost += s.release(next, r) })
+		if fired {
+			pr.subsetManaged.Runs(pr.subsetSpan, func(r granule.Range) { cost += s.release(next, r) })
+			pr.subsetManaged.Clear(pr.subsetSpan)
 		}
 	}
 
@@ -167,11 +144,10 @@ func (s *Scheduler) settle(pr *phaseRun) Cost {
 // the summed management cost. It is the batching driver's entry point:
 // completions accumulate per worker and are applied here under a single
 // lock acquisition. Runs of consecutive same-phase tasks are fused — their
-// completed descriptions merged into coalesced runs, their enablement
-// releases unioned, and their conflict-released successor descriptions
-// combined — so a batch of B fine-grain completions costs far fewer
-// structure operations (and queues far fewer, larger descriptions) than B
-// sequential Complete calls, while completing and releasing exactly the
+// enablement releases unioned, and their conflict-released successor
+// descriptions combined — so a batch of B fine-grain completions costs far
+// fewer structure operations (and queues far fewer, larger descriptions)
+// than B sequential Complete calls, while completing and releasing exactly the
 // same granules. This is the paper's own economy — computations "described
 // as large, contiguous collections of granules" — recovered at completion
 // time from a batch.
@@ -205,38 +181,38 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 	s.stats.Merges += int64(len(ts))
 	s.stats.CompleteCost += cost
 
-	// Merge the completed descriptions and drain their conflict rings,
-	// with the double-completion guard per task as in Complete.
-	merged, succ := &s.merged, &s.succ // succ: conflict-released successor granules
-	merged.Reset()
-	succ.Reset()
+	// Complete the descriptions and gather their conflict-queued
+	// successors. Counters are decremented as in Complete, once per run of
+	// abutting descriptions.
+	charged, fired := 0, false
+	var run granule.Range // completed, not yet decremented
 	for _, t := range ts {
 		d, ok := s.inflight.take(t.ID)
 		if !ok {
 			panic(fmt.Sprintf("core: Complete of unknown %v", t))
 		}
 		s.markComplete(pr, d.run)
-		merged.AddRange(d.run)
-		if !d.succ.Empty() {
-			succ.AddRange(d.succ)
-			d.succ = granule.Range{}
+		if d.run.Lo != run.Hi {
+			n, f := s.decrement(pr, run)
+			charged, fired = charged+n, fired || f
+			run.Lo = d.run.Lo
 		}
+		run.Hi = d.run.Hi
+		s.succ.set(d.succ)
+		d.succ = granule.Range{}
 		s.putDesc(d)
 	}
+	n, f := s.decrement(pr, run)
+	charged, fired = charged+n, fired || f
 
 	// Release the conflict-queued successors as coalesced descriptions,
 	// ahead of normal work — one queue insertion per contiguous run
 	// instead of one per drained description.
-	if int(pr.idx)+1 < len(s.phases) {
-		next := s.phases[int(pr.idx)+1]
-		for i := 0; i < succ.NumRuns(); i++ {
-			cost += s.pushDesc(s.getDesc(next.idx, succ.RunAt(i)), s.releasedClass())
-			s.stats.Releases++
-		}
-	}
+	s.succ.drain(func(r granule.Range) {
+		cost += s.pushDesc(s.getDesc(pr.idx+1, r), s.releasedClass())
+		s.stats.Releases++
+	})
 
-	// Enablement-counter processing over the merged runs, with the same
-	// suppression rules and cost charges as the sequential path; the
-	// released successors of the whole group coalesce into one release.
-	return cost + s.settle(pr)
+	// What the group's counters released coalesces in one drain.
+	return cost + s.settle(pr, charged, fired)
 }

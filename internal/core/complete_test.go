@@ -125,7 +125,7 @@ func randomMonotoneProgram(t *testing.T, rng *rand.Rand) *Program {
 // calls over a random partition — and requires that they stay
 // indistinguishable to a driver: every subsequent NextTasks call returns
 // identical tasks, and the per-task and per-granule statistics agree. It
-// guards the scheduler's completion scratch sets: a set still in use when
+// guards the scheduler's completion scratch bitmaps: one still in use when
 // a nested release or phase-window advance refills it would lose or
 // duplicate successor granules, and the dispatch streams would diverge.
 //
@@ -291,22 +291,77 @@ func TestIdentityCompletionStraddlingConflictQueueEdge(t *testing.T) {
 		}
 		// c's first four granules are now computable, exactly once each
 		// (the double-dispatch guard panics otherwise).
-		var succ granule.Set
+		var succ []granule.Range
 		for {
 			task, _, ok := s.NextTask()
 			if !ok {
 				break
 			}
 			if task.Phase == 2 {
-				succ.AddRange(task.Run)
+				succ = append(succ, task.Run)
 			}
 		}
-		if want := granule.NewSet(granule.R(0, 4)); !succ.Equal(want) {
-			t.Errorf("%s: phase c granules %v became computable, want %v", name, &succ, want)
+		got := granule.NewBitmap(8)
+		for _, r := range succ {
+			got.Set(r)
+		}
+		if got.Count(granule.Span(8)) != 4 || !got.All(granule.R(0, 4)) {
+			t.Errorf("%s: phase c tasks %v became computable, want [0,4)", name, succ)
 		}
 	}
 	if a, b := one.Stats(), bat.Stats(); a.EnableTouches != b.EnableTouches || a.CompleteCost != b.CompleteCost {
 		t.Errorf("statistics differ: one at a time %+v, batched %+v", a, b)
+	}
+}
+
+// TestCompletionScratchReuse: the completion scratch bitmaps serve every
+// completion and every phase pair, so a drain must leave nothing behind. A
+// first CompleteBatch group, of phase a, fills a scratch with b's granules
+// 1 and 2; a second, of phase b, fills it with c's granules 0 and 3, whose
+// span covers 1 and 2 — a stale bit there would release c1 or c2 before b1
+// or b2 completed. Identity through the table goes through the released
+// scratch, identity through the conflict queue through the successor one.
+func TestCompletionScratchReuse(t *testing.T) {
+	for _, via := range []IdentityMode{IdentityTable, IdentityConflictQueue} {
+		prog := mustProgram(t,
+			&Phase{Name: "a", Granules: 4, Enable: enable.NewIdentity()},
+			&Phase{Name: "b", Granules: 4, Enable: enable.NewIdentity()},
+			&Phase{Name: "c", Granules: 4},
+		)
+		s, err := New(prog, Options{Workers: 4, Grain: 1, Overlap: true, IdentityVia: via, Costs: DefaultCosts()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		// take dispatches every ready task, which must all be of phase, by
+		// granule.
+		take := func(phase granule.PhaseID) []Task {
+			t.Helper()
+			ts, _ := s.NextTasks(nil, 8)
+			byGranule := make([]Task, 4)
+			for _, task := range ts {
+				if task.Phase != phase {
+					t.Fatalf("%v: dispatched %v, want only phase %d", via, task, phase)
+				}
+				byGranule[task.Run.Lo] = task
+			}
+			return byGranule
+		}
+		a := take(0)
+		s.CompleteBatch([]Task{a[1], a[2]})
+		s.Complete(a[0])
+		s.Complete(a[3]) // a done: b is current, b->c wired
+		b := take(1)
+		s.CompleteBatch([]Task{b[0], b[3]})
+		ts, _ := s.NextTasks(nil, 8)
+		if len(ts) != 2 || ts[0].Run != granule.R(0, 1) || ts[1].Run != granule.R(3, 4) || ts[0].Phase != 2 || ts[1].Phase != 2 {
+			t.Fatalf("%v: with b0 and b3 complete, %v became computable, want c0 and c3", via, ts)
+		}
+		s.CompleteBatch(append(ts, b[1], b[2]))
+		s.CompleteBatch(take(2)[1:3])
+		if err := s.Check(); err != nil || !s.Done() {
+			t.Fatalf("%v: done=%v, %v", via, s.Done(), err)
+		}
 	}
 }
 
@@ -323,7 +378,7 @@ func TestDoubleCompletionOfPartRunPanics(t *testing.T) {
 		}
 		s.Start()
 		ts, _ := s.NextTasks(nil, 2)
-		s.phases[0].completed.set(granule.R(ts[1].Run.Lo+1, ts[1].Run.Lo+2)) // one granule of the second task
+		s.phases[0].completed.Set(granule.R(ts[1].Run.Lo+1, ts[1].Run.Lo+2)) // one granule of the second task
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -93,12 +93,10 @@ func (s *Scheduler) DeferredMgmt() (cost Cost, ok bool) {
 		// (whose table emissions were suppressed while the range was
 		// conflict-queue-managed); the rest flows through the enablement
 		// table from now on.
-		pr.cqManaged.RemoveRange(item.run)
-		enabled := granule.NewSet()
-		pr.completed.runs(item.run, enabled.AddRange)
+		pr.cqManaged.Clear(item.run)
 		cost = s.opt.Costs.Split + Cost(item.run.Len())*s.opt.Costs.PerEnable
 		s.stats.DeferredCost += cost
-		cost += s.releaseSet(next, enabled)
+		pr.completed.Runs(item.run, func(r granule.Range) { cost += s.release(next, r) })
 		return cost, true
 	}
 	panic(fmt.Sprintf("core: unknown deferred item kind %d", item.kind))

@@ -78,10 +78,10 @@ func (s *Scheduler) carve(dst []Task, n *queue.Node[*desc], class queue.Class, k
 	span, _ := d.run.TakeFront(k * s.opt.Grain)
 
 	// Double-dispatch guard, once for the whole carved span.
-	if pr.dispatched.any(span) {
+	if pr.dispatched.Any(span) {
 		panic(fmt.Sprintf("core: double dispatch of %v in phase %d", span, d.phase))
 	}
-	pr.dispatched.set(span)
+	pr.dispatched.Set(span)
 	pr.nQueued -= span.Len()
 
 	var cost Cost

@@ -30,21 +30,24 @@ type phaseRun struct {
 	total int
 	state PhaseState
 
-	completed  bitmap // granules whose tasks have completed
-	dispatched bitmap // granules handed out (superset of completed)
+	completed  granule.Bitmap // granules whose tasks have completed
+	dispatched granule.Bitmap // granules handed out (superset of completed)
 	nComplete  int
 	nQueued    int // granules currently in the waiting queue
 
-	// Overlap state for the pair (this phase -> next program phase).
-	emap          *enable.Map   // the pair's compiled relation, shared with every run of the program; nil = null
-	tab           *enable.Table // nil until overlap is prepared
-	pendingTab    *enable.Table // built but unpublished (incremental map build)
-	buildLeft     Cost          // map-construction work still to charge
-	cqManaged     *granule.Set  // successor granules handled by conflict-queue attachments
-	subsetManaged *granule.Set  // successor granules released as a unit by subsetCounter
+	// Overlap state for the pair (this phase -> next program phase). The
+	// three management bitmaps are allocated with the guards, and only
+	// those the pair's kind uses: the others are empty, and read as empty.
+	emap          *enable.Map    // the pair's compiled relation, shared with every run of the program; nil = null
+	tab           *enable.Table  // nil until overlap is prepared
+	pendingTab    *enable.Table  // built but unpublished (incremental map build)
+	buildLeft     Cost           // map-construction work still to charge
+	cqManaged     granule.Bitmap // successor granules handled by conflict-queue attachments (identity via the conflict queue)
+	subsetManaged granule.Bitmap // successor granules released as a unit by subsetCounter (indirect, elevating)
+	subsetSpan    granule.Range  // covers subsetManaged
 	subsetCounter enable.Counter
-	subsetPreds   *granule.Set // current-phase granules counted by subsetCounter
-	nextActivated bool         // successor has been initiated (may dispatch)
+	subsetPreds   granule.Bitmap // current-phase granules counted by subsetCounter (indirect, elevating)
+	nextActivated bool           // successor has been initiated (may dispatch)
 }
 
 // Scheduler is the PAX-style phase-overlap scheduler. It is not safe for
@@ -79,14 +82,44 @@ type Scheduler struct {
 	descSlab  []desc
 
 	// Completion scratch, reused across Complete/CompleteBatch calls so
-	// steady-state completion processing allocates nothing: the runs being
-	// completed (one for Complete, the coalesced group for completeGroup),
-	// the group's conflict-released successor granules, and the successor
-	// granules the enablement counters released. Each is filled and
-	// consumed within one completion, before the phase-window advance —
-	// whose own releases (publishPair, planSubset) build private sets — so
-	// no nested call ever sees one in use.
-	merged, succ, released granule.Set
+	// steady-state completion processing allocates nothing: a group's
+	// conflict-released successor granules, and the successor granules the
+	// enablement counters released. Each is filled and drained within one
+	// completion, before the phase-window advance, so no nested call ever
+	// sees one in use. Allocated in New when the options allow overlap.
+	succ, released scratch
+}
+
+// scratch is a bitmap over successor granules that the completion path
+// fills and drains, with the span it has set since it was last drained:
+// draining walks and clears that span, not the phase.
+type scratch struct {
+	bits  granule.Bitmap
+	dirty granule.Range
+}
+
+// set adds r.
+func (x *scratch) set(r granule.Range) {
+	if r.Empty() {
+		return
+	}
+	x.bits.Set(r)
+	if x.dirty.Empty() {
+		x.dirty = r
+		return
+	}
+	x.dirty.Lo, x.dirty.Hi = min(x.dirty.Lo, r.Lo), max(x.dirty.Hi, r.Hi)
+}
+
+// drain calls f on every maximal run set since the last drain, in
+// ascending order, and empties the scratch.
+func (x *scratch) drain(f func(granule.Range)) {
+	if x.dirty.Empty() {
+		return
+	}
+	x.bits.Runs(x.dirty, f)
+	x.bits.Clear(x.dirty)
+	x.dirty = granule.Range{}
 }
 
 // getDesc returns a recycled description, or a fresh one when the free
@@ -131,17 +164,43 @@ func New(prog *Program, opt Options) (*Scheduler, error) {
 		opt:  opt,
 		wait: queue.NewWait[*desc](),
 	}
+	widest := 0
 	for i, ph := range prog.Phases {
-		w := (ph.Granules + 63) / 64
-		guards := make(bitmap, 2*w) // both of the phase's guards, one allocation
+		// The phase's bitmaps, in one allocation: its two guards, and the
+		// management sets its pair's kind uses.
+		var cq, subset, preds int // granules each covers
+		if m := maps[i]; opt.Overlap && m != nil {
+			next := prog.Phases[i+1].Granules
+			switch k := m.Kind(); {
+			case k == enable.Identity && opt.IdentityVia == IdentityConflictQueue:
+				cq = next
+			case k.Indirect() && opt.Elevate:
+				subset, preds = next, ph.Granules
+			}
+		}
+		pool := make(granule.Bitmap, 2*granule.Words(ph.Granules)+granule.Words(cq)+granule.Words(subset)+granule.Words(preds))
+		cut := func(n int) granule.Bitmap {
+			b := pool[:granule.Words(n):granule.Words(n)]
+			pool = pool[len(b):]
+			return b
+		}
 		s.phases = append(s.phases, &phaseRun{
-			spec:       ph,
-			idx:        granule.PhaseID(i),
-			total:      ph.Granules,
-			emap:       maps[i],
-			completed:  guards[:w:w],
-			dispatched: guards[w:],
+			spec:          ph,
+			idx:           granule.PhaseID(i),
+			total:         ph.Granules,
+			emap:          maps[i],
+			completed:     cut(ph.Granules),
+			dispatched:    cut(ph.Granules),
+			cqManaged:     cut(cq),
+			subsetManaged: cut(subset),
+			subsetPreds:   cut(preds),
 		})
+		widest = max(widest, ph.Granules)
+	}
+	if opt.Overlap {
+		w := granule.Words(widest)
+		pool := make(granule.Bitmap, 2*w)
+		s.succ.bits, s.released.bits = pool[:w:w], pool[w:]
 	}
 	return s, nil
 }
@@ -171,9 +230,6 @@ func (s *Scheduler) Done() bool { return s.started && s.current >= len(s.phases)
 // CurrentPhase returns the index of the oldest incomplete phase, or the
 // phase count when the program is done.
 func (s *Scheduler) CurrentPhase() int { return s.current }
-
-// PhaseState reports the lifecycle state of phase i.
-func (s *Scheduler) PhaseState(i int) PhaseState { return s.phases[i].state }
 
 // Ready reports the number of granules currently in the waiting queue.
 func (s *Scheduler) Ready() int {
@@ -234,12 +290,17 @@ func (s *Scheduler) Check() error {
 			return fmt.Errorf("phase %d: complete with %d/%d", pr.idx, pr.nComplete, pr.total)
 		}
 		done, dispatched := 0, true
-		pr.completed.runs(granule.Span(pr.total), func(r granule.Range) {
+		pr.completed.Runs(granule.Span(pr.total), func(r granule.Range) {
 			done += r.Len()
-			dispatched = dispatched && pr.dispatched.all(r)
+			dispatched = dispatched && pr.dispatched.All(r)
 		})
 		if done != pr.nComplete || !dispatched {
 			return fmt.Errorf("phase %d: completed set %d, count %d, all dispatched %v", pr.idx, done, pr.nComplete, dispatched)
+		}
+	}
+	for _, x := range []*scratch{&s.succ, &s.released} {
+		if x.bits.Any(granule.Span(64 * len(x.bits))) {
+			return fmt.Errorf("a completion scratch bitmap holds granules between calls")
 		}
 	}
 	return nil

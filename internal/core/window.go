@@ -198,16 +198,14 @@ func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 
 	pr.tab = tab
 	pr.pendingTab = nil
-	pr.cqManaged = granule.NewSet()
-	pr.subsetManaged = granule.NewSet()
-	pr.subsetPreds = granule.NewSet()
 
 	// Catch up completions that happened before the table existed (the
 	// current phase may have progressed while it was itself overlapped).
-	ready := tab.ReadyAtStart().Clone()
+	ready := granule.NewBitmap(next.total)
+	copy(ready, tab.ReadyAtStart())
 	if pr.nComplete > 0 {
 		touched := 0
-		pr.completed.runs(granule.Span(pr.total), func(r granule.Range) {
+		pr.completed.Runs(granule.Span(pr.total), func(r granule.Range) {
 			touched += tab.CompleteRange(r, ready)
 		})
 		s.stats.CatchUps += int64(touched)
@@ -225,10 +223,10 @@ func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 	if next.state == PhaseCurrent {
 		class = queue.Normal
 	}
-	for i := 0; i < ready.NumRuns(); i++ {
-		cost += s.enqueueRange(next, ready.RunAt(i), class)
+	ready.Runs(granule.Span(next.total), func(r granule.Range) {
+		cost += s.enqueueRange(next, r, class)
 		s.stats.Releases++
-	}
+	})
 
 	// Identity via conflict queues: attach successor descriptions to the
 	// queued current-phase descriptions they are enabled by.
@@ -264,7 +262,7 @@ func (s *Scheduler) attachIdentitySuccessors(pr, next *phaseRun) Cost {
 			return
 		}
 		d.succ = run
-		pr.cqManaged.AddRange(run)
+		pr.cqManaged.Set(run)
 		s.stats.Releases++ // queue insertion onto the conflict ring
 		cost += s.opt.Costs.Dispatch
 		s.stats.DispatchCost += s.opt.Costs.Dispatch
@@ -277,46 +275,49 @@ func (s *Scheduler) attachIdentitySuccessors(pr, next *phaseRun) Cost {
 // the enablement operation", find the current-phase granules that enable
 // it, elevate their priority, and arm an enablement counter that releases
 // the subset when they have all completed.
-func (s *Scheduler) planSubset(pr, next *phaseRun, released *granule.Set) Cost {
+func (s *Scheduler) planSubset(pr, next *phaseRun, released granule.Bitmap) Cost {
 	var cost Cost
 
 	// Successor subset: the first SubsetSize granules still pending —
 	// excluding everything already queued (ready-at-start granules and
 	// catch-up releases), which must not be released a second time.
-	pending := granule.NewSet(granule.Span(next.total))
-	pending.Subtract(released)
-	subset := granule.NewSet()
+	subset, span := pr.subsetManaged, granule.Range{}
 	remaining := s.opt.SubsetSize
-	for remaining > 0 && !pending.Empty() {
-		r := pending.TakeFront(remaining)
-		if r.Empty() {
-			break
+	released.Gaps(granule.Span(next.total), func(r granule.Range) {
+		if r, _ = r.TakeFront(remaining); r.Empty() {
+			return
 		}
-		subset.AddRange(r)
+		subset.Set(r)
 		remaining -= r.Len()
-	}
-	if subset.Empty() {
+		if span.Empty() {
+			span.Lo = r.Lo
+		}
+		span.Hi = r.Hi
+	})
+	if span.Empty() {
 		return 0
 	}
 
 	// Composite-map scan for the enabling current-phase granules.
-	preds, scanned := pr.tab.PredsFor(subset)
+	preds := pr.subsetPreds
+	scanned := pr.tab.PredsFor(subset, preds)
 	scost := Cost(scanned) * s.opt.Costs.MapEntry
 	s.stats.TableCost += scost
 	cost += scost
 
 	// Only uncompleted granules are counted; completed ones already
 	// contributed their enablement.
-	pr.completed.runs(granule.Span(pr.total), preds.RemoveRange)
-	if preds.Empty() {
+	preds.AndNot(pr.completed)
+	n := preds.Count(granule.Span(pr.total))
+	if n == 0 {
 		// Everything needed has completed; release the subset now.
-		cost += s.releaseSet(next, subset)
+		subset.Runs(span, func(r granule.Range) { cost += s.release(next, r) })
+		subset.Clear(span)
 		return cost
 	}
 
-	pr.subsetManaged = subset
-	pr.subsetPreds = preds
-	pr.subsetCounter.Arm(preds.Len())
+	pr.subsetSpan = span
+	pr.subsetCounter.Arm(n)
 
 	// Elevate the enabling granules that are still queued. Granules in
 	// flight will complete soon regardless.
@@ -326,7 +327,7 @@ func (s *Scheduler) planSubset(pr, next *phaseRun, released *granule.Set) Cost {
 
 // elevate extracts the granules of preds from the current phase's queued
 // descriptions and requeues them at elevated priority.
-func (s *Scheduler) elevate(pr *phaseRun, preds *granule.Set) Cost {
+func (s *Scheduler) elevate(pr *phaseRun, preds granule.Bitmap) Cost {
 	type hit struct {
 		n     *queue.Node[*desc]
 		class queue.Class
@@ -334,10 +335,7 @@ func (s *Scheduler) elevate(pr *phaseRun, preds *granule.Set) Cost {
 	var hits []hit
 	s.wait.Each(func(n *queue.Node[*desc], c queue.Class) {
 		d := n.Value
-		if d.phase != pr.idx || c == queue.Elevated {
-			return
-		}
-		if preds.IntersectRange(d.run).Empty() {
+		if d.phase != pr.idx || c == queue.Elevated || !preds.Any(d.run) {
 			return
 		}
 		hits = append(hits, hit{n: n, class: c})
@@ -349,38 +347,35 @@ func (s *Scheduler) elevate(pr *phaseRun, preds *granule.Set) Cost {
 		pr.nQueued -= d.run.Len()
 		s.readyTasks -= s.taskCount(d.run.Len())
 
-		inter := preds.IntersectRange(d.run)
-		rest := granule.NewSet(d.run)
-		rest.Subtract(inter)
-		pieces := inter.NumRuns() + rest.NumRuns() - 1
-		if pieces > 0 {
-			s.stats.Splits += int64(pieces)
-			sc := Cost(pieces) * s.opt.Costs.Split
-			s.stats.SplitCost += sc
-			cost += sc
-		}
-		for _, r := range inter.Runs() {
+		// The description splits into its runs of enabling granules,
+		// elevated, and the runs between them, requeued where it was.
+		pieces := 0
+		preds.Runs(d.run, func(r granule.Range) {
+			pieces++
 			cost += s.pushDesc(s.getDesc(pr.idx, r), queue.Elevated)
 			s.stats.Elevations++
 			ec := s.opt.Costs.Elevate
 			s.stats.ElevateCost += ec
 			cost += ec
-		}
-		for _, r := range rest.Runs() {
+		})
+		preds.Gaps(d.run, func(r granule.Range) {
+			pieces++
 			cost += s.pushDesc(s.getDesc(pr.idx, r), h.class)
+		})
+		if pieces > 1 {
+			s.stats.Splits += int64(pieces - 1)
+			sc := Cost(pieces-1) * s.opt.Costs.Split
+			s.stats.SplitCost += sc
+			cost += sc
 		}
 		s.putDesc(d)
 	}
 	return cost
 }
 
-// releaseSet queues successor granules (as coalesced descriptions) at the
-// released class.
-func (s *Scheduler) releaseSet(next *phaseRun, set *granule.Set) Cost {
-	var cost Cost
-	for i := 0; i < set.NumRuns(); i++ {
-		cost += s.enqueueRange(next, set.RunAt(i), s.releasedClass())
-		s.stats.Releases++
-	}
-	return cost
+// release queues the successor granules of run as a released description
+// (split to the grain under the pre-split policy).
+func (s *Scheduler) release(next *phaseRun, run granule.Range) Cost {
+	s.stats.Releases++
+	return s.enqueueRange(next, run, s.releasedClass())
 }

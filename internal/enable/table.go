@@ -38,7 +38,7 @@ type Map struct {
 
 	// readyAtStart holds the successor granules computable the moment the
 	// successor phase is initiated (requirement set empty).
-	readyAtStart granule.Set
+	readyAtStart granule.Bitmap
 
 	pendingAtStart int   // successor granules not ready at start
 	buildCost      int64 // management units charged for construction
@@ -97,7 +97,7 @@ func compile(spec *Spec, nPred, nSucc int) (m *Map, err error) {
 			m, err = nil, fmt.Errorf("enable: %v mapping function panicked: %v", spec.Kind, r)
 		}
 	}()
-	m = &Map{kind: spec.Kind, nPred: nPred, nSucc: nSucc}
+	m = &Map{kind: spec.Kind, nPred: nPred, nSucc: nSucc, readyAtStart: granule.NewBitmap(nSucc)}
 	switch spec.Kind {
 	case Null:
 		// Nothing is enabled before phase completion. The scheduler
@@ -105,7 +105,7 @@ func compile(spec *Spec, nPred, nSucc int) (m *Map, err error) {
 		// serial action; the map exists only for uniformity.
 		m.pendingAtStart = nSucc
 	case Universal:
-		m.readyAtStart.AddRange(granule.Span(nSucc))
+		m.readyAtStart.Set(granule.Span(nSucc))
 		m.buildCost = CostPerEntry // constant: one queue insertion
 	case Identity:
 		// Successor granule i waits for current granule i. Successor
@@ -113,7 +113,7 @@ func compile(spec *Spec, nPred, nSucc int) (m *Map, err error) {
 		// dependence and are ready at start.
 		overlap := min(nPred, nSucc)
 		if overlap < nSucc {
-			m.readyAtStart.AddRange(granule.R(granule.ID(overlap), granule.ID(nSucc)))
+			m.readyAtStart.Set(granule.R(granule.ID(overlap), granule.ID(nSucc)))
 		}
 		m.pendingAtStart = overlap
 		m.buildCost = CostPerEntry // the relation is implicit; no map storage
@@ -207,7 +207,7 @@ func compile(spec *Spec, nPred, nSucc int) (m *Map, err error) {
 func (m *Map) finishIndirect(entries int) {
 	for r, c := range m.initial {
 		if c == 0 {
-			m.readyAtStart.Add(granule.ID(r))
+			m.readyAtStart.Set(granule.R(granule.ID(r), granule.ID(r)+1))
 		} else {
 			m.pendingAtStart++
 		}
@@ -234,9 +234,9 @@ func (m *Map) Kind() Kind { return m.kind }
 func (m *Map) BuildCost() int64 { return m.buildCost }
 
 // ReadyAtStart returns the successor granules computable at successor-phase
-// initiation. The returned set is shared by every table over the map;
-// callers clone it.
-func (m *Map) ReadyAtStart() *granule.Set { return &m.readyAtStart }
+// initiation. The returned bitmap is shared by every table over the map;
+// callers copy it and never write it.
+func (m *Map) ReadyAtStart() granule.Bitmap { return m.readyAtStart }
 
 // Pending reports how many successor granules are still awaiting enablement
 // through completion processing (excludes ready-at-start granules).
@@ -292,60 +292,55 @@ func (t *Table) CompleteIdentity(run granule.Range) granule.Range {
 	return r
 }
 
-// CompleteRange applies Complete to every granule in run, coalescing the
-// emitted successor granules into a set. It returns the enabled set and the
-// number of counters touched.
-func (t *Table) CompleteRange(run granule.Range, enabled *granule.Set) int {
+// CompleteRange applies Complete to every granule in run, setting the
+// emitted successor granules in enabled. It returns the number of counters
+// touched.
+func (t *Table) CompleteRange(run granule.Range, enabled granule.Bitmap) int {
 	touched := 0
-	run.Each(func(p granule.ID) {
-		touched += t.Complete(p, func(r granule.ID) { enabled.Add(r) })
-	})
+	for p := run.Lo; p < run.Hi; p++ {
+		touched += t.Complete(p, func(r granule.ID) { enabled.Set(granule.R(r, r+1)) })
+	}
 	return touched
 }
 
-// PredsFor computes the set of current-phase granules whose completion
-// contributes to enabling the given successor granules — the input to the
-// paper's priority-elevation strategy ("they should be split into
+// PredsFor sets in preds the current-phase granules whose completion
+// contributes to enabling the successor granules in succs — the input to
+// the paper's priority-elevation strategy ("they should be split into
 // individual descriptions and placed in the waiting computation queue in
 // such a manner as to elevate their computational priority"). The cost of
 // this scan is proportional to the stored map size for forward mappings and
 // to the requirement lists for reverse mappings; it returns that entry
-// count alongside the set.
-func (m *Map) PredsFor(succs *granule.Set) (*granule.Set, int) {
-	preds := granule.NewSet()
+// count.
+func (m *Map) PredsFor(succs, preds granule.Bitmap) int {
 	scanned := 0
 	switch m.kind {
-	case Null, Universal:
-		return preds, 0
 	case Identity:
-		succs.Each(func(r granule.ID) {
-			scanned++
-			if int(r) < m.nPred {
-				preds.Add(r)
-			}
+		succs.Runs(granule.Span(m.nSucc), func(r granule.Range) {
+			scanned += r.Len()
+			preds.Set(r.Intersect(granule.Span(m.nPred)))
 		})
-		return preds, scanned
 	case ReverseIndirect, Seam:
 		// The requirement lists of the subset alone determine the
 		// enabling predecessors — no full-map scan needed.
-		succs.Each(func(r granule.ID) {
-			for _, p := range m.requirements(r) {
-				scanned++
-				preds.Add(p)
+		succs.Runs(granule.Span(m.nSucc), func(rs granule.Range) {
+			for r := rs.Lo; r < rs.Hi; r++ {
+				for _, p := range m.requirements(r) {
+					scanned++
+					preds.Set(granule.R(p, p+1))
+				}
 			}
 		})
-		return preds, scanned
-	default:
+	case ForwardIndirect:
 		// Forward maps must be scanned in the map's own direction.
-		for p := 0; p < m.nPred; p++ {
-			for _, r := range m.row(granule.ID(p)) {
+		for p := granule.ID(0); int(p) < m.nPred; p++ {
+			for _, r := range m.row(p) {
 				scanned++
-				if succs.Contains(r) {
-					preds.Add(granule.ID(p))
+				if succs.Has(r) {
+					preds.Set(granule.R(p, p+1))
 					break
 				}
 			}
 		}
-		return preds, scanned
 	}
+	return scanned
 }

@@ -17,13 +17,21 @@ func collectEnabled(t *Table, p granule.ID) []granule.ID {
 	return out
 }
 
+// readyRuns returns the runs of tab's ready-at-start successors, of which
+// there are n.
+func readyRuns(tab *Table, n int) []granule.Range {
+	var out []granule.Range
+	tab.ReadyAtStart().Runs(granule.Span(n), func(r granule.Range) { out = append(out, r) })
+	return out
+}
+
 func TestBuildUniversal(t *testing.T) {
 	tab, err := Build(NewUniversal(), 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ReadyAtStart().Len() != 7 || tab.Pending() != 0 {
-		t.Fatalf("universal: ready=%d pending=%d", tab.ReadyAtStart().Len(), tab.Pending())
+	if ready := tab.ReadyAtStart().Count(granule.Span(7)); ready != 7 || tab.Pending() != 0 {
+		t.Fatalf("universal: ready=%d pending=%d", ready, tab.Pending())
 	}
 	if got := collectEnabled(tab, 3); got != nil {
 		t.Fatalf("universal Complete enabled %v", got)
@@ -35,8 +43,8 @@ func TestBuildNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ReadyAtStart().Len() != 0 || tab.Pending() != 7 {
-		t.Fatalf("null: ready=%d pending=%d", tab.ReadyAtStart().Len(), tab.Pending())
+	if ready := tab.ReadyAtStart().Count(granule.Span(7)); ready != 0 || tab.Pending() != 7 {
+		t.Fatalf("null: ready=%d pending=%d", ready, tab.Pending())
 	}
 	if got := collectEnabled(tab, 3); got != nil {
 		t.Fatalf("null Complete enabled %v", got)
@@ -53,8 +61,8 @@ func TestBuildIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Successor granules 5..7 have no dependence: ready at start.
-	if !tab.ReadyAtStart().ContainsRange(granule.R(5, 8)) || tab.ReadyAtStart().Len() != 3 {
-		t.Fatalf("identity readyAtStart = %v", tab.ReadyAtStart())
+	if got := readyRuns(tab, 8); !slices.Equal(got, []granule.Range{granule.R(5, 8)}) {
+		t.Fatalf("identity readyAtStart = %v", got)
 	}
 	if tab.Pending() != 5 {
 		t.Fatalf("identity pending = %d", tab.Pending())
@@ -75,8 +83,8 @@ func TestBuildIdentityShortSuccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.ReadyAtStart().Len() != 0 || tab.Pending() != 5 {
-		t.Fatalf("ready=%v pending=%d", tab.ReadyAtStart(), tab.Pending())
+	if ready := readyRuns(tab, 5); ready != nil || tab.Pending() != 5 {
+		t.Fatalf("ready=%v pending=%d", ready, tab.Pending())
 	}
 	if got := collectEnabled(tab, 6); got != nil {
 		t.Fatalf("Complete(6) beyond successor = %v", got)
@@ -111,8 +119,8 @@ func TestBuildForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	// successor 3 has no enabler: ready at start.
-	if !tab.ReadyAtStart().Contains(3) || tab.ReadyAtStart().Len() != 1 {
-		t.Fatalf("forward readyAtStart = %v", tab.ReadyAtStart())
+	if got := readyRuns(tab, 4); !slices.Equal(got, []granule.Range{granule.R(3, 4)}) {
+		t.Fatalf("forward readyAtStart = %v", got)
 	}
 	if tab.Pending() != 3 {
 		t.Fatalf("forward pending = %d", tab.Pending())
@@ -137,8 +145,8 @@ func TestBuildReverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Pending() != 4 || tab.ReadyAtStart().Len() != 0 {
-		t.Fatalf("reverse pending=%d ready=%v", tab.Pending(), tab.ReadyAtStart())
+	if ready := readyRuns(tab, 4); tab.Pending() != 4 || ready != nil {
+		t.Fatalf("reverse pending=%d ready=%v", tab.Pending(), ready)
 	}
 	// Complete 0..4 in order; successor r fires when r+1 completes.
 	fired := map[granule.ID]bool{}
@@ -206,7 +214,7 @@ func TestBuildReverseRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := tab.ReadyAtStart().IDs(), []granule.ID{1, 4}; !reflect.DeepEqual(got, want) {
+		if got, want := readyRuns(tab, len(reqs)), []granule.Range{granule.R(1, 2), granule.R(4, 5)}; !slices.Equal(got, want) {
 			t.Errorf("%v: ready at start %v, want %v", spec.Kind, got, want)
 		}
 		if tab.Pending() != 4 {
@@ -426,9 +434,9 @@ func TestCompleteRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enabled := granule.NewSet()
+	enabled := granule.NewBitmap(10)
 	touched := tab.CompleteRange(granule.R(2, 6), enabled)
-	if touched != 4 || enabled.Len() != 4 || !enabled.ContainsRange(granule.R(2, 6)) {
+	if touched != 4 || enabled.Count(granule.Span(10)) != 4 || !enabled.All(granule.R(2, 6)) {
 		t.Fatalf("CompleteRange: touched=%d enabled=%v", touched, enabled)
 	}
 }
@@ -442,8 +450,14 @@ func TestPredsFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds, scanned := tab.PredsFor(granule.NewSet(granule.R(1, 3))) // successors 1,2
-	if preds.Len() != 4 || !preds.ContainsRange(granule.R(2, 6)) {
+	// predsFor asks tab for the predecessors of the successors in succ.
+	predsFor := func(tab *Table, succ granule.Range) (granule.Bitmap, int) {
+		succs, preds := granule.NewBitmap(8), granule.NewBitmap(8)
+		succs.Set(succ)
+		return preds, tab.PredsFor(succs, preds)
+	}
+	preds, scanned := predsFor(tab, granule.R(1, 3)) // successors 1,2
+	if preds.Count(granule.Span(8)) != 4 || !preds.All(granule.R(2, 6)) {
 		t.Fatalf("PredsFor = %v (scanned %d)", preds, scanned)
 	}
 	if scanned == 0 {
@@ -451,14 +465,14 @@ func TestPredsFor(t *testing.T) {
 	}
 
 	idTab, _ := Build(NewIdentity(), 8, 8)
-	preds, _ = idTab.PredsFor(granule.NewSet(granule.R(5, 7)))
-	if preds.Len() != 2 || !preds.ContainsRange(granule.R(5, 7)) {
+	preds, _ = predsFor(idTab, granule.R(5, 7))
+	if preds.Count(granule.Span(8)) != 2 || !preds.All(granule.R(5, 7)) {
 		t.Fatalf("identity PredsFor = %v", preds)
 	}
 
 	uniTab, _ := Build(NewUniversal(), 8, 8)
-	preds, scanned = uniTab.PredsFor(granule.NewSet(granule.R(0, 8)))
-	if !preds.Empty() || scanned != 0 {
+	preds, scanned = predsFor(uniTab, granule.R(0, 8))
+	if preds.Any(granule.Span(8)) || scanned != 0 {
 		t.Fatalf("universal PredsFor = %v scanned=%d", preds, scanned)
 	}
 }
@@ -496,7 +510,9 @@ func TestTableQuickExactlyOnce(t *testing.T) {
 			return false
 		}
 		released := make(map[granule.ID]int)
-		tab.ReadyAtStart().Each(func(r granule.ID) { released[r]++ })
+		for _, rs := range readyRuns(tab, nSucc) {
+			rs.Each(func(r granule.ID) { released[r]++ })
+		}
 
 		order := rng.Perm(nPred)
 		done := make(map[granule.ID]bool)

@@ -8,7 +8,8 @@
 // split apart on demand to produce conveniently sized tasks for workers and
 // merged back when the work completed. This package provides the value types
 // for that machinery: granule and phase identifiers, half-open contiguous
-// ranges, and coalescing interval sets.
+// ranges, and the one granule-set type, a per-phase Bitmap whose maximal
+// runs are the contiguous collections.
 package granule
 
 import "fmt"
@@ -56,15 +57,6 @@ func (r Range) Empty() bool { return r.Hi <= r.Lo }
 // Contains reports whether id lies inside the range.
 func (r Range) Contains(id ID) bool { return id >= r.Lo && id < r.Hi }
 
-// Overlaps reports whether r and s share at least one granule.
-func (r Range) Overlaps(s Range) bool {
-	return !r.Empty() && !s.Empty() && r.Lo < s.Hi && s.Lo < r.Hi
-}
-
-// Adjacent reports whether r and s touch without overlapping, so that their
-// union is a single contiguous range.
-func (r Range) Adjacent(s Range) bool { return r.Hi == s.Lo || s.Hi == r.Lo }
-
 // Intersect returns the common sub-range of r and s (possibly empty).
 func (r Range) Intersect(s Range) Range {
 	lo, hi := r.Lo, r.Hi
@@ -93,18 +85,6 @@ func (r Range) TakeFront(n int) (front, rest Range) {
 	}
 	mid := r.Lo + ID(n)
 	return Range{Lo: r.Lo, Hi: mid}, Range{Lo: mid, Hi: r.Hi}
-}
-
-// SplitAt splits the range at granule id, returning [Lo,id) and [id,Hi).
-// id is clamped into the range.
-func (r Range) SplitAt(id ID) (left, right Range) {
-	if id < r.Lo {
-		id = r.Lo
-	}
-	if id > r.Hi {
-		id = r.Hi
-	}
-	return Range{Lo: r.Lo, Hi: id}, Range{Lo: id, Hi: r.Hi}
 }
 
 // Chunks divides the range into consecutive sub-ranges of at most grain
@@ -141,15 +121,6 @@ func (r Range) IDs() []ID {
 	out := make([]ID, 0, r.Len())
 	r.Each(func(id ID) { out = append(out, id) })
 	return out
-}
-
-// Canon returns the canonical form of the range: empty ranges normalize to
-// the zero Range so that all empty ranges compare equal.
-func (r Range) Canon() Range {
-	if r.Empty() {
-		return Range{}
-	}
-	return r
 }
 
 // String returns "[lo,hi)".

@@ -36,28 +36,6 @@ func TestRangeContains(t *testing.T) {
 	}
 }
 
-func TestRangeOverlapsAdjacent(t *testing.T) {
-	cases := []struct {
-		a, b               Range
-		overlaps, adjacent bool
-	}{
-		{R(0, 5), R(5, 10), false, true},
-		{R(5, 10), R(0, 5), false, true},
-		{R(0, 5), R(4, 10), true, false},
-		{R(0, 5), R(6, 10), false, false},
-		{R(0, 5), R(2, 3), true, false},
-		{R(0, 0), R(0, 5), false, true}, // empty ranges never overlap
-	}
-	for _, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.overlaps {
-			t.Errorf("%v.Overlaps(%v) = %v, want %v", c.a, c.b, got, c.overlaps)
-		}
-		if got := c.a.Adjacent(c.b); got != c.adjacent {
-			t.Errorf("%v.Adjacent(%v) = %v, want %v", c.a, c.b, got, c.adjacent)
-		}
-	}
-}
-
 func TestRangeIntersect(t *testing.T) {
 	cases := []struct{ a, b, want Range }{
 		{R(0, 10), R(5, 15), R(5, 10)},
@@ -68,7 +46,7 @@ func TestRangeIntersect(t *testing.T) {
 	}
 	for _, c := range cases {
 		got := c.a.Intersect(c.b)
-		if got.Canon() != c.want.Canon() {
+		if got != c.want {
 			t.Errorf("%v.Intersect(%v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
@@ -91,22 +69,6 @@ func TestRangeTakeFront(t *testing.T) {
 	front, rest = r.TakeFront(0)
 	if !front.Empty() || rest != r {
 		t.Fatalf("TakeFront(0) = %v, %v", front, rest)
-	}
-}
-
-func TestRangeSplitAt(t *testing.T) {
-	r := R(10, 20)
-	l, rr := r.SplitAt(15)
-	if l != R(10, 15) || rr != R(15, 20) {
-		t.Fatalf("SplitAt(15) = %v,%v", l, rr)
-	}
-	l, rr = r.SplitAt(5) // clamped
-	if !l.Empty() || rr != r {
-		t.Fatalf("SplitAt(clamp lo) = %v,%v", l, rr)
-	}
-	l, rr = r.SplitAt(25) // clamped
-	if l != r || !rr.Empty() {
-		t.Fatalf("SplitAt(clamp hi) = %v,%v", l, rr)
 	}
 }
 

@@ -73,28 +73,17 @@ func (r *Ring[T]) Len() int { return r.n }
 // Empty reports whether the ring has no nodes.
 func (r *Ring[T]) Empty() bool { return r.n == 0 }
 
-func (r *Ring[T]) insert(n, after *Node[T]) {
+// PushBack inserts n at the back of the ring.
+func (r *Ring[T]) PushBack(n *Node[T]) {
 	if n.ring != nil {
 		panic("queue: inserting attached node")
 	}
-	n.prev = after
-	n.next = after.next
-	after.next.prev = n
-	after.next = n
+	r.lazyInit()
+	back := r.head.prev
+	n.prev, n.next = back, &r.head
+	back.next, r.head.prev = n, n
 	n.ring = r
 	r.n++
-}
-
-// PushFront inserts n at the front of the ring.
-func (r *Ring[T]) PushFront(n *Node[T]) {
-	r.lazyInit()
-	r.insert(n, &r.head)
-}
-
-// PushBack inserts n at the back of the ring.
-func (r *Ring[T]) PushBack(n *Node[T]) {
-	r.lazyInit()
-	r.insert(n, r.head.prev)
 }
 
 // Remove unlinks n from the ring. It panics if n is not attached to r.

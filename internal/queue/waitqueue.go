@@ -5,7 +5,7 @@ import "fmt"
 // Class is the priority class of an entry in the waiting computation queue.
 // The queue is "kept in a known order": all entries of a lower-numbered
 // class are dispatched before any entry of a higher-numbered class, FIFO
-// within a class (except entries pushed to the class front).
+// within a class.
 type Class uint8
 
 const (
@@ -70,9 +70,6 @@ func (w *Wait[T]) ring(c Class) *Ring[T] {
 	return w.classes[c]
 }
 
-// Len reports the total number of queued entries.
-func (w *Wait[T]) Len() int { return w.n }
-
 // Empty reports whether no entries are queued.
 func (w *Wait[T]) Empty() bool { return w.n == 0 }
 
@@ -82,23 +79,9 @@ func (w *Wait[T]) Push(n *Node[T], c Class) {
 	w.n++
 }
 
-// PushFront inserts node n at the front of class c.
-func (w *Wait[T]) PushFront(n *Node[T], c Class) {
-	w.ring(c).PushFront(n)
-	w.n++
-}
-
-// Pop removes and returns the highest-priority entry — the front of the
-// lowest-numbered non-empty class — with its class. ok is false when the
-// queue is empty.
-func (w *Wait[T]) Pop() (n *Node[T], c Class, ok bool) {
-	if n, c, ok = w.Peek(); ok {
-		w.Remove(n, c)
-	}
-	return n, c, ok
-}
-
-// Peek returns the entry Pop would return, without removing it.
+// Peek returns the highest-priority entry — the front of the
+// lowest-numbered non-empty class — with its class, without removing it. ok
+// is false when the queue is empty.
 func (w *Wait[T]) Peek() (n *Node[T], c Class, ok bool) {
 	if w.n == 0 {
 		return nil, 0, false

@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// pop removes and returns the entry Peek names.
+func pop[T any](w *Wait[T]) (n *Node[T], c Class, ok bool) {
+	if n, c, ok = w.Peek(); ok {
+		w.Remove(n, c)
+	}
+	return n, c, ok
+}
+
 func TestWaitClassOrder(t *testing.T) {
 	w := NewWait[string]()
 	w.Push(NewNode("n1"), Normal)
@@ -16,23 +24,13 @@ func TestWaitClassOrder(t *testing.T) {
 
 	want := []string{"e1", "r1", "n1", "n2", "b1"}
 	for _, expect := range want {
-		n, _, ok := w.Pop()
+		n, _, ok := pop(w)
 		if !ok || n.Value != expect {
-			t.Fatalf("Pop = %v, want %q", n, expect)
+			t.Fatalf("pop = %v, want %q", n, expect)
 		}
 	}
-	if _, _, ok := w.Pop(); ok {
-		t.Fatal("Pop on empty reported ok")
-	}
-}
-
-func TestWaitPushFront(t *testing.T) {
-	w := NewWait[int]()
-	w.Push(NewNode(1), Normal)
-	w.PushFront(NewNode(0), Normal)
-	n, c, _ := w.Pop()
-	if n.Value != 0 || c != Normal {
-		t.Fatalf("Pop = %d class %v", n.Value, c)
+	if _, _, ok := pop(w); ok {
+		t.Fatal("pop on empty reported ok")
 	}
 }
 
@@ -41,7 +39,7 @@ func TestWaitPeekRemove(t *testing.T) {
 	a := NewNode(1)
 	w.Push(a, Released)
 	n, c, ok := w.Peek()
-	if !ok || n != a || c != Released || w.Len() != 1 {
+	if !ok || n != a || c != Released || w.Empty() {
 		t.Fatal("Peek broken")
 	}
 	w.Remove(a, Released)
@@ -54,7 +52,7 @@ func TestWaitPeekRemove(t *testing.T) {
 func drain(w *Wait[int]) []int {
 	var got []int
 	for {
-		n, _, ok := w.Pop()
+		n, _, ok := pop(w)
 		if !ok {
 			return got
 		}
@@ -68,9 +66,6 @@ func TestWaitPromote(t *testing.T) {
 	w.Push(NewNode(11), Background)
 	w.Push(NewNode(5), Normal)
 	w.Promote(Background, Normal)
-	if w.Len() != 3 {
-		t.Fatalf("promote: Len = %d, want 3", w.Len())
-	}
 	// FIFO preserved: 5 was already in Normal, then 10, 11 appended.
 	if got := drain(w); fmt.Sprint(got) != "[5 10 11]" {
 		t.Fatalf("order %v want [5 10 11]", got)
@@ -163,7 +158,7 @@ func TestWaitQuickDispatchOrder(t *testing.T) {
 		prev := entry{class: 0, seq: -1}
 		first := true
 		for {
-			n, c, ok := w.Pop()
+			n, c, ok := pop(w)
 			if !ok {
 				break
 			}
@@ -200,7 +195,7 @@ func BenchmarkWaitPushPop(b *testing.B) {
 			w.Push(n, Class(j%NumClasses))
 		}
 		for range nodes {
-			w.Pop()
+			pop(w)
 		}
 	}
 }

@@ -1,19 +1,11 @@
-package executive_test
+package sim
 
-import (
-	"testing"
-
-	"repro/internal/sim"
-)
-
-// The batching controller lives in internal/sim beside its one driver, the
-// Adaptive model. Its unit tests stay in this directory, as an external test
-// package, so the names the test ledger knows them by do not change.
+import "testing"
 
 // TestTunerDefaults: the zero config selects the sharded manager's fixed
 // defaults as the starting point (cap 16, batch 8) and sane bounds.
 func TestTunerDefaults(t *testing.T) {
-	tu := sim.NewTuner(sim.TunerConfig{})
+	tu := NewTuner(TunerConfig{})
 	if tu.Cap() != 16 || tu.Batch() != 8 {
 		t.Fatalf("defaults cap=%d batch=%d, want 16/8", tu.Cap(), tu.Batch())
 	}
@@ -40,7 +32,7 @@ func synthEpoch(cap int) (overhead, hoardedIdle int64) {
 // falls below target — and never move again on the steady signal (the
 // hold band is wider than the one halving each doubling buys).
 func TestTunerGrowsUnderLockPressure(t *testing.T) {
-	tu := sim.NewTuner(sim.TunerConfig{Cap: 2, MgmtTarget: 0.05})
+	tu := NewTuner(TunerConfig{Cap: 2, MgmtTarget: 0.05})
 	const capacity = 1_000_000
 	for e := 0; e < 40; e++ {
 		o, hi := synthEpoch(tu.Cap())
@@ -68,7 +60,7 @@ func TestTunerGrowsUnderLockPressure(t *testing.T) {
 // TestTunerShrinksOnHoardedIdle: overhead cheap, workers starving while
 // peers hold tasks — the tuner must shrink until the starvation clears.
 func TestTunerShrinksOnHoardedIdle(t *testing.T) {
-	tu := sim.NewTuner(sim.TunerConfig{Cap: 512, MgmtTarget: 0.05})
+	tu := NewTuner(TunerConfig{Cap: 512, MgmtTarget: 0.05})
 	const capacity = 1_000_000
 	for e := 0; e < 60; e++ {
 		o, hi := synthEpoch(tu.Cap())
@@ -87,7 +79,7 @@ func TestTunerShrinksOnHoardedIdle(t *testing.T) {
 // hold, and a one-epoch starvation blip must also hold (the persistence
 // gate).
 func TestTunerRundownTailDoesNotRatchet(t *testing.T) {
-	tu := sim.NewTuner(sim.TunerConfig{Cap: 64, MgmtTarget: 0.05})
+	tu := NewTuner(TunerConfig{Cap: 64, MgmtTarget: 0.05})
 	const capacity = 1_000_000
 	for e := 0; e < 40; e++ {
 		tu.Observe(capacity, 0, 0) // idle tail: no hoarded starvation
@@ -119,7 +111,7 @@ func TestTunerNeverOscillatesSteady(t *testing.T) {
 		{0.9, 0.0},
 	}
 	for _, tc := range cases {
-		tu := sim.NewTuner(sim.TunerConfig{Cap: 16, MgmtTarget: 0.05})
+		tu := NewTuner(TunerConfig{Cap: 16, MgmtTarget: 0.05})
 		over := int64(tc.overShare * capacity)
 		starve := int64(tc.starveShare * capacity)
 		dir := 0 // -1 shrinking, +1 growing
@@ -146,8 +138,7 @@ func TestTunerNeverOscillatesSteady(t *testing.T) {
 // TestTunerClamps: growth saturates at tunerMaxCap, shrink at
 // tunerMinCap, and the batch never exceeds the cap.
 func TestTunerClamps(t *testing.T) {
-	const tunerMinCap, tunerMaxCap = 1, 512 // TunerConfig.Cap's documented clamp
-	tu := sim.NewTuner(sim.TunerConfig{Cap: tunerMaxCap / 4, MgmtTarget: 0.05})
+	tu := NewTuner(TunerConfig{Cap: tunerMaxCap / 4, MgmtTarget: 0.05})
 	const capacity = 1_000_000
 	for e := 0; e < 30; e++ {
 		tu.Observe(capacity, capacity/2, 0) // overhead share 50%: grow hard
@@ -155,7 +146,7 @@ func TestTunerClamps(t *testing.T) {
 	if tu.Cap() != tunerMaxCap {
 		t.Fatalf("cap = %d, want clamped at %d", tu.Cap(), tunerMaxCap)
 	}
-	tu2 := sim.NewTuner(sim.TunerConfig{Cap: 4 * tunerMinCap, MgmtTarget: 0.05})
+	tu2 := NewTuner(TunerConfig{Cap: 4 * tunerMinCap, MgmtTarget: 0.05})
 	for e := 0; e < 30; e++ {
 		tu2.Observe(capacity, 0, capacity/2) // hoarded idle 50%: shrink hard
 	}

@@ -564,14 +564,28 @@ func TestPoolCrashReapportionsHomes(t *testing.T) {
 	}
 	// Beta's home workers may still sit in an alpha granule they took while
 	// alpha was the only job: alpha and gamma keep trickling until a released
-	// worker has swept home-first into beta and run it out.
+	// worker has swept home-first into beta and run it out. The trickle is
+	// bounded to a quarter of each job's granules, so that neither can run
+	// out before beta's end is observed, however late that is.
 	close(tokens[1])
+	budget, timeout := [3]int{1024, 0, 1024}, time.After(time.Until(deadline))
 	for done := false; !done; {
+		var alpha, gamma chan struct{} // nil once its budget is spent
+		if budget[0] > 0 {
+			alpha = tokens[0]
+		}
+		if budget[2] > 0 {
+			gamma = tokens[2]
+		}
 		select {
-		case tokens[0] <- struct{}{}:
-		case tokens[2] <- struct{}{}:
+		case alpha <- struct{}{}:
+			budget[0]--
+		case gamma <- struct{}{}:
+			budget[2]--
 		case <-jobs[1].Done():
 			done = true
+		case <-timeout:
+			t.Fatalf("beta not done with %v of the trickle left", budget)
 		}
 	}
 	if _, err := jobs[1].Wait(); err != nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/enable"
 	"repro/internal/granule"
+	"repro/internal/queue"
 )
 
 // This file is the completion half of the state machine: merging completed
@@ -18,36 +19,48 @@ import (
 // In steady state it allocates nothing: see the scratch bitmaps on
 // Scheduler.
 func (s *Scheduler) Complete(t Task) Cost {
-	d, ok := s.inflight.take(t.ID)
-	if !ok {
-		panic(fmt.Sprintf("core: Complete of unknown %v", t))
-	}
-	pr := s.phases[d.phase]
+	succ := s.retire(t)
+	pr := s.phases[t.Phase]
 
 	cost := s.opt.Costs.Complete + s.opt.Costs.Merge
 	s.stats.Completions++
 	s.stats.Merges++
 	s.stats.CompleteCost += s.opt.Costs.Complete + s.opt.Costs.Merge
 
-	s.markComplete(pr, d.run)
+	s.markComplete(pr, t.Run)
 
 	// Release the conflict-queued successor: "upon completion of the
 	// described computation, all the queued conflicting computations
 	// became unconditionally computable and were placed in the waiting
 	// computation queue" — ahead of normal work. The successor
-	// description is materialized only now, typically reusing the
-	// allocation the enabler retires below.
-	if !d.succ.Empty() {
-		run := d.succ
-		d.succ = granule.Range{}
-		cost += s.pushDesc(s.getDesc(d.phase+1, run), s.releasedClass())
+	// description is materialized only now, in the record the enabler
+	// has just retired.
+	if !succ.Empty() {
+		cost += s.pushDesc(s.newDesc(t.Phase+1, succ), s.releasedClass())
 		s.stats.Releases++
 	}
 
-	charged, fired := s.decrement(pr, d.run)
-	cost += s.settle(pr, charged, fired)
-	s.putDesc(d)
-	return cost
+	charged, fired := s.decrement(pr, t.Run)
+	return cost + s.settle(pr, charged, fired)
+}
+
+// retire ends the flight of dispatched task t and frees its description,
+// returning the description's conflict queue. t's ID must name a
+// description in flight with t's run: a task completed twice, or one this
+// scheduler never dispatched, panics.
+func (s *Scheduler) retire(t Task) (succ granule.Range) {
+	if t.ID <= 0 || t.ID >= s.wait.Len() {
+		panic(fmt.Sprintf("core: Complete of unknown %v", t))
+	}
+	i := queue.Index(t.ID)
+	d := s.wait.At(i)
+	if !d.inFlight || d.phase != int32(t.Phase) || d.run.r() != t.Run {
+		panic(fmt.Sprintf("core: Complete of unknown %v", t))
+	}
+	succ = d.succ.r()
+	s.wait.Free(i)
+	s.inFlight--
+	return succ
 }
 
 // markComplete records run of pr as completed. A granule must never
@@ -187,20 +200,14 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 	charged, fired := 0, false
 	var run granule.Range // completed, not yet decremented
 	for _, t := range ts {
-		d, ok := s.inflight.take(t.ID)
-		if !ok {
-			panic(fmt.Sprintf("core: Complete of unknown %v", t))
-		}
-		s.markComplete(pr, d.run)
-		if d.run.Lo != run.Hi {
+		s.succ.set(s.retire(t))
+		s.markComplete(pr, t.Run)
+		if t.Run.Lo != run.Hi {
 			n, f := s.decrement(pr, run)
 			charged, fired = charged+n, fired || f
-			run.Lo = d.run.Lo
+			run.Lo = t.Run.Lo
 		}
-		run.Hi = d.run.Hi
-		s.succ.set(d.succ)
-		d.succ = granule.Range{}
-		s.putDesc(d)
+		run.Hi = t.Run.Hi
 	}
 	n, f := s.decrement(pr, run)
 	charged, fired = charged+n, fired || f
@@ -209,7 +216,7 @@ func (s *Scheduler) completeGroup(ts []Task) Cost {
 	// ahead of normal work — one queue insertion per contiguous run
 	// instead of one per drained description.
 	s.succ.drain(func(r granule.Range) {
-		cost += s.pushDesc(s.getDesc(pr.idx+1, r), s.releasedClass())
+		cost += s.pushDesc(s.newDesc(pr.idx+1, r), s.releasedClass())
 		s.stats.Releases++
 	})
 

@@ -14,8 +14,9 @@ import (
 // chain allocates nothing per task, one completion at a time and in
 // batches, on every mapping kind with a distinct release path. (The
 // reverse-indirect and seam chains queue their released successors as
-// many small descriptions, which grow the description slab once per 256;
-// AllocsPerRun's integer average reads that as the 0 it amortizes to.)
+// many small descriptions, which double the description arena now and
+// then; AllocsPerRun's integer average reads that as the 0 it amortizes
+// to.)
 func TestCompletionSteadyStateAllocs(t *testing.T) {
 	const n = 1 << 12
 	chains := []struct {
@@ -124,7 +125,7 @@ func randomMonotoneProgram(t *testing.T, rng *rand.Rand) *Program {
 // Complete, the other applying the same completions as CompleteBatch
 // calls over a random partition — and requires that they stay
 // indistinguishable to a driver: every subsequent NextTasks call returns
-// identical tasks, and the per-task and per-granule statistics agree. It
+// the same runs of the same phases, and the per-task and per-granule statistics agree. It
 // guards the scheduler's completion scratch bitmaps: one still in use when
 // a nested release or phase-window advance refills it would lose or
 // duplicate successor granules, and the dispatch streams would diverge.
@@ -163,7 +164,11 @@ func TestCompleteBatchMatchesComplete(t *testing.T) {
 		one.Start()
 		bat.Start()
 
-		var inflight []Task
+		// Each in-flight task as the two schedulers dispatched it: the same
+		// run of the same phase, under IDs naming each one's own arena
+		// record.
+		type pair struct{ one, bat Task }
+		var inflight []pair
 		for step := 0; !one.Done(); step++ {
 			// Refill both to `workers` in flight; the streams must agree.
 			for len(inflight) < workers {
@@ -174,11 +179,11 @@ func TestCompleteBatchMatchesComplete(t *testing.T) {
 					t.Fatalf("iter %d step %d: one-by-one dispatched %v, batched %v", iter, step, a, b)
 				}
 				for i := range a {
-					if a[i] != b[i] {
+					if a[i].Phase != b[i].Phase || a[i].Run != b[i].Run {
 						t.Fatalf("iter %d step %d: dispatch %d differs: one-by-one %v, batched %v", iter, step, i, a[i], b[i])
 					}
+					inflight = append(inflight, pair{a[i], b[i]})
 				}
-				inflight = append(inflight, a...)
 				if len(a) < want {
 					if !one.HasDeferred() {
 						break
@@ -195,15 +200,17 @@ func TestCompleteBatchMatchesComplete(t *testing.T) {
 			k := 1 + rng.Intn(len(inflight))
 			done := inflight[:k]
 			sort.Slice(done, func(i, j int) bool {
-				if done[i].Phase != done[j].Phase {
-					return done[i].Phase < done[j].Phase
+				if done[i].one.Phase != done[j].one.Phase {
+					return done[i].one.Phase < done[j].one.Phase
 				}
-				return done[i].Run.Lo < done[j].Run.Lo
+				return done[i].one.Run.Lo < done[j].one.Run.Lo
 			})
-			for _, task := range done {
-				one.Complete(task)
+			var batched []Task
+			for _, p := range done {
+				one.Complete(p.one)
+				batched = append(batched, p.bat)
 			}
-			for rest := done; len(rest) > 0; {
+			for rest := batched; len(rest) > 0; {
 				cut := 1 + rng.Intn(len(rest))
 				bat.CompleteBatch(rest[:cut])
 				rest = rest[cut:]

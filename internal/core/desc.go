@@ -9,7 +9,9 @@ import (
 
 // Task is a contiguous run of granules of one phase handed to a worker.
 type Task struct {
-	// ID is unique within a scheduler run and identifies the dispatch.
+	// ID names the dispatch while it is in flight: it is the address of
+	// the task's description in the scheduler's arena, never 0, and is
+	// reused for a later dispatch once the task has completed.
 	ID int
 	// Phase indexes the program phase the granules belong to.
 	Phase granule.PhaseID
@@ -25,11 +27,16 @@ func (t Task) String() string {
 // phase, described as a contiguous collection that the executive splits
 // apart "as necessary to produce conveniently sized tasks for workers".
 //
-// A desc lives in exactly one place at a time: the waiting computation
-// queue (node attached) or in flight as a dispatched task.
+// Descriptions are records of the waiting queue's arena, named by index:
+// with the arena's two ring links a record is 32 bytes and holds no
+// pointer, so the head description, its ring neighbours and the class
+// heads sit in a few cache lines the garbage collector never scans. A
+// description lives in exactly one place at a time: linked into the
+// waiting computation queue, or in flight as a dispatched task whose ID is
+// its index.
 type desc struct {
-	phase granule.PhaseID
-	run   granule.Range
+	phase int32
+	run   span
 
 	// succ is the PAX conflict queue of this description, in its only
 	// occurring shape: identity-mapped successor work enabled by this
@@ -41,20 +48,31 @@ type desc struct {
 	// keeping the invariant), so the queue is represented as the bare
 	// range — empty meaning none — and the successor description is
 	// materialized only at completion time, when it enters the waiting
-	// queue. Compared to carrying a linked ring of successor
-	// descriptions, this halves the per-description footprint and lets a
-	// completion's released successor reuse the enabler's just-retired
-	// allocation: the description working set stops growing with the
-	// phase.
-	succ granule.Range
+	// queue, typically in the record the enabler has just retired.
+	succ span
 
-	// node links the desc into the waiting computation queue. It is
-	// embedded by value (not a *Node) so a description is one allocation,
-	// not two — at fine grain the extra node allocation per description
-	// dominated the dispatch path's allocation profile.
-	node queue.Node[*desc]
+	// inFlight marks a dispatched, not yet completed description: the one
+	// state in which a Task's ID may name it.
+	inFlight bool
 }
 
-func (d *desc) String() string {
-	return fmt.Sprintf("desc{phase=%d run=%v}", d.phase, d.run)
+// span is a granule range packed into two 32-bit words, which bounds a
+// phase to maxGranules.
+type span struct{ lo, hi int32 }
+
+// maxGranules is the most granules a phase may have.
+const maxGranules = 1<<31 - 1
+
+func spanOf(r granule.Range) span { return span{int32(r.Lo), int32(r.Hi)} }
+
+func (x span) r() granule.Range { return granule.R(granule.ID(x.lo), granule.ID(x.hi)) }
+
+func (x span) empty() bool { return x.hi <= x.lo }
+
+// newDesc makes a detached description of run in phase.
+func (s *Scheduler) newDesc(phase granule.PhaseID, run granule.Range) queue.Index {
+	i := s.wait.New()
+	d := s.wait.At(i)
+	d.phase, d.run = int32(phase), spanOf(run)
+	return i
 }

@@ -36,8 +36,8 @@ func (s *Scheduler) NextTasks(dst []Task, max int) ([]Task, Cost) {
 	}
 	var cost Cost
 	for want := len(dst) + max; len(dst) < want; {
-		n, class, ok := s.wait.Peek()
-		if !ok {
+		i, _ := s.wait.Peek()
+		if i == 0 {
 			// Liveness fallback: with nothing queued AND nothing in
 			// flight, no completion can ever release work, so the
 			// executive must drain its deferred queue now or deadlock.
@@ -46,68 +46,71 @@ func (s *Scheduler) NextTasks(dst []Task, max int) ([]Task, Cost) {
 			// DeferredMgmt calls) will make progress, and an unfinished
 			// composite-map build can still be cancelled by the
 			// predecessor completing.
-			for s.wait.Empty() && s.inflight.len() == 0 {
+			for s.wait.Empty() && s.inFlight == 0 {
 				dc, any := s.DeferredMgmt()
 				if !any {
 					return dst, cost
 				}
 				cost += dc
 			}
-			if n, class, ok = s.wait.Peek(); !ok {
+			if i, _ = s.wait.Peek(); i == 0 {
 				break
 			}
 		}
 		var c Cost
-		dst, c = s.carve(dst, n, class, want-len(dst))
+		dst, c = s.carve(dst, i, want-len(dst))
 		cost += c
 	}
 	return dst, cost
 }
 
-// carve dispatches up to k tasks off the head description (node n, queued
-// in class), appending them to dst. A description larger than the grain
-// has a grain-sized front cut off in place — the remainder keeps its place
-// at the head of the queue — and a piece that fits the grain leaves the
-// queue whole. No completion can interleave (the driver holds the state
-// machine for the whole call) and carving releases nothing, so the head
-// stays the head: these are the tasks, and the charges, of k one-task
-// calls.
-func (s *Scheduler) carve(dst []Task, n *queue.Node[*desc], class queue.Class, k int) ([]Task, Cost) {
-	d := n.Value
-	pr := s.phases[d.phase]
-	span, _ := d.run.TakeFront(k * s.opt.Grain)
+// carve dispatches up to k tasks off the head description i, appending
+// them to dst. A description larger than the grain has a grain-sized front
+// cut off in place — the remainder keeps its place at the head of the
+// queue — and a piece that fits the grain leaves the queue whole. No
+// completion can interleave (the driver holds the state machine for the
+// whole call) and carving releases nothing, so the head stays the head:
+// these are the tasks, and the charges, of k one-task calls.
+func (s *Scheduler) carve(dst []Task, i queue.Index, k int) ([]Task, Cost) {
+	d := s.wait.At(i)
+	phase := granule.PhaseID(d.phase)
+	pr := s.phases[phase]
+	carved, _ := d.run.r().TakeFront(k * s.opt.Grain)
 
 	// Double-dispatch guard, once for the whole carved span.
-	if pr.dispatched.Any(span) {
-		panic(fmt.Sprintf("core: double dispatch of %v in phase %d", span, d.phase))
+	if pr.dispatched.Any(carved) {
+		panic(fmt.Sprintf("core: double dispatch of %v in phase %d", carved, phase))
 	}
-	pr.dispatched.Set(span)
-	pr.nQueued -= span.Len()
+	pr.dispatched.Set(carved)
+	pr.nQueued -= carved.Len()
 
 	var cost Cost
 	for {
-		t := d
-		if d.run.Len() > s.opt.Grain {
-			front, rest := d.run.TakeFront(s.opt.Grain)
-			t, d.run = s.getDesc(d.phase, front), rest
+		t := i
+		if run := d.run.r(); run.Len() > s.opt.Grain {
+			front, rest := run.TakeFront(s.opt.Grain)
+			t = s.newDesc(phase, front)
+			d = s.wait.At(i) // the arena may have moved
+			d.run = spanOf(rest)
 			s.stats.Splits++
 			s.stats.SplitCost += s.opt.Costs.Split
 			cost += s.opt.Costs.Split
-			if !d.succ.Empty() {
-				cost += s.splitSucc(t, d)
+			if !d.succ.empty() {
+				cost += s.splitSucc(s.wait.At(t), d)
 			}
 		} else {
-			s.wait.Remove(n, class)
+			s.wait.Remove(i)
 		}
+		td := s.wait.At(t)
+		td.inFlight = true
+		s.inFlight++
 		s.readyTasks--
 		cost += s.opt.Costs.Dispatch
 		s.stats.DispatchCost += s.opt.Costs.Dispatch
-		s.nextID++
 		s.stats.Dispatches++
-		task := Task{ID: s.nextID, Phase: t.phase, Run: t.run}
-		s.inflight.put(task.ID, t)
+		task := Task{ID: int(t), Phase: phase, Run: td.run.r()}
 		dst = append(dst, task)
-		if task.Run.Hi == span.Hi {
+		if task.Run.Hi == carved.Hi {
 			return dst, cost
 		}
 	}
@@ -121,8 +124,9 @@ func (s *Scheduler) splitSucc(t, d *desc) Cost {
 		// The range is a subrange of its enabler's run: split it to mirror
 		// the split of its enabler, paying the split cost on the dispatch
 		// path when it straddles the cut.
-		t.succ, d.succ = d.succ.Intersect(t.run), d.succ.Intersect(d.run)
-		if !t.succ.Empty() && !d.succ.Empty() {
+		succ := d.succ.r()
+		t.succ, d.succ = spanOf(succ.Intersect(t.run.r())), spanOf(succ.Intersect(d.run.r()))
+		if !t.succ.empty() && !d.succ.empty() {
 			s.stats.Splits++
 			s.stats.SplitCost += s.opt.Costs.Split
 			return s.opt.Costs.Split
@@ -137,9 +141,9 @@ func (s *Scheduler) splitSucc(t, d *desc) Cost {
 			kind:      deferSplitSucc,
 			predPhase: int(d.phase),
 			succPhase: int(d.phase) + 1,
-			run:       d.succ,
+			run:       d.succ.r(),
 		})
-		d.succ = granule.Range{}
+		d.succ = span{}
 		s.stats.DeferredItems++
 	}
 	return 0

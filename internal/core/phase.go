@@ -90,7 +90,7 @@ func NewProgram(phases ...*Phase) (*Program, error) {
 }
 
 // Validate checks the program's static well-formedness: unique names,
-// non-negative granule counts, mapping specs that stay in range, and the
+// granule counts in 0..2³¹−1, mapping specs that stay in range, and the
 // serial-action/null-mapping consistency rule. Checking a mapping spec is
 // compiling it (enable.Spec.Compile), which happens once per program: a
 // second Validate, or a New, of the same program calls no mapping function.
@@ -118,8 +118,8 @@ func (p *Program) compile() ([]*enable.Map, error) {
 			return nil, fmt.Errorf("core: duplicate phase name %q", ph.Name)
 		}
 		seen[ph.Name] = true
-		if ph.Granules < 0 {
-			return nil, fmt.Errorf("core: phase %q has negative granule count", ph.Name)
+		if ph.Granules < 0 || ph.Granules > maxGranules {
+			return nil, fmt.Errorf("core: phase %q has %d granules, want 0..%d", ph.Name, ph.Granules, maxGranules)
 		}
 		if ph.SerialCost < 0 {
 			return nil, fmt.Errorf("core: phase %q has negative serial cost", ph.Name)

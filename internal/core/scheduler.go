@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/enable"
 	"repro/internal/granule"
@@ -58,28 +59,21 @@ type Scheduler struct {
 	prog *Program
 	opt  Options
 
-	wait       *queue.Wait[*desc]
+	// wait is the waiting computation queue, and its arena holds every
+	// description, queued or in flight: a dispatched task's ID is its
+	// description's index there, so completion finds it with no lookup.
+	// Retired records are recycled, so in steady state the identity-overlap
+	// cycle allocates nothing: a completion retires its enabler's record
+	// and materializes the released successor in it.
+	wait       queue.Wait[desc]
 	phases     []*phaseRun
-	current    int // index of the oldest incomplete phase; len(phases) when done
-	readyTasks int // queued descriptions counted at grain granularity
-	inflight   inflightTable
+	current    int    // index of the oldest incomplete phase; len(phases) when done
+	readyTasks int    // queued descriptions counted at grain granularity
+	inFlight   int    // dispatched descriptions not yet completed
+	grainInv   uint64 // ⌊(2⁶⁴−1)/Grain⌋: taskCount's reciprocal
 	deferred   []deferredItem
-	nextID     int
 	started    bool
 	stats      Stats
-
-	// freeDescs recycles retired computation descriptions (and their
-	// embedded queue nodes): at fine grain the dispatch path would
-	// otherwise allocate one description per task, and the allocator
-	// dominates management time. descSlab batch-allocates fresh
-	// descriptions 256 at a time, so cold-start growth costs one
-	// allocation per 256 descriptions rather than one each. In steady
-	// state the identity-overlap cycle is allocation-free: each
-	// completion retires its enabler description right after
-	// materializing the released successor, so the free list feeds
-	// itself.
-	freeDescs []*desc
-	descSlab  []desc
 
 	// Completion scratch, reused across Complete/CompleteBatch calls so
 	// steady-state completion processing allocates nothing: a group's
@@ -122,36 +116,6 @@ func (x *scratch) drain(f func(granule.Range)) {
 	x.dirty = granule.Range{}
 }
 
-// getDesc returns a recycled description, or a fresh one when the free
-// list is empty.
-func (s *Scheduler) getDesc(phase granule.PhaseID, run granule.Range) *desc {
-	if n := len(s.freeDescs); n > 0 {
-		d := s.freeDescs[n-1]
-		s.freeDescs = s.freeDescs[:n-1]
-		d.phase, d.run, d.succ = phase, run, granule.Range{}
-		return d
-	}
-	if len(s.descSlab) == 0 {
-		s.descSlab = make([]desc, 256)
-	}
-	d := &s.descSlab[0]
-	s.descSlab = s.descSlab[1:]
-	d.phase, d.run = phase, run
-	d.node.Value = d
-	return d
-}
-
-// putDesc retires a description to the free list. Descriptions still
-// linked into the waiting queue, or with a pending successor, are never
-// recycled (defensive: recycling an aliased description would corrupt
-// the scheduler).
-func (s *Scheduler) putDesc(d *desc) {
-	if d == nil || d.node.Attached() || !d.succ.Empty() {
-		return
-	}
-	s.freeDescs = append(s.freeDescs, d)
-}
-
 // New constructs a scheduler for prog with the given options.
 func New(prog *Program, opt Options) (*Scheduler, error) {
 	maps, err := prog.compile()
@@ -160,9 +124,9 @@ func New(prog *Program, opt Options) (*Scheduler, error) {
 	}
 	opt = opt.withDefaults(prog)
 	s := &Scheduler{
-		prog: prog,
-		opt:  opt,
-		wait: queue.NewWait[*desc](),
+		prog:     prog,
+		opt:      opt,
+		grainInv: ^uint64(0) / uint64(min(opt.Grain, maxGranules)),
 	}
 	widest := 0
 	for i, ph := range prog.Phases {
@@ -243,16 +207,22 @@ func (s *Scheduler) Ready() int {
 // InFlight reports the number of dispatched-but-incomplete tasks. With a
 // sharded driver this includes tasks parked in worker-local deques and
 // completions not yet submitted, not only tasks actually executing.
-func (s *Scheduler) InFlight() int { return s.inflight.len() }
+func (s *Scheduler) InFlight() int { return s.inFlight }
 
 // ReadyTasks reports how many NextTask calls would succeed right now:
 // queued descriptions counted at grain granularity (a large description
 // splits into many tasks). Drivers use it to bound worker wake-ups.
 func (s *Scheduler) ReadyTasks() int { return s.readyTasks }
 
-// taskCount is the number of grain-sized tasks a run splits into.
+// taskCount is the number of grain-sized tasks a run of n ≥ 1 granules
+// splits into, ceil(n/Grain), by a multiply instead of a division: with
+// grainInv = ⌊(2⁶⁴−1)/Grain⌋, the high word of grainInv·n is ⌊(n−1)/Grain⌋
+// for every n and Grain below 2³² (Robison's round-up reciprocal; a phase
+// has at most maxGranules granules, and a larger grain divides as
+// maxGranules does).
 func (s *Scheduler) taskCount(n int) int {
-	return (n + s.opt.Grain - 1) / s.opt.Grain
+	q, _ := bits.Mul64(s.grainInv, uint64(n))
+	return int(q) + 1
 }
 
 // TaskCost returns the virtual execution cost of a task: the sum of its
@@ -272,12 +242,22 @@ func (s *Scheduler) TaskCost(t Task) Cost {
 func (s *Scheduler) Check() error {
 	queued := make(map[granule.PhaseID]int)
 	tasks := 0
-	s.wait.Each(func(n *queue.Node[*desc], _ queue.Class) {
-		queued[n.Value.phase] += n.Value.run.Len()
-		tasks += s.taskCount(n.Value.run.Len())
+	s.wait.Each(func(i queue.Index, _ queue.Class) {
+		d := s.wait.At(i)
+		queued[granule.PhaseID(d.phase)] += d.run.r().Len()
+		tasks += s.taskCount(d.run.r().Len())
 	})
 	if tasks != s.readyTasks {
 		return fmt.Errorf("readyTasks=%d but queue holds %d task-equivalents", s.readyTasks, tasks)
+	}
+	flying := 0
+	for i := 1; i < s.wait.Len(); i++ {
+		if s.wait.At(queue.Index(i)).inFlight {
+			flying++
+		}
+	}
+	if flying != s.inFlight {
+		return fmt.Errorf("inFlight=%d but %d descriptions are in flight", s.inFlight, flying)
 	}
 	for _, pr := range s.phases {
 		if q := queued[pr.idx]; q != pr.nQueued {

@@ -3,9 +3,11 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/enable"
 	"repro/internal/granule"
+	"repro/internal/queue"
 )
 
 // traceEvent records one driver-visible scheduler action.
@@ -648,16 +650,63 @@ func TestNextTaskBeforeStartPanics(t *testing.T) {
 	s.NextTask()
 }
 
+// TestCompleteUnknownTaskPanics: a Task's ID is its description's index
+// in the scheduler's arena, so completion checks that the ID names a
+// description in flight with the task's run. An ID outside the arena, a
+// class head's, a queued description's, another run's, or that of a
+// completed task whose record a later dispatch has reused panics instead of
+// completing someone else's granules — and leaves the scheduler as it was.
 func TestCompleteUnknownTaskPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	prog := mustProgram(t, &Phase{Name: "a", Granules: 1})
-	s, _ := New(prog, Options{Workers: 1})
+	prog := mustProgram(t, &Phase{Name: "a", Granules: 8})
+	s, _ := New(prog, Options{Workers: 1, Grain: 2})
 	s.Start()
-	s.Complete(Task{ID: 999})
+	first, _, _ := s.NextTask()
+	s.Complete(first)
+	second, _, _ := s.NextTask()
+	if second.ID != first.ID {
+		t.Fatalf("second dispatch %v did not reuse the record of the completed %v", second, first)
+	}
+	head, _ := s.wait.Peek()
+	for name, task := range map[string]Task{
+		"an ID beyond the arena":  {ID: 999, Run: granule.R(4, 6)},
+		"the zero Task":           {},
+		"a class head":            {ID: 1, Run: granule.R(4, 6)},
+		"a queued description":    {ID: int(head), Run: s.wait.At(head).run.r()},
+		"another run":             {ID: second.ID, Run: granule.R(4, 6)},
+		"a completed, reused one": first,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("completing %s (%v) did not panic", name, task)
+				}
+			}()
+			s.Complete(task)
+		}()
+	}
+	if err := s.Check(); err != nil || s.InFlight() != 1 {
+		t.Fatalf("after the refused completions: %d in flight, %v", s.InFlight(), err)
+	}
+	s.Complete(second)
+	for task, _, ok := s.NextTask(); ok; task, _, ok = s.NextTask() {
+		s.Complete(task)
+	}
+	if err := s.Check(); err != nil || !s.Done() {
+		t.Fatalf("done=%v, %v", s.Done(), err)
+	}
+}
+
+// TestDescRecordSize pins a description's arena record — the waiting
+// queue's two index links and the description — at 32 bytes: two to a cache
+// line, none straddling one.
+func TestDescRecordSize(t *testing.T) {
+	var rec struct {
+		prev, next queue.Index
+		d          desc
+	}
+	if got := unsafe.Sizeof(rec); got != 32 {
+		t.Fatalf("description record is %d bytes, want 32", got)
+	}
 }
 
 // TestQuickRandomPrograms drives random programs with random mappings,

@@ -108,18 +108,21 @@ func (s *Scheduler) enqueueRange(pr *phaseRun, run granule.Range, class queue.Cl
 		s.stats.Splits += int64(len(chunks) - 1)
 		cost += Cost(len(chunks)-1) * s.opt.Costs.Split
 		for _, c := range chunks {
-			cost += s.pushDesc(s.getDesc(pr.idx, c), class)
+			cost += s.pushDesc(s.newDesc(pr.idx, c), class)
 		}
 		return cost
 	}
-	return cost + s.pushDesc(s.getDesc(pr.idx, run), class)
+	return cost + s.pushDesc(s.newDesc(pr.idx, run), class)
 }
 
-// pushDesc appends d to the waiting computation queue.
-func (s *Scheduler) pushDesc(d *desc, class queue.Class) Cost {
-	s.wait.Push(&d.node, class)
-	s.phases[d.phase].nQueued += d.run.Len()
-	s.readyTasks += s.taskCount(d.run.Len())
+// pushDesc appends detached description i to the waiting computation
+// queue.
+func (s *Scheduler) pushDesc(i queue.Index, class queue.Class) Cost {
+	d := s.wait.At(i)
+	n := d.run.r().Len()
+	s.phases[d.phase].nQueued += n
+	s.readyTasks += s.taskCount(n)
+	s.wait.Push(i, class)
 	s.stats.DispatchCost += s.opt.Costs.Dispatch
 	return s.opt.Costs.Dispatch
 }
@@ -252,16 +255,16 @@ func (s *Scheduler) attachIdentitySuccessors(pr, next *phaseRun) Cost {
 		lim = next.total
 	}
 	var cost Cost
-	s.wait.Each(func(n *queue.Node[*desc], _ queue.Class) {
-		d := n.Value
-		if d.phase != pr.idx {
+	s.wait.Each(func(i queue.Index, _ queue.Class) {
+		d := s.wait.At(i)
+		if d.phase != int32(pr.idx) {
 			return
 		}
-		run := d.run.Intersect(granule.R(0, granule.ID(lim)))
+		run := d.run.r().Intersect(granule.R(0, granule.ID(lim)))
 		if run.Empty() {
 			return
 		}
-		d.succ = run
+		d.succ = spanOf(run)
 		pr.cqManaged.Set(run)
 		s.stats.Releases++ // queue insertion onto the conflict ring
 		cost += s.opt.Costs.Dispatch
@@ -328,39 +331,33 @@ func (s *Scheduler) planSubset(pr, next *phaseRun, released granule.Bitmap) Cost
 // elevate extracts the granules of preds from the current phase's queued
 // descriptions and requeues them at elevated priority.
 func (s *Scheduler) elevate(pr *phaseRun, preds granule.Bitmap) Cost {
-	type hit struct {
-		n     *queue.Node[*desc]
-		class queue.Class
-	}
-	var hits []hit
-	s.wait.Each(func(n *queue.Node[*desc], c queue.Class) {
-		d := n.Value
-		if d.phase != pr.idx || c == queue.Elevated || !preds.Any(d.run) {
+	var cost Cost
+	s.wait.Each(func(i queue.Index, class queue.Class) {
+		d := s.wait.At(i)
+		run := d.run.r()
+		if d.phase != int32(pr.idx) || class == queue.Elevated || !preds.Any(run) {
 			return
 		}
-		hits = append(hits, hit{n: n, class: c})
-	})
-	var cost Cost
-	for _, h := range hits {
-		d := h.n.Value
-		s.wait.Remove(h.n, h.class)
-		pr.nQueued -= d.run.Len()
-		s.readyTasks -= s.taskCount(d.run.Len())
+		s.wait.Remove(i)
+		s.wait.Free(i)
+		pr.nQueued -= run.Len()
+		s.readyTasks -= s.taskCount(run.Len())
 
 		// The description splits into its runs of enabling granules,
-		// elevated, and the runs between them, requeued where it was.
+		// elevated, and the runs between them, requeued where it was: at
+		// the back of its class, where this walk passes them over.
 		pieces := 0
-		preds.Runs(d.run, func(r granule.Range) {
+		preds.Runs(run, func(r granule.Range) {
 			pieces++
-			cost += s.pushDesc(s.getDesc(pr.idx, r), queue.Elevated)
+			cost += s.pushDesc(s.newDesc(pr.idx, r), queue.Elevated)
 			s.stats.Elevations++
 			ec := s.opt.Costs.Elevate
 			s.stats.ElevateCost += ec
 			cost += ec
 		})
-		preds.Gaps(d.run, func(r granule.Range) {
+		preds.Gaps(run, func(r granule.Range) {
 			pieces++
-			cost += s.pushDesc(s.getDesc(pr.idx, r), h.class)
+			cost += s.pushDesc(s.newDesc(pr.idx, r), class)
 		})
 		if pieces > 1 {
 			s.stats.Splits += int64(pieces - 1)
@@ -368,8 +365,7 @@ func (s *Scheduler) elevate(pr *phaseRun, preds granule.Bitmap) Cost {
 			s.stats.SplitCost += sc
 			cost += sc
 		}
-		s.putDesc(d)
-	}
+	})
 	return cost
 }
 

@@ -45,79 +45,77 @@ func (c Class) String() string {
 	}
 }
 
-// Wait is the PAX waiting computation queue: a fixed set of priority
-// classes, each a double circularly-linked ring, dispatched in class order.
-// Each class is bound to its ring by pointer, so that promotion into an
-// empty class swaps two pointers. The zero value is ready to use. Not safe
-// for concurrent use.
+// Wait is the PAX waiting computation queue over its own arena of records:
+// a fixed set of priority classes, each a double circularly-linked ring,
+// dispatched in class order. Class c's ring is headed by record 1+c, made
+// with the arena, so a record's class is where it is linked and never needs
+// recording. The zero value is ready to use. Not safe for concurrent use.
 type Wait[T any] struct {
-	classes [numClasses]*Ring[T] // class -> ring; nil until first use, then a permutation of rings
-	rings   [numClasses]Ring[T]
-	n       int
+	Arena[T]
+	n int // records linked into the class rings
 }
 
-// NewWait returns an empty waiting computation queue.
-func NewWait[T any]() *Wait[T] { return &Wait[T]{} }
+// head returns the sentinel heading class c's ring.
+func head(c Class) Index { return Index(1 + c) }
 
-// ring returns the ring class c is bound to, binding every class on first
-// use. A queue with entries is always bound.
-func (w *Wait[T]) ring(c Class) *Ring[T] {
-	if w.classes[c] == nil {
-		for i := range w.classes {
-			w.classes[i] = &w.rings[i]
+// New returns a detached record, as Arena.New does, making the class heads
+// first on the first call.
+func (w *Wait[T]) New() Index {
+	if len(w.recs) == 0 {
+		for range numClasses {
+			w.NewRing()
 		}
 	}
-	return w.classes[c]
+	return w.Arena.New()
 }
 
 // Empty reports whether no entries are queued.
 func (w *Wait[T]) Empty() bool { return w.n == 0 }
 
-// Push appends node n to the back of class c.
-func (w *Wait[T]) Push(n *Node[T], c Class) {
-	w.ring(c).PushBack(n)
+// Push links record i at the back of class c.
+func (w *Wait[T]) Push(i Index, c Class) {
+	w.PushBack(head(c), i)
 	w.n++
 }
 
 // Peek returns the highest-priority entry — the front of the
-// lowest-numbered non-empty class — with its class, without removing it. ok
-// is false when the queue is empty.
-func (w *Wait[T]) Peek() (n *Node[T], c Class, ok bool) {
+// lowest-numbered non-empty class — with its class, without removing it.
+// The Index is 0 when the queue is empty.
+func (w *Wait[T]) Peek() (Index, Class) {
 	if w.n == 0 {
-		return nil, 0, false
+		return 0, 0
 	}
-	for ci := range w.classes {
-		if r := w.classes[ci]; r.n > 0 {
-			return r.head.next, Class(ci), true
+	for c := range numClasses {
+		if i := w.Front(head(c)); i != 0 {
+			return i, c
 		}
 	}
 	panic("queue: entries counted but no class holds one")
 }
 
-// Remove unlinks n from class c. The caller must pass the class the node
-// currently occupies.
-func (w *Wait[T]) Remove(n *Node[T], c Class) {
-	w.ring(c).Remove(n)
+// Remove unlinks queued record i from its class.
+func (w *Wait[T]) Remove(i Index) {
+	w.Arena.Remove(i)
 	w.n--
 }
 
 // Promote moves every entry of class from to the back of class to,
-// preserving FIFO order. The scheduler uses this when an overlapped
-// successor phase becomes the current phase: its Background entries become
-// Normal work. Into an empty class it swaps the two classes' rings, so
-// every node stays in its ring; otherwise it moves the nodes one by one.
+// preserving FIFO order, in O(1). The scheduler uses this when an
+// overlapped successor phase becomes the current phase: its Background
+// entries become Normal work.
 func (w *Wait[T]) Promote(from, to Class) {
-	src, dst := w.ring(from), w.ring(to)
-	if dst.Empty() {
-		w.classes[from], w.classes[to] = dst, src
-		return
+	if w.n > 0 {
+		w.Splice(head(from), head(to))
 	}
-	src.DrainInto(dst)
 }
 
-// Each calls f for every queued entry in dispatch order, with its class.
-func (w *Wait[T]) Each(f func(n *Node[T], c Class)) {
-	for c := Class(0); c < numClasses; c++ {
-		w.ring(c).Each(func(n *Node[T]) { f(n, c) })
+// Each calls f for every queued entry in dispatch order, with its class. f
+// may remove the entry it is given and push others, as Arena.Each allows.
+func (w *Wait[T]) Each(f func(i Index, c Class)) {
+	if len(w.recs) == 0 {
+		return
+	}
+	for c := range numClasses {
+		w.Arena.Each(head(c), func(i Index) { f(i, c) })
 	}
 }

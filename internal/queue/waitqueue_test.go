@@ -6,45 +6,59 @@ import (
 	"testing/quick"
 )
 
-// pop removes and returns the entry Peek names.
-func pop[T any](w *Wait[T]) (n *Node[T], c Class, ok bool) {
-	if n, c, ok = w.Peek(); ok {
-		w.Remove(n, c)
+// add makes a record holding v and queues it in class c.
+func add[T any](w *Wait[T], v T, c Class) Index {
+	i := w.New()
+	*w.At(i) = v
+	w.Push(i, c)
+	return i
+}
+
+// pop removes the entry Peek names and returns its value and class.
+func pop[T any](w *Wait[T]) (v T, c Class, ok bool) {
+	i, c := w.Peek()
+	if i == 0 {
+		return v, c, false
 	}
-	return n, c, ok
+	v = *w.At(i)
+	w.Remove(i)
+	w.Free(i)
+	return v, c, true
 }
 
 func TestWaitClassOrder(t *testing.T) {
-	w := NewWait[string]()
-	w.Push(NewNode("n1"), Normal)
-	w.Push(NewNode("b1"), Background)
-	w.Push(NewNode("r1"), Released)
-	w.Push(NewNode("e1"), Elevated)
-	w.Push(NewNode("n2"), Normal)
+	var w Wait[string]
+	add(&w, "n1", Normal)
+	add(&w, "b1", Background)
+	add(&w, "r1", Released)
+	add(&w, "e1", Elevated)
+	add(&w, "n2", Normal)
 
 	want := []string{"e1", "r1", "n1", "n2", "b1"}
 	for _, expect := range want {
-		n, _, ok := pop(w)
-		if !ok || n.Value != expect {
-			t.Fatalf("pop = %v, want %q", n, expect)
+		v, _, ok := pop(&w)
+		if !ok || v != expect {
+			t.Fatalf("pop = %q, want %q", v, expect)
 		}
 	}
-	if _, _, ok := pop(w); ok {
+	if _, _, ok := pop(&w); ok {
 		t.Fatal("pop on empty reported ok")
 	}
 }
 
 func TestWaitPeekRemove(t *testing.T) {
-	w := NewWait[int]()
-	a := NewNode(1)
-	w.Push(a, Released)
-	n, c, ok := w.Peek()
-	if !ok || n != a || c != Released || w.Empty() {
+	var w Wait[int]
+	a := add(&w, 1, Released)
+	i, c := w.Peek()
+	if i != a || c != Released || w.Empty() {
 		t.Fatal("Peek broken")
 	}
-	w.Remove(a, Released)
-	if !w.Empty() {
+	w.Remove(a)
+	if !w.Empty() || w.recs[a].prev != 0 {
 		t.Fatal("Remove did not empty queue")
+	}
+	if i, _ := w.Peek(); i != 0 {
+		t.Fatalf("Peek on empty = %d", i)
 	}
 }
 
@@ -52,84 +66,99 @@ func TestWaitPeekRemove(t *testing.T) {
 func drain(w *Wait[int]) []int {
 	var got []int
 	for {
-		n, _, ok := pop(w)
+		v, _, ok := pop(w)
 		if !ok {
 			return got
 		}
-		got = append(got, n.Value)
+		got = append(got, v)
 	}
 }
 
 func TestWaitPromote(t *testing.T) {
-	w := NewWait[int]()
-	w.Push(NewNode(10), Background)
-	w.Push(NewNode(11), Background)
-	w.Push(NewNode(5), Normal)
+	var w Wait[int]
+	add(&w, 10, Background)
+	add(&w, 11, Background)
+	add(&w, 5, Normal)
 	w.Promote(Background, Normal)
 	// FIFO preserved: 5 was already in Normal, then 10, 11 appended.
-	if got := drain(w); fmt.Sprint(got) != "[5 10 11]" {
+	if got := drain(&w); fmt.Sprint(got) != "[5 10 11]" {
 		t.Fatalf("order %v want [5 10 11]", got)
 	}
 }
 
-// TestWaitPromoteSwapsRings pins promotion on both of its paths. Into an
-// empty class the two classes' rings are swapped: the entries keep their
-// FIFO order, and a promoted node belongs to its new class — removing it
-// under its old class still panics, under the new one it succeeds. Into a
-// non-empty class the entries are drained across behind the class's own.
-func TestWaitPromoteSwapsRings(t *testing.T) {
-	w := NewWait[int]()
-	var nodes []*Node[int]
+// TestWaitPromoteSplices pins promotion as a splice of the two classes'
+// rings, into an empty class and a non-empty one alike: the entries keep
+// their FIFO order behind the class's own, a promoted entry is removed
+// like any other, and the emptied class is usable again.
+func TestWaitPromoteSplices(t *testing.T) {
+	var w Wait[int]
+	var recs []Index
 	for i := 0; i < 4; i++ {
-		n := NewNode(i)
-		nodes = append(nodes, n)
-		w.Push(n, Background)
+		recs = append(recs, add(&w, i, Background))
 	}
-	w.Push(NewNode(-1), Released)
+	add(&w, -1, Released)
 	w.Promote(Background, Normal)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("removing a promoted node under its old class did not panic")
-			}
-		}()
-		w.Remove(nodes[1], Background)
-	}()
-	w.Remove(nodes[1], Normal)
+	w.Remove(recs[1])
 	var classes []Class
-	w.Each(func(_ *Node[int], c Class) { classes = append(classes, c) })
+	w.Each(func(_ Index, c Class) { classes = append(classes, c) })
 	if fmt.Sprint(classes) != "[released normal normal normal]" {
 		t.Fatalf("classes after promotion %v", classes)
 	}
-	// The emptied class is usable again, and a later promotion into the
-	// now non-empty Normal class drains behind it.
-	w.Push(NewNode(7), Background)
-	w.Push(NewNode(8), Background)
+	add(&w, 7, Background)
+	add(&w, 8, Background)
 	w.Promote(Background, Normal)
-	w.Push(NewNode(9), Background)
-	if got := drain(w); fmt.Sprint(got) != "[-1 0 2 3 7 8 9]" {
+	add(&w, 9, Background)
+	if got := drain(&w); fmt.Sprint(got) != "[-1 0 2 3 7 8 9]" {
 		t.Fatalf("order %v, want [-1 0 2 3 7 8 9]", got)
 	}
 
 	// The zero Wait promotes too.
 	var z Wait[int]
 	z.Promote(Background, Normal)
-	z.Push(NewNode(1), Background)
+	add(&z, 1, Background)
 	z.Promote(Background, Normal)
-	if n, c, ok := z.Peek(); !ok || n.Value != 1 || c != Normal {
-		t.Fatalf("zero Wait: Peek = %v %v %v", n, c, ok)
+	if i, c := z.Peek(); i == 0 || *z.At(i) != 1 || c != Normal {
+		t.Fatalf("zero Wait: Peek = %d %v", i, c)
 	}
 }
 
 func TestWaitEach(t *testing.T) {
-	w := NewWait[int]()
-	w.Push(NewNode(2), Normal)
-	w.Push(NewNode(1), Elevated)
+	var w Wait[int]
+	add(&w, 2, Normal)
+	add(&w, 1, Elevated)
 	var got []int
 	var classes []Class
-	w.Each(func(n *Node[int], c Class) { got = append(got, n.Value); classes = append(classes, c) })
+	w.Each(func(i Index, c Class) { got = append(got, *w.At(i)); classes = append(classes, c) })
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 || classes[0] != Elevated {
 		t.Fatalf("Each order %v %v", got, classes)
+	}
+}
+
+// TestWaitEachRequeues: Each may move the entry it is given into another
+// class or to the back of its own, as the scheduler's elevation does; the
+// walk visits each entry it started with once, and requeued entries behind
+// its position again.
+func TestWaitEachRequeues(t *testing.T) {
+	var w Wait[int]
+	for v := 1; v <= 4; v++ {
+		add(&w, v, Normal)
+	}
+	var seen []int
+	w.Each(func(i Index, c Class) {
+		v := *w.At(i)
+		seen = append(seen, v)
+		if v%2 == 0 && c == Normal {
+			w.Remove(i)
+			w.Free(i)
+			add(&w, v*10, Elevated)
+			add(&w, v*10+1, Normal)
+		}
+	})
+	if fmt.Sprint(seen) != "[1 2 3 4 21 41]" {
+		t.Fatalf("walk visited %v, want [1 2 3 4 21 41]", seen)
+	}
+	if got := drain(&w); fmt.Sprint(got) != "[20 40 1 3 21 41]" {
+		t.Fatalf("order %v, want [20 40 1 3 21 41]", got)
 	}
 }
 
@@ -150,19 +179,18 @@ func TestWaitQuickDispatchOrder(t *testing.T) {
 		seq   int
 	}
 	f := func(classesRaw []uint8) bool {
-		w := NewWait[entry]()
+		var w Wait[entry]
 		for i, raw := range classesRaw {
 			c := Class(raw % uint8(NumClasses))
-			w.Push(NewNode(entry{class: c, seq: i}), c)
+			add(&w, entry{class: c, seq: i}, c)
 		}
 		prev := entry{class: 0, seq: -1}
 		first := true
 		for {
-			n, c, ok := pop(w)
+			e, c, ok := pop(&w)
 			if !ok {
 				break
 			}
-			e := n.Value
 			if e.class != c {
 				return false
 			}
@@ -184,18 +212,19 @@ func TestWaitQuickDispatchOrder(t *testing.T) {
 }
 
 func BenchmarkWaitPushPop(b *testing.B) {
-	w := NewWait[int]()
-	nodes := make([]*Node[int], 256)
-	for i := range nodes {
-		nodes[i] = NewNode(i)
+	var w Wait[int]
+	recs := make([]Index, 256)
+	for i := range recs {
+		recs[i] = w.New()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, n := range nodes {
-			w.Push(n, Class(j%NumClasses))
+		for j, r := range recs {
+			w.Push(r, Class(j%NumClasses))
 		}
-		for range nodes {
-			pop(w)
+		for range recs {
+			i, _ := w.Peek()
+			w.Remove(i)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func FreeCosts() MgmtCosts { return core.FreeCosts() }
 
 // Simulation.
 
-// SimConfig holds what only the virtual machine has to be told (see
+// SimConfig is the virtual machine's size and management model (see
 // WithVirtualTime).
 type SimConfig struct {
 	// Procs is the machine's processor count P (>= 1; >= 2 for
@@ -142,17 +142,6 @@ type SimConfig struct {
 	// Mgmt selects the executive resource model, unless a manager-shaped
 	// option does.
 	Mgmt MgmtModel
-	// BucketWidth sets the utilization-curve resolution of
-	// SimResult.Timeline in virtual units; <= 0 chooses roughly 200 buckets
-	// from a makespan estimate. Run only.
-	BucketWidth int64
-	// Gantt records per-processor spans for ASCII rendering
-	// (SimResult.Gantt). Only use on small runs; memory is O(tasks). Run
-	// only.
-	Gantt bool
-	// MaxOps bounds the number of management operations as a runaway
-	// guard; <= 0 means a generous default.
-	MaxOps int64
 }
 
 type (

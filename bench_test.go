@@ -172,7 +172,7 @@ func simTenants(b *testing.B, n, phases, grain, prios, weights int, granules fun
 
 // benchSim runs jobs on a fresh virtual Runner per iteration — through
 // RunAll when multi is set, else the first job through Run (the one-job
-// path, which also records the phase traces' timeline) — and reports
+// path, which also reports the phase traces) — and reports
 // simulated granules per host second.
 func benchSim(b *testing.B, cfg rundown.SimConfig, multi bool, jobs ...rundown.Job) {
 	var granules int64
@@ -215,7 +215,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 
 // BenchmarkSimulatorOneJob is the one-job path under every management
 // model: the chain through Run. CI caps the sharded series' allocs/op, so
-// a per-event allocation in the phase or timeline recorders fails on a
+// a per-event allocation in the phase recorders fails on a
 // count.
 func BenchmarkSimulatorOneJob(b *testing.B) {
 	job := simChain(b)

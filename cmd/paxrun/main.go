@@ -18,7 +18,6 @@ import (
 	"os"
 
 	rundown "repro"
-	"repro/internal/metrics"
 )
 
 func main() {
@@ -81,6 +80,6 @@ func main() {
 
 	fmt.Printf("phases=%d granules=%d procs=%d overlap=%v\n",
 		len(res.Program.Phases), res.Program.TotalGranules(), *procs, *overlap)
-	fmt.Printf("makespan %d  utilization %s  compute:management %.1f\n",
-		rep.Sim.Makespan, metrics.FormatPercent(rep.Sim.Utilization), rep.Sim.MgmtRatio)
+	fmt.Printf("makespan %d  utilization %.1f%%  compute:management %.1f\n",
+		rep.Sim.Makespan, rep.Sim.Utilization*100, rep.Sim.MgmtRatio)
 }

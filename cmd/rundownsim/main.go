@@ -37,13 +37,13 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	rundown "repro"
 	"repro/internal/cliflags"
 	"repro/internal/enable"
-	"repro/internal/metrics"
 )
 
 func main() {
@@ -126,6 +126,10 @@ func main() {
 	if *presplit {
 		opt.Split = rundown.SplitPre
 	}
+	// -retry gives every job a budget to survive -faults.
+	newJob := func(name string, prog *rundown.Program) rundown.Job {
+		return rundown.Job{Name: name, Prog: prog, Opt: opt, Retry: *retry, Backoff: time.Millisecond}
+	}
 
 	if *replayIn != "" {
 		runReplay(*replayIn, prog, opt)
@@ -144,7 +148,7 @@ func main() {
 	// -faults: derive a reproducible campaign from the seed, shaped to
 	// this run, and thread it through the Runner — the virtual backend
 	// prices it deterministically, so identical flags reproduce identical
-	// failures. -retry gives each job a budget to survive them.
+	// failures.
 	if *faultsIn != "" {
 		fseed, frules, err := rundown.ParseFaultFlag(*faultsIn)
 		if err != nil {
@@ -153,9 +157,6 @@ func main() {
 		spec := rundown.FaultScenario(fseed, frules, *jobs, *phases, *granules, *procs)
 		execOpts = append(execOpts, rundown.WithFaults(spec))
 		fmt.Fprintf(os.Stderr, "rundownsim: fault campaign seed=%d rules=%d\n", fseed, len(spec.Rules))
-	}
-	if *retry > 0 {
-		execOpts = append(execOpts, rundown.WithRetry(*retry, time.Millisecond))
 	}
 
 	// -metrics / -metrics-listen: arm unified telemetry. The listen form
@@ -209,21 +210,29 @@ func main() {
 		}
 	}
 
+	// -dedicated names the paper's Dedicated model, which no manager does.
+	simCfg := rundown.SimConfig{Procs: *procs}
+	if *dedicated {
+		simCfg.Mgmt = rundown.Dedicated
+	}
+	execOpts = append(execOpts, rundown.WithWorkers(*procs), rundown.WithVirtualTime(simCfg))
 	if *jobs >= 2 {
-		runShared(ctx, build, opt, execOpts, *jobs, *procs, *seed, showMetrics)
+		runShared(ctx, build, newJob, execOpts, *jobs, *seed, showMetrics)
 		closeTrace()
 		waitMetrics()
 		return
 	}
 
-	runner, err := rundown.New(append(execOpts,
-		rundown.WithWorkers(*procs),
-		rundown.WithVirtualTime(rundown.SimConfig{Procs: *procs, Gantt: *gantt}),
-	)...)
+	// The curve and the chart are views of the run's trace: record it in
+	// memory unless -trace already does.
+	if (*curve || *gantt) && *traceOut == "" {
+		execOpts = append(execOpts, rundown.WithTrace(nil))
+	}
+	runner, err := rundown.New(execOpts...)
 	if err != nil {
 		fail("%v", err)
 	}
-	rep, err := runner.Run(ctx, rundown.Job{Prog: prog, Opt: opt})
+	rep, err := runner.Run(ctx, newJob("", prog))
 	if err != nil {
 		fail("%v", err)
 	}
@@ -236,8 +245,8 @@ func main() {
 	fmt.Printf("management units    %d\n", res.MgmtUnits)
 	fmt.Printf("serial units        %d\n", res.SerialUnits)
 	fmt.Printf("idle units          %d\n", res.IdleUnits)
-	fmt.Printf("utilization         %s\n", metrics.FormatPercent(res.Utilization))
-	fmt.Printf("worker utilization  %s\n", metrics.FormatPercent(res.WorkerUtilization))
+	fmt.Printf("utilization         %s\n", formatPercent(res.Utilization))
+	fmt.Printf("worker utilization  %s\n", formatPercent(res.WorkerUtilization))
 	fmt.Printf("compute:management  %.1f\n", res.MgmtRatio)
 	if exec.Adaptive {
 		fmt.Printf("batch (final)       %d (%d controller changes)\n", res.Batch, res.BatchChanges)
@@ -257,11 +266,13 @@ func main() {
 	}
 
 	if *curve {
-		fmt.Printf("\nutilization curve (bucket=%d):\n%s\n",
-			res.Timeline.BucketWidth(), metrics.Sparkline(res.Timeline.Curve()))
+		// The engine's bucket: roughly 200 across the makespan a perfect
+		// spread over the computing workers would have.
+		tl := rep.Trace.Timeline(res.Procs, (int64(prog.TotalCost())/int64(res.Workers)+1)/200)
+		fmt.Printf("\nutilization curve (bucket=%d):\n%s\n", tl.BucketWidth(), sparkline(tl.Curve()))
 	}
-	if *gantt && res.Gantt != nil {
-		fmt.Printf("\n%s", res.Gantt.Render(100))
+	if *gantt {
+		fmt.Printf("\n%s", rep.Trace.Gantt(res.Procs, 100))
 	}
 	printMetrics(rep, showMetrics)
 	closeTrace()
@@ -294,7 +305,7 @@ func runReplay(path string, prog *rundown.Program, opt rundown.Options) {
 	fmt.Printf("dispatches          %d\n", res.Dispatches)
 	fmt.Printf("granules            %d\n", res.Granules)
 	fmt.Printf("makespan (virtual)  %d\n", res.Makespan)
-	fmt.Printf("utilization         %s\n", metrics.FormatPercent(res.Utilization))
+	fmt.Printf("utilization         %s\n", formatPercent(res.Utilization))
 	fmt.Println("\nper-phase granules:")
 	for pi, g := range res.PhaseGranules {
 		fmt.Printf("  %2d %-24s %d\n", pi, prog.Phases[pi].Name, g)
@@ -320,6 +331,20 @@ func runTraceDiff(pathA, pathB string) {
 	}
 }
 
+// formatPercent renders a fraction as "97.3%".
+func formatPercent(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
+
+// sparkline renders values (each clamped to [0,1]) as a unicode bar
+// string, for a quick look at a utilization curve in the terminal.
+func sparkline(values []float64) string {
+	ramp := []rune(" ▁▂▃▄▅▆▇█")
+	var b strings.Builder
+	for _, v := range values {
+		b.WriteRune(ramp[int(min(max(v, 0), 1)*float64(len(ramp)-1))])
+	}
+	return b.String()
+}
+
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "rundownsim: "+format+"\n", args...)
 	os.Exit(1)
@@ -341,20 +366,17 @@ func printSnapshot(s rundown.Snapshot) {
 // one virtual machine through Runner.RunAll; every management model
 // prices multi-program runs.
 func runShared(ctx context.Context, build func(seed uint64) (*rundown.Program, error),
-	opt rundown.Options, execOpts []rundown.Option, jobs, procs int, seed uint64, showMetrics bool) {
+	newJob func(string, *rundown.Program) rundown.Job, execOpts []rundown.Option, jobs int, seed uint64, showMetrics bool) {
 	specs := make([]rundown.Job, jobs)
 	for i := range specs {
 		prog, err := build(seed + uint64(i))
 		if err != nil {
 			fail("job %d: %v", i, err)
 		}
-		specs[i] = rundown.Job{Name: fmt.Sprintf("job%d", i), Prog: prog, Opt: opt}
+		specs[i] = newJob(fmt.Sprintf("job%d", i), prog)
 	}
 
-	virtual, err := rundown.New(append(execOpts,
-		rundown.WithWorkers(procs),
-		rundown.WithVirtualTime(rundown.SimConfig{Procs: procs}),
-	)...)
+	virtual, err := rundown.New(execOpts...)
 	if err != nil {
 		fail("%v", err)
 	}
@@ -371,7 +393,7 @@ func runShared(ctx context.Context, build func(seed uint64) (*rundown.Program, e
 	fmt.Printf("management units    %d\n", res.MgmtUnits)
 	fmt.Printf("idle units          %d\n", res.IdleUnits)
 	fmt.Printf("backfill units      %d\n", res.BackfillUnits)
-	fmt.Printf("utilization         %s\n", metrics.FormatPercent(res.Utilization))
+	fmt.Printf("utilization         %s\n", formatPercent(res.Utilization))
 	if rep.Faults > 0 || rep.Retries > 0 {
 		fmt.Printf("faults injected     %d (retries %d)\n", rep.Faults, rep.Retries)
 	}

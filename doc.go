@@ -60,7 +60,12 @@
 // deterministically in the virtual machine with conservation checks,
 // DiffTraces aligns two traces and reports the first divergence plus
 // per-phase utilization deltas, and Trace.Timeline/Gantt/WriteJSON
-// export the timeline. Virtual-backend traces are bit-deterministic;
+// export the timeline. The trace is the only record of a run's busy
+// time, on every backend: Trace.EachBusy derives each task's interval
+// from its dispatch in virtual time and from its completion on
+// hardware, and the utilization curve (Timeline) and ASCII chart
+// (Gantt) are views of those intervals, divided by the processor count
+// the caller gives. Virtual-backend traces are bit-deterministic;
 // real-backend traces carry wall-clock timestamps and compare
 // structurally.
 //

@@ -73,8 +73,8 @@ func TestRunnerDeadlineNamesJob(t *testing.T) {
 		name string
 		opts []rundown.Option
 	}{
-		{"goroutines", []rundown.Option{rundown.WithWorkers(4), rundown.WithDeadline(15 * time.Millisecond)}},
-		{"pool", []rundown.Option{rundown.WithWorkers(4), rundown.WithPool(), rundown.WithDeadline(15 * time.Millisecond)}},
+		{"goroutines", []rundown.Option{rundown.WithWorkers(4)}},
+		{"pool", []rundown.Option{rundown.WithWorkers(4), rundown.WithPool()}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -85,6 +85,7 @@ func TestRunnerDeadlineNamesJob(t *testing.T) {
 			}
 			job := buildSleepJob(t, 2, 256, time.Millisecond)
 			job.Name = "doomed"
+			job.Deadline = 15 * time.Millisecond
 			_, err = r.Run(context.Background(), job)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
@@ -303,7 +304,6 @@ func TestRunnerExecRunHonoursRetry(t *testing.T) {
 			}
 			r, err := rundown.New(append(c.opts,
 				rundown.WithWorkers(4),
-				rundown.WithRetry(2, 0),
 				rundown.WithFaults(rundown.FaultSpec{Rules: []rundown.FaultRule{
 					{Kind: rundown.FaultGrainError, Job: -1, Phase: 1, Granule: 7, Worker: -1},
 				}}),
@@ -312,7 +312,7 @@ func TestRunnerExecRunHonoursRetry(t *testing.T) {
 				t.Fatal(err)
 			}
 			rep, err := r.Run(context.Background(), rundown.Job{Prog: prog,
-				Opt: rundown.Options{Grain: 4, Overlap: true, Costs: rundown.DefaultCosts()}})
+				Opt: rundown.Options{Grain: 4, Overlap: true, Costs: rundown.DefaultCosts()}, Retry: 2})
 			if err != nil {
 				t.Fatalf("the retry should have recovered the injected error: %v", err)
 			}

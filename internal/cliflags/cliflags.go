@@ -76,7 +76,9 @@ func (e *Exec) Kind() (rundown.ExecManager, error) {
 // Options resolves the parsed flags into Runner options, enforcing the
 // conflict rules the CLIs share. dedicated is rundownsim's -dedicated
 // flag (the virtual serial model's own-processor variant); callers
-// without that flag pass false.
+// without that flag pass false. Dedicated is a management model, not a
+// manager: with dedicated set no WithManager is returned (serial is the
+// Runner's default), so the caller's SimConfig.Mgmt names the model.
 //
 // Rules preserved from the pre-extraction parsers: -adaptive is its own
 // management layer, so it conflicts with an explicit -manager and with
@@ -104,7 +106,7 @@ func (e *Exec) Options(dedicated bool) ([]rundown.Option, error) {
 	// -batch is a general executive knob (completion batch / drain chunk
 	// for every goroutine manager, refill batch for the adaptive sim
 	// model); 0 keeps each backend's own default.
-	opts := []rundown.Option{rundown.WithManager(kind), rundown.WithBatch(e.Batch)}
+	opts := []rundown.Option{rundown.WithBatch(e.Batch)}
 	switch kind {
 	case rundown.ShardedManager:
 		if dedicated {
@@ -115,10 +117,9 @@ func (e *Exec) Options(dedicated bool) ([]rundown.Option, error) {
 			return nil, fmt.Errorf("-dedicated is redundant with -manager async (the async executive is the dedicated processor, extended with the ready-buffer)")
 		}
 		opts = append(opts, rundown.WithReadyCap(e.Ready), rundown.WithLowWater(e.LowWater))
-	default:
-		if dedicated {
-			opts = append(opts, rundown.WithDedicatedExec())
-		}
+	}
+	if !dedicated {
+		opts = append(opts, rundown.WithManager(kind))
 	}
 	return opts, nil
 }

@@ -74,7 +74,12 @@ func TestOptionsResolve(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		opts = append(opts, rundown.WithWorkers(4), rundown.WithVirtualTime(rundown.SimConfig{}))
+		// -dedicated names the model, as rundownsim does.
+		sc := rundown.SimConfig{}
+		if c.dedicated {
+			sc.Mgmt = rundown.Dedicated
+		}
+		opts = append(opts, rundown.WithWorkers(4), rundown.WithVirtualTime(sc))
 		r, err := rundown.New(opts...)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)

@@ -151,9 +151,10 @@ func TestFaultBoundedDelaysComplete(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := run(context.Background(), prog, core.Options{Grain: 16, Overlap: true, Costs: core.DefaultCosts()},
+			rep, err := runJob(context.Background(),
+				rundown.Job{Prog: prog, Opt: core.Options{Grain: 16, Overlap: true, Costs: core.DefaultCosts()}, Retry: 1},
 				executive.Config{Workers: 4, Manager: mk},
-				append(faulted(spec), rundown.WithRetry(1, 0), rundown.WithStallTimeout(40*time.Millisecond))...)
+				append(faulted(spec), rundown.WithStallTimeout(40*time.Millisecond))...)
 			if err != nil {
 				t.Fatalf("latency campaign failed the run: %v", err)
 			}

@@ -29,6 +29,11 @@ var (
 // run executes prog as a Runner.Run on goroutines, configured as the
 // manager config c says plus any further options.
 func run(ctx context.Context, prog *core.Program, opt core.Options, c executive.Config, more ...rundown.Option) (*rundown.Report, error) {
+	return runJob(ctx, rundown.Job{Prog: prog, Opt: opt}, c, more...)
+}
+
+// runJob is run for a job with its own failure policy.
+func runJob(ctx context.Context, job rundown.Job, c executive.Config, more ...rundown.Option) (*rundown.Report, error) {
 	r, err := rundown.New(append([]rundown.Option{
 		rundown.WithWorkers(c.Workers), rundown.WithManager(c.Manager),
 		rundown.WithDequeCap(c.DequeCap), rundown.WithBatch(c.Batch),
@@ -37,7 +42,7 @@ func run(ctx context.Context, prog *core.Program, opt core.Options, c executive.
 	if err != nil {
 		return nil, err
 	}
-	return r.Run(ctx, rundown.Job{Prog: prog, Opt: opt})
+	return r.Run(ctx, job)
 }
 
 func TestExecutiveBarrier(t *testing.T) {

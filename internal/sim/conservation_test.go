@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/enable"
+	"repro/internal/fault"
 	"repro/internal/granule"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -108,8 +111,29 @@ func TestConservationRandomPrograms(t *testing.T) {
 	}
 }
 
-// TestTimelineAccountingMatchesResult cross-checks the bucketed timeline
-// against the scalar accumulators.
+// runTraced runs spec alone on cfg with a flight recorder attached and
+// returns the run and its trace.
+func runTraced(t *testing.T, spec JobSpec, cfg Config) (*Result, *MultiResult, *trace.Trace) {
+	t.Helper()
+	rec := trace.NewRecorder(trace.Meta{}, cfg.Procs)
+	cfg.Trace = rec
+	res, multi, err := RunJobContext(context.Background(), spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, multi, rec.Take()
+}
+
+// busyByProc sums tr's busy intervals per processor.
+func busyByProc(tr *trace.Trace, procs int) []int64 {
+	by := make([]int64, procs)
+	tr.EachBusy(func(iv trace.Interval) { by[iv.Proc] += iv.T1 - iv.T0 })
+	return by
+}
+
+// TestTimelineAccountingMatchesResult cross-checks the trace's bucketed
+// timeline against the scalar accumulators: the trace is the run's only
+// record of busy time, and its horizon is the makespan.
 func TestTimelineAccountingMatchesResult(t *testing.T) {
 	prog, err := core.NewProgram(
 		&core.Phase{Name: "a", Granules: 200, Enable: enable.NewIdentity()},
@@ -118,22 +142,63 @@ func TestTimelineAccountingMatchesResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(prog, core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()},
-		Config{Procs: 6, Mgmt: StealsWorker, BucketWidth: 7})
-	if err != nil {
-		t.Fatal(err)
+	res, _, tr := runTraced(t, JobSpec{Prog: prog, Opt: core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()}},
+		Config{Procs: 6, Mgmt: StealsWorker})
+	tl := tr.Timeline(res.Procs, 7)
+	if tl.BusyTotal() != res.ComputeUnits {
+		t.Errorf("timeline busy %d != compute %d", tl.BusyTotal(), res.ComputeUnits)
 	}
-	if res.Timeline.BusyTotal() != res.ComputeUnits {
-		t.Errorf("timeline busy %d != compute %d", res.Timeline.BusyTotal(), res.ComputeUnits)
-	}
-	if res.Timeline.MgmtTotal() != res.MgmtUnits {
-		t.Errorf("timeline mgmt %d != mgmt %d", res.Timeline.MgmtTotal(), res.MgmtUnits)
+	if tl.End() != res.Makespan || tl.Utilization() != res.Utilization {
+		t.Errorf("timeline horizon %d, utilization %v; run makespan %d, utilization %v",
+			tl.End(), tl.Utilization(), res.Makespan, res.Utilization)
 	}
 	var byProc int64
-	for _, b := range res.Timeline.ByProc() {
+	for _, b := range busyByProc(tr, res.Procs) {
 		byProc += b
 	}
 	if byProc != res.ComputeUnits {
 		t.Errorf("per-proc busy %d != compute %d", byProc, res.ComputeUnits)
+	}
+}
+
+// TestTraceBusyCountsDeadAttempts: under every model, a faulted and
+// retried one-job run's trace-derived busy time is the run's compute,
+// tasks of the dead attempt included — their completions never surface,
+// so only the dispatch records them — and no processor runs two tasks at
+// once.
+func TestTraceBusyCountsDeadAttempts(t *testing.T) {
+	prog, err := workload.Chain(enable.Identity, 3, 512, workload.UniformCost(100, 400, 5), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := fault.Spec{Rules: []fault.Rule{
+		{Kind: fault.GrainError, Job: 0, Phase: 1, Granule: 7, Worker: -1},
+		{Kind: fault.GrainSlow, Job: 0, Phase: 0, Granule: 100, Worker: -1, Factor: 3},
+	}}
+	for m := range kinds {
+		model := MgmtModel(m)
+		t.Run(model.String(), func(t *testing.T) {
+			res, multi, tr := runTraced(t,
+				JobSpec{Prog: prog, Opt: core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}, Retry: 1},
+				Config{Procs: 6, Mgmt: model, Faults: &spec})
+			if job := multi.Jobs[0]; job.Err != nil || job.Attempts != 2 {
+				t.Fatalf("want one recovered retry, got attempts=%d err=%v", job.Attempts, job.Err)
+			}
+			by := busyByProc(tr, res.Procs)
+			var total int64
+			for _, b := range by {
+				total += b
+			}
+			if total != res.ComputeUnits {
+				t.Errorf("trace busy %d (per proc %v) != compute %d", total, by, res.ComputeUnits)
+			}
+			last := make([]int64, res.Procs)
+			tr.EachBusy(func(iv trace.Interval) {
+				if iv.T0 < last[iv.Proc] {
+					t.Errorf("proc %d: task at %d overlaps one running until %d", iv.Proc, iv.T0, last[iv.Proc])
+				}
+				last[iv.Proc] = iv.T1
+			})
+		})
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/casper"
 	"repro/internal/core"
 	"repro/internal/enable"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -94,13 +95,15 @@ func (g *goldenHasher) result(res *Result) {
 		g.ints(pt.Start, pt.End, pt.RundownStart, pt.IdleUnits,
 			pt.Dispatched, pt.OverlapUnits)
 	}
-	if res.Timeline != nil {
-		g.ints(res.Timeline.BusyTotal(), res.Timeline.MgmtTotal(),
-			res.Timeline.End(), res.Timeline.BucketWidth())
-		for _, b := range res.Timeline.ByProc() {
-			g.ints(b)
-		}
-	}
+}
+
+// timeline hashes a one-job run's utilization timeline, derived from its
+// trace at the bucket width rundownsim draws it with: busy and management
+// totals, horizon, bucket width and per-processor busy time.
+func (g *goldenHasher) timeline(res *Result, prog *core.Program, tr *trace.Trace) {
+	tl := tr.Timeline(res.Procs, (int64(prog.TotalCost())/int64(res.Workers)+1)/200)
+	g.ints(tl.BusyTotal(), res.MgmtUnits, tl.End(), tl.BucketWidth())
+	g.ints(busyByProc(tr, res.Procs)...)
 }
 
 func (g *goldenHasher) multiResult(res *MultiResult) {
@@ -116,7 +119,7 @@ func (g *goldenHasher) multiResult(res *MultiResult) {
 
 // goldenFixture is one pinned configuration: the jobs, the machine, and
 // whether the run goes through Run (one job, fingerprinting the Result
-// with its timeline) or RunMulti.
+// and the timeline of its trace) or RunMulti.
 type goldenFixture struct {
 	name   string
 	jobs   func(t *testing.T) []JobSpec
@@ -187,11 +190,14 @@ func (fx goldenFixture) run(t *testing.T) (headline string, hash uint64) {
 	g := newGoldenHasher()
 	var makespan, compute, mgmt, idle int64
 	if fx.single {
+		rec := trace.NewRecorder(trace.Meta{}, cfg.Procs)
+		cfg.Trace = rec
 		res, err := Run(jobs[0].Prog, jobs[0].Opt, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
 		g.result(res)
+		g.timeline(res, jobs[0].Prog, rec.Take())
 		makespan, compute, mgmt, idle = res.Makespan, res.ComputeUnits, res.MgmtUnits, res.IdleUnits
 	} else {
 		res, err := RunMulti(jobs, cfg)

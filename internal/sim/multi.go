@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/granule"
-	"repro/internal/metrics"
 	"repro/internal/share"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -219,8 +218,7 @@ type mflight struct {
 // at t=0. Mgmt selects any management model. Under Adaptive,
 // Config.Batch and Options.AdaptiveBatch govern one pool-wide controller;
 // under Async, Config.ReadyCap and Config.LowWater size each job's slice
-// of the dedicated server's ready buffer. Config.BucketWidth and
-// Config.Gantt shape Result's timeline and chart, which only Run reports.
+// of the dedicated server's ready buffer.
 func RunMulti(jobs []JobSpec, cfg Config) (*MultiResult, error) {
 	return RunMultiContext(context.Background(), jobs, cfg)
 }
@@ -336,7 +334,7 @@ func newPhaseTraces(prog *core.Program) []PhaseTrace {
 // execute runs the machine to the end and closes the observer stream,
 // the trace and the metric set on either outcome.
 func (s *mstate) execute() (*MultiResult, error) {
-	s.hooked = s.tr != nil || s.met != nil || s.plan != nil || s.tl != nil
+	s.hooked = s.tr != nil || s.met != nil || s.plan != nil
 	if err := s.run(); err != nil {
 		// Close the observer stream on failure too, with the counters
 		// accumulated so far; the trace closes with an abort record.
@@ -366,12 +364,8 @@ type mstate struct {
 	obs     *observer
 	tr      *trace.Ring    // flight recorder (nil = tracing off)
 	met     *telemetry.Set // metric set (nil = metrics off)
-	// tl and gantt are Result's bucketed utilization timeline and
-	// per-processor chart, recorded for Run only (nil otherwise).
-	tl    *metrics.Timeline
-	gantt *metrics.Gantt
-	// hooked is the per-event mode word: true when any of tr, met, plan or
-	// tl is set. The dispatch and completion paths test it once and keep
+	// hooked is the per-event mode word: true when any of tr, met or plan
+	// is set. The dispatch and completion paths test it once and keep
 	// the recording and injection code out of line.
 	hooked bool
 	maxOps int64 // runaway guard: the most management operations run serves
@@ -459,12 +453,8 @@ func (s *mstate) serve(at int64, cost core.Cost) int64 {
 // that, deferred composite-map builds would be charged in the past —
 // overlapping work that already happened.
 func (s *mstate) chargeLane(free *int64, at int64, cost core.Cost) int64 {
-	start := max(at, *free)
-	fin := start + int64(cost)
+	fin := max(at, *free) + int64(cost)
 	s.mgmtUnits += int64(cost)
-	if s.tl != nil && cost > 0 {
-		s.tl.AddMgmt(start, fin)
-	}
 	*free = fin
 	s.serverFree = max(s.serverFree, fin)
 	return fin
@@ -883,7 +873,7 @@ func (s *mstate) dispatch(worker, ji int, backfill bool, task core.Task, at int6
 }
 
 // dispatchHooks is dispatch's out-of-line half for runs with a fault
-// campaign, a flight recorder, a metric set or a timeline: it applies the
+// campaign, a flight recorder or a metric set: it applies the
 // dispatch injection (returning the possibly stretched cost and the
 // completion-event lag, and parking an injected failure in s.fails for
 // the completion to report) and records the dispatch.
@@ -904,12 +894,6 @@ func (s *mstate) dispatchHooks(worker, ji int, backfill bool, task core.Task, at
 		s.met.Dispatches.Inc(worker)
 		if backfill {
 			s.met.Backfill.Inc(worker)
-		}
-	}
-	if s.tl != nil {
-		s.tl.AddBusy(worker, at, at+dur)
-		if s.gantt != nil {
-			s.gantt.Add(worker, at, at+dur, rune('A'+int(task.Phase)%26))
 		}
 	}
 	return dur, lag

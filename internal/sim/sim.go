@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -39,15 +38,9 @@ type Config struct {
 	Procs int
 	// Mgmt selects the executive resource model.
 	Mgmt MgmtModel
-	// BucketWidth sets the utilization-curve resolution of Result.Timeline
-	// in virtual units; <= 0 chooses roughly 200 buckets from a makespan
-	// estimate. Run only.
-	BucketWidth int64
-	// Gantt records per-processor spans for ASCII rendering (Result.Gantt).
-	// Only use on small runs; memory is O(tasks). Run only.
-	Gantt bool
 	// MaxOps bounds the number of management operations as a runaway
-	// guard; <= 0 means a generous default.
+	// guard; <= 0 means a generous default. The Runner leaves it at the
+	// default.
 	MaxOps int64
 	// Batch is the Adaptive model's refill batch size (the virtual
 	// DequeCap): how many tasks one serialized lock visit pulls; the
@@ -80,7 +73,11 @@ type Config struct {
 	// The simulator emits from its single event-loop goroutine into ring
 	// 0 in processing order, so the merged trace's (Time, Seq) order IS
 	// the loop's deterministic serve order (equal-tick ordering contract:
-	// see internal/sim/trace.go). Both Run and RunMulti honor it.
+	// see internal/sim/trace.go). Both Run and RunMulti honor it. It is
+	// the run's only record of when each processor computed: every
+	// KDispatch carries the task's charged cost, so a task's busy interval
+	// is [Time, Time+Arg) (trace.Trace.EachBusy), and the utilization
+	// curve and chart are views of the recorded trace.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, records the standard telemetry.Set at the
 	// same chokepoints the flight recorder traces — dispatches,
@@ -160,10 +157,6 @@ type Result struct {
 	BatchChanges int
 	// Phases traces each phase.
 	Phases []PhaseTrace
-	// Timeline is the bucketed utilization recorder.
-	Timeline *metrics.Timeline
-	// Gantt is non-nil when Config.Gantt was set.
-	Gantt *metrics.Gantt
 }
 
 // Run simulates prog under the scheduler options opt on the machine cfg:
@@ -192,32 +185,17 @@ func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg C
 
 // RunJobContext is RunContext for a job given as a JobSpec, which adds
 // what a (prog, opt) pair cannot say: a name, a deadline, a retry budget.
-// It returns the run both ways — as Result, with the timeline, the chart
-// and the phase traces, and as the one-job MultiResult RunMulti would
-// report, with the fault and retry counts and the job's own outcome. As
+// It returns the run both ways — as Result, with the phase traces, and as
+// the one-job MultiResult RunMulti would report, with the fault and retry
+// counts and the job's own outcome. As
 // with RunMulti, a job that failed (retries exhausted, deadline missed)
 // is not an error of the run: it is MultiResult.Jobs[0].Err, and Result
 // then describes the run up to the job's retirement.
 func RunJobContext(ctx context.Context, spec JobSpec, cfg Config) (*Result, *MultiResult, error) {
-	s, err := newMstate(ctx, []JobSpec{spec}, cfg)
+	multi, err := RunMultiContext(ctx, []JobSpec{spec}, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	bucket := cfg.BucketWidth
-	if bucket <= 0 {
-		// Roughly 200 buckets over the estimated makespan (NewTimeline
-		// raises a zero width to 1).
-		bucket = (int64(spec.Prog.TotalCost())/int64(s.workers) + 1) / 200
-	}
-	s.tl = metrics.NewTimeline(cfg.Procs, bucket)
-	if cfg.Gantt {
-		s.gantt = metrics.NewGantt(cfg.Procs)
-	}
-	multi, err := s.execute()
-	if err != nil {
-		return nil, nil, err
-	}
-	s.tl.SetEnd(multi.Makespan)
 	job := &multi.Jobs[0]
 	res := &Result{
 		Makespan:     multi.Makespan,
@@ -232,8 +210,6 @@ func RunJobContext(ctx context.Context, spec JobSpec, cfg Config) (*Result, *Mul
 		Batch:        multi.Batch,
 		BatchChanges: multi.BatchChanges,
 		Phases:       job.Phases,
-		Timeline:     s.tl,
-		Gantt:        s.gantt,
 	}
 	if res.Makespan > 0 {
 		res.WorkerUtilization = float64(res.ComputeUnits) / (float64(res.Workers) * float64(res.Makespan))

@@ -260,19 +260,12 @@ func TestAllSchedulerModesComplete(t *testing.T) {
 
 func TestGanttAndCurve(t *testing.T) {
 	prog := twoPhase(t, 12, enable.NewUniversal())
-	res, err := Run(prog,
-		core.Options{Grain: 2, Overlap: true, Costs: core.FreeCosts()},
-		Config{Procs: 3, Mgmt: Dedicated, Gantt: true, BucketWidth: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Gantt == nil || res.Gantt.End() == 0 {
-		t.Fatal("gantt not recorded")
-	}
-	if s := res.Gantt.Render(40); s == "" {
+	res, _, tr := runTraced(t, JobSpec{Prog: prog, Opt: core.Options{Grain: 2, Overlap: true, Costs: core.FreeCosts()}},
+		Config{Procs: 3, Mgmt: Dedicated})
+	if s := tr.Gantt(res.Procs, 40); s == "" {
 		t.Fatal("gantt render empty")
 	}
-	curve := res.Timeline.Curve()
+	curve := tr.Timeline(res.Procs, 1).Curve()
 	if len(curve) == 0 {
 		t.Fatal("no utilization curve")
 	}

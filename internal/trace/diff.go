@@ -6,7 +6,7 @@ import (
 )
 
 // PhaseDelta compares one phase's utilization between two traces: busy
-// time is the summed task durations of the phase's completions, and
+// time is the summed busy intervals of the phase's tasks (EachBusy), and
 // utilization divides it by the trace's whole busy window times its
 // worker count.
 type PhaseDelta struct {
@@ -93,11 +93,7 @@ func Diff(a, b *Trace) *DiffResult {
 
 func phaseBusy(t *Trace) map[int32]int64 {
 	m := map[int32]int64{}
-	for _, e := range t.Events {
-		if e.Kind == KComplete {
-			m[e.Phase] += e.Arg
-		}
-	}
+	t.EachBusy(func(iv Interval) { m[iv.Phase] += iv.T1 - iv.T0 })
 	return m
 }
 

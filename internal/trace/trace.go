@@ -30,8 +30,11 @@
 //
 // Traces round-trip through a versioned binary file format (file.go),
 // diff against each other (diff.go), replay in the simulator
-// (sim.Replay), and export to metrics timelines, Gantt charts, and JSON
-// (export.go).
+// (sim.Replay), and export to JSON (export.go). A trace is also the only
+// record of a run's busy time: EachBusy derives every task's busy interval
+// from it — from the KDispatch of a virtual trace, the KComplete of a
+// wall-clock one — and the utilization curve (Timeline) and the ASCII
+// chart (Gantt) of every backend are views of those intervals.
 package trace
 
 import (
@@ -55,13 +58,14 @@ const (
 	KStart Kind = 1 + iota
 	// KDispatch records a task handed to a worker: Proc executes granules
 	// [Lo, Hi) of Phase for Job. In virtual traces Arg is the task's
-	// compute cost; wall-clock traces leave it 0 (the duration is known
-	// only at completion).
+	// charged compute cost — fault stretching included — and the task's
+	// busy interval is [Time, Time+Arg); wall-clock traces leave it 0 (the
+	// duration is known only at completion).
 	KDispatch
 	// KComplete records a task finishing on Proc: granules [Lo, Hi) of
 	// Phase for Job. Arg is the task's duration — virtual compute cost in
 	// simulator traces, wall nanoseconds in executive/pool traces — so a
-	// trace alone reconstructs busy intervals as [Time-Arg, Time).
+	// wall-clock trace reconstructs busy intervals as [Time-Arg, Time).
 	KComplete
 	// KStealAttempt / KStealWin / KStealLose record a sharded-manager
 	// steal sweep by Proc: the attempt when the sweep starts, then either

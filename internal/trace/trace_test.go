@@ -170,16 +170,15 @@ func TestDiff(t *testing.T) {
 
 func TestTimelineExport(t *testing.T) {
 	tr := sampleTrace()
-	tl := tr.Timeline(0)
+	tl := tr.Timeline(2, 0)
 	if got := tl.BusyTotal(); got != 700 {
-		t.Fatalf("timeline busy total = %d, want 700 (sum of completion durations)", got)
+		t.Fatalf("timeline busy total = %d, want 700 (sum of dispatched costs)", got)
 	}
-	by := tl.ByProc()
-	if by[0] != 500 || by[1] != 200 {
+	if by := busyByProc(tr, 2); by[0] != 500 || by[1] != 200 {
 		t.Fatalf("per-proc busy = %v, want [500 200]", by)
 	}
-	if g := tr.Gantt(); g.End() != 510 {
-		t.Fatalf("gantt end = %d, want 510", g.End())
+	if g := tr.Gantt(2, 100); !strings.HasPrefix(g, "time: 1 col = 6 units, horizon = 510\n") {
+		t.Fatalf("gantt header wrong:\n%s", g)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {

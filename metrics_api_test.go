@@ -130,7 +130,6 @@ func TestMetricsRunAllJobFields(t *testing.T) {
 	r, err := rundown.New(
 		rundown.WithWorkers(4), rundown.WithMetrics(),
 		rundown.WithAdmission(1, true),
-		rundown.WithDeadline(time.Minute),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -138,6 +137,7 @@ func TestMetricsRunAllJobFields(t *testing.T) {
 	jobA, _ := buildRunnerJob(t, 512)
 	jobB, _ := buildRunnerJob(t, 512)
 	jobA.Name, jobB.Name = "a", "b"
+	jobA.Deadline, jobB.Deadline = time.Minute, time.Minute
 	rep, err := r.RunAll(context.Background(), []rundown.Job{jobA, jobB})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestMetricsRunAllJobFields(t *testing.T) {
 	}
 	for _, jr := range rep.Jobs {
 		if !jr.HasDeadline {
-			t.Errorf("job %q: HasDeadline = false under WithDeadline", jr.Name)
+			t.Errorf("job %q: HasDeadline = false under Job.Deadline", jr.Name)
 		}
 		if jr.DeadlineMargin <= 0 {
 			t.Errorf("job %q: DeadlineMargin = %v, want > 0 for a met deadline", jr.Name, jr.DeadlineMargin)

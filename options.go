@@ -28,7 +28,6 @@ type runnerConfig struct {
 
 	adaptive   bool
 	mgmtTarget float64
-	dedicated  bool
 
 	dequeCap, batch    int
 	readyCap, lowWater int
@@ -48,9 +47,6 @@ type runnerConfig struct {
 
 	faults       *fault.Spec
 	liveFaults   bool
-	deadline     time.Duration // default per-job deadline (Job.Deadline overrides)
-	retry        int           // default per-job retry budget (Job.Retry overrides)
-	backoff      time.Duration // default retry backoff base (Job.Backoff overrides)
 	maxActive    int
 	queue        bool
 	stallTimeout time.Duration
@@ -80,9 +76,9 @@ func WithWorkers(n int) Option {
 // WithManager selects the executive management layer (SerialManager,
 // ShardedManager or AsyncManager; SerialManager default). On the virtual
 // backend the manager picks the matching management resource model:
-// serial prices as StealsWorker (or Dedicated under WithDedicatedExec),
-// sharded as ShardedMgmt (AdaptiveMgmt with WithAdaptiveBatching), async
-// as AsyncMgmt.
+// serial prices as StealsWorker, sharded as ShardedMgmt (AdaptiveMgmt with
+// WithAdaptiveBatching), async as AsyncMgmt. The paper's Dedicated model
+// has no manager of its own: name it in WithVirtualTime's SimConfig.Mgmt.
 func WithManager(m ExecManager) Option {
 	return func(c *runnerConfig) error {
 		c.manager = m
@@ -105,17 +101,6 @@ func WithAdaptiveBatching(target float64) Option {
 	return func(c *runnerConfig) error {
 		c.adaptive = true
 		c.mgmtTarget = target
-		return nil
-	}
-}
-
-// WithDedicatedExec gives the serial executive its own processor in the
-// virtual backend (the paper's Dedicated model) instead of stealing a
-// worker. Real backends ignore it: the async manager is the dedicated
-// executive processor realized on hardware.
-func WithDedicatedExec() Option {
-	return func(c *runnerConfig) error {
-		c.dedicated = true
 		return nil
 	}
 }
@@ -145,9 +130,9 @@ func WithLowWater(n int) Option {
 // WithVirtualTime switches the Runner to the deterministic discrete-event
 // backend, parameterized by cfg. cfg.Procs <= 0 inherits WithWorkers.
 // cfg.Mgmt is honored as given unless a manager-shaped option
-// (WithManager, WithAdaptiveBatching, WithDedicatedExec) was also
-// applied — those take precedence, so one option set retargets cleanly
-// between real and virtual machines. Everything else about the run —
+// (WithManager, WithAdaptiveBatching) was also applied — those take
+// precedence, so one option set retargets cleanly between real and
+// virtual machines. Everything else about the run —
 // batch and buffer sizes, observer, trace, metrics, faults, the preemption
 // bound — is set by the same options as on the real machines.
 func WithVirtualTime(cfg SimConfig) Option {
@@ -246,38 +231,6 @@ func WithMetricsRegistry(reg *MetricsRegistry) Option {
 func WithFaults(spec FaultSpec) Option {
 	return func(c *runnerConfig) error {
 		c.faults = &spec
-		return nil
-	}
-}
-
-// WithDeadline sets a default per-job deadline: a job not finished this
-// long after submission is aborted — only that job — with an error
-// wrapping context.DeadlineExceeded. Job.Deadline overrides it per job.
-// Honored on every backend, Run and RunAll alike (one virtual unit per
-// nanosecond).
-func WithDeadline(d time.Duration) Option {
-	return func(c *runnerConfig) error {
-		if d < 0 {
-			return fmt.Errorf("rundown: WithDeadline needs a non-negative duration")
-		}
-		c.deadline = d
-		return nil
-	}
-}
-
-// WithRetry sets a default per-job retry policy: a job whose attempt
-// fails (work error, panic, injected fault, wedge) restarts on a fresh
-// scheduler up to n times, waiting backoff before the first retry and
-// doubling it per further retry (capped at 64×). Deadline aborts and
-// run cancellation never retry. Job.Retry / Job.Backoff override it per
-// job.
-func WithRetry(n int, backoff time.Duration) Option {
-	return func(c *runnerConfig) error {
-		if n < 0 {
-			return fmt.Errorf("rundown: WithRetry needs a non-negative count")
-		}
-		c.retry = n
-		c.backoff = backoff
 		return nil
 	}
 }
@@ -438,7 +391,7 @@ func (c *runnerConfig) resolve() {
 // option was applied; then the manager decides, mirroring how the same
 // configuration runs on hardware.
 func (c *runnerConfig) model() MgmtModel {
-	if c.virtual && !c.managerSet && !c.adaptive && !c.dedicated {
+	if c.virtual && !c.managerSet && !c.adaptive {
 		return c.simCfg.Mgmt
 	}
 	switch {
@@ -448,8 +401,6 @@ func (c *runnerConfig) model() MgmtModel {
 		return AdaptiveMgmt
 	case c.manager == ShardedManager:
 		return ShardedMgmt
-	case c.dedicated:
-		return Dedicated
 	default:
 		return StealsWorker
 	}
@@ -514,13 +465,11 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 
 // simConfig builds the virtual machine's configuration — the one place the
 // options and the SimConfig literal meet: the model and the processor count
-// are resolved between them, the virtual-only values come from the literal,
-// and everything else from the options, plus the run's recorder and metric
-// set.
+// are resolved between them, and everything else comes from the options,
+// plus the run's recorder and metric set.
 func (c *runnerConfig) simConfig(rec *trace.Recorder, met *telemetry.Set) sim.Config {
 	cfg := sim.Config{
 		Procs: c.simCfg.Procs, Mgmt: c.model(),
-		BucketWidth: c.simCfg.BucketWidth, Gantt: c.simCfg.Gantt, MaxOps: c.simCfg.MaxOps,
 		Batch: c.batch, ReadyCap: c.readyCap, LowWater: c.lowWater,
 		Faults: c.faults, PreemptBound: c.preemptBound,
 		Trace: rec, Metrics: met,
@@ -540,27 +489,4 @@ func (c *runnerConfig) simConfig(rec *trace.Recorder, met *telemetry.Set) sim.Co
 		}
 	}
 	return cfg
-}
-
-// jobDeadline, jobRetry and jobBackoff resolve a job's failure policy:
-// the Job field when set, the Runner default otherwise.
-func (c *runnerConfig) jobDeadline(job Job) time.Duration {
-	if job.Deadline > 0 {
-		return job.Deadline
-	}
-	return c.deadline
-}
-
-func (c *runnerConfig) jobRetry(job Job) int {
-	if job.Retry > 0 {
-		return job.Retry
-	}
-	return c.retry
-}
-
-func (c *runnerConfig) jobBackoff(job Job) time.Duration {
-	if job.Backoff > 0 {
-		return job.Backoff
-	}
-	return c.backoff
 }

@@ -54,17 +54,17 @@ type Job struct {
 	// Weight is the job's share of home workers and backfill credit in
 	// shared runs (<= 0 selects 1). Ignored by single-job runs.
 	Weight int
-	// Deadline bounds the job's submit-to-finish time (0 inherits the
-	// Runner's WithDeadline default; both 0 = none). A job past its
-	// deadline is aborted — only that job — with an error wrapping
-	// context.DeadlineExceeded. Virtual runs count one unit per
-	// nanosecond.
+	// Deadline bounds the job's submit-to-finish time (0 = none). A job
+	// past its deadline is aborted — only that job — with an error
+	// wrapping context.DeadlineExceeded. Honored on every backend; virtual
+	// runs count one unit per nanosecond.
 	Deadline time.Duration
-	// Retry is how many times a failed attempt restarts on a fresh
-	// scheduler (0 inherits WithRetry's default).
+	// Retry is how many times a failed attempt (work error, panic,
+	// injected fault, wedge) restarts on a fresh scheduler. Deadline
+	// aborts and run cancellation never retry.
 	Retry int
 	// Backoff is the base delay before the first retry, doubled per
-	// further retry and capped at 64× (0 inherits WithRetry's default).
+	// further retry and capped at 64×.
 	Backoff time.Duration
 }
 
@@ -141,7 +141,8 @@ type Report struct {
 	Retries int64 `json:"retries,omitempty"`
 
 	// Sim is the single-program virtual result (VirtualBackend Run): the
-	// run's one job with its phase traces, timeline and chart.
+	// run's one job with its phase traces. Its utilization curve and
+	// chart are views of Report.Trace (Trace.Timeline, Trace.Gantt).
 	Sim *SimResult `json:"sim,omitempty"`
 	// SimMulti is the multi-program virtual result (VirtualBackend
 	// RunAll).

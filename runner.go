@@ -168,9 +168,7 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 	for i, job := range jobs {
 		h, err := pool.Submit(job.Prog, c.jobOpt(job), tenant.JobConfig{
 			Name: jobName(job, i), Priority: job.Priority, Weight: job.Weight,
-			Deadline: c.jobDeadline(job),
-			Retry:    c.jobRetry(job),
-			Backoff:  c.jobBackoff(job),
+			Deadline: job.Deadline, Retry: job.Retry, Backoff: job.Backoff,
 		})
 		if err != nil {
 			submitErr := fmt.Errorf("rundown: job %q: %w", jobName(job, i), err)
@@ -244,7 +242,7 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 // runVirtual prices jobs on the deterministic discrete-event machine, the
 // one virtual-time engine. Run is its one-job case (single): the same
 // specs, failure policy and report, plus the single-program detail
-// (timeline, chart) in Report.Sim, and — like the other backends' Run —
+// (the phase traces) in Report.Sim, and — like the other backends' Run —
 // every error names the job.
 func (c *runnerConfig) runVirtual(ctx context.Context, jobs []Job, single bool) (*Report, error) {
 	rec := c.newRecorder()
@@ -257,9 +255,7 @@ func (c *runnerConfig) runVirtual(ctx context.Context, jobs []Job, single bool) 
 			Priority: job.Priority, Weight: job.Weight,
 			// One virtual unit per nanosecond keeps the same Job spec
 			// meaningful on both clocks.
-			Deadline: int64(c.jobDeadline(job)),
-			Retry:    c.jobRetry(job),
-			Backoff:  int64(c.jobBackoff(job)),
+			Deadline: int64(job.Deadline), Retry: job.Retry, Backoff: int64(job.Backoff),
 		}
 	}
 	rep := &Report{

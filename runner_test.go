@@ -490,7 +490,7 @@ func TestRunnerManagerDrivesVirtualModel(t *testing.T) {
 		want rundown.MgmtModel
 	}{
 		{[]rundown.Option{rundown.WithWorkers(4), rundown.WithVirtualTime(rundown.SimConfig{})}, rundown.StealsWorker},
-		{[]rundown.Option{rundown.WithWorkers(4), rundown.WithVirtualTime(rundown.SimConfig{}), rundown.WithDedicatedExec()}, rundown.Dedicated},
+		{[]rundown.Option{rundown.WithWorkers(4), rundown.WithVirtualTime(rundown.SimConfig{Mgmt: rundown.Dedicated})}, rundown.Dedicated},
 		{[]rundown.Option{rundown.WithWorkers(4), rundown.WithVirtualTime(rundown.SimConfig{}), rundown.WithManager(rundown.ShardedManager)}, rundown.ShardedMgmt},
 		{[]rundown.Option{rundown.WithWorkers(4), rundown.WithVirtualTime(rundown.SimConfig{}), rundown.WithManager(rundown.ShardedManager), rundown.WithAdaptiveBatching(0)}, rundown.AdaptiveMgmt},
 		{[]rundown.Option{rundown.WithWorkers(4), rundown.WithVirtualTime(rundown.SimConfig{}), rundown.WithManager(rundown.AsyncManager)}, rundown.AsyncMgmt},

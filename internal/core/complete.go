@@ -20,7 +20,7 @@ import (
 // Scheduler.
 func (s *Scheduler) Complete(t Task) Cost {
 	succ := s.retire(t)
-	pr := s.phases[t.Phase]
+	pr := &s.phases[t.Phase]
 
 	cost := s.opt.Costs.Complete + s.opt.Costs.Merge
 	s.stats.Completions++
@@ -67,10 +67,9 @@ func (s *Scheduler) retire(t Task) (succ granule.Range) {
 // complete twice: a run any granule of which is already complete would
 // push nComplete past the phase and release its successors early.
 func (s *Scheduler) markComplete(pr *phaseRun, run granule.Range) {
-	if pr.completed.Any(run) {
+	if pr.completed.TrySet(run) {
 		panic(fmt.Sprintf("core: double completion of %v in phase %d", run, pr.idx))
 	}
-	pr.completed.Set(run)
 	pr.nComplete += run.Len()
 }
 
@@ -135,7 +134,7 @@ func (s *Scheduler) settle(pr *phaseRun, charged int, fired bool) Cost {
 		cost += ec
 	}
 	if pr.tab != nil {
-		next := s.phases[int(pr.idx)+1]
+		next := &s.phases[int(pr.idx)+1]
 		s.released.drain(func(r granule.Range) { cost += s.release(next, r) })
 		if fired {
 			pr.subsetManaged.Runs(pr.subsetSpan, func(r granule.Range) { cost += s.release(next, r) })
@@ -187,7 +186,7 @@ func (s *Scheduler) CompleteBatch(ts []Task) Cost {
 // phase-window advance to the end of the group is observationally
 // equivalent to sequential Complete calls.
 func (s *Scheduler) completeGroup(ts []Task) Cost {
-	pr := s.phases[ts[0].Phase]
+	pr := &s.phases[ts[0].Phase]
 
 	cost := Cost(len(ts)) * (s.opt.Costs.Complete + s.opt.Costs.Merge)
 	s.stats.Completions += int64(len(ts))

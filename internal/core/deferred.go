@@ -50,8 +50,8 @@ func (s *Scheduler) DeferredMgmt() (cost Cost, ok bool) {
 	item := s.deferred[0]
 	s.deferred = s.deferred[1:]
 
-	pr := s.phases[item.predPhase]
-	next := s.phases[item.succPhase]
+	pr := &s.phases[item.predPhase]
+	next := &s.phases[item.succPhase]
 
 	switch item.kind {
 	case deferBuildTable:

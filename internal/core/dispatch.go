@@ -74,14 +74,13 @@ func (s *Scheduler) NextTasks(dst []Task, max int) ([]Task, Cost) {
 func (s *Scheduler) carve(dst []Task, i queue.Index, k int) ([]Task, Cost) {
 	d := s.wait.At(i)
 	phase := granule.PhaseID(d.phase)
-	pr := s.phases[phase]
+	pr := &s.phases[phase]
 	carved, _ := d.run.r().TakeFront(k * s.opt.Grain)
 
 	// Double-dispatch guard, once for the whole carved span.
-	if pr.dispatched.Any(carved) {
+	if pr.dispatched.TrySet(carved) {
 		panic(fmt.Sprintf("core: double dispatch of %v in phase %d", carved, phase))
 	}
-	pr.dispatched.Set(carved)
 	pr.nQueued -= carved.Len()
 
 	var cost Cost

@@ -62,11 +62,15 @@ func (p *Phase) GranuleCost(g granule.ID) Cost {
 	return p.Cost(g)
 }
 
-// TotalCost returns the summed virtual cost of all granules of the phase.
+// TotalCost returns the summed virtual cost of all granules of the phase:
+// for a unit-cost phase (nil Cost) its granule count, with no walk.
 func (p *Phase) TotalCost() Cost {
+	if p.Cost == nil {
+		return Cost(p.Granules)
+	}
 	var sum Cost
 	for g := 0; g < p.Granules; g++ {
-		sum += p.GranuleCost(granule.ID(g))
+		sum += p.Cost(granule.ID(g))
 	}
 	return sum
 }

@@ -24,9 +24,13 @@ import (
 // Drivers (internal/sim's virtual-time machine and internal/executive's
 // Manager implementations) own all concurrency and serialization policy.
 
-// phaseRun is the runtime state of one program phase.
+// phaseRun is the runtime state of one program phase. The scheduler holds
+// its phases' records by value, in one slice, and each carries its phase's
+// cost function: pricing a task (TaskCost) reads the record, not the
+// program's phase behind it.
 type phaseRun struct {
 	spec  *Phase
+	cost  CostFn // spec.Cost
 	idx   granule.PhaseID
 	total int
 	state PhaseState
@@ -66,7 +70,7 @@ type Scheduler struct {
 	// cycle allocates nothing: a completion retires its enabler's record
 	// and materializes the released successor in it.
 	wait       queue.Wait[desc]
-	phases     []*phaseRun
+	phases     []phaseRun
 	current    int    // index of the oldest incomplete phase; len(phases) when done
 	readyTasks int    // queued descriptions counted at grain granularity
 	inFlight   int    // dispatched descriptions not yet completed
@@ -127,6 +131,7 @@ func New(prog *Program, opt Options) (*Scheduler, error) {
 		prog:     prog,
 		opt:      opt,
 		grainInv: ^uint64(0) / uint64(min(opt.Grain, maxGranules)),
+		phases:   make([]phaseRun, len(prog.Phases)),
 	}
 	widest := 0
 	for i, ph := range prog.Phases {
@@ -148,8 +153,9 @@ func New(prog *Program, opt Options) (*Scheduler, error) {
 			pool = pool[len(b):]
 			return b
 		}
-		s.phases = append(s.phases, &phaseRun{
+		s.phases[i] = phaseRun{
 			spec:          ph,
+			cost:          ph.Cost,
 			idx:           granule.PhaseID(i),
 			total:         ph.Granules,
 			emap:          maps[i],
@@ -158,7 +164,7 @@ func New(prog *Program, opt Options) (*Scheduler, error) {
 			cqManaged:     cut(cq),
 			subsetManaged: cut(subset),
 			subsetPreds:   cut(preds),
-		})
+		}
 		widest = max(widest, ph.Granules)
 	}
 	if opt.Overlap {
@@ -198,8 +204,8 @@ func (s *Scheduler) CurrentPhase() int { return s.current }
 // Ready reports the number of granules currently in the waiting queue.
 func (s *Scheduler) Ready() int {
 	n := 0
-	for _, pr := range s.phases {
-		n += pr.nQueued
+	for i := range s.phases {
+		n += s.phases[i].nQueued
 	}
 	return n
 }
@@ -228,12 +234,12 @@ func (s *Scheduler) taskCount(n int) int {
 // TaskCost returns the virtual execution cost of a task: the sum of its
 // granules' costs.
 func (s *Scheduler) TaskCost(t Task) Cost {
-	ph := s.prog.Phases[t.Phase]
-	if ph.Cost == nil {
+	cost := s.phases[t.Phase].cost
+	if cost == nil {
 		return Cost(t.Run.Len())
 	}
 	var sum Cost
-	t.Run.Each(func(g granule.ID) { sum += ph.Cost(g) })
+	t.Run.Each(func(g granule.ID) { sum += cost(g) })
 	return sum
 }
 
@@ -259,7 +265,8 @@ func (s *Scheduler) Check() error {
 	if flying != s.inFlight {
 		return fmt.Errorf("inFlight=%d but %d descriptions are in flight", s.inFlight, flying)
 	}
-	for _, pr := range s.phases {
+	for i := range s.phases {
+		pr := &s.phases[i]
 		if q := queued[pr.idx]; q != pr.nQueued {
 			return fmt.Errorf("phase %d: nQueued=%d but queue holds %d", pr.idx, pr.nQueued, q)
 		}

@@ -639,6 +639,94 @@ func TestTaskCost(t *testing.T) {
 	}
 }
 
+// TestPhaseTotalCost: a phase's total cost is the sum of its granules'
+// costs, for a unit-cost phase (nil Cost, priced from its granule count) and
+// a costed one alike, and a program's is the sum of its phases'.
+func TestPhaseTotalCost(t *testing.T) {
+	phases := []*Phase{
+		{Name: "empty"},
+		{Name: "unit", Granules: 1000},
+		{Name: "one", Granules: 1},
+		{Name: "costed", Granules: 130, Cost: func(g granule.ID) Cost { return Cost(3*g + 1) }},
+		{Name: "costed-empty", Cost: func(granule.ID) Cost { return 5 }},
+	}
+	var all Cost
+	for _, ph := range phases {
+		var want Cost
+		for g := 0; g < ph.Granules; g++ {
+			want += ph.GranuleCost(granule.ID(g))
+		}
+		if got := ph.TotalCost(); got != want {
+			t.Errorf("phase %s: TotalCost = %d, want %d", ph.Name, got, want)
+		}
+		all += want
+	}
+	if got := (&Program{Phases: phases}).TotalCost(); got != all {
+		t.Errorf("program TotalCost = %d, want %d", got, all)
+	}
+}
+
+// TestTaskCostMixedProgram: on a program whose phases alternate between
+// unit cost and costed, every task's TaskCost — read from the scheduler's
+// phase record — is the sum of its granules' costs as the Program states
+// them, and the tasks' costs sum to the program's.
+func TestTaskCostMixedProgram(t *testing.T) {
+	prog := mustProgram(t,
+		&Phase{Name: "a", Granules: 37, Enable: enable.NewIdentity()},
+		&Phase{Name: "b", Granules: 37, Cost: func(g granule.ID) Cost { return Cost(g%7 + 2) }, Enable: enable.NewUniversal()},
+		&Phase{Name: "c", Granules: 20},
+		&Phase{Name: "d", Granules: 9, Cost: func(granule.ID) Cost { return 11 }},
+	)
+	s, err := New(prog, Options{Workers: 3, Grain: 4, Overlap: true, Costs: DefaultCosts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	var total Cost
+	for task, _, ok := s.NextTask(); ok; task, _, ok = s.NextTask() {
+		var want Cost
+		ph := prog.Phases[task.Phase]
+		task.Run.Each(func(g granule.ID) { want += ph.GranuleCost(g) })
+		if got := s.TaskCost(task); got != want {
+			t.Errorf("TaskCost(%v) = %d, want %d", task, got, want)
+		}
+		total += want
+		s.Complete(task)
+	}
+	if !s.Done() || total != prog.TotalCost() {
+		t.Fatalf("done=%v, tasks cost %d, program %d", s.Done(), total, prog.TotalCost())
+	}
+}
+
+// TestDoubleDispatchOfPartRunPanics: a queued description that overlaps a
+// dispatched run only in part — the run's tail and granules not yet handed
+// out — panics when it reaches dispatch, and the refused carve leaves the
+// granules it did not overlap undispatched.
+func TestDoubleDispatchOfPartRunPanics(t *testing.T) {
+	prog := mustProgram(t, &Phase{Name: "a", Granules: 16})
+	s, err := New(prog, Options{Workers: 1, Grain: 4, Costs: DefaultCosts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	first, _, _ := s.NextTask()
+	if first.Run != granule.R(0, 4) {
+		t.Fatalf("first dispatch %v, want granules [0,4)", first)
+	}
+	s.pushDesc(s.newDesc(0, granule.R(2, 6)), queue.Elevated) // ahead of [4,16)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("dispatching [2,6) with [0,4) in flight did not panic")
+			}
+		}()
+		s.NextTask()
+	}()
+	if d := s.phases[0].dispatched; d.Any(granule.R(4, 6)) || !d.All(first.Run) {
+		t.Errorf("after the refused dispatch the dispatched set is %x, want exactly [0,4)", d)
+	}
+}
+
 func TestNextTaskBeforeStartPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

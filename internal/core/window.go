@@ -28,7 +28,7 @@ func (s *Scheduler) Start() Cost {
 func (s *Scheduler) advance() Cost {
 	var cost Cost
 	for s.current < len(s.phases) {
-		pr := s.phases[s.current]
+		pr := &s.phases[s.current]
 		switch pr.state {
 		case PhaseUnstarted:
 			cost += s.serialActivate(pr)
@@ -57,7 +57,7 @@ func (s *Scheduler) advance() Cost {
 			// span as normal work now. The pending build item becomes a
 			// cancelled no-op.
 			if s.current > 0 {
-				prev := s.phases[s.current-1]
+				prev := &s.phases[s.current-1]
 				if s.opt.Overlap && prev.emap != nil &&
 					prev.tab == nil && pr.total > 0 {
 					cost += s.enqueueRange(pr, granule.Span(pr.total), queue.Normal)
@@ -147,11 +147,11 @@ func (s *Scheduler) prepareOverlap(c int) Cost {
 	if !s.opt.Overlap || c+1 >= len(s.phases) {
 		return 0
 	}
-	pr := s.phases[c]
+	pr := &s.phases[c]
 	if pr.emap == nil {
 		return 0
 	}
-	next := s.phases[c+1]
+	next := &s.phases[c+1]
 	if next.state != PhaseUnstarted {
 		return 0 // already active or complete; nothing to prepare
 	}

@@ -47,6 +47,21 @@ func (b Bitmap) Set(r Range) {
 	}
 }
 
+// TrySet sets every granule of r unless one of them is already set, and
+// reports whether one was: a clash changes nothing. It is Any then Set in
+// one pass over r's words, the words it set undone on a clash.
+func (b Bitmap) TrySet(r Range) (clash bool) {
+	for g := r.Lo; g < r.Hi; g = (g | 63) + 1 {
+		m := mask(g, r.Hi)
+		if b[g>>6]&m != 0 {
+			b.Clear(R(r.Lo, g))
+			return true
+		}
+		b[g>>6] |= m
+	}
+	return false
+}
+
 // Clear clears every granule of r.
 func (b Bitmap) Clear(r Range) {
 	for g := r.Lo; g < r.Hi; g = (g | 63) + 1 {

@@ -275,3 +275,37 @@ func TestSetQuickSplitMergeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBitmapTrySet checks the one-pass guard against the two passes it
+// replaces, Any then Set: over ranges inside one word and ranges spanning
+// words, starting at offsets 0, 63, 64 and 65, with one granule already set
+// at each edge of the range, inside it or just outside it. A range with a
+// granule already set must report the clash and leave the bitmap as it was;
+// any other must end up set.
+func TestBitmapTrySet(t *testing.T) {
+	const n = 320 // past every range's end, so granule r.Hi exists
+	for _, lo := range []ID{0, 63, 64, 65} {
+		for _, length := range []ID{1, 2, 63, 64, 65, 129, 200} {
+			r := R(lo, lo+length)
+			pre := []ID{r.Lo, r.Lo + length/2, r.Hi - 1, r.Hi, r.Lo - 1}
+			for _, g := range pre {
+				b := NewBitmap(n)
+				if g >= 0 {
+					b.Set(R(g, g+1))
+				}
+				before := slices.Clone(b)
+				want := slices.Clone(b)
+				wantClash := want.Any(r)
+				if !wantClash {
+					want.Set(r)
+				}
+				if got := b.TrySet(r); got != wantClash {
+					t.Errorf("TrySet(%v) with granule %d set = %v, want %v", r, g, got, wantClash)
+				}
+				if !slices.Equal(b, want) {
+					t.Errorf("TrySet(%v) with granule %d set left %x, want %x (before %x)", r, g, b, want, before)
+				}
+			}
+		}
+	}
+}

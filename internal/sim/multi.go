@@ -195,7 +195,7 @@ func (it mitem) isDone() bool { return it.job >= 0 }
 // (TestMitemSize guards the 64 bytes): the running task, the generation a
 // live ask must carry (it bumps when a pending ask is superseded), when the
 // worker is next free of its task and of management charged on its own
-// lane (perTask.charge), and whether it is parked.
+// lane (perTask.lane), and whether it is parked.
 type mworker struct {
 	flight mflight
 	askGen int64

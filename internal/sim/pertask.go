@@ -12,26 +12,26 @@ import "repro/internal/core"
 type perTask struct {
 	holdsNothing
 	s *mstate
-	// lane is where each worker's requests are charged (mstate.chargeLane):
-	// the horizon of the one serial executive for every worker — a reserved
-	// processor (StealsWorker) or a separate one (Dedicated), which differ
-	// only in how many processors are left to compute — or, under Sharded,
-	// the worker's own timeline (mworker.free), so management from
-	// different processors proceeds concurrently.
-	lane []*int64
+	// own selects where each worker's requests are charged
+	// (mstate.chargeLane; see lane).
+	own bool
 }
 
-func newPerTask(ownLane bool) func(*mstate, Config, int64) model {
-	return func(s *mstate, _ Config, _ int64) model {
-		m := &perTask{s: s, lane: make([]*int64, s.workers)}
-		for w := range m.lane {
-			m.lane[w] = &s.serverFree
-			if ownLane {
-				m.lane[w] = &s.worker[w].free
-			}
-		}
-		return m
+func newPerTask(own bool) func(*mstate, Config, int64) model {
+	return func(s *mstate, _ Config, _ int64) model { return &perTask{s: s, own: own} }
+}
+
+// lane is the management lane worker w's requests are charged on: the
+// horizon of the one serial executive for every worker — a reserved
+// processor (StealsWorker) or a separate one (Dedicated), which differ only
+// in how many processors are left to compute — or, under Sharded, the
+// worker's own timeline (mworker.free), so management from different
+// processors proceeds concurrently.
+func (m *perTask) lane(w int) *int64 {
+	if m.own {
+		return &m.s.worker[w].free
 	}
+	return &m.s.serverFree
 }
 
 func (m *perTask) ask(w int, at int64) { m.s.walk(w, at, at) }
@@ -39,14 +39,14 @@ func (m *perTask) ask(w int, at int64) { m.s.walk(w, at, at) }
 func (m *perTask) probe(w int, j *mjob, at int64) (core.Task, int, int64, bool) {
 	task, cost, ok := j.sched.NextTask()
 	m.s.syncReady(j)
-	return task, task.Run.Len(), m.s.chargeLane(m.lane[w], at, cost), ok
+	return task, task.Run.Len(), m.s.chargeLane(m.lane(w), at, cost), ok
 }
 
 func (m *perTask) complete(w int, j *mjob, at int64) {
 	s := m.s
 	f := &s.worker[w].flight
 	serial0 := j.sched.SerialCost()
-	fin := s.chargeLane(m.lane[w], at, j.sched.Complete(f.task))
+	fin := s.chargeLane(m.lane(w), at, j.sched.Complete(f.task))
 	j.phaseEnd(f.task.Phase, fin)
 	s.applied(j, serial0, fin)
 	s.wake(fin)

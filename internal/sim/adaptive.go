@@ -60,7 +60,9 @@ type adaptive struct {
 // the visit in progress flushed. The tag covers both buffers: a worker
 // completes only tasks it dispatched from its own shard, and
 // flush-before-switch empties the completion batch before the tag can
-// change.
+// change. buf and done are cut from the model's slab (adaptive.cut) with
+// room for a whole batch, so neither grows; tasks is the last refill, in
+// buf or in a slab a re-cut has since replaced.
 type mshard struct {
 	job     int
 	tasks   []core.Task
@@ -91,6 +93,7 @@ func newAdaptive(s *mstate, cfg Config, totalCost int64) model {
 	for i := range m.shard {
 		m.shard[i].job = -1
 	}
+	m.cut()
 	// Observation epochs: aim for ~100 per run so the multiplicative
 	// controller has room to travel and settle.
 	m.epochLen = (totalCost/int64(s.workers) + 1) / 100
@@ -101,6 +104,19 @@ func newAdaptive(s *mstate, cfg Config, totalCost int64) model {
 		s.met.BatchSize.Set(int64(m.batchN))
 	}
 	return m
+}
+
+// cut sizes every shard's refill buffer to the refill batch and its
+// completion batch to the completion batch, all from one slab, keeping the
+// completions a batch holds. The model cuts once when it is built, and
+// again only when the controller raises a batch past what was cut.
+func (m *adaptive) cut() {
+	slab := make([]core.Task, len(m.shard)*(m.batchN+m.cbatchN))
+	for i := range m.shard {
+		sh := &m.shard[i]
+		sh.buf, slab = slab[:0:m.batchN], slab[m.batchN:]
+		sh.done, slab = append(slab[:0:m.cbatchN], sh.done...), slab[m.cbatchN:]
+	}
 }
 
 // parking advances the pool-wide hoarded-idle integral to now. Call before
@@ -131,16 +147,21 @@ func (m *adaptive) maybeRetune(now int64) {
 	s := m.s
 	m.parking(now)
 	capacity := (now - m.lastObsAt) * int64(s.workers)
-	cap, batch, changed := m.tuner.Observe(capacity,
+	refill, batch, changed := m.tuner.Observe(capacity,
 		m.acquireUnits-m.lastObsAcq, m.hiInt-m.lastObsHI)
 	if changed {
-		m.batchN, m.cbatchN = cap, batch
+		sh := &m.shard[0]
+		grown := refill > cap(sh.buf) || batch > cap(sh.done)
+		m.batchN, m.cbatchN = refill, batch
+		if grown {
+			m.cut()
+		}
 		if s.tr != nil {
-			s.tr.Record(trace.KRetune, now, -1, -1, -1, 0, 0, int64(cap))
+			s.tr.Record(trace.KRetune, now, -1, -1, -1, 0, 0, int64(refill))
 		}
 		if s.met != nil {
 			s.met.Retunes.Inc(0)
-			s.met.BatchSize.Set(int64(cap))
+			s.met.BatchSize.Set(int64(refill))
 		}
 	}
 	m.lastObsAt = now
@@ -201,7 +222,6 @@ func (m *adaptive) probe(w int, j *mjob, at int64) (core.Task, int, int64, bool)
 	s.syncReady(j)
 	at = s.serve(at, dc)
 	if len(ts) == 0 {
-		sh.buf = ts[:0]
 		return core.Task{}, 0, at, false
 	}
 	at = m.acquire(j, at)
@@ -215,7 +235,7 @@ func (m *adaptive) probe(w int, j *mjob, at int64) (core.Task, int, int64, bool)
 	// and parked peers must see it.
 	s.wake(at)
 	sh.job = j.pol.ID
-	sh.tasks, sh.buf, sh.next = ts, ts[:0], 1
+	sh.tasks, sh.next = ts, 1
 	m.parking(at)
 	m.hoardNow += len(ts) - 1
 	return ts[0], drawn, at, true

@@ -54,7 +54,11 @@ type async struct {
 
 // asyncJob is one job's slice of the dedicated server: its ready buffer
 // (tasks already pulled from the job's scheduler), the completions queued
-// behind the server, and the NextTasks scratch.
+// behind the server, and the NextTasks scratch. Both buffers are cut from
+// the model's slabs, so neither grows: the scratch holds ReadyCap tasks,
+// the most one top-up pulls, and the ready buffer twice that, so the fifo
+// compacts its live slots (at most ReadyCap) at most once per ReadyCap
+// pushes.
 type asyncJob struct {
 	ready fifo[asyncSlot]
 	comp  []core.Task
@@ -86,7 +90,14 @@ func newAsync(s *mstate, cfg Config, _ int64) model {
 	if lw >= rc {
 		lw = rc - 1
 	}
-	return &async{s: s, jobs: make([]asyncJob, len(s.jobs)), readyCap: rc, lowWater: lw}
+	m := &async{s: s, jobs: make([]asyncJob, len(s.jobs)), readyCap: rc, lowWater: lw}
+	bufs, slots := make([]core.Task, len(m.jobs)*rc), make([]asyncSlot, len(m.jobs)*2*rc)
+	for ji := range m.jobs {
+		aj := &m.jobs[ji]
+		aj.buf, bufs = bufs[:0:rc], bufs[rc:]
+		aj.ready.buf, slots = slots[:0:2*rc], slots[2*rc:]
+	}
+	return m
 }
 
 // noteOccupancy publishes the buffered-task count.

@@ -395,23 +395,49 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
+// identicalPhasesFixture is six identical barrier phases of costly
+// granules, each with a long rundown: the run
+// `rundownsim -procs 32 -phases 6 -granules 4096 -cost-lo 20 -cost-hi 2000
+// -grain 64`. It is not a golden fixture.
+func identicalPhasesFixture() goldenFixture {
+	return singleFixture("identical-phases/steals-worker/p32",
+		func(t *testing.T) *core.Program {
+			t.Helper()
+			prog, err := workload.Chain(enable.Identity, 6, 4096, workload.UniformCost(20, 2000, 1986), 1986)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return prog
+		},
+		core.Options{Grain: 64, Costs: core.DefaultCosts()}, Config{Procs: 32, Mgmt: StealsWorker})
+}
+
+// runPhases runs fx and returns its result with the idle time of parks
+// that began with no home job, which no phase is booked.
+func (fx goldenFixture) runPhases(t *testing.T) (*MultiResult, int64) {
+	t.Helper()
+	s, err := newMstate(context.Background(), fx.jobs(t), fx.cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", fx.name, err)
+	}
+	res, err := s.execute()
+	if err != nil {
+		t.Fatalf("%s: %v", fx.name, err)
+	}
+	return res, s.homeless
+}
+
 // TestPhaseTraceConservation checks the per-job phase traces of every
-// golden fixture, Run and RunMulti alike: every dispatch is counted in
-// exactly one phase, the idle time attributed to phases never exceeds
-// the run's, and a phase's rundown begins inside its window.
+// golden fixture, Run and RunMulti alike, and of the identical-phases run:
+// every dispatch is counted in exactly one phase, the run's idle time is
+// booked to the phases, but for the parks that began with no home job, and
+// a phase's rundown begins inside its window. (A one-job run has such parks
+// too: a worker that asks between its job's last completion event and the
+// end of that completion's processing finds the job already retired.)
 func TestPhaseTraceConservation(t *testing.T) {
-	for _, fx := range goldenFixtures() {
-		var res *MultiResult
-		var err error
-		if jobs := fx.jobs(t); fx.single {
-			_, res, err = RunJobContext(context.Background(), jobs[0], fx.cfg)
-		} else {
-			res, err = RunMulti(jobs, fx.cfg)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", fx.name, err)
-		}
-		var idle int64
+	for _, fx := range append(goldenFixtures(), identicalPhasesFixture()) {
+		res, homeless := fx.runPhases(t)
+		idle := homeless
 		for _, j := range res.Jobs {
 			var dispatched int64
 			for pi, pt := range j.Phases {
@@ -427,8 +453,30 @@ func TestPhaseTraceConservation(t *testing.T) {
 					fx.name, j.Name, dispatched, j.Sched.Dispatches)
 			}
 		}
-		if idle > res.IdleUnits {
-			t.Errorf("%s: phases account %d idle units, the run only %d", fx.name, idle, res.IdleUnits)
+		if idle != res.IdleUnits {
+			t.Errorf("%s: phases and homeless parks account %d idle units, the run %d", fx.name, idle, res.IdleUnits)
 		}
+	}
+}
+
+// TestPhaseIdleIdenticalPhases: six identical barrier phases each book the
+// same rundown idle — the idle of the parks that began while the phase was
+// current. Every phase but the last books exactly the same; the last one's
+// parks close at the makespan, not one management step into the next
+// phase, so it books less by under one unit per worker.
+func TestPhaseIdleIdenticalPhases(t *testing.T) {
+	res, _ := identicalPhasesFixture().runPhases(t)
+	phases := res.Jobs[0].Phases
+	first, last := phases[0].IdleUnits, phases[len(phases)-1].IdleUnits
+	if first <= 0 {
+		t.Fatalf("phase 0 books %d idle units, want its rundown", first)
+	}
+	for pi, pt := range phases[:len(phases)-1] {
+		if pt.IdleUnits != first {
+			t.Errorf("phase %d books %d idle units, phase 0 %d", pi, pt.IdleUnits, first)
+		}
+	}
+	if d := first - last; d < 0 || d >= int64(res.Workers) {
+		t.Errorf("the last phase books %d idle units, the others %d", last, first)
 	}
 }

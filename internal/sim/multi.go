@@ -74,9 +74,9 @@ type JobResult struct {
 	// Attempts counts schedule attempts (1 = never retried).
 	Attempts int
 	// Phases traces each phase of the job's final attempt. A worker's park
-	// and its idle time are attributed to the current phase of the
-	// worker's home job, so in a shared machine a job's rundown numbers
-	// are those of the processors homed on it.
+	// and its idle time are attributed to the phase that was current for
+	// the worker's home job when the park began, so in a shared machine a
+	// job's rundown numbers are those of the processors homed on it.
 	Phases []PhaseTrace
 }
 
@@ -268,7 +268,7 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		pol:       share.New(workers),
 		worker:    make([]mworker, workers),
 		parkedB:   newParkedSet(workers),
-		parkedAt:  make([]int64, workers),
+		parks:     make([]mpark, workers),
 		pendingAt: make([]int64, workers),
 	}
 	var totalGranules, totalCost int64
@@ -380,7 +380,7 @@ type mstate struct {
 	worker    []mworker
 	parkedB   parkedSet // the workers with parked set, for sparse wake scans
 	parkedN   int
-	parkedAt  []int64
+	parks     []mpark // each parked worker's open park
 	pendingAt []int64 // scheduled wake time of a parked worker; -1 = none
 
 	// readyTotal sums the jobs' cached ready counts; deferredN counts live
@@ -399,6 +399,7 @@ type mstate struct {
 	front int64
 
 	idleUnits    int64
+	homeless     int64 // the part of idleUnits in parks begun with no home job
 	computeUnits int64
 	doneUnits    int64 // compute of tasks whose completion event was served
 	mgmtUnits    int64
@@ -471,29 +472,48 @@ func (s *mstate) park(w int, at int64) {
 	s.worker[w].parked = true
 	s.parkedB.set(w)
 	s.parkedN++
-	s.parkedAt[w] = at
 	s.pendingAt[w] = -1
-	// Rundown begins with the first park once the phase is handing out
-	// work; a park that waits out the phase's serial action comes before.
-	if pt := s.homePhase(w); pt != nil && pt.RundownStart < 0 && pt.Start >= 0 {
-		pt.RundownStart = at
+	// The park, and the idle time it lasts, belong to the current phase of
+	// the worker's home job now, whatever phase is current when it ends.
+	pk := mpark{at: at, job: noJob}
+	if h := s.pol.Home(w); h != nil {
+		j := s.jobs[h.ID]
+		if cur := j.sched.CurrentPhase(); cur < len(j.phases) {
+			pk.job, pk.phase = int32(h.ID), int32(cur)
+			// Rundown begins with the first park once the phase is handing
+			// out work; a park that waits out the phase's serial action
+			// comes before.
+			if pt := &j.phases[cur]; pt.RundownStart < 0 && pt.Start >= 0 {
+				pt.RundownStart = at
+			}
+		}
 	}
+	s.parks[w] = pk
 }
 
-// homePhase returns the trace of the current phase of worker w's home
-// job — the phase a park of w, and the idle time that follows, belong to
-// — or nil when the worker has no home left.
-func (s *mstate) homePhase(w int) *PhaseTrace {
-	h := s.pol.Home(w)
-	if h == nil {
-		return nil
+// mpark is a worker's open park: when it began, and the job and phase its
+// idle time is booked to — the phase current for the worker's home job
+// when it began (job noJob: the worker had no home job then).
+type mpark struct {
+	at    int64
+	job   int32
+	phase int32
+}
+
+// closePark books the idle time of worker w's park, ended at time at, to
+// the run and to the phase the park began in.
+func (s *mstate) closePark(w int, at int64) {
+	pk := s.parks[w]
+	d := at - pk.at
+	if d <= 0 {
+		return
 	}
-	j := s.jobs[h.ID]
-	cur := j.sched.CurrentPhase()
-	if cur >= len(j.phases) {
-		return nil
+	s.idleUnits += d
+	if pk.job == noJob {
+		s.homeless += d
+		return
 	}
-	return &j.phases[cur]
+	s.jobs[pk.job].phases[pk.phase].IdleUnits += d
 }
 
 // ask serves a live ask of worker w at time at (the run loop has already
@@ -503,19 +523,14 @@ func (s *mstate) homePhase(w int) *PhaseTrace {
 func (s *mstate) ask(w int, at int64) {
 	if s.worker[w].parked {
 		if s.tr != nil {
-			s.tr.Record(trace.KUnpark, at, int32(w), -1, -1, 0, 0, at-s.parkedAt[w])
+			s.tr.Record(trace.KUnpark, at, int32(w), -1, -1, 0, 0, at-s.parks[w].at)
 		}
 		s.m.parking(at)
 		s.worker[w].parked = false
 		s.parkedB.clear(w)
 		s.parkedN--
 		s.pendingAt[w] = -1
-		if d := at - s.parkedAt[w]; d > 0 {
-			s.idleUnits += d
-			if pt := s.homePhase(w); pt != nil {
-				pt.IdleUnits += d
-			}
-		}
+		s.closePark(w, at)
 	}
 	if s.plan != nil && s.maybeCrash(w, at) {
 		return // the worker is retired: its ask dies, it never asks again
@@ -985,9 +1000,7 @@ func (s *mstate) result() *MultiResult {
 	for w := range s.worker {
 		if s.worker[w].parked {
 			s.worker[w].parked = false
-			if d := makespan - s.parkedAt[w]; d > 0 {
-				s.idleUnits += d
-			}
+			s.closePark(w, makespan)
 		}
 	}
 	res := &MultiResult{

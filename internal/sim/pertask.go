@@ -12,8 +12,8 @@ import "repro/internal/core"
 type perTask struct {
 	holdsNothing
 	s *mstate
-	// own selects where each worker's requests are charged
-	// (mstate.chargeLane; see lane).
+	// own charges each worker's requests on its own timeline (Sharded)
+	// instead of on the serial executive's; see lane.
 	own bool
 }
 

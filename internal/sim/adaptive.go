@@ -150,7 +150,7 @@ func (m *adaptive) maybeRetune(now int64) {
 	refill, batch, changed := m.tuner.Observe(capacity,
 		m.acquireUnits-m.lastObsAcq, m.hiInt-m.lastObsHI)
 	if changed {
-		sh := &m.shard[0]
+		sh := &m.shard[0] // every shard is cut alike
 		grown := refill > cap(sh.buf) || batch > cap(sh.done)
 		m.batchN, m.cbatchN = refill, batch
 		if grown {

@@ -114,7 +114,8 @@ type PhaseTrace struct {
 	// serial action, before its first task, is not rundown.
 	RundownStart int64
 	// IdleUnits is the processor-time accumulated by workers that parked
-	// while this phase was current.
+	// while this phase was current, up to their unpark or, for a park
+	// still open when the run ends, the makespan.
 	IdleUnits int64
 	// Dispatched counts tasks of this phase.
 	Dispatched int64

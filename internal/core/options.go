@@ -193,3 +193,19 @@ func Backoff[T ~int64](base T, attempt int) T {
 	}
 	return base << min(max(attempt-2, 0), 6)
 }
+
+// ReadyBounds is the asynchronous executive's ready-buffer sizing every
+// backend applies. A capacity <= 0 takes def floored at 8 — about two
+// buffered tasks per processor keeps everyone fed across a refill, the
+// paper's outset condition applied to the buffer. A low-water mark <= 0
+// takes a quarter of the capacity floored at 1, and the mark always stays
+// below the capacity.
+func ReadyBounds(capacity, lowWater, def int) (int, int) {
+	if capacity <= 0 {
+		capacity = max(def, 8)
+	}
+	if lowWater <= 0 {
+		lowWater = max(capacity/4, 1)
+	}
+	return capacity, min(lowWater, capacity-1)
+}

@@ -2,7 +2,6 @@ package executive
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +18,7 @@ import (
 //
 //   - Ready-buffer: workers pull tasks from a bounded Chase-Lev deque
 //     (deque.go, Config.ReadyCap slots) the management goroutine keeps
-//     topped up via NextTasks. Whoever holds smMu is its owner and pushes
+//     topped up via NextTasks. Whoever holds mu is its owner and pushes
 //     at the bottom; workers steal from the top, oldest first. One steal
 //     is the whole per-task dispatch cost on the worker side; a worker
 //     that finds the buffer empty and the executive busy is told so and
@@ -35,7 +34,7 @@ import (
 //     empty, because deferred work may be the only source of new releases.
 //   - Fallback: when GOMAXPROCS leaves the management goroutine no spare
 //     core it sits descheduled while workers starve on an empty buffer. A
-//     worker that finds the buffer empty and the executive idle (smMu
+//     worker that finds the buffer empty and the executive idle (mu
 //     free) therefore enters it — runs one management cycle inline, the
 //     way a PAX processor that needed work entered the executive —
 //     instead of parking until the management goroutine gets a core. It
@@ -49,7 +48,7 @@ import (
 // comparison prices. A task's compute time is measured by the worker that
 // ran it — every hand-off is management, so every stretch is one task — and
 // travels with the completion through the queue; the cycle that applies
-// the completion adds it to the totals under smMu.
+// the completion adds it to the totals under mu.
 //
 // Invariants the pool's stall probe relies on: every task popped from the
 // state machine is immediately in the ready buffer, held by a worker, or
@@ -60,7 +59,11 @@ import (
 // last completion — or after the pool's stall verdict — always observes
 // the final state.
 type async struct {
-	sm  StateMachine
+	// runState's mu also serializes state-machine access between the
+	// management goroutine and inline-fallback cycles run on worker
+	// goroutines. Its holder is the ready buffer's owner: only it pushes.
+	runState
+
 	met *telemetry.Set // ready-buffer occupancy gauge (nil = metrics off)
 
 	readyCap int
@@ -71,21 +74,9 @@ type async struct {
 	comp  *mpsc         // completion queue, workers -> management goroutine
 	wake  chan struct{} // management doorbell, capacity 1
 
-	// smMu serializes state-machine access between the management
-	// goroutine and inline-fallback cycles run on worker goroutines. Its
-	// holder is also the ready buffer's owner: only it pushes.
-	smMu sync.Mutex
-
-	failed   atomic.Bool   // Abort/stall/panic happened; mirrors err != nil
-	finished atomic.Bool   // set under smMu exactly once when the run is over
+	finished atomic.Bool   // set under mu exactly once when the run is over
 	started  atomic.Bool   // Start spawned the management goroutine
 	loopDone chan struct{} // closed when the management goroutine exits
-
-	// Guarded by smMu (every fail, Outcome and Totals holds it).
-	err     error
-	mgmt    time.Duration // state-machine time of management cycles
-	compute time.Duration // of the tasks counted in tasks
-	tasks   int64         // completions applied to sm
 
 	// open is each worker's open compute stretch — the dispatch stamp of the
 	// task it is running, 0 = none — written and read by that worker only,
@@ -96,7 +87,7 @@ type async struct {
 
 	inlineCycles atomic.Int64 // fallback cycles run on worker goroutines
 
-	// Management-side scratch, guarded by smMu: the refill buffer handed
+	// Management-side scratch, guarded by mu: the refill buffer handed
 	// to NextTasks and the drain buffer handed to CompleteBatch, so
 	// steady-state cycles allocate nothing.
 	refillBuf []core.Task
@@ -111,31 +102,13 @@ type workerStamp struct {
 }
 
 func newAsync(sm StateMachine, cfg Config) *async {
-	readyCap := cfg.ReadyCap
-	if readyCap <= 0 {
-		// The paper's outset condition, applied to the buffer: about two
-		// buffered tasks per processor keeps everyone fed across a refill.
-		readyCap = 2 * cfg.Workers
-		if readyCap < 8 {
-			readyCap = 8
-		}
-	}
-	low := cfg.LowWater
-	if low <= 0 {
-		low = readyCap / 4
-		if low < 1 {
-			low = 1
-		}
-	}
-	if low >= readyCap {
-		low = readyCap - 1
-	}
+	readyCap, low := core.ReadyBounds(cfg.ReadyCap, cfg.LowWater, 2*cfg.Workers)
 	batch := cfg.Batch
 	if batch <= 0 {
 		batch = 8
 	}
 	return &async{
-		sm:       sm,
+		runState: runState{sm: sm},
 		met:      cfg.Metrics,
 		readyCap: readyCap,
 		lowWater: low,
@@ -167,12 +140,12 @@ func (m *async) Join() {
 // Start activates the program, performs the first refill synchronously so
 // workers find work immediately, and spawns the management goroutine.
 func (m *async) Start() {
-	m.smMu.Lock()
+	m.mu.Lock()
 	t0 := clock.Now()
 	m.sm.Start()
 	m.refillLocked()
 	m.charge(t0)
-	m.smMu.Unlock()
+	m.mu.Unlock()
 	m.started.Store(true)
 	go m.loop()
 }
@@ -190,12 +163,12 @@ func (m *async) loop() {
 }
 
 // cycle runs one management pass and reports whether the loop should
-// continue. The pool progress callback fires outside smMu (the pool takes
+// continue. The pool progress callback fires outside mu (the pool takes
 // its own lock inside it, and holds that lock while probing this manager).
 func (m *async) cycle() bool {
-	m.smMu.Lock()
+	m.mu.Lock()
 	alive, progressed := m.cycleLocked(clock.Now())
-	m.smMu.Unlock()
+	m.mu.Unlock()
 	if progressed && m.notify != nil {
 		m.notify()
 	}
@@ -204,12 +177,12 @@ func (m *async) cycle() bool {
 
 // cycleLocked is the management pass: drain completions, top up the ready
 // buffer, overlap deferred management, detect completion.
-// Caller holds smMu. It returns alive=false when the run is over and
+// Caller holds mu. It returns alive=false when the run is over and
 // progressed=true when completions were applied, tasks were buffered, or
 // the run finished — the events a pool parked elsewhere must hear about.
 //
 // The cycle keeps one clock chain: t0 is the caller's reading after it
-// took smMu, and each pass's single reading (charge) closes one management
+// took mu, and each pass's single reading (charge) closes one management
 // interval and opens the next.
 func (m *async) cycleLocked(t0 clock.Stamp) (alive, progressed bool) {
 	if m.finished.Load() {
@@ -270,18 +243,9 @@ func (m *async) cycleLocked(t0 clock.Stamp) (alive, progressed bool) {
 	}
 }
 
-// charge closes the management interval that began at t0 with one clock
-// reading and returns it as the start of the next interval. Caller holds
-// smMu.
-func (m *async) charge(t0 clock.Stamp) clock.Stamp {
-	now := clock.Now()
-	m.mgmt += now.Sub(t0)
-	return now
-}
-
 // drainLocked applies queued completions in batches of m.batch, totalling
 // their count and the compute times that came with them. Caller holds
-// smMu. Panics in completion processing fail the run, as in the other
+// mu. Panics in completion processing fail the run, as in the other
 // managers.
 func (m *async) drainLocked() bool {
 	any := false
@@ -302,7 +266,7 @@ func (m *async) drainLocked() bool {
 		any = true
 		m.tasks += int64(len(buf))
 		if err := applyBatch(m.sm, buf); err != nil {
-			m.fail(err)
+			m.failLocked(err)
 		}
 		if m.failed.Load() {
 			return any
@@ -311,7 +275,7 @@ func (m *async) drainLocked() bool {
 }
 
 // refillLocked tops the ready buffer up from the state machine. Caller
-// holds smMu, which makes it the deque's owner; the ring never grows
+// holds mu, which makes it the deque's owner; the ring never grows
 // because only the owner pushes and concurrent steals can only make the
 // free-slot count computed first an underestimate.
 func (m *async) refillLocked() bool {
@@ -333,21 +297,12 @@ func (m *async) refillLocked() bool {
 }
 
 // finishLocked marks the run over: no later cycle touches the state
-// machine or the ready buffer. Caller holds smMu. The doorbell ring covers
+// machine or the ready buffer. Caller holds mu. The doorbell ring covers
 // the case where an inline-fallback cycle finished the run while the
 // management goroutine was parked.
 func (m *async) finishLocked() {
 	m.finished.Store(true)
 	m.ring()
-}
-
-// fail records err (first wins) and raises the fast-path abort flag.
-// Caller holds smMu.
-func (m *async) fail(err error) {
-	if m.err == nil {
-		m.err = err
-	}
-	m.failed.Store(true)
 }
 
 // ring rings the management doorbell (level-triggered: extra rings while
@@ -368,12 +323,12 @@ func (m *async) ring() {
 // after one did, so the cycle's time stays out of the worker's next
 // compute interval.
 func (m *async) tryInlineCycle(at clock.Stamp) clock.Stamp {
-	if !m.smMu.TryLock() {
+	if !m.mu.TryLock() {
 		return at
 	}
 	m.inlineCycles.Add(1)
 	_, progressed := m.cycleLocked(at)
-	m.smMu.Unlock()
+	m.mu.Unlock()
 	if progressed && m.notify != nil {
 		m.notify()
 	}
@@ -467,48 +422,14 @@ func (m *async) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
 	return at, false
 }
 
-// Outcome reports completion and the run error under smMu, which every
-// fail() call and every completing cycle holds.
-func (m *async) Outcome() (bool, error) {
-	m.smMu.Lock()
-	defer m.smMu.Unlock()
-	return m.err == nil && m.sm.Done(), m.err
-}
-
-// InFlight reports dispatched-but-incomplete tasks. Tasks in the ready
-// buffer, held by workers, and completions queued but not yet applied are
-// all still in flight from the state machine's point of view, so the
-// pool's all-parked stall probe cannot mistake a busy async manager for a
-// stalled one.
-func (m *async) InFlight() int {
-	m.smMu.Lock()
-	defer m.smMu.Unlock()
-	return m.sm.InFlight()
-}
-
-// Abort terminates the run with err — unless the state machine has
-// already completed (checked under smMu, the lock that serialized the
-// finishing cycle, so there is no window): a late cancellation must not
-// poison a fully-executed run's results. Callers observe the refusal
-// through Outcome's nil error.
+// Abort terminates the run with err — the run contract (runState) refuses
+// it once the state machine has completed — and rings the doorbell so the
+// management goroutine observes the verdict.
 func (m *async) Abort(err error) {
-	m.smMu.Lock()
-	if !m.failed.Load() && m.sm.Done() {
-		m.smMu.Unlock()
-		return
-	}
-	// fail() under smMu: releasing the lock between the Done check and
-	// the error store would let a final management cycle complete the
-	// run in the gap and still get poisoned.
-	m.fail(err)
-	m.smMu.Unlock()
+	m.mu.Lock()
+	m.abortLocked(err)
+	m.mu.Unlock()
 	m.ring()
-}
-
-func (m *async) Totals() (compute, mgmt time.Duration, tasks int64) {
-	m.smMu.Lock()
-	defer m.smMu.Unlock()
-	return m.compute, m.mgmt, m.tasks
 }
 
 // InlineCycles reports how many management cycles ran on worker

@@ -34,7 +34,7 @@ func TestAsyncDefaults(t *testing.T) {
 // without ever yielding to the management goroutine — the no-spare-core
 // case — so every refill after the first must come from a worker that
 // found the buffer empty and the executive idle and entered it. While the
-// executive is busy (smMu held here) the same worker is told "dry" instead
+// executive is busy (mu held here) the same worker is told "dry" instead
 // of waiting behind it.
 func TestAsyncInlineFallback(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -53,7 +53,7 @@ func TestAsyncInlineFallback(t *testing.T) {
 		m.Enter(0, task, clock.Now(), AskNone)
 	}
 
-	m.smMu.Lock()
+	m.mu.Lock()
 	var held []core.Task
 	for {
 		task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
@@ -66,7 +66,7 @@ func TestAsyncInlineFallback(t *testing.T) {
 		t.Fatalf("busy executive: %d tasks taken, %d inline cycles; want the buffered tasks and no cycle",
 			len(held), m.InlineCycles())
 	}
-	m.smMu.Unlock()
+	m.mu.Unlock()
 	for _, task := range held {
 		finish(task)
 	}

@@ -4,7 +4,10 @@ package executive
 // carry the manager by its stable string name ("serial", "sharded",
 // "async"), never the enum's numeric value.
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // MarshalJSON encodes the kind as its string name.
 func (k ManagerKind) MarshalJSON() ([]byte, error) {
@@ -26,6 +29,9 @@ func (k *ManagerKind) UnmarshalJSON(b []byte) error {
 	var n uint8
 	if err := json.Unmarshal(b, &n); err != nil {
 		return err
+	}
+	if int(n) >= len(ManagerKinds()) {
+		return fmt.Errorf("executive: unknown manager kind %d", n)
 	}
 	*k = ManagerKind(n)
 	return nil

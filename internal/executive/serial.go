@@ -1,9 +1,6 @@
 package executive
 
 import (
-	"sync"
-	"time"
-
 	"repro/internal/clock"
 	"repro/internal/core"
 )
@@ -19,41 +16,12 @@ import (
 // processor did — one lock, two clock readings. Every task is management,
 // so every compute stretch is one task long.
 type serial struct {
-	mu sync.Mutex
-	sm StateMachine
-
-	// Guarded by mu.
-	mgmt    time.Duration
-	compute time.Duration // of the tasks counted in tasks
-	tasks   int64         // completions applied to sm
-	open    []clock.Stamp // per worker: its open compute stretch's start, 0 = none
-	err     error
+	runState
+	open []clock.Stamp // per worker, guarded by mu: its open compute stretch's start, 0 = none
 }
 
 func newSerial(sm StateMachine, workers int) *serial {
-	return &serial{sm: sm, open: make([]clock.Stamp, workers)}
-}
-
-// enter acquires mu on behalf of a caller whose latest clock reading is
-// at, and returns the stamp management time is charged from. Uncontended,
-// that is at itself — no wait intervened, so the executive entry starts
-// where the caller's previous interval ended and the clock is not read.
-// Contended, the clock is read after the acquisition, which is what keeps
-// lock wait out of Mgmt.
-func enter(mu *sync.Mutex, at clock.Stamp) clock.Stamp {
-	if mu.TryLock() {
-		return at
-	}
-	mu.Lock()
-	return clock.Now()
-}
-
-func (m *serial) Start() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0 := clock.Now()
-	m.sm.Start()
-	m.mgmt += clock.Now().Sub(t0)
+	return &serial{runState: runState{sm: sm}, open: make([]clock.Stamp, workers)}
 }
 
 // Enter is the fused executive entry: completion processing for done,
@@ -67,7 +35,7 @@ func (m *serial) Start() {
 // as the job is retired.
 func (m *serial) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
 	at = at.OrNow()
-	t0 := enter(&m.mu, at)
+	t0 := m.enter(at)
 	defer m.mu.Unlock()
 	opened := m.open[w]
 	m.open[w] = 0
@@ -78,7 +46,9 @@ func (m *serial) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Tas
 			m.compute += at.Sub(opened)
 		}
 		// A panic in completion processing fails the run.
-		m.err = applyCompletion(m.sm, done)
+		if err := applyCompletion(m.sm, done); err != nil {
+			m.failLocked(err)
+		}
 	}
 	if !applied && (ask == AskNone || m.err != nil) {
 		// Nothing was done: charge nothing. A failed run's Mgmt must not
@@ -90,8 +60,7 @@ func (m *serial) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Tas
 	if ask == AskTry {
 		next, ok = m.nextLocked()
 	}
-	now := clock.Now()
-	m.mgmt += now.Sub(t0)
+	now := m.charge(t0)
 	if ok {
 		m.open[w] = now
 	}
@@ -121,37 +90,10 @@ func (m *serial) Flush(w int, at clock.Stamp) (clock.Stamp, bool) { return at, f
 func (m *serial) Join()                                           {}
 func (m *serial) SetNotify(func())                                {}
 
-// Outcome reports completion and the run error in one lock entry. A
-// failed run's state machine is not consulted (a completion-processing
-// panic may have left it inconsistent).
-func (m *serial) Outcome() (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err == nil && m.sm.Done(), m.err
-}
-
-// InFlight reports dispatched-but-incomplete tasks.
-func (m *serial) InFlight() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sm.InFlight()
-}
-
-// Abort terminates the run with err. A run whose state machine has
-// already completed refuses the abort (checked under the same lock that
-// serialized the completion, so there is no window): every Work
-// function ran and the results are valid — a late cancellation must not
-// poison them. Callers observe the refusal through Outcome's nil error.
+// Abort terminates the run with err; the run contract (runState) refuses
+// it once the state machine has completed.
 func (m *serial) Abort(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err == nil && !m.sm.Done() {
-		m.err = err
-	}
-}
-
-func (m *serial) Totals() (compute, mgmt time.Duration, tasks int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compute, m.mgmt, m.tasks
+	m.abortLocked(err)
 }

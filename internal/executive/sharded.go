@@ -1,7 +1,6 @@
 package executive
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,15 +44,13 @@ import (
 // swept the job dry, no task is held anywhere outside the state machine
 // and InFlight()==0 identifies a true stall.
 type sharded struct {
-	mu sync.Mutex // guards sm, err, mgmt, compute, tasks
+	runState
 
-	sm    StateMachine
 	met   *telemetry.Set // steal counters (nil = metrics off)
 	cap   int            // deque refill batch size
 	batch int            // completion batch size
 
 	shards []shard
-	failed atomic.Bool // fast-path abort flag, mirrors err != nil
 
 	// stealTick rotates the steal-sweep start position across calls so
 	// starving workers spread their first probes over different victims
@@ -62,15 +59,9 @@ type sharded struct {
 	// stealNS accumulates time spent inside steal sweeps (CAS loops and
 	// deque transfers outside the global lock). It is management work —
 	// the sharded analogue of executive dispatch — and is folded into
-	// Mgmt() so computation-to-management ratios do not undercount
+	// Totals' mgmt so computation-to-management ratios do not undercount
 	// sharded management.
 	stealNS atomic.Int64
-
-	// Guarded by mu.
-	mgmt    time.Duration
-	compute time.Duration // of the tasks counted in tasks
-	tasks   int64         // completions applied to sm
-	err     error
 }
 
 // shard is one worker's local state. dq is the lock-free task deque: the
@@ -102,11 +93,11 @@ func (sh *shard) closeStretch(at clock.Stamp) clock.Stamp {
 
 func newSharded(sm StateMachine, cfg Config) *sharded {
 	m := &sharded{
-		sm:     sm,
-		met:    cfg.Metrics,
-		cap:    cfg.DequeCap,
-		batch:  cfg.Batch,
-		shards: make([]shard, cfg.Workers),
+		runState: runState{sm: sm},
+		met:      cfg.Metrics,
+		cap:      cfg.DequeCap,
+		batch:    cfg.Batch,
+		shards:   make([]shard, cfg.Workers),
 	}
 	if m.cap <= 0 {
 		m.cap = 16
@@ -121,14 +112,6 @@ func newSharded(sm StateMachine, cfg Config) *sharded {
 		m.met.BatchSize.Set(int64(m.cap))
 	}
 	return m
-}
-
-func (m *sharded) Start() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t0 := clock.Now()
-	m.sm.Start()
-	m.mgmt += clock.Now().Sub(t0)
 }
 
 // Enter is the completion path then the dispatch path: the sharded manager
@@ -248,7 +231,7 @@ func (m *sharded) sweep(w int) (t core.Task, won bool) {
 // so a refill that hands out up to cap tasks reads the clock once, twice
 // when the lock was contended.
 func (m *sharded) refill(w int, at clock.Stamp) (_ core.Task, _ clock.Stamp, _, applied bool) {
-	t0 := enter(&m.mu, at)
+	t0 := m.enter(at)
 	defer m.mu.Unlock()
 	sh := &m.shards[w]
 	for {
@@ -269,14 +252,12 @@ func (m *sharded) refill(w int, at clock.Stamp) (_ core.Task, _ clock.Stamp, _, 
 		for i := len(ts) - 1; i >= 1; i-- {
 			sh.dq.pushBottom(ts[i])
 		}
-		now := clock.Now()
-		m.mgmt += now.Sub(t0)
-		t0 = now
+		t0 = m.charge(t0)
 		if len(ts) > 0 {
-			return ts[0], now, true, applied
+			return ts[0], t0, true, applied
 		}
 		if m.err != nil || m.sm.Done() || !m.sm.HasDeferred() {
-			return core.Task{}, now, false, applied
+			return core.Task{}, t0, false, applied
 		}
 		// The next pass's reading charges the deferred unit.
 		_, _ = m.sm.DeferredMgmt()
@@ -296,16 +277,14 @@ func (m *sharded) complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, boo
 }
 
 // flush applies worker w's completion batch under the global lock,
-// charging the visit from at (see enter in serial.go) to the reading it
+// charging the visit from at (see runState.enter) to the reading it
 // returns. The worker's compute stretch ends where the visit begins: at,
 // read here when the caller has not read the clock since the stretch began.
 func (m *sharded) flush(w int, at clock.Stamp) clock.Stamp {
-	t0 := enter(&m.mu, m.shards[w].closeStretch(at))
+	t0 := m.enter(m.shards[w].closeStretch(at))
 	defer m.mu.Unlock()
 	m.flushLocked(w)
-	now := clock.Now()
-	m.mgmt += now.Sub(t0)
-	return now
+	return m.charge(t0)
 }
 
 // flushLocked applies worker w's accumulated completions to the state
@@ -333,15 +312,6 @@ func (m *sharded) flushLocked(w int) bool {
 	return applied
 }
 
-// failLocked records err (first wins) and raises the fast-path abort flag.
-// Caller holds m.mu.
-func (m *sharded) failLocked(err error) {
-	if m.err == nil {
-		m.err = err
-	}
-	m.failed.Store(true)
-}
-
 // Flush submits worker w's accumulated completion batch to the state
 // machine. The pool calls it when a worker switches jobs, so a job's last
 // completions cannot linger in the batch of a worker now busy elsewhere.
@@ -357,38 +327,17 @@ func (m *sharded) Flush(w int, at clock.Stamp) (clock.Stamp, bool) {
 func (m *sharded) Join()            {}
 func (m *sharded) SetNotify(func()) {}
 
-// Outcome reports completion and the run error in one lock entry. A
-// failed run's state machine is not consulted (a completion-processing
-// panic may have left it inconsistent).
-func (m *sharded) Outcome() (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err == nil && m.sm.Done(), m.err
-}
-
-// InFlight reports dispatched-but-incomplete tasks, including tasks
-// parked in worker-local deques and completions awaiting a batch flush.
-func (m *sharded) InFlight() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.sm.InFlight()
-}
-
-// Abort terminates the run with err — unless the state machine has
-// already completed (checked under the global lock, no window): a late
-// cancellation must not poison a fully-executed run's results. Callers
-// observe the refusal through Outcome's nil error.
+// Abort terminates the run with err; the run contract (runState) refuses
+// it once the state machine has completed.
 func (m *sharded) Abort(err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.err == nil && m.sm.Done() {
-		return
-	}
-	m.failLocked(err)
+	m.abortLocked(err)
 }
 
+// Totals adds the steal sweeps' management time, spent outside the lock,
+// to the run contract's totals.
 func (m *sharded) Totals() (compute, mgmt time.Duration, tasks int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compute, m.mgmt + time.Duration(m.stealNS.Load()), m.tasks
+	compute, mgmt, tasks = m.runState.Totals()
+	return compute, mgmt + time.Duration(m.stealNS.Load()), tasks
 }

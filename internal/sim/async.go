@@ -73,23 +73,7 @@ type asyncSlot struct {
 }
 
 func newAsync(s *mstate, cfg Config, _ int64) model {
-	rc := cfg.ReadyCap
-	if rc <= 0 {
-		rc = 2 * s.workers / len(s.jobs)
-		if rc < 8 {
-			rc = 8
-		}
-	}
-	lw := cfg.LowWater
-	if lw <= 0 {
-		lw = rc / 4
-		if lw < 1 {
-			lw = 1
-		}
-	}
-	if lw >= rc {
-		lw = rc - 1
-	}
+	rc, lw := core.ReadyBounds(cfg.ReadyCap, cfg.LowWater, 2*s.workers/len(s.jobs))
 	m := &async{s: s, jobs: make([]asyncJob, len(s.jobs)), readyCap: rc, lowWater: lw}
 	bufs, slots := make([]core.Task, len(m.jobs)*rc), make([]asyncSlot, len(m.jobs)*2*rc)
 	for ji := range m.jobs {

@@ -7,6 +7,7 @@ package sim
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 
 	"repro/internal/core"
 )
@@ -31,6 +32,9 @@ func (m *MgmtModel) UnmarshalJSON(b []byte) error {
 	var n uint8
 	if err := json.Unmarshal(b, &n); err != nil {
 		return err
+	}
+	if int(n) >= len(kinds) {
+		return fmt.Errorf("sim: unknown management model %d", n)
 	}
 	*m = MgmtModel(n)
 	return nil

@@ -987,11 +987,7 @@ func (s *mstate) snapshot(at int64) Snapshot {
 		}
 	}
 	sn.Batch, _ = s.m.batch()
-	if at > 0 {
-		capacity := float64(s.procs) * float64(at)
-		sn.Utilization = float64(sn.ComputeUnits) / capacity
-		sn.OverheadShare = float64(s.mgmtUnits) / capacity
-	}
+	sn.Utilization, sn.OverheadShare = telemetry.Shares(sn.ComputeUnits, s.mgmtUnits, s.procs, at)
 	return sn
 }
 
@@ -1029,9 +1025,7 @@ func (s *mstate) result() *MultiResult {
 			Phases:        j.phases,
 		})
 	}
-	if makespan > 0 {
-		res.Utilization = float64(s.computeUnits) / (float64(s.procs) * float64(makespan))
-	}
+	res.Utilization, _ = telemetry.Shares(s.computeUnits, 0, s.procs, makespan)
 	return res
 }
 

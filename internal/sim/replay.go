@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -171,9 +172,7 @@ func Replay(prog *core.Program, opt core.Options, tr *trace.Trace) (*ReplayResul
 			res.Makespan = r.procEnd[p]
 		}
 	}
-	if res.Makespan > 0 {
-		res.Utilization = float64(busyTotal) / (float64(procs) * float64(res.Makespan))
-	}
+	res.Utilization, _ = telemetry.Shares(busyTotal, 0, procs, res.Makespan)
 	return res, nil
 }
 

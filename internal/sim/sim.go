@@ -212,9 +212,7 @@ func RunJobContext(ctx context.Context, spec JobSpec, cfg Config) (*Result, *Mul
 		BatchChanges: multi.BatchChanges,
 		Phases:       job.Phases,
 	}
-	if res.Makespan > 0 {
-		res.WorkerUtilization = float64(res.ComputeUnits) / (float64(res.Workers) * float64(res.Makespan))
-	}
+	res.WorkerUtilization, _ = telemetry.Shares(res.ComputeUnits, 0, res.Workers, res.Makespan)
 	if res.MgmtUnits > 0 {
 		res.MgmtRatio = float64(res.ComputeUnits) / float64(res.MgmtUnits)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,38 +110,78 @@ func TestPoolAbortSparesFinishedJobs(t *testing.T) {
 
 // TestPoolAbortSparesCompletedUnretiredJobs: a job whose state machine
 // has completed but which no worker sweep has retired yet must keep its
-// results through an Abort — once the manager's Outcome reports done,
-// Abort may never poison the job with the abort error.
+// results through an Abort — once the manager's state machine is done,
+// Abort may never poison the job with the abort error. The job's manager
+// is wrapped to hold that window open (holdingManager), so the abort lands
+// in it on every run, under every manager.
 func TestPoolAbortSparesCompletedUnretiredJobs(t *testing.T) {
-	pool, err := NewPool(Config{Workers: 2, Manager: executive.ShardedManager})
-	if err != nil {
-		t.Fatal(err)
+	for _, kind := range executive.ManagerKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			const workers = 2
+			pool, err := NewPool(Config{Workers: workers, Manager: kind})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var inner executive.Manager
+			j := injectJob(t, pool, "fast", buildSleepChain(t, 2, 64, 0), func(sched *core.Scheduler) executive.Manager {
+				if inner, err = executive.NewManager(sched, executive.Config{Workers: workers, Manager: kind}); err != nil {
+					t.Fatal(err)
+				}
+				inner.SetNotify(pool.progress) // as newAttempt does; injectJob does not
+				h := &holdingManager{Manager: inner}
+				h.held.Store(true)
+				return h
+			})
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if done, _ := inner.Outcome(); done {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("job never completed")
+				}
+				runtime.Gosched()
+			}
+			if s := j.State(); s != Running {
+				t.Fatalf("job is %v before the abort, want it running: the window was not held", s)
+			}
+			pool.Abort(errors.New("boom"))
+			if _, err := j.Wait(); err != nil {
+				t.Fatalf("completed job poisoned by abort: %v", err)
+			}
+			if _, err := pool.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		})
 	}
-	j, err := pool.Submit(buildSleepChain(t, 1, 4, 0),
-		core.Options{Grain: 1, Costs: core.DefaultCosts()}, JobConfig{Name: "fast"})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// holdingManager holds a job un-retired after its state machine completes:
+// until the first Abort it reports the run unfinished with a task still in
+// flight — the window between a job's last completion and the worker sweep
+// that retires it, held open, with the pool's stall probe kept out of it.
+type holdingManager struct {
+	executive.Manager
+	held atomic.Bool
+}
+
+func (h *holdingManager) Outcome() (bool, error) {
+	if h.held.Load() {
+		return false, nil
 	}
-	// Spin until the state machine reports done — the job may or may not
-	// have been retired by a worker sweep at this point; Abort must treat
-	// both states as "finished".
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if done, _ := j.cur.Load().mgr.Outcome(); done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never completed")
-		}
-		runtime.Gosched()
+	return h.Manager.Outcome()
+}
+
+func (h *holdingManager) InFlight() int {
+	if h.held.Load() {
+		return 1
 	}
-	pool.Abort(errors.New("boom"))
-	if _, err := j.Wait(); err != nil {
-		t.Fatalf("completed job poisoned by abort: %v", err)
-	}
-	if _, err := pool.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	return h.Manager.InFlight()
+}
+
+func (h *holdingManager) Abort(err error) {
+	h.Manager.Abort(err)
+	h.held.Store(false)
 }
 
 // TestPoolObserver checks the pool sampler: snapshots arrive while jobs

@@ -42,6 +42,9 @@ func (b *BackendKind) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &n); err != nil {
 		return err
 	}
+	if n > uint8(VirtualBackend) {
+		return fmt.Errorf("rundown: unknown backend %d", n)
+	}
 	*b = BackendKind(n)
 	return nil
 }

@@ -8,6 +8,7 @@ package rundown
 import (
 	"encoding/json"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +234,24 @@ func TestSnapshotJSONShape(t *testing.T) {
 		`"elapsed_ns":1000000000`, `"tasks":10`, `"utilization":0.5`} {
 		if !strings.Contains(string(b), want) {
 			t.Errorf("Snapshot JSON missing pinned fragment %s: %s", want, b)
+		}
+	}
+}
+
+// TestBackendKindJSONRejectsUnknownValue: the lenient numeric form accepts
+// only the enumeration's values. An out-of-range number would decode to a
+// kind whose encoding ("BackendKind(9)") the same decoder refuses.
+func TestBackendKindJSONRejectsUnknownValue(t *testing.T) {
+	for n, want := range []BackendKind{ExecBackend, PoolBackend, VirtualBackend} {
+		var bk BackendKind
+		if err := json.Unmarshal([]byte(strconv.Itoa(n)), &bk); err != nil || bk != want {
+			t.Errorf("numeric backend %d gave (%v, %v), want %v", n, bk, err, want)
+		}
+	}
+	for _, in := range []string{`3`, `9`, `255`} {
+		bk := VirtualBackend
+		if err := json.Unmarshal([]byte(in), &bk); err == nil || bk != VirtualBackend {
+			t.Errorf("numeric backend %s gave (%v, %v), want an error and no change", in, bk, err)
 		}
 	}
 }

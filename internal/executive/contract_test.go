@@ -17,7 +17,9 @@ import (
 //   - the first error wins: a second Abort on a live run does not replace
 //     the first one's error;
 //   - nothing moves after the failure point: an Enter reporting a finished
-//     task after the abort moves no total.
+//     task after the abort moves no total, and neither does a Flush of a
+//     completion held back before it (the sharded manager's batch drops
+//     it, and the dropped batch's lock visit is charged to no one).
 func TestManagerContract(t *testing.T) {
 	const workers = 4
 	newRun := func(t *testing.T, kind ManagerKind) (Manager, *core.Program) {
@@ -86,6 +88,26 @@ func TestManagerContract(t *testing.T) {
 					if after := read(mgr); after != before {
 						t.Errorf("ask %d: Enter after the abort moved the totals: %+v, then %+v", ask, before, after)
 					}
+				}
+			})
+			t.Run("flush-after-failure", func(t *testing.T) {
+				mgr, _ := newRun(t, kind)
+				mgr.Start()
+				task, _, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
+				if !ok {
+					t.Fatal("no first task")
+				}
+				mgr.Enter(0, task, clock.Now(), AskNone)
+				// The worker's latest reading, a millisecond before the
+				// Flush: a charged lock visit would show in Mgmt.
+				at := clock.Now()
+				time.Sleep(time.Millisecond)
+				mgr.Abort(e1)
+				before := read(mgr)
+				mgr.Flush(0, at)
+				mgr.Join()
+				if after := read(mgr); after != before {
+					t.Errorf("Flush after the abort moved the totals: %+v, then %+v", before, after)
 				}
 			})
 		})

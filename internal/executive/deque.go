@@ -27,8 +27,8 @@ import (
 //
 // Memory model (the three atomics and their happens-before edges):
 //
-//   - bottom: written only by the owner. pushBottom publishes the slot
-//     write before the bottom increment (both seq-cst), so a thief that
+//   - bottom: written only by the owner. A push publishes its slot
+//     writes before the bottom store (all seq-cst), so a thief that
 //     observes the new bottom also observes the slot contents.
 //   - top: CAS'd by thieves (steal) and by the owner (last element). The
 //     owner's popBottom stores the decremented bottom *before* loading
@@ -41,15 +41,31 @@ import (
 //     pointer after a push that grew sees the copied slots; a thief
 //     holding the old pointer sees the frozen old slots.
 //
-// Slot contents are four independent atomic words (a core.Task is ID,
-// Phase, Run.Lo, Run.Hi). A thief's read of a slot can therefore tear —
-// but only if the owner concurrently reuses the slot for a new push, which
-// requires bottom - top >= ring size at push time, which requires top to
-// have already advanced past the thief's index: the thief's CAS on the old
-// top value then necessarily fails and the torn read is discarded. A
-// successful CAS proves the four words were stable for the whole read.
-// Atomic word access keeps the race detector precise about all of this:
-// every flagged interleaving would be a real protocol violation.
+// Slot contents are two independent atomic words: head = ID<<32 |
+// uint32(Phase) and run = Lo<<32 | uint32(Hi). core bounds every Task
+// field to 31 bits (an ID is an arena index below 2^31, a phase an int32,
+// a granule at most maxGranules = 2^31-1), so the packing is exact. A
+// thief's read of a slot can therefore tear — but only if the owner
+// concurrently reuses the slot for a new push, which requires a push index
+// a full ring past the thief's, which the owner writes only once top has
+// advanced past the thief's index: the thief's CAS on the old top value
+// then necessarily fails and the torn read is discarded. A successful CAS
+// proves both words were stable for the whole read. Atomic word access
+// keeps the race detector precise about all of this: every flagged
+// interleaving would be a real protocol violation.
+//
+// A slot stays 32 bytes wide — two slots to a cache line — though it
+// needs 16: the async manager's ready buffer is eight slots that its owner
+// pushes while every worker steals, and a 16-byte stride packs them into
+// two cache lines the pushing and the stealing ends then share.
+// EXPERIMENTS.md (*two-word deque slots*) has the measurements.
+//
+// pushBottomN writes a whole batch of slots and publishes them with one
+// store of bottom, so a thief sees none of the batch or all of it; the
+// sharded manager hands a refill and a steal's loot over that way. The
+// async manager keeps publishing one task at a time (pushBottom): a worker
+// that finds the ready buffer empty for the length of a batched refill
+// takes the park path instead of waiting for the next task.
 type deque struct {
 	top    atomic.Int64
 	bottom atomic.Int64
@@ -62,9 +78,11 @@ type dequeRing struct {
 	slots []dequeSlot
 }
 
-// dequeSlot holds one core.Task as four atomic words.
+// dequeSlot holds one core.Task as two atomic words (see the header for
+// the packing), padded to 32 bytes.
 type dequeSlot struct {
-	id, phase, lo, hi atomic.Int64
+	head, run atomic.Int64
+	_         [16]byte
 }
 
 // Compile-time guard that the slot encoding covers every core.Task field:
@@ -86,19 +104,18 @@ func (r *dequeRing) size() int64 { return r.mask + 1 }
 
 func (r *dequeRing) load(i int64) core.Task {
 	s := &r.slots[i&r.mask]
+	head, run := s.head.Load(), s.run.Load()
 	return core.Task{
-		ID:    int(s.id.Load()),
-		Phase: granule.PhaseID(s.phase.Load()),
-		Run:   granule.Range{Lo: granule.ID(s.lo.Load()), Hi: granule.ID(s.hi.Load())},
+		ID:    int(head >> 32),
+		Phase: granule.PhaseID(int32(head)),
+		Run:   granule.Range{Lo: granule.ID(run >> 32), Hi: granule.ID(uint32(run))},
 	}
 }
 
 func (r *dequeRing) store(i int64, t core.Task) {
 	s := &r.slots[i&r.mask]
-	s.id.Store(int64(t.ID))
-	s.phase.Store(int64(t.Phase))
-	s.lo.Store(int64(t.Run.Lo))
-	s.hi.Store(int64(t.Run.Hi))
+	s.head.Store(int64(t.ID)<<32 | int64(uint32(t.Phase)))
+	s.run.Store(int64(t.Run.Lo)<<32 | int64(uint32(t.Run.Hi)))
 }
 
 // newDeque sizes the initial ring for capHint tasks (rounded up to a power
@@ -124,13 +141,31 @@ func (d *deque) size() int64 {
 // pushBottom appends t at the bottom. Owner only.
 func (d *deque) pushBottom(t core.Task) {
 	b := d.bottom.Load()
-	top := d.top.Load()
 	r := d.ring.Load()
-	if b-top >= r.size() {
-		r = d.grow(r, top, b)
+	if top := d.top.Load(); b-top >= r.size() {
+		r = d.grow(r, top, b, 1)
 	}
 	r.store(b, t)
 	d.bottom.Store(b + 1)
+}
+
+// pushBottomN appends ts at the bottom in order — ts[len-1] ends up at the
+// bottom — growing the ring at most once and publishing the whole batch
+// with one store of bottom. Owner only.
+func (d *deque) pushBottomN(ts []core.Task) {
+	n := int64(len(ts))
+	if n == 0 {
+		return
+	}
+	b := d.bottom.Load()
+	r := d.ring.Load()
+	if top := d.top.Load(); b-top+n > r.size() {
+		r = d.grow(r, top, b, n)
+	}
+	for i, t := range ts {
+		r.store(b+int64(i), t)
+	}
+	d.bottom.Store(b + n)
 }
 
 // popBottom removes the most recently pushed task. Owner only.
@@ -177,10 +212,15 @@ func (d *deque) steal() (core.Task, bool) {
 	}
 }
 
-// grow doubles the ring, copying the live window [top, bottom). Owner
-// only; called from pushBottom with the pre-push top and bottom.
-func (d *deque) grow(old *dequeRing, top, bottom int64) *dequeRing {
-	r := newDequeRing(old.size() * 2)
+// grow replaces the ring with one at least twice its size and large enough
+// for n more tasks, copying the live window [top, bottom). Owner only;
+// called from a push with the pre-push top and bottom.
+func (d *deque) grow(old *dequeRing, top, bottom, n int64) *dequeRing {
+	size := old.size() * 2
+	for size < bottom-top+n {
+		size <<= 1
+	}
+	r := newDequeRing(size)
 	for i := top; i < bottom; i++ {
 		r.store(i, old.load(i))
 	}

@@ -1,14 +1,47 @@
 package executive
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/granule"
 )
+
+// TestDequeSlotRoundTrip: a slot packs a core.Task into two words, which
+// is exact only while every field fits in 31 bits. core guarantees that
+// (an ID is an arena index below 2^31, a phase an int32, a granule at most
+// 2^31-1); a task at those bounds must come back from the ring unchanged,
+// field by field.
+func TestDequeSlotRoundTrip(t *testing.T) {
+	const maxGranules = 1<<31 - 1
+	r := newDequeRing(8)
+	for _, want := range []core.Task{
+		{ID: 1<<31 - 1, Phase: math.MaxInt32, Run: granule.Range{Lo: maxGranules, Hi: maxGranules}},
+		{ID: 1<<31 - 1, Phase: math.MaxInt32, Run: granule.Range{Lo: 0, Hi: maxGranules}},
+		{ID: 1, Phase: 0, Run: granule.Range{Lo: maxGranules - 1, Hi: maxGranules}},
+		{ID: 5, Phase: 3, Run: granule.Range{Lo: 1 << 16, Hi: 1<<16 + 1}},
+	} {
+		r.store(3, want)
+		if got := r.load(3); got != want {
+			t.Errorf("store/load = %+v, want %+v", got, want)
+		}
+	}
+}
+
+// TestDequeSlotStride: a slot is 32 bytes, two to a cache line, though two
+// words would fit in 16 — the async ready buffer's pushing and stealing
+// ends share fewer lines that way (EXPERIMENTS.md, two-word deque slots).
+func TestDequeSlotStride(t *testing.T) {
+	if n := unsafe.Sizeof(dequeSlot{}); n != 32 {
+		t.Fatalf("dequeSlot is %d bytes, want 32", n)
+	}
+}
 
 // TestDequeOwnerOrder: with no thieves, the deque is a plain LIFO stack
 // for its owner, and size tracks it.
@@ -53,6 +86,104 @@ func TestDequeGrow(t *testing.T) {
 		got, ok := d.popBottom()
 		if !ok || got.ID != i {
 			t.Fatalf("popBottom = %v,%v, want task %d", got, ok, i)
+		}
+	}
+}
+
+// TestDequePushNGrow: one pushBottomN larger than the ring must grow it
+// once to fit and keep the order — the batch in push order, after what was
+// already there — for both the owner and a thief.
+func TestDequePushNGrow(t *testing.T) {
+	d := newDeque(8)
+	for i := 0; i < 3; i++ {
+		d.pushBottom(mkTask(i))
+	}
+	var batch []core.Task
+	for i := 3; i < 40; i++ {
+		batch = append(batch, mkTask(i))
+	}
+	d.pushBottomN(batch)
+	d.pushBottomN(nil)
+	if n := d.size(); n != 40 {
+		t.Fatalf("size = %d, want 40", n)
+	}
+	if n := d.ring.Load().size(); n != 64 {
+		t.Fatalf("ring holds %d slots after a 40-task push into 8, want 64", n)
+	}
+	if got, ok := d.steal(); !ok || got.ID != 0 {
+		t.Fatalf("steal = %v,%v, want task 0", got, ok)
+	}
+	for i := 39; i >= 1; i-- {
+		got, ok := d.popBottom()
+		if !ok || got != mkTask(i) {
+			t.Fatalf("popBottom = %v,%v, want task %d", got, ok, i)
+		}
+	}
+	if _, ok := d.popBottom(); ok {
+		t.Fatal("drained deque still pops")
+	}
+}
+
+// TestDequePushNRacesThieves is the -race workout for batched
+// publication: the owner pushes batches of varying size — some past the
+// ring, so it grows under the thieves — and pops some back, while
+// GOMAXPROCS thieves steal throughout. Every task pushed must be popped or
+// stolen exactly once.
+func TestDequePushNRacesThieves(t *testing.T) {
+	thieves := runtime.GOMAXPROCS(0)
+	if thieves < 2 {
+		thieves = 2
+	}
+	const n = 20000
+	d := newDeque(8)
+	taken := make([]atomic.Int32, n)
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for th := 0; th < thieves; th++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if task, ok := d.steal(); ok {
+					taken[task.ID].Add(1)
+					continue
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	batch := make([]core.Task, 0, 32)
+	for next, size := 0, 1; next < n; size = size%29 + 1 {
+		batch = batch[:0]
+		for ; len(batch) < size && next < n; next++ {
+			batch = append(batch, mkTask(next))
+		}
+		d.pushBottomN(batch)
+		for i := 0; i < size/3; i++ {
+			if task, ok := d.popBottom(); ok {
+				taken[task.ID].Add(1)
+			}
+		}
+	}
+	for {
+		task, ok := d.popBottom()
+		if !ok {
+			break
+		}
+		taken[task.ID].Add(1)
+	}
+	close(stop)
+	wg.Wait()
+
+	for id := range taken {
+		if c := taken[id].Load(); c != 1 {
+			t.Fatalf("task %d taken %d times, want exactly once", id, c)
 		}
 	}
 }

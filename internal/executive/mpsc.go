@@ -32,9 +32,11 @@ import (
 //   - The consumer reads head; if the slot's seq equals head+1 the slot
 //     holds data for this lap. It reads the task, then releases the slot
 //     for the next lap by storing seq = head + ring size, and advances
-//     head. head is written only under the manager's state-machine mutex
-//     (single consumer), but stored atomically so producers can read
-//     size() without synchronization.
+//     head. head is read and written only under the manager's
+//     state-machine mutex (single consumer); producers never read it —
+//     the slot's seq tells them whether the consumer has released it.
+//     head stays an atomic word anyway: a plain int64 in its place
+//     measured no faster (EXPERIMENTS.md, *two-word deque slots*).
 //   - A producer that finds seq < tail is a full ring (the consumer has
 //     not yet released the slot from the previous lap): push reports
 //     false and the caller falls back to draining inline. seq > tail
@@ -42,7 +44,7 @@ import (
 //     retry.
 //
 // A claimed-but-unpublished slot (producer between the CAS and the seq
-// store) makes pop report empty even though size() > 0. That transient
+// store) makes pop report empty even though tail has moved past it. That transient
 // under-read is safe everywhere it is observed: the producer rings the
 // manager's doorbell after publishing, so the item is never silently
 // stranded, and the stall detector keys on the state machine's InFlight
@@ -51,7 +53,7 @@ type mpsc struct {
 	mask  int64
 	slots []mpscSlot
 	tail  atomic.Int64 // next slot to claim (producers, CAS)
-	head  atomic.Int64 // next slot to pop (consumer only; atomic for size readers)
+	head  atomic.Int64 // next slot to pop (consumer only; see the header for why atomic)
 }
 
 // mpscSlot is one ring slot: the lap/state sequence word plus the task and

@@ -1,6 +1,7 @@
 package executive
 
 import (
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -18,16 +19,16 @@ import (
 //     once, submits its accumulated completions (CompleteBatch), and pulls
 //     up to cap tasks (NextTasks). The first refilled task is returned
 //     directly; the rest are pushed into the worker's own deque in reverse
-//     priority order, so the owner's popBottom consumes them in the state
-//     machine's priority order while thieves steal the lowest-priority
-//     end.
+//     priority order and published with one store, so the owner's
+//     popBottom consumes them in the state machine's priority order while
+//     thieves steal the lowest-priority end.
 //   - Batched completion: completions accumulate per worker and are
 //     applied to the state machine in one lock acquisition when the batch
 //     fills or at the next refill, whichever comes first.
 //   - Work stealing: a worker whose deque drains during rundown sweeps the
 //     other shards and CAS-steals up to half of the first non-empty deque
-//     it finds into its own — no lock, no allocation — before falling back
-//     to the global refill path.
+//     it finds into its own — no lock, no allocation, the loot published
+//     with one store — before falling back to the global refill path.
 //
 // Compute stretches: a worker whose Enter is the lock-free fast path — a
 // batch append and a deque pop — does no management, so its compute
@@ -67,10 +68,11 @@ type sharded struct {
 // shard is one worker's local state. dq is the lock-free task deque: the
 // owner pushes refills and pops the bottom; thieves CAS the top. done is
 // the owner-only completion batch and refillBuf the owner-only scratch the
-// refill path hands to NextTasks, so steady-state refills and steals
-// allocate nothing. open is the start of the owner's open compute stretch
-// (0 = none) and compute the closed stretches' time not yet folded into the
-// manager's total — the time of the tasks in done.
+// refill path hands to NextTasks and a steal sweep gathers its loot in, so
+// steady-state refills and steals allocate nothing. open is the start of
+// the owner's open compute stretch (0 = none) and compute the closed
+// stretches' time not yet folded into the manager's total — the time of
+// the tasks in done.
 type shard struct {
 	dq        *deque
 	done      []core.Task
@@ -154,15 +156,15 @@ func (m *sharded) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Ta
 }
 
 // steal sweeps the other shards and CAS-steals up to half of the first
-// non-empty deque it finds, transferring the loot into this worker's own
-// deque and popping one task to run. The owner pops the bottom (the state
-// machine's priority order), so thieves taking the top trade a small
-// priority inversion for a single CAS per task and zero allocation. The
-// sweep start rotates per call (stealTick): a fixed w+1 start would make
-// every starving worker hammer the same neighbor first under contention.
-// Sweep time — from the caller's latest reading at to the one reading
-// taken when the sweep ends — is charged to stealNS: it is management
-// work done outside the global lock.
+// non-empty deque it finds, keeping the last task stolen to run and
+// transferring the rest into this worker's own deque. The owner pops the
+// bottom (the state machine's priority order), so thieves taking the top
+// trade a small priority inversion for a single CAS per task and zero
+// allocation. The sweep start rotates per call (stealTick): a fixed w+1
+// start would make every starving worker hammer the same neighbor first
+// under contention. Sweep time — from the caller's latest reading at to
+// the one reading taken when the sweep ends — is charged to stealNS: it is
+// management work done outside the global lock.
 func (m *sharded) steal(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
 	if len(m.shards) < 2 {
 		return core.Task{}, at, false
@@ -181,11 +183,14 @@ func (m *sharded) steal(w int, at clock.Stamp) (core.Task, clock.Stamp, bool) {
 	return t, now, won
 }
 
-// sweep is one pass over the other shards. It returns the task to run;
-// won is false when every deque was empty or the loot was re-stolen.
+// sweep is one pass over the other shards. The loot is gathered in the
+// owner's refillBuf in steal order and all but its last task pushed with
+// one call, so the last task stolen — the highest-priority one — is the
+// one run, and the rest run last-stolen-first. won is false when the
+// sweep stole nothing.
 func (m *sharded) sweep(w int) (t core.Task, won bool) {
 	n := len(m.shards)
-	own := m.shards[w].dq
+	sh := &m.shards[w]
 	start := int(m.stealTick.Add(1) % uint64(n))
 	for i := 0; i < n; i++ {
 		idx := (start + i) % n
@@ -197,24 +202,19 @@ func (m *sharded) sweep(w int) (t core.Task, won bool) {
 		if k <= 0 {
 			continue
 		}
-		take := (k + 1) / 2
-		got := int64(0)
-		for got < take {
+		loot := sh.refillBuf[:0]
+		for take := (k + 1) / 2; int64(len(loot)) < take; {
 			t, ok := v.steal()
 			if !ok {
 				break
 			}
-			own.pushBottom(t)
-			got++
+			loot = append(loot, t)
 		}
-		if got == 0 {
-			continue
+		sh.refillBuf = loot[:0]
+		if last := len(loot) - 1; last >= 0 {
+			sh.dq.pushBottomN(loot[:last])
+			return loot[last], true
 		}
-		// The last transfer is the highest-priority task stolen; run it.
-		if t, ok := own.popBottom(); ok {
-			return t, true
-		}
-		// Everything we moved was re-stolen already; keep sweeping.
 	}
 	return core.Task{}, false
 }
@@ -249,8 +249,9 @@ func (m *sharded) refill(w int, at clock.Stamp) (_ core.Task, _ clock.Stamp, _, 
 		// Reverse push: the owner's popBottom then yields ts[1], ts[2], ...
 		// in the state machine's priority order, and thieves steal from
 		// ts[len-1], the lowest-priority end.
-		for i := len(ts) - 1; i >= 1; i-- {
-			sh.dq.pushBottom(ts[i])
+		if len(ts) > 1 {
+			slices.Reverse(ts[1:])
+			sh.dq.pushBottomN(ts[1:])
 		}
 		t0 = m.charge(t0)
 		if len(ts) > 0 {
@@ -280,10 +281,14 @@ func (m *sharded) complete(w int, t core.Task, at clock.Stamp) (clock.Stamp, boo
 // charging the visit from at (see runState.enter) to the reading it
 // returns. The worker's compute stretch ends where the visit begins: at,
 // read here when the caller has not read the clock since the stretch began.
+// A batch dropped because the run has failed charges nothing: a failed
+// run's Mgmt must not move under a report already built from it.
 func (m *sharded) flush(w int, at clock.Stamp) clock.Stamp {
 	t0 := m.enter(m.shards[w].closeStretch(at))
 	defer m.mu.Unlock()
-	m.flushLocked(w)
+	if !m.flushLocked(w) {
+		return t0
+	}
 	return m.charge(t0)
 }
 

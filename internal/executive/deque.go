@@ -65,7 +65,8 @@ import (
 // sharded manager hands a refill and a steal's loot over that way. The
 // async manager keeps publishing one task at a time (pushBottom): a worker
 // that finds the ready buffer empty for the length of a batched refill
-// takes the park path instead of waiting for the next task.
+// takes the park path instead of waiting for the next task. pushBottom is
+// pushBottomN of one task, so the two share one grow path.
 type deque struct {
 	top    atomic.Int64
 	bottom atomic.Int64
@@ -138,16 +139,9 @@ func (d *deque) size() int64 {
 	return d.bottom.Load() - d.top.Load()
 }
 
-// pushBottom appends t at the bottom. Owner only.
-func (d *deque) pushBottom(t core.Task) {
-	b := d.bottom.Load()
-	r := d.ring.Load()
-	if top := d.top.Load(); b-top >= r.size() {
-		r = d.grow(r, top, b, 1)
-	}
-	r.store(b, t)
-	d.bottom.Store(b + 1)
-}
+// pushBottom appends t at the bottom, published with its own store of
+// bottom. Owner only.
+func (d *deque) pushBottom(t core.Task) { d.pushBottomN([]core.Task{t}) }
 
 // pushBottomN appends ts at the bottom in order — ts[len-1] ends up at the
 // bottom — growing the ring at most once and publishing the whole batch

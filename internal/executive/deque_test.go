@@ -516,6 +516,35 @@ func TestShardStealZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestShardFirstStealZeroAlloc: a worker's first steal — before it has
+// ever refilled — gathers its loot without allocating, because refillBuf
+// starts with room for a full refill. AllocsPerRun's warm-up call would
+// absorb a first-use allocation on one manager, so every call steals on a
+// manager of its own, built and loaded with a full refill beforehand.
+func TestShardFirstStealZeroAlloc(t *testing.T) {
+	const cap, runs = 32, 100
+	var load []core.Task
+	for i := 0; i < cap-1; i++ {
+		load = append(load, mkTask(i+1))
+	}
+	ms := make([]*sharded, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range ms {
+		ms[i] = shardedForTest(2, cap, 8)
+		ms[i].load(1, load)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		m := ms[next]
+		next++
+		if _, ok := m.sweep(0); !ok {
+			t.Fatal("first steal found nothing with a loaded victim")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("first steal on a fresh manager allocated %.1f times per run, want 0", allocs)
+	}
+}
+
 // drainNoAlloc empties shard i's deque without building a slice.
 func (m *sharded) drainNoAlloc(i int) {
 	for {

@@ -109,6 +109,9 @@ func newSharded(sm StateMachine, cfg Config) *sharded {
 	}
 	for i := range m.shards {
 		m.shards[i].dq = newDeque(m.cap)
+		// cap covers a refill and a sweep's loot, half of a victim that
+		// holds at most cap-1 tasks: neither ever grows the scratch.
+		m.shards[i].refillBuf = make([]core.Task, 0, m.cap)
 	}
 	if m.met != nil {
 		m.met.BatchSize.Set(int64(m.cap))

@@ -308,21 +308,22 @@ const (
 	AsyncManager = executive.AsyncManager
 )
 
-// ParseExecManager parses a manager name ("serial", "sharded" or
-// "async"), case-insensitively; the error enumerates the valid names.
+// ParseExecManager parses a manager name (one of ExecManagerNames),
+// ignoring case and surrounding space; the error enumerates the valid
+// names.
 func ParseExecManager(s string) (ExecManager, error) { return executive.ParseManager(s) }
 
 // ExecManagerNames lists the accepted ParseExecManager names.
 func ExecManagerNames() []string { return executive.ManagerNames() }
 
-// ParseMappingKind resolves an enablement-mapping name ("null",
-// "universal", "identity", "forward-indirect", "reverse-indirect",
-// "seam", plus the short and upper-case spellings PAX sources use).
+// ParseMappingKind resolves an enablement-mapping name (a MappingKind's
+// String form, or a short spelling PAX sources use), ignoring case and
+// surrounding space.
 func ParseMappingKind(s string) (MappingKind, error) { return enable.ParseKind(s) }
 
-// ParseMgmtModel parses a simulation management-model name
-// ("steals-worker", "dedicated", "sharded", "adaptive" or "async"),
-// case-insensitively; the error enumerates the valid names.
+// ParseMgmtModel parses a simulation management-model name (one of
+// MgmtModelNames), ignoring case and surrounding space; the error
+// enumerates the valid names.
 func ParseMgmtModel(s string) (MgmtModel, error) { return sim.ParseModel(s) }
 
 // MgmtModelNames lists the accepted ParseMgmtModel names.
@@ -415,7 +416,8 @@ func ParseFaultFlag(s string) (seed uint64, rules int, err error) {
 }
 
 // ParseFaultKind resolves a fault kind's string name ("grain-panic",
-// "worker-wedge", …) — the same names FaultKind marshals to in JSON.
+// "worker-wedge", …), ignoring case and surrounding space — the same
+// names FaultKind marshals to in JSON.
 func ParseFaultKind(s string) (FaultKind, error) { return fault.ParseKind(s) }
 
 // Tenancy sentinels. Test with errors.Is; Submit wraps both with the

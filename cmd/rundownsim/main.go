@@ -48,7 +48,7 @@ import (
 
 func main() {
 	var (
-		mapping    = flag.String("mapping", "identity", "mapping kind: null|universal|identity|forward|reverse|seam")
+		mapping    = flag.String("mapping", "identity", "mapping kind: "+mappingNames())
 		phases     = flag.Int("phases", 3, "number of phases in the chain")
 		granules   = flag.Int("granules", 4096, "granules per phase")
 		procs      = flag.Int("procs", 32, "processor count")
@@ -329,6 +329,15 @@ func runTraceDiff(pathA, pathB string) {
 	if !d.Identical {
 		os.Exit(1)
 	}
+}
+
+// mappingNames lists the -mapping kinds for the usage string.
+func mappingNames() string {
+	var names []string
+	for _, k := range enable.Kinds() {
+		names = append(names, k.String())
+	}
+	return strings.Join(names, "|")
 }
 
 // formatPercent renders a fraction as "97.3%".

@@ -24,7 +24,7 @@
 // classifies a phase pair from footprints alone.
 package enable
 
-import "fmt"
+import "repro/internal/enum"
 
 // Kind identifies an enablement mapping form.
 type Kind uint8
@@ -58,50 +58,29 @@ const (
 // NumKinds is the number of mapping kinds.
 const NumKinds = int(numKinds)
 
-// Kinds lists every mapping kind in declaration order.
-func Kinds() []Kind {
-	return []Kind{Null, Universal, Identity, ForwardIndirect, ReverseIndirect, Seam}
-}
+// kinds is Kind's name table. Besides the String forms it takes the
+// paper's short spellings, which .pax sources write in upper case.
+var kinds = enum.New("mapping", Null, [][]string{
+	{"null"}, {"universal"}, {"identity", "direct"},
+	{"forward-indirect", "forward"}, {"reverse-indirect", "reverse"}, {"seam"},
+})
 
-func (k Kind) String() string {
-	switch k {
-	case Null:
-		return "null"
-	case Universal:
-		return "universal"
-	case Identity:
-		return "identity"
-	case ForwardIndirect:
-		return "forward-indirect"
-	case ReverseIndirect:
-		return "reverse-indirect"
-	case Seam:
-		return "seam"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
-	}
-}
+// Kinds lists every mapping kind in declaration order.
+func Kinds() []Kind { return kinds.Values() }
+
+func (k Kind) String() string { return kinds.String(k) }
 
 // ParseKind converts a mapping option name (as written in PAX language
-// ENABLE/MAPPING= clauses) to a Kind. Accepted names are the String forms
-// plus the upper-case spellings used in .pax sources.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "null", "NULL":
-		return Null, nil
-	case "universal", "UNIVERSAL":
-		return Universal, nil
-	case "identity", "direct", "IDENTITY", "DIRECT":
-		return Identity, nil
-	case "forward-indirect", "forward", "FORWARD":
-		return ForwardIndirect, nil
-	case "reverse-indirect", "reverse", "REVERSE":
-		return ReverseIndirect, nil
-	case "seam", "SEAM":
-		return Seam, nil
-	}
-	return 0, fmt.Errorf("enable: unknown mapping option %q", s)
-}
+// ENABLE/MAPPING= clauses, in CLI flags and on the service wire) to a
+// Kind.
+func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
+
+// MarshalJSON encodes the kind as its string name.
+func (k Kind) MarshalJSON() ([]byte, error) { return kinds.Marshal(k) }
+
+// UnmarshalJSON decodes a kind from any name ParseKind takes (or the
+// numeric enum value).
+func (k *Kind) UnmarshalJSON(b []byte) error { return kinds.Unmarshal(b, k) }
 
 // Overlappable reports whether the kind permits any phase overlap at all.
 func (k Kind) Overlappable() bool { return k != Null }

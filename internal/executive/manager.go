@@ -2,11 +2,11 @@ package executive
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
+	"repro/internal/enum"
 )
 
 // StateMachine is the slice of the core scheduler state machine a Manager
@@ -201,50 +201,30 @@ const (
 	AsyncManager
 )
 
+// managers is ManagerKind's name table: reports on the service daemon's
+// wire and the -manager flags carry a manager by name, never by number.
+var managers = enum.New("manager", SerialManager, [][]string{{"serial"}, {"sharded"}, {"async"}})
+
 // ManagerKinds lists every built-in manager kind, in declaration order.
 // The conformance suite ranges over it so a new manager inherits the
 // stall/panic/race/Done-invariant checks the moment it is registered.
-func ManagerKinds() []ManagerKind {
-	return []ManagerKind{SerialManager, ShardedManager, AsyncManager}
-}
+func ManagerKinds() []ManagerKind { return managers.Values() }
 
-func (k ManagerKind) String() string {
-	switch k {
-	case SerialManager:
-		return "serial"
-	case ShardedManager:
-		return "sharded"
-	case AsyncManager:
-		return "async"
-	default:
-		return fmt.Sprintf("ManagerKind(%d)", uint8(k))
-	}
-}
+func (k ManagerKind) String() string { return managers.String(k) }
 
 // ManagerNames lists the accepted ParseManager names in declaration
-// order. CLI help strings and parse errors are built from it so the
-// enumeration cannot drift from the parser.
-func ManagerNames() []string {
-	names := make([]string, 0, len(ManagerKinds()))
-	for _, k := range ManagerKinds() {
-		names = append(names, k.String())
-	}
-	return names
-}
+// order, for CLI help strings.
+func ManagerNames() []string { return managers.Names() }
 
-// ParseManager parses a -manager flag value. Matching is
-// case-insensitive and tolerates surrounding whitespace; the error
-// enumerates the valid names.
-func ParseManager(s string) (ManagerKind, error) {
-	name := strings.ToLower(strings.TrimSpace(s))
-	for _, k := range ManagerKinds() {
-		if name == k.String() {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("executive: unknown manager %q (valid managers: %s)",
-		s, strings.Join(ManagerNames(), "|"))
-}
+// ParseManager parses a -manager flag value.
+func ParseManager(s string) (ManagerKind, error) { return managers.Parse(s) }
+
+// MarshalJSON encodes the kind as its string name.
+func (k ManagerKind) MarshalJSON() ([]byte, error) { return managers.Marshal(k) }
+
+// UnmarshalJSON decodes a kind from its string name (or the numeric enum
+// value).
+func (k *ManagerKind) UnmarshalJSON(b []byte) error { return managers.Unmarshal(b, k) }
 
 // applyCompletion and applyBatch submit completions to the state machine
 // on behalf of a manager holding the lock that serializes it. A panic in

@@ -25,11 +25,15 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/enum"
 	"repro/internal/granule"
 )
 
@@ -73,24 +77,25 @@ const (
 	kindCount
 )
 
-var kindNames = [...]string{
-	GrainPanic:  "grain-panic",
-	GrainError:  "grain-error",
-	GrainStall:  "grain-stall",
-	GrainSlow:   "grain-slow",
-	WorkerCrash: "worker-crash",
-	WorkerWedge: "worker-wedge",
-	WorkerSlow:  "worker-slow",
-	MgmtDelay:   "mgmt-delay",
-	DropWakeup:  "drop-wakeup",
-}
+// kinds is Kind's name table: a Spec on the service daemon's wire
+// carries fault kinds by name, never by number, so reordering the
+// constants can never silently change a stored campaign.
+var kinds = enum.New("fault kind", GrainPanic, [][]string{
+	{"grain-panic"}, {"grain-error"}, {"grain-stall"}, {"grain-slow"},
+	{"worker-crash"}, {"worker-wedge"}, {"worker-slow"}, {"mgmt-delay"}, {"drop-wakeup"},
+})
 
-func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
+func (k Kind) String() string { return kinds.String(k) }
+
+// ParseKind resolves a kind's string name (the Kind.String form).
+func ParseKind(s string) (Kind, error) { return kinds.Parse(s) }
+
+// MarshalJSON encodes the kind as its string name.
+func (k Kind) MarshalJSON() ([]byte, error) { return kinds.Marshal(k) }
+
+// UnmarshalJSON decodes a kind from its string name (or the numeric enum
+// value).
+func (k *Kind) UnmarshalJSON(b []byte) error { return kinds.Unmarshal(b, k) }
 
 // Rule is one injection: what to break, where, how hard, how often.
 // The json tags pin the wire schema the service daemon accepts; Kind
@@ -122,6 +127,26 @@ type Rule struct {
 	// Count is the firing budget; <= 0 means once, except WorkerSlow,
 	// where it means unlimited.
 	Count int `json:"count,omitempty"`
+}
+
+// UnmarshalJSON decodes a rule strictly. It refuses a rule without a
+// kind — the zero Kind names no fault, and no encoder could write the
+// rule back — and a field Rule does not have: an outer decoder's
+// DisallowUnknownFields (the daemon's submit body) does not reach into a
+// type with its own decoder.
+func (r *Rule) UnmarshalJSON(b []byte) error {
+	type wire Rule // Rule's fields without this method
+	var w wire
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&w); err != nil {
+		return err
+	}
+	if w.Kind == 0 {
+		return errors.New("fault: rule has no kind")
+	}
+	*r = Rule(w)
+	return nil
 }
 
 // Spec is a complete, immutable injection campaign: compile with New for

@@ -38,9 +38,8 @@ type WorkloadSpec struct {
 	// of Phases phases linked by Mapping — or "casper", the paper's
 	// 22-phase CASPER census program.
 	Kind string `json:"kind,omitempty"`
-	// Mapping is the chain's between-phase enablement mapping name
-	// ("identity" default; "null", "universal", "forward-indirect",
-	// "reverse-indirect", "seam").
+	// Mapping is the chain's between-phase enablement mapping, any name
+	// rundown.ParseMappingKind takes ("identity" default).
 	Mapping string `json:"mapping,omitempty"`
 	// Phases and Granules size the chain (defaults 2 and 256).
 	Phases   int `json:"phases,omitempty"`

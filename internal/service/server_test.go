@@ -712,6 +712,8 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown-class", `{"workload":{},"class":"platinum"}`},
 		{"work-too-big", `{"workload":{"work_us":60000}}`},
 		{"granule-flood", `{"workload":{"granules":99999999}}`},
+		{"fault-rule-without-kind", `{"workload":{},"faults":{"rules":[{"job":0,"phase":1}]}}`},
+		{"fault-rule-unknown-field", `{"workload":{},"faults":{"rules":[{"kind":"grain-error","bogus":1}]}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,44 +1,11 @@
 package sim
 
-// JSON codec for MgmtModel: reports on the service daemon's wire carry
-// the model by its stable string name ("steals-worker", "dedicated",
-// …), never the enum's numeric value.
-
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 
 	"repro/internal/core"
 )
-
-// MarshalJSON encodes the model as its string name.
-func (m MgmtModel) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.String())
-}
-
-// UnmarshalJSON decodes a model from its string name (or, leniently,
-// the numeric enum value).
-func (m *MgmtModel) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		mm, err := ParseModel(s)
-		if err != nil {
-			return err
-		}
-		*m = mm
-		return nil
-	}
-	var n uint8
-	if err := json.Unmarshal(b, &n); err != nil {
-		return err
-	}
-	if int(n) >= len(kinds) {
-		return fmt.Errorf("sim: unknown management model %d", n)
-	}
-	*m = MgmtModel(n)
-	return nil
-}
 
 // jobResultWire is JobResult's pinned JSON shape: snake_case keys, with
 // the Err field flattened to an error string (error values do not

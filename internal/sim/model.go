@@ -3,9 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/core"
+	"repro/internal/enum"
 )
 
 // This file declares the management models — the paper's question of
@@ -49,20 +49,24 @@ const (
 	Async
 )
 
-// kinds is the constructor table, one row per MgmtModel: the model's name
-// as CLI flags and the wire spell it, how many of the P processors its
-// executive takes away from computing, and what builds its value for a
-// machine whose jobs and workers are already in place.
+// models is MgmtModel's name table: CLI flags and the service daemon's
+// wire carry a model by name, never by number.
+var models = enum.New("management model", StealsWorker, [][]string{
+	{"steals-worker", "steals"}, {"dedicated"}, {"sharded"}, {"adaptive"}, {"async"},
+})
+
+// kinds is the constructor table, one row per MgmtModel: how many of the
+// P processors its executive takes away from computing, and what builds
+// its value for a machine whose jobs and workers are already in place.
 var kinds = [...]struct {
-	name     string
 	reserved int
 	build    func(s *mstate, cfg Config, totalCost int64) model
 }{
-	StealsWorker: {"steals-worker", 1, newPerTask(false)},
-	Dedicated:    {"dedicated", 0, newPerTask(false)},
-	Sharded:      {"sharded", 0, newPerTask(true)},
-	Adaptive:     {"adaptive", 0, newAdaptive},
-	Async:        {"async", 0, newAsync},
+	StealsWorker: {1, newPerTask(false)},
+	Dedicated:    {0, newPerTask(false)},
+	Sharded:      {0, newPerTask(true)},
+	Adaptive:     {0, newAdaptive},
+	Async:        {0, newAsync},
 }
 
 // ErrUnsupportedMgmt reports a MgmtModel value that names no management
@@ -71,41 +75,22 @@ var kinds = [...]struct {
 // it name the rejected value; test with errors.Is.
 var ErrUnsupportedMgmt = errors.New("sim: unsupported management model")
 
-func (m MgmtModel) String() string {
-	if int(m) < len(kinds) {
-		return kinds[m].name
-	}
-	return fmt.Sprintf("MgmtModel(%d)", uint8(m))
-}
+func (m MgmtModel) String() string { return models.String(m) }
 
-// ModelNames lists the accepted ParseModel spellings, one per model, in
-// declaration order. CLI help strings and parse errors are built from it
-// so the enumeration cannot drift from the parser.
-func ModelNames() []string {
-	names := make([]string, len(kinds))
-	for i := range kinds {
-		names[i] = kinds[i].name
-	}
-	return names
-}
+// ModelNames lists the accepted ParseModel names, one per model, in
+// declaration order, for CLI help strings.
+func ModelNames() []string { return models.Names() }
 
-// ParseModel parses a management-model name as written in CLI flags.
-// Matching is case-insensitive and tolerates surrounding whitespace;
-// "steals" is accepted as shorthand for "steals-worker". The error
-// enumerates the valid names.
-func ParseModel(s string) (MgmtModel, error) {
-	name := strings.ToLower(strings.TrimSpace(s))
-	if name == "steals" {
-		return StealsWorker, nil
-	}
-	for i := range kinds {
-		if kinds[i].name == name {
-			return MgmtModel(i), nil
-		}
-	}
-	return 0, fmt.Errorf("sim: unknown management model %q (valid models: %s)",
-		s, strings.Join(ModelNames(), "|"))
-}
+// ParseModel parses a management-model name as written in CLI flags;
+// "steals" is accepted as shorthand for "steals-worker".
+func ParseModel(s string) (MgmtModel, error) { return models.Parse(s) }
+
+// MarshalJSON encodes the model as its string name.
+func (m MgmtModel) MarshalJSON() ([]byte, error) { return models.Marshal(m) }
+
+// UnmarshalJSON decodes a model from its string name (or the numeric
+// enum value).
+func (m *MgmtModel) UnmarshalJSON(b []byte) error { return models.Unmarshal(b, m) }
 
 // computing returns how many of procs processors compute granules under
 // model m.
@@ -115,7 +100,7 @@ func (m MgmtModel) computing(procs int) (int, error) {
 	}
 	k := kinds[m]
 	if procs-k.reserved < 1 {
-		return 0, fmt.Errorf("sim: the %s model needs at least %d processors", k.name, k.reserved+1)
+		return 0, fmt.Errorf("sim: the %v model needs at least %d processors", m, k.reserved+1)
 	}
 	return procs - k.reserved, nil
 }

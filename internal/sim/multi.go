@@ -315,10 +315,7 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		s.plan = fault.New(*cfg.Faults)
 		s.fails = make([]error, workers)
 	}
-	s.maxOps = cfg.MaxOps
-	if s.maxOps <= 0 {
-		s.maxOps = totalGranules*64 + int64(workers)*1024 + 1_000_000
-	}
+	s.maxOps = totalGranules*64 + int64(workers)*1024 + 1_000_000
 	return s, nil
 }
 

@@ -38,10 +38,6 @@ type Config struct {
 	Procs int
 	// Mgmt selects the executive resource model.
 	Mgmt MgmtModel
-	// MaxOps bounds the number of management operations as a runaway
-	// guard; <= 0 means a generous default. The Runner leaves it at the
-	// default.
-	MaxOps int64
 	// Batch is the Adaptive model's refill batch size (the virtual
 	// DequeCap): how many tasks one serialized lock visit pulls; the
 	// completion batch is half of it. <= 0 selects 16. With

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -300,12 +302,17 @@ func TestPhaseTraces(t *testing.T) {
 	}
 }
 
+// TestRunawayGuard lowers a built machine's operation bound, which a run
+// always derives from its size, to reach the guard.
 func TestRunawayGuard(t *testing.T) {
-	prog := onePhase(t, 100)
-	_, err := Run(prog, core.Options{Grain: 1, Costs: core.DefaultCosts()},
-		Config{Procs: 2, Mgmt: Dedicated, MaxOps: 3})
-	if err == nil {
-		t.Fatal("MaxOps guard did not trigger")
+	job := JobSpec{Prog: onePhase(t, 100), Opt: core.Options{Grain: 1, Costs: core.DefaultCosts()}}
+	s, err := newMstate(context.Background(), []JobSpec{job}, Config{Procs: 2, Mgmt: Dedicated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.maxOps = 3
+	if _, err := s.execute(); err == nil || !strings.Contains(err.Error(), "exceeded 3 management operations") {
+		t.Fatalf("runaway guard did not trigger: %v", err)
 	}
 }
 

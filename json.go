@@ -5,7 +5,8 @@ package rundown
 // rules keep the schema stable under struct refactors:
 //
 //   - enums (BackendKind, ExecManager, MgmtModel, FaultKind) marshal as
-//     their stable string names, never as numeric values;
+//     their stable string names, never as numeric values, through one
+//     name table each (internal/enum);
 //   - JobReport.Err flattens to an "error" string key, so a report
 //     round-trips through JSON with the failure text intact (the typed
 //     error chain is a process-local concept and does not travel).
@@ -16,52 +17,20 @@ package rundown
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"time"
 )
 
 // MarshalJSON encodes the backend as its string name ("goroutines",
 // "pool", "virtual").
-func (b BackendKind) MarshalJSON() ([]byte, error) {
-	return json.Marshal(b.String())
-}
+func (b BackendKind) MarshalJSON() ([]byte, error) { return backends.Marshal(b) }
 
 // UnmarshalJSON decodes a backend from its string name (or, leniently,
 // the numeric enum value).
-func (b *BackendKind) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err == nil {
-		bk, err := ParseBackendKind(s)
-		if err != nil {
-			return err
-		}
-		*b = bk
-		return nil
-	}
-	var n uint8
-	if err := json.Unmarshal(data, &n); err != nil {
-		return err
-	}
-	if n > uint8(VirtualBackend) {
-		return fmt.Errorf("rundown: unknown backend %d", n)
-	}
-	*b = BackendKind(n)
-	return nil
-}
+func (b *BackendKind) UnmarshalJSON(data []byte) error { return backends.Unmarshal(data, b) }
 
 // ParseBackendKind resolves a backend's string name (the
-// BackendKind.String form).
-func ParseBackendKind(s string) (BackendKind, error) {
-	switch s {
-	case "goroutines":
-		return ExecBackend, nil
-	case "pool":
-		return PoolBackend, nil
-	case "virtual":
-		return VirtualBackend, nil
-	}
-	return 0, fmt.Errorf("rundown: unknown backend %q (valid backends: goroutines|pool|virtual)", s)
-}
+// BackendKind.String form), case-insensitively.
+func ParseBackendKind(s string) (BackendKind, error) { return backends.Parse(s) }
 
 // jobReportWire is JobReport's pinned JSON shape: identical fields with
 // Err flattened to an error string.

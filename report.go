@@ -3,6 +3,8 @@ package rundown
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/enum"
 )
 
 // BackendKind identifies which machine a Runner drives.
@@ -23,18 +25,10 @@ const (
 	VirtualBackend
 )
 
-func (b BackendKind) String() string {
-	switch b {
-	case ExecBackend:
-		return "goroutines"
-	case PoolBackend:
-		return "pool"
-	case VirtualBackend:
-		return "virtual"
-	default:
-		return fmt.Sprintf("BackendKind(%d)", uint8(b))
-	}
-}
+// backends is BackendKind's name table, one row per backend.
+var backends = enum.New("backend", ExecBackend, [][]string{{"goroutines"}, {"pool"}, {"virtual"}})
+
+func (b BackendKind) String() string { return backends.String(b) }
 
 // Job is the backend-agnostic job spec the Runner executes: the same Job
 // runs unchanged on virtual time, on goroutine workers, or inside a

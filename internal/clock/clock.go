@@ -6,7 +6,9 @@
 // step can move, and every interval the executive charges — compute,
 // management, idle, dispatch wait, the stall watchdog's silence — is a
 // difference of two readings, for which the monotonic half alone is both
-// sufficient and correct. Now is one monotonic read.
+// sufficient and correct. Now is one monotonic read — or, where the
+// kernel's own monotonic clock is the processor's time-stamp counter, one
+// read of that counter scaled to nanoseconds (counter_amd64.go).
 //
 // Stamps are chained, not paired: a worker reads the clock where its time
 // changes category — compute, management, idle — and hands its latest
@@ -27,8 +29,14 @@ var epoch = time.Now()
 // monotonic clock.
 type Stamp int64
 
-// Now reads the monotonic clock.
-func Now() Stamp { return Stamp(time.Since(epoch)) }
+// Now reads the monotonic clock: the counter when it was selected at
+// start, else time.Since of the epoch.
+func Now() Stamp {
+	if useCounter {
+		return counterNow()
+	}
+	return Stamp(time.Since(epoch))
+}
 
 // OrNow returns s, or a fresh reading when s is the zero Stamp — the
 // chain's "not read yet". (Now itself returns zero only within the clock's

@@ -21,20 +21,26 @@ var sources = []source{
 }
 
 // TestTracking: an interval of at least 20 ms read from each source
-// agrees with time.Since over the same interval within 0.1 %.
+// agrees with time.Since over the same interval within 0.1 %. A
+// preemption between a reading and its time.Since partner can cost more
+// than that on a loaded host, so a source passes on any of three tries; a
+// wrong rate fails all three.
 func TestTracking(t *testing.T) {
 	for _, src := range sources {
 		t.Run(src.name, func(t *testing.T) {
-			start := time.Now()
-			s0 := src.read()
-			time.Sleep(25 * time.Millisecond)
-			s1 := src.read()
-			want := time.Since(start)
-			got := s1.Sub(s0)
-			if diff := got - want; diff < -want/1000 || diff > want/1000 {
-				t.Fatalf("%s measured %v where time.Since measured %v (%.3f %% apart)",
-					src.name, got, want, 100*float64(diff)/float64(want))
+			var got, want time.Duration
+			for try := 0; try < 3; try++ {
+				start := time.Now()
+				s0 := src.read()
+				time.Sleep(25 * time.Millisecond)
+				s1 := src.read()
+				want, got = time.Since(start), s1.Sub(s0)
+				if diff := got - want; diff >= -want/1000 && diff <= want/1000 {
+					return
+				}
 			}
+			t.Fatalf("%s measured %v where time.Since measured %v (%.3f %% apart)",
+				src.name, got, want, 100*float64(got-want)/float64(want))
 		})
 	}
 }

@@ -43,7 +43,7 @@ func Register(fs *flag.FlagSet, managerDefault, managerUsage string) *Exec {
 	fs.BoolVar(&e.Adaptive, "adaptive", false,
 		"adaptive batching: worker-local buffers with the batch size retuned online (the Adaptive sim model; goroutine runs stay fixed sharded)")
 	fs.IntVar(&e.Ready, "ready", 0,
-		"ready-buffer bound for -manager async (0 = 2*workers, min 8)")
+		"ready-buffer bound for -manager async (0 = 16*workers on goroutines; in virtual time 2*workers split across the jobs, min 8 each)")
 	fs.IntVar(&e.LowWater, "low-water", 0,
 		"deferred-overlap low-water mark for -manager async (0 = ready/4)")
 	fs.IntVar(&e.Batch, "batch", 0,

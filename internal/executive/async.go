@@ -45,10 +45,12 @@ import (
 // cycles (wherever they ran). The management goroutine itself is not a
 // worker: like the sim's Dedicated model, its processor is not in the
 // utilization denominator — that is exactly the resource trade the paper's
-// comparison prices. A task's compute time is measured by the worker that
-// ran it — every hand-off is management, so every stretch is one task — and
-// travels with the completion through the queue; the cycle that applies
-// the completion adds it to the totals under mu.
+// comparison prices. A worker's compute stretch is measured by the worker
+// itself and stays open across its stocked hand-offs — a steal, a push, a
+// doorbell, no reading — as across the sharded manager's deque pops; its
+// length travels with the completion that closes it through the queue
+// (the hand-offs inside it push zero), and the cycle that applies the
+// completion adds it to the totals under mu.
 //
 // Invariants the pool's stall probe relies on: every task popped from the
 // state machine is immediately in the ready buffer, held by a worker, or
@@ -102,7 +104,7 @@ type workerStamp struct {
 }
 
 func newAsync(sm StateMachine, cfg Config) *async {
-	readyCap, low := core.ReadyBounds(cfg.ReadyCap, cfg.LowWater, 2*cfg.Workers)
+	readyCap, low := core.ReadyBounds(cfg.ReadyCap, cfg.LowWater, lookAhead*cfg.Workers)
 	batch := cfg.Batch
 	if batch <= 0 {
 		batch = 8
@@ -121,6 +123,10 @@ func newAsync(sm StateMachine, cfg Config) *async {
 		comp:     newMPSC(readyCap + 2*cfg.Workers),
 		wake:     make(chan struct{}, 1),
 		loopDone: make(chan struct{}),
+		// A refill asks for at most ReadyCap tasks and a drain chunk holds
+		// Batch, so neither scratch ever grows.
+		refillBuf: make([]core.Task, 0, readyCap),
+		drainBuf:  make([]core.Task, 0, batch),
 	}
 }
 
@@ -345,13 +351,25 @@ func (m *async) take() (core.Task, bool) {
 	return t, true
 }
 
-// Enter pushes done to the management goroutine (complete) and then asks
-// for a task: fast path one steal from the ready buffer; slow path ring the
-// doorbell (so the management goroutine re-evaluates after the last
-// completion), enter the executive if it is idle — one inline management
-// cycle, never waiting behind a live management goroutine — and steal once
-// more. With the buffer stocked workers never touch the state-machine
-// lock, so there is no critical section to fuse.
+// Enter hands done to the management goroutine and asks for a task.
+//
+// The stocked hand-off is the fast path: worker w reports done unstamped
+// (at zero) from an open compute stretch and asks for more, and the ready
+// buffer has a task. One steal, one MPSC push of done with zero compute,
+// one doorbell: nothing is read, the stamp returned is zero and the
+// stretch runs on, as across the sharded manager's deque pops. What leaves
+// the fast path — a dry buffer, AskNone, a failed run, a stamped caller, a
+// full completion ring — closes the stretch with one reading (complete),
+// and the completion that closes it carries the stretch's whole length.
+//
+// The slow path then steals; failing that it rings the doorbell (so the
+// management goroutine re-evaluates after the last completion), enters the
+// executive if it is idle — one inline management cycle, never waiting
+// behind a live management goroutine — and steals once more. A task it
+// hands out opens a stretch at a reading taken once the task is in hand,
+// so the worker's hand-off and any inline cycle stay out of Compute: as
+// before they belong to no share (management time is the state-machine
+// time of management cycles).
 //
 // ok=false means "nothing buffered and the executive is busy or has
 // nothing to hand out": the doorbell has been rung, and the pool's
@@ -359,16 +377,12 @@ func (m *async) take() (core.Task, bool) {
 // work, waking pool-parked workers. applied is always false: the
 // completion was only handed over, and the callback reports its
 // application (an inline cycle fires it too).
-//
-// The stamp returned with a task is a reading taken once it is in hand,
-// and done's compute time ends at the reading the entry begins with (at,
-// taken here when the caller did not). Unlike the sharded manager's deque
-// pop, the worker-side hand-off here — a completion pushed through the MPSC
-// ring, a doorbell, a steal from a ring every worker and the management
-// goroutine share — costs many times a fine-grain task's work, so it is
-// kept out of the task's compute interval; as before it is charged to no
-// share (management time is the state-machine time of management cycles).
 func (m *async) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task, clock.Stamp, bool, bool) {
+	if at == 0 && done.ID != 0 && ask == AskTry && m.open[w].at != 0 {
+		if t, ok := m.ready.steal(); ok {
+			return m.handOff(w, done, t)
+		}
+	}
 	if done.ID != 0 {
 		at = m.complete(w, done, at.OrNow())
 	}
@@ -383,9 +397,32 @@ func (m *async) Enter(w int, done core.Task, at clock.Stamp, ask Ask) (core.Task
 			return core.Task{}, at, false, false
 		}
 	}
+	return t, m.dispatch(w), true, false
+}
+
+// handOff ends a stocked hand-off once the fast path has stolen t: done
+// joins the completion queue with zero compute and the stretch runs on.
+// A failed run voids t and drops done, and a full queue sends done the
+// slow way; either closes the stretch here. (A run that finished without
+// failing has nothing buffered, so no steal gets here.)
+func (m *async) handOff(w int, done, t core.Task) (core.Task, clock.Stamp, bool, bool) {
+	if !m.failed.Load() && m.comp.push(done, 0) {
+		m.ring()
+		return t, 0, true, false
+	}
+	at := m.complete(w, done, clock.Now())
+	if m.failed.Load() {
+		return core.Task{}, at, false, false
+	}
+	return t, m.dispatch(w), true, false
+}
+
+// dispatch opens worker w's compute stretch at a reading taken with its
+// next task in hand, and returns that reading.
+func (m *async) dispatch(w int) clock.Stamp {
 	now := clock.Now()
 	m.open[w].at = now
-	return t, now, true, false
+	return now
 }
 
 // complete closes worker w's compute stretch at the reading at, pushes the

@@ -3,30 +3,245 @@ package executive
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/granule"
 )
 
-// TestAsyncDefaults: the ready-buffer and low-water defaults follow the
-// paper's two-tasks-per-processor outset condition.
+// TestAsyncDefaults: the ready buffer holds the per-worker look-ahead of a
+// sharded worker's deque for every worker, and the low-water mark is a
+// quarter of it; explicit knobs are taken as given, the mark kept below
+// the bound.
 func TestAsyncDefaults(t *testing.T) {
 	m := newAsync(&stubSM{}, Config{Workers: 8, Manager: AsyncManager})
-	if m.readyCap != 16 {
-		t.Errorf("readyCap = %d, want 2*workers = 16", m.readyCap)
+	if m.readyCap != 128 {
+		t.Errorf("readyCap = %d, want 16*workers = 128", m.readyCap)
 	}
-	if m.lowWater != 4 {
-		t.Errorf("lowWater = %d, want readyCap/4 = 4", m.lowWater)
+	if m.lowWater != 32 {
+		t.Errorf("lowWater = %d, want readyCap/4 = 32", m.lowWater)
 	}
-	m = newAsync(&stubSM{}, Config{Workers: 2, Manager: AsyncManager})
-	if m.readyCap != 8 {
-		t.Errorf("small-pool readyCap = %d, want minimum 8", m.readyCap)
+	if s := newSharded(&stubSM{}, Config{Workers: 8}); m.readyCap != 8*s.cap {
+		t.Errorf("readyCap = %d, want workers × the sharded deque's default %d", m.readyCap, s.cap)
+	}
+	m = newAsync(&stubSM{}, Config{Workers: 1, Manager: AsyncManager})
+	if m.readyCap != 16 || m.lowWater != 4 {
+		t.Errorf("one-worker readyCap=%d lowWater=%d, want 16 and 4", m.readyCap, m.lowWater)
 	}
 	m = newAsync(&stubSM{}, Config{Workers: 4, Manager: AsyncManager, ReadyCap: 4, LowWater: 9})
 	if m.readyCap != 4 || m.lowWater != 3 {
 		t.Errorf("explicit knobs: readyCap=%d lowWater=%d, want 4 and 3 (clamped below cap)",
 			m.readyCap, m.lowWater)
+	}
+}
+
+// countingSM is a StateMachine that hands out n one-granule tasks, IDs 1..n,
+// all ready from the start, and counts the completions applied to each, so
+// a test can check that every task's completion was applied exactly once.
+// Every method runs under the manager's serialization; applied is read
+// after the run is over. NextTasks appends into the buffer it is given and
+// allocates nothing once applied exists.
+type countingSM struct {
+	n, issued, completed int
+	applied              []int
+}
+
+func newCountingSM(n int) *countingSM { return &countingSM{n: n, applied: make([]int, n+1)} }
+
+func (s *countingSM) Start() core.Cost { return 0 }
+func (s *countingSM) NextTask() (core.Task, core.Cost, bool) {
+	if s.issued == s.n {
+		return core.Task{}, 0, false
+	}
+	s.issued++
+	return mkTask(s.issued), 0, true
+}
+func (s *countingSM) NextTasks(dst []core.Task, max int) ([]core.Task, core.Cost) {
+	for ; max > 0; max-- {
+		t, _, ok := s.NextTask()
+		if !ok {
+			break
+		}
+		dst = append(dst, t)
+	}
+	return dst, 0
+}
+func (s *countingSM) Complete(t core.Task) core.Cost {
+	s.applied[t.ID]++
+	s.completed++
+	return 0
+}
+func (s *countingSM) CompleteBatch(ts []core.Task) core.Cost {
+	for _, t := range ts {
+		s.Complete(t)
+	}
+	return 0
+}
+func (s *countingSM) DeferredMgmt() (core.Cost, bool) { return 0, false }
+func (s *countingSM) HasDeferred() bool               { return false }
+func (s *countingSM) Done() bool                      { return s.completed == s.n }
+func (s *countingSM) InFlight() int                   { return s.issued - s.completed }
+func (s *countingSM) ReadyTasks() int                 { return s.n - s.issued }
+func (s *countingSM) CurrentPhase() int               { return 0 }
+func (s *countingSM) Stats() core.Stats               { return core.Stats{} }
+
+// checkAppliedOnce fails unless every task's completion was applied
+// exactly once.
+func (s *countingSM) checkAppliedOnce(t *testing.T) {
+	t.Helper()
+	for id := 1; id <= s.n; id++ {
+		if s.applied[id] != 1 {
+			t.Errorf("task %d: completion applied %d times, want once", id, s.applied[id])
+		}
+	}
+}
+
+// TestAsyncStretchSpansHandOffs: a worker that reports its tasks unstamped
+// over a stocked ready buffer takes no reading — every hand-off returns the
+// zero stamp and the stretch opened by the first dispatch runs on — and the
+// stretch is booked once, when a stamped entry closes it: the compute total
+// is the closing reading minus the first dispatch stamp, and every task is
+// counted.
+func TestAsyncStretchSpansHandOffs(t *testing.T) {
+	const n = 64
+	sm := newCountingSM(n)
+	mgr, err := NewManager(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Start() // the first refill buffers all n tasks
+	task, first, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
+	if !ok || first == 0 {
+		t.Fatalf("first ask: ok=%v stamp=%d, want a task and its dispatch stamp", ok, first)
+	}
+	for i := 1; i < n; i++ {
+		next, now, ok, _ := mgr.Enter(0, task, 0, AskTry)
+		if !ok {
+			t.Fatalf("hand-off %d found no task in a buffer stocked with %d", i, n)
+		}
+		if now != 0 {
+			t.Fatalf("hand-off %d returned stamp %d, want 0: the stretch must run on unread", i, now)
+		}
+		task = next
+	}
+	end := clock.Now()
+	mgr.Enter(0, task, end, AskNone)
+	waitDone(t, mgr)
+	compute, _, tasks := mgr.Totals()
+	if want := end.Sub(first); compute != want {
+		t.Errorf("compute = %v, want the one stretch from the first dispatch to the closing reading, %v", compute, want)
+	}
+	if tasks != n {
+		t.Errorf("tasks = %d, want %d", tasks, n)
+	}
+	sm.checkAppliedOnce(t)
+}
+
+// waitDone waits, up to ten seconds, for the management goroutine to apply
+// the last completion, then joins it.
+func waitDone(t *testing.T, mgr Manager) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		done, err := mgr.Outcome()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the run did not finish: %d tasks still in flight", mgr.InFlight())
+		}
+	}
+	mgr.Join()
+}
+
+// TestAsyncFastPathFullRing: a stocked hand-off whose completion meets a
+// full completion ring falls back to the slow way — the stretch closes, the
+// worker drains the ring inline (no management goroutine runs here) and
+// pushes again — and still hands out the task it stole, at a fresh stamp.
+// Every completion, the one that met the full ring included, is applied
+// exactly once.
+func TestAsyncFastPathFullRing(t *testing.T) {
+	const n = 256
+	sm := newCountingSM(n)
+	m := newAsync(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 8, Batch: 4})
+	// Start by hand, without the management goroutine: only this worker's
+	// inline cycles drain the ring.
+	m.mu.Lock()
+	m.sm.Start()
+	m.refillLocked()
+	m.mu.Unlock()
+
+	task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
+	if !ok {
+		t.Fatal("no first task")
+	}
+	// Fill the ring with completions of tasks dispatched past the buffer.
+	m.mu.Lock()
+	for range m.comp.slots {
+		f, _, ok := m.sm.NextTask()
+		if !ok || !m.comp.push(f, 0) {
+			t.Fatal("could not fill the completion ring")
+		}
+	}
+	m.mu.Unlock()
+
+	task, now, ok, _ := m.Enter(0, task, 0, AskTry)
+	if !ok || now == 0 {
+		t.Fatalf("hand-off into a full ring: ok=%v stamp=%d, want the stolen task at a fresh stamp", ok, now)
+	}
+	if m.InlineCycles() == 0 {
+		t.Error("the full ring was not drained inline")
+	}
+	// Run the rest by hand. With all tasks ready and no one else holding
+	// the executive, a dry ask after its inline cycle means a lost
+	// completion.
+	for {
+		next, _, ok, _ := m.Enter(0, task, 0, AskTry)
+		if task = next; ok {
+			continue
+		}
+		if done, err := m.Outcome(); err != nil || !done {
+			t.Fatalf("dry ask on an unfinished run: Outcome = (%v, %v), %d in flight", done, err, m.InFlight())
+		}
+		break
+	}
+	if _, _, tasks := m.Totals(); tasks != n {
+		t.Errorf("tasks = %d, want %d", tasks, n)
+	}
+	sm.checkAppliedOnce(t)
+}
+
+// TestAsyncFirstCycleZeroAlloc: a fresh manager's first management cycle —
+// a drain of queued completions and a refill of the whole buffer —
+// allocates nothing: both scratch buffers are sized at construction.
+func TestAsyncFirstCycleZeroAlloc(t *testing.T) {
+	const runs, readyCap, batch = 100, 16, 4
+	ms := make([]*async, runs+1) // AllocsPerRun calls once more to warm up
+	for i := range ms {
+		sm := newCountingSM(4 * readyCap)
+		m := newAsync(sm, Config{Workers: 2, Manager: AsyncManager, ReadyCap: readyCap, Batch: batch})
+		for range 2 * batch {
+			f, _, _ := sm.NextTask()
+			m.comp.push(f, 0)
+		}
+		ms[i] = m
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		m := ms[next]
+		next++
+		m.mu.Lock()
+		_, progressed := m.cycleLocked(clock.Now())
+		m.mu.Unlock()
+		if !progressed || m.ready.size() != readyCap {
+			t.Fatalf("first cycle: progressed=%v, %d buffered; want a drain and a full buffer", progressed, m.ready.size())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("first cycle on a fresh manager allocated %.1f times per run, want 0", allocs)
 	}
 }
 

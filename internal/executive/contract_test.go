@@ -17,9 +17,12 @@ import (
 //   - the first error wins: a second Abort on a live run does not replace
 //     the first one's error;
 //   - nothing moves after the failure point: an Enter reporting a finished
-//     task after the abort moves no total, and neither does a Flush of a
+//     task after the abort — stamped, or unstamped from an open stretch —
+//     moves no total and hands out no task, and neither does a Flush of a
 //     completion held back before it (the sharded manager's batch drops
-//     it, and the dropped batch's lock visit is charged to no one).
+//     it, and the dropped batch's lock visit is charged to no one); on the
+//     async manager that holds too for an abort landing between a stocked
+//     hand-off's steal and its push.
 func TestManagerContract(t *testing.T) {
 	const workers = 4
 	newRun := func(t *testing.T, kind ManagerKind) (Manager, *core.Program) {
@@ -74,22 +77,56 @@ func TestManagerContract(t *testing.T) {
 				}
 			})
 			t.Run("nothing-moves-after-failure", func(t *testing.T) {
-				for _, ask := range []Ask{AskNone, AskTry} {
-					mgr, _ := newRun(t, kind)
-					mgr.Start()
-					task, _, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
-					if !ok {
-						t.Fatal("no first task")
-					}
-					mgr.Abort(e1)
-					before := read(mgr)
-					mgr.Enter(0, task, clock.Now(), ask)
-					mgr.Join()
-					if after := read(mgr); after != before {
-						t.Errorf("ask %d: Enter after the abort moved the totals: %+v, then %+v", ask, before, after)
+				for _, stamped := range []bool{true, false} {
+					for _, ask := range []Ask{AskNone, AskTry} {
+						mgr, _ := newRun(t, kind)
+						mgr.Start()
+						task, _, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
+						if !ok {
+							t.Fatal("no first task")
+						}
+						var at clock.Stamp // unstamped: the stretch opened above runs on
+						if stamped {
+							at = clock.Now()
+						}
+						mgr.Abort(e1)
+						before := read(mgr)
+						if _, _, ok, _ := mgr.Enter(0, task, at, ask); ok {
+							t.Errorf("stamped=%v ask %d: a task was handed out after the abort", stamped, ask)
+						}
+						mgr.Join()
+						if after := read(mgr); after != before {
+							t.Errorf("stamped=%v ask %d: Enter after the abort moved the totals: %+v, then %+v",
+								stamped, ask, before, after)
+						}
 					}
 				}
 			})
+			if kind == AsyncManager {
+				t.Run("abort-between-steal-and-push", func(t *testing.T) {
+					mgr, _ := newRun(t, kind)
+					mgr.Start()
+					a := mgr.(*async)
+					done, _, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
+					if !ok {
+						t.Fatal("no first task")
+					}
+					// The stocked hand-off's two halves, the abort between them.
+					stolen, ok := a.ready.steal()
+					if !ok {
+						t.Fatal("nothing buffered to steal")
+					}
+					mgr.Abort(e1)
+					before := read(mgr)
+					if _, _, ok, _ := a.handOff(0, done, stolen); ok {
+						t.Error("the stolen task was handed out after the abort")
+					}
+					mgr.Join()
+					if after := read(mgr); after != before {
+						t.Errorf("a hand-off after the abort moved the totals: %+v, then %+v", before, after)
+					}
+				})
+			}
 			t.Run("flush-after-failure", func(t *testing.T) {
 				mgr, _ := newRun(t, kind)
 				mgr.Start()

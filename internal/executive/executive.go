@@ -45,7 +45,8 @@ type Config struct {
 	// Manager selects the management layer (SerialManager default).
 	Manager ManagerKind
 	// DequeCap bounds each worker's local task deque and sets the refill
-	// batch size (ShardedManager only). <=0 selects 16.
+	// batch size (ShardedManager only). <=0 selects 16, the per-worker
+	// look-ahead.
 	DequeCap int
 	// Batch is the completion batch size: completions accumulate per
 	// worker and are submitted to the state machine in one lock
@@ -55,9 +56,9 @@ type Config struct {
 	Batch int
 	// ReadyCap bounds the async manager's shared ready-buffer — the
 	// deque of dispatched tasks the management goroutine keeps topped
-	// up (AsyncManager only). <=0 selects 2*Workers (minimum 8), the
-	// paper's two-tasks-per-processor outset condition applied to the
-	// buffer.
+	// up (AsyncManager only). <=0 selects 16*Workers: the same per-worker
+	// look-ahead as a sharded worker's deque, so a worker's hand-offs
+	// outnumber the management cycles that stock them (DESIGN.md §3.6).
 	ReadyCap int
 	// LowWater is the ready-buffer level above which the async
 	// management goroutine overlaps deferred management with computation
@@ -67,6 +68,11 @@ type Config struct {
 	// steal counters, refill batch size and ready-buffer occupancy into.
 	Metrics *telemetry.Set
 }
+
+// lookAhead is the goroutine managers' per-worker look-ahead: the tasks
+// dispatched ahead of each worker. It is DequeCap's default and, times
+// Workers, ReadyCap's.
+const lookAhead = 16
 
 // Report aggregates a run's measurements.
 type Report struct {

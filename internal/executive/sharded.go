@@ -102,7 +102,7 @@ func newSharded(sm StateMachine, cfg Config) *sharded {
 		shards:   make([]shard, cfg.Workers),
 	}
 	if m.cap <= 0 {
-		m.cap = 16
+		m.cap = lookAhead
 	}
 	if m.batch <= 0 {
 		m.batch = 8

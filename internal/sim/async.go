@@ -11,11 +11,12 @@ import "repro/internal/core"
 //
 //   - the server keeps a bounded ready buffer PER JOB, topped up with
 //     batched NextTasks pulls charged on the server's serialized lane.
-//     Config.ReadyCap is each job's bound; <= 0 splits the hardware
-//     manager's whole-machine default of 2*workers slots across the jobs
-//     (minimum 8 each), so aggregate buffering does not grow with the job
-//     count. Config.LowWater <= 0 selects a quarter of the bound (minimum
-//     1), and is kept below it;
+//     Config.ReadyCap is each job's bound; <= 0 splits a whole-machine
+//     default of 2*workers slots across the jobs (minimum 8 each), so
+//     aggregate buffering does not grow with the job count. That is the
+//     model's own default: the hardware manager's is 16 per worker
+//     (DESIGN.md §3.4 names the difference). Config.LowWater <= 0
+//     selects a quarter of the bound (minimum 1), and is kept below it;
 //   - a worker's ask pops the first non-empty buffer of the engine's
 //     candidate walk for free — the hardware ready-buffer steal, so worker
 //     latency is decoupled from management service. A dry candidate gets

@@ -46,8 +46,9 @@ type Config struct {
 	Batch int
 	// ReadyCap bounds each job's ready buffer under the Async model — how
 	// many dispatched-but-unclaimed tasks of one job the dedicated executive
-	// keeps ahead of the workers. <= 0 splits executive.Config.ReadyCap's
-	// default of 2*workers across the jobs (minimum 8 per job). Other models
+	// keeps ahead of the workers. <= 0 splits 2*workers across the jobs
+	// (minimum 8 per job): the model's own default, smaller than the
+	// goroutine manager's 16 per worker (DESIGN.md §3.4). Other models
 	// ignore it.
 	ReadyCap int
 	// LowWater is the Async model's deferred-overlap mark: the executive

@@ -117,7 +117,10 @@ func WithBatch(n int) Option {
 	return func(c *runnerConfig) error { c.batch = n; return nil }
 }
 
-// WithReadyCap bounds the async manager's ready-buffer.
+// WithReadyCap bounds the async manager's ready-buffer. n <= 0 selects
+// the default: 16 tasks per worker on goroutines, the same look-ahead as a
+// sharded worker's deque; in virtual time the Async model splits
+// 2*workers across the jobs, minimum 8 each.
 func WithReadyCap(n int) Option {
 	return func(c *runnerConfig) error { c.readyCap = n; return nil }
 }

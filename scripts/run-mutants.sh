@@ -7,7 +7,9 @@
 #
 # With no arguments every scripts/mutants/*.patch is run. A mutant is a
 # patch that breaks one rule the code keeps; its header names the tests
-# that must kill it, one "Kills: PACKAGE TEST" line each. For each mutant
+# that must kill it, one "Kills: PACKAGE TEST" line each, and an optional
+# "Flags: ..." line adds go test flags to every run of those tests (-race
+# for a mutant only the race detector sees). For each mutant
 # the tree (tracked and untracked files, as they are on disk; nothing
 # ignored, no .git) is copied to a temporary directory, the patch is
 # applied there, and each named test is run alone. The mutant is killed
@@ -34,6 +36,7 @@ for patch in "${patches[@]}"; do
 	name=$(basename "$patch" .patch)
 	mutants=$((mutants + 1))
 	kills=$(sed -n 's/^Kills: //p' "$patch")
+	flags=$(sed -n 's/^Flags: //p' "$patch")
 	if [ -z "$kills" ]; then
 		echo "NO KILLERS: $name names no test"
 		bad=$((bad + 1))
@@ -52,7 +55,8 @@ for patch in "${patches[@]}"; do
 	while read -r pkg test; do
 		# -list builds the test binary: a mutant that does not compile, or
 		# a killer that was renamed away, must not pass for a kill.
-		if ! listed=$(cd "$tree" && go test -list "^${test}\$" "$pkg" 2>&1); then
+		# shellcheck disable=SC2086 # flags is a word list
+		if ! listed=$(cd "$tree" && go test $flags -list "^${test}\$" "$pkg" 2>&1); then
 			echo "BROKEN: $name does not build $pkg"
 			echo "$listed" | head -20
 			survived=1
@@ -63,7 +67,8 @@ for patch in "${patches[@]}"; do
 			survived=1
 			continue
 		fi
-		(cd "$tree" && go test -count=1 -run "^${test}\$" "$pkg" >"$work/out" 2>&1)
+		# shellcheck disable=SC2086
+		(cd "$tree" && go test $flags -count=1 -run "^${test}\$" "$pkg" >"$work/out" 2>&1)
 		if grep -q -- "--- FAIL: ${test}\b" "$work/out"; then
 			echo "killed: $name by $pkg $test"
 		else

@@ -302,9 +302,10 @@ const (
 	ShardedManager = executive.ShardedManager
 	// AsyncManager runs all management on one dedicated background
 	// goroutine — the paper's separate executive processor realized on
-	// hardware: workers pull from a bounded ready-buffer (WithReadyCap)
-	// and push completions into a lock-free MPSC queue, never touching
-	// the state-machine lock.
+	// hardware: each worker takes tasks from its own bounded ready lane
+	// (WithReadyCap sizes them together) and queues completions in its
+	// own completion lane, published every WithBatch completions, never
+	// touching the state-machine lock while its lanes are stocked.
 	AsyncManager = executive.AsyncManager
 )
 

@@ -157,43 +157,45 @@ func waitDone(t *testing.T, mgr Manager) {
 	mgr.Join()
 }
 
-// TestAsyncFastPathFullRing: a stocked hand-off whose completion meets a
-// full completion ring falls back to the slow way — the stretch closes, the
-// worker drains the ring inline (no management goroutine runs here) and
-// pushes again — and still hands out the task it stole, at a fresh stamp.
-// Every completion, the one that met the full ring included, is applied
-// exactly once.
+// TestAsyncFastPathFullRing: a stocked hand-off whose completion meets
+// its worker's full completion lane falls back to the slow way — the
+// stretch closes, the worker publishes its lane and drains it inline (no
+// management goroutine runs here) and queues again — and still hands out
+// the task it stole, at a fresh stamp. Every completion, the one that met
+// the full lane included, is applied exactly once.
 func TestAsyncFastPathFullRing(t *testing.T) {
 	const n = 256
 	sm := newCountingSM(n)
 	m := newAsync(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 8, Batch: 4})
 	// Start by hand, without the management goroutine: only this worker's
-	// inline cycles drain the ring.
+	// inline cycles drain its lane.
 	m.mu.Lock()
 	m.sm.Start()
-	m.refillLocked()
+	m.refillLocked(0)
 	m.mu.Unlock()
 
 	task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
 	if !ok {
 		t.Fatal("no first task")
 	}
-	// Fill the ring with completions of tasks dispatched past the buffer.
+	// Fill worker 0's completion lane, unpublished, with completions of
+	// tasks dispatched past the ready lane.
+	q := &m.lanes[0].comp
 	m.mu.Lock()
-	for range m.comp.slots {
+	for range q.slots {
 		f, _, ok := m.sm.NextTask()
-		if !ok || !m.comp.push(f, 0) {
-			t.Fatal("could not fill the completion ring")
+		if !ok || !q.push(f, 0) {
+			t.Fatal("could not fill the completion lane")
 		}
 	}
 	m.mu.Unlock()
 
 	task, now, ok, _ := m.Enter(0, task, 0, AskTry)
 	if !ok || now == 0 {
-		t.Fatalf("hand-off into a full ring: ok=%v stamp=%d, want the stolen task at a fresh stamp", ok, now)
+		t.Fatalf("hand-off into a full lane: ok=%v stamp=%d, want the stolen task at a fresh stamp", ok, now)
 	}
 	if m.InlineCycles() == 0 {
-		t.Error("the full ring was not drained inline")
+		t.Error("the full lane was not drained inline")
 	}
 	// Run the rest by hand. With all tasks ready and no one else holding
 	// the executive, a dry ask after its inline cycle means a lost
@@ -214,8 +216,84 @@ func TestAsyncFastPathFullRing(t *testing.T) {
 	sm.checkAppliedOnce(t)
 }
 
+// TestAsyncPublishesBeforeDry: every completion a worker queued is visible
+// to the drain by the time Enter reports the worker dry, an AskNone entry
+// returns, or Flush returns — the moments after which the worker may park
+// or leave the job. A completion still unpublished then is one the pool's
+// all-parked stall probe counts in flight but no management cycle will
+// ever apply. No management goroutine runs here, and the stretches of
+// hand-offs stay shorter than a publication batch, so only the exits
+// publish.
+func TestAsyncPublishesBeforeDry(t *testing.T) {
+	const batch = 64
+	// visible drains w's lane as a management cycle would and reports how
+	// many completions it found; unpublished ones stay where they are.
+	visible := func(m *async, w int) int {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		buf, _ := m.lanes[w].comp.drain(nil)
+		return len(buf)
+	}
+	start := func(t *testing.T, n int) *async {
+		m := newAsync(newCountingSM(n), Config{Workers: 2, Manager: AsyncManager, ReadyCap: 2 * n, Batch: batch})
+		m.mu.Lock()
+		m.sm.Start()
+		m.refillLocked(0)
+		m.mu.Unlock()
+		return m
+	}
+	// run opens a stretch on worker 0 and hands off k tasks unstamped,
+	// returning the task in hand: k completions queued, none published.
+	run := func(t *testing.T, m *async, k int) core.Task {
+		t.Helper()
+		task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
+		if !ok {
+			t.Fatal("no first task")
+		}
+		for i := 0; i < k; i++ {
+			if task, _, ok, _ = m.Enter(0, task, 0, AskTry); !ok {
+				t.Fatalf("hand-off %d found no task", i)
+			}
+		}
+		if got := visible(m, 0); got != 0 {
+			t.Fatalf("%d completions visible inside an open stretch of %d hand-offs, want none before a publication", got, k)
+		}
+		return task
+	}
+	t.Run("dry", func(t *testing.T) {
+		const n = 8
+		m := start(t, n)
+		task := run(t, m, n-1) // worker 0 takes every task there is
+		m.mu.Lock()            // the executive is busy: no inline cycle drains
+		_, _, ok, _ := m.Enter(0, task, 0, AskTry)
+		m.mu.Unlock()
+		if ok {
+			t.Fatal("a task came back from empty lanes")
+		}
+		if got := visible(m, 0); got != n {
+			t.Errorf("Enter reported dry with %d of %d completions visible", got, n)
+		}
+	})
+	t.Run("ask-none", func(t *testing.T) {
+		m := start(t, 16)
+		task := run(t, m, 5)
+		m.Enter(0, task, 0, AskNone)
+		if got := visible(m, 0); got != 6 {
+			t.Errorf("AskNone returned with %d of 6 completions visible", got)
+		}
+	})
+	t.Run("flush", func(t *testing.T) {
+		m := start(t, 16)
+		run(t, m, 5) // the worker keeps the task in hand and leaves the job
+		m.Flush(0, 0)
+		if got := visible(m, 0); got != 5 {
+			t.Errorf("Flush returned with %d of 5 completions visible", got)
+		}
+	})
+}
+
 // TestAsyncFirstCycleZeroAlloc: a fresh manager's first management cycle —
-// a drain of queued completions and a refill of the whole buffer —
+// a drain of published completions and a refill of every lane —
 // allocates nothing: both scratch buffers are sized at construction.
 func TestAsyncFirstCycleZeroAlloc(t *testing.T) {
 	const runs, readyCap, batch = 100, 16, 4
@@ -223,9 +301,12 @@ func TestAsyncFirstCycleZeroAlloc(t *testing.T) {
 	for i := range ms {
 		sm := newCountingSM(4 * readyCap)
 		m := newAsync(sm, Config{Workers: 2, Manager: AsyncManager, ReadyCap: readyCap, Batch: batch})
-		for range 2 * batch {
-			f, _, _ := sm.NextTask()
-			m.comp.push(f, 0)
+		for w := range m.lanes {
+			for range 2 * batch {
+				f, _, _ := sm.NextTask()
+				m.lanes[w].comp.push(f, 0)
+			}
+			m.lanes[w].comp.publish()
 		}
 		ms[i] = m
 	}
@@ -234,16 +315,36 @@ func TestAsyncFirstCycleZeroAlloc(t *testing.T) {
 		m := ms[next]
 		next++
 		m.mu.Lock()
-		_, progressed := m.cycleLocked(clock.Now())
+		_, progressed := m.cycleLocked(clock.Now(), 0)
 		m.mu.Unlock()
-		if !progressed || m.ready.size() != readyCap {
-			t.Fatalf("first cycle: progressed=%v, %d buffered; want a drain and a full buffer", progressed, m.ready.size())
+		if !progressed || m.buffered() != readyCap {
+			t.Fatalf("first cycle: progressed=%v, %d buffered; want a drain and full lanes", progressed, m.buffered())
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("first cycle on a fresh manager allocated %.1f times per run, want 0", allocs)
 	}
 }
+
+// TestAsyncNewAllocs: building an async manager costs no more allocations
+// than it did with one shared ready deque and one shared completion ring
+// (parentNewAllocs), at 2 workers and at 8: the lanes are carved from one
+// slab per kind, so their count does not grow with the workers.
+func TestAsyncNewAllocs(t *testing.T) {
+	// newAsync with one shared ready deque and one shared completion ring,
+	// measured at 2 and at 8 workers alike.
+	const parentNewAllocs = 12
+	for _, workers := range []int{2, 8} {
+		cfg := Config{Workers: workers, Manager: AsyncManager}
+		if allocs := testing.AllocsPerRun(100, func() { asyncSink = newAsync(&stubSM{}, cfg) }); allocs > parentNewAllocs {
+			t.Errorf("newAsync at %d workers allocated %.0f times, want at most %d", workers, allocs, parentNewAllocs)
+		}
+	}
+}
+
+// asyncSink keeps TestAsyncNewAllocs's managers on the heap, where a run
+// puts them.
+var asyncSink *async
 
 // TestAsyncInlineFallback drives the worker protocol by hand on one core
 // without ever yielding to the management goroutine — the no-spare-core

@@ -112,7 +112,7 @@ func TestManagerContract(t *testing.T) {
 						t.Fatal("no first task")
 					}
 					// The stocked hand-off's two halves, the abort between them.
-					stolen, ok := a.ready.steal()
+					stolen, ok := a.lanes[0].ready.steal()
 					if !ok {
 						t.Fatal("nothing buffered to steal")
 					}

@@ -13,8 +13,9 @@ import (
 // PPoPP 2013 — Go's sync/atomic operations are sequentially consistent, so
 // every fence in that formulation is implied). The deque has one owner at
 // a time — a worker's own goroutine in the sharded manager, whoever holds
-// the state-machine mutex in the async manager, the hand-off ordered by
-// that mutex; any number of thieves steal from it concurrently.
+// the state-machine mutex for every ready lane in the async manager
+// (lane.go), the hand-off ordered by that mutex; any number of thieves
+// steal from it concurrently.
 //
 //   - The owner pushes and pops at the bottom with plain atomic loads and
 //     stores — no lock, no CAS — except when taking the last element,
@@ -55,18 +56,18 @@ import (
 // interleaving would be a real protocol violation.
 //
 // A slot stays 32 bytes wide — two slots to a cache line — though it
-// needs 16: the async manager's ready buffer is eight slots that its owner
-// pushes while every worker steals, and a 16-byte stride packs them into
-// two cache lines the pushing and the stealing ends then share.
-// EXPERIMENTS.md (*two-word deque slots*) has the measurements.
+// needs 16: when the async manager had one shared ready buffer of eight
+// slots, pushed by its owner while every worker stole from it, a 16-byte
+// stride packed it into two cache lines the pushing and the stealing ends
+// shared and measured 5–10 % slower (EXPERIMENTS.md, *two-word deque
+// slots*). The async ready lanes, 16 slots per worker by default, have
+// not been measured at 16 bytes.
 //
 // pushBottomN writes a whole batch of slots and publishes them with one
 // store of bottom, so a thief sees none of the batch or all of it; the
-// sharded manager hands a refill and a steal's loot over that way. The
-// async manager keeps publishing one task at a time (pushBottom): a worker
-// that finds the ready buffer empty for the length of a batched refill
-// takes the park path instead of waiting for the next task. pushBottom is
-// pushBottomN of one task, so the two share one grow path.
+// sharded manager hands a refill and a steal's loot over that way, and
+// the async manager tops each worker's ready lane up that way. pushBottom
+// is pushBottomN of one task, so the two share one grow path.
 type deque struct {
 	top    atomic.Int64
 	bottom atomic.Int64
@@ -123,13 +124,18 @@ func (r *dequeRing) store(i int64, t core.Task) {
 // of two, minimum 8). The deque grows past the hint if needed; the hint
 // just makes the steady state allocation-free.
 func newDeque(capHint int) *deque {
-	size := int64(8)
-	for size < int64(capHint) {
-		size <<= 1
-	}
 	d := &deque{}
-	d.ring.Store(newDequeRing(size))
+	d.ring.Store(newDequeRing(int64(max(pow2(capHint), 8))))
 	return d
+}
+
+// pow2 rounds n up to a power of two, at least 1.
+func pow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }
 
 // size reports bottom-top. It is exact for the owner; for anyone else it

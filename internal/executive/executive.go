@@ -20,9 +20,9 @@
 // parallel, which is what the paper's rundown analysis calls for once the
 // executive becomes the bottleneck. AsyncManager moves all management to
 // one dedicated background goroutine — the paper's separate executive
-// processor realized on hardware: workers pull from a ready-buffer and
-// push completions into a lock-free MPSC queue, and never touch the
-// state-machine lock at all.
+// processor realized on hardware: each worker takes tasks from its own
+// ready lane and queues completions in its own completion lane, and never
+// touches the state-machine lock on a stocked hand-off.
 package executive
 
 import (
@@ -50,22 +50,24 @@ type Config struct {
 	DequeCap int
 	// Batch is the completion batch size: completions accumulate per
 	// worker and are submitted to the state machine in one lock
-	// acquisition when the batch fills (ShardedManager), or set the
-	// management goroutine's per-CompleteBatch drain chunk
-	// (AsyncManager). <=0 selects 8.
+	// acquisition when the batch fills (ShardedManager), or are published
+	// to the management goroutine with one store when that many are
+	// pending in the worker's completion lane (AsyncManager). <=0
+	// selects 8.
 	Batch int
-	// ReadyCap bounds the async manager's shared ready-buffer — the
-	// deque of dispatched tasks the management goroutine keeps topped
-	// up (AsyncManager only). <=0 selects 16*Workers: the same per-worker
+	// ReadyCap bounds the async manager's ready lanes together — one
+	// deque of dispatched tasks per worker, ReadyCap/Workers tasks each
+	// (at least 1), that the management goroutine keeps topped up
+	// (AsyncManager only). <=0 selects 16*Workers: the same per-worker
 	// look-ahead as a sharded worker's deque, so a worker's hand-offs
 	// outnumber the management cycles that stock them (DESIGN.md §3.6).
 	ReadyCap int
-	// LowWater is the ready-buffer level above which the async
+	// LowWater is the ready lanes' total occupancy above which the async
 	// management goroutine overlaps deferred management with computation
 	// (AsyncManager only). <=0 selects ReadyCap/4 (minimum 1).
 	LowWater int
 	// Metrics, when non-nil, is the telemetry set the manager records its
-	// steal counters, refill batch size and ready-buffer occupancy into.
+	// steal counters, refill batch size and ready-lane occupancy into.
 	Metrics *telemetry.Set
 }
 

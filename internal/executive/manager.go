@@ -119,7 +119,8 @@ type Manager interface {
 	// no task it is the manager's latest reading, the stretch closed.
 	Enter(w int, done core.Task, at clock.Stamp, ask Ask) (next core.Task, now clock.Stamp, ok, applied bool)
 	// Flush submits worker w's accumulated completions immediately (a
-	// doorbell ring for the async manager, nothing for the serial one).
+	// publication and a doorbell ring for the async manager, nothing for
+	// the serial one).
 	// The pool calls it when a worker switches jobs so completions cannot
 	// linger unflushed. It reports whether anything was applied.
 	Flush(w int, at clock.Stamp) (now clock.Stamp, applied bool)
@@ -191,13 +192,15 @@ const (
 	ShardedManager
 	// AsyncManager runs all management on one dedicated background
 	// goroutine — the paper's separate executive processor (the sim's
-	// Dedicated model) realized on hardware. Workers pull tasks from a
-	// bounded ready-buffer the management goroutine keeps refilled and
-	// push completions into a lock-free MPSC queue; deferred management
-	// overlaps computation on the management thread whenever the buffer
-	// is above its low-water mark, and a worker that finds the buffer
-	// empty and the executive idle runs a management cycle itself, which
-	// covers a GOMAXPROCS that leaves the management goroutine no core.
+	// Dedicated model) realized on hardware. Each worker takes tasks from
+	// its own bounded ready lane, then from the others', which the
+	// management goroutine keeps refilled, and queues completions in its
+	// own completion lane, published in batches; deferred management
+	// overlaps computation on the management thread whenever the lanes
+	// hold more than the low-water mark, and a worker that finds every
+	// lane empty and the executive idle runs a management cycle itself,
+	// which covers a GOMAXPROCS that leaves the management goroutine no
+	// core.
 	AsyncManager
 )
 

@@ -17,9 +17,9 @@ import (
 //   - sharded: management distributed across the workers (per-worker
 //     deques, batched flushes, stealing);
 //   - async: management moved to a dedicated background goroutine (the
-//     paper's "separate processors for the executive"), workers pulling
-//     from a ready-buffer and queueing completions through a lock-free
-//     MPSC queue.
+//     paper's "separate processors for the executive"), each worker
+//     taking tasks from its own ready lane and queueing completions in
+//     its own completion lane.
 //
 // The structural claims: on the fine-grain identity chain (management-
 // bound, the serial executive's worst case) async must clearly beat

@@ -183,8 +183,8 @@ func TestPoolTwoJobsRace(t *testing.T) {
 	for _, cfg := range []Config{
 		{Workers: 8, Manager: executive.ShardedManager, DequeCap: 4, Batch: 2},
 		// The async arm runs one management goroutine per job beside the
-		// 8 shared workers, with tiny buffers forcing constant refills,
-		// MPSC drains, and pool-level notify wakeups.
+		// 8 shared workers, with one-task ready lanes forcing constant
+		// refills, completion-lane drains, and pool-level notify wakeups.
 		{Workers: 8, Manager: executive.AsyncManager, ReadyCap: 4, LowWater: 1, Batch: 2},
 	} {
 		p, err := NewPool(cfg)

@@ -111,16 +111,19 @@ func WithDequeCap(n int) Option {
 }
 
 // WithBatch sets the completion batch size (sharded manager) or the
-// management goroutine's drain chunk (async manager); on the virtual
-// backend it is the Adaptive model's refill batch.
+// number of completions an async worker queues before it publishes them
+// to the management goroutine (async manager); on the virtual backend it
+// is the Adaptive model's refill batch.
 func WithBatch(n int) Option {
 	return func(c *runnerConfig) error { c.batch = n; return nil }
 }
 
-// WithReadyCap bounds the async manager's ready-buffer. n <= 0 selects
-// the default: 16 tasks per worker on goroutines, the same look-ahead as a
-// sharded worker's deque; in virtual time the Async model splits
-// 2*workers across the jobs, minimum 8 each.
+// WithReadyCap bounds the async manager's ready lanes together: on
+// goroutines each worker's lane holds n/workers tasks, at least 1. n <= 0
+// selects the default: 16 tasks per worker, the same look-ahead as a
+// sharded worker's deque. In virtual time it bounds the Async model's
+// one ready buffer per job, by default 2*workers split across the jobs,
+// minimum 8 each.
 func WithReadyCap(n int) Option {
 	return func(c *runnerConfig) error { c.readyCap = n; return nil }
 }

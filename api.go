@@ -297,15 +297,17 @@ const (
 	// SerialManager serializes every scheduler interaction under one
 	// global lock — the paper's serial executive, kept as the baseline.
 	SerialManager = executive.SerialManager
-	// ShardedManager gives each worker a bounded local task deque with
-	// batched completion submission and work stealing between shards.
+	// ShardedManager gives each worker a bounded ready lane of tasks
+	// (WithDequeCap) and a completion lane published every WithBatch
+	// completions; a worker whose lane runs dry runs the management cycle
+	// itself, refilling its own lane, and steals from the others' lanes
+	// in rundown.
 	ShardedManager = executive.ShardedManager
-	// AsyncManager runs all management on one dedicated background
-	// goroutine — the paper's separate executive processor realized on
-	// hardware: each worker takes tasks from its own bounded ready lane
-	// (WithReadyCap sizes them together) and queues completions in its
-	// own completion lane, published every WithBatch completions, never
-	// touching the state-machine lock while its lanes are stocked.
+	// AsyncManager is the same lane manager with the management cycle on
+	// one dedicated background goroutine — the paper's separate executive
+	// processor realized on hardware — whenever GOMAXPROCS leaves it a
+	// core beside the workers; WithReadyCap sizes the lanes together.
+	// With no spare core the cycle runs inline, as under ShardedManager.
 	AsyncManager = executive.AsyncManager
 )
 

@@ -29,9 +29,10 @@
 //     rundown is filled by another job's work. Each job's scheduler sits
 //     behind a pluggable executive manager — the paper-faithful
 //     SerialManager (one global executive lock), the ShardedManager
-//     (per-worker task deques, batched completion submission, work
-//     stealing), or the AsyncManager (all management on one dedicated
-//     background goroutine, the paper's separate executive processor).
+//     (per-worker task and completion lanes, management run by the worker
+//     that ran dry), or the AsyncManager (the same lanes, managed by one
+//     dedicated background goroutine, the paper's separate executive
+//     processor, when a core is spare for it).
 //     WithPool only relabels this machine;
 //   - the virtual machine (WithVirtualTime): a deterministic
 //     discrete-event simulation of a P-processor machine that prices

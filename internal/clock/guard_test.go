@@ -11,20 +11,23 @@ import (
 )
 
 // wallClockAllowed lists the functions of the wall-clock backends that may
-// call time.Now(): the few places that stamp a lifetime for a report — a
-// pool's start and end, a job's submission and retirement. Everything
-// else measures intervals and reads clock.Now.
+// call time.Now() or time.Since(): the few places that stamp a lifetime
+// for a report — a pool's start and end, a job's submission, activation
+// and retirement, an observer snapshot's elapsed time. Everything else
+// measures intervals and reads clock.Now.
 var wallClockAllowed = map[string]bool{
-	"tenant/tenant.go:NewPool":   true,
-	"tenant/tenant.go:Submit":    true,
-	"tenant/tenant.go:Close":     true,
-	"tenant/lifecycle.go:retire": true,
+	"tenant/tenant.go:NewPool":     true,
+	"tenant/tenant.go:Submit":      true,
+	"tenant/tenant.go:Close":       true,
+	"tenant/lifecycle.go:activate": true,
+	"tenant/lifecycle.go:retire":   true,
+	"tenant/observe.go:snapshot":   true,
 }
 
 // TestNoWallClockOnHotPaths fails when a non-test file of the goroutine
-// executive or the tenant pool calls time.Now() outside the allow-list: a
-// wall-clock reading costs two clock reads and makes an interval an NTP
-// step can stretch or invert.
+// executive or the tenant pool calls time.Now() or time.Since() outside
+// the allow-list: a wall-clock reading costs two clock reads and makes an
+// interval an NTP step can stretch or invert.
 func TestNoWallClockOnHotPaths(t *testing.T) {
 	for _, pkg := range []string{"executive", "tenant"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
@@ -52,12 +55,12 @@ func TestNoWallClockOnHotPaths(t *testing.T) {
 				where := pkg + "/" + filepath.Base(path) + ":" + fn.Name.Name
 				ast.Inspect(fn, func(n ast.Node) bool {
 					sel, ok := n.(*ast.SelectorExpr)
-					if !ok || sel.Sel.Name != "Now" {
+					if !ok || sel.Sel.Name != "Now" && sel.Sel.Name != "Since" {
 						return true
 					}
 					if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" && !wallClockAllowed[where] {
-						t.Errorf("%s: time.Now() in %s — use clock.Now() for intervals, or add the function to the allow-list if it stamps a report",
-							fset.Position(sel.Pos()), where)
+						t.Errorf("%s: time.%s() in %s — use clock.Now() for intervals, or add the function to the allow-list if it stamps a report",
+							fset.Position(sel.Pos()), sel.Sel.Name, where)
 					}
 					return true
 				})

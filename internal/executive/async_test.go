@@ -10,29 +10,29 @@ import (
 	"repro/internal/granule"
 )
 
-// TestAsyncDefaults: the ready buffer holds the per-worker look-ahead of a
-// sharded worker's deque for every worker, and the low-water mark is a
-// quarter of it; explicit knobs are taken as given, the mark kept below
-// the bound.
+// TestAsyncDefaults: every async ready lane holds the per-worker
+// look-ahead of a sharded worker's lane, and the low-water mark is a
+// quarter of all lanes together; explicit knobs are taken as given, the
+// mark kept below the bound.
 func TestAsyncDefaults(t *testing.T) {
-	m := newAsync(&stubSM{}, Config{Workers: 8, Manager: AsyncManager})
-	if m.readyCap != 128 {
-		t.Errorf("readyCap = %d, want 16*workers = 128", m.readyCap)
+	m := newLaneManager(&stubSM{}, Config{Workers: 8, Manager: AsyncManager})
+	if m.laneCap != 16 {
+		t.Errorf("laneCap = %d, want 16 (readyCap 16*workers over 8 workers)", m.laneCap)
 	}
 	if m.lowWater != 32 {
 		t.Errorf("lowWater = %d, want readyCap/4 = 32", m.lowWater)
 	}
-	if s := newSharded(&stubSM{}, Config{Workers: 8}); m.readyCap != 8*s.cap {
-		t.Errorf("readyCap = %d, want workers × the sharded deque's default %d", m.readyCap, s.cap)
+	if s := newLaneManager(&stubSM{}, Config{Workers: 8}); m.laneCap != s.laneCap {
+		t.Errorf("laneCap = %d, want the sharded lane's default %d", m.laneCap, s.laneCap)
 	}
-	m = newAsync(&stubSM{}, Config{Workers: 1, Manager: AsyncManager})
-	if m.readyCap != 16 || m.lowWater != 4 {
-		t.Errorf("one-worker readyCap=%d lowWater=%d, want 16 and 4", m.readyCap, m.lowWater)
+	m = newLaneManager(&stubSM{}, Config{Workers: 1, Manager: AsyncManager})
+	if m.laneCap != 16 || m.lowWater != 4 {
+		t.Errorf("one-worker laneCap=%d lowWater=%d, want 16 and 4", m.laneCap, m.lowWater)
 	}
-	m = newAsync(&stubSM{}, Config{Workers: 4, Manager: AsyncManager, ReadyCap: 4, LowWater: 9})
-	if m.readyCap != 4 || m.lowWater != 3 {
-		t.Errorf("explicit knobs: readyCap=%d lowWater=%d, want 4 and 3 (clamped below cap)",
-			m.readyCap, m.lowWater)
+	m = newLaneManager(&stubSM{}, Config{Workers: 4, Manager: AsyncManager, ReadyCap: 4, LowWater: 9})
+	if m.laneCap != 1 || m.lowWater != 3 {
+		t.Errorf("explicit knobs: laneCap=%d lowWater=%d, want 1 and 3 (clamped below cap)",
+			m.laneCap, m.lowWater)
 	}
 }
 
@@ -98,48 +98,51 @@ func (s *countingSM) checkAppliedOnce(t *testing.T) {
 }
 
 // TestAsyncStretchSpansHandOffs: a worker that reports its tasks unstamped
-// over a stocked ready buffer takes no reading — every hand-off returns the
+// over a stocked ready lane takes no reading — every hand-off returns the
 // zero stamp and the stretch opened by the first dispatch runs on — and the
 // stretch is booked once, when a stamped entry closes it: the compute total
 // is the closing reading minus the first dispatch stamp, and every task is
-// counted.
+// counted. It holds under both placements (the batch is the whole run, so
+// no inline drain reads the clock in between).
 func TestAsyncStretchSpansHandOffs(t *testing.T) {
 	const n = 64
-	sm := newCountingSM(n)
-	mgr, err := NewManager(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: n})
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range placements {
+		t.Run(p.name, func(t *testing.T) {
+			sm := newCountingSM(n)
+			mgr := placed(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: n, Batch: n}, p.dedicated)
+			mgr.Start() // the first refill buffers all n tasks
+			task, first, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
+			if !ok || first == 0 {
+				t.Fatalf("first ask: ok=%v stamp=%d, want a task and its dispatch stamp", ok, first)
+			}
+			for i := 1; i < n; i++ {
+				next, now, ok, _ := mgr.Enter(0, task, 0, AskTry)
+				if !ok {
+					t.Fatalf("hand-off %d found no task in a lane stocked with %d", i, n)
+				}
+				if now != 0 {
+					t.Fatalf("hand-off %d returned stamp %d, want 0: the stretch must run on unread", i, now)
+				}
+				task = next
+			}
+			end := clock.Now()
+			mgr.Enter(0, task, end, AskNone)
+			mgr.Flush(0, 0)
+			waitDone(t, mgr)
+			compute, _, tasks := mgr.Totals()
+			if want := end.Sub(first); compute != want {
+				t.Errorf("compute = %v, want the one stretch from the first dispatch to the closing reading, %v", compute, want)
+			}
+			if tasks != n {
+				t.Errorf("tasks = %d, want %d", tasks, n)
+			}
+			sm.checkAppliedOnce(t)
+		})
 	}
-	mgr.Start() // the first refill buffers all n tasks
-	task, first, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
-	if !ok || first == 0 {
-		t.Fatalf("first ask: ok=%v stamp=%d, want a task and its dispatch stamp", ok, first)
-	}
-	for i := 1; i < n; i++ {
-		next, now, ok, _ := mgr.Enter(0, task, 0, AskTry)
-		if !ok {
-			t.Fatalf("hand-off %d found no task in a buffer stocked with %d", i, n)
-		}
-		if now != 0 {
-			t.Fatalf("hand-off %d returned stamp %d, want 0: the stretch must run on unread", i, now)
-		}
-		task = next
-	}
-	end := clock.Now()
-	mgr.Enter(0, task, end, AskNone)
-	waitDone(t, mgr)
-	compute, _, tasks := mgr.Totals()
-	if want := end.Sub(first); compute != want {
-		t.Errorf("compute = %v, want the one stretch from the first dispatch to the closing reading, %v", compute, want)
-	}
-	if tasks != n {
-		t.Errorf("tasks = %d, want %d", tasks, n)
-	}
-	sm.checkAppliedOnce(t)
 }
 
-// waitDone waits, up to ten seconds, for the management goroutine to apply
-// the last completion, then joins it.
+// waitDone waits, up to ten seconds, for the last completion to be
+// applied, then joins the management goroutine.
 func waitDone(t *testing.T, mgr Manager) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
@@ -157,6 +160,16 @@ func waitDone(t *testing.T, mgr Manager) {
 	mgr.Join()
 }
 
+// startByHand activates m's program and stocks every ready lane without
+// spawning a management goroutine, so only the cycles the test's worker
+// runs inline, or runs itself, drain a lane.
+func startByHand(m *laneManager) {
+	m.mu.Lock()
+	m.sm.Start()
+	m.refillLocked(-1)
+	m.mu.Unlock()
+}
+
 // TestAsyncFastPathFullRing: a stocked hand-off whose completion meets
 // its worker's full completion lane falls back to the slow way — the
 // stretch closes, the worker publishes its lane and drains it inline (no
@@ -166,13 +179,8 @@ func waitDone(t *testing.T, mgr Manager) {
 func TestAsyncFastPathFullRing(t *testing.T) {
 	const n = 256
 	sm := newCountingSM(n)
-	m := newAsync(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 8, Batch: 4})
-	// Start by hand, without the management goroutine: only this worker's
-	// inline cycles drain its lane.
-	m.mu.Lock()
-	m.sm.Start()
-	m.refillLocked(0)
-	m.mu.Unlock()
+	m := placed(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 8, Batch: 4}, false)
+	startByHand(m)
 
 	task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
 	if !ok {
@@ -194,7 +202,7 @@ func TestAsyncFastPathFullRing(t *testing.T) {
 	if !ok || now == 0 {
 		t.Fatalf("hand-off into a full lane: ok=%v stamp=%d, want the stolen task at a fresh stamp", ok, now)
 	}
-	if m.InlineCycles() == 0 {
+	if q.head.Load() == 0 {
 		t.Error("the full lane was not drained inline")
 	}
 	// Run the rest by hand. With all tasks ready and no one else holding
@@ -216,35 +224,33 @@ func TestAsyncFastPathFullRing(t *testing.T) {
 	sm.checkAppliedOnce(t)
 }
 
-// TestAsyncPublishesBeforeDry: every completion a worker queued is visible
-// to the drain by the time Enter reports the worker dry, an AskNone entry
-// returns, or Flush returns — the moments after which the worker may park
-// or leave the job. A completion still unpublished then is one the pool's
-// all-parked stall probe counts in flight but no management cycle will
-// ever apply. No management goroutine runs here, and the stretches of
-// hand-offs stay shorter than a publication batch, so only the exits
-// publish.
+// TestAsyncPublishesBeforeDry: under the dedicated placement every
+// completion a worker queued is visible to the drain by the time Enter
+// reports the worker dry, an AskNone entry returns, or Flush returns — the
+// moments after which the worker may park or leave the job. A completion
+// still unpublished then is one the pool's all-parked stall probe counts
+// in flight but no management cycle will ever apply. No management
+// goroutine runs here, and the stretches of hand-offs stay shorter than a
+// publication batch, so only the exits publish. (Inline, a dry ask applies
+// them itself: TestInlineCycleTouchesOwnLanesOnly.)
 func TestAsyncPublishesBeforeDry(t *testing.T) {
 	const batch = 64
 	// visible drains w's lane as a management cycle would and reports how
 	// many completions it found; unpublished ones stay where they are.
-	visible := func(m *async, w int) int {
+	visible := func(m *laneManager, w int) int {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		buf, _ := m.lanes[w].comp.drain(nil)
 		return len(buf)
 	}
-	start := func(t *testing.T, n int) *async {
-		m := newAsync(newCountingSM(n), Config{Workers: 2, Manager: AsyncManager, ReadyCap: 2 * n, Batch: batch})
-		m.mu.Lock()
-		m.sm.Start()
-		m.refillLocked(0)
-		m.mu.Unlock()
+	start := func(t *testing.T, n int) *laneManager {
+		m := placed(newCountingSM(n), Config{Workers: 2, Manager: AsyncManager, ReadyCap: 2 * n, Batch: batch}, true)
+		startByHand(m)
 		return m
 	}
 	// run opens a stretch on worker 0 and hands off k tasks unstamped,
 	// returning the task in hand: k completions queued, none published.
-	run := func(t *testing.T, m *async, k int) core.Task {
+	run := func(t *testing.T, m *laneManager, k int) core.Task {
 		t.Helper()
 		task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
 		if !ok {
@@ -264,7 +270,7 @@ func TestAsyncPublishesBeforeDry(t *testing.T) {
 		const n = 8
 		m := start(t, n)
 		task := run(t, m, n-1) // worker 0 takes every task there is
-		m.mu.Lock()            // the executive is busy: no inline cycle drains
+		m.mu.Lock()            // the executive is busy: a worker never waits for it
 		_, _, ok, _ := m.Enter(0, task, 0, AskTry)
 		m.mu.Unlock()
 		if ok {
@@ -293,36 +299,43 @@ func TestAsyncPublishesBeforeDry(t *testing.T) {
 }
 
 // TestAsyncFirstCycleZeroAlloc: a fresh manager's first management cycle —
-// a drain of published completions and a refill of every lane —
-// allocates nothing: both scratch buffers are sized at construction.
+// a drain of published completions and a refill, of every lane on the
+// management goroutine and of the worker's own inline — allocates
+// nothing: both scratch buffers are sized at construction.
 func TestAsyncFirstCycleZeroAlloc(t *testing.T) {
 	const runs, readyCap, batch = 100, 16, 4
-	ms := make([]*async, runs+1) // AllocsPerRun calls once more to warm up
-	for i := range ms {
-		sm := newCountingSM(4 * readyCap)
-		m := newAsync(sm, Config{Workers: 2, Manager: AsyncManager, ReadyCap: readyCap, Batch: batch})
-		for w := range m.lanes {
-			for range 2 * batch {
-				f, _, _ := sm.NextTask()
-				m.lanes[w].comp.push(f, 0)
+	for _, c := range []struct {
+		w        int   // the cycle's lanes: all, or worker 0's
+		buffered int64 // ready tasks after it
+	}{{-1, readyCap}, {0, readyCap / 2}} {
+		ms := make([]*laneManager, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range ms {
+			sm := newCountingSM(4 * readyCap)
+			m := newLaneManager(sm, Config{Workers: 2, Manager: AsyncManager, ReadyCap: readyCap, Batch: batch})
+			for w := range m.lanes {
+				for range 2 * batch {
+					f, _, _ := sm.NextTask()
+					m.lanes[w].comp.push(f, 0)
+				}
+				m.lanes[w].comp.publish()
 			}
-			m.lanes[w].comp.publish()
+			ms[i] = m
 		}
-		ms[i] = m
-	}
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		m := ms[next]
-		next++
-		m.mu.Lock()
-		_, progressed := m.cycleLocked(clock.Now(), 0)
-		m.mu.Unlock()
-		if !progressed || m.buffered() != readyCap {
-			t.Fatalf("first cycle: progressed=%v, %d buffered; want a drain and full lanes", progressed, m.buffered())
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			m := ms[next]
+			next++
+			m.mu.Lock()
+			_, drained, _ := m.cycleLocked(clock.Now(), c.w, true)
+			m.mu.Unlock()
+			if !drained || m.buffered() != c.buffered {
+				t.Fatalf("first cycle for lanes %d: drained=%v, %d buffered; want a drain and %d buffered",
+					c.w, drained, m.buffered(), c.buffered)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("first cycle for lanes %d on a fresh manager allocated %.1f times per run, want 0", c.w, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("first cycle on a fresh manager allocated %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -336,24 +349,35 @@ func TestAsyncNewAllocs(t *testing.T) {
 	const parentNewAllocs = 12
 	for _, workers := range []int{2, 8} {
 		cfg := Config{Workers: workers, Manager: AsyncManager}
-		if allocs := testing.AllocsPerRun(100, func() { asyncSink = newAsync(&stubSM{}, cfg) }); allocs > parentNewAllocs {
-			t.Errorf("newAsync at %d workers allocated %.0f times, want at most %d", workers, allocs, parentNewAllocs)
+		if allocs := testing.AllocsPerRun(100, func() { laneSink = newLaneManager(&stubSM{}, cfg) }); allocs > parentNewAllocs {
+			t.Errorf("newLaneManager at %d workers allocated %.0f times, want at most %d", workers, allocs, parentNewAllocs)
 		}
 	}
 }
 
-// asyncSink keeps TestAsyncNewAllocs's managers on the heap, where a run
+// laneSink keeps TestAsyncNewAllocs's managers on the heap, where a run
 // puts them.
-var asyncSink *async
+var laneSink *laneManager
 
-// TestAsyncInlineFallback drives the worker protocol by hand on one core
-// without ever yielding to the management goroutine — the no-spare-core
-// case — so every refill after the first must come from a worker that
-// found the buffer empty and the executive idle and entered it. While the
-// executive is busy (mu held here) the same worker is told "dry" instead
-// of waiting behind it.
+// TestAsyncInlineFallback: the async kind's placement follows the host.
+// With a core to spare beyond the workers it is dedicated; with none
+// (GOMAXPROCS ≤ Workers) — and the sharded kind always — it is inline: no
+// management goroutine is started, and a worker driven by hand on one core
+// that never yields finishes the program through the cycles it runs
+// itself when its lane runs dry.
 func TestAsyncInlineFallback(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if m := newLaneManager(&stubSM{}, Config{Workers: 1, Manager: AsyncManager}); !m.dedicated {
+		t.Error("async with a spare core: inline placement, want dedicated")
+	}
+	if m := newLaneManager(&stubSM{}, Config{Workers: 1, Manager: ShardedManager}); m.dedicated {
+		t.Error("sharded with a spare core: dedicated placement, want inline")
+	}
+	if m := newLaneManager(&stubSM{}, Config{Workers: 2, Manager: AsyncManager}); m.dedicated {
+		t.Error("async with as many workers as cores: dedicated placement, want inline")
+	}
+
+	runtime.GOMAXPROCS(1)
 	prog, a, b, c := buildCopyChain(t, 1024)
 	sched, err := core.New(prog, core.Options{
 		Workers: 1, Grain: 4, Overlap: true, Costs: core.DefaultCosts(),
@@ -361,74 +385,132 @@ func TestAsyncInlineFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newAsync(sched, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 4, Batch: 1})
+	m := newLaneManager(sched, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 4, Batch: 1})
+	if m.dedicated {
+		t.Fatal("async with no spare core: dedicated placement, want inline")
+	}
 	m.Start()
-	finish := func(task core.Task) {
-		work := prog.Phases[task.Phase].Work
-		task.Run.Each(func(g granule.ID) { work(g) })
-		m.Enter(0, task, clock.Now(), AskNone)
+	if m.started.Load() {
+		t.Error("a management goroutine was started with no core to run on")
 	}
-
-	m.mu.Lock()
-	var held []core.Task
+	var task core.Task
 	for {
-		task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
-		if !ok {
-			break // a blocking lock here would deadlock the test instead
-		}
-		held = append(held, task)
-	}
-	if len(held) == 0 || m.InlineCycles() != 0 {
-		t.Fatalf("busy executive: %d tasks taken, %d inline cycles; want the buffered tasks and no cycle",
-			len(held), m.InlineCycles())
-	}
-	m.mu.Unlock()
-	for _, task := range held {
-		finish(task)
-	}
-
-	for {
-		task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
-		if ok {
-			finish(task)
-		} else if done, _ := m.Outcome(); done {
+		next, _, ok, _ := m.Enter(0, task, clock.Now(), AskTry)
+		if task = next; !ok {
 			break
 		}
+		work := prog.Phases[task.Phase].Work
+		task.Run.Each(func(g granule.ID) { work(g) })
 	}
 	m.Join()
-	if _, err := m.Outcome(); err != nil {
-		t.Fatal(err)
+	if done, err := m.Outcome(); err != nil || !done {
+		t.Fatalf("dry ask on one inline worker: Outcome = (%v, %v), want the finished run", done, err)
 	}
 	checkCopyChain(t, a, b, c)
-	if m.InlineCycles() == 0 {
-		t.Error("an empty buffer and an idle executive never led to an inline management cycle")
-	}
 }
 
 // TestAsyncAbortReleasesWorkers: Abort must end the run for a worker still
 // asking — no task comes back once the flag is up, however many are
-// buffered — stop the management goroutine, and surface through Outcome.
+// buffered — stop the management goroutine, and surface through Outcome,
+// under both placements.
 func TestAsyncAbortReleasesWorkers(t *testing.T) {
-	prog, _, _, _ := buildCopyChain(t, 64)
-	sched, err := core.New(prog, core.Options{
-		Workers: 2, Grain: 1, Overlap: true, Costs: core.DefaultCosts(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range placements {
+		prog, _, _, _ := buildCopyChain(t, 64)
+		sched, err := core.New(prog, core.Options{
+			Workers: 2, Grain: 1, Overlap: true, Costs: core.DefaultCosts(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := placed(sched, Config{Workers: 2, Manager: AsyncManager}, p.dedicated)
+		m.Start()
+		if _, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry); !ok {
+			t.Fatalf("%s: no first task", p.name)
+		}
+		m.Abort(errAbortTest)
+		if _, _, ok, _ := m.Enter(1, core.Task{}, clock.Now(), AskTry); ok {
+			t.Fatalf("%s: a task was handed out after the abort", p.name)
+		}
+		m.Join()
+		if _, err := m.Outcome(); err != errAbortTest {
+			t.Fatalf("%s: Outcome error = %v, want the abort error", p.name, err)
+		}
 	}
-	m := newAsync(sched, Config{Workers: 2, Manager: AsyncManager})
-	m.Start()
-	if _, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry); !ok {
-		t.Fatal("no first task")
+}
+
+// TestInlineCycleTouchesOwnLanesOnly: an inline cycle runs on the dry
+// worker's time and refills that worker's ready lane alone — every other
+// worker's ready lane is exactly as it was — while it applies every
+// completion published so far, whichever worker queued it. The management
+// goroutine's cycle refills every lane.
+func TestInlineCycleTouchesOwnLanesOnly(t *testing.T) {
+	const workers, laneCap = 4, 4
+	m := placed(newCountingSM(1024), Config{Workers: workers, DequeCap: laneCap, Batch: 64}, false)
+	startByHand(m)
+	// Every worker takes a task; worker 0 then runs its lane dry, and every
+	// worker has two completions published.
+	var held [workers]core.Task
+	for w := range held {
+		held[w], _, _, _ = m.Enter(w, core.Task{}, clock.Now(), AskTry)
 	}
-	m.Abort(errAbortTest)
-	if _, _, ok, _ := m.Enter(1, core.Task{}, clock.Now(), AskTry); ok {
-		t.Fatal("a task was handed out after the abort")
+	for range laneCap - 1 {
+		held[0], _, _, _ = m.Enter(0, held[0], 0, AskTry)
 	}
-	m.Join()
-	if _, err := m.Outcome(); err != errAbortTest {
-		t.Fatalf("Outcome error = %v, want the abort error", err)
+	m.mu.Lock()
+	for w := range m.lanes {
+		for range 2 {
+			f, _, _ := m.sm.NextTask()
+			m.lanes[w].comp.push(f, 0)
+		}
+		m.lanes[w].comp.publish()
 	}
+	m.mu.Unlock()
+	type ready struct{ top, bottom int64 }
+	read := func(w int) ready { return ready{m.lanes[w].ready.top.Load(), m.lanes[w].ready.bottom.Load()} }
+	var before [workers]ready
+	for w := range before {
+		before[w] = read(w)
+	}
+	if _, _, ok, applied := m.Enter(0, held[0], 0, AskTry); !ok || !applied {
+		t.Fatalf("dry ask on worker 0: ok=%v applied=%v, want a refill and the published completions applied", ok, applied)
+	}
+	if got := read(0); got.bottom == before[0].bottom {
+		t.Errorf("worker 0's ready lane was not refilled: %+v, then %+v", before[0], got)
+	}
+	if q := &m.lanes[0].comp; q.head.Load() != q.local {
+		t.Errorf("worker 0's dry ask left %d of its own completions unapplied", q.local-q.head.Load())
+	}
+	for w := 1; w < workers; w++ {
+		if got := read(w); got != before[w] {
+			t.Errorf("worker 0's inline cycle moved worker %d's ready lane: %+v, then %+v", w, before[w], got)
+		}
+		if q := &m.lanes[w].comp; q.head.Load() != q.tail.Load() {
+			t.Errorf("worker %d's published completions were left undrained", w)
+		}
+	}
+
+	m.mu.Lock()
+	m.cycleLocked(clock.Now(), -1, true)
+	m.mu.Unlock()
+	for w := 1; w < workers; w++ {
+		if got := read(w); got.bottom == before[w].bottom {
+			t.Errorf("the management goroutine's cycle left worker %d's ready lane alone: %+v, then %+v", w, before[w], got)
+		}
+	}
+}
+
+// placements are the lane manager's two placements, for tests that run
+// under both whatever the host's core count.
+var placements = []struct {
+	name      string
+	dedicated bool
+}{{"inline", false}, {"dedicated", true}}
+
+// placed builds a lane manager with its placement forced.
+func placed(sm StateMachine, cfg Config, dedicated bool) *laneManager {
+	m := newLaneManager(sm, cfg)
+	m.dedicated = dedicated
+	return m
 }
 
 var errAbortTest = &abortErr{}

@@ -16,6 +16,18 @@ import (
 // the checks the moment it is registered in manager.go — nothing here
 // names a specific manager.
 
+// newTestManager is NewManager with the lane manager's placement pinned
+// by kind, whatever the host's core count: the sharded kind runs inline
+// and the async kind dedicated, so every hand-driven suite that ranges
+// over ManagerKinds() runs under both placements.
+func newTestManager(sm StateMachine, cfg Config) (Manager, error) {
+	mgr, err := NewManager(sm, cfg)
+	if m, ok := mgr.(*laneManager); ok {
+		m.dedicated = cfg.Manager == AsyncManager
+	}
+	return mgr, err
+}
+
 // conformanceConfig returns a Config that stresses kind's batching paths:
 // small deques, batches, and ready-buffers force constant refills,
 // flushes, steals, and drains.
@@ -42,7 +54,7 @@ func TestManagerDoneInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, err := NewManager(sched, conformanceConfig(kind, workers))
+		mgr, err := newTestManager(sched, conformanceConfig(kind, workers))
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -108,7 +120,7 @@ func driveByHand(t *testing.T, kind ManagerKind, prog *core.Program, opt core.Op
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := NewManager(sched, conformanceConfig(kind, opt.Workers))
+	mgr, err := newTestManager(sched, conformanceConfig(kind, opt.Workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +229,7 @@ func TestEnterAfterAbortDropsCompletion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mgr, err := NewManager(sched, conformanceConfig(kind, 2))
+			mgr, err := newTestManager(sched, conformanceConfig(kind, 2))
 			if err != nil {
 				t.Fatal(err)
 			}

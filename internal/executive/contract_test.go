@@ -19,10 +19,12 @@ import (
 //   - nothing moves after the failure point: an Enter reporting a finished
 //     task after the abort — stamped, or unstamped from an open stretch —
 //     moves no total and hands out no task, and neither does a Flush of a
-//     completion held back before it (the sharded manager's batch drops
-//     it, and the dropped batch's lock visit is charged to no one); on the
-//     async manager that holds too for an abort landing between a stocked
-//     hand-off's steal and its push.
+//     completion held back before it (an inline flush drops it, and its
+//     lock visit is charged to no one); on the lane manager that holds too
+//     for an abort landing between a stocked hand-off's steal and its push.
+//
+// The sharded kind runs the lane manager inline and the async kind
+// dedicated (newTestManager), so the contract holds under both placements.
 func TestManagerContract(t *testing.T) {
 	const workers = 4
 	newRun := func(t *testing.T, kind ManagerKind) (Manager, *core.Program) {
@@ -32,7 +34,7 @@ func TestManagerContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mgr, err := NewManager(sched, conformanceConfig(kind, workers))
+		mgr, err := newTestManager(sched, conformanceConfig(kind, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,23 +104,23 @@ func TestManagerContract(t *testing.T) {
 					}
 				}
 			})
-			if kind == AsyncManager {
+			if kind != SerialManager {
 				t.Run("abort-between-steal-and-push", func(t *testing.T) {
 					mgr, _ := newRun(t, kind)
 					mgr.Start()
-					a := mgr.(*async)
+					m := mgr.(*laneManager)
 					done, _, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
 					if !ok {
 						t.Fatal("no first task")
 					}
 					// The stocked hand-off's two halves, the abort between them.
-					stolen, ok := a.lanes[0].ready.steal()
+					stolen, ok := m.lanes[0].ready.steal()
 					if !ok {
 						t.Fatal("nothing buffered to steal")
 					}
 					mgr.Abort(e1)
 					before := read(mgr)
-					if _, _, ok, _ := a.handOff(0, done, stolen); ok {
+					if _, _, ok, _ := m.handOff(0, done, stolen, 0); ok {
 						t.Error("the stolen task was handed out after the abort")
 					}
 					mgr.Join()

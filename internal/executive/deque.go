@@ -12,10 +12,9 @@ import (
 // Lê et al., "Correct and Efficient Work-Stealing for Weak Memory Models",
 // PPoPP 2013 — Go's sync/atomic operations are sequentially consistent, so
 // every fence in that formulation is implied). The deque has one owner at
-// a time — a worker's own goroutine in the sharded manager, whoever holds
-// the state-machine mutex for every ready lane in the async manager
-// (lane.go), the hand-off ordered by that mutex; any number of thieves
-// steal from it concurrently.
+// a time — for the lane manager's ready lanes (lane.go) whoever holds the
+// state-machine mutex, the hand-off ordered by that mutex; any number of
+// thieves steal from it concurrently.
 //
 //   - The owner pushes and pops at the bottom with plain atomic loads and
 //     stores — no lock, no CAS — except when taking the last element,
@@ -56,18 +55,14 @@ import (
 // interleaving would be a real protocol violation.
 //
 // A slot stays 32 bytes wide — two slots to a cache line — though it
-// needs 16: when the async manager had one shared ready buffer of eight
-// slots, pushed by its owner while every worker stole from it, a 16-byte
-// stride packed it into two cache lines the pushing and the stealing ends
-// shared and measured 5–10 % slower (EXPERIMENTS.md, *two-word deque
-// slots*). The async ready lanes, 16 slots per worker by default, have
-// not been measured at 16 bytes.
+// needs 16: a 16-byte stride measured 5–10 % slower when one shared buffer
+// was pushed and stolen from at both ends (EXPERIMENTS.md, *two-word deque
+// slots*).
 //
 // pushBottomN writes a whole batch of slots and publishes them with one
-// store of bottom, so a thief sees none of the batch or all of it; the
-// sharded manager hands a refill and a steal's loot over that way, and
-// the async manager tops each worker's ready lane up that way. pushBottom
-// is pushBottomN of one task, so the two share one grow path.
+// store of bottom, so a thief sees none of the batch or all of it: a
+// refill tops a ready lane up that way. pushBottom is pushBottomN of one
+// task, so the two share one grow path.
 type deque struct {
 	top    atomic.Int64
 	bottom atomic.Int64
@@ -106,18 +101,28 @@ func (r *dequeRing) size() int64 { return r.mask + 1 }
 
 func (r *dequeRing) load(i int64) core.Task {
 	s := &r.slots[i&r.mask]
-	head, run := s.head.Load(), s.run.Load()
+	return unpack(s.head.Load(), s.run.Load())
+}
+
+func (r *dequeRing) store(i int64, t core.Task) {
+	s := &r.slots[i&r.mask]
+	head, run := pack(t)
+	s.head.Store(head)
+	s.run.Store(run)
+}
+
+// pack and unpack convert a task to and from its two words (see the
+// header).
+func pack(t core.Task) (head, run int64) {
+	return int64(t.ID)<<32 | int64(uint32(t.Phase)), int64(t.Run.Lo)<<32 | int64(uint32(t.Run.Hi))
+}
+
+func unpack(head, run int64) core.Task {
 	return core.Task{
 		ID:    int(head >> 32),
 		Phase: granule.PhaseID(int32(head)),
 		Run:   granule.Range{Lo: granule.ID(run >> 32), Hi: granule.ID(uint32(run))},
 	}
-}
-
-func (r *dequeRing) store(i int64, t core.Task) {
-	s := &r.slots[i&r.mask]
-	s.head.Store(int64(t.ID)<<32 | int64(uint32(t.Phase)))
-	s.run.Store(int64(t.Run.Lo)<<32 | int64(uint32(t.Run.Hi)))
 }
 
 // newDeque sizes the initial ring for capHint tasks (rounded up to a power

@@ -95,11 +95,11 @@ func BenchmarkDequeStealContended(b *testing.B) {
 	wg.Wait()
 }
 
-// BenchmarkDequeShardSteal: the manager-level sweep — find a victim,
-// CAS-transfer half its deque, pop one to run. Compare allocs/op against
-// the old mutex deque's make([]core.Task, take) per steal: must be 0.
+// BenchmarkDequeShardSteal: the manager-level sweep — find a victim and
+// CAS one task off its lane, until every lane is empty. allocs/op must be
+// 0.
 func BenchmarkDequeShardSteal(b *testing.B) {
-	m := shardedForTest(4, 64, 8)
+	m := lanesForTest(4, 64, 8)
 	var load []core.Task
 	for i := 0; i < 32; i++ {
 		load = append(load, mkTask(i))
@@ -112,8 +112,6 @@ func BenchmarkDequeShardSteal(b *testing.B) {
 			if _, _, ok := m.steal(0, clock.Now()); !ok {
 				break
 			}
-			m.drainNoAlloc(0)
 		}
-		m.drainNoAlloc(1)
 	}
 }

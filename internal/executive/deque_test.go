@@ -492,11 +492,10 @@ func TestDequeStealZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestShardStealZeroAlloc: the manager-level steal sweep (CAS transfer
-// into the thief's own deque) must also be allocation-free once rings are
-// warm.
+// TestShardStealZeroAlloc: the manager-level steal sweep must be
+// allocation-free once rings are warm.
 func TestShardStealZeroAlloc(t *testing.T) {
-	m := shardedForTest(2, 64, 8)
+	m := lanesForTest(2, 64, 8)
 	var load []core.Task
 	for i := 0; i < 32; i++ {
 		load = append(load, mkTask(i))
@@ -507,9 +506,7 @@ func TestShardStealZeroAlloc(t *testing.T) {
 			if _, _, ok := m.steal(0, clock.Now()); !ok {
 				break
 			}
-			m.drainNoAlloc(0)
 		}
-		m.drainNoAlloc(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("steal sweep allocated %.1f times per run, want 0", allocs)
@@ -517,39 +514,29 @@ func TestShardStealZeroAlloc(t *testing.T) {
 }
 
 // TestShardFirstStealZeroAlloc: a worker's first steal — before it has
-// ever refilled — gathers its loot without allocating, because refillBuf
-// starts with room for a full refill. AllocsPerRun's warm-up call would
+// ever refilled — allocates nothing. AllocsPerRun's warm-up call would
 // absorb a first-use allocation on one manager, so every call steals on a
-// manager of its own, built and loaded with a full refill beforehand.
+// manager of its own, built and loaded with a full lane beforehand.
 func TestShardFirstStealZeroAlloc(t *testing.T) {
 	const cap, runs = 32, 100
 	var load []core.Task
 	for i := 0; i < cap-1; i++ {
 		load = append(load, mkTask(i+1))
 	}
-	ms := make([]*sharded, runs+1) // AllocsPerRun calls once more to warm up
+	ms := make([]*laneManager, runs+1) // AllocsPerRun calls once more to warm up
 	for i := range ms {
-		ms[i] = shardedForTest(2, cap, 8)
+		ms[i] = lanesForTest(2, cap, 8)
 		ms[i].load(1, load)
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
 		m := ms[next]
 		next++
-		if _, ok := m.sweep(0); !ok {
+		if _, _, ok := m.steal(0, clock.Now()); !ok {
 			t.Fatal("first steal found nothing with a loaded victim")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("first steal on a fresh manager allocated %.1f times per run, want 0", allocs)
-	}
-}
-
-// drainNoAlloc empties shard i's deque without building a slice.
-func (m *sharded) drainNoAlloc(i int) {
-	for {
-		if _, ok := m.shards[i].dq.popBottom(); !ok {
-			return
-		}
 	}
 }

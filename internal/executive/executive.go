@@ -10,19 +10,17 @@
 //     executes tasks (RunTask), parks when nothing is dispatchable,
 //     detects stalls and accounts idle time. This package has no workers.
 //
-// Three managers are provided. SerialManager guards every state-machine
-// interaction with one global mutex, exactly serializing management the
-// way the single UNIVAC executive did — the paper-faithful baseline whose
-// lock time is measured as management time. ShardedManager gives each
-// worker a bounded local task deque with batched completion submission and
-// work stealing between shards, paying the global serialization once per
-// batch instead of once per task — the management layer itself made
-// parallel, which is what the paper's rundown analysis calls for once the
-// executive becomes the bottleneck. AsyncManager moves all management to
-// one dedicated background goroutine — the paper's separate executive
-// processor realized on hardware: each worker takes tasks from its own
-// ready lane and queues completions in its own completion lane, and never
-// touches the state-machine lock on a stocked hand-off.
+// Three managers are provided, in two implementations. SerialManager
+// guards every state-machine interaction with one global mutex, exactly
+// serializing management the way the single UNIVAC executive did — the
+// paper-faithful baseline whose lock time is measured as management time.
+// ShardedManager and AsyncManager are one lane manager (lane.go): each
+// worker takes tasks from its own ready lane and queues completions in its
+// own completion lane without a lock, and the management cycle that
+// drains and refills the lanes runs either on the worker that ran dry
+// (inline: ShardedManager, and AsyncManager with no spare core) or on one
+// dedicated management goroutine — the paper's separate executive
+// processor (AsyncManager with a spare core).
 package executive
 
 import (
@@ -36,42 +34,37 @@ import (
 // Config parameterizes a Manager.
 type Config struct {
 	// Workers is the number of worker goroutines that will enter the
-	// manager (>=1). Under the serial and sharded managers management runs
-	// inline on whichever worker needs it, under the manager's locks; the
-	// async manager adds one dedicated management goroutine beside the
-	// workers (not counted in Workers or in the utilization denominator —
-	// the paper's separate executive processor).
+	// manager (>=1). Management runs inline on whichever worker needs it,
+	// under the manager's lock, except under the async manager with a
+	// spare core (GOMAXPROCS > Workers), which adds one dedicated
+	// management goroutine beside the workers (not counted in Workers or
+	// in the utilization denominator — the paper's separate executive
+	// processor).
 	Workers int
 	// Manager selects the management layer (SerialManager default).
 	Manager ManagerKind
-	// DequeCap bounds each worker's local task deque and sets the refill
-	// batch size (ShardedManager only). <=0 selects 16, the per-worker
-	// look-ahead.
+	// DequeCap bounds each worker's ready lane under ShardedManager. <=0
+	// selects 16, the per-worker look-ahead.
 	DequeCap int
-	// Batch is the completion batch size: completions accumulate per
-	// worker and are submitted to the state machine in one lock
-	// acquisition when the batch fills (ShardedManager), or are published
-	// to the management goroutine with one store when that many are
-	// pending in the worker's completion lane (AsyncManager). <=0
-	// selects 8.
+	// Batch is the completion batch: a worker publishes its completions
+	// to the next management cycle with one store every Batch
+	// (ShardedManager, AsyncManager). <=0 selects 8.
 	Batch int
-	// ReadyCap bounds the async manager's ready lanes together — one
-	// deque of dispatched tasks per worker, ReadyCap/Workers tasks each
-	// (at least 1), that the management goroutine keeps topped up
-	// (AsyncManager only). <=0 selects 16*Workers: the same per-worker
-	// look-ahead as a sharded worker's deque, so a worker's hand-offs
-	// outnumber the management cycles that stock them (DESIGN.md §3.6).
+	// ReadyCap bounds the async manager's ready lanes together:
+	// ReadyCap/Workers tasks each, at least 1 (AsyncManager only). <=0
+	// selects 16*Workers, the sharded lane's default per worker.
 	ReadyCap int
-	// LowWater is the ready lanes' total occupancy above which the async
-	// management goroutine overlaps deferred management with computation
-	// (AsyncManager only). <=0 selects ReadyCap/4 (minimum 1).
+	// LowWater is the ready lanes' total occupancy above which the
+	// async manager's management goroutine overlaps deferred management
+	// with computation (AsyncManager with a spare core only). <=0 selects
+	// ReadyCap/4 (minimum 1).
 	LowWater int
 	// Metrics, when non-nil, is the telemetry set the manager records its
 	// steal counters, refill batch size and ready-lane occupancy into.
 	Metrics *telemetry.Set
 }
 
-// lookAhead is the goroutine managers' per-worker look-ahead: the tasks
+// lookAhead is the lane manager's per-worker look-ahead: the tasks
 // dispatched ahead of each worker. It is DequeCap's default and, times
 // Workers, ReadyCap's.
 const lookAhead = 16

@@ -119,8 +119,8 @@ type Manager interface {
 	// no task it is the manager's latest reading, the stretch closed.
 	Enter(w int, done core.Task, at clock.Stamp, ask Ask) (next core.Task, now clock.Stamp, ok, applied bool)
 	// Flush submits worker w's accumulated completions immediately (a
-	// publication and a doorbell ring for the async manager, nothing for
-	// the serial one).
+	// publication and a doorbell ring under a dedicated management
+	// goroutine, nothing for the serial manager).
 	// The pool calls it when a worker switches jobs so completions cannot
 	// linger unflushed. It reports whether anything was applied.
 	Flush(w int, at clock.Stamp) (now clock.Stamp, applied bool)
@@ -134,7 +134,7 @@ type Manager interface {
 	// drops every later completion).
 	Outcome() (done bool, err error)
 	// InFlight reports dispatched-but-incomplete tasks. When every pool
-	// worker is parked (all deques drained, all batches flushed),
+	// worker is parked (every lane drained, every completion published),
 	// InFlight()==0 on an unfinished job identifies a true stall.
 	InFlight() int
 	// Totals returns the summed compute time and count of the tasks whose
@@ -143,18 +143,17 @@ type Manager interface {
 	// tasks do not move once the run has failed.
 	Totals() (compute, mgmt time.Duration, tasks int64)
 	// Join blocks until the manager's own management goroutine, if it has
-	// one (async), has exited. Call it only after the run is over (workers
-	// left, or Abort was called) and before reading final state-machine
-	// statistics.
+	// one (async with a spare core), has exited. Call it only after the
+	// run is over (workers left, or Abort was called) and before reading
+	// final state-machine statistics.
 	Join()
 	// SetNotify registers a callback for scheduling progress made off the
-	// worker goroutines (async: completions apply and refills land on the
-	// management goroutine). The pool parks workers above the manager and
-	// would never observe that progress through its own calls. It is
-	// invoked, outside all manager locks, after every management cycle
-	// that applied completions, buffered new tasks, or finished the run;
-	// managers that only make progress inside Enter never call it. Must be
-	// called before Start.
+	// worker goroutines (a dedicated management goroutine's cycles). The
+	// pool parks workers above the manager and would never observe that
+	// progress through its own calls. It is invoked, outside all manager
+	// locks, after every management cycle that applied completions,
+	// buffered new tasks, or finished the run; managers that only make
+	// progress inside Enter never call it. Must be called before Start.
 	SetNotify(func())
 }
 
@@ -166,10 +165,8 @@ func NewManager(sm StateMachine, cfg Config) (Manager, error) {
 	switch cfg.Manager {
 	case SerialManager:
 		return newSerial(sm, cfg.Workers), nil
-	case ShardedManager:
-		return newSharded(sm, cfg), nil
-	case AsyncManager:
-		return newAsync(sm, cfg), nil
+	case ShardedManager, AsyncManager:
+		return newLaneManager(sm, cfg), nil
 	default:
 		return nil, fmt.Errorf("executive: unknown manager kind %v", cfg.Manager)
 	}
@@ -184,23 +181,21 @@ const (
 	// baseline. Management is a single contended resource exactly as on
 	// the UNIVAC 1100 test bed.
 	SerialManager ManagerKind = iota
-	// ShardedManager gives each worker a bounded local task deque and a
-	// local completion batch. Workers refill their deque (and flush
-	// their batch) in one global-lock acquisition, and steal from each
-	// other's deques when their own drains during rundown, so global
-	// serialization is paid once per batch rather than once per task.
+	// ShardedManager is the lane manager (lane.go) with the management
+	// cycle inline: each worker takes tasks from its own bounded ready
+	// lane and queues completions in its own completion lane, lock-free,
+	// and a worker whose lane runs dry enters the executive once to apply
+	// every published completion and refill its own lane, so global
+	// serialization is paid once per lane rather than once per task; a
+	// worker the cycle leaves dry steals from the others' lanes.
 	ShardedManager
-	// AsyncManager runs all management on one dedicated background
-	// goroutine — the paper's separate executive processor (the sim's
-	// Dedicated model) realized on hardware. Each worker takes tasks from
-	// its own bounded ready lane, then from the others', which the
-	// management goroutine keeps refilled, and queues completions in its
-	// own completion lane, published in batches; deferred management
-	// overlaps computation on the management thread whenever the lanes
-	// hold more than the low-water mark, and a worker that finds every
-	// lane empty and the executive idle runs a management cycle itself,
-	// which covers a GOMAXPROCS that leaves the management goroutine no
-	// core.
+	// AsyncManager is the lane manager with the management cycle on one
+	// dedicated goroutine that refills every lane — the paper's separate
+	// executive processor (the sim's Dedicated model) realized on
+	// hardware — and overlaps deferred management with computation while
+	// the lanes hold more than LowWater tasks. With no spare core for it
+	// (GOMAXPROCS <= Workers) the cycle runs inline, as under
+	// ShardedManager.
 	AsyncManager
 )
 

@@ -81,7 +81,7 @@ func driveWorkers(mgr Manager, workers int, prog *core.Program) error {
 func TestStallDetector(t *testing.T) {
 	for _, kind := range ManagerKinds() {
 		for _, workers := range []int{1, 4, 9} {
-			mgr, err := NewManager(&stubSM{phase: 7}, Config{
+			mgr, err := newTestManager(&stubSM{phase: 7}, Config{
 				Workers: workers, Manager: kind, DequeCap: 4, Batch: 2,
 			})
 			if err != nil {

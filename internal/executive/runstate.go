@@ -10,8 +10,8 @@ import (
 
 // runState is the run contract every Manager shares: the lock that
 // serializes the state machine, the state it guards, and the rules around
-// it, stated once. serial, sharded and async embed it and keep only their
-// own dispatch and completion paths.
+// it, stated once. serial and the lane manager embed it and keep only
+// their own dispatch and completion paths.
 //
 //   - The first error wins (failLocked): a later Abort, panic or stall
 //     verdict never replaces the error a report may already carry.
@@ -103,10 +103,9 @@ func (r *runState) Outcome() (bool, error) {
 	return r.err == nil && r.sm.Done(), r.err
 }
 
-// InFlight reports dispatched-but-incomplete tasks: tasks buffered in a
-// manager (a worker's deque, the ready buffer) or whose completions wait
-// in a batch or a queue are still in flight from the state machine's point
-// of view, so the pool's all-parked stall probe cannot mistake a busy
+// InFlight reports dispatched-but-incomplete tasks: tasks in a ready lane
+// or whose completions wait in a completion lane are still in flight from
+// the state machine's point of view, so the pool's all-parked stall probe cannot mistake a busy
 // manager for a stalled one.
 func (r *runState) InFlight() int {
 	r.mu.Lock()

@@ -3,7 +3,6 @@ package executive
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/core"
@@ -15,24 +14,23 @@ func mkTask(id int) core.Task {
 	return core.Task{ID: id, Phase: 0, Run: granule.Range{Lo: granule.ID(id), Hi: granule.ID(id + 1)}}
 }
 
-func shardedForTest(workers, dequeCap, batch int) *sharded {
-	return newSharded(&stubSM{}, Config{Workers: workers, DequeCap: dequeCap, Batch: batch})
+// lanesForTest builds a lane manager whose ready lanes tests load and
+// drain by hand; the steal sweep is the same under either placement.
+func lanesForTest(workers, laneCap, batch int) *laneManager {
+	return newLaneManager(&stubSM{}, Config{Workers: workers, DequeCap: laneCap, Batch: batch})
 }
 
-// load pushes ts into shard i's deque the way a refill would: reversed, so
-// the owner's popBottom consumes ts in order and thieves steal from the
-// ts tail.
-func (m *sharded) load(i int, ts []core.Task) {
-	for k := len(ts) - 1; k >= 0; k-- {
-		m.shards[i].dq.pushBottom(ts[k])
-	}
-}
+// load pushes ts into lane i the way a refill does: in the state
+// machine's priority order, so the lane's worker and thieves alike take
+// ts[0] first.
+func (m *laneManager) load(i int, ts []core.Task) { m.lanes[i].ready.pushBottomN(ts) }
 
-// drain pops shard i's deque empty from the owner side.
-func (m *sharded) drain(i int) []core.Task {
+// drain takes lane i's tasks from the top until it is empty, the way its
+// worker does.
+func (m *laneManager) drain(i int) []core.Task {
 	var out []core.Task
 	for {
-		t, ok := m.shards[i].dq.popBottom()
+		t, ok := m.lanes[i].ready.steal()
 		if !ok {
 			return out
 		}
@@ -40,11 +38,11 @@ func (m *sharded) drain(i int) []core.Task {
 	}
 }
 
-// TestStealSingleTaskVictim: a thief sweeping a victim whose deque holds
-// exactly one task must take that task (half of one is one), leave the
-// victim empty, and leave nothing parked in its own deque.
+// TestStealSingleTaskVictim: a thief sweeping a victim whose lane holds
+// exactly one task must take that task, leave the victim empty, and leave
+// nothing in its own lane.
 func TestStealSingleTaskVictim(t *testing.T) {
-	m := shardedForTest(4, 8, 4)
+	m := lanesForTest(4, 8, 4)
 	m.load(2, []core.Task{mkTask(42)})
 
 	got, _, ok := m.steal(0, clock.Now())
@@ -54,44 +52,9 @@ func TestStealSingleTaskVictim(t *testing.T) {
 	if got.ID != 42 {
 		t.Fatalf("stole task %d, want 42", got.ID)
 	}
-	for i := range m.shards {
-		if n := m.shards[i].dq.size(); n != 0 {
-			t.Errorf("shard %d holds %d tasks after the steal, want 0", i, n)
-		}
-	}
-}
-
-// TestStealLandsAtDequeCap: stealing half of a full victim (2*cap tasks)
-// hands the thief exactly cap tasks — one in hand, cap-1 parked in its own
-// deque. Nothing may be lost or duplicated at the boundary.
-func TestStealLandsAtDequeCap(t *testing.T) {
-	const cap = 8
-	m := shardedForTest(2, cap, 4)
-	var all []core.Task
-	for i := 0; i < 2*cap; i++ {
-		all = append(all, mkTask(i))
-	}
-	m.load(1, all)
-
-	got, _, ok := m.steal(0, clock.Now())
-	if !ok {
-		t.Fatal("steal failed against a full victim")
-	}
-	if n := m.shards[0].dq.size(); n != cap-1 {
-		t.Fatalf("thief deque holds %d tasks, want %d (cap-1, one in hand)", n, cap-1)
-	}
-	if n := m.shards[1].dq.size(); n != cap {
-		t.Fatalf("victim deque holds %d tasks, want %d", n, cap)
-	}
-	seen := map[int]int{got.ID: 1}
-	for w := 0; w < 2; w++ {
-		for _, task := range m.drain(w) {
-			seen[task.ID]++
-		}
-	}
-	for i := 0; i < 2*cap; i++ {
-		if seen[i] != 1 {
-			t.Fatalf("task %d present %d times after the steal, want exactly once", i, seen[i])
+	for i := range m.lanes {
+		if n := m.lanes[i].ready.size(); n != 0 {
+			t.Errorf("lane %d holds %d tasks after the steal, want 0", i, n)
 		}
 	}
 }
@@ -99,9 +62,9 @@ func TestStealLandsAtDequeCap(t *testing.T) {
 // TestStealSweepRotation: the sweep start rotates per call, so successive
 // steals with every victim populated must not all hit the same neighbor —
 // the bias this rotation removes had every starving worker hammering
-// shard w+1 first.
+// lane w+1 first.
 func TestStealSweepRotation(t *testing.T) {
-	m := shardedForTest(4, 8, 4)
+	m := lanesForTest(4, 8, 4)
 	firstVictims := map[int]bool{}
 	for round := 0; round < 3; round++ {
 		for i := 1; i < 4; i++ {
@@ -120,12 +83,12 @@ func TestStealSweepRotation(t *testing.T) {
 	}
 }
 
-// TestStealTimeCountsAsMgmt: steal sweeps run CAS loops and deque
-// transfers outside the global lock, so their time must still be folded
-// into Totals' management time — otherwise reported computation-to-management ratios
-// undercount sharded management.
+// TestStealTimeCountsAsMgmt: cross-lane steal sweeps run CAS loops
+// outside the global lock, so their time must still be folded into Totals'
+// management time — otherwise reported computation-to-management ratios
+// undercount the lane manager's management.
 func TestStealTimeCountsAsMgmt(t *testing.T) {
-	m := shardedForTest(2, 8, 4)
+	m := lanesForTest(2, 8, 4)
 	_, before, _ := m.Totals()
 	m.load(1, []core.Task{mkTask(1), mkTask(2)})
 	if _, _, ok := m.steal(0, clock.Now()); !ok {
@@ -139,45 +102,43 @@ func TestStealTimeCountsAsMgmt(t *testing.T) {
 	}
 }
 
-// TestStealPriorityOrder: a refill-ordered deque must hand the owner its
-// tasks in priority order while a thief's sweep returns the
-// highest-priority task of the half it stole.
+// TestStealPriorityOrder: a refill-ordered lane hands its worker and a
+// thief alike its tasks in the state machine's priority order — a thief's
+// sweep takes the best task left — and a steal parks nothing in the
+// thief's own lane.
 func TestStealPriorityOrder(t *testing.T) {
-	m := shardedForTest(2, 8, 4)
-	// Priority order 0,1,2,3: the owner must pop 0 first.
+	m := lanesForTest(2, 8, 4)
+	// Priority order 0,1,2,3: the lane's worker takes 0 first.
 	m.load(1, []core.Task{mkTask(0), mkTask(1), mkTask(2), mkTask(3)})
-	if got, ok := m.shards[1].dq.popBottom(); !ok || got.ID != 0 {
-		t.Fatalf("owner popped %v, want task 0", got)
+	if got, ok := m.lanes[1].ready.steal(); !ok || got.ID != 0 {
+		t.Fatalf("the lane's worker took %v, want task 0", got)
 	}
-	// Thief steals half of {1,2,3} = 2 tasks from the low-priority end
-	// (3, then 2) and runs the better of them first.
 	got, _, ok := m.steal(0, clock.Now())
 	if !ok {
 		t.Fatal("steal failed")
 	}
-	if got.ID != 2 {
-		t.Errorf("thief ran task %d first, want 2 (best of the stolen half)", got.ID)
+	if got.ID != 1 {
+		t.Errorf("thief took task %d, want 1 (the best task left)", got.ID)
 	}
-	rest := m.drain(0)
-	if len(rest) != 1 || rest[0].ID != 3 {
-		t.Errorf("thief parked %v, want [task 3]", rest)
+	if n := m.lanes[0].ready.size(); n != 0 {
+		t.Errorf("the thief's lane holds %d tasks after one steal, want 0", n)
 	}
-	if got, ok := m.shards[1].dq.popBottom(); !ok || got.ID != 1 {
-		t.Fatalf("victim owner popped %v, want task 1", got)
+	if rest := m.drain(1); len(rest) != 2 || rest[0].ID != 2 || rest[1].ID != 3 {
+		t.Errorf("victim's worker took %v next, want tasks 2 and 3", rest)
 	}
 }
 
-// TestStealRacesPopBottom is the -race workout for the deque protocol in
-// its manager context: one owner draining popBottom against several
-// thieves sweeping steal, with refills, must hand every task to exactly
-// one goroutine.
+// TestStealRacesPopBottom is the -race workout for the ready lane in its
+// manager context, the inline placement's: one worker refilling its own
+// lane in bursts and taking from its top, against several thieves
+// sweeping steal, must hand every task to exactly one goroutine.
 func TestStealRacesPopBottom(t *testing.T) {
 	const (
 		thieves = 6
 		batches = 64
 		perLoad = 32
 	)
-	m := shardedForTest(thieves+1, 8, 4)
+	m := lanesForTest(thieves+1, 8, 4)
 
 	var mu sync.Mutex
 	seen := map[int]int{}
@@ -202,21 +163,12 @@ func TestStealRacesPopBottom(t *testing.T) {
 				if task, _, ok := m.steal(w, clock.Now()); ok {
 					record(task)
 				}
-				// A successful steal parks part of the loot in the thief's
-				// own deque; drain it so the count balances.
-				for {
-					task, ok := m.shards[w].dq.popBottom()
-					if !ok {
-						break
-					}
-					record(task)
-				}
 			}
 		}(th)
 	}
 
-	// The owner loads its deque in bursts and drains popBottom, racing the
-	// thieves' top-end CAS grabs.
+	// The worker loads its lane in bursts and takes from it until it is
+	// empty, racing the thieves' CAS grabs at the same end.
 	next := 0
 	for b := 0; b < batches; b++ {
 		var load []core.Task
@@ -225,34 +177,15 @@ func TestStealRacesPopBottom(t *testing.T) {
 			next++
 		}
 		m.load(0, load)
-		for {
-			task, ok := m.shards[0].dq.popBottom()
-			if !ok {
-				break
-			}
+		for _, task := range m.drain(0) {
 			record(task)
 		}
-	}
-	// Let the thieves mop up whatever they parked locally.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(seen)
-		mu.Unlock()
-		if n == next || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 	for w := 0; w <= thieves; w++ {
-		for {
-			task, ok := m.shards[w].dq.popBottom()
-			if !ok {
-				break
-			}
-			record(task)
+		if n := m.lanes[w].ready.size(); n != 0 {
+			t.Errorf("lane %d holds %d tasks after the run, want 0", w, n)
 		}
 	}
 

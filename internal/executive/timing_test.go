@@ -67,7 +67,7 @@ func (s *sleepSM) Stats() core.Stats               { return core.Stats{} }
 func TestSerialMgmtExcludesLockWait(t *testing.T) {
 	for _, kind := range ManagerKinds() {
 		sm := &sleepSM{n: 40}
-		mgr, err := NewManager(sm, conformanceConfig(kind, 2))
+		mgr, err := newTestManager(sm, conformanceConfig(kind, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func (s *panicSM) CompleteBatch(ts []core.Task) core.Cost {
 // down.
 func TestCompletionPanicFailsRun(t *testing.T) {
 	for _, kind := range ManagerKinds() {
-		mgr, err := NewManager(&panicSM{sleepSM{n: 64}}, conformanceConfig(kind, 4))
+		mgr, err := newTestManager(&panicSM{sleepSM{n: 64}}, conformanceConfig(kind, 4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -176,6 +176,7 @@ type prule struct {
 // grow while workers consult it.
 type Plan struct {
 	rules    atomic.Pointer[[]*prule]
+	timed    atomic.Bool // some rule has an After
 	fired    [kindCount]atomic.Int64
 	injected atomic.Int64
 
@@ -212,7 +213,7 @@ func New(spec Spec) *Plan {
 	p := &Plan{release: make(chan struct{})}
 	rs := make([]*prule, len(spec.Rules))
 	for i, r := range spec.Rules {
-		rs[i] = compileRule(r)
+		rs[i] = p.compileRule(r)
 	}
 	p.rules.Store(&rs)
 	return p
@@ -243,14 +244,22 @@ func (p *Plan) Extend(rules []Rule) {
 	rs := make([]*prule, 0, len(old)+len(rules))
 	rs = append(rs, old...)
 	for _, r := range rules {
-		rs = append(rs, compileRule(r))
+		rs = append(rs, p.compileRule(r))
 	}
 	p.rules.Store(&rs)
 	p.extendMu.Unlock()
 }
 
-// compileRule clamps and budgets one rule.
-func compileRule(r Rule) *prule {
+// Timed reports whether some rule has an After, so a query's time matters:
+// a caller that reads a clock only for the plan skips the reading when it
+// does not. Extend may turn it on, never off.
+func (p *Plan) Timed() bool { return p.timed.Load() }
+
+// compileRule clamps and budgets one rule of p.
+func (p *Plan) compileRule(r Rule) *prule {
+	if r.After > 0 {
+		p.timed.Store(true)
+	}
 	if r.Kind == GrainSlow || r.Kind == WorkerSlow {
 		if r.Factor < 2 {
 			r.Factor = 2

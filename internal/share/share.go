@@ -58,8 +58,9 @@ type Policy struct {
 	home  []*Job  // per worker; nil for a retired worker or an empty live set
 
 	// order caches the live jobs sorted by the backfill comparator. It is
-	// rebuilt only when a walk passes its home job while dirty — set by any
-	// credit or live-set change — so the common ask never touches it. credit
+	// re-sorted only when a walk passes its home job while dirty — set by a
+	// live-set change or a replenishment — so the common ask never touches
+	// it; a backfill charge moves the one job it changed (Charge). credit
 	// counts live jobs with positive credit, which makes the replenishment
 	// check O(1): an asker's backfill set is the live set minus its home.
 	order  []*Job
@@ -172,11 +173,34 @@ func (p *Policy) apportion() {
 	}
 }
 
-// Charge draws j's credit down by a backfill dispatch of granules granules.
-func (p *Policy) Charge(j *Job, granules int) { p.credits(j, -int64(granules)) }
+// Charge draws j's credit down by a backfill dispatch of granules granules
+// and, while the cached order is otherwise valid, moves j alone to its new
+// place in it: every backfill dispatch charges, and a re-sort per charge
+// was most of a multi-job run's policy time.
+func (p *Policy) Charge(j *Job, granules int) {
+	p.credits(j, -int64(granules))
+	if p.dirty {
+		return // re-sorted when a walk next opens it
+	}
+	i := slices.Index(p.order, j)
+	if i < 0 {
+		return // j is not live
+	}
+	// A charge only lowers credit, so j only moves toward the end.
+	for ; i+1 < len(p.order) && backfillOrder(p.order[i+1], j) < 0; i++ {
+		p.order[i] = p.order[i+1]
+	}
+	p.order[i] = j
+}
+
+// backfillOrder is the backfill comparator: priority desc, credit desc,
+// ID asc.
+func backfillOrder(a, b *Job) int {
+	return cmp.Or(cmp.Compare(b.Priority, a.Priority), cmp.Compare(b.deficit, a.deficit), cmp.Compare(a.ID, b.ID))
+}
 
 // credits applies a credit change to j, keeping the census of live jobs in
-// credit exact and invalidating the cached order.
+// credit exact. The caller keeps the cached order.
 func (p *Policy) credits(j *Job, delta int64) {
 	was := j.deficit > 0
 	j.deficit += delta
@@ -187,7 +211,6 @@ func (p *Policy) credits(j *Job, delta int64) {
 			p.credit--
 		}
 	}
-	p.dirty = true
 }
 
 // Walk is one ask's walk over the jobs its worker may take work from: home
@@ -231,6 +254,7 @@ func (p *Policy) Start(w int) Walk {
 		for _, j := range p.live {
 			p.credits(j, int64(j.Weight)*Quantum)
 		}
+		p.dirty = true
 	}
 	return wk
 }
@@ -244,9 +268,7 @@ func (p *Policy) Next(wk *Walk) *Job {
 	if wk.k == walkOrder {
 		if p.dirty {
 			p.order = append(p.order[:0], p.live...)
-			slices.SortFunc(p.order, func(a, b *Job) int {
-				return cmp.Or(cmp.Compare(b.Priority, a.Priority), cmp.Compare(b.deficit, a.deficit), cmp.Compare(a.ID, b.ID))
-			})
+			slices.SortFunc(p.order, backfillOrder)
 			p.dirty = false
 		}
 		wk.k = 0

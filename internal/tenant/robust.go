@@ -46,12 +46,23 @@ func (p *Pool) noteFault(w, ji int, k fault.Kind) {
 	}
 }
 
+// planTime is the time the fault plan is consulted at: nanoseconds since
+// the pool started, on the pool's interval clock. It is read only when
+// some rule has an After; otherwise every rule is due from the outset and
+// the time is 0. Only called with a non-nil plan.
+func (p *Pool) planTime() int64 {
+	if !p.plan.Timed() {
+		return 0
+	}
+	return clock.Now().Sub(p.startAt).Nanoseconds()
+}
+
 // injectTask consults the plan for one dispatch, possibly replacing work
 // with a panicking body (GrainPanic) or returning the injected failure
 // (GrainError). Only called with a non-nil plan.
 func (p *Pool) injectTask(w int, j *Job, task core.Task, work *core.WorkFn) (fault.Effects, error) {
 	fx := p.plan.DispatchCrash(w, j.idx, int(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi),
-		time.Since(p.start).Nanoseconds(), func(k fault.Kind) { p.noteFault(w, j.idx, k) })
+		p.planTime(), func(k fault.Kind) { p.noteFault(w, j.idx, k) })
 	switch fx.Grain {
 	case fault.GrainPanic:
 		*work = fault.PanicWork(task.Phase)
@@ -94,7 +105,7 @@ func (p *Pool) holdCompletion(fx fault.Effects) {
 // otherwise falls where any gap between a stamped task's end and the next
 // dispatch falls. Only called with a non-nil plan.
 func (p *Pool) delayCompletion(w int, j *Job) clock.Stamp {
-	d, ok := p.plan.Mgmt(j.idx, time.Since(p.start).Nanoseconds())
+	d, ok := p.plan.Mgmt(j.idx, p.planTime())
 	at := clock.Now()
 	if ok {
 		p.noteFault(w, j.idx, fault.MgmtDelay)

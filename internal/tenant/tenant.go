@@ -188,9 +188,10 @@ type Pool struct {
 	// read lock-free by progress to skip the broadcast when nobody waits.
 	nWaiting atomic.Int32
 
-	wg    sync.WaitGroup
-	start time.Time
-	end   time.Time // set by Close after the workers join
+	wg      sync.WaitGroup
+	start   time.Time
+	startAt clock.Stamp // start on the interval clock: the fault plan's time origin
+	end     time.Time   // set by Close after the workers join
 
 	sampler  *sampler    // non-nil when an Observer samples the pool
 	obsFinal atomic.Bool // Final snapshot emitted (first Close wins)
@@ -242,6 +243,7 @@ func NewPool(cfg Config) (*Pool, error) {
 		pol:     share.New(cfg.Workers),
 		backoff: make(map[*Job]*time.Timer),
 		start:   time.Now(),
+		startAt: clock.Now(),
 		met:     cfg.Metrics,
 	}
 	p.cond = sync.NewCond(&p.mu)

@@ -105,15 +105,14 @@ func WithAdaptiveBatching(target float64) Option {
 	}
 }
 
-// WithDequeCap bounds each worker's local task deque (sharded manager).
+// WithDequeCap bounds each worker's ready lane (sharded manager).
 func WithDequeCap(n int) Option {
 	return func(c *runnerConfig) error { c.dequeCap = n; return nil }
 }
 
-// WithBatch sets the completion batch size (sharded manager) or the
-// number of completions an async worker queues before it publishes them
-// to the management goroutine (async manager); on the virtual backend it
-// is the Adaptive model's refill batch.
+// WithBatch sets how many completions a worker queues before it publishes
+// them to the next management cycle (sharded and async managers); on the
+// virtual backend it is the Adaptive model's refill batch.
 func WithBatch(n int) Option {
 	return func(c *runnerConfig) error { c.batch = n; return nil }
 }
@@ -121,7 +120,7 @@ func WithBatch(n int) Option {
 // WithReadyCap bounds the async manager's ready lanes together: on
 // goroutines each worker's lane holds n/workers tasks, at least 1. n <= 0
 // selects the default: 16 tasks per worker, the same look-ahead as a
-// sharded worker's deque. In virtual time it bounds the Async model's
+// sharded worker's lane. In virtual time it bounds the Async model's
 // one ready buffer per job, by default 2*workers split across the jobs,
 // minimum 8 each.
 func WithReadyCap(n int) Option {

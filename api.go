@@ -180,9 +180,9 @@ const (
 	// AsyncMgmt is the Dedicated model extended with the async
 	// executive's ready-buffer protocol — the virtual-time price of
 	// AsyncManager: a separate executive processor keeps a bounded
-	// ready-buffer (WithReadyCap) topped up, workers pop it for
-	// free and queue completions back without waiting, and deferred
-	// management overlaps computation above WithLowWater.
+	// ready-buffer (WithDequeCap per processor) topped up, workers pop it
+	// for free and queue completions back without waiting, and deferred
+	// management overlaps computation above the buffer's low-water mark.
 	AsyncMgmt = sim.Async
 )
 
@@ -306,8 +306,8 @@ const (
 	// AsyncManager is the same lane manager with the management cycle on
 	// one dedicated background goroutine — the paper's separate executive
 	// processor realized on hardware — whenever GOMAXPROCS leaves it a
-	// core beside the workers; WithReadyCap sizes the lanes together.
-	// With no spare core the cycle runs inline, as under ShardedManager.
+	// core beside the workers; WithDequeCap sizes each lane, as under
+	// ShardedManager. With no spare core the cycle runs inline.
 	AsyncManager = executive.AsyncManager
 )
 

@@ -3,15 +3,14 @@
 // result tables. EXPERIMENTS.md is produced from this tool's -md output at
 // -scale full.
 //
-// The executive-selection flags (-manager, -adaptive, -ready, -low-water,
-// -batch) are the shared set from internal/cliflags, identical to
-// cmd/rundownsim's; -manager additionally accepts "both" to run the
-// manager comparisons head-to-head. -adaptive is parsed and ignored:
-// adaptive batching is priced in virtual time, by E12, on every run.
+// -manager restricts the goroutine experiments (E10, E13) to one manager,
+// by the names cmd/rundownsim accepts, or "both" runs the manager
+// comparisons head-to-head; -batch sets their completion batch.
+// Adaptive batching is priced in virtual time, by E12, on every run.
 //
 // Usage:
 //
-//	experiments [-scale quick|full] [-only E3] [-md] [-manager serial|sharded|async|both]
+//	experiments [-scale quick|full] [-only E3] [-md] [-manager serial|sharded|async|both] [-batch N]
 package main
 
 import (
@@ -20,6 +19,7 @@ import (
 	"os"
 	"strings"
 
+	rundown "repro"
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
 )
@@ -28,16 +28,17 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "experiment sizing: quick or full")
 	only := flag.String("only", "", "run a single experiment (e.g. E3)")
 	md := flag.Bool("md", false, "emit markdown tables instead of aligned text")
-	exec := cliflags.Register(flag.CommandLine, "both",
+	manager := flag.String("manager", "both",
 		"executive manager filter for E10/E13: "+cliflags.ManagerNames()+
 			", or both (E10 compares serial/sharded; E13 adds async)")
+	batch := flag.Int("batch", 0, "completion batch size for E10/E13 (0 = the managers' default, 8)")
 	flag.Parse()
 
-	// The filter accepts the shared manager names (case-insensitive, via
-	// the same parser the Runner options use) plus "both".
-	filter := strings.ToLower(strings.TrimSpace(exec.Manager))
+	// The filter accepts the manager names (case-insensitive, via the same
+	// parser the Runner options use) plus "both".
+	filter := strings.ToLower(strings.TrimSpace(*manager))
 	if filter != "both" && filter != "" {
-		kind, err := exec.Kind()
+		kind, err := rundown.ParseExecManager(filter)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(2)
@@ -48,7 +49,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	experiments.SetExecKnobs(exec.Ready, exec.LowWater, exec.Batch)
+	experiments.SetExecKnobs(*batch)
 
 	var scale experiments.Scale
 	switch *scaleFlag {

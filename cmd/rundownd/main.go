@@ -45,45 +45,53 @@ import (
 	"syscall"
 	"time"
 
+	rundown "repro"
 	"repro/internal/cliflags"
 	"repro/internal/service"
 )
 
+// options is the daemon's command line.
+type options struct {
+	listen       string
+	manager      string
+	drainTimeout time.Duration
+	svc          service.Config // Manager is resolved from manager after parsing
+}
+
+// register installs the daemon's flags on fs. -manager is its only
+// executive knob: every other executive setting keeps its default.
+func register(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:8080", "HTTP listen address")
+	fs.IntVar(&o.svc.Workers, "workers", 0, "pool worker count (0 = GOMAXPROCS)")
+	fs.IntVar(&o.svc.MaxActive, "max-active", 0, "admission high-water mark: at most this many jobs active (0 = unbounded)")
+	fs.BoolVar(&o.svc.Queue, "queue", false, "park over-limit submits instead of refusing them")
+	fs.IntVar(&o.svc.PreemptBound, "preempt-bound", 0, "cap backfill task grain at this many granules (0 = uncapped)")
+	fs.DurationVar(&o.svc.StallTimeout, "stall-timeout", 0, "wedged-job watchdog threshold (0 = 5s default, negative disables)")
+	fs.DurationVar(&o.svc.SamplePeriod, "sample-period", 0, "SSE snapshot cadence (0 = 250ms default)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM; past it remaining jobs are aborted")
+	fs.StringVar(&o.manager, "manager", "serial", "management layer: "+cliflags.ManagerNames())
+	return o
+}
+
 func main() {
-	var (
-		listen       = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
-		workers      = flag.Int("workers", 0, "pool worker count (0 = GOMAXPROCS)")
-		maxActive    = flag.Int("max-active", 0, "admission high-water mark: at most this many jobs active (0 = unbounded)")
-		queue        = flag.Bool("queue", false, "park over-limit submits instead of refusing them")
-		preempt      = flag.Int("preempt-bound", 0, "cap backfill task grain at this many granules (0 = uncapped)")
-		stall        = flag.Duration("stall-timeout", 0, "wedged-job watchdog threshold (0 = 5s default, negative disables)")
-		sample       = flag.Duration("sample-period", 0, "SSE snapshot cadence (0 = 250ms default)")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM; past it remaining jobs are aborted")
-	)
-	mgr := cliflags.Register(flag.CommandLine, "serial", "management layer: "+cliflags.ManagerNames())
+	o := register(flag.CommandLine)
 	flag.Parse()
 
-	manager, err := mgr.Kind()
+	manager, err := rundown.ParseExecManager(o.manager)
 	if err != nil {
 		fail("%v", err)
 	}
-	s, err := service.New(service.Config{
-		Workers:      *workers,
-		Manager:      manager,
-		MaxActive:    *maxActive,
-		Queue:        *queue,
-		PreemptBound: *preempt,
-		StallTimeout: *stall,
-		SamplePeriod: *sample,
-	})
+	o.svc.Manager = manager
+	s, err := service.New(o.svc)
 	if err != nil {
 		fail("%v", err)
 	}
 
-	srv := &http.Server{Addr: *listen, Handler: s.Handler()}
+	srv := &http.Server{Addr: o.listen, Handler: s.Handler()}
 	errCh := make(chan error, 1)
 	go func() {
-		log.Printf("rundownd: listening on %s (workers=%d manager=%v)", *listen, *workers, manager)
+		log.Printf("rundownd: listening on %s (workers=%d manager=%v)", o.listen, o.svc.Workers, manager)
 		errCh <- srv.ListenAndServe()
 	}()
 
@@ -91,12 +99,12 @@ func main() {
 	defer stop()
 	select {
 	case <-ctx.Done():
-		log.Printf("rundownd: signal received, draining (bound %v)", *drainTimeout)
+		log.Printf("rundownd: signal received, draining (bound %v)", o.drainTimeout)
 	case err := <-errCh:
 		fail("%v", err)
 	}
 
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	// Stop accepting connections first, then drain the pool. In-flight
 	// SSE streams are cut by srv.Shutdown's context once the drain ends.

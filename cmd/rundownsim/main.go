@@ -11,7 +11,7 @@
 //	rundownsim -mapping seam -granules 8192 -procs 128 -overlap -grain 16
 //	rundownsim -mapping identity -granules 8192 -procs 64 -overlap -grain 1 -manager sharded
 //	rundownsim -mapping identity -granules 8192 -procs 16 -overlap -grain 1 -adaptive
-//	rundownsim -mapping identity -granules 8192 -procs 16 -overlap -grain 1 -manager async -ready 32
+//	rundownsim -mapping identity -granules 8192 -procs 16 -overlap -grain 1 -manager async
 //	rundownsim -mapping identity -granules 8192 -procs 32 -overlap -observe
 //	rundownsim -jobs 3 -mapping identity -granules 4096 -procs 64 -overlap
 //	rundownsim -jobs 2 -manager async -mapping identity -granules 4096 -procs 8 -overlap

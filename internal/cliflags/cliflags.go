@@ -1,8 +1,8 @@
-// Package cliflags centralizes the executive-selection flags shared by
-// cmd/rundownsim and cmd/experiments: -manager, -adaptive, -ready,
-// -low-water and -batch are registered once here, and the parsed values
-// convert into Runner options (rundown.New) through one resolution path,
-// so the two CLIs cannot drift on names, conflict rules, or defaults.
+// Package cliflags holds cmd/rundownsim's executive-selection flags —
+// -manager, -adaptive and -batch — and the one resolution path that
+// converts them into Runner options (rundown.New) under the CLI's
+// conflict rules. ManagerNames is the manager list every CLI's -manager
+// usage cites, so the commands cannot drift on names.
 package cliflags
 
 import (
@@ -13,20 +13,15 @@ import (
 	rundown "repro"
 )
 
-// Exec holds the shared executive-selection flag values. Read them after
+// Exec holds the executive-selection flag values. Read them after
 // fs.Parse.
 type Exec struct {
-	// Manager is the raw -manager value. Parse it with Kind, or pass it
-	// verbatim to a filter that accepts extra values (experiments'
-	// "both").
+	// Manager is the raw -manager value; parse it with Kind.
 	Manager string
 	// Adaptive is -adaptive: the adaptive batching controller — the
 	// Adaptive model in virtual time; goroutine runs keep the sharded
 	// manager's parameters fixed.
 	Adaptive bool
-	// Ready and LowWater are the async manager's ready-buffer knobs.
-	Ready    int
-	LowWater int
 	// Batch is the refill batch for adaptive runs (the controller's
 	// starting point).
 	Batch int
@@ -34,18 +29,13 @@ type Exec struct {
 	fs *flag.FlagSet
 }
 
-// Register installs the shared flags on fs. managerDefault seeds
-// -manager ("serial" for rundownsim, "both" for experiments' filter);
+// Register installs the flags on fs. managerDefault seeds -manager;
 // managerUsage documents the accepted values for the caller's context.
 func Register(fs *flag.FlagSet, managerDefault, managerUsage string) *Exec {
 	e := &Exec{fs: fs}
 	fs.StringVar(&e.Manager, "manager", managerDefault, managerUsage)
 	fs.BoolVar(&e.Adaptive, "adaptive", false,
 		"adaptive batching: worker-local buffers with the batch size retuned online (the Adaptive sim model; goroutine runs stay fixed sharded)")
-	fs.IntVar(&e.Ready, "ready", 0,
-		"ready-buffer bound for -manager async (0 = 16*workers on goroutines; in virtual time 2*workers split across the jobs, min 8 each)")
-	fs.IntVar(&e.LowWater, "low-water", 0,
-		"deferred-overlap low-water mark for -manager async (0 = ready/4)")
 	fs.IntVar(&e.Batch, "batch", 0,
 		"refill/completion batch size (0 = model default: 16 for the adaptive sim model — its controller starting point — and 8 for the goroutine managers)")
 	return e
@@ -116,7 +106,6 @@ func (e *Exec) Options(dedicated bool) ([]rundown.Option, error) {
 		if dedicated {
 			return nil, fmt.Errorf("-dedicated is redundant with -manager async (the async executive is the dedicated processor, extended with the ready-buffer)")
 		}
-		opts = append(opts, rundown.WithReadyCap(e.Ready), rundown.WithLowWater(e.LowWater))
 	}
 	if !dedicated {
 		opts = append(opts, rundown.WithManager(kind))

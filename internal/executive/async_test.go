@@ -10,29 +10,26 @@ import (
 	"repro/internal/granule"
 )
 
-// TestAsyncDefaults: every async ready lane holds the per-worker
-// look-ahead of a sharded worker's lane, and the low-water mark is a
-// quarter of all lanes together; explicit knobs are taken as given, the
-// mark kept below the bound.
+// TestAsyncDefaults: DequeCap sizes every ready lane under both lane
+// manager kinds — 16 tasks per worker by default — and the low-water mark
+// is a quarter of all lanes together, kept below their total.
 func TestAsyncDefaults(t *testing.T) {
-	m := newLaneManager(&stubSM{}, Config{Workers: 8, Manager: AsyncManager})
-	if m.laneCap != 16 {
-		t.Errorf("laneCap = %d, want 16 (readyCap 16*workers over 8 workers)", m.laneCap)
-	}
-	if m.lowWater != 32 {
-		t.Errorf("lowWater = %d, want readyCap/4 = 32", m.lowWater)
-	}
-	if s := newLaneManager(&stubSM{}, Config{Workers: 8}); m.laneCap != s.laneCap {
-		t.Errorf("laneCap = %d, want the sharded lane's default %d", m.laneCap, s.laneCap)
-	}
-	m = newLaneManager(&stubSM{}, Config{Workers: 1, Manager: AsyncManager})
-	if m.laneCap != 16 || m.lowWater != 4 {
-		t.Errorf("one-worker laneCap=%d lowWater=%d, want 16 and 4", m.laneCap, m.lowWater)
-	}
-	m = newLaneManager(&stubSM{}, Config{Workers: 4, Manager: AsyncManager, ReadyCap: 4, LowWater: 9})
-	if m.laneCap != 1 || m.lowWater != 3 {
-		t.Errorf("explicit knobs: laneCap=%d lowWater=%d, want 1 and 3 (clamped below cap)",
-			m.laneCap, m.lowWater)
+	for _, kind := range []ManagerKind{ShardedManager, AsyncManager} {
+		for _, c := range []struct{ workers, dequeCap, laneCap, lowWater int }{
+			{8, 0, 16, 32},
+			{1, 0, 16, 4},
+			{4, 4, 4, 4},
+			{1, 1, 1, 0},
+		} {
+			m := newLaneManager(&stubSM{}, Config{Workers: c.workers, Manager: kind, DequeCap: c.dequeCap})
+			if m.laneCap != c.laneCap || m.lowWater != c.lowWater {
+				t.Errorf("%v, %d workers, DequeCap %d: laneCap=%d lowWater=%d, want %d and %d",
+					kind, c.workers, c.dequeCap, m.laneCap, m.lowWater, c.laneCap, c.lowWater)
+			}
+			if n := m.lanes[0].ready.mask + 1; n != int64(pow2(c.laneCap)) {
+				t.Errorf("%v, DequeCap %d: ring of %d slots, want %d", kind, c.dequeCap, n, pow2(c.laneCap))
+			}
+		}
 	}
 }
 
@@ -82,9 +79,6 @@ func (s *countingSM) DeferredMgmt() (core.Cost, bool) { return 0, false }
 func (s *countingSM) HasDeferred() bool               { return false }
 func (s *countingSM) Done() bool                      { return s.completed == s.n }
 func (s *countingSM) InFlight() int                   { return s.issued - s.completed }
-func (s *countingSM) ReadyTasks() int                 { return s.n - s.issued }
-func (s *countingSM) CurrentPhase() int               { return 0 }
-func (s *countingSM) Stats() core.Stats               { return core.Stats{} }
 
 // checkAppliedOnce fails unless every task's completion was applied
 // exactly once.
@@ -109,7 +103,7 @@ func TestAsyncStretchSpansHandOffs(t *testing.T) {
 	for _, p := range placements {
 		t.Run(p.name, func(t *testing.T) {
 			sm := newCountingSM(n)
-			mgr := placed(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: n, Batch: n}, p.dedicated)
+			mgr := placed(sm, Config{Workers: 1, Manager: AsyncManager, DequeCap: n, Batch: n}, p.dedicated)
 			mgr.Start() // the first refill buffers all n tasks
 			task, first, ok, _ := mgr.Enter(0, core.Task{}, clock.Now(), AskTry)
 			if !ok || first == 0 {
@@ -179,7 +173,7 @@ func startByHand(m *laneManager) {
 func TestAsyncFastPathFullRing(t *testing.T) {
 	const n = 256
 	sm := newCountingSM(n)
-	m := placed(sm, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 8, Batch: 4}, false)
+	m := placed(sm, Config{Workers: 1, Manager: AsyncManager, DequeCap: 8, Batch: 4}, false)
 	startByHand(m)
 
 	task, _, ok, _ := m.Enter(0, core.Task{}, clock.Now(), AskTry)
@@ -244,7 +238,7 @@ func TestAsyncPublishesBeforeDry(t *testing.T) {
 		return len(buf)
 	}
 	start := func(t *testing.T, n int) *laneManager {
-		m := placed(newCountingSM(n), Config{Workers: 2, Manager: AsyncManager, ReadyCap: 2 * n, Batch: batch}, true)
+		m := placed(newCountingSM(n), Config{Workers: 2, Manager: AsyncManager, DequeCap: n, Batch: batch}, true)
 		startByHand(m)
 		return m
 	}
@@ -311,7 +305,7 @@ func TestAsyncFirstCycleZeroAlloc(t *testing.T) {
 		ms := make([]*laneManager, runs+1) // AllocsPerRun calls once more to warm up
 		for i := range ms {
 			sm := newCountingSM(4 * readyCap)
-			m := newLaneManager(sm, Config{Workers: 2, Manager: AsyncManager, ReadyCap: readyCap, Batch: batch})
+			m := newLaneManager(sm, Config{Workers: 2, Manager: AsyncManager, DequeCap: readyCap / 2, Batch: batch})
 			for w := range m.lanes {
 				for range 2 * batch {
 					f, _, _ := sm.NextTask()
@@ -385,7 +379,7 @@ func TestAsyncInlineFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newLaneManager(sched, Config{Workers: 1, Manager: AsyncManager, ReadyCap: 4, Batch: 1})
+	m := newLaneManager(sched, Config{Workers: 1, Manager: AsyncManager, DequeCap: 4, Batch: 1})
 	if m.dedicated {
 		t.Fatal("async with no spare core: dedicated placement, want inline")
 	}

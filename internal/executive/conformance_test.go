@@ -29,13 +29,15 @@ func newTestManager(sm StateMachine, cfg Config) (Manager, error) {
 }
 
 // conformanceConfig returns a Config that stresses kind's batching paths:
-// small deques, batches, and ready-buffers force constant refills,
-// flushes, steals, and drains.
+// small lanes and batches force constant refills, flushes, steals, and
+// drains. The async lanes hold 8 tasks together, so its low-water mark
+// is 2.
 func conformanceConfig(kind ManagerKind, workers int) Config {
-	return Config{
-		Workers: workers, Manager: kind,
-		DequeCap: 8, Batch: 4, ReadyCap: 8, LowWater: 2,
+	c := Config{Workers: workers, Manager: kind, DequeCap: 8, Batch: 4}
+	if kind == AsyncManager {
+		c.DequeCap = max(8/workers, 1)
 	}
+	return c
 }
 
 // TestManagerDoneInvariant drives every manager by hand with the plain

@@ -13,6 +13,10 @@ import (
 	"repro/internal/granule"
 )
 
+// newTestDeque builds one ready lane of n slots (rounded up to a power
+// of two) the way the lane manager does.
+func newTestDeque(n int) *deque { return &newLanes(1, n, 1)[0].ready }
+
 // TestDequeSlotRoundTrip: a slot packs a core.Task into two words, which
 // is exact only while every field fits in 31 bits. core guarantees that
 // (an ID is an arena index below 2^31, a phase an int32, a granule at most
@@ -20,122 +24,38 @@ import (
 // field by field.
 func TestDequeSlotRoundTrip(t *testing.T) {
 	const maxGranules = 1<<31 - 1
-	r := newDequeRing(8)
+	d := newTestDeque(8)
 	for _, want := range []core.Task{
 		{ID: 1<<31 - 1, Phase: math.MaxInt32, Run: granule.Range{Lo: maxGranules, Hi: maxGranules}},
 		{ID: 1<<31 - 1, Phase: math.MaxInt32, Run: granule.Range{Lo: 0, Hi: maxGranules}},
 		{ID: 1, Phase: 0, Run: granule.Range{Lo: maxGranules - 1, Hi: maxGranules}},
 		{ID: 5, Phase: 3, Run: granule.Range{Lo: 1 << 16, Hi: 1<<16 + 1}},
 	} {
-		r.store(3, want)
-		if got := r.load(3); got != want {
+		d.store(3, want)
+		if got := d.load(3); got != want {
 			t.Errorf("store/load = %+v, want %+v", got, want)
 		}
 	}
 }
 
 // TestDequeSlotStride: a slot is 32 bytes, two to a cache line, though two
-// words would fit in 16 — the async ready buffer's pushing and stealing
-// ends share fewer lines that way (EXPERIMENTS.md, two-word deque slots).
+// words would fit in 16 — the ready lane's pushing and stealing ends share
+// fewer lines that way (EXPERIMENTS.md, two-word deque slots).
 func TestDequeSlotStride(t *testing.T) {
 	if n := unsafe.Sizeof(dequeSlot{}); n != 32 {
 		t.Fatalf("dequeSlot is %d bytes, want 32", n)
 	}
 }
 
-// TestDequeOwnerOrder: with no thieves, the deque is a plain LIFO stack
-// for its owner, and size tracks it.
-func TestDequeOwnerOrder(t *testing.T) {
-	d := newDeque(4)
-	if _, ok := d.popBottom(); ok {
-		t.Fatal("popBottom on empty deque returned a task")
-	}
-	for i := 0; i < 10; i++ {
-		d.pushBottom(mkTask(i))
-	}
-	if n := d.size(); n != 10 {
-		t.Fatalf("size = %d, want 10", n)
-	}
-	for i := 9; i >= 0; i-- {
-		got, ok := d.popBottom()
-		if !ok || got.ID != i {
-			t.Fatalf("popBottom = %v,%v, want task %d", got, ok, i)
-		}
-	}
-	if _, ok := d.popBottom(); ok {
-		t.Fatal("drained deque still pops")
-	}
-}
-
-// TestDequeGrow: pushing far past the initial ring capacity must grow the
-// ring without losing or reordering anything, and steals must see the
-// grown contents.
-func TestDequeGrow(t *testing.T) {
-	d := newDeque(8)
-	const n = 1000
-	for i := 0; i < n; i++ {
-		d.pushBottom(mkTask(i))
-	}
-	for i := 0; i < n/2; i++ {
-		got, ok := d.steal()
-		if !ok || got.ID != i {
-			t.Fatalf("steal = %v,%v, want task %d", got, ok, i)
-		}
-	}
-	for i := n - 1; i >= n/2; i-- {
-		got, ok := d.popBottom()
-		if !ok || got.ID != i {
-			t.Fatalf("popBottom = %v,%v, want task %d", got, ok, i)
-		}
-	}
-}
-
-// TestDequePushNGrow: one pushBottomN larger than the ring must grow it
-// once to fit and keep the order — the batch in push order, after what was
-// already there — for both the owner and a thief.
-func TestDequePushNGrow(t *testing.T) {
-	d := newDeque(8)
-	for i := 0; i < 3; i++ {
-		d.pushBottom(mkTask(i))
-	}
-	var batch []core.Task
-	for i := 3; i < 40; i++ {
-		batch = append(batch, mkTask(i))
-	}
-	d.pushBottomN(batch)
-	d.pushBottomN(nil)
-	if n := d.size(); n != 40 {
-		t.Fatalf("size = %d, want 40", n)
-	}
-	if n := d.ring.Load().size(); n != 64 {
-		t.Fatalf("ring holds %d slots after a 40-task push into 8, want 64", n)
-	}
-	if got, ok := d.steal(); !ok || got.ID != 0 {
-		t.Fatalf("steal = %v,%v, want task 0", got, ok)
-	}
-	for i := 39; i >= 1; i-- {
-		got, ok := d.popBottom()
-		if !ok || got != mkTask(i) {
-			t.Fatalf("popBottom = %v,%v, want task %d", got, ok, i)
-		}
-	}
-	if _, ok := d.popBottom(); ok {
-		t.Fatal("drained deque still pops")
-	}
-}
-
 // TestDequePushNRacesThieves is the -race workout for batched
-// publication: the owner pushes batches of varying size — some past the
-// ring, so it grows under the thieves — and pops some back, while
-// GOMAXPROCS thieves steal throughout. Every task pushed must be popped or
-// stolen exactly once.
+// publication: the producer tops a 32-slot ring up with batches of varying
+// size, never past what size left free, and takes some back from the top
+// as the lane's worker does, while GOMAXPROCS thieves steal throughout.
+// Every task pushed must be taken exactly once.
 func TestDequePushNRacesThieves(t *testing.T) {
-	thieves := runtime.GOMAXPROCS(0)
-	if thieves < 2 {
-		thieves = 2
-	}
-	const n = 20000
-	d := newDeque(8)
+	thieves := max(runtime.GOMAXPROCS(0), 2)
+	const n, capacity = 20000, 32
+	d := newTestDeque(capacity)
 	taken := make([]atomic.Int32, n)
 
 	var wg sync.WaitGroup
@@ -158,21 +78,21 @@ func TestDequePushNRacesThieves(t *testing.T) {
 		}()
 	}
 
-	batch := make([]core.Task, 0, 32)
+	batch := make([]core.Task, 0, capacity)
 	for next, size := 0, 1; next < n; size = size%29 + 1 {
 		batch = batch[:0]
-		for ; len(batch) < size && next < n; next++ {
+		for free := capacity - int(d.size()); len(batch) < min(size, free) && next < n; next++ {
 			batch = append(batch, mkTask(next))
 		}
 		d.pushBottomN(batch)
 		for i := 0; i < size/3; i++ {
-			if task, ok := d.popBottom(); ok {
+			if task, ok := d.steal(); ok {
 				taken[task.ID].Add(1)
 			}
 		}
 	}
 	for {
-		task, ok := d.popBottom()
+		task, ok := d.steal()
 		if !ok {
 			break
 		}
@@ -188,153 +108,17 @@ func TestDequePushNRacesThieves(t *testing.T) {
 	}
 }
 
-// TestDequeStealVsPopLastElement races the owner and GOMAXPROCS thieves
-// for a deque holding exactly one task, over many rounds: exactly one
-// goroutine may win each round — the core last-element CAS arbitration.
-func TestDequeStealVsPopLastElement(t *testing.T) {
-	thieves := runtime.GOMAXPROCS(0)
-	if thieves < 2 {
-		thieves = 2
-	}
-	const rounds = 2000
-	d := newDeque(4)
-
-	var wins atomic.Int64
-	var ready, done sync.WaitGroup
-	start := make(chan struct{})
-	stop := make(chan struct{})
-	for th := 0; th < thieves; th++ {
-		ready.Add(1)
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			ready.Done()
-			<-start
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if _, ok := d.steal(); ok {
-					wins.Add(1)
-				}
-			}
-		}()
-	}
-	ready.Wait()
-	close(start)
-
-	ownerWins := 0
-	for r := 0; r < rounds; r++ {
-		d.pushBottom(mkTask(r))
-		if _, ok := d.popBottom(); ok {
-			ownerWins++
-		}
-		// Whoever won, the deque must now be empty for the owner.
-		if _, ok := d.popBottom(); ok {
-			t.Fatal("last element won twice in one round")
-		}
-	}
-	close(stop)
-	done.Wait()
-	total := int(wins.Load()) + ownerWins
-	if total != rounds {
-		t.Fatalf("%d tasks extracted over %d rounds (owner %d, thieves %d)",
-			total, rounds, ownerWins, wins.Load())
-	}
-}
-
-// TestDequeGrowDuringSteal: the owner pushes enough to force repeated ring
-// growth while thieves continuously steal; every task must be extracted
-// exactly once. This exercises thieves reading a stale ring pointer across
-// a grow.
-func TestDequeGrowDuringSteal(t *testing.T) {
-	thieves := runtime.GOMAXPROCS(0)
-	if thieves < 2 {
-		thieves = 2
-	}
-	const n = 20000
-	d := newDeque(8) // tiny initial ring: growth is constant
-
-	var mu sync.Mutex
-	seen := make(map[int]int, n)
-	record := func(id int) {
-		mu.Lock()
-		seen[id]++
-		mu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for th := 0; th < thieves; th++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if task, ok := d.steal(); ok {
-					record(task.ID)
-					continue
-				}
-				select {
-				case <-stop:
-					// One last sweep so nothing pushed after our miss
-					// is stranded.
-					for {
-						task, ok := d.steal()
-						if !ok {
-							return
-						}
-						record(task.ID)
-					}
-				default:
-				}
-			}
-		}()
-	}
-
-	for i := 0; i < n; i++ {
-		d.pushBottom(mkTask(i))
-		if i%7 == 0 {
-			if task, ok := d.popBottom(); ok {
-				record(task.ID)
-			}
-		}
-	}
-	for {
-		task, ok := d.popBottom()
-		if !ok {
-			break
-		}
-		record(task.ID)
-	}
-	close(stop)
-	wg.Wait()
-
-	if len(seen) != n {
-		t.Fatalf("extracted %d distinct tasks, want %d", len(seen), n)
-	}
-	for id, c := range seen {
-		if c != 1 {
-			t.Fatalf("task %d extracted %d times", id, c)
-		}
-	}
-}
-
 // TestDequeTopMonotonic: the ABA guard on the steal index is top's
 // monotonicity — concurrent thieves CASing the same top value must never
-// extract the same task twice even as the owner push/pops around them.
-// GOMAXPROCS thieves hammer one owner through continuous load/unload
-// cycles that wrap the ring many times (index reuse at the same slot is
-// exactly the ABA shape).
+// extract the same task twice even as the producer refills around them.
+// GOMAXPROCS thieves hammer one lane through continuous fill/drain cycles
+// that fill the whole ring and wrap it many times (index reuse at the same
+// slot is exactly the ABA shape).
 func TestDequeTopMonotonic(t *testing.T) {
-	thieves := runtime.GOMAXPROCS(0)
-	if thieves < 4 {
-		thieves = 4
-	}
+	thieves := max(runtime.GOMAXPROCS(0), 4)
 	const cycles = 3000
-	const burst = 8 // within the initial ring: slots are reused constantly
-	d := newDeque(burst)
+	const burst = 8 // the whole ring: slots are reused constantly
+	d := newTestDeque(burst)
 
 	var stolen sync.Map // id -> count
 	var wg sync.WaitGroup
@@ -360,13 +144,16 @@ func TestDequeTopMonotonic(t *testing.T) {
 
 	next := 0
 	ownerSeen := make(map[int]int)
+	batch := make([]core.Task, 0, burst)
 	for c := 0; c < cycles; c++ {
-		for i := 0; i < burst; i++ {
-			d.pushBottom(mkTask(next))
+		batch = batch[:0]
+		for range burst {
+			batch = append(batch, mkTask(next))
 			next++
 		}
+		d.pushBottomN(batch)
 		for {
-			task, ok := d.popBottom()
+			task, ok := d.steal()
 			if !ok {
 				break
 			}
@@ -375,21 +162,14 @@ func TestDequeTopMonotonic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	for {
-		task, ok := d.popBottom()
-		if !ok {
-			break
-		}
-		ownerSeen[task.ID]++
-	}
 
 	total := 0
 	for id, c := range ownerSeen {
 		if c != 1 {
-			t.Fatalf("owner extracted task %d %d times", id, c)
+			t.Fatalf("the lane's worker extracted task %d %d times", id, c)
 		}
 		if v, ok := stolen.Load(id); ok {
-			t.Fatalf("task %d extracted by owner and stolen %v times", id, v)
+			t.Fatalf("task %d extracted by the lane's worker and stolen %v times", id, v)
 		}
 		total++
 	}
@@ -405,13 +185,14 @@ func TestDequeTopMonotonic(t *testing.T) {
 	}
 }
 
-// TestDequeOwnerHandoffUnderMutex: the async manager's ready buffer has one
-// owner at a time — whoever holds the state-machine mutex — not one owner
-// goroutine. Several goroutines take turns as owner under a mutex, each
-// topping the deque up to a fixed capacity the way a refill does (free
-// slots computed from size() first), and steal in between; dedicated
-// thieves steal throughout. Every pushed task must be taken exactly once
-// and the ring must never grow past its hint.
+// TestDequeOwnerHandoffUnderMutex: a ready lane has one producer at a
+// time — whoever holds the state-machine mutex — not one producer
+// goroutine. Several goroutines take turns as producer under a mutex, each
+// topping the lane up to its capacity the way a refill does (free slots
+// computed from size() first, one pushBottomN), and steal in between;
+// dedicated thieves steal throughout. Every pushed task must be taken
+// exactly once, and no one may ever see the lane hold more than its
+// capacity.
 func TestDequeOwnerHandoffUnderMutex(t *testing.T) {
 	const (
 		capacity = 8
@@ -419,16 +200,19 @@ func TestDequeOwnerHandoffUnderMutex(t *testing.T) {
 		owners   = 3
 		thieves  = 3
 	)
-	d := newDeque(capacity)
-	ring := d.ring.Load()
+	d := newTestDeque(capacity)
 
-	var mu sync.Mutex // the owner role
+	var mu sync.Mutex // the producer role
 	next := 0         // next task ID to push; guarded by mu
+	batch := make([]core.Task, 0, capacity)
 	taken := make([]atomic.Int32, n)
-	var left atomic.Int64
+	var left, over atomic.Int64
 	left.Store(n)
 	stealAll := func() {
 		for {
+			if d.size() > capacity {
+				over.Add(1)
+			}
 			task, ok := d.steal()
 			if !ok {
 				return
@@ -445,10 +229,12 @@ func TestDequeOwnerHandoffUnderMutex(t *testing.T) {
 			defer wg.Done()
 			for left.Load() > 0 {
 				if owner && mu.TryLock() {
+					batch = batch[:0]
 					for free := capacity - int(d.size()); free > 0 && next < n; free-- {
-						d.pushBottom(mkTask(next))
+						batch = append(batch, mkTask(next))
 						next++
 					}
+					d.pushBottomN(batch)
 					mu.Unlock()
 				}
 				stealAll()
@@ -462,33 +248,30 @@ func TestDequeOwnerHandoffUnderMutex(t *testing.T) {
 			t.Fatalf("task %d taken %d times, want exactly once", id, c)
 		}
 	}
-	if d.ring.Load() != ring {
-		t.Fatalf("ring grew to %d slots under a capacity-%d refill rule", d.ring.Load().size(), capacity)
+	if c := over.Load(); c != 0 {
+		t.Fatalf("the lane read above its capacity %d times", c)
 	}
 }
 
-// TestDequeStealZeroAlloc: the steady-state steal and pop paths must not
+// TestDequeStealZeroAlloc: the steady-state push and steal paths must not
 // allocate — the per-steal allocation of the old mutex deque
 // (stolen := make([]core.Task, take)) is the regression this guards.
 func TestDequeStealZeroAlloc(t *testing.T) {
-	d := newDeque(64)
+	d := newTestDeque(64)
+	batch := make([]core.Task, 32)
+	for i := range batch {
+		batch[i] = mkTask(i)
+	}
 	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 32; i++ {
-			d.pushBottom(mkTask(i))
-		}
-		for i := 0; i < 16; i++ {
-			if _, ok := d.steal(); !ok {
-				t.Fatal("steal failed")
-			}
-		}
+		d.pushBottomN(batch)
 		for {
-			if _, ok := d.popBottom(); !ok {
+			if _, ok := d.steal(); !ok {
 				break
 			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state push/steal/pop allocated %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state push/steal allocated %.1f times per run, want 0", allocs)
 	}
 }
 

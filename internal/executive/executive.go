@@ -43,30 +43,22 @@ type Config struct {
 	Workers int
 	// Manager selects the management layer (SerialManager default).
 	Manager ManagerKind
-	// DequeCap bounds each worker's ready lane under ShardedManager. <=0
-	// selects 16, the per-worker look-ahead.
+	// DequeCap bounds each worker's ready lane (ShardedManager,
+	// AsyncManager). <=0 selects 16, the per-worker look-ahead. The async
+	// management goroutine overlaps deferred management with computation
+	// while the lanes together hold more than a quarter of their capacity.
 	DequeCap int
 	// Batch is the completion batch: a worker publishes its completions
 	// to the next management cycle with one store every Batch
 	// (ShardedManager, AsyncManager). <=0 selects 8.
 	Batch int
-	// ReadyCap bounds the async manager's ready lanes together:
-	// ReadyCap/Workers tasks each, at least 1 (AsyncManager only). <=0
-	// selects 16*Workers, the sharded lane's default per worker.
-	ReadyCap int
-	// LowWater is the ready lanes' total occupancy above which the
-	// async manager's management goroutine overlaps deferred management
-	// with computation (AsyncManager with a spare core only). <=0 selects
-	// ReadyCap/4 (minimum 1).
-	LowWater int
 	// Metrics, when non-nil, is the telemetry set the manager records its
 	// steal counters, refill batch size and ready-lane occupancy into.
 	Metrics *telemetry.Set
 }
 
 // lookAhead is the lane manager's per-worker look-ahead: the tasks
-// dispatched ahead of each worker. It is DequeCap's default and, times
-// Workers, ReadyCap's.
+// dispatched ahead of each worker, DequeCap's default.
 const lookAhead = 16
 
 // Report aggregates a run's measurements.

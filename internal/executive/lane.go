@@ -14,14 +14,14 @@ import (
 // AsyncManager: one code path that differs only in where the management
 // cycle runs — its placement (DESIGN.md §3.3).
 //
-//   - Lanes: each worker has a ready lane, a Chase-Lev deque (deque.go) of
-//     at most laneCap tasks, and a completion lane, a bounded
-//     single-producer single-consumer ring (compLane). Whoever holds mu
-//     owns every ready lane and tops one up with one NextTasks and one
-//     pushBottomN, in the state machine's priority order. A worker takes
-//     the oldest task of its own lane with one steal — the fast path — and
-//     steals one task from another lane only when its own lane is empty
-//     and a cycle found nothing for it.
+//   - Lanes: each worker has a ready lane, a fixed ring of laneCap tasks
+//     with one producer and many consumers (deque.go), and a completion
+//     lane, a bounded single-producer single-consumer ring (compLane).
+//     Whoever holds mu is every ready lane's producer and tops one up with
+//     one NextTasks and one pushBottomN, in the state machine's priority
+//     order. A worker takes the oldest task of its own lane with one
+//     steal — the fast path — and steals one task from another lane only
+//     when its own lane is empty and a cycle found nothing for it.
 //   - Completions: a worker writes its completions into its own lane with
 //     plain stores and publishes them with one store every Batch
 //     completions and before it can park or leave the job. Every cycle
@@ -41,11 +41,11 @@ import (
 //     — the paper's separate executive processor, the sim's Dedicated
 //     model — runs the cycle and refills every lane, woken by a doorbell
 //     that workers ring when they publish, and overlaps deferred
-//     management with computation while the lanes hold more than LowWater
-//     tasks. A worker whose lane is empty runs the inline cycle only if
-//     the executive is idle, never waiting behind the goroutine; else it
-//     rings and is told dry, and the pool's progress callback (SetNotify)
-//     wakes it after the goroutine's cycle.
+//     management with computation while the lanes hold more than a quarter
+//     of their capacity (the low-water mark). A worker whose lane is empty
+//     runs the inline cycle only if the executive is idle, never waiting
+//     behind the goroutine; else it rings and is told dry, and the pool's
+//     progress callback (SetNotify) wakes it after the goroutine's cycle.
 //
 // Compute stretches: the fast path — a steal from the worker's own lane
 // and a plain write into its completion lane — reads no clock, so the
@@ -106,12 +106,12 @@ type laneManager struct {
 
 // lane is one worker's pair of hand-off structures and its open compute
 // stretch (the dispatch stamp of the task it runs, 0 = none, the worker's
-// own). The groups are padded apart: the ready deque's words are written
-// by thieves and the refilling owner, the completion lane's producer words
-// by the worker on every task.
+// own). The groups are padded apart: the ready lane's words are written
+// by its takers and the refilling producer, the completion lane's producer
+// words by the worker on every task.
 type lane struct {
 	ready deque
-	_     [64 - 24]byte
+	_     [64 - 48]byte
 	comp  compLane
 	open  clock.Stamp
 	_     [64 - 8]byte
@@ -122,10 +122,7 @@ func newLaneManager(sm StateMachine, cfg Config) *laneManager {
 	if laneCap <= 0 {
 		laneCap = lookAhead
 	}
-	readyCap, low := core.ReadyBounds(cfg.ReadyCap, cfg.LowWater, lookAhead*cfg.Workers)
-	if cfg.Manager == AsyncManager {
-		laneCap = max(readyCap/cfg.Workers, 1)
-	}
+	_, low := core.ReadyBounds(laneCap*cfg.Workers, 0, 0)
 	batch := cfg.Batch
 	if batch <= 0 {
 		batch = 8
@@ -254,9 +251,9 @@ func (m *laneManager) drainLocked() bool {
 
 // refillLocked tops worker w's ready lane up from the state machine, or
 // every lane in turn when w < 0, until the state machine runs dry. Caller
-// holds mu, which makes it every lane's owner: a lane never grows, because
-// only the owner pushes and concurrent steals only lower the occupancy it
-// read.
+// holds mu, which makes it every lane's one producer: a refill asks for no
+// more than the free slots it read, and concurrent steals only add to
+// them, so it never overwrites a live slot.
 func (m *laneManager) refillLocked(w int) bool {
 	lo, hi := 0, len(m.lanes)
 	if w >= 0 {
@@ -606,19 +603,18 @@ func (q *compLane) drain(dst []core.Task) ([]core.Task, time.Duration) {
 }
 
 // newLanes builds n lanes of readyCap ready slots and compCap completion
-// slots each, carving the lanes, their deque rings and both kinds of slots
-// from one slab apiece, so a manager's lanes cost four allocations
-// whatever the worker count. Both capacities are rounded up to a power of
-// two.
+// slots each, carving the lanes and both kinds of slots from one slab
+// apiece, so a manager's lanes cost three allocations whatever the worker
+// count. Both capacities are rounded up to a power of two; a ready lane
+// never grows.
 func newLanes(n, readyCap, compCap int) []lane {
 	rsize, csize := pow2(readyCap), pow2(compCap)
 	lanes := make([]lane, n)
-	rings := make([]dequeRing, n)
 	rslots := make([]dequeSlot, n*rsize)
 	cslots := make([]compSlot, n*csize)
 	for i := range lanes {
-		rings[i] = dequeRing{mask: int64(rsize - 1), slots: rslots[i*rsize : (i+1)*rsize : (i+1)*rsize]}
-		lanes[i].ready.ring.Store(&rings[i])
+		r := &lanes[i].ready
+		r.slots, r.mask = rslots[i*rsize:(i+1)*rsize:(i+1)*rsize], int64(rsize-1)
 		c := &lanes[i].comp
 		c.slots, c.mask = cslots[i*csize:(i+1)*csize:(i+1)*csize], int64(csize-1)
 	}

@@ -189,3 +189,46 @@ func TestLaneAllocs(t *testing.T) {
 		t.Fatalf("push+publish+drain allocates %v per op", avg)
 	}
 }
+
+// TestRefillTopsUpFreeSlots: a refill asks the state machine for no more
+// than a lane's free slots, so it never overwrites a live task: lanes that
+// their workers part-drained are topped up to exactly laneCap, and every
+// task comes out once, each lane in the state machine's order.
+func TestRefillTopsUpFreeSlots(t *testing.T) {
+	const laneCap = 8
+	sm := newCountingSM(64)
+	m := newLaneManager(sm, Config{Workers: 2, Manager: AsyncManager, DequeCap: laneCap})
+	m.refillLocked(-1) // lane 0 holds 1..8, lane 1 holds 9..16
+	seen := map[int]int{}
+	for w, n := range []int{3, 5} {
+		for range n {
+			task, ok := m.lanes[w].ready.steal()
+			if !ok {
+				t.Fatalf("lane %d ran dry after a full refill", w)
+			}
+			seen[task.ID]++
+		}
+	}
+	m.refillLocked(-1)
+	for w := range m.lanes {
+		if n := m.lanes[w].ready.size(); n != laneCap {
+			t.Errorf("lane %d holds %d tasks after a top-up, want %d", w, n, laneCap)
+		}
+		last := 0
+		for _, task := range m.drain(w) {
+			if task.ID < last {
+				t.Errorf("lane %d handed out task %d after %d", w, task.ID, last)
+			}
+			last = task.ID
+			seen[task.ID]++
+		}
+	}
+	if len(seen) != sm.issued {
+		t.Errorf("%d distinct tasks came out of the lanes, %d were issued", len(seen), sm.issued)
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Errorf("task %d came out %d times", id, n)
+		}
+	}
+}

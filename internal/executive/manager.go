@@ -34,12 +34,6 @@ type StateMachine interface {
 	Done() bool
 	// InFlight reports dispatched-but-incomplete tasks.
 	InFlight() int
-	// ReadyTasks reports how many NextTask calls would succeed right now.
-	ReadyTasks() int
-	// CurrentPhase reports the oldest incomplete phase index.
-	CurrentPhase() int
-	// Stats returns the management statistics so far.
-	Stats() core.Stats
 }
 
 var _ StateMachine = (*core.Scheduler)(nil)
@@ -193,8 +187,8 @@ const (
 	// dedicated goroutine that refills every lane — the paper's separate
 	// executive processor (the sim's Dedicated model) realized on
 	// hardware — and overlaps deferred management with computation while
-	// the lanes hold more than LowWater tasks. With no spare core for it
-	// (GOMAXPROCS <= Workers) the cycle runs inline, as under
+	// the lanes hold more than a quarter of their capacity. With no spare
+	// core for it (GOMAXPROCS <= Workers) the cycle runs inline, as under
 	// ShardedManager.
 	AsyncManager
 )

@@ -14,9 +14,7 @@ import (
 // shape of a stalled scheduler, unreachable through the real state
 // machine's liveness guarantees. All methods are called under
 // the manager's own serialization, so the stub needs no locking.
-type stubSM struct {
-	phase int
-}
+type stubSM struct{}
 
 func (s *stubSM) Start() core.Cost                       { return 0 }
 func (s *stubSM) NextTask() (core.Task, core.Cost, bool) { return core.Task{}, 0, false }
@@ -26,9 +24,6 @@ func (s *stubSM) DeferredMgmt() (core.Cost, bool)        { return 0, false }
 func (s *stubSM) HasDeferred() bool                      { return false }
 func (s *stubSM) Done() bool                             { return false }
 func (s *stubSM) InFlight() int                          { return 0 }
-func (s *stubSM) ReadyTasks() int                        { return 0 }
-func (s *stubSM) CurrentPhase() int                      { return s.phase }
-func (s *stubSM) Stats() core.Stats                      { return core.Stats{} }
 func (s *stubSM) NextTasks(dst []core.Task, max int) ([]core.Task, core.Cost) {
 	return dst, 0
 }
@@ -81,7 +76,7 @@ func driveWorkers(mgr Manager, workers int, prog *core.Program) error {
 func TestStallDetector(t *testing.T) {
 	for _, kind := range ManagerKinds() {
 		for _, workers := range []int{1, 4, 9} {
-			mgr, err := newTestManager(&stubSM{phase: 7}, Config{
+			mgr, err := newTestManager(&stubSM{}, Config{
 				Workers: workers, Manager: kind, DequeCap: 4, Batch: 2,
 			})
 			if err != nil {

@@ -37,7 +37,6 @@ func runJob(ctx context.Context, job rundown.Job, c executive.Config, more ...ru
 	r, err := rundown.New(append([]rundown.Option{
 		rundown.WithWorkers(c.Workers), rundown.WithManager(c.Manager),
 		rundown.WithDequeCap(c.DequeCap), rundown.WithBatch(c.Batch),
-		rundown.WithReadyCap(c.ReadyCap), rundown.WithLowWater(c.LowWater),
 	}, more...)...)
 	if err != nil {
 		return nil, err
@@ -346,15 +345,15 @@ func TestShardedReverseGather(t *testing.T) {
 	}
 }
 
-// TestAsyncCorrectness runs the copy chain across ready-buffer extremes,
-// including a buffer smaller than the worker count (workers contend for
-// every slot) and a huge one (the whole program fits).
+// TestAsyncCorrectness runs the copy chain across ready-lane extremes,
+// from one task per lane (workers contend for every slot) to lanes that
+// hold a whole phase between them.
 func TestAsyncCorrectness(t *testing.T) {
-	cases := []struct{ workers, ready, low, batch, grain int }{
-		{1, 1, 1, 1, 4},
-		{4, 2, 1, 1, 4},
-		{8, 16, 4, 8, 8},
-		{12, 512, 128, 32, 2},
+	cases := []struct{ workers, lane, batch, grain int }{
+		{1, 1, 1, 4},
+		{4, 1, 1, 4},
+		{8, 2, 8, 8},
+		{12, 96, 32, 2},
 	}
 	for _, tc := range cases {
 		prog, a, b, c := buildCopyChain(t, 2048)
@@ -362,7 +361,7 @@ func TestAsyncCorrectness(t *testing.T) {
 			Grain: tc.grain, Overlap: true, Costs: core.DefaultCosts(),
 		}, executive.Config{
 			Workers: tc.workers, Manager: executive.AsyncManager,
-			ReadyCap: tc.ready, LowWater: tc.low, Batch: tc.batch,
+			DequeCap: tc.lane, Batch: tc.batch,
 		})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
@@ -403,7 +402,7 @@ func TestAsyncDeferredOverlap(t *testing.T) {
 	rep, err := run(context.Background(), prog, core.Options{
 		Grain: 8, Overlap: true, Elevate: true, SubsetSize: 32,
 		Costs: core.DefaultCosts(),
-	}, executive.Config{Workers: 8, Manager: executive.AsyncManager, ReadyCap: 8, LowWater: 2})
+	}, executive.Config{Workers: 8, Manager: executive.AsyncManager, DequeCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +425,7 @@ func TestAsyncNoSpareCore(t *testing.T) {
 	prog, a, b, c := buildCopyChain(t, 2048)
 	if _, err := run(context.Background(), prog, core.Options{
 		Grain: 2, Overlap: true, Costs: core.DefaultCosts(),
-	}, executive.Config{Workers: 4, Manager: executive.AsyncManager, ReadyCap: 4, LowWater: 1, Batch: 2}); err != nil {
+	}, executive.Config{Workers: 4, Manager: executive.AsyncManager, DequeCap: 1, Batch: 2}); err != nil {
 		t.Fatal(err)
 	}
 	checkCopyChain(t, a, b, c)
@@ -600,7 +599,7 @@ func TestManagerRace(t *testing.T) {
 			Grain: 4, Overlap: true, Elevate: true, Costs: core.DefaultCosts(),
 		}, executive.Config{
 			Workers: 10, Manager: kind,
-			DequeCap: 4, Batch: 2, ReadyCap: 4, LowWater: 1,
+			DequeCap: 4, Batch: 2,
 		}); err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}

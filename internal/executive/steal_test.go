@@ -128,17 +128,17 @@ func TestStealPriorityOrder(t *testing.T) {
 	}
 }
 
-// TestStealRacesPopBottom is the -race workout for the ready lane in its
+// TestStealRacesRefill is the -race workout for the ready lane in its
 // manager context, the inline placement's: one worker refilling its own
-// lane in bursts and taking from its top, against several thieves
-// sweeping steal, must hand every task to exactly one goroutine.
-func TestStealRacesPopBottom(t *testing.T) {
+// lane to capacity in bursts and taking from its top, against several
+// thieves sweeping steal, must hand every task to exactly one goroutine.
+func TestStealRacesRefill(t *testing.T) {
 	const (
 		thieves = 6
-		batches = 64
-		perLoad = 32
+		batches = 256
+		perLoad = 8 // the lane's capacity: each burst fills it
 	)
-	m := lanesForTest(thieves+1, 8, 4)
+	m := lanesForTest(thieves+1, perLoad, 4)
 
 	var mu sync.Mutex
 	seen := map[int]int{}
@@ -167,7 +167,7 @@ func TestStealRacesPopBottom(t *testing.T) {
 		}(th)
 	}
 
-	// The worker loads its lane in bursts and takes from it until it is
+	// The worker fills its lane in bursts and takes from it until it is
 	// empty, racing the thieves' CAS grabs at the same end.
 	next := 0
 	for b := 0; b < batches; b++ {

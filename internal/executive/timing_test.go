@@ -54,9 +54,6 @@ func (s *sleepSM) DeferredMgmt() (core.Cost, bool) { return 0, false }
 func (s *sleepSM) HasDeferred() bool               { return false }
 func (s *sleepSM) Done() bool                      { return s.completed == s.n }
 func (s *sleepSM) InFlight() int                   { return s.dispatched - s.completed }
-func (s *sleepSM) ReadyTasks() int                 { return s.n - s.dispatched }
-func (s *sleepSM) CurrentPhase() int               { return 0 }
-func (s *sleepSM) Stats() core.Stats               { return core.Stats{} }
 
 // TestSerialMgmtExcludesLockWait: with two workers contending for an
 // executive whose every completion takes a millisecond, a worker spends as

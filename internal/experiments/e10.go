@@ -31,25 +31,20 @@ func SetManagerFilter(s string) error {
 	return nil
 }
 
-// asyncReady/asyncLowWater/execBatch parameterize the goroutine
-// runs in E10 and E13: the async manager's ready-buffer bounds
-// and the completion batch size for every manager kind. Zero keeps the
-// executive defaults. cmd/experiments sets them from the shared
-// -ready/-low-water/-batch flags (internal/cliflags).
-var asyncReady, asyncLowWater, execBatch int
+// execBatch is the completion batch size of the goroutine runs in E10 and
+// E13, for every manager kind. Zero keeps the executive default.
+// cmd/experiments sets it from its -batch flag.
+var execBatch int
 
-// SetExecKnobs threads the shared CLI executive knobs into the
+// SetExecKnobs threads the CLI's executive knob into the
 // goroutine-executive experiments (E10, E13).
-func SetExecKnobs(ready, lowWater, batch int) {
-	asyncReady, asyncLowWater, execBatch = ready, lowWater, batch
-}
+func SetExecKnobs(batch int) { execBatch = batch }
 
 // runOnGoroutines runs prog through the front door — a Runner on workers
-// goroutines under kind, with the CLI knobs from SetExecKnobs — and returns
+// goroutines under kind, with the CLI knob from SetExecKnobs — and returns
 // the job's execution report.
 func runOnGoroutines(prog *core.Program, opt core.Options, workers int, kind executive.ManagerKind) (*executive.Report, error) {
-	r, err := rundown.New(rundown.WithWorkers(workers), rundown.WithManager(kind),
-		rundown.WithBatch(execBatch), rundown.WithReadyCap(asyncReady), rundown.WithLowWater(asyncLowWater))
+	r, err := rundown.New(rundown.WithWorkers(workers), rundown.WithManager(kind), rundown.WithBatch(execBatch))
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,9 @@ type Set struct {
 	JobsDone      *Counter
 	ActiveJobs    *Gauge
 
-	// ReadyOccupancy gauges the async manager's ready-buffer depth;
+	// ReadyOccupancy gauges the ready tasks buffered ahead of the
+	// workers: the sharded and async managers' ready lanes together, or
+	// the virtual Async model's ready buffer;
 	// BatchSize gauges the adaptive controller's current refill batch.
 	ReadyOccupancy *Gauge
 	BatchSize      *Gauge

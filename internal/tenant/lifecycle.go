@@ -120,7 +120,6 @@ func (p *Pool) newAttempt(j *Job, prev *attempt) (*attempt, error) {
 	mgr, err := executive.NewManager(sched, executive.Config{
 		Workers: p.cfg.Workers, Manager: p.cfg.Manager,
 		DequeCap: p.cfg.DequeCap, Batch: p.cfg.Batch,
-		ReadyCap: p.cfg.ReadyCap, LowWater: p.cfg.LowWater,
 		Metrics: p.cfg.Metrics,
 	})
 	if err != nil {

@@ -185,7 +185,7 @@ func TestPoolTwoJobsRace(t *testing.T) {
 		// The async arm runs one management goroutine per job beside the
 		// 8 shared workers, with one-task ready lanes forcing constant
 		// refills, completion-lane drains, and pool-level notify wakeups.
-		{Workers: 8, Manager: executive.AsyncManager, ReadyCap: 4, LowWater: 1, Batch: 2},
+		{Workers: 8, Manager: executive.AsyncManager, DequeCap: 1, Batch: 2},
 	} {
 		p, err := NewPool(cfg)
 		if err != nil {
@@ -263,7 +263,7 @@ func TestPoolBackfillDuringRundown(t *testing.T) {
 // works unchanged over the one Manager contract, with job progress arriving
 // through the SetNotify callback instead of worker-applied completions.
 func TestPoolBackfillAsync(t *testing.T) {
-	runBackfillRundown(t, Config{Workers: 4, Manager: executive.AsyncManager, ReadyCap: 2, LowWater: 1, Batch: 1})
+	runBackfillRundown(t, Config{Workers: 4, Manager: executive.AsyncManager, DequeCap: 1, Batch: 1})
 }
 
 // buildBackfillPair builds the rundown-backfill scenario's two programs.
@@ -554,9 +554,6 @@ func (dryMachine) DeferredMgmt() (core.Cost, bool)        { return 0, false }
 func (dryMachine) HasDeferred() bool                      { return false }
 func (dryMachine) Done() bool                             { return false }
 func (dryMachine) InFlight() int                          { return 0 }
-func (dryMachine) ReadyTasks() int                        { return 0 }
-func (dryMachine) CurrentPhase() int                      { return 0 }
-func (dryMachine) Stats() core.Stats                      { return core.Stats{} }
 func (dryMachine) NextTasks(dst []core.Task, _ int) ([]core.Task, core.Cost) {
 	return dst, 0
 }
@@ -768,16 +765,17 @@ func TestPoolAsyncProbeParks(t *testing.T) {
 // TestPoolAsyncDoesNotParkPerRefill is the count gate on the async
 // manager's no-spare-core rule. With GOMAXPROCS equal to the worker count
 // the management goroutine has no core of its own, so a fine-grain chain
-// drains the ready buffer every ReadyCap tasks; a worker that finds it empty
-// and the executive idle must enter the executive itself. When it parked
-// instead — waiting for the management goroutine to be scheduled — the pool
-// recorded about one KPark per refill, Tasks/ReadyCap of them.
+// drains the ready lanes every readyCap tasks, what they hold together; a
+// worker that finds its lane empty and the executive idle must enter the
+// executive itself. When it parked instead — waiting for the management
+// goroutine to be scheduled — the pool recorded about one KPark per
+// refill, Tasks/readyCap of them.
 func TestPoolAsyncDoesNotParkPerRefill(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	const readyCap = 8
 	prog, ledger := testutil.LedgerChain(t, 3, 8192)
 	rec := trace.NewRecorder(trace.Meta{}, 2)
-	p, err := NewPool(Config{Workers: 2, Manager: executive.AsyncManager, ReadyCap: readyCap, Trace: rec})
+	p, err := NewPool(Config{Workers: 2, Manager: executive.AsyncManager, DequeCap: readyCap / 2, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,17 +51,12 @@ type Config struct {
 	// default). Every job in the pool uses the same kind. An async pool
 	// runs one management goroutine per job beside the shared workers.
 	Manager executive.ManagerKind
-	// DequeCap and Batch parameterize the sharded manager per job (see
-	// executive.Config); ignored by the serial manager.
+	// DequeCap and Batch parameterize the sharded and async managers per
+	// job (see executive.Config); ignored by the serial manager.
 	DequeCap int
-	// Batch is the sharded manager's completion batch size (also the
-	// async manager's completion drain chunk).
+	// Batch is the completion batch size of the sharded and async
+	// managers.
 	Batch int
-	// ReadyCap and LowWater parameterize the async manager per job (see
-	// executive.Config); ignored by the other managers.
-	ReadyCap int
-	// LowWater is the async manager's deferred-overlap low-water mark.
-	LowWater int
 	// Observer, when non-nil, receives periodic pool-level Snapshots
 	// sampled on a dedicated goroutine for the pool's lifetime, plus one
 	// Final snapshot from Close. The callback must not block for long.

@@ -47,7 +47,7 @@ func TestJobTraceMatchesFilterJob(t *testing.T) {
 			const flakyIdx = 3
 			rec := trace.NewRecorder(trace.Meta{}, 4)
 			p, err := NewPool(Config{
-				Workers: 4, Manager: kind, DequeCap: 2, Batch: 1, ReadyCap: 2, LowWater: 1,
+				Workers: 4, Manager: kind, DequeCap: 2, Batch: 1,
 				Trace: rec,
 				Faults: &fault.Spec{Rules: []fault.Rule{{
 					Kind: fault.GrainError, Job: flakyIdx, Phase: 1, Granule: 7, Worker: -1, Count: 1,

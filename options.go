@@ -29,8 +29,7 @@ type runnerConfig struct {
 	adaptive   bool
 	mgmtTarget float64
 
-	dequeCap, batch    int
-	readyCap, lowWater int
+	dequeCap, batch int
 
 	pool    bool
 	virtual bool
@@ -105,7 +104,12 @@ func WithAdaptiveBatching(target float64) Option {
 	}
 }
 
-// WithDequeCap bounds each worker's ready lane (sharded manager).
+// WithDequeCap bounds each worker's ready lane under the sharded and
+// async managers; n <= 0 selects 16. The async management goroutine
+// overlaps deferred management with computation while the lanes together
+// hold more than a quarter of their capacity. In virtual time the Async
+// model's ready buffer holds n tasks per processor; unset, it keeps its
+// own default, 2*workers split across the jobs, minimum 8 each.
 func WithDequeCap(n int) Option {
 	return func(c *runnerConfig) error { c.dequeCap = n; return nil }
 }
@@ -115,21 +119,6 @@ func WithDequeCap(n int) Option {
 // virtual backend it is the Adaptive model's refill batch.
 func WithBatch(n int) Option {
 	return func(c *runnerConfig) error { c.batch = n; return nil }
-}
-
-// WithReadyCap bounds the async manager's ready lanes together: on
-// goroutines each worker's lane holds n/workers tasks, at least 1. n <= 0
-// selects the default: 16 tasks per worker, the same look-ahead as a
-// sharded worker's lane. In virtual time it bounds the Async model's
-// one ready buffer per job, by default 2*workers split across the jobs,
-// minimum 8 each.
-func WithReadyCap(n int) Option {
-	return func(c *runnerConfig) error { c.readyCap = n; return nil }
-}
-
-// WithLowWater sets the async manager's deferred-overlap low-water mark.
-func WithLowWater(n int) Option {
-	return func(c *runnerConfig) error { c.lowWater = n; return nil }
 }
 
 // WithVirtualTime switches the Runner to the deterministic discrete-event
@@ -443,8 +432,6 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 		Manager:       c.manager,
 		DequeCap:      c.dequeCap,
 		Batch:         c.batch,
-		ReadyCap:      c.readyCap,
-		LowWater:      c.lowWater,
 		Faults:        c.faults,
 		DynamicFaults: c.liveFaults,
 		MaxActive:     c.maxActive,
@@ -475,12 +462,15 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 func (c *runnerConfig) simConfig(rec *trace.Recorder, met *telemetry.Set) sim.Config {
 	cfg := sim.Config{
 		Procs: c.simCfg.Procs, Mgmt: c.model(),
-		Batch: c.batch, ReadyCap: c.readyCap, LowWater: c.lowWater,
-		Faults: c.faults, PreemptBound: c.preemptBound,
+		Batch: c.batch, Faults: c.faults, PreemptBound: c.preemptBound,
 		Trace: rec, Metrics: met,
 	}
 	if cfg.Procs <= 0 && c.workersSet {
 		cfg.Procs = c.workers
+	}
+	if c.dequeCap > 0 {
+		// What the goroutine lanes hold together for one job.
+		cfg.ReadyCap = c.dequeCap * cfg.Procs
 	}
 	if c.observer != nil {
 		fn := c.observer

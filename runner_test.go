@@ -3,6 +3,7 @@ package rundown_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	rundown "repro"
+	"repro/internal/sim"
 	"repro/internal/testutil"
 )
 
@@ -572,6 +574,43 @@ func oneJobCorpus(t *testing.T) map[string]func() (rundown.Job, func()) {
 		"barrier": build(rundown.Options{Grain: 8, Costs: costs}, false),
 		"overlap": build(rundown.Options{Grain: 8, Overlap: true, Costs: costs}, false),
 		"gather":  build(rundown.Options{Grain: 8, Overlap: true, Elevate: true, SubsetSize: 32, Costs: costs}, true),
+	}
+}
+
+// TestVirtualDequeCapSizesAsyncBuffer: in virtual time WithDequeCap(n)
+// gives the Async model's ready buffer n tasks per processor, what the
+// goroutine lanes hold together for one job — the Runner's run equals
+// the engine's at ReadyCap n·procs, and that run differs from the model's
+// own default, so the option is not ignored.
+func TestVirtualDequeCapSizesAsyncBuffer(t *testing.T) {
+	const procs, n = 8, 4
+	prog, err := rundown.Chain(rundown.KindIdentity, 3, 2048, rundown.UnitCost(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := rundown.Options{Grain: 1, Overlap: true, Costs: rundown.DefaultCosts()}
+	r, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: procs}),
+		rundown.WithManager(rundown.AsyncManager), rundown.WithDequeCap(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run(context.Background(), rundown.Job{Prog: prog, Opt: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sim.Run(prog, opt, sim.Config{Procs: procs, Mgmt: sim.Async, ReadyCap: n * procs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Sim, want) {
+		t.Errorf("WithDequeCap(%d) on %d processors ran\n%+v\nwant sim.Config{ReadyCap: %d}'s\n%+v", n, procs, rep.Sim, n*procs, want)
+	}
+	def, err := sim.Run(prog, opt, sim.Config{Procs: procs, Mgmt: sim.Async})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(def, want) {
+		t.Error("the Async model's default buffer prices this run the same as ReadyCap n·procs: the test cannot tell them apart")
 	}
 }
 

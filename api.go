@@ -175,7 +175,7 @@ const (
 	// buffers pop for free, every refill or completion flush is one
 	// serialized lock visit charging MgmtCosts.Acquire, and the batch
 	// size is fixed (WithBatch) or retuned online from the
-	// observed overhead and starvation shares (Options.AdaptiveBatch).
+	// observed overhead and starvation shares (WithAdaptiveBatching).
 	AdaptiveMgmt = sim.Adaptive
 	// AsyncMgmt is the Dedicated model extended with the async
 	// executive's ready-buffer protocol — the virtual-time price of

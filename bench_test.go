@@ -21,7 +21,7 @@ import (
 
 func benchExperiment(b *testing.B, id string, metric func(t *experiments.Table) (string, float64)) {
 	var spec experiments.Spec
-	for _, s := range experiments.All() {
+	for _, s := range experiments.All(experiments.Goroutines{}) {
 		if s.ID == id {
 			spec = s
 		}

@@ -20,7 +20,6 @@ import (
 	"strings"
 
 	rundown "repro"
-	"repro/internal/cliflags"
 	"repro/internal/experiments"
 )
 
@@ -29,27 +28,16 @@ func main() {
 	only := flag.String("only", "", "run a single experiment (e.g. E3)")
 	md := flag.Bool("md", false, "emit markdown tables instead of aligned text")
 	manager := flag.String("manager", "both",
-		"executive manager filter for E10/E13: "+cliflags.ManagerNames()+
+		"executive manager filter for E10/E13: "+strings.Join(rundown.ExecManagerNames(), "|")+
 			", or both (E10 compares serial/sharded; E13 adds async)")
 	batch := flag.Int("batch", 0, "completion batch size for E10/E13 (0 = the managers' default, 8)")
 	flag.Parse()
 
-	// The filter accepts the manager names (case-insensitive, via the same
-	// parser the Runner options use) plus "both".
-	filter := strings.ToLower(strings.TrimSpace(*manager))
-	if filter != "both" && filter != "" {
-		kind, err := rundown.ParseExecManager(filter)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		filter = kind.String()
-	}
-	if err := experiments.SetManagerFilter(filter); err != nil {
+	g, err := goroutines(*manager, *batch)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	experiments.SetExecKnobs(*batch)
 
 	var scale experiments.Scale
 	switch *scaleFlag {
@@ -63,7 +51,7 @@ func main() {
 	}
 
 	ran := 0
-	for _, spec := range experiments.All() {
+	for _, spec := range experiments.All(g) {
 		if *only != "" && spec.ID != *only {
 			continue
 		}
@@ -83,4 +71,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: no experiment matches %q\n", *only)
 		os.Exit(2)
 	}
+}
+
+// goroutines builds E10/E13's configuration from -manager and -batch. The
+// manager is one of the names the Runner options parse (case-insensitive),
+// or "both" (or empty) for each table's head-to-head list.
+func goroutines(manager string, batch int) (experiments.Goroutines, error) {
+	g := experiments.Goroutines{Opts: []rundown.Option{rundown.WithBatch(batch)}}
+	if m := strings.TrimSpace(manager); m != "" && !strings.EqualFold(m, "both") {
+		kind, err := rundown.ParseExecManager(m)
+		if err != nil {
+			return g, err
+		}
+		g.Managers = []rundown.ExecManager{kind}
+	}
+	return g, nil
 }

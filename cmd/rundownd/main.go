@@ -42,11 +42,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	rundown "repro"
-	"repro/internal/cliflags"
 	"repro/internal/service"
 )
 
@@ -70,7 +70,7 @@ func register(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.svc.StallTimeout, "stall-timeout", 0, "wedged-job watchdog threshold (0 = 5s default, negative disables)")
 	fs.DurationVar(&o.svc.SamplePeriod, "sample-period", 0, "SSE snapshot cadence (0 = 250ms default)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful drain bound on SIGTERM; past it remaining jobs are aborted")
-	fs.StringVar(&o.manager, "manager", "serial", "management layer: "+cliflags.ManagerNames())
+	fs.StringVar(&o.manager, "manager", "serial", "management layer: "+strings.Join(rundown.ExecManagerNames(), "|"))
 	return o
 }
 

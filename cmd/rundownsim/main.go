@@ -42,7 +42,6 @@ import (
 	"time"
 
 	rundown "repro"
-	"repro/internal/cliflags"
 	"repro/internal/enable"
 )
 
@@ -76,8 +75,7 @@ func main() {
 		replayIn   = flag.String("replay", "", "replay a recorded trace file against the configured workload and exit")
 		tracediff  = flag.Bool("tracediff", false, "diff the two trace files given as positional arguments and exit")
 	)
-	exec := cliflags.Register(flag.CommandLine, "serial",
-		"management layer: "+cliflags.ManagerNames()+" (serial prices per -dedicated)")
+	exec := registerExec(flag.CommandLine)
 	flag.Parse()
 
 	// Ctrl-C or SIGTERM cancels the run cooperatively through the
@@ -136,7 +134,7 @@ func main() {
 		return
 	}
 
-	execOpts, err := exec.Options(*dedicated)
+	execOpts, err := exec.options(*dedicated)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rundownsim: %v\n", err)
 		os.Exit(2)
@@ -248,7 +246,7 @@ func main() {
 	fmt.Printf("utilization         %s\n", formatPercent(res.Utilization))
 	fmt.Printf("worker utilization  %s\n", formatPercent(res.WorkerUtilization))
 	fmt.Printf("compute:management  %.1f\n", res.MgmtRatio)
-	if exec.Adaptive {
+	if exec.adaptive {
 		fmt.Printf("batch (final)       %d (%d controller changes)\n", res.Batch, res.BatchChanges)
 	}
 	fmt.Printf("dispatches=%d splits=%d releases=%d elevations=%d deferred=%d\n",
@@ -277,6 +275,91 @@ func main() {
 	printMetrics(rep, showMetrics)
 	closeTrace()
 	waitMetrics()
+}
+
+// execFlags holds the executive-selection flags: -manager, -adaptive and
+// -batch. Read them after the flag set is parsed.
+type execFlags struct {
+	// manager is the raw -manager value.
+	manager string
+	// adaptive is -adaptive: the adaptive batching controller, the
+	// Adaptive model in virtual time.
+	adaptive bool
+	// batch is the refill batch for adaptive runs (the controller's
+	// starting point) and the goroutine managers' completion batch.
+	batch int
+
+	fs *flag.FlagSet
+}
+
+// registerExec installs the executive-selection flags on fs.
+func registerExec(fs *flag.FlagSet) *execFlags {
+	e := &execFlags{fs: fs}
+	fs.StringVar(&e.manager, "manager", "serial",
+		"management layer: "+strings.Join(rundown.ExecManagerNames(), "|")+" (serial prices per -dedicated)")
+	fs.BoolVar(&e.adaptive, "adaptive", false,
+		"adaptive batching: worker-local buffers with the batch size retuned online (the Adaptive sim model; goroutine runs stay fixed sharded)")
+	fs.IntVar(&e.batch, "batch", 0,
+		"refill/completion batch size (0 = model default: 16 for the adaptive sim model — its controller starting point — and 8 for the goroutine managers)")
+	return e
+}
+
+// managerSet reports whether -manager was passed explicitly.
+func (e *execFlags) managerSet() bool {
+	set := false
+	e.fs.Visit(func(f *flag.Flag) {
+		if f.Name == "manager" {
+			set = true
+		}
+	})
+	return set
+}
+
+// options resolves the parsed flags into Runner options under the
+// command's conflict rules; dedicated is -dedicated (the virtual serial
+// model's own-processor variant). Dedicated is a management model, not a
+// manager: with dedicated set no WithManager is returned (serial is the
+// Runner's default), so the caller's SimConfig.Mgmt names the model.
+//
+// -adaptive is its own management layer, so it conflicts with an explicit
+// -manager and with -dedicated; -manager sharded runs management inline on
+// the workers, so it conflicts with -dedicated; -manager async *is* the
+// dedicated processor, so -dedicated is redundant and rejected. The
+// -manager value parses case-insensitively, and an unknown one is an error
+// that enumerates the valid names.
+func (e *execFlags) options(dedicated bool) ([]rundown.Option, error) {
+	if e.adaptive {
+		if dedicated {
+			return nil, fmt.Errorf("-dedicated conflicts with -adaptive (management runs inline on the workers)")
+		}
+		if e.managerSet() {
+			return nil, fmt.Errorf("-manager conflicts with -adaptive (the adaptive model is its own management layer)")
+		}
+		return []rundown.Option{
+			rundown.WithManager(rundown.ShardedManager),
+			rundown.WithAdaptiveBatching(0),
+			rundown.WithBatch(e.batch),
+		}, nil
+	}
+	kind, err := rundown.ParseExecManager(e.manager)
+	if err != nil {
+		return nil, err
+	}
+	opts := []rundown.Option{rundown.WithBatch(e.batch)}
+	switch kind {
+	case rundown.ShardedManager:
+		if dedicated {
+			return nil, fmt.Errorf("-dedicated conflicts with -manager sharded (management runs inline on the workers)")
+		}
+	case rundown.AsyncManager:
+		if dedicated {
+			return nil, fmt.Errorf("-dedicated is redundant with -manager async (the async executive is the dedicated processor, extended with the ready-buffer)")
+		}
+	}
+	if !dedicated {
+		opts = append(opts, rundown.WithManager(kind))
+	}
+	return opts, nil
 }
 
 // printMetrics prints the run's telemetry dump when -metrics (or

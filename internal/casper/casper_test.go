@@ -1,6 +1,7 @@
 package casper
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -177,14 +178,14 @@ func TestIdealOverlapReducesRundown(t *testing.T) {
 	seamProg, _ := ic.Program(2, true)
 	// 12 processors: 128 = 10*12 + 8, so each barrier phase strands 4
 	// processors in its final wave.
-	barrier, err := sim.Run(barrierProg,
-		core.Options{Grain: 1, Costs: core.FreeCosts()},
+	barrier, err := sim.Run(context.Background(), []sim.JobSpec{{Prog: barrierProg,
+		Opt: core.Options{Grain: 1, Costs: core.FreeCosts()}}},
 		sim.Config{Procs: 12, Mgmt: sim.Dedicated})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seam, err := sim.Run(seamProg,
-		core.Options{Grain: 1, Overlap: true, Costs: core.FreeCosts()},
+	seam, err := sim.Run(context.Background(), []sim.JobSpec{{Prog: seamProg,
+		Opt: core.Options{Grain: 1, Overlap: true, Costs: core.FreeCosts()}}},
 		sim.Config{Procs: 12, Mgmt: sim.Dedicated})
 	if err != nil {
 		t.Fatal(err)

@@ -127,17 +127,6 @@ type Options struct {
 	// 2*Workers granules ("avoid solving an unnecessarily large
 	// enablement problem").
 	SubsetSize int
-	// AdaptiveBatch enables online retuning of the simulator's
-	// Adaptive-model refill batch from the observed
-	// computation-to-management ratio each refill epoch, instead of the
-	// fixed default. The scheduler state machine itself ignores it, and so
-	// do the goroutine managers; internal/sim consumes it.
-	AdaptiveBatch bool
-	// MgmtTarget is the amortizable lock-overhead share of machine
-	// capacity the adaptive controller steers toward (the paper's E5
-	// ratio turned into a feedback setpoint). <= 0 selects 0.02.
-	// Ignored unless AdaptiveBatch.
-	MgmtTarget float64
 	// Costs prices the management operations.
 	Costs MgmtCosts
 }

@@ -132,7 +132,7 @@ func newLaneManager(sm StateMachine, cfg Config) *laneManager {
 	// and a batch. Overflow is not lost either way: a full push publishes
 	// and waits for a drain.
 	compCap := pow2(2*laneCap + batch)
-	m := &laneManager{
+	return &laneManager{
 		runState:  runState{sm: sm},
 		met:       cfg.Metrics,
 		dedicated: cfg.Manager == AsyncManager && runtime.GOMAXPROCS(0) > cfg.Workers,
@@ -145,10 +145,6 @@ func newLaneManager(sm StateMachine, cfg Config) *laneManager {
 		refillBuf: make([]core.Task, 0, laneCap),
 		drainBuf:  make([]core.Task, 0, compCap),
 	}
-	if m.met != nil {
-		m.met.BatchSize.Set(int64(laneCap))
-	}
-	return m
 }
 
 // Start activates the program and stocks every ready lane, so workers find

@@ -1,59 +1,14 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	rundown "repro"
 	"repro/internal/casper"
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/executive"
 	"repro/internal/granule"
 )
-
-// managerFilter optionally restricts E10 to one manager; cmd/experiments
-// sets it from the -manager flag. Empty means run both head-to-head.
-var managerFilter = ""
-
-// SetManagerFilter restricts E10 and E13 to one executive manager
-// ("serial", "sharded" or "async"); "both" or "" restores the
-// head-to-head default. E10 compares serial and sharded; E13 adds async.
-func SetManagerFilter(s string) error {
-	if s == "" || s == "both" {
-		managerFilter = ""
-		return nil
-	}
-	if _, err := executive.ParseManager(s); err != nil {
-		return err
-	}
-	managerFilter = s
-	return nil
-}
-
-// execBatch is the completion batch size of the goroutine runs in E10 and
-// E13, for every manager kind. Zero keeps the executive default.
-// cmd/experiments sets it from its -batch flag.
-var execBatch int
-
-// SetExecKnobs threads the CLI's executive knob into the
-// goroutine-executive experiments (E10, E13).
-func SetExecKnobs(batch int) { execBatch = batch }
-
-// runOnGoroutines runs prog through the front door — a Runner on workers
-// goroutines under kind, with the CLI knob from SetExecKnobs — and returns
-// the job's execution report.
-func runOnGoroutines(prog *core.Program, opt core.Options, workers int, kind executive.ManagerKind) (*executive.Report, error) {
-	r, err := rundown.New(rundown.WithWorkers(workers), rundown.WithManager(kind), rundown.WithBatch(execBatch))
-	if err != nil {
-		return nil, err
-	}
-	rep, err := r.Run(context.TODO(), rundown.Job{Prog: prog, Opt: opt})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Exec, nil
-}
 
 // e10Workload is one real-work program generator for the manager
 // comparison.
@@ -127,7 +82,8 @@ func e10Workloads() []e10Workload {
 // so utilization collapses as grain shrinks; the sharded manager (local
 // deques, batched completion submission, work stealing) pays that
 // serialization once per batch and keeps processors busy through rundown.
-func E10Managers(scale Scale) (*Table, error) {
+// g restricts the managers and adds Runner options.
+func E10Managers(scale Scale, g Goroutines) (*Table, error) {
 	t := &Table{
 		ID:    "E10",
 		Title: "Executive managers head-to-head (goroutine executive, wall-clock)",
@@ -141,14 +97,14 @@ func E10Managers(scale Scale) (*Table, error) {
 	kinds := []executive.ManagerKind{executive.SerialManager, executive.ShardedManager}
 	for _, wl := range e10Workloads() {
 		for _, kind := range kinds {
-			if managerFilter != "" && kind.String() != managerFilter {
+			if !g.runs(kind) {
 				continue
 			}
 			prog, opt, err := wl.build(scale)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", wl.name, err)
 			}
-			rep, err := runOnGoroutines(prog, opt, workers, kind)
+			rep, err := g.runOnGoroutines(prog, opt, workers, kind)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%v: %w", wl.name, kind, err)
 			}
@@ -160,8 +116,6 @@ func E10Managers(scale Scale) (*Table, error) {
 	}
 	t.Note("wall-clock measurements vary with the host; the structural signal is the " +
 		"utilization and compute:management gap between managers at fine grain")
-	if managerFilter != "" {
-		t.Note("restricted to -manager %s", managerFilter)
-	}
+	g.note(t)
 	return t, nil
 }

@@ -1,11 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
 	"repro/internal/granule"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -14,7 +15,7 @@ import (
 // split of the machine lengthens every job; the paper's overlap shortens
 // a job but leaves cross-job idle capacity (serial actions, rundown
 // tails) unrecovered. The tenant pool (internal/tenant, modelled in
-// virtual time by sim.RunMulti) is the missing point in that design
+// virtual time by a virtual Runner's RunAll) is the missing point in that design
 // space: overlap-first dispatch inside each job plus cross-job backfill
 // of whatever idle capacity remains.
 //
@@ -98,12 +99,13 @@ func E11TenantPool(scale Scale) (*Table, error) {
 	// gives every job its own manager with per-worker management lanes, so
 	// a single shared serial executive (StealsWorker) would misprice it —
 	// and the comparison arms must use the same machine model to be fair.
-	runAlone := func(build func() (*core.Program, error), opt core.Options, p int) (*sim.Result, error) {
+	machine := func(p int) rundown.SimConfig { return rundown.SimConfig{Procs: p, Mgmt: rundown.ShardedMgmt} }
+	runAlone := func(build func() (*core.Program, error), opt core.Options, p int) (*rundown.SimResult, error) {
 		prog, err := build()
 		if err != nil {
 			return nil, err
 		}
-		return sim.Run(prog, opt, sim.Config{Procs: p, Mgmt: sim.Sharded})
+		return simulate(prog, opt, machine(p))
 	}
 
 	// Reference: each job alone on the full machine with overlap.
@@ -151,13 +153,18 @@ func E11TenantPool(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	multi, err := sim.RunMulti([]sim.JobSpec{
-		{Name: "bursty", Prog: burstyProg, Opt: burstyOpt(), Weight: burstyWeight},
-		{Name: "narrow", Prog: narrowProg, Opt: narrowOpt(), Weight: narrowWeight},
-	}, sim.Config{Procs: procs, Mgmt: sim.Sharded})
+	pool, err := rundown.New(rundown.WithVirtualTime(machine(procs)))
 	if err != nil {
 		return nil, err
 	}
+	rep, err := pool.RunAll(context.TODO(), []rundown.Job{
+		{Name: "bursty", Prog: burstyProg, Opt: burstyOpt(), Weight: burstyWeight},
+		{Name: "narrow", Prog: narrowProg, Opt: narrowOpt(), Weight: narrowWeight},
+	})
+	if err != nil {
+		return nil, err
+	}
+	multi := rep.SimMulti
 	t.AddRow("tenant pool", multi.Jobs[0].Makespan, multi.Jobs[1].Makespan, multi.Makespan,
 		fmt.Sprintf("%.3f", multi.Utilization), multi.BackfillUnits)
 

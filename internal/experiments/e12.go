@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
 	"repro/internal/enable"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -76,22 +76,17 @@ func E12AdaptiveBatch(scale Scale) (*Table, error) {
 	fixedBatches := []int{1, 4, 16, 64}
 
 	for _, w := range workloads {
-		run := func(batch int, adaptive bool) (*sim.Result, error) {
+		run := func(opts ...rundown.Option) (*rundown.SimResult, error) {
 			prog, err := workload.Chain(enable.Identity, w.phases, w.granules,
 				workload.UniformCost(100, 400, 1986), 1986)
 			if err != nil {
 				return nil, err
 			}
-			opt := core.Options{
-				Grain: w.grain, Overlap: true, Costs: costs,
-				AdaptiveBatch: adaptive, MgmtTarget: 0.03,
-			}
-			return sim.Run(prog, opt, sim.Config{
-				Procs: procs, Mgmt: sim.Adaptive, Batch: batch,
-			})
+			return simulate(prog, core.Options{Grain: w.grain, Overlap: true, Costs: costs},
+				rundown.SimConfig{Procs: procs, Mgmt: rundown.AdaptiveMgmt}, opts...)
 		}
 		for _, b := range fixedBatches {
-			res, err := run(b, false)
+			res, err := run(rundown.WithBatch(b))
 			if err != nil {
 				return nil, fmt.Errorf("%s/batch=%d: %w", w.name, b, err)
 			}
@@ -99,7 +94,7 @@ func E12AdaptiveBatch(scale Scale) (*Table, error) {
 				res.Makespan, fmt.Sprintf("%.3f", res.Utilization),
 				fmt.Sprintf("%.1f", res.MgmtRatio))
 		}
-		res, err := run(16, true)
+		res, err := run(rundown.WithBatch(16), rundown.WithAdaptiveBatching(0.03))
 		if err != nil {
 			return nil, fmt.Errorf("%s/adaptive: %w", w.name, err)
 		}

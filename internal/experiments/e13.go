@@ -29,7 +29,9 @@ import (
 // serves P workers well until the per-task management rate exceeds what
 // one thread sustains, which is exactly the trade the sharded design
 // makes the other way.
-func E13AsyncExecutive(scale Scale) (*Table, error) {
+//
+// g restricts the managers and adds Runner options.
+func E13AsyncExecutive(scale Scale, g Goroutines) (*Table, error) {
 	t := &Table{
 		ID:    "E13",
 		Title: "Async executive: dedicated management goroutine vs steals-worker vs sharded (wall-clock)",
@@ -49,14 +51,14 @@ func E13AsyncExecutive(scale Scale) (*Table, error) {
 	for _, wl := range e10Workloads()[:2] {
 		for _, workers := range []int{4, 8} {
 			for _, kind := range kinds {
-				if managerFilter != "" && kind.String() != managerFilter {
+				if !g.runs(kind) {
 					continue
 				}
 				prog, opt, err := wl.build(scale)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", wl.name, err)
 				}
-				rep, err := runOnGoroutines(prog, opt, workers, kind)
+				rep, err := g.runOnGoroutines(prog, opt, workers, kind)
 				if err != nil {
 					return nil, fmt.Errorf("%s/%v/%d: %w", wl.name, kind, workers, err)
 				}
@@ -72,8 +74,6 @@ func E13AsyncExecutive(scale Scale) (*Table, error) {
 		"Dedicated model does not count the executive's processor)")
 	t.Note("wall-clock measurements vary with the host; the structural signal is async " +
 		"clearing serial at fine grain and staying within a bounded gap of sharded at coarse grain")
-	if managerFilter != "" {
-		t.Note("restricted to -manager %s", managerFilter)
-	}
+	g.note(t)
 	return t, nil
 }

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/casper"
 	"repro/internal/core"
-	"repro/internal/sim"
 )
 
 // E2Checkerboard reproduces the paper's worked rundown example: a
@@ -43,9 +43,9 @@ func E2Checkerboard(scale Scale) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(barrierProg,
+	res, err := simulate(barrierProg,
 		core.Options{Grain: 1, Costs: core.FreeCosts()},
-		sim.Config{Procs: procs, Mgmt: sim.Dedicated})
+		rundown.SimConfig{Procs: procs, Mgmt: rundown.Dedicated})
 	if err != nil {
 		return nil, err
 	}
@@ -72,9 +72,9 @@ func E2Checkerboard(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := sim.Run(prog,
+		r, err := simulate(prog,
 			core.Options{Grain: 1, Overlap: seam, Costs: core.FreeCosts()},
-			sim.Config{Procs: pSeam, Mgmt: sim.Dedicated})
+			rundown.SimConfig{Procs: pSeam, Mgmt: rundown.Dedicated})
 		if err != nil {
 			return nil, err
 		}

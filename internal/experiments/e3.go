@@ -3,10 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/granule"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -103,16 +103,16 @@ func E3MappingSweep(scale Scale) (*Table, error) {
 		"reverse-window", "reverse-random", "seam",
 	}
 	for _, name := range names {
-		var barrier, overlap *sim.Result
+		var barrier, overlap *rundown.SimResult
 		for _, ov := range []bool{false, true} {
 			prog, err := build(name)
 			if err != nil {
 				return nil, err
 			}
-			res, err := sim.Run(prog, core.Options{
+			res, err := simulate(prog, core.Options{
 				Grain: grain, Overlap: ov, Elevate: true,
 				Costs: core.DefaultCosts(),
-			}, sim.Config{Procs: procs, Mgmt: sim.StealsWorker})
+			}, rundown.SimConfig{Procs: procs, Mgmt: rundown.StealsWorker})
 			if err != nil {
 				return nil, err
 			}

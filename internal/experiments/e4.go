@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
 	"repro/internal/enable"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -47,9 +47,9 @@ func E4TaskRatio(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run(prog, core.Options{
+		res, err := simulate(prog, core.Options{
 			Grain: grain, Overlap: true, Costs: core.DefaultCosts(),
-		}, sim.Config{Procs: procs, Mgmt: sim.StealsWorker})
+		}, rundown.SimConfig{Procs: procs, Mgmt: rundown.StealsWorker})
 		if err != nil {
 			return nil, err
 		}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -37,9 +37,9 @@ func E5MgmtRatio(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run(prog, core.Options{
+		res, err := simulate(prog, core.Options{
 			Grain: grain, Overlap: true, Elevate: true, Costs: core.DefaultCosts(),
-		}, sim.Config{Procs: procs, Mgmt: sim.StealsWorker})
+		}, rundown.SimConfig{Procs: procs, Mgmt: rundown.StealsWorker})
 		if err != nil {
 			return nil, err
 		}

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
 	"repro/internal/enable"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -59,10 +59,10 @@ func E6SplitPolicies(scale Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.Run(prog, core.Options{
+		res, err := simulate(prog, core.Options{
 			Grain: grain, Overlap: c.overlap, Split: c.split, SuccSplit: c.succ,
 			IdentityVia: c.ident, ReleasedAhead: c.ahead, Costs: core.DefaultCosts(),
-		}, sim.Config{Procs: procs, Mgmt: sim.StealsWorker})
+		}, rundown.SimConfig{Procs: procs, Mgmt: rundown.StealsWorker})
 		if err != nil {
 			return nil, err
 		}

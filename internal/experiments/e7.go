@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
 	"repro/internal/enable"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -39,10 +39,10 @@ func E7CompositeMapCost(scale Scale) (*Table, error) {
 	}
 	grain := granules / (4 * procs)
 
-	for _, model := range []sim.MgmtModel{sim.StealsWorker, sim.Dedicated} {
+	for _, model := range []rundown.MgmtModel{rundown.StealsWorker, rundown.Dedicated} {
 		for _, inline := range []bool{true, false} {
 			for _, mapCost := range []core.Cost{0, 1, 16, 64} {
-				var barrier, overlap *sim.Result
+				var barrier, overlap *rundown.SimResult
 				for _, ov := range []bool{false, true} {
 					prog, err := workload.Chain(enable.ReverseIndirect, phases, granules,
 						workload.UniformCost(100, 400, 17), 17)
@@ -51,10 +51,10 @@ func E7CompositeMapCost(scale Scale) (*Table, error) {
 					}
 					costs := core.DefaultCosts()
 					costs.MapEntry = mapCost
-					res, err := sim.Run(prog, core.Options{
+					res, err := simulate(prog, core.Options{
 						Grain: grain, Overlap: ov, Elevate: true, InlineMaps: inline,
 						Costs: costs,
-					}, sim.Config{Procs: procs, Mgmt: model})
+					}, rundown.SimConfig{Procs: procs, Mgmt: model})
 					if err != nil {
 						return nil, err
 					}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -31,7 +31,7 @@ func E8EndToEnd(scale Scale) (*Table, error) {
 		procSweep = []int{8, 32}
 	}
 	for _, procs := range procSweep {
-		var barrier, overlap *sim.Result
+		var barrier, overlap *rundown.SimResult
 		for _, ov := range []bool{false, true} {
 			prog, err := workload.CasperProgram(workload.CasperConfig{
 				GranulesPerLine: gpl,
@@ -43,9 +43,9 @@ func E8EndToEnd(scale Scale) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := sim.Run(prog, core.Options{
+			res, err := simulate(prog, core.Options{
 				Grain: 8, Overlap: ov, Elevate: true, Costs: core.DefaultCosts(),
-			}, sim.Config{Procs: procs, Mgmt: sim.StealsWorker})
+			}, rundown.SimConfig{Procs: procs, Mgmt: rundown.StealsWorker})
 			if err != nil {
 				return nil, err
 			}

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	rundown "repro"
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -48,14 +48,14 @@ func E9JobStreams(scale Scale) (*Table, error) {
 			Seed:            31,
 		})
 	}
-	run := func(p int, overlap bool) (*sim.Result, error) {
+	run := func(p int, overlap bool) (*rundown.SimResult, error) {
 		prog, err := build()
 		if err != nil {
 			return nil, err
 		}
-		return sim.Run(prog, core.Options{
+		return simulate(prog, core.Options{
 			Grain: 8, Overlap: overlap, Elevate: true, Costs: core.DefaultCosts(),
-		}, sim.Config{Procs: p, Mgmt: sim.StealsWorker})
+		}, rundown.SimConfig{Procs: p, Mgmt: rundown.StealsWorker})
 	}
 
 	// Alone, barriered: jobs run back to back on the full machine.

@@ -6,17 +6,17 @@ import (
 	"strings"
 	"testing"
 
+	rundown "repro"
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/executive"
 	"repro/internal/granule"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 func runExp(t *testing.T, id string) *Table {
 	t.Helper()
-	for _, spec := range All() {
+	for _, spec := range All(Goroutines{}) {
 		if spec.ID == id {
 			tbl, err := spec.Run(Quick)
 			if err != nil {
@@ -47,7 +47,7 @@ func cellFloat(t *testing.T, tbl *Table, row, col int) float64 {
 }
 
 func TestAllRegistered(t *testing.T) {
-	specs := All()
+	specs := All(Goroutines{})
 	if len(specs) != 13 {
 		t.Fatalf("registered %d experiments, want 13", len(specs))
 	}
@@ -258,8 +258,7 @@ func TestCensusConsistencyWithEnable(t *testing.T) {
 
 // TestE10ManagerComparison checks the manager head-to-head table's shape:
 // every workload runs under both managers (wall-clock magnitudes are
-// host-dependent and not asserted), and the -manager filter restricts the
-// rows.
+// host-dependent and not asserted), and a manager list restricts the rows.
 func TestE10ManagerComparison(t *testing.T) {
 	tbl := runExp(t, "E10")
 	if len(tbl.Rows) != 6 {
@@ -275,15 +274,10 @@ func TestE10ManagerComparison(t *testing.T) {
 		}
 	}
 
-	if err := SetManagerFilter("sharded"); err != nil {
+	tbl, err := E10Managers(Quick, Goroutines{Managers: []executive.ManagerKind{executive.ShardedManager}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if err := SetManagerFilter("both"); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	tbl = runExp(t, "E10")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("filtered rows = %d, want 3", len(tbl.Rows))
 	}
@@ -291,9 +285,6 @@ func TestE10ManagerComparison(t *testing.T) {
 		if cell(t, tbl, i, 1) != "sharded" {
 			t.Errorf("filtered row %d manager = %q", i, cell(t, tbl, i, 1))
 		}
-	}
-	if err := SetManagerFilter("quantum"); err == nil {
-		t.Error("unknown manager filter accepted")
 	}
 }
 
@@ -436,48 +427,48 @@ func TestE13AsyncExecutive(t *testing.T) {
 	}
 
 	// Virtual time: the deterministic form of the acceptance numbers.
-	fine := func(procs int, model sim.MgmtModel) *sim.Result {
+	fine := func(procs int, model rundown.MgmtModel) *rundown.SimResult {
 		prog, err := workload.Chain(enable.Identity, 3, 4096,
 			workload.UniformCost(30, 90, 1986), 1986)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(prog, core.Options{
+		res, err := simulate(prog, core.Options{
 			Grain: 1, Overlap: true, Costs: core.DefaultCosts(),
-		}, sim.Config{Procs: procs, Mgmt: model})
+		}, rundown.SimConfig{Procs: procs, Mgmt: model})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 	for _, procs := range []int{4, 6, 8} {
-		s, a := fine(procs, sim.StealsWorker), fine(procs, sim.Async)
+		s, a := fine(procs, rundown.StealsWorker), fine(procs, rundown.AsyncMgmt)
 		if a.Utilization <= s.Utilization {
 			t.Errorf("P=%d: async utilization %.3f not above steals-worker %.3f",
 				procs, a.Utilization, s.Utilization)
 		}
 	}
-	s8, a8 := fine(8, sim.StealsWorker), fine(8, sim.Async)
+	s8, a8 := fine(8, rundown.StealsWorker), fine(8, rundown.AsyncMgmt)
 	if a8.Utilization < 1.2*s8.Utilization {
 		t.Errorf("fine grain at 8: async utilization %.3f below 1.2x steals-worker %.3f",
 			a8.Utilization, s8.Utilization)
 	}
 
-	coarse := func(model sim.MgmtModel) *sim.Result {
+	coarse := func(model rundown.MgmtModel) *rundown.SimResult {
 		prog, err := workload.Chain(enable.Identity, 3, 32768,
 			workload.UniformCost(100, 400, 1986), 1986)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(prog, core.Options{
+		res, err := simulate(prog, core.Options{
 			Grain: 64, Overlap: true, Costs: core.DefaultCosts(),
-		}, sim.Config{Procs: 8, Mgmt: model})
+		}, rundown.SimConfig{Procs: 8, Mgmt: model})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	ca, cs := coarse(sim.Async), coarse(sim.Sharded)
+	ca, cs := coarse(rundown.AsyncMgmt), coarse(rundown.ShardedMgmt)
 	if ca.Utilization < 0.95*cs.Utilization {
 		t.Errorf("coarse grain: async utilization %.3f not within 5%% of sharded %.3f",
 			ca.Utilization, cs.Utilization)
@@ -513,7 +504,7 @@ func TestE13AsyncExecutive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := runOnGoroutines(prog, core.Options{
+		rep, err := Goroutines{}.runOnGoroutines(prog, core.Options{
 			Grain: 1, Overlap: true, IdentityVia: core.IdentityTable,
 			Costs: core.DefaultCosts(),
 		}, hwWorkers, kind)

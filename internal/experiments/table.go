@@ -121,8 +121,12 @@ const (
 	Full
 )
 
-// All lists the experiments in order.
-func All() []Spec {
+// All lists the experiments in order; g configures the goroutine ones
+// (E10, E13).
+func All(g Goroutines) []Spec {
+	onGoroutines := func(run func(Scale, Goroutines) (*Table, error)) func(Scale) (*Table, error) {
+		return func(scale Scale) (*Table, error) { return run(scale, g) }
+	}
 	return []Spec{
 		{ID: "E1", Title: "PAX/CASPER enablement-mapping census", Run: E1Census},
 		{ID: "E2", Title: "Checkerboard rundown arithmetic (1024^2 grid, 1000 processors)", Run: E2Checkerboard},
@@ -133,9 +137,9 @@ func All() []Spec {
 		{ID: "E7", Title: "Composite-map generation cost", Run: E7CompositeMapCost},
 		{ID: "E8", Title: "End-to-end CASPER-profile improvement", Run: E8EndToEnd},
 		{ID: "E9", Title: "Multi-job-stream batching vs phase overlap", Run: E9JobStreams},
-		{ID: "E10", Title: "Executive managers head-to-head (serial vs sharded)", Run: E10Managers},
+		{ID: "E10", Title: "Executive managers head-to-head (serial vs sharded)", Run: onGoroutines(E10Managers)},
 		{ID: "E11", Title: "Multi-tenant pool vs static split vs sequential overlap", Run: E11TenantPool},
 		{ID: "E12", Title: "Adaptive batch tuning vs fixed batches (batched executive)", Run: E12AdaptiveBatch},
-		{ID: "E13", Title: "Async executive vs steals-worker vs sharded (dedicated management goroutine)", Run: E13AsyncExecutive},
+		{ID: "E13", Title: "Async executive vs steals-worker vs sharded (dedicated management goroutine)", Run: onGoroutines(E13AsyncExecutive)},
 	}
 }

@@ -1,6 +1,7 @@
 package paxlang
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -260,8 +261,8 @@ IF (i .LT. 3) THEN GO TO top
 		t.Fatal("loop mapping not identity")
 	}
 	// The unrolled program runs.
-	if _, err := sim.Run(res.Program,
-		core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()},
+	if _, err := sim.Run(context.Background(), []sim.JobSpec{{Prog: res.Program,
+		Opt: core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()}}},
 		sim.Config{Procs: 4, Mgmt: sim.Dedicated}); err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +286,8 @@ DISPATCH c
 		res.Program.Phases[1].EnableKind() != enable.ForwardIndirect {
 		t.Fatalf("kinds = %v %v", res.Program.Phases[0].EnableKind(), res.Program.Phases[1].EnableKind())
 	}
-	if _, err := sim.Run(res.Program,
-		core.Options{Grain: 2, Overlap: true, Elevate: true, Costs: core.DefaultCosts()},
+	if _, err := sim.Run(context.Background(), []sim.JobSpec{{Prog: res.Program,
+		Opt: core.Options{Grain: 2, Overlap: true, Elevate: true, Costs: core.DefaultCosts()}}},
 		sim.Config{Procs: 4, Mgmt: sim.Dedicated}); err != nil {
 		t.Fatal(err)
 	}

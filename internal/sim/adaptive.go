@@ -27,8 +27,7 @@ import (
 //     (min(parked workers, hoarded tasks) over virtual time) and ONE
 //     controller retune the shared batch knobs for the whole machine,
 //     seeded from Config.Batch (<= 0 selects 16; the completion batch is
-//     half the refill batch) and enabled by Options.AdaptiveBatch on any
-//     job.
+//     half the refill batch) and enabled by Config.AdaptiveTarget.
 //
 // Conservation holds by construction: a shard's pending tasks keep their
 // job from finishing until the owning worker dispatches and completes
@@ -81,14 +80,9 @@ func newAdaptive(s *mstate, cfg Config, totalCost int64) model {
 	if m.cbatchN < 1 {
 		m.cbatchN = 1
 	}
-	for _, j := range s.jobs {
-		if j.spec.Opt.AdaptiveBatch {
-			m.tuner = NewTuner(TunerConfig{
-				Cap: b, MgmtTarget: j.spec.Opt.MgmtTarget,
-			})
-			m.batchN, m.cbatchN = m.tuner.Cap(), m.tuner.Batch()
-			break
-		}
+	if cfg.AdaptiveTarget > 0 {
+		m.tuner = NewTuner(TunerConfig{Cap: b, MgmtTarget: cfg.AdaptiveTarget})
+		m.batchN, m.cbatchN = m.tuner.Cap(), m.tuner.Batch()
 	}
 	for i := range m.shard {
 		m.shard[i].job = -1

@@ -27,11 +27,11 @@ func fineOpts() core.Options {
 }
 
 // runAdaptive runs prog under the Adaptive model with a fixed batch (or,
-// when adapt is set, the online controller starting from batch).
-func runAdaptive(t testing.TB, prog *core.Program, opt core.Options, procs, batch int, adapt bool) *Result {
+// when target > 0, the online controller starting from batch and steering
+// toward target).
+func runAdaptive(t testing.TB, prog *core.Program, opt core.Options, procs, batch int, target float64) *Result {
 	t.Helper()
-	opt.AdaptiveBatch = adapt
-	res, err := Run(prog, opt, Config{Procs: procs, Mgmt: Adaptive, Batch: batch})
+	res, err := runProg(prog, opt, Config{Procs: procs, Mgmt: Adaptive, Batch: batch, AdaptiveTarget: target})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func runAdaptive(t testing.TB, prog *core.Program, opt core.Options, procs, batc
 // fixed batch reported back.
 func TestAdaptiveModelCompletes(t *testing.T) {
 	prog := fineChain(t, 2, 256)
-	res := runAdaptive(t, prog, fineOpts(), 8, 16, false)
+	res := runAdaptive(t, prog, fineOpts(), 8, 16, 0)
 	if res.Workers != 8 || res.Procs != 8 {
 		t.Errorf("workers=%d procs=%d, want 8/8", res.Workers, res.Procs)
 	}
@@ -65,7 +65,7 @@ func TestAdaptiveModelCompletes(t *testing.T) {
 // including the controller's trajectory.
 func TestAdaptiveModelDeterminism(t *testing.T) {
 	run := func() *Result {
-		return runAdaptive(t, fineChain(t, 3, 512), fineOpts(), 16, 4, true)
+		return runAdaptive(t, fineChain(t, 3, 512), fineOpts(), 16, 4, DefaultMgmtTarget)
 	}
 	a, b := run(), run()
 	if a.Makespan != b.Makespan || a.MgmtUnits != b.MgmtUnits ||
@@ -79,8 +79,8 @@ func TestAdaptiveModelDeterminism(t *testing.T) {
 // run must finish strictly sooner than batch=1. This is the
 // zero-allocation steal/batching claim priced in virtual time.
 func TestAdaptiveBatchAmortizesLock(t *testing.T) {
-	perTask := runAdaptive(t, fineChain(t, 3, 1024), fineOpts(), 16, 1, false)
-	batched := runAdaptive(t, fineChain(t, 3, 1024), fineOpts(), 16, 16, false)
+	perTask := runAdaptive(t, fineChain(t, 3, 1024), fineOpts(), 16, 1, 0)
+	batched := runAdaptive(t, fineChain(t, 3, 1024), fineOpts(), 16, 16, 0)
 	if batched.Makespan >= perTask.Makespan {
 		t.Errorf("batch=16 makespan %d not below batch=1 makespan %d",
 			batched.Makespan, perTask.Makespan)
@@ -108,7 +108,7 @@ func TestAdaptiveConvergesNearBestFixedBatch(t *testing.T) {
 	makespans := map[int]int64{}
 	caps := []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
 	for _, b := range caps {
-		res := runAdaptive(t, build(), fineOpts(), procs, b, false)
+		res := runAdaptive(t, build(), fineOpts(), procs, b, 0)
 		makespans[b] = res.Makespan
 		if best < 0 || res.Makespan < best {
 			best = res.Makespan
@@ -124,9 +124,7 @@ func TestAdaptiveConvergesNearBestFixedBatch(t *testing.T) {
 
 	// Start the controller at the untuned worst case (batch 1) so it has
 	// to climb the whole amortization curve on its own.
-	opt := fineOpts()
-	opt.MgmtTarget = 0.03
-	adaptive := runAdaptive(t, build(), opt, procs, 1, true)
+	adaptive := runAdaptive(t, build(), fineOpts(), procs, 1, 0.03)
 	if adaptive.BatchChanges == 0 {
 		t.Fatalf("controller never moved on a management-bound workload (batch stayed %d)", adaptive.Batch)
 	}
@@ -150,10 +148,8 @@ func TestAdaptiveConvergesNearBestFixedBatch(t *testing.T) {
 // would have to reverse the first), and a makespan indistinguishable from
 // the fixed run.
 func TestAdaptiveSteadyWorkloadHolds(t *testing.T) {
-	fixed := runAdaptive(t, fineChain(t, 3, 2048), fineOpts(), 16, 16, false)
-	opt := fineOpts()
-	opt.MgmtTarget = 0.03
-	adaptive := runAdaptive(t, fineChain(t, 3, 2048), opt, 16, 16, true)
+	fixed := runAdaptive(t, fineChain(t, 3, 2048), fineOpts(), 16, 16, 0)
+	adaptive := runAdaptive(t, fineChain(t, 3, 2048), fineOpts(), 16, 16, 0.03)
 	if adaptive.BatchChanges > 1 {
 		t.Errorf("controller made %d changes on a steady workload, want at most the drain adjustment (batch %d)",
 			adaptive.BatchChanges, adaptive.Batch)
@@ -185,12 +181,11 @@ func TestAdaptiveShedsHoarding(t *testing.T) {
 		return prog
 	}
 	opt := core.Options{Grain: 64, Overlap: true, Costs: core.DefaultCosts()}
-	fixed, err := Run(build(), opt, Config{Procs: 8, Mgmt: Adaptive, Batch: 16})
+	fixed, err := runProg(build(), opt, Config{Procs: 8, Mgmt: Adaptive, Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.AdaptiveBatch = true
-	adaptive, err := Run(build(), opt, Config{Procs: 8, Mgmt: Adaptive, Batch: 16})
+	adaptive, err := runProg(build(), opt, Config{Procs: 8, Mgmt: Adaptive, Batch: 16, AdaptiveTarget: DefaultMgmtTarget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +203,7 @@ func TestAdaptiveShedsHoarding(t *testing.T) {
 // run must complete and execute every granule.
 func TestAdaptiveAcceptedInMulti(t *testing.T) {
 	prog := fineChain(t, 2, 64)
-	res, err := RunMulti([]JobSpec{{Name: "a", Prog: prog, Opt: fineOpts()}},
+	res, err := runJobs([]JobSpec{{Name: "a", Prog: prog, Opt: fineOpts()}},
 		Config{Procs: 4, Mgmt: Adaptive})
 	if err != nil {
 		t.Fatalf("RunMulti rejected the Adaptive model: %v", err)
@@ -234,7 +229,7 @@ func TestAdaptivePhaseEndsWithinMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(prog, core.Options{Grain: 2, Costs: core.DefaultCosts()},
+	res, err := runProg(prog, core.Options{Grain: 2, Costs: core.DefaultCosts()},
 		Config{Procs: 4, Mgmt: Adaptive, Batch: 8})
 	if err != nil {
 		t.Fatal(err)

@@ -35,12 +35,12 @@ func runAllocs(t *testing.T, n int) (allocs float64, dispatches int64) {
 	t.Helper()
 	opt := core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}
 	cfg := Config{Procs: 16, Mgmt: Sharded}
-	res, err := Run(allocChain(t, n), opt, cfg)
+	res, err := runProg(allocChain(t, n), opt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(3, func() {
-		if _, err := Run(allocChain(t, n), opt, cfg); err != nil {
+		if _, err := runProg(allocChain(t, n), opt, cfg); err != nil {
 			t.Error(err)
 		}
 	})
@@ -63,7 +63,7 @@ func multiAllocs(t *testing.T, n int) (allocs float64, dispatches int64) {
 		return specs
 	}
 	cfg := Config{Procs: 16, Mgmt: Sharded}
-	res, err := RunMulti(build(), cfg)
+	res, err := runJobs(build(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func multiAllocs(t *testing.T, n int) (allocs float64, dispatches int64) {
 		dispatches += j.Sched.Dispatches
 	}
 	allocs = testing.AllocsPerRun(3, func() {
-		if _, err := RunMulti(build(), cfg); err != nil {
+		if _, err := runJobs(build(), cfg); err != nil {
 			t.Error(err)
 		}
 	})

@@ -16,7 +16,7 @@ import (
 // executive is extra, not stolen).
 func TestAsyncModelCompletes(t *testing.T) {
 	prog := twoPhase(t, 256, enable.NewIdentity())
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()},
 		Config{Procs: 8, Mgmt: Async})
 	if err != nil {
@@ -44,7 +44,7 @@ func TestAsyncModelDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(prog, core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()},
+		res, err := runProg(prog, core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()},
 			Config{Procs: 12, Mgmt: Async, ReadyCap: 16, LowWater: 4})
 		if err != nil {
 			t.Fatal(err)
@@ -77,11 +77,11 @@ func TestAsyncBeatsStealsWorkerFineGrain(t *testing.T) {
 	opt := func() core.Options {
 		return core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()}
 	}
-	serial, err := Run(build(), opt(), Config{Procs: 8, Mgmt: StealsWorker})
+	serial, err := runProg(build(), opt(), Config{Procs: 8, Mgmt: StealsWorker})
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := Run(build(), opt(), Config{Procs: 8, Mgmt: Async})
+	async, err := runProg(build(), opt(), Config{Procs: 8, Mgmt: Async})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestAsyncReadyCapMatters(t *testing.T) {
 		}
 		costs := core.DefaultCosts()
 		costs.MapChunk = 8
-		res, err := Run(prog, core.Options{
+		res, err := runProg(prog, core.Options{
 			Grain: 2, Overlap: true, Elevate: true, Costs: costs,
 		}, Config{Procs: 8, Mgmt: Async, ReadyCap: readyCap})
 		if err != nil {
@@ -158,7 +158,7 @@ func TestAsyncDeferredOverlapLowWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(prog, core.Options{
+	res, err := runProg(prog, core.Options{
 		Grain: 4, Overlap: true, Elevate: true, Costs: core.DefaultCosts(),
 	}, Config{Procs: 8, Mgmt: Async, ReadyCap: 16, LowWater: 2})
 	if err != nil {
@@ -222,7 +222,7 @@ func TestAsyncConservationRandomPrograms(t *testing.T) {
 		}
 
 		procs := 1 + rng.Intn(13)
-		res, err := Run(prog, core.Options{
+		res, err := runProg(prog, core.Options{
 			Grain:      1 + rng.Intn(30),
 			Overlap:    rng.Intn(3) != 0,
 			Elevate:    rng.Intn(2) == 0,
@@ -279,7 +279,7 @@ func TestMultiAcceptsEveryModel(t *testing.T) {
 				Opt: core.Options{Grain: 4, Costs: core.DefaultCosts()}},
 		}
 		want := int64(jobs[0].Prog.TotalCost() + jobs[1].Prog.TotalCost())
-		res, err := RunMulti(jobs, Config{Procs: 4, Mgmt: model})
+		res, err := runJobs(jobs, Config{Procs: 4, Mgmt: model})
 		if name == "" {
 			if !errors.Is(err, ErrUnsupportedMgmt) {
 				t.Errorf("%v: err = %v, want wrapped ErrUnsupportedMgmt", model, err)

@@ -78,11 +78,11 @@ func TestChaosSweepDeterministicAndIsolated(t *testing.T) {
 			for seed := uint64(1); seed <= 12; seed++ {
 				spec := fault.Scenario(seed, 4, 2, 4, 64, 8)
 				cfg := Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec}
-				r1, err := RunMulti(chaosJobs(t), cfg)
+				r1, err := runJobs(chaosJobs(t), cfg)
 				if err != nil {
 					t.Fatalf("seed %d: run failed as a whole (isolation breached): %v", seed, err)
 				}
-				r2, err := RunMulti(chaosJobs(t), cfg)
+				r2, err := runJobs(chaosJobs(t), cfg)
 				if err != nil {
 					t.Fatalf("seed %d: second run failed: %v", seed, err)
 				}
@@ -115,7 +115,7 @@ func TestChaosReplayConservation(t *testing.T) {
 				spec := fault.Scenario(seed, 4, 2, 4, 64, 8)
 				rec := trace.NewRecorder(trace.Meta{}, chaosProcs(model))
 				jobs := chaosJobs(t)
-				res, err := RunMulti(jobs, Config{
+				res, err := runJobs(jobs, Config{
 					Procs: chaosProcs(model), Mgmt: model, Faults: &spec, Trace: rec,
 				})
 				if err != nil {
@@ -150,13 +150,13 @@ func TestChaosDeadlineAbortIsIsolated(t *testing.T) {
 	for _, model := range chaosModels {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
-			baseline, err := RunMulti(chaosJobs(t), Config{Procs: chaosProcs(model), Mgmt: model})
+			baseline, err := runJobs(chaosJobs(t), Config{Procs: chaosProcs(model), Mgmt: model})
 			if err != nil {
 				t.Fatal(err)
 			}
 			jobs := chaosJobs(t)
 			jobs[0].Deadline = baseline.Jobs[0].Makespan / 4
-			res, err := RunMulti(jobs, Config{Procs: chaosProcs(model), Mgmt: model})
+			res, err := runJobs(jobs, Config{Procs: chaosProcs(model), Mgmt: model})
 			if err != nil {
 				t.Fatalf("deadline abort killed the whole run: %v", err)
 			}
@@ -192,7 +192,7 @@ func TestChaosGenerousDeadlineNeverFires(t *testing.T) {
 	for _, model := range chaosModels {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
-			baseline, err := RunMulti(chaosJobs(t), Config{Procs: chaosProcs(model), Mgmt: model})
+			baseline, err := runJobs(chaosJobs(t), Config{Procs: chaosProcs(model), Mgmt: model})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestChaosGenerousDeadlineNeverFires(t *testing.T) {
 					spec := fault.Scenario(seed, 4, 2, 4, 64, 8)
 					cfg.Faults = &spec
 				}
-				res, err := RunMulti(jobs, cfg)
+				res, err := runJobs(jobs, cfg)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -232,7 +232,7 @@ func TestChaosRetrySucceeds(t *testing.T) {
 				{Kind: fault.GrainError, Job: 0, Phase: 1, Granule: 7},
 			}}
 			jobs := chaosJobs(t)
-			res, err := RunMulti(jobs, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec})
+			res, err := runJobs(jobs, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +265,7 @@ func TestChaosRetryExhaustionIsolates(t *testing.T) {
 	}}
 	jobs := chaosJobs(t)
 	jobs[0].Retry = 2
-	res, err := RunMulti(jobs, Config{Procs: 8, Mgmt: Sharded, Faults: &spec})
+	res, err := runJobs(jobs, Config{Procs: 8, Mgmt: Sharded, Faults: &spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestChaosWorkerCrashDegradesGracefully(t *testing.T) {
 			spec := fault.Spec{Rules: []fault.Rule{
 				{Kind: fault.WorkerCrash, Worker: 2, Job: -1, Phase: -1, After: 500},
 			}}
-			res, err := RunMulti(chaosJobs(t), Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec})
+			res, err := runJobs(chaosJobs(t), Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +389,7 @@ func TestChaosBackoffIsolatesCoTenant(t *testing.T) {
 				jobs := chaosJobs(t)
 				jobs[0].Retry, jobs[0].Backoff = 1, backoff
 				spec := fault.Spec{Rules: []fault.Rule{{Kind: fault.GrainError, Job: 0, Phase: 1, Granule: 7, Worker: -1}}}
-				res, err := RunMulti(jobs, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec})
+				res, err := runJobs(jobs, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &spec})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -416,7 +416,7 @@ func TestChaosPreemptBoundCapsBackfill(t *testing.T) {
 	// Large explicit grain so backfill would exceed the bound without it.
 	jobs[0].Opt.Grain = 32
 	jobs[1].Opt.Grain = 32
-	res, err := RunMulti(jobs, Config{Procs: 8, Mgmt: Sharded, PreemptBound: 2})
+	res, err := runJobs(jobs, Config{Procs: 8, Mgmt: Sharded, PreemptBound: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,11 +436,11 @@ func TestChaosPreemptBoundCapsBackfill(t *testing.T) {
 // one with an empty Spec (which compiles to a nil Plan).
 func TestChaosFaultsOffIsBitIdentical(t *testing.T) {
 	empty := fault.Spec{}
-	a, err := RunMulti(chaosJobs(t), Config{Procs: 8, Mgmt: Sharded})
+	a, err := runJobs(chaosJobs(t), Config{Procs: 8, Mgmt: Sharded})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunMulti(chaosJobs(t), Config{Procs: 8, Mgmt: Sharded, Faults: &empty})
+	b, err := runJobs(chaosJobs(t), Config{Procs: 8, Mgmt: Sharded, Faults: &empty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func TestChaosSingleProgramFaults(t *testing.T) {
 		model := model
 		t.Run(model.String(), func(t *testing.T) {
 			prog, opt := build()
-			clean, err := Run(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model})
+			clean, err := runProg(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -473,7 +473,7 @@ func TestChaosSingleProgramFaults(t *testing.T) {
 			// Slow grain: completes, strictly more virtual compute.
 			prog, opt = build()
 			slow := fault.Spec{Rules: []fault.Rule{{Kind: fault.GrainSlow, Job: 0, Phase: 1, Granule: 5, Factor: 4}}}
-			res, err := Run(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &slow})
+			res, err := runProg(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &slow})
 			if err != nil {
 				t.Fatalf("slow grain failed the run: %v", err)
 			}
@@ -484,7 +484,7 @@ func TestChaosSingleProgramFaults(t *testing.T) {
 			// Stuck grain: completes, compute unchanged, makespan no smaller.
 			prog, opt = build()
 			stall := fault.Spec{Rules: []fault.Rule{{Kind: fault.GrainStall, Job: 0, Phase: 0, Granule: 9, Delay: 4000}}}
-			res, err = Run(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &stall})
+			res, err = runProg(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &stall})
 			if err != nil {
 				t.Fatalf("stuck grain failed the run: %v", err)
 			}
@@ -498,7 +498,7 @@ func TestChaosSingleProgramFaults(t *testing.T) {
 			// Grain error: the run fails with the injected error.
 			prog, opt = build()
 			boom := fault.Spec{Rules: []fault.Rule{{Kind: fault.GrainError, Job: 0, Phase: 0, Granule: 0}}}
-			if _, err = Run(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &boom}); err == nil ||
+			if _, err = runProg(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &boom}); err == nil ||
 				!strings.Contains(err.Error(), "injected") {
 				t.Errorf("grain error outcome: %v", err)
 			}
@@ -510,7 +510,7 @@ func TestChaosSingleProgramFaults(t *testing.T) {
 				{Kind: fault.DropWakeup, Count: 2},
 				{Kind: fault.MgmtDelay, Job: -1, Delay: 300},
 			}}
-			res, err = Run(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &mixed})
+			res, err = runProg(prog, opt, Config{Procs: chaosProcs(model), Mgmt: model, Faults: &mixed})
 			if err != nil {
 				t.Fatalf("mixed campaign failed the run: %v", err)
 			}

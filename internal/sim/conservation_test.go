@@ -73,7 +73,7 @@ func TestConservationRandomPrograms(t *testing.T) {
 
 		procs := 2 + rng.Intn(12)
 		model := MgmtModel(rng.Intn(2))
-		res, err := Run(prog, core.Options{
+		res, err := runProg(prog, core.Options{
 			Grain:      1 + rng.Intn(30),
 			Overlap:    rng.Intn(3) != 0,
 			Elevate:    rng.Intn(2) == 0,
@@ -117,11 +117,11 @@ func runTraced(t *testing.T, spec JobSpec, cfg Config) (*Result, *MultiResult, *
 	t.Helper()
 	rec := trace.NewRecorder(trace.Meta{}, cfg.Procs)
 	cfg.Trace = rec
-	res, multi, err := RunJobContext(context.Background(), spec, cfg)
+	multi, err := Run(context.Background(), []JobSpec{spec}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, multi, rec.Take()
+	return multi.OneJob(), multi, rec.Take()
 }
 
 // busyByProc sums tr's busy intervals per processor.

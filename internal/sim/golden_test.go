@@ -192,7 +192,7 @@ func (fx goldenFixture) run(t *testing.T) (headline string, hash uint64) {
 	if fx.single {
 		rec := trace.NewRecorder(trace.Meta{}, cfg.Procs)
 		cfg.Trace = rec
-		res, err := Run(jobs[0].Prog, jobs[0].Opt, cfg)
+		res, err := runProg(jobs[0].Prog, jobs[0].Opt, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
@@ -200,7 +200,7 @@ func (fx goldenFixture) run(t *testing.T) (headline string, hash uint64) {
 		g.timeline(res, jobs[0].Prog, rec.Take())
 		makespan, compute, mgmt, idle = res.Makespan, res.ComputeUnits, res.MgmtUnits, res.IdleUnits
 	} else {
-		res, err := RunMulti(jobs, cfg)
+		res, err := runJobs(jobs, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", fx.name, err)
 		}
@@ -229,11 +229,9 @@ func goldenFixtures() []goldenFixture {
 		}
 	}
 	// Adaptive with the online batch controller (tuner path).
-	adaptOpt := goldenOpt(2)
-	adaptOpt.AdaptiveBatch = true
 	fx = append(fx, singleFixture("chain/adaptive-tuned/p16",
 		func(t *testing.T) *core.Program { return goldenChain(t, 4, 2048, 7) },
-		adaptOpt, Config{Procs: 16, Mgmt: Adaptive, Batch: 8}))
+		goldenOpt(2), Config{Procs: 16, Mgmt: Adaptive, Batch: 8, AdaptiveTarget: DefaultMgmtTarget}))
 	// Async with explicit buffer knobs.
 	fx = append(fx, singleFixture("chain/async-knobs/p16",
 		func(t *testing.T) *core.Program { return goldenChain(t, 4, 2048, 7) },

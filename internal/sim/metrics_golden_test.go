@@ -51,7 +51,7 @@ func metricsSingleFixture(name string, phases, granules int, seed uint64,
 	return metricsFixture{name: name, run: func(t *testing.T, met *telemetry.Set) {
 		c := cfg
 		c.Metrics = met
-		if _, err := Run(goldenChain(t, phases, granules, seed), opt, c); err != nil {
+		if _, err := runProg(goldenChain(t, phases, granules, seed), opt, c); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}}
@@ -61,7 +61,7 @@ func metricsMultiFixture(name string, cfg Config, build func(t *testing.T) []Job
 	return metricsFixture{name: name, run: func(t *testing.T, met *telemetry.Set) {
 		c := cfg
 		c.Metrics = met
-		if _, err := RunMulti(build(t), c); err != nil {
+		if _, err := runJobs(build(t), c); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}}
@@ -79,12 +79,10 @@ func metricsFixtures() []metricsFixture {
 			goldenOpt(4), Config{Procs: 8, Mgmt: m}))
 	}
 	// Adaptive with the online controller: retune counts pinned.
-	tuned := goldenOpt(2)
-	tuned.AdaptiveBatch = true
 	fx = append(fx, metricsFixture{name: "chain/adaptive-tuned/p16",
 		run: func(t *testing.T, met *telemetry.Set) {
-			cfg := Config{Procs: 16, Mgmt: Adaptive, Batch: 8, Metrics: met}
-			if _, err := Run(goldenChain(t, 4, 2048, 7), tuned, cfg); err != nil {
+			cfg := Config{Procs: 16, Mgmt: Adaptive, Batch: 8, AdaptiveTarget: DefaultMgmtTarget, Metrics: met}
+			if _, err := runProg(goldenChain(t, 4, 2048, 7), goldenOpt(2), cfg); err != nil {
 				t.Fatal(err)
 			}
 		}})

@@ -39,7 +39,7 @@ const (
 	// deque-based sharded manager: per-worker task buffers and completion
 	// batches, each refill or flush one serialized visit charging
 	// MgmtCosts.Acquire plus the state-machine cost. Config.Batch fixes the
-	// batch size, or Options.AdaptiveBatch retunes it online (tuner.go).
+	// batch size, or Config.AdaptiveTarget retunes it online (tuner.go).
 	Adaptive
 	// Async is Dedicated plus the async executive's ready-buffer protocol,
 	// the virtual-time price of executive.AsyncManager: the executive
@@ -70,7 +70,7 @@ var kinds = [...]struct {
 }
 
 // ErrUnsupportedMgmt reports a MgmtModel value that names no management
-// model: Run and RunMulti price every model ModelNames lists, so an
+// model: Run prices every model ModelNames lists, so an
 // unknown value is refused rather than mispriced silently. Errors wrapping
 // it name the rejected value; test with errors.Is.
 var ErrUnsupportedMgmt = errors.New("sim: unsupported management model")

@@ -15,8 +15,8 @@ import (
 
 // This file is the event engine: one or more jobs, each with its own
 // core.Scheduler, sharing one P-processor machine in virtual time — the
-// discrete-event analogue of internal/tenant's worker pool. Run is its
-// one-job case (sim.go). It prices what tenancy costs the hot path: every
+// discrete-event analogue of internal/tenant's worker pool; a one-job run
+// is the same engine with one job (MultiResult.OneJob). It prices what tenancy costs the hot path: every
 // management probe (including a failed ask at a foreign job) is charged
 // to the executive resource. Which job a worker serves is not decided
 // here: the engine drives the same share.Policy object the pool does
@@ -100,7 +100,7 @@ type MultiResult struct {
 	// (Adaptive model only; see Result.Batch). Zero under other models.
 	Batch int
 	// BatchChanges counts the pool-wide adaptive controller's parameter
-	// changes (Adaptive model with Options.AdaptiveBatch on any job).
+	// changes (Adaptive model with Config.AdaptiveTarget).
 	BatchChanges int
 	// Faults counts injected fault firings (Config.Faults); Retries
 	// counts job restarts.
@@ -214,20 +214,16 @@ type mflight struct {
 	dur  int64 // the task's compute cost
 }
 
-// RunMulti simulates jobs sharing one machine under cfg. All jobs start
-// at t=0. Mgmt selects any management model. Under Adaptive,
-// Config.Batch and Options.AdaptiveBatch govern one pool-wide controller;
-// under Async, Config.ReadyCap and Config.LowWater size each job's slice
-// of the dedicated server's ready buffer.
-func RunMulti(jobs []JobSpec, cfg Config) (*MultiResult, error) {
-	return RunMultiContext(context.Background(), jobs, cfg)
-}
-
-// RunMultiContext is RunMulti with cooperative cancellation: the event
-// loop checks ctx between management operations and a cancelled run
-// returns an error wrapping ctx.Err() (test with errors.Is). A nil ctx
-// behaves like context.Background().
-func RunMultiContext(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiResult, error) {
+// Run simulates jobs sharing one machine under cfg: the engine's one entry
+// point. All jobs start at t=0. Mgmt selects any management model. Under
+// Adaptive, Config.Batch and Config.AdaptiveTarget govern one pool-wide
+// controller; under Async, Config.ReadyCap and Config.LowWater size each
+// job's slice of the dedicated server's ready buffer. A job that fails
+// (retries exhausted, deadline missed) is not an error of the run: it is
+// that job's JobResult.Err. The event loop checks ctx between management
+// operations and a cancelled run returns an error wrapping ctx.Err() (test
+// with errors.Is); a nil ctx behaves like context.Background().
+func Run(ctx context.Context, jobs []JobSpec, cfg Config) (*MultiResult, error) {
 	s, err := newMstate(ctx, jobs, cfg)
 	if err != nil {
 		return nil, err
@@ -251,7 +247,7 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		return nil, err
 	}
 	if len(jobs) == 0 {
-		return failEarly(fmt.Errorf("sim: RunMulti needs at least one job"))
+		return failEarly(fmt.Errorf("sim: Run needs at least one job"))
 	}
 	if cfg.Procs < 1 {
 		return failEarly(fmt.Errorf("sim: need at least 1 processor"))

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/enable"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -40,7 +41,7 @@ func TestMultiBatchedModelsConservation(t *testing.T) {
 		for i := range jobs {
 			want[i] = int64(jobs[i].Prog.TotalCost())
 		}
-		res, err := RunMulti(jobs, Config{Procs: 8, Mgmt: model, Batch: 4})
+		res, err := runJobs(jobs, Config{Procs: 8, Mgmt: model, Batch: 4})
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
 		}
@@ -75,11 +76,11 @@ func TestMultiBatchedModelsConservation(t *testing.T) {
 func TestMultiBatchedModelsDeterministic(t *testing.T) {
 	for _, model := range []MgmtModel{Async, Adaptive} {
 		cfg := Config{Procs: 16, Mgmt: model, Batch: 8}
-		r1, err := RunMulti(multiModelJobs(t), cfg)
+		r1, err := runJobs(multiModelJobs(t), cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
 		}
-		r2, err := RunMulti(multiModelJobs(t), cfg)
+		r2, err := runJobs(multiModelJobs(t), cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", model, err)
 		}
@@ -114,7 +115,7 @@ func TestMultiBatchedModelsBackfill(t *testing.T) {
 		opt := func() core.Options {
 			return core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()}
 		}
-		res, err := RunMulti([]JobSpec{
+		res, err := runJobs([]JobSpec{
 			{Name: "narrow", Prog: narrow, Opt: opt()},
 			{Name: "wide", Prog: wide, Opt: opt()},
 		}, Config{Procs: 32, Mgmt: model, Batch: 4})
@@ -130,26 +131,35 @@ func TestMultiBatchedModelsBackfill(t *testing.T) {
 	}
 }
 
-// TestMultiAdaptivePoolController: Options.AdaptiveBatch on any job
-// enables ONE pool-wide controller; the run reports the settled batch and
-// stays deterministic with the controller in the loop.
+// TestMultiAdaptivePoolController: Config.AdaptiveTarget enables ONE
+// pool-wide controller for every job — every retune the trace records is
+// one the run reports — and the run stays deterministic with the
+// controller in the loop.
 func TestMultiAdaptivePoolController(t *testing.T) {
-	build := func() []JobSpec {
-		jobs := multiModelJobs(t)
-		for i := range jobs {
-			jobs[i].Opt.AdaptiveBatch = true
-		}
-		return jobs
-	}
-	cfg := Config{Procs: 8, Mgmt: Adaptive, Batch: 32}
-	r1, err := RunMulti(build(), cfg)
+	build := func() []JobSpec { return multiModelJobs(t) }
+	// Batch 1 is the untuned worst case: the controller has to move.
+	cfg := Config{Procs: 8, Mgmt: Adaptive, Batch: 1, AdaptiveTarget: DefaultMgmtTarget}
+	rec := trace.NewRecorder(trace.Meta{}, cfg.Procs)
+	traced := cfg
+	traced.Trace = rec
+	r1, err := runJobs(build(), traced)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Batch <= 0 {
 		t.Errorf("controller-run multi reported Batch = %d", r1.Batch)
 	}
-	r2, err := RunMulti(build(), cfg)
+	retunes := 0
+	for _, ev := range rec.Take().Events {
+		if ev.Kind == trace.KRetune {
+			retunes++
+		}
+	}
+	if retunes == 0 || retunes != r1.BatchChanges {
+		t.Errorf("trace holds %d retunes, run reports %d controller changes: want one controller, and it must move",
+			retunes, r1.BatchChanges)
+	}
+	r2, err := runJobs(build(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +177,7 @@ func TestMultiAsyncReadyCapKnobs(t *testing.T) {
 	for i := range jobs {
 		want[i] = int64(jobs[i].Prog.TotalCost())
 	}
-	res, err := RunMulti(jobs, Config{Procs: 8, Mgmt: Async, ReadyCap: 2, LowWater: 1})
+	res, err := runJobs(jobs, Config{Procs: 8, Mgmt: Async, ReadyCap: 2, LowWater: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +207,7 @@ func TestMultiAdaptiveDeferredSuccessorSplitSweep(t *testing.T) {
 					{Name: "a", Prog: twoPhase(t, n, enable.NewIdentity()), Opt: opt(2)},
 					{Name: "b", Prog: twoPhase(t, n/2, enable.NewIdentity()), Opt: opt(4), Priority: 1},
 				}
-				if _, err := RunMulti(jobs, Config{Procs: procs, Mgmt: Adaptive, Batch: batch}); err != nil {
+				if _, err := runJobs(jobs, Config{Procs: procs, Mgmt: Adaptive, Batch: batch}); err != nil {
 					t.Errorf("p%d batch %d n%d: %v", procs, batch, n, err)
 				}
 			}

@@ -45,15 +45,14 @@ func TestRunIsOneJobRunAll(t *testing.T) {
 			oneRec := trace.NewRecorder(trace.Meta{}, 16)
 			multiRec := trace.NewRecorder(trace.Meta{}, 16)
 			opt := goldenOpt(fx.grain)
-			opt.AdaptiveBatch = model == Adaptive
-
-			one, err := Run(fx.build(), opt, Config{Procs: 16, Mgmt: model, Trace: oneRec,
+			// Only the Adaptive model reads the controller's setpoint.
+			one, err := runProg(fx.build(), opt, Config{Procs: 16, Mgmt: model, AdaptiveTarget: DefaultMgmtTarget, Trace: oneRec,
 				Observer: func(sn Snapshot) { oneSnaps = append(oneSnaps, sn) }})
 			if err != nil {
 				t.Fatalf("%s: Run: %v", name, err)
 			}
-			multi, err := RunMulti([]JobSpec{{Name: "solo", Prog: fx.build(), Opt: opt}},
-				Config{Procs: 16, Mgmt: model, Trace: multiRec,
+			multi, err := runJobs([]JobSpec{{Name: "solo", Prog: fx.build(), Opt: opt}},
+				Config{Procs: 16, Mgmt: model, AdaptiveTarget: DefaultMgmtTarget, Trace: multiRec,
 					Observer: func(sn Snapshot) { multiSnaps = append(multiSnaps, sn) }})
 			if err != nil {
 				t.Fatalf("%s: RunMulti: %v", name, err)
@@ -102,11 +101,11 @@ func TestMultiDeterministic(t *testing.T) {
 				Opt: core.Options{Grain: 2, Costs: core.DefaultCosts()}, Priority: 1},
 		}
 	}
-	r1, err := RunMulti(build(), Config{Procs: 16, Mgmt: StealsWorker})
+	r1, err := runJobs(build(), Config{Procs: 16, Mgmt: StealsWorker})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunMulti(build(), Config{Procs: 16, Mgmt: StealsWorker})
+	r2, err := runJobs(build(), Config{Procs: 16, Mgmt: StealsWorker})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestMultiDeterministic(t *testing.T) {
 func TestMultiConservation(t *testing.T) {
 	progA := twoPhase(t, 512, enable.NewIdentity())
 	progB := twoPhase(t, 384, enable.NewUniversal())
-	res, err := RunMulti([]JobSpec{
+	res, err := runJobs([]JobSpec{
 		{Name: "a", Prog: progA, Opt: core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}},
 		{Name: "b", Prog: progB, Opt: core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}},
 	}, Config{Procs: 8, Mgmt: Sharded})
@@ -176,15 +175,15 @@ func TestMultiBackfillFillsRundown(t *testing.T) {
 	}
 	cfg := Config{Procs: 32, Mgmt: StealsWorker}
 
-	aloneNarrow, err := Run(narrow(), opt(), cfg)
+	aloneNarrow, err := runProg(narrow(), opt(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aloneWide, err := Run(wide(), opt(), cfg)
+	aloneWide, err := runProg(wide(), opt(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMulti([]JobSpec{
+	multi, err := runJobs([]JobSpec{
 		{Name: "narrow", Prog: narrow(), Opt: opt()},
 		{Name: "wide", Prog: wide(), Opt: opt()},
 	}, cfg)
@@ -206,7 +205,7 @@ func TestMultiBackfillFillsRundown(t *testing.T) {
 
 // TestMultiWeightsSetHomeShares: home workers divide by weight.
 func TestMultiWeightsSetHomeShares(t *testing.T) {
-	res, err := RunMulti([]JobSpec{
+	res, err := runJobs([]JobSpec{
 		{Name: "heavy", Prog: twoPhase(t, 256, enable.NewIdentity()),
 			Opt: core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}, Weight: 3},
 		{Name: "light", Prog: twoPhase(t, 256, enable.NewIdentity()),
@@ -245,7 +244,7 @@ func TestMultiPriorityFavoursHighPriorityJob(t *testing.T) {
 	opt := func() core.Options {
 		return core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}
 	}
-	res, err := RunMulti([]JobSpec{
+	res, err := runJobs([]JobSpec{
 		{Name: "donor", Prog: donor(), Opt: opt()},
 		{Name: "low", Prog: mk(), Opt: opt(), Priority: 0},
 		{Name: "high", Prog: mk(), Opt: opt(), Priority: 5},

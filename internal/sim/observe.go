@@ -36,7 +36,7 @@ type Snapshot struct {
 	// the other models) — live evidence of the controller moving.
 	Batch int
 	// Jobs is the number of unfinished jobs: it counts down to 0 as the
-	// jobs of a RunMulti finish, and reads 1 while a Run is live (0 on its
+	// jobs of a run finish (a one-job run reads 1 while live, 0 on its
 	// Final snapshot).
 	Jobs int
 	// Final marks the closing snapshot, emitted once at the makespan with

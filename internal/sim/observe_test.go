@@ -86,7 +86,7 @@ func cancelProg(t *testing.T) *core.Program {
 func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, cancelProg(t),
+	_, err := runProgContext(ctx, cancelProg(t),
 		core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()},
 		Config{Procs: 8, Mgmt: Dedicated})
 	if !errors.Is(err, context.Canceled) {
@@ -102,7 +102,7 @@ func TestRunContextCanceledSmallRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var snaps []Snapshot
-	_, err := RunContext(ctx, onePhase(t, 8),
+	_, err := runProgContext(ctx, onePhase(t, 8),
 		core.Options{Grain: 4, Costs: core.DefaultCosts()},
 		Config{Procs: 2, Mgmt: Dedicated,
 			Observer: func(s Snapshot) { snaps = append(snaps, s) }})
@@ -121,7 +121,7 @@ func TestRunMultiContextCanceled(t *testing.T) {
 		{Prog: cancelProg(t), Opt: core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()}},
 		{Prog: cancelProg(t), Opt: core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()}},
 	}
-	_, err := RunMultiContext(ctx, jobs, Config{Procs: 8, Mgmt: Dedicated})
+	_, err := Run(ctx, jobs, Config{Procs: 8, Mgmt: Dedicated})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -133,7 +133,7 @@ func TestRunMultiContextCanceled(t *testing.T) {
 func TestObserverDeterministic(t *testing.T) {
 	run := func() ([]Snapshot, *Result) {
 		var snaps []Snapshot
-		res, err := Run(twoPhase(t, 512, enable.NewIdentity()),
+		res, err := runProg(twoPhase(t, 512, enable.NewIdentity()),
 			core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()},
 			Config{Procs: 8, Mgmt: StealsWorker,
 				Observer: func(s Snapshot) { snaps = append(snaps, s) }})
@@ -206,11 +206,11 @@ func TestObserverAdaptiveBatch(t *testing.T) {
 		}
 		snaps = snaps[:0]
 	}
-	if _, err := Run(twoPhase(t, 512, enable.NewIdentity()), opt, cfg); err != nil {
+	if _, err := runProg(twoPhase(t, 512, enable.NewIdentity()), opt, cfg); err != nil {
 		t.Fatal(err)
 	}
 	check("Run")
-	res, err := RunMulti([]JobSpec{
+	res, err := runJobs([]JobSpec{
 		{Prog: twoPhase(t, 512, enable.NewIdentity()), Opt: opt},
 		{Prog: twoPhase(t, 256, enable.NewIdentity()), Opt: opt},
 	}, cfg)
@@ -233,7 +233,7 @@ func TestObserverMulti(t *testing.T) {
 			{Prog: twoPhase(t, 256, enable.NewIdentity()), Opt: core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()}},
 			{Prog: twoPhase(t, 64, enable.NewIdentity()), Opt: core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()}},
 		}
-		res, err := RunMulti(jobs, Config{Procs: 4, Mgmt: Dedicated,
+		res, err := runJobs(jobs, Config{Procs: 4, Mgmt: Dedicated,
 			Observer: func(s Snapshot) { snaps = append(snaps, s) }})
 		if err != nil {
 			t.Fatal(err)

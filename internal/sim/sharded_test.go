@@ -12,7 +12,7 @@ import (
 // executive processor).
 func TestShardedModelCompletes(t *testing.T) {
 	prog := twoPhase(t, 256, enable.NewIdentity())
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()},
 		Config{Procs: 8, Mgmt: Sharded})
 	if err != nil {
@@ -36,13 +36,13 @@ func TestShardedModelCompletes(t *testing.T) {
 // same program must finish strictly sooner.
 func TestShardedModelRelievesMgmtBottleneck(t *testing.T) {
 	build := func() *core.Program { return twoPhase(t, 1024, enable.NewIdentity()) }
-	serial, err := Run(build(),
+	serial, err := runProg(build(),
 		core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()},
 		Config{Procs: 8, Mgmt: StealsWorker})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := Run(build(),
+	sharded, err := runProg(build(),
 		core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()},
 		Config{Procs: 8, Mgmt: Sharded})
 	if err != nil {
@@ -64,7 +64,7 @@ func TestShardedModelRelievesMgmtBottleneck(t *testing.T) {
 func TestShardedModelDeterminism(t *testing.T) {
 	run := func() *Result {
 		prog := twoPhase(t, 512, enable.NewIdentity())
-		res, err := Run(prog,
+		res, err := runProg(prog,
 			core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()},
 			Config{Procs: 16, Mgmt: Sharded})
 		if err != nil {
@@ -83,7 +83,7 @@ func TestShardedModelDeterminism(t *testing.T) {
 // makespan — the phase End time can never exceed the reported makespan.
 func TestShardedModelMakespanCoversTrailingMgmt(t *testing.T) {
 	prog := onePhase(t, 64)
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 4, Costs: core.DefaultCosts()},
 		Config{Procs: 4, Mgmt: Sharded})
 	if err != nil {

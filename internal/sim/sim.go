@@ -4,11 +4,12 @@
 // state machine in virtual time, charging every management cost the
 // scheduler reports to the management server.
 //
-// There is one event engine: a time-ordered queue of worker asks and task
-// completions over one or more jobs sharing the machine. RunMulti runs
-// several jobs on it; Run is its one-job case, converted into the
-// single-program Result. A program is therefore priced the same whether it
-// runs alone or is the only live job of a shared machine.
+// There is one event engine and one way to start it, Run: a time-ordered
+// queue of worker asks and task completions over one or more jobs sharing
+// the machine. A one-job run is the same call with one JobSpec, viewed as
+// a single-program Result through MultiResult.OneJob, so a program is
+// priced the same whether it runs alone or is the only live job of a
+// shared machine.
 //
 // Where executive computation runs is the run's management model
 // (MgmtModel): one value the engine builds at the start and asks wherever
@@ -23,8 +24,6 @@
 package sim
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/telemetry"
@@ -40,10 +39,16 @@ type Config struct {
 	Mgmt MgmtModel
 	// Batch is the Adaptive model's refill batch size (the virtual
 	// DequeCap): how many tasks one serialized lock visit pulls; the
-	// completion batch is half of it. <= 0 selects 16. With
-	// Options.AdaptiveBatch this is the controller's starting point;
-	// otherwise it is fixed for the whole run. Other models ignore it.
+	// completion batch is half of it. <= 0 selects 16. With AdaptiveTarget
+	// set this is the controller's starting point; otherwise it is fixed
+	// for the whole run. Other models ignore it.
 	Batch int
+	// AdaptiveTarget, when > 0, turns on the Adaptive model's batch
+	// controller (tuner.go): one pool-wide controller retunes Batch online,
+	// steering the lock-overhead share of capacity toward this setpoint
+	// (DefaultMgmtTarget is the usual one). <= 0 keeps Batch fixed. Other
+	// models ignore it.
+	AdaptiveTarget float64
 	// ReadyCap bounds each job's ready buffer under the Async model — how
 	// many dispatched-but-unclaimed tasks of one job the dedicated executive
 	// keeps ahead of the workers. <= 0 splits 2*workers across the jobs
@@ -62,7 +67,6 @@ type Config struct {
 	// failure or cancellation. Emission points are deterministic (fixed
 	// virtual-time marks, roughly 16 per run from a makespan estimate), so
 	// observation never perturbs the schedule.
-	// Both Run and RunMulti honor it.
 	Observer func(Snapshot)
 	// Trace, when non-nil, flight-records every scheduling decision —
 	// dispatches, completions, parks/unparks, controller retunes,
@@ -70,8 +74,7 @@ type Config struct {
 	// The simulator emits from its single event-loop goroutine into ring
 	// 0 in processing order, so the merged trace's (Time, Seq) order IS
 	// the loop's deterministic serve order (equal-tick ordering contract:
-	// see internal/sim/trace.go). Both Run and RunMulti honor it. It is
-	// the run's only record of when each processor computed: every
+	// see internal/sim/trace.go). It is the run's only record of when each processor computed: every
 	// KDispatch carries the task's charged cost, so a task's busy interval
 	// is [Time, Time+Arg) (trace.Trace.EachBusy), and the utilization
 	// curve and chart are views of the recorded trace.
@@ -82,13 +85,12 @@ type Config struct {
 	// buffer occupancy — with every duration in virtual units. Recording
 	// happens on the single event-loop goroutine in processing order, so
 	// identical inputs yield bit-identical metric dumps (the determinism
-	// goldens pin this). Both Run and RunMulti honor it.
+	// goldens pin this).
 	Metrics *telemetry.Set
 	// Faults is the seeded fault-injection campaign (nil = off). A fresh
 	// fault.Plan is compiled per run — Plans are stateful — and consulted
 	// at the same chokepoints the real backends use, so identical Specs
-	// yield bit-identical virtual outcomes. Both Run and RunMulti honor
-	// it.
+	// yield bit-identical virtual outcomes.
 	Faults *fault.Spec
 	// PreemptBound caps every job's task grain at this many granules —
 	// the bounded-degradation contract: a home job emerging from rundown
@@ -151,67 +153,35 @@ type Result struct {
 	// settled). Zero under the other models.
 	Batch int
 	// BatchChanges counts the adaptive controller's parameter changes
-	// (Adaptive model with Options.AdaptiveBatch only).
+	// (Adaptive model with Config.AdaptiveTarget only).
 	BatchChanges int
 	// Phases traces each phase.
 	Phases []PhaseTrace
 }
 
-// Run simulates prog under the scheduler options opt on the machine cfg:
-// the one-job run of the engine RunMulti drives, so a program is priced
-// the same alone as it is with co-tenants.
-func Run(prog *core.Program, opt core.Options, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), prog, opt, cfg)
-}
-
-// RunContext is Run with cooperative cancellation: the event loop checks
-// ctx between management operations and a cancelled run returns an error
-// wrapping ctx.Err() (test with errors.Is). A nil ctx behaves like
-// context.Background().
-func RunContext(ctx context.Context, prog *core.Program, opt core.Options, cfg Config) (*Result, error) {
-	res, multi, err := RunJobContext(ctx, JobSpec{Prog: prog, Opt: opt}, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// With one program there is no co-tenant to isolate a failure from:
-	// the job's error is the run's.
-	if err := multi.Jobs[0].Err; err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunJobContext is RunContext for a job given as a JobSpec, which adds
-// what a (prog, opt) pair cannot say: a name, a deadline, a retry budget.
-// It returns the run both ways — as Result, with the phase traces, and as
-// the one-job MultiResult RunMulti would report, with the fault and retry
-// counts and the job's own outcome. As
-// with RunMulti, a job that failed (retries exhausted, deadline missed)
-// is not an error of the run: it is MultiResult.Jobs[0].Err, and Result
-// then describes the run up to the job's retirement.
-func RunJobContext(ctx context.Context, spec JobSpec, cfg Config) (*Result, *MultiResult, error) {
-	multi, err := RunMultiContext(ctx, []JobSpec{spec}, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	job := &multi.Jobs[0]
+// OneJob is the single-program view of a one-job run (Report.Sim): the
+// machine totals with the job's scheduler statistics, serial time and phase
+// traces. A job that failed (retries exhausted, deadline missed) is
+// described up to its retirement; its error stays Jobs[0].Err.
+func (m *MultiResult) OneJob() *Result {
+	job := &m.Jobs[0]
 	res := &Result{
-		Makespan:     multi.Makespan,
-		ComputeUnits: multi.ComputeUnits,
-		MgmtUnits:    multi.MgmtUnits,
+		Makespan:     m.Makespan,
+		ComputeUnits: m.ComputeUnits,
+		MgmtUnits:    m.MgmtUnits,
 		SerialUnits:  int64(job.Sched.SerialCost),
-		IdleUnits:    multi.IdleUnits,
-		Workers:      multi.Workers,
-		Procs:        multi.Procs,
-		Utilization:  multi.Utilization,
+		IdleUnits:    m.IdleUnits,
+		Workers:      m.Workers,
+		Procs:        m.Procs,
+		Utilization:  m.Utilization,
 		Sched:        job.Sched,
-		Batch:        multi.Batch,
-		BatchChanges: multi.BatchChanges,
+		Batch:        m.Batch,
+		BatchChanges: m.BatchChanges,
 		Phases:       job.Phases,
 	}
 	res.WorkerUtilization, _ = telemetry.Shares(res.ComputeUnits, 0, res.Workers, res.Makespan)
 	if res.MgmtUnits > 0 {
 		res.MgmtRatio = float64(res.ComputeUnits) / float64(res.MgmtUnits)
 	}
-	return res, multi, nil
+	return res
 }

@@ -11,6 +11,29 @@ import (
 	"repro/internal/workload"
 )
 
+// runProg prices prog alone on cfg: the one-job run of the engine, viewed
+// as the single-program Result, with the job's own error as the run's.
+func runProg(prog *core.Program, opt core.Options, cfg Config) (*Result, error) {
+	return runProgContext(context.Background(), prog, opt, cfg)
+}
+
+// runProgContext is runProg under ctx.
+func runProgContext(ctx context.Context, prog *core.Program, opt core.Options, cfg Config) (*Result, error) {
+	multi, err := Run(ctx, []JobSpec{{Prog: prog, Opt: opt}}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := multi.Jobs[0].Err; err != nil {
+		return nil, err
+	}
+	return multi.OneJob(), nil
+}
+
+// runJobs prices jobs sharing cfg's machine.
+func runJobs(jobs []JobSpec, cfg Config) (*MultiResult, error) {
+	return Run(context.Background(), jobs, cfg)
+}
+
 func onePhase(t *testing.T, n int) *core.Program {
 	t.Helper()
 	prog, err := core.NewProgram(&core.Phase{Name: "a", Granules: n})
@@ -34,7 +57,7 @@ func twoPhase(t *testing.T, n int, spec *enable.Spec) *core.Program {
 
 func TestSinglePhasePerfectFit(t *testing.T) {
 	prog := onePhase(t, 8)
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 1, Costs: core.FreeCosts()},
 		Config{Procs: 2, Mgmt: Dedicated})
 	if err != nil {
@@ -55,7 +78,7 @@ func TestSinglePhaseRundownArithmetic(t *testing.T) {
 	// 10 unit granules on 4 processors, grain 1: rounds of 4,4,2 — the
 	// final round leaves 2 processors idle for 1 unit each.
 	prog := onePhase(t, 10)
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 1, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if err != nil {
@@ -77,13 +100,13 @@ func TestSinglePhaseRundownArithmetic(t *testing.T) {
 }
 
 func TestOverlapBeatsBarrierIdentity(t *testing.T) {
-	barrier, err := Run(twoPhase(t, 10, enable.NewIdentity()),
+	barrier, err := runProg(twoPhase(t, 10, enable.NewIdentity()),
 		core.Options{Grain: 1, Overlap: false, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlap, err := Run(twoPhase(t, 10, enable.NewIdentity()),
+	overlap, err := runProg(twoPhase(t, 10, enable.NewIdentity()),
 		core.Options{Grain: 1, Overlap: true, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if err != nil {
@@ -101,13 +124,13 @@ func TestOverlapBeatsBarrierIdentity(t *testing.T) {
 }
 
 func TestOverlapBeatsBarrierUniversal(t *testing.T) {
-	barrier, err := Run(twoPhase(t, 10, enable.NewUniversal()),
+	barrier, err := runProg(twoPhase(t, 10, enable.NewUniversal()),
 		core.Options{Grain: 1, Overlap: false, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if err != nil {
 		t.Fatal(err)
 	}
-	overlap, err := Run(twoPhase(t, 10, enable.NewUniversal()),
+	overlap, err := runProg(twoPhase(t, 10, enable.NewUniversal()),
 		core.Options{Grain: 1, Overlap: true, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if err != nil {
@@ -124,10 +147,10 @@ func TestOverlapBeatsBarrierUniversal(t *testing.T) {
 }
 
 func TestNullMappingNoGain(t *testing.T) {
-	barrier, _ := Run(twoPhase(t, 10, nil),
+	barrier, _ := runProg(twoPhase(t, 10, nil),
 		core.Options{Grain: 1, Overlap: false, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
-	overlap, _ := Run(twoPhase(t, 10, nil),
+	overlap, _ := runProg(twoPhase(t, 10, nil),
 		core.Options{Grain: 1, Overlap: true, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if overlap.Makespan != barrier.Makespan {
@@ -137,7 +160,7 @@ func TestNullMappingNoGain(t *testing.T) {
 
 func TestStealsWorkerModel(t *testing.T) {
 	prog := onePhase(t, 12)
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 1, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: StealsWorker})
 	if err != nil {
@@ -149,17 +172,17 @@ func TestStealsWorkerModel(t *testing.T) {
 	if res.Makespan != 4 { // 12 granules on 3 workers
 		t.Errorf("makespan = %d, want 4", res.Makespan)
 	}
-	if _, err := Run(prog, core.Options{Grain: 1}, Config{Procs: 1, Mgmt: StealsWorker}); err == nil {
+	if _, err := runProg(prog, core.Options{Grain: 1}, Config{Procs: 1, Mgmt: StealsWorker}); err == nil {
 		t.Error("StealsWorker with 1 proc should fail")
 	}
 }
 
 func TestMgmtCostsDelayDispatch(t *testing.T) {
 	prog := onePhase(t, 8)
-	free, _ := Run(prog,
+	free, _ := runProg(prog,
 		core.Options{Grain: 1, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
-	costly, _ := Run(onePhase(t, 8),
+	costly, _ := runProg(onePhase(t, 8),
 		core.Options{Grain: 1, Costs: core.MgmtCosts{Dispatch: 5, Complete: 5}},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if costly.Makespan <= free.Makespan {
@@ -173,7 +196,7 @@ func TestMgmtCostsDelayDispatch(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	mk := func() *Result {
 		prog := twoPhase(t, 64, enable.NewIdentity())
-		res, err := Run(prog,
+		res, err := runProg(prog,
 			core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()},
 			Config{Procs: 8, Mgmt: StealsWorker})
 		if err != nil {
@@ -200,7 +223,7 @@ func TestVariableCostPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if err != nil {
@@ -224,7 +247,7 @@ func TestSerialActionCharged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 1, Overlap: true, Costs: core.FreeCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if err != nil {
@@ -244,7 +267,7 @@ func TestAllSchedulerModesComplete(t *testing.T) {
 		for _, succ := range []core.SuccSplitMode{core.SuccSplitInline, core.SuccSplitDeferred} {
 			for _, id := range []core.IdentityMode{core.IdentityConflictQueue, core.IdentityTable} {
 				prog := twoPhase(t, 40, enable.NewIdentity())
-				res, err := Run(prog, core.Options{
+				res, err := runProg(prog, core.Options{
 					Grain: 3, Overlap: true, Split: split, SuccSplit: succ,
 					IdentityVia: id, Costs: core.DefaultCosts(),
 				}, Config{Procs: 5, Mgmt: Dedicated})
@@ -280,7 +303,7 @@ func TestGanttAndCurve(t *testing.T) {
 
 func TestPhaseTraces(t *testing.T) {
 	prog := twoPhase(t, 20, enable.NewIdentity())
-	res, err := Run(prog,
+	res, err := runProg(prog,
 		core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()},
 		Config{Procs: 4, Mgmt: Dedicated})
 	if err != nil {
@@ -318,7 +341,7 @@ func TestRunawayGuard(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	prog := onePhase(t, 4)
-	if _, err := Run(prog, core.Options{}, Config{Procs: 0}); err == nil {
+	if _, err := runProg(prog, core.Options{}, Config{Procs: 0}); err == nil {
 		t.Error("zero procs accepted")
 	}
 }
@@ -338,7 +361,7 @@ func BenchmarkSimIdentityOverlap(b *testing.B) {
 			&core.Phase{Name: "a", Granules: 8192, Enable: enable.NewIdentity()},
 			&core.Phase{Name: "b", Granules: 8192},
 		)
-		_, err := Run(prog,
+		_, err := runProg(prog,
 			core.Options{Grain: 64, Overlap: true, Costs: core.DefaultCosts()},
 			Config{Procs: 64, Mgmt: StealsWorker})
 		if err != nil {
@@ -367,7 +390,7 @@ func TestVirtualChargesUnchanged(t *testing.T) {
 		}
 		var first *Result
 		for run := 1; run <= 5; run++ {
-			res, err := Run(prog, opt, Config{Procs: 16, Mgmt: StealsWorker})
+			res, err := runProg(prog, opt, Config{Procs: 16, Mgmt: StealsWorker})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,7 +62,7 @@ func TestTraceOrderGolden(t *testing.T) {
 			if opt != nil {
 				opt(&cfg)
 			}
-			if _, err := Run(goldenChain(t, phases, granules, 1986), goldenOpt(4), cfg); err != nil {
+			if _, err := runProg(goldenChain(t, phases, granules, 1986), goldenOpt(4), cfg); err != nil {
 				t.Fatal(err)
 			}
 			return cfg.Trace.Take()
@@ -75,11 +75,9 @@ func TestTraceOrderGolden(t *testing.T) {
 		single("trace/sharded/p8", Sharded, 8, 3, 256, nil),
 		single("trace/async/p8", Async, 8, 3, 256, nil),
 		{name: "trace/adaptive-tuned/p8", run: func(t *testing.T) *trace.Trace {
-			opt := goldenOpt(2)
-			opt.AdaptiveBatch = true
-			cfg := Config{Procs: 8, Mgmt: Adaptive, Batch: 4,
+			cfg := Config{Procs: 8, Mgmt: Adaptive, Batch: 4, AdaptiveTarget: DefaultMgmtTarget,
 				Trace: trace.NewRecorder(trace.Meta{}, 8)}
-			if _, err := Run(goldenChain(t, 3, 512, 7), opt, cfg); err != nil {
+			if _, err := runProg(goldenChain(t, 3, 512, 7), goldenOpt(2), cfg); err != nil {
 				t.Fatal(err)
 			}
 			return cfg.Trace.Take()
@@ -90,7 +88,7 @@ func TestTraceOrderGolden(t *testing.T) {
 				{Name: "a", Prog: goldenChain(t, 3, 256, 1), Opt: goldenOpt(4), Weight: 2},
 				{Name: "b", Prog: goldenChain(t, 3, 128, 2), Opt: goldenOpt(2), Priority: 1},
 			}
-			if _, err := RunMulti(specs, Config{Procs: 8, Mgmt: StealsWorker, Trace: rec}); err != nil {
+			if _, err := runJobs(specs, Config{Procs: 8, Mgmt: StealsWorker, Trace: rec}); err != nil {
 				t.Fatal(err)
 			}
 			return rec.Take()
@@ -102,7 +100,7 @@ func TestTraceOrderGolden(t *testing.T) {
 		fixtures = append(fixtures, fixture{name: fmt.Sprintf("trace/scale8/%v/p64", m), run: func(t *testing.T) *trace.Trace {
 			rec := trace.NewRecorder(trace.Meta{}, 64)
 			met := telemetry.NewSet(telemetry.NewRegistry(64, "virtual"))
-			if _, err := RunMulti(scaleMixedJobs(t), Config{Procs: 64, Mgmt: m, Trace: rec, Metrics: met}); err != nil {
+			if _, err := runJobs(scaleMixedJobs(t), Config{Procs: 64, Mgmt: m, Trace: rec, Metrics: met}); err != nil {
 				t.Fatal(err)
 			}
 			return rec.Take()

@@ -69,12 +69,15 @@ type TunerConfig struct {
 	// Batch is the starting completion batch. <= 0 selects Cap/2 (min 1).
 	Batch int
 	// MgmtTarget is the lock-overhead share of capacity to steer toward
-	// (<= 0 selects 0.02: an untuned batch-1 fine-grain run burns ~5% of
-	// the machine on lock entry, so the trigger must sit well under
-	// that). Above it the controller grows; the shrink rule only fires
-	// below MgmtTarget*tunerLowBand.
+	// (<= 0 selects DefaultMgmtTarget). Above it the controller grows;
+	// the shrink rule only fires below MgmtTarget*tunerLowBand.
 	MgmtTarget float64
 }
+
+// DefaultMgmtTarget is the controller's usual setpoint: an untuned batch-1
+// fine-grain run burns ~5% of the machine on lock entry, so the trigger
+// must sit well under that.
+const DefaultMgmtTarget = 0.02
 
 func (c TunerConfig) withDefaults() TunerConfig {
 	if c.Cap <= 0 {
@@ -88,7 +91,7 @@ func (c TunerConfig) withDefaults() TunerConfig {
 		c.Batch = 1
 	}
 	if c.MgmtTarget <= 0 {
-		c.MgmtTarget = 0.02
+		c.MgmtTarget = DefaultMgmtTarget
 	}
 	return c
 }

@@ -56,7 +56,9 @@ type Set struct {
 	// ReadyOccupancy gauges the ready tasks buffered ahead of the
 	// workers: the sharded and async managers' ready lanes together, or
 	// the virtual Async model's ready buffer;
-	// BatchSize gauges the adaptive controller's current refill batch.
+	// BatchSize gauges the virtual Adaptive model's current refill batch,
+	// fixed or wherever its controller has moved it. Only that model sets
+	// it: a goroutine lane's capacity (DequeCap) is not a batch.
 	ReadyOccupancy *Gauge
 	BatchSize      *Gauge
 

@@ -115,7 +115,7 @@ func (p *Pool) newAttempt(j *Job, prev *attempt) (*attempt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Options.AdaptiveBatch selects a management model in virtual time
+	// The adaptive batch controller is a management model in virtual time
 	// only: on goroutines the sharded manager runs fixed parameters.
 	mgr, err := executive.NewManager(sched, executive.Config{
 		Workers: p.cfg.Workers, Manager: p.cfg.Manager,

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -92,8 +93,8 @@ func TestCasperProgramRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(prog,
-		core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()},
+	res, err := sim.Run(context.Background(), []sim.JobSpec{{Prog: prog,
+		Opt: core.Options{Grain: 8, Overlap: true, Costs: core.DefaultCosts()}}},
 		sim.Config{Procs: 8, Mgmt: sim.Dedicated})
 	if err != nil {
 		t.Fatal(err)
@@ -217,8 +218,8 @@ func TestChainAllKinds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)
 		}
-		res, err := sim.Run(prog,
-			core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()},
+		res, err := sim.Run(context.Background(), []sim.JobSpec{{Prog: prog,
+			Opt: core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()}}},
 			sim.Config{Procs: 4, Mgmt: sim.Dedicated})
 		if err != nil {
 			t.Fatalf("%v: %v", k, err)

@@ -96,6 +96,38 @@ func TestMetricsThreeBackends(t *testing.T) {
 	}
 }
 
+// TestMetricsBatchSizeOnlyAdaptive: rundown_batch_size is the virtual
+// Adaptive model's refill batch and nothing else. A goroutine lane's
+// capacity is not a batch, so a sharded or async run with WithDequeCap(32)
+// must not report 32 under that name; a virtual Adaptive run reports its
+// fixed batch.
+func TestMetricsBatchSizeOnlyAdaptive(t *testing.T) {
+	batchSize := func(opts ...rundown.Option) int64 {
+		t.Helper()
+		r, err := rundown.New(append(opts, rundown.WithMetrics())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, _ := buildRunnerJob(t, 512)
+		rep, err := r.Run(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := rep.Metrics.Get("rundown_batch_size"); m != nil {
+			return m.Value
+		}
+		return 0
+	}
+	for _, kind := range []rundown.ExecManager{rundown.ShardedManager, rundown.AsyncManager} {
+		if got := batchSize(rundown.WithWorkers(4), rundown.WithManager(kind), rundown.WithDequeCap(32)); got == 32 {
+			t.Errorf("%v with WithDequeCap(32): rundown_batch_size = 32, the lane capacity", kind)
+		}
+	}
+	if got := batchSize(rundown.WithVirtualTime(rundown.SimConfig{Procs: 4, Mgmt: rundown.AdaptiveMgmt}), rundown.WithBatch(8)); got != 8 {
+		t.Errorf("virtual Adaptive with WithBatch(8): rundown_batch_size = %d, want 8", got)
+	}
+}
+
 // TestMetricsVirtualDeterministic pins the tentpole determinism claim at
 // the public surface: two identical virtual runs marshal bit-identical
 // dumps (the internal goldens pin the exact contents per model).

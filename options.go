@@ -26,7 +26,8 @@ type runnerConfig struct {
 	manager    ExecManager
 	managerSet bool
 
-	adaptive   bool
+	// mgmtTarget is WithAdaptiveBatching's setpoint, resolved: > 0 turns
+	// the adaptive controller on.
 	mgmtTarget float64
 
 	dequeCap, batch int
@@ -98,7 +99,9 @@ func WithManager(m ExecManager) Option {
 // benchmark separated the controller from fixed sharded.
 func WithAdaptiveBatching(target float64) Option {
 	return func(c *runnerConfig) error {
-		c.adaptive = true
+		if target <= 0 {
+			target = sim.DefaultMgmtTarget
+		}
 		c.mgmtTarget = target
 		return nil
 	}
@@ -385,32 +388,19 @@ func (c *runnerConfig) resolve() {
 // option was applied; then the manager decides, mirroring how the same
 // configuration runs on hardware.
 func (c *runnerConfig) model() MgmtModel {
-	if c.virtual && !c.managerSet && !c.adaptive {
+	if c.virtual && !c.managerSet && c.mgmtTarget == 0 {
 		return c.simCfg.Mgmt
 	}
 	switch {
 	case c.manager == AsyncManager:
 		return AsyncMgmt
-	case c.adaptive:
+	case c.mgmtTarget > 0:
 		return AdaptiveMgmt
 	case c.manager == ShardedManager:
 		return ShardedMgmt
 	default:
 		return StealsWorker
 	}
-}
-
-// jobOpt returns job's scheduler options with the Runner-level adaptive
-// setting folded in (the sim reads adaptivity from the job options).
-func (c *runnerConfig) jobOpt(job Job) Options {
-	opt := job.Opt
-	if c.adaptive {
-		opt.AdaptiveBatch = true
-		if opt.MgmtTarget <= 0 {
-			opt.MgmtTarget = c.mgmtTarget
-		}
-	}
-	return opt
 }
 
 // backend names the machine the options select.
@@ -462,7 +452,8 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 func (c *runnerConfig) simConfig(rec *trace.Recorder, met *telemetry.Set) sim.Config {
 	cfg := sim.Config{
 		Procs: c.simCfg.Procs, Mgmt: c.model(),
-		Batch: c.batch, Faults: c.faults, PreemptBound: c.preemptBound,
+		Batch: c.batch, AdaptiveTarget: c.mgmtTarget,
+		Faults: c.faults, PreemptBound: c.preemptBound,
 		Trace: rec, Metrics: met,
 	}
 	if cfg.Procs <= 0 && c.workersSet {

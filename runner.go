@@ -134,7 +134,7 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 		}
 		return nil, err
 	}
-	// Match the virtual backend's contract (sim.RunMulti rejects an
+	// Match the virtual backend's contract (sim.Run rejects an
 	// empty job list) instead of silently spinning up and tearing down
 	// an idle pool.
 	if len(jobs) == 0 {
@@ -166,7 +166,7 @@ func (c *runnerConfig) runPool(ctx context.Context, jobs []Job) (*Report, error)
 
 	handles := make([]*tenant.Job, 0, len(jobs))
 	for i, job := range jobs {
-		h, err := pool.Submit(job.Prog, c.jobOpt(job), tenant.JobConfig{
+		h, err := pool.Submit(job.Prog, job.Opt, tenant.JobConfig{
 			Name: jobName(job, i), Priority: job.Priority, Weight: job.Weight,
 			Deadline: job.Deadline, Retry: job.Retry, Backoff: job.Backoff,
 		})
@@ -251,7 +251,7 @@ func (c *runnerConfig) runVirtual(ctx context.Context, jobs []Job, single bool) 
 	specs := make([]sim.JobSpec, len(jobs))
 	for i, job := range jobs {
 		specs[i] = sim.JobSpec{
-			Name: jobName(job, i), Prog: job.Prog, Opt: c.jobOpt(job),
+			Name: jobName(job, i), Prog: job.Prog, Opt: job.Opt,
 			Priority: job.Priority, Weight: job.Weight,
 			// One virtual unit per nanosecond keeps the same Job spec
 			// meaningful on both clocks.
@@ -263,19 +263,17 @@ func (c *runnerConfig) runVirtual(ctx context.Context, jobs []Job, single bool) 
 		Manager: c.manager,
 		Model:   cfg.Mgmt,
 	}
-	var res *sim.MultiResult
-	var err error
-	if single {
-		rep.Sim, res, err = sim.RunJobContext(ctx, specs[0], cfg)
-		if err != nil {
+	res, err := sim.Run(ctx, specs, cfg)
+	if err != nil {
+		if single {
 			err = fmt.Errorf("rundown: job %q: %w", specs[0].Name, err)
 		}
-	} else {
-		res, err = sim.RunMultiContext(ctx, specs, cfg)
-		rep.SimMulti = res
-	}
-	if err != nil {
 		return nil, err
+	}
+	if single {
+		rep.Sim = res.OneJob()
+	} else {
+		rep.SimMulti = res
 	}
 	rep.Workers = res.Procs
 	rep.Makespan = res.Makespan

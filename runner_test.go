@@ -577,6 +577,20 @@ func oneJobCorpus(t *testing.T) map[string]func() (rundown.Job, func()) {
 	}
 }
 
+// simOneJob prices prog alone on the engine directly, bypassing the
+// Runner, for tests that pin what an option set must equal.
+func simOneJob(t *testing.T, prog *rundown.Program, opt rundown.Options, cfg sim.Config) *rundown.SimResult {
+	t.Helper()
+	res, err := sim.Run(context.Background(), []sim.JobSpec{{Prog: prog, Opt: opt}}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Jobs[0].Err; err != nil {
+		t.Fatal(err)
+	}
+	return res.OneJob()
+}
+
 // TestVirtualDequeCapSizesAsyncBuffer: in virtual time WithDequeCap(n)
 // gives the Async model's ready buffer n tasks per processor, what the
 // goroutine lanes hold together for one job — the Runner's run equals
@@ -598,19 +612,50 @@ func TestVirtualDequeCapSizesAsyncBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run(prog, opt, sim.Config{Procs: procs, Mgmt: sim.Async, ReadyCap: n * procs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := simOneJob(t, prog, opt, sim.Config{Procs: procs, Mgmt: sim.Async, ReadyCap: n * procs})
 	if !reflect.DeepEqual(rep.Sim, want) {
 		t.Errorf("WithDequeCap(%d) on %d processors ran\n%+v\nwant sim.Config{ReadyCap: %d}'s\n%+v", n, procs, rep.Sim, n*procs, want)
 	}
-	def, err := sim.Run(prog, opt, sim.Config{Procs: procs, Mgmt: sim.Async})
+	def := simOneJob(t, prog, opt, sim.Config{Procs: procs, Mgmt: sim.Async})
+	if reflect.DeepEqual(def, want) {
+		t.Error("the Async model's default buffer prices this run the same as ReadyCap n·procs: the test cannot tell them apart")
+	}
+}
+
+// TestVirtualAdaptiveBatchingSetsTarget: in virtual time
+// WithAdaptiveBatching(target) is what turns the batch controller on — the
+// Runner's run equals the engine's at sim.Config{AdaptiveTarget: target},
+// a target <= 0 meaning sim.DefaultMgmtTarget — and, started from batch
+// 1, the controller moves.
+func TestVirtualAdaptiveBatchingSetsTarget(t *testing.T) {
+	const procs = 8
+	prog, err := rundown.Chain(rundown.KindIdentity, 3, 2048, rundown.UnitCost(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(def, want) {
-		t.Error("the Async model's default buffer prices this run the same as ReadyCap n·procs: the test cannot tell them apart")
+	opt := rundown.Options{Grain: 1, Overlap: true, Costs: rundown.DefaultCosts()}
+	for _, target := range []float64{0, 0.03} {
+		r, err := rundown.New(rundown.WithVirtualTime(rundown.SimConfig{Procs: procs}),
+			rundown.WithAdaptiveBatching(target), rundown.WithBatch(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := r.Run(context.Background(), rundown.Job{Prog: prog, Opt: opt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := target
+		if want <= 0 {
+			want = sim.DefaultMgmtTarget
+		}
+		engine := simOneJob(t, prog, opt, sim.Config{Procs: procs, Mgmt: sim.Adaptive, Batch: 1, AdaptiveTarget: want})
+		if !reflect.DeepEqual(rep.Sim, engine) {
+			t.Errorf("WithAdaptiveBatching(%v) ran\n%+v\nwant sim.Config{AdaptiveTarget: %v}'s\n%+v", target, rep.Sim, want, engine)
+		}
+		if rep.Model != rundown.AdaptiveMgmt || rep.Sim.BatchChanges == 0 {
+			t.Errorf("WithAdaptiveBatching(%v): model %v, %d controller changes; want the Adaptive model's controller moving",
+				target, rep.Model, rep.Sim.BatchChanges)
+		}
 	}
 }
 

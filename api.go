@@ -349,7 +349,7 @@ type (
 	// and the cross-job backfill that filled rundowns.
 	PoolReport = tenant.Report
 	// PoolSnapshot is one observation of a live pool (Pool.Sample).
-	PoolSnapshot = tenant.Snapshot
+	PoolSnapshot = telemetry.Snapshot
 	// AdmitFunc is a caller-defined admission predicate (WithAdmitFunc):
 	// consulted by Submit under the pool lock, a non-nil return rejects
 	// the job. The error is wrapped with the job name, so sentinel and

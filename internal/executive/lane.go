@@ -122,7 +122,7 @@ func newLaneManager(sm StateMachine, cfg Config) *laneManager {
 	if laneCap <= 0 {
 		laneCap = lookAhead
 	}
-	_, low := core.ReadyBounds(laneCap*cfg.Workers, 0, 0)
+	_, low := core.ReadyBounds(laneCap*cfg.Workers, 0)
 	batch := cfg.Batch
 	if batch <= 0 {
 		batch = 8

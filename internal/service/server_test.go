@@ -181,6 +181,58 @@ func TestJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestPoolStatusWireShape pins GET /v1/status on the wire: the exact key
+// set of the response and of its pool object, and each value's JSON type.
+// The pool object carries no virtual-engine field (virtual_time, batch).
+func TestPoolStatusWireShape(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var top map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&top); err != nil {
+		t.Fatal(err)
+	}
+	var pool map[string]json.RawMessage
+	if err := json.Unmarshal(top["pool"], &pool); err != nil {
+		t.Fatalf("pool object: %v", err)
+	}
+	check := func(what string, got map[string]json.RawMessage, want map[string]string) {
+		t.Helper()
+		for k, typ := range want {
+			v, ok := got[k]
+			if !ok {
+				t.Errorf("%s: key %q missing", what, k)
+				continue
+			}
+			var x any
+			if err := json.Unmarshal(v, &x); err != nil {
+				t.Fatalf("%s.%s: %v", what, k, err)
+			}
+			if g := fmt.Sprintf("%T", x); g != typ {
+				t.Errorf("%s.%s is a %s (%s), want a %s", what, k, g, v, typ)
+			}
+		}
+		for k := range got {
+			if _, ok := want[k]; !ok {
+				t.Errorf("%s: unexpected key %q", what, k)
+			}
+		}
+	}
+	const num, flag, obj = "float64", "bool", "map[string]interface {}"
+	check("status", top, map[string]string{
+		"workers": num, "jobs": num, "draining": flag, "pool": obj,
+	})
+	check("pool", pool, map[string]string{
+		"elapsed_ns": num, "jobs": num, "active_jobs": num, "queued": num,
+		"tasks": num, "backfill_tasks": num, "max_backfill_task": num,
+		"compute_ns": num, "mgmt_ns": num, "idle_ns": num,
+		"utilization": num, "overhead_share": num, "final": flag,
+	})
+}
+
 func TestAbort(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var st JobStatus

@@ -15,8 +15,8 @@ import "repro/internal/core"
 //     default of 2*workers slots across the jobs (minimum 8 each), so
 //     aggregate buffering does not grow with the job count. That is the
 //     model's own default: the hardware manager's is 16 per worker
-//     (DESIGN.md §3.4 names the difference). Config.LowWater <= 0
-//     selects a quarter of the bound (minimum 1), and is kept below it;
+//     (DESIGN.md §3.4 names the difference). The low-water mark is a
+//     quarter of the bound (minimum 1), kept below it;
 //   - a worker's ask pops the first non-empty buffer of the engine's
 //     candidate walk for free — the hardware ready-buffer steal, so worker
 //     latency is decoupled from management service. A dry candidate gets
@@ -74,7 +74,7 @@ type asyncSlot struct {
 }
 
 func newAsync(s *mstate, cfg Config, _ int64) model {
-	rc, lw := core.ReadyBounds(cfg.ReadyCap, cfg.LowWater, 2*s.workers/len(s.jobs))
+	rc, lw := core.ReadyBounds(cfg.ReadyCap, 2*s.workers/len(s.jobs))
 	m := &async{s: s, jobs: make([]asyncJob, len(s.jobs)), readyCap: rc, lowWater: lw}
 	bufs, slots := make([]core.Task, len(m.jobs)*rc), make([]asyncSlot, len(m.jobs)*2*rc)
 	for ji := range m.jobs {

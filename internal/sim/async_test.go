@@ -45,7 +45,7 @@ func TestAsyncModelDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := runProg(prog, core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()},
-			Config{Procs: 12, Mgmt: Async, ReadyCap: 16, LowWater: 4})
+			Config{Procs: 12, Mgmt: Async, ReadyCap: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestAsyncDeferredOverlapLowWater(t *testing.T) {
 	}
 	res, err := runProg(prog, core.Options{
 		Grain: 4, Overlap: true, Elevate: true, Costs: core.DefaultCosts(),
-	}, Config{Procs: 8, Mgmt: Async, ReadyCap: 16, LowWater: 2})
+	}, Config{Procs: 8, Mgmt: Async, ReadyCap: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestAsyncConservationRandomPrograms(t *testing.T) {
 			Costs:      core.DefaultCosts(),
 		}, Config{
 			Procs: procs, Mgmt: Async,
-			ReadyCap: rng.Intn(40), LowWater: rng.Intn(10),
+			ReadyCap: rng.Intn(40),
 		})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)

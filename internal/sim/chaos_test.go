@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/fault"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -333,7 +334,7 @@ func TestChaosCrashReapportionsHomes(t *testing.T) {
 	jobs, spec := crashThreeOfEight(t)
 	var s *mstate
 	split := false
-	cfg := Config{Procs: 8, Mgmt: Dedicated, Faults: &spec, Observer: func(sn Snapshot) {
+	cfg := Config{Procs: 8, Mgmt: Dedicated, Faults: &spec, Observer: func(sn telemetry.Snapshot) {
 		if sn.Final {
 			return
 		}
@@ -341,7 +342,7 @@ func TestChaosCrashReapportionsHomes(t *testing.T) {
 		for _, j := range s.jobs {
 			homes += j.pol.Homes()
 		}
-		if live := s.pol.LiveWorkers(); sn.Jobs > 0 && homes != live {
+		if live := s.pol.LiveWorkers(); sn.ActiveJobs > 0 && homes != live {
 			t.Errorf("t=%d: %d home workers over %d live workers", sn.VirtualTime, homes, live)
 		}
 		for w := 0; w < s.workers; w++ {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/casper"
 	"repro/internal/core"
 	"repro/internal/enable"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -72,11 +73,11 @@ func (g *goldenHasher) stats(st core.Stats) {
 		int64(st.SerialCost))
 }
 
-func (g *goldenHasher) snapshots(sns []Snapshot) {
+func (g *goldenHasher) snapshots(sns []telemetry.Snapshot) {
 	g.ints(int64(len(sns)))
 	for _, sn := range sns {
-		g.ints(sn.VirtualTime, sn.Tasks, sn.ComputeUnits, sn.MgmtUnits,
-			sn.IdleUnits, int64(sn.Batch), int64(sn.Jobs))
+		g.ints(sn.VirtualTime, sn.Tasks, int64(sn.Compute), int64(sn.Mgmt),
+			int64(sn.Idle), int64(sn.Batch), int64(sn.ActiveJobs))
 		g.floats(sn.Utilization, sn.OverheadShare)
 		if sn.Final {
 			g.str("final")
@@ -183,9 +184,9 @@ func multiFixture(name string, build func(t *testing.T) []JobSpec, cfg Config) g
 // everything; it returns the headline scalars for the readable part of
 // the golden line, and the fingerprint.
 func (fx goldenFixture) run(t *testing.T) (headline string, hash uint64) {
-	var sns []Snapshot
+	var sns []telemetry.Snapshot
 	cfg := fx.cfg
-	cfg.Observer = func(sn Snapshot) { sns = append(sns, sn) }
+	cfg.Observer = func(sn telemetry.Snapshot) { sns = append(sns, sn) }
 	jobs := fx.jobs(t)
 	g := newGoldenHasher()
 	var makespan, compute, mgmt, idle int64
@@ -235,7 +236,7 @@ func goldenFixtures() []goldenFixture {
 	// Async with explicit buffer knobs.
 	fx = append(fx, singleFixture("chain/async-knobs/p16",
 		func(t *testing.T) *core.Program { return goldenChain(t, 4, 2048, 7) },
-		goldenOpt(2), Config{Procs: 16, Mgmt: Async, ReadyCap: 24, LowWater: 3}))
+		goldenOpt(2), Config{Procs: 16, Mgmt: Async, ReadyCap: 24}))
 
 	// CASPER census profile (serial actions, every mapping kind) and the
 	// checkerboard SOR grid (seam mapping) under the paper's two models.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -217,8 +218,8 @@ type mflight struct {
 // Run simulates jobs sharing one machine under cfg: the engine's one entry
 // point. All jobs start at t=0. Mgmt selects any management model. Under
 // Adaptive, Config.Batch and Config.AdaptiveTarget govern one pool-wide
-// controller; under Async, Config.ReadyCap and Config.LowWater size each
-// job's slice of the dedicated server's ready buffer. A job that fails
+// controller; under Async, Config.ReadyCap sizes each job's slice of the
+// dedicated server's ready buffer. A job that fails
 // (retries exhausted, deadline missed) is not an error of the run: it is
 // that job's JobResult.Err. The event loop checks ctx between management
 // operations and a cancelled run returns an error wrapping ctx.Err() (test
@@ -242,7 +243,7 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 	// every outcome — for runs that die before starting.
 	failEarly := func(err error) (*mstate, error) {
 		if cfg.Observer != nil {
-			cfg.Observer(Snapshot{Final: true})
+			cfg.Observer(telemetry.Snapshot{Final: true})
 		}
 		return nil, err
 	}
@@ -961,26 +962,27 @@ func (s *mstate) applied(j *mjob, serial0 core.Cost, fin int64) {
 	s.syncReady(j) // after the done bit, which zeroes the job's contribution
 }
 
-// snapshot builds an observation of the run at virtual time at. Jobs
-// counts the still-unfinished jobs, so a live observer watches the
-// tenancy drain and the Final snapshot reads "drained" exactly as the
-// other backends' do; ComputeUnits counts completed tasks only (see
-// complete).
-func (s *mstate) snapshot(at int64) Snapshot {
-	sn := Snapshot{
-		VirtualTime:  at,
-		ComputeUnits: s.doneUnits,
-		MgmtUnits:    s.mgmtUnits,
-		IdleUnits:    s.idleUnits,
+// snapshot builds an observation of the run at virtual time at. Every job
+// is submitted at t=0 and none waits for admission, so ActiveJobs counts
+// the still-unfinished jobs: a live observer watches the tenancy drain and
+// the Final snapshot reads "drained" exactly as the pool's does. Compute
+// counts completed tasks only (see complete).
+func (s *mstate) snapshot(at int64) telemetry.Snapshot {
+	sn := telemetry.Snapshot{
+		VirtualTime: at,
+		Jobs:        len(s.jobs),
+		Compute:     time.Duration(s.doneUnits),
+		Mgmt:        time.Duration(s.mgmtUnits),
+		Idle:        time.Duration(s.idleUnits),
 	}
 	for _, j := range s.jobs {
 		sn.Tasks += j.sched.Dispatches()
 		if !j.done {
-			sn.Jobs++
+			sn.ActiveJobs++
 		}
 	}
 	sn.Batch, _ = s.m.batch()
-	sn.Utilization, sn.OverheadShare = telemetry.Shares(sn.ComputeUnits, s.mgmtUnits, s.procs, at)
+	sn.Utilization, sn.OverheadShare = telemetry.Shares(s.doneUnits, s.mgmtUnits, s.procs, at)
 	return sn
 }
 

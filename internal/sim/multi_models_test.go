@@ -168,7 +168,7 @@ func TestMultiAdaptivePoolController(t *testing.T) {
 	}
 }
 
-// TestMultiAsyncReadyCapKnobs: an explicit ReadyCap/LowWater pair is
+// TestMultiAsyncReadyCapKnobs: an explicit ReadyCap (low-water mark 1) is
 // honoured per job and conservation still holds at a tiny buffer, where
 // the top-up / drain interleaving is tightest.
 func TestMultiAsyncReadyCapKnobs(t *testing.T) {
@@ -177,7 +177,7 @@ func TestMultiAsyncReadyCapKnobs(t *testing.T) {
 	for i := range jobs {
 		want[i] = int64(jobs[i].Prog.TotalCost())
 	}
-	res, err := runJobs(jobs, Config{Procs: 8, Mgmt: Async, ReadyCap: 2, LowWater: 1})
+	res, err := runJobs(jobs, Config{Procs: 8, Mgmt: Async, ReadyCap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/enable"
 	"repro/internal/granule"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -41,19 +42,19 @@ func TestRunIsOneJobRunAll(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, model := range []MgmtModel{StealsWorker, Dedicated, Sharded, Adaptive, Async} {
 			name := fmt.Sprintf("%s/%v", fx.name, model)
-			var oneSnaps, multiSnaps []Snapshot
+			var oneSnaps, multiSnaps []telemetry.Snapshot
 			oneRec := trace.NewRecorder(trace.Meta{}, 16)
 			multiRec := trace.NewRecorder(trace.Meta{}, 16)
 			opt := goldenOpt(fx.grain)
 			// Only the Adaptive model reads the controller's setpoint.
 			one, err := runProg(fx.build(), opt, Config{Procs: 16, Mgmt: model, AdaptiveTarget: DefaultMgmtTarget, Trace: oneRec,
-				Observer: func(sn Snapshot) { oneSnaps = append(oneSnaps, sn) }})
+				Observer: func(sn telemetry.Snapshot) { oneSnaps = append(oneSnaps, sn) }})
 			if err != nil {
 				t.Fatalf("%s: Run: %v", name, err)
 			}
 			multi, err := runJobs([]JobSpec{{Name: "solo", Prog: fx.build(), Opt: opt}},
 				Config{Procs: 16, Mgmt: model, AdaptiveTarget: DefaultMgmtTarget, Trace: multiRec,
-					Observer: func(sn Snapshot) { multiSnaps = append(multiSnaps, sn) }})
+					Observer: func(sn telemetry.Snapshot) { multiSnaps = append(multiSnaps, sn) }})
 			if err != nil {
 				t.Fatalf("%s: RunMulti: %v", name, err)
 			}

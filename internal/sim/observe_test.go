@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/enable"
+	"repro/internal/telemetry"
 )
 
 func TestParseModel(t *testing.T) {
@@ -101,11 +102,11 @@ func TestRunContextCanceled(t *testing.T) {
 func TestRunContextCanceledSmallRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var snaps []Snapshot
+	var snaps []telemetry.Snapshot
 	_, err := runProgContext(ctx, onePhase(t, 8),
 		core.Options{Grain: 4, Costs: core.DefaultCosts()},
 		Config{Procs: 2, Mgmt: Dedicated,
-			Observer: func(s Snapshot) { snaps = append(snaps, s) }})
+			Observer: func(s telemetry.Snapshot) { snaps = append(snaps, s) }})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
 	}
@@ -131,12 +132,12 @@ func TestRunMultiContextCanceled(t *testing.T) {
 // requires identical snapshot streams: virtual-time observation is part
 // of the deterministic machine model, not a wall-clock side channel.
 func TestObserverDeterministic(t *testing.T) {
-	run := func() ([]Snapshot, *Result) {
-		var snaps []Snapshot
+	run := func() ([]telemetry.Snapshot, *Result) {
+		var snaps []telemetry.Snapshot
 		res, err := runProg(twoPhase(t, 512, enable.NewIdentity()),
 			core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()},
 			Config{Procs: 8, Mgmt: StealsWorker,
-				Observer: func(s Snapshot) { snaps = append(snaps, s) }})
+				Observer: func(s telemetry.Snapshot) { snaps = append(snaps, s) }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,9 +158,9 @@ func TestObserverDeterministic(t *testing.T) {
 	if last.VirtualTime != res.Makespan {
 		t.Errorf("final snapshot at t=%d, makespan %d", last.VirtualTime, res.Makespan)
 	}
-	if last.ComputeUnits != res.ComputeUnits || last.MgmtUnits != res.MgmtUnits {
+	if int64(last.Compute) != res.ComputeUnits || int64(last.Mgmt) != res.MgmtUnits {
 		t.Errorf("final snapshot totals %d/%d, result %d/%d",
-			last.ComputeUnits, last.MgmtUnits, res.ComputeUnits, res.MgmtUnits)
+			last.Compute, last.Mgmt, res.ComputeUnits, res.MgmtUnits)
 	}
 	prev := int64(-1)
 	for i, s := range a {
@@ -174,14 +175,14 @@ func TestObserverDeterministic(t *testing.T) {
 		// (a trailing loop iteration may observe the drained state
 		// before the Final snapshot); it must never go back up, and the
 		// Final snapshot must read drained.
-		if s.Jobs != 0 && s.Jobs != 1 {
-			t.Errorf("snapshot %d jobs = %d, want 0 or 1", i, s.Jobs)
+		if s.ActiveJobs != 0 && s.ActiveJobs != 1 {
+			t.Errorf("snapshot %d jobs = %d, want 0 or 1", i, s.ActiveJobs)
 		}
-		if i > 0 && s.Jobs > a[i-1].Jobs {
-			t.Errorf("snapshot %d jobs went back up to %d", i, s.Jobs)
+		if i > 0 && s.ActiveJobs > a[i-1].ActiveJobs {
+			t.Errorf("snapshot %d jobs went back up to %d", i, s.ActiveJobs)
 		}
-		if s.Final && s.Jobs != 0 {
-			t.Errorf("final snapshot jobs = %d, want 0", s.Jobs)
+		if s.Final && s.ActiveJobs != 0 {
+			t.Errorf("final snapshot jobs = %d, want 0", s.ActiveJobs)
 		}
 	}
 }
@@ -191,9 +192,9 @@ func TestObserverDeterministic(t *testing.T) {
 // a two-job RunMulti alike.
 func TestObserverAdaptiveBatch(t *testing.T) {
 	opt := core.Options{Grain: 1, Overlap: true, Costs: core.DefaultCosts()}
-	var snaps []Snapshot
+	var snaps []telemetry.Snapshot
 	cfg := Config{Procs: 8, Mgmt: Adaptive, Batch: 8,
-		Observer: func(s Snapshot) { snaps = append(snaps, s) }}
+		Observer: func(s telemetry.Snapshot) { snaps = append(snaps, s) }}
 	check := func(who string) {
 		t.Helper()
 		if len(snaps) == 0 {
@@ -227,14 +228,14 @@ func TestObserverAdaptiveBatch(t *testing.T) {
 // count drains to zero by the final snapshot and the stream is
 // deterministic.
 func TestObserverMulti(t *testing.T) {
-	run := func() []Snapshot {
-		var snaps []Snapshot
+	run := func() []telemetry.Snapshot {
+		var snaps []telemetry.Snapshot
 		jobs := []JobSpec{
 			{Prog: twoPhase(t, 256, enable.NewIdentity()), Opt: core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()}},
 			{Prog: twoPhase(t, 64, enable.NewIdentity()), Opt: core.Options{Grain: 2, Overlap: true, Costs: core.DefaultCosts()}},
 		}
 		res, err := runJobs(jobs, Config{Procs: 4, Mgmt: Dedicated,
-			Observer: func(s Snapshot) { snaps = append(snaps, s) }})
+			Observer: func(s telemetry.Snapshot) { snaps = append(snaps, s) }})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,8 +256,8 @@ func TestObserverMulti(t *testing.T) {
 	if !last.Final {
 		t.Error("last snapshot not Final")
 	}
-	if last.Jobs != 0 {
-		t.Errorf("final snapshot jobs = %d, want 0", last.Jobs)
+	if last.ActiveJobs != 0 {
+		t.Errorf("final snapshot jobs = %d, want 0", last.ActiveJobs)
 	}
 	// The live stream must never report a virtual time beyond the Final
 	// snapshot's (the frontier excludes trailing management-server time

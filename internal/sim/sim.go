@@ -56,18 +56,13 @@ type Config struct {
 	// goroutine manager's 16 per worker (DESIGN.md §3.4). Other models
 	// ignore it.
 	ReadyCap int
-	// LowWater is the Async model's deferred-overlap mark: the executive
-	// absorbs a job's deferred management whenever the job's ready buffer
-	// holds more than this many tasks. <= 0 selects a quarter of the
-	// resolved ReadyCap (minimum 1). Other models ignore it.
-	LowWater int
-	// Observer, when non-nil, receives periodic Snapshots as the run's
+	// Observer, when non-nil, receives periodic snapshots as the run's
 	// virtual frontier advances, plus one Final snapshot on every
 	// outcome — at the makespan on success, at the frontier reached on
 	// failure or cancellation. Emission points are deterministic (fixed
 	// virtual-time marks, roughly 16 per run from a makespan estimate), so
 	// observation never perturbs the schedule.
-	Observer func(Snapshot)
+	Observer func(telemetry.Snapshot)
 	// Trace, when non-nil, flight-records every scheduling decision —
 	// dispatches, completions, parks/unparks, controller retunes,
 	// observation marks, start/finish/abort — stamped with virtual times.

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Kind classifies a registered metric.
@@ -228,6 +229,54 @@ func (r *Registry) visit(onCounter func(*Counter), onGauge func(*Gauge), onHist 
 			onHist(hs[n])
 		}
 	}
+}
+
+// Snapshot is one observation of a running machine — the pool on
+// goroutines (sampled on a wall-clock ticker, closed by one Final snapshot
+// from Close) and the virtual-time engine (emitted at deterministic
+// frontier marks, closed by one Final snapshot on every outcome). All
+// values are cumulative since the machine started. The json tags pin the
+// service daemon's pool-status and SSE wire form; the two fields only the
+// virtual engine fills are omitted there.
+type Snapshot struct {
+	// Elapsed is the wall-clock time since the pool started (zero in
+	// virtual time).
+	Elapsed time.Duration `json:"elapsed_ns"`
+	// VirtualTime is the virtual engine's frontier when the snapshot
+	// fired: the latest completion event or completion-processing finish,
+	// the quantity the makespan reports at the end.
+	VirtualTime int64 `json:"virtual_time,omitempty"`
+	// Jobs is the number of jobs submitted so far; ActiveJobs how many of
+	// them have started and not finished, a job between attempts
+	// included; Queued how many wait behind admission control. The
+	// still-unfinished jobs are ActiveJobs + Queued.
+	Jobs       int `json:"jobs"`
+	ActiveJobs int `json:"active_jobs"`
+	Queued     int `json:"queued"`
+	// Tasks counts tasks across all jobs — executed on goroutines,
+	// dispatched in virtual time; BackfillTasks the subset run by workers
+	// homed on another job; MaxBackfillTask the largest backfill grain any
+	// worker has held (granules). The virtual engine reports no backfill
+	// here.
+	Tasks           int64 `json:"tasks"`
+	BackfillTasks   int64 `json:"backfill_tasks"`
+	MaxBackfillTask int64 `json:"max_backfill_task"`
+	// Compute, Mgmt and Idle are the summed execution, management and
+	// parked time so far — nanoseconds on goroutines, virtual units in
+	// virtual time. Virtual Compute counts completed tasks only and
+	// virtual Idle closed parks only, so Utilization never reads above 1.
+	Compute time.Duration `json:"compute_ns"`
+	Mgmt    time.Duration `json:"mgmt_ns"`
+	Idle    time.Duration `json:"idle_ns"`
+	// Utilization is Compute / (workers × elapsed) so far; OverheadShare
+	// the same ratio for Mgmt — live work inflation (see Shares).
+	Utilization   float64 `json:"utilization"`
+	OverheadShare float64 `json:"overhead_share"`
+	// Batch is the virtual Adaptive model's current refill batch (zero
+	// elsewhere) — live evidence of the controller moving.
+	Batch int `json:"batch,omitempty"`
+	// Final marks the closing snapshot, carrying the finished totals.
+	Final bool `json:"final"`
 }
 
 // Shares computes the utilization and overhead-share ratios every

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/telemetry"
 )
 
 // AdmitFunc is a caller-supplied admission predicate, consulted by
@@ -72,11 +73,11 @@ func (p *Pool) classInc(class string, o classOutcome) {
 	}
 }
 
-// Sample returns a live Snapshot of the pool — the same observation a
+// Sample returns a live snapshot of the pool — the same observation a
 // configured Observer receives, on demand. Safe to call concurrently
 // with everything, including after Close (Final stays false; the
 // closing snapshot belongs to the Observer path).
-func (p *Pool) Sample() Snapshot { return p.snapshot() }
+func (p *Pool) Sample() telemetry.Snapshot { return p.snapshot() }
 
 // InjectFaults appends rules to the live fault plan of a pool built
 // with Config.DynamicFaults (or Config.Faults): the staging hook that

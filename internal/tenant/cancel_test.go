@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/executive"
+	"repro/internal/telemetry"
 	"repro/internal/testutil"
 )
 
@@ -189,10 +190,10 @@ func (h *holdingManager) Abort(err error) {
 // the report totals.
 func TestPoolObserver(t *testing.T) {
 	var mu sync.Mutex
-	var snaps []Snapshot
+	var snaps []telemetry.Snapshot
 	pool, err := NewPool(Config{
 		Workers: 4, Manager: executive.ShardedManager,
-		Observer: func(s Snapshot) {
+		Observer: func(s telemetry.Snapshot) {
 			mu.Lock()
 			snaps = append(snaps, s)
 			mu.Unlock()
@@ -221,7 +222,7 @@ func TestPoolObserver(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	mu.Lock()
-	got := append([]Snapshot(nil), snaps...)
+	got := append([]telemetry.Snapshot(nil), snaps...)
 	mu.Unlock()
 	for i, s := range got[:len(got)-1] {
 		if s.Final {
@@ -235,9 +236,15 @@ func TestPoolObserver(t *testing.T) {
 	if !last.Final {
 		t.Fatal("last snapshot not Final")
 	}
-	if last.Tasks != rep.Tasks || last.Jobs != rep.Jobs || last.ActiveJobs != 0 {
-		t.Errorf("final snapshot tasks=%d jobs=%d active=%d, report tasks=%d jobs=%d",
-			last.Tasks, last.Jobs, last.ActiveJobs, rep.Tasks, rep.Jobs)
+	if last.Tasks != rep.Tasks || last.Jobs != rep.Jobs || last.ActiveJobs != 0 || last.Queued != 0 {
+		t.Errorf("final snapshot tasks=%d jobs=%d active=%d queued=%d, report tasks=%d jobs=%d",
+			last.Tasks, last.Jobs, last.ActiveJobs, last.Queued, rep.Tasks, rep.Jobs)
+	}
+	if last.Elapsed != rep.Wall || last.Compute != rep.Compute || last.Mgmt != rep.Mgmt ||
+		last.Idle != rep.Idle || last.Utilization != rep.Utilization {
+		t.Errorf("final snapshot elapsed=%v compute=%v mgmt=%v idle=%v util=%v, report wall=%v compute=%v mgmt=%v idle=%v util=%v",
+			last.Elapsed, last.Compute, last.Mgmt, last.Idle, last.Utilization,
+			rep.Wall, rep.Compute, rep.Mgmt, rep.Idle, rep.Utilization)
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Tasks < got[i-1].Tasks {

@@ -44,7 +44,7 @@ type Job struct {
 	// lastTouch is the clock.Stamp of the job's last dispatch or
 	// completion submission — the watchdog's wedge signal, an interval
 	// measured on the monotonic clock so a wall-clock step cannot fail a
-	// healthy job. Stored only while the watchdog is armed (Pool.watchOn).
+	// healthy job. Stored only while the watchdog is armed (Pool.watch).
 	lastTouch atomic.Int64
 	// deadline is the job's deadline timer (nil without one), stopped
 	// when the job finishes. Guarded by pool.mu.

@@ -243,12 +243,12 @@ func (p *Pool) activate(j *Job, from State) {
 		}
 	}
 	j.cur.Load().mgr.Start()
-	if p.watchOn {
+	if p.watch != nil {
 		j.lastTouch.Store(int64(clock.Now()))
 	}
 	p.active = append(p.active, j)
 	if p.met != nil {
-		p.met.ActiveJobs.Set(int64(len(p.active)))
+		p.met.ActiveJobs.Set(int64(p.activeLocked()))
 	}
 	p.pol.Add(&j.pol)
 	p.epoch.Add(1)
@@ -258,13 +258,12 @@ func (p *Pool) activate(j *Job, from State) {
 }
 
 // deactivate takes j out of the active set and reassigns its home
-// workers. Caller holds p.mu.
+// workers. A job backing off still counts as active (activeLocked), so the
+// active-jobs gauge moves only when a job starts or retires. Caller holds
+// p.mu.
 func (p *Pool) deactivate(j *Job) {
 	if i := slices.Index(p.active, j); i >= 0 {
 		p.active = slices.Delete(p.active, i, i+1)
-	}
-	if p.met != nil {
-		p.met.ActiveJobs.Set(int64(len(p.active)))
 	}
 	p.pol.Remove(&j.pol)
 	p.epoch.Add(1)
@@ -310,6 +309,7 @@ func (p *Pool) retire(j *Job, err error) {
 		delete(p.backoff, j)
 	}
 	if p.met != nil {
+		p.met.ActiveJobs.Set(int64(p.activeLocked()))
 		p.met.JobsDone.Inc(0)
 		if errors.Is(err, context.DeadlineExceeded) {
 			p.met.DeadlineMisses.Inc(0)

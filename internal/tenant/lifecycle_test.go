@@ -20,6 +20,7 @@ import (
 	"repro/internal/executive"
 	"repro/internal/fault"
 	"repro/internal/granule"
+	"repro/internal/telemetry"
 	"repro/internal/testutil"
 	"repro/internal/trace"
 )
@@ -320,6 +321,32 @@ func TestPoolDeadlineDuringBackoff(t *testing.T) {
 		}
 		s.finish()
 	})
+}
+
+// TestPoolBackoffStaysActive: a job between attempts has started and not
+// finished, so the pool's live count and the active-jobs gauge keep it
+// until it retires.
+func TestPoolBackoffStaysActive(t *testing.T) {
+	met := telemetry.NewSet(telemetry.NewRegistry(2, "ns"))
+	p, err := NewPool(Config{Workers: 2, Faults: flaky(1), Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, _, _ := buildCopyChain(t, 64)
+	j, err := p.Submit(prog, core.Options{Grain: 1}, JobConfig{Name: "flaky", Retry: 1, Backoff: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, j, Backoff)
+	if sn, g := p.Sample(), met.ActiveJobs.Value(); sn.ActiveJobs != 1 || g != 1 {
+		t.Errorf("in backoff: Sample().ActiveJobs = %d, gauge = %d, want 1 and 1", sn.ActiveJobs, g)
+	}
+	j.Abort(errors.New("stop"))
+	j.Wait()
+	if sn, g := p.Sample(), met.ActiveJobs.Value(); sn.ActiveJobs != 0 || g != 0 {
+		t.Errorf("retired: Sample().ActiveJobs = %d, gauge = %d, want 0 and 0", sn.ActiveJobs, g)
+	}
+	p.Close()
 }
 
 // TestPoolAbortRacesFailingAttempt: Pool.Abort against a job whose every

@@ -1,63 +1,27 @@
 package tenant
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// This file is the pool's observability surface: a pool built with
-// Config.Observer is sampled by a dedicated goroutine at
-// Config.ObservePeriod for as long as the pool lives, and Close emits
-// one Final snapshot built from the pool report. Sampling only reads
-// totals the pool and its jobs' managers already keep (one entry of each
-// manager's lock per sample), so observation does not perturb dispatch.
+// This file is the pool's observability surface. One tally of the pool's
+// cumulative totals feeds a live Sample, Close's report and the Final
+// snapshot, and one ticker loop (sampler) drives both the Observer's
+// samples and the stall watchdog. A pool built with Config.Observer is
+// sampled every Config.ObservePeriod for as long as the pool lives, and
+// Close emits one Final snapshot. Sampling only reads totals the pool and
+// its jobs' managers already keep (one entry of each manager's lock per
+// sample), so observation does not perturb dispatch.
 
-// Snapshot is one observation of a live pool. All values are cumulative
-// since NewPool. The json tags pin the service daemon's pool-status and
-// SSE wire form.
-type Snapshot struct {
-	// Elapsed is the wall-clock time since the pool started.
-	Elapsed time.Duration `json:"elapsed_ns"`
-	// Jobs is the number of jobs submitted so far; ActiveJobs how many
-	// are still incomplete; Queued how many wait behind admission
-	// control.
-	Jobs       int `json:"jobs"`
-	ActiveJobs int `json:"active_jobs"`
-	Queued     int `json:"queued"`
-	// Tasks counts executed tasks across all jobs; BackfillTasks the
-	// subset run by workers homed on another job; MaxBackfillTask the
-	// largest backfill grain any worker has held (granules).
-	Tasks           int64 `json:"tasks"`
-	BackfillTasks   int64 `json:"backfill_tasks"`
-	MaxBackfillTask int64 `json:"max_backfill_task"`
-	// Compute, Mgmt and Idle are the summed execution, management, and
-	// pool-parked durations so far.
-	Compute time.Duration `json:"compute_ns"`
-	Mgmt    time.Duration `json:"mgmt_ns"`
-	Idle    time.Duration `json:"idle_ns"`
-	// Utilization is Compute / (Workers * Elapsed) so far; OverheadShare
-	// the same ratio for Mgmt.
-	Utilization   float64 `json:"utilization"`
-	OverheadShare float64 `json:"overhead_share"`
-	// Final marks the closing snapshot Close emits after the workers
-	// have joined.
-	Final bool `json:"final"`
-}
-
-// snapshot builds a live observation of the pool.
-func (p *Pool) snapshot() Snapshot {
-	p.mu.Lock()
-	jobs := append([]*Job(nil), p.jobs...)
-	active := len(p.active)
-	queued := len(p.waitq)
-	p.mu.Unlock()
-	sn := Snapshot{
-		Elapsed:         time.Since(p.start),
+// tally sums the pool's cumulative totals over jobs (every job submitted so
+// far) at elapsed since the pool started. The job counts only the pool
+// lock can read together, ActiveJobs and Queued, are the caller's.
+func (p *Pool) tally(jobs []*Job, elapsed time.Duration) telemetry.Snapshot {
+	sn := telemetry.Snapshot{
+		Elapsed:         elapsed,
 		Jobs:            len(jobs),
-		ActiveJobs:      active,
-		Queued:          queued,
 		BackfillTasks:   p.backfillTasks.Load(),
 		MaxBackfillTask: p.maxBackfillTask.Load(),
 		Idle:            time.Duration(p.idleNS.Load()),
@@ -70,11 +34,27 @@ func (p *Pool) snapshot() Snapshot {
 	}
 	sn.Utilization, sn.OverheadShare = telemetry.Shares(
 		int64(sn.Compute), int64(sn.Mgmt), p.cfg.Workers, int64(sn.Elapsed))
+	return sn
+}
+
+// snapshot builds a live observation of the pool.
+func (p *Pool) snapshot() telemetry.Snapshot {
+	p.mu.Lock()
+	jobs := append([]*Job(nil), p.jobs...)
+	active, queued := p.activeLocked(), len(p.waitq)
+	p.mu.Unlock()
+	sn := p.tally(jobs, time.Since(p.start))
+	sn.ActiveJobs, sn.Queued = active, queued
 	// Each sample also mirrors the management total into the metric set,
 	// so a Prometheus scrape between samples sees fresh time shares.
 	p.noteMgmt(int64(sn.Mgmt))
 	return sn
 }
+
+// activeLocked counts the jobs that have started and not finished: the
+// active set and the jobs between attempts. Snapshot.ActiveJobs and the
+// active-jobs gauge read it. Caller holds p.mu.
+func (p *Pool) activeLocked() int { return len(p.active) + len(p.backoff) }
 
 // noteMgmt copies the pool's summed per-job management time into the
 // metric set as a counter delta. Management accrues inside the per-job
@@ -97,84 +77,39 @@ func (p *Pool) noteMgmt(total int64) {
 // unset.
 const defaultObservePeriod = 10 * time.Millisecond
 
-// sampler periodically invokes a sample function on its own goroutine — the
-// lifecycle behind the pool's observer. stop halts the ticker and joins the
-// goroutine (leak-free teardown); the pool emits its Final snapshot itself
-// after stop, so a final observation never races a live sample.
+// sampler calls a function every period on its own goroutine: the pool's
+// one ticker loop, behind the Observer's samples and the stall watchdog.
+// stop halts the ticker and joins the goroutine (leak-free teardown).
 type sampler struct {
-	stopCh chan struct{}
-	once   sync.Once
-	wg     sync.WaitGroup
+	quit, done chan struct{}
 }
 
-// startSampler begins calling sample every period (<= 0 selects
-// defaultObservePeriod); sample must be safe to call concurrently with the
-// observed pool (read atomics and lock-guarded accessors only).
-func startSampler(period time.Duration, sample func()) *sampler {
-	if period <= 0 {
-		period = defaultObservePeriod
-	}
-	s := &sampler{stopCh: make(chan struct{})}
-	s.wg.Add(1)
+// startSampler begins calling tick every period; tick must be safe to call
+// concurrently with the pool's workers.
+func startSampler(period time.Duration, tick func()) *sampler {
+	s := &sampler{quit: make(chan struct{}), done: make(chan struct{})}
 	go func() {
-		defer s.wg.Done()
-		tick := time.NewTicker(period)
-		defer tick.Stop()
+		defer close(s.done)
+		t := time.NewTicker(period)
+		defer t.Stop()
 		for {
 			select {
-			case <-s.stopCh:
+			case <-s.quit:
 				return
-			case <-tick.C:
-				sample()
+			case <-t.C:
+				tick()
 			}
 		}
 	}()
 	return s
 }
 
-// stop halts sampling and joins the sampler goroutine. Safe on a nil
-// receiver and idempotent (even across concurrent calls).
+// stop halts the ticker and joins its goroutine. Safe on a nil receiver;
+// called once, by Close.
 func (s *sampler) stop() {
 	if s == nil {
 		return
 	}
-	s.once.Do(func() { close(s.stopCh) })
-	s.wg.Wait()
-}
-
-// startObserver spawns the sampling goroutine. Caller ensures cfg.Observer
-// is non-nil.
-func (p *Pool) startObserver() {
-	p.sampler = startSampler(p.cfg.ObservePeriod, func() {
-		p.cfg.Observer(p.snapshot())
-	})
-}
-
-// stopObserver emits the Final snapshot built from the finished report.
-// Called by Close after the workers and the sampling goroutine have
-// joined; safe when no observer was configured, and idempotent so a second
-// Close stays as harmless as it was before observers existed (only the
-// first Close emits the Final snapshot).
-func (p *Pool) stopObserver(r *Report) {
-	if p.sampler == nil {
-		return
-	}
-	if !p.obsFinal.CompareAndSwap(false, true) {
-		return
-	}
-	_, overhead := telemetry.Shares(int64(r.Compute), int64(r.Mgmt), r.Workers, int64(r.Wall))
-	p.cfg.Observer(Snapshot{
-		Elapsed:         r.Wall,
-		Jobs:            r.Jobs,
-		ActiveJobs:      0,
-		Tasks:           r.Tasks,
-		BackfillTasks:   r.BackfillTasks,
-		MaxBackfillTask: r.MaxBackfillTask,
-		Compute:         r.Compute,
-		Mgmt:            r.Mgmt,
-		Idle:            r.Idle,
-		Utilization:     r.Utilization,
-		OverheadShare:   overhead,
-		Final:           true,
-	})
+	close(s.quit)
+	<-s.done
 }

@@ -52,30 +52,27 @@ func (r *Report) String() string {
 		r.BackfillTasks, r.BackfillShare*100, r.Utilization)
 }
 
-// report builds the pool report. Called after the workers have joined.
-func (p *Pool) report() *Report {
+// report builds the pool report from the pool's closing tally. Called
+// after the workers have joined.
+func (p *Pool) report(t telemetry.Snapshot) *Report {
 	r := &Report{
 		Workers:         p.cfg.Workers,
-		Jobs:            len(p.jobs),
+		Jobs:            t.Jobs,
 		Stalled:         p.stalled,
-		Wall:            p.end.Sub(p.start),
-		Idle:            time.Duration(p.idleNS.Load()),
-		BackfillTasks:   p.backfillTasks.Load(),
+		Wall:            t.Elapsed,
+		Compute:         t.Compute,
+		Mgmt:            t.Mgmt,
+		Idle:            t.Idle,
+		Tasks:           t.Tasks,
+		BackfillTasks:   t.BackfillTasks,
 		BackfillCompute: time.Duration(p.backfillCompute.Load()),
-		MaxBackfillTask: p.maxBackfillTask.Load(),
+		MaxBackfillTask: t.MaxBackfillTask,
+		Utilization:     t.Utilization,
 		Faults:          p.plan.Injected(),
 		Retries:         p.retries.Load(),
-	}
-	for _, j := range p.jobs {
-		tot := j.cur.Load().totals()
-		r.Compute += tot.compute
-		r.Mgmt += tot.mgmt
-		r.Tasks += tot.tasks
 	}
 	if r.Compute > 0 {
 		r.BackfillShare = float64(r.BackfillCompute) / float64(r.Compute)
 	}
-	r.Utilization, _ = telemetry.Shares(
-		int64(r.Compute), int64(r.Mgmt), r.Workers, int64(r.Wall))
 	return r
 }

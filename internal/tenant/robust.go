@@ -116,59 +116,36 @@ func (p *Pool) delayCompletion(w int, j *Job) clock.Stamp {
 
 // ---- failure handling: retry, deadline, watchdog ----
 
-// watchdog is the pool's liveness probe, running while StallTimeout is
-// enabled. Each tick it re-wakes parked workers (the recovery path an
-// injected dropped wakeup is priced against) and sweeps the active jobs
-// for wedges: a job with tasks in flight and no dispatch or completion
-// for a full StallTimeout is failed as wedged — without flagging healthy
-// co-tenants, whose own lastTouch stays fresh.
+// watchdog is one tick of the pool's liveness probe, run by the watch
+// ticker every StallTimeout/4 while StallTimeout is enabled. It re-wakes
+// parked workers (the recovery path an injected dropped wakeup is priced
+// against) and sweeps the active jobs for wedges: a job with tasks in
+// flight and no dispatch or completion for a full StallTimeout is failed as
+// wedged — without flagging healthy co-tenants, whose own lastTouch stays
+// fresh.
 func (p *Pool) watchdog(timeout time.Duration) {
-	defer close(p.watchDone)
-	tick := timeout / 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
-	t := time.NewTicker(tick)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.watchStop:
-			return
-		case <-t.C:
+	p.mu.Lock()
+	jobs := append([]*Job(nil), p.active...)
+	// Bare re-wake, no gen bump: a worker that parked behind a dropped
+	// wakeup re-sweeps; one that parked legitimately finds nothing and
+	// parks again.
+	p.cond.Broadcast()
+	p.mu.Unlock()
+	now := int64(clock.Now())
+	for _, j := range jobs {
+		lt := j.lastTouch.Load()
+		if j.State() != Running || lt == 0 || now-lt < int64(timeout) {
+			continue
 		}
-		p.mu.Lock()
-		jobs := append([]*Job(nil), p.active...)
-		// Bare re-wake, no gen bump: a worker that parked behind a
-		// dropped wakeup re-sweeps; one that parked legitimately finds
-		// nothing and parks again.
-		p.cond.Broadcast()
-		p.mu.Unlock()
-		now := int64(clock.Now())
-		for _, j := range jobs {
-			lt := j.lastTouch.Load()
-			if j.State() != Running || lt == 0 || now-lt < int64(timeout) {
-				continue
-			}
-			a := j.cur.Load()
-			inflight := a.mgr.InFlight()
-			if inflight == 0 {
-				continue
-			}
-			// Refused if the job finished since the probe; settle then
-			// retires it with its results.
-			a.mgr.Abort(transient{fmt.Errorf("tenant: job %q wedged: no progress for %v with %d tasks in flight",
-				j.cfg.Name, time.Duration(now-lt), inflight)})
-			p.settle(a)
+		a := j.cur.Load()
+		inflight := a.mgr.InFlight()
+		if inflight == 0 {
+			continue
 		}
+		// Refused if the job finished since the probe; settle then
+		// retires it with its results.
+		a.mgr.Abort(transient{fmt.Errorf("tenant: job %q wedged: no progress for %v with %d tasks in flight",
+			j.cfg.Name, time.Duration(now-lt), inflight)})
+		p.settle(a)
 	}
-}
-
-// stopWatchdog stops the watchdog goroutine and joins it. Safe to call
-// when no watchdog was started.
-func (p *Pool) stopWatchdog() {
-	if p.watchStop == nil {
-		return
-	}
-	close(p.watchStop)
-	<-p.watchDone
 }

@@ -57,10 +57,10 @@ type Config struct {
 	// Batch is the completion batch size of the sharded and async
 	// managers.
 	Batch int
-	// Observer, when non-nil, receives periodic pool-level Snapshots
+	// Observer, when non-nil, receives periodic pool-level snapshots
 	// sampled on a dedicated goroutine for the pool's lifetime, plus one
 	// Final snapshot from Close. The callback must not block for long.
-	Observer func(Snapshot)
+	Observer func(telemetry.Snapshot)
 	// ObservePeriod is the sampling period; <= 0 selects 10ms. Ignored
 	// without Observer.
 	ObservePeriod time.Duration
@@ -188,18 +188,15 @@ type Pool struct {
 	startAt clock.Stamp // start on the interval clock: the fault plan's time origin
 	end     time.Time   // set by Close after the workers join
 
-	sampler  *sampler    // non-nil when an Observer samples the pool
-	obsFinal atomic.Bool // Final snapshot emitted (first Close wins)
+	sampler *sampler // the Observer's ticker (nil without an Observer)
 
 	// plan is the compiled fault campaign (nil when Config.Faults is nil:
 	// one nil check per task on the fault-free hot path).
 	plan *fault.Plan
-	// watchStop/watchDone bracket the watchdog goroutine; watchOn gates
-	// fault kinds (dropped wakeups, unbounded wedges) that need the
+	// watch is the stall watchdog's ticker (nil when disarmed); armed, it
+	// gates fault kinds (dropped wakeups, unbounded wedges) that need the
 	// watchdog to recover.
-	watchStop chan struct{}
-	watchDone chan struct{}
-	watchOn   bool
+	watch *sampler
 	// stamped says something consumes per-task clock stamps — a recorder, a
 	// metric set, an armed fault plan, an armed watchdog — so runTask takes
 	// them for every task; without any of those only backfill tasks are
@@ -252,7 +249,11 @@ func NewPool(cfg Config) (*Pool, error) {
 		m.TimeUnit = trace.UnitNanos
 	}
 	if cfg.Observer != nil {
-		p.startObserver()
+		period := cfg.ObservePeriod
+		if period <= 0 {
+			period = defaultObservePeriod
+		}
+		p.sampler = startSampler(period, func() { cfg.Observer(p.snapshot()) })
 	}
 	if cfg.Faults != nil {
 		p.plan = fault.New(*cfg.Faults)
@@ -265,12 +266,9 @@ func NewPool(cfg Config) (*Pool, error) {
 		timeout = defaultStallTimeout
 	}
 	if timeout > 0 {
-		p.watchOn = true
-		p.watchStop = make(chan struct{})
-		p.watchDone = make(chan struct{})
-		go p.watchdog(timeout)
+		p.watch = startSampler(max(timeout/4, time.Millisecond), func() { p.watchdog(timeout) })
 	}
-	p.stamped = cfg.Trace != nil || p.met != nil || p.plan != nil || p.watchOn
+	p.stamped = cfg.Trace != nil || p.met != nil || p.plan != nil || p.watch != nil
 	p.wg.Add(cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		go func(w int) {
@@ -380,7 +378,7 @@ func (p *Pool) Close() (*Report, error) {
 		// failed) and rejoin the loop, so teardown never hangs on a fault.
 		p.plan.ReleaseAll()
 		p.wg.Wait()
-		p.stopWatchdog()
+		p.watch.stop()
 		// Joined before the end reading, so no live sample reports a later
 		// Elapsed than the Final snapshot's.
 		p.sampler.stop()
@@ -392,9 +390,13 @@ func (p *Pool) Close() (*Report, error) {
 				break
 			}
 		}
-		p.closeRep = p.report()
-		p.noteMgmt(int64(p.closeRep.Mgmt))
-		p.stopObserver(p.closeRep)
+		fin := p.tally(p.jobs, p.end.Sub(p.start))
+		p.closeRep = p.report(fin)
+		p.noteMgmt(int64(fin.Mgmt))
+		if p.cfg.Observer != nil {
+			fin.Final = true
+			p.cfg.Observer(fin)
+		}
 	})
 	return p.closeRep, p.closeErr
 }
@@ -529,7 +531,7 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 	if !p.stamped && !backfill {
 		return 0, p.ran(a, executive.RunTask(work, task)), false
 	}
-	if p.watchOn {
+	if p.watch != nil {
 		j.lastTouch.Store(int64(now))
 	}
 	if p.met != nil {
@@ -594,7 +596,7 @@ func (p *Pool) runTask(w int, a *attempt, task core.Task, backfill bool, now clo
 		ring.Record(trace.KComplete, p.cfg.Trace.At(end), int32(w), int32(j.idx),
 			int32(task.Phase), uint32(task.Run.Lo), uint32(task.Run.Hi), int64(dur))
 	}
-	if p.watchOn {
+	if p.watch != nil {
 		j.lastTouch.Store(int64(end))
 	}
 	if p.plan != nil {
@@ -648,7 +650,7 @@ func (p *Pool) progress() {
 		// An injected dropped wakeup suppresses exactly this broadcast;
 		// the watchdog's periodic re-wake is the recovery path, so the
 		// fault is only consumed while the watchdog is armed.
-		if p.plan != nil && p.watchOn && p.plan.DropWakeup() {
+		if p.plan != nil && p.watch != nil && p.plan.DropWakeup() {
 			if rec := p.cfg.Trace; rec != nil {
 				rec.Emit(trace.KFault, rec.Now(), -1, -1, -1, 0, 0, int64(fault.DropWakeup))
 			}

@@ -139,6 +139,67 @@ func TestObserverFinalConformance(t *testing.T) {
 	}
 }
 
+// observeRun runs jobs on a Runner built from opts plus a 1 ms observer and
+// returns the snapshots with Elapsed in [from, to] (the Final one excluded).
+func observeRun(t *testing.T, jobs []rundown.Job, from, to time.Duration, opts ...rundown.Option) []rundown.Snapshot {
+	t.Helper()
+	var mu sync.Mutex
+	var in []rundown.Snapshot
+	r, err := rundown.New(append(opts,
+		rundown.WithObserver(func(s rundown.Snapshot) {
+			if !s.Final && s.Elapsed >= from && s.Elapsed <= to {
+				mu.Lock()
+				in = append(in, s)
+				mu.Unlock()
+			}
+		}),
+		rundown.WithObservePeriod(time.Millisecond))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RunAll(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(in) == 0 {
+		t.Fatalf("no snapshot in [%v, %v]", from, to)
+	}
+	return in
+}
+
+// TestObserverJobsCountsBackoff: a job between attempts is unfinished, so
+// every snapshot taken during its 200 ms backoff reads Jobs = 1. The first
+// attempt fails on its second granule, so [50 ms, 150 ms] lies inside the
+// backoff.
+func TestObserverJobsCountsBackoff(t *testing.T) {
+	prog, opt := traceChainFine(t, 64)
+	job := rundown.Job{Prog: prog, Opt: opt, Retry: 1, Backoff: 200 * time.Millisecond}
+	for _, s := range observeRun(t, []rundown.Job{job}, 50*time.Millisecond, 150*time.Millisecond,
+		rundown.WithWorkers(2),
+		rundown.WithFaults(rundown.FaultSpec{Rules: []rundown.FaultRule{
+			{Kind: rundown.FaultGrainError, Job: 0, Phase: 0, Granule: 1, Worker: -1, Count: 1},
+		}})) {
+		if s.Jobs != 1 {
+			t.Fatalf("snapshot at %v during the backoff reads Jobs = %d, want 1", s.Elapsed, s.Jobs)
+		}
+	}
+}
+
+// TestObserverJobsCountsQueued: a job waiting behind admission control is
+// unfinished, so while the first of two slow jobs runs (two phases of 128
+// one-millisecond granules on two workers: at least 128 ms) every snapshot
+// reads Jobs = 2.
+func TestObserverJobsCountsQueued(t *testing.T) {
+	jobs := []rundown.Job{buildSleepJob(t, 2, 128, time.Millisecond), buildSleepJob(t, 2, 128, time.Millisecond)}
+	for _, s := range observeRun(t, jobs, 20*time.Millisecond, 100*time.Millisecond,
+		rundown.WithWorkers(2), rundown.WithAdmission(1, true)) {
+		if s.Jobs != 2 {
+			t.Fatalf("snapshot at %v while the second job waits reads Jobs = %d, want 2", s.Elapsed, s.Jobs)
+		}
+	}
+}
+
 // TestPoolTraceConcurrentRecording exercises the flight recorder's
 // concurrent hot path — many workers appending to per-worker rings while
 // pool-level events go through the shared Emit lock — and checks the

@@ -92,11 +92,12 @@ func WithManager(m ExecManager) Option {
 // the virtual backend, the Adaptive management model unless an async
 // manager was chosen, Run and RunAll alike — ONE pool-wide controller
 // retuning the shared batch knobs from a machine-wide starvation integral.
-// Goroutine backends run the sharded manager with fixed parameters
-// whatever this option says (a traced run records no retune events):
-// workers park in the pool, above the manager, where the controller's
-// shrink and starvation inputs cannot be measured, and no hardware
-// benchmark separated the controller from fixed sharded.
+// On goroutine backends the option selects nothing: the run uses the
+// manager WithManager names (serial by default) with fixed parameters, and
+// a traced run records no retune events. Workers park in the pool, above
+// the manager, where the controller's shrink and starvation inputs cannot
+// be measured, and no hardware benchmark separated the controller from
+// fixed sharded.
 func WithAdaptiveBatching(target float64) Option {
 	return func(c *runnerConfig) error {
 		if target <= 0 {
@@ -417,7 +418,7 @@ func (c *runnerConfig) backend() BackendKind {
 
 // poolConfig builds the tenant pool configuration for goroutine runs.
 func (c *runnerConfig) poolConfig() tenant.Config {
-	cfg := tenant.Config{
+	return tenant.Config{
 		Workers:       c.workers,
 		Manager:       c.manager,
 		DequeCap:      c.dequeCap,
@@ -429,20 +430,28 @@ func (c *runnerConfig) poolConfig() tenant.Config {
 		StallTimeout:  c.stallTimeout,
 		PreemptBound:  c.preemptBound,
 		Admit:         c.admit,
+		Observer:      c.observe(),
 		ObservePeriod: c.observePeriod, // read only with an Observer
 	}
-	if c.observer != nil {
-		fn, backend := c.observer, c.backend()
-		cfg.Observer = func(s tenant.Snapshot) {
-			fn(Snapshot{
-				Backend: backend, Final: s.Final,
-				Elapsed: s.Elapsed, Tasks: s.Tasks, Jobs: s.ActiveJobs,
-				BackfillTasks: s.BackfillTasks,
-				Utilization:   s.Utilization, OverheadShare: s.OverheadShare,
-			})
-		}
+}
+
+// observe adapts the Runner's Observer to the machines' one snapshot type
+// (nil without an Observer). The still-unfinished jobs are the started
+// ones and the queued ones.
+func (c *runnerConfig) observe() func(telemetry.Snapshot) {
+	if c.observer == nil {
+		return nil
 	}
-	return cfg
+	fn, backend := c.observer, c.backend()
+	return func(s telemetry.Snapshot) {
+		fn(Snapshot{
+			Backend: backend, Final: s.Final,
+			Elapsed: s.Elapsed, VirtualTime: s.VirtualTime,
+			Tasks: s.Tasks, Jobs: s.ActiveJobs + s.Queued, BackfillTasks: s.BackfillTasks,
+			Utilization: s.Utilization, OverheadShare: s.OverheadShare,
+			Batch: s.Batch,
+		})
+	}
 }
 
 // simConfig builds the virtual machine's configuration — the one place the
@@ -454,7 +463,7 @@ func (c *runnerConfig) simConfig(rec *trace.Recorder, met *telemetry.Set) sim.Co
 		Procs: c.simCfg.Procs, Mgmt: c.model(),
 		Batch: c.batch, AdaptiveTarget: c.mgmtTarget,
 		Faults: c.faults, PreemptBound: c.preemptBound,
-		Trace: rec, Metrics: met,
+		Trace: rec, Metrics: met, Observer: c.observe(),
 	}
 	if cfg.Procs <= 0 && c.workersSet {
 		cfg.Procs = c.workers
@@ -462,17 +471,6 @@ func (c *runnerConfig) simConfig(rec *trace.Recorder, met *telemetry.Set) sim.Co
 	if c.dequeCap > 0 {
 		// What the goroutine lanes hold together for one job.
 		cfg.ReadyCap = c.dequeCap * cfg.Procs
-	}
-	if c.observer != nil {
-		fn := c.observer
-		cfg.Observer = func(s sim.Snapshot) {
-			fn(Snapshot{
-				Backend: VirtualBackend, Final: s.Final,
-				VirtualTime: s.VirtualTime, Tasks: s.Tasks, Jobs: s.Jobs,
-				Utilization: s.Utilization, OverheadShare: s.OverheadShare,
-				Batch: s.Batch,
-			})
-		}
 	}
 	return cfg
 }

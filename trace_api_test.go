@@ -180,36 +180,59 @@ func TestTraceWriteReadRoundTrip(t *testing.T) {
 
 // TestPoolIgnoresAdaptiveBatching pins what WithAdaptiveBatching's doc
 // says of goroutine runs, Run and RunAll alike: the option selects a
-// management model in virtual time only, the sharded manager runs fixed
-// parameters, and a traced run records zero KRetune events.
+// management model in virtual time only. On goroutines the run keeps the
+// manager WithManager names — serial without one — with fixed parameters,
+// and a traced run records zero KRetune events.
 func TestPoolIgnoresAdaptiveBatching(t *testing.T) {
-	r, err := rundown.New(
-		rundown.WithWorkers(4), rundown.WithManager(rundown.ShardedManager),
-		rundown.WithAdaptiveBatching(0),
-		rundown.WithTrace(nil),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, njobs := range []int{1, 2} {
-		jobs := make([]rundown.Job, njobs)
-		for i := range jobs {
-			jobs[i].Prog, jobs[i].Opt = traceChainFine(t, 512)
-		}
-		run := func() (*rundown.Report, error) { return r.RunAll(context.Background(), jobs) }
-		if njobs == 1 {
-			run = func() (*rundown.Report, error) { return r.Run(context.Background(), jobs[0]) }
-		}
-		rep, err := run()
+	for _, c := range []struct {
+		opts []rundown.Option
+		want rundown.ExecManager
+	}{
+		{[]rundown.Option{rundown.WithManager(rundown.ShardedManager)}, rundown.ShardedManager},
+		{nil, rundown.SerialManager},
+	} {
+		r, err := rundown.New(append(c.opts,
+			rundown.WithWorkers(4), rundown.WithAdaptiveBatching(0), rundown.WithTrace(nil))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.Trace == nil {
-			t.Fatal("no trace captured")
+		for _, njobs := range []int{1, 2} {
+			jobs := make([]rundown.Job, njobs)
+			for i := range jobs {
+				jobs[i].Prog, jobs[i].Opt = traceChainFine(t, 512)
+			}
+			run := func() (*rundown.Report, error) { return r.RunAll(context.Background(), jobs) }
+			if njobs == 1 {
+				run = func() (*rundown.Report, error) { return r.Run(context.Background(), jobs[0]) }
+			}
+			rep, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Manager != c.want {
+				t.Errorf("%d-job run under WithAdaptiveBatching: Report.Manager = %v, want %v", njobs, rep.Manager, c.want)
+			}
+			if rep.Trace == nil {
+				t.Fatal("no trace captured")
+			}
+			if n := rep.Trace.Count(trace.KRetune); n != 0 {
+				t.Errorf("%d-job run under WithAdaptiveBatching recorded %d KRetune events, want 0", njobs, n)
+			}
 		}
-		if n := rep.Trace.Count(trace.KRetune); n != 0 {
-			t.Errorf("%d-job run under WithAdaptiveBatching recorded %d KRetune events, want 0", njobs, n)
-		}
+	}
+	// In virtual time the same option selects the Adaptive model.
+	r, err := rundown.New(rundown.WithWorkers(4), rundown.WithAdaptiveBatching(0),
+		rundown.WithVirtualTime(rundown.SimConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, opt := traceChainFine(t, 512)
+	rep, err := r.Run(context.Background(), rundown.Job{Prog: prog, Opt: opt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Model != rundown.AdaptiveMgmt {
+		t.Errorf("virtual run under WithAdaptiveBatching: Report.Model = %v, want %v", rep.Model, rundown.AdaptiveMgmt)
 	}
 }
 

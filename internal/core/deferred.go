@@ -47,8 +47,9 @@ func (s *Scheduler) DeferredMgmt() (cost Cost, ok bool) {
 	if len(s.deferred) == 0 {
 		return 0, false
 	}
-	item := s.deferred[0]
-	s.deferred = s.deferred[1:]
+	queued := s.deferred
+	item := queued[0]
+	s.deferred = queued[1:]
 
 	pr := &s.phases[item.predPhase]
 	next := &s.phases[item.succPhase]
@@ -80,8 +81,10 @@ func (s *Scheduler) DeferredMgmt() (cost Cost, ok bool) {
 		s.stats.TableCost += step
 		cost = step
 		if pr.buildLeft > 0 {
-			// Not finished: keep the item queued for the next idle step.
-			s.deferred = append([]deferredItem{item}, s.deferred...)
+			// Not finished: keep the item queued for the next idle step,
+			// at the head of the queue it was popped from (nothing has
+			// been queued since).
+			s.deferred = queued
 			return cost, true
 		}
 		cost += s.publishPair(pr, next, pr.pendingTab)

@@ -98,58 +98,66 @@ func NewProgram(phases ...*Phase) (*Program, error) {
 // serial-action/null-mapping consistency rule. Checking a mapping spec is
 // compiling it (enable.Spec.Compile), which happens once per program: a
 // second Validate, or a New, of the same program calls no mapping function.
-func (p *Program) Validate() error {
-	_, err := p.compile()
-	return err
-}
+func (p *Program) Validate() error { return p.compile(nil) }
 
-// compile validates the program and returns, per phase, the compiled
-// enablement map to its successor (nil where the mapping is null).
-func (p *Program) compile() ([]*enable.Map, error) {
+// compile validates the program and writes, into runs[i].emap when runs is
+// not nil, each phase's compiled enablement map to its successor (nil
+// where the mapping is null). runs is as long as the program.
+func (p *Program) compile(runs []phaseRun) error {
 	if len(p.Phases) == 0 {
-		return nil, fmt.Errorf("core: program has no phases")
+		return fmt.Errorf("core: program has no phases")
 	}
-	maps := make([]*enable.Map, len(p.Phases))
-	seen := make(map[string]bool, len(p.Phases))
 	for i, ph := range p.Phases {
 		if ph == nil {
-			return nil, fmt.Errorf("core: phase %d is nil", i)
+			return fmt.Errorf("core: phase %d is nil", i)
 		}
 		if ph.Name == "" {
-			return nil, fmt.Errorf("core: phase %d has empty name", i)
+			return fmt.Errorf("core: phase %d has empty name", i)
 		}
-		if seen[ph.Name] {
-			return nil, fmt.Errorf("core: duplicate phase name %q", ph.Name)
+		if p.named(ph.Name, i) {
+			return fmt.Errorf("core: duplicate phase name %q", ph.Name)
 		}
-		seen[ph.Name] = true
 		if ph.Granules < 0 || ph.Granules > maxGranules {
-			return nil, fmt.Errorf("core: phase %q has %d granules, want 0..%d", ph.Name, ph.Granules, maxGranules)
+			return fmt.Errorf("core: phase %q has %d granules, want 0..%d", ph.Name, ph.Granules, maxGranules)
 		}
 		if ph.SerialCost < 0 {
-			return nil, fmt.Errorf("core: phase %q has negative serial cost", ph.Name)
+			return fmt.Errorf("core: phase %q has negative serial cost", ph.Name)
 		}
 		if ph.EnableKind() == enable.Null {
 			continue
 		}
 		if i+1 == len(p.Phases) {
-			return nil, fmt.Errorf("core: final phase %q declares a successor mapping", ph.Name)
+			return fmt.Errorf("core: final phase %q declares a successor mapping", ph.Name)
 		}
 		next := p.Phases[i+1]
 		if next == nil {
 			continue // reported on its own turn
 		}
 		if next.SerialBefore != nil || next.SerialCost > 0 {
-			return nil, fmt.Errorf(
+			return fmt.Errorf(
 				"core: phase %q declares %v mapping but successor %q requires a serial action; the mapping must be null",
 				ph.Name, ph.Enable.Kind, next.Name)
 		}
 		m, err := ph.Enable.Compile(ph.Granules, next.Granules)
 		if err != nil {
-			return nil, fmt.Errorf("core: phase %q -> %q: %w", ph.Name, next.Name, err)
+			return fmt.Errorf("core: phase %q -> %q: %w", ph.Name, next.Name, err)
 		}
-		maps[i] = m
+		if runs != nil {
+			runs[i].emap = m
+		}
 	}
-	return maps, nil
+	return nil
+}
+
+// named reports whether name is the name of a phase before phase i. The
+// scan allocates nothing, where a set of names would cost a map per New.
+func (p *Program) named(name string, i int) bool {
+	for _, ph := range p.Phases[:i] {
+		if ph.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // TotalGranules sums granule counts across phases.

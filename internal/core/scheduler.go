@@ -44,8 +44,9 @@ type phaseRun struct {
 	// three management bitmaps are allocated with the guards, and only
 	// those the pair's kind uses: the others are empty, and read as empty.
 	emap          *enable.Map    // the pair's compiled relation, shared with every run of the program; nil = null
-	tab           *enable.Table  // nil until overlap is prepared
-	pendingTab    *enable.Table  // built but unpublished (incremental map build)
+	table         enable.Table   // this run's enablement counters over emap, built in place once
+	tab           *enable.Table  // &table once published; nil until overlap is prepared
+	pendingTab    *enable.Table  // &table built but unpublished (incremental map build)
 	buildLeft     Cost           // map-construction work still to charge
 	cqManaged     granule.Bitmap // successor granules handled by conflict-queue attachments (identity via the conflict queue)
 	subsetManaged granule.Bitmap // successor granules released as a unit by subsetCounter (indirect, elevating)
@@ -84,7 +85,9 @@ type Scheduler struct {
 	// conflict-released successor granules, and the successor granules the
 	// enablement counters released. Each is filled and drained within one
 	// completion, before the phase-window advance, so no nested call ever
-	// sees one in use. Allocated in New when the options allow overlap.
+	// sees one in use. Cut from New's block when the options allow
+	// overlap; a pair's publication (publishPair) borrows released's
+	// bitmap, empty then, for the successor granules it releases.
 	succ, released scratch
 }
 
@@ -120,59 +123,65 @@ func (x *scratch) drain(f func(granule.Range)) {
 	x.dirty = granule.Range{}
 }
 
-// New constructs a scheduler for prog with the given options.
+// New constructs a scheduler for prog with the given options. Its per-run
+// storage is three objects: the scheduler, its phase records, and one
+// bitmap block that every phase's guards and management sets and the
+// completion scratch are cut from.
 func New(prog *Program, opt Options) (*Scheduler, error) {
-	maps, err := prog.compile()
-	if err != nil {
+	s := &Scheduler{prog: prog, phases: make([]phaseRun, len(prog.Phases))}
+	if err := prog.compile(s.phases); err != nil {
 		return nil, err
 	}
 	opt = opt.withDefaults(prog)
-	s := &Scheduler{
-		prog:     prog,
-		opt:      opt,
-		grainInv: ^uint64(0) / uint64(min(opt.Grain, maxGranules)),
-		phases:   make([]phaseRun, len(prog.Phases)),
-	}
-	widest := 0
+	s.opt = opt
+	s.grainInv = ^uint64(0) / uint64(min(opt.Grain, maxGranules))
+
+	// Size the block: per phase its two guards and the management sets its
+	// pair's kind uses, and the two scratch bitmaps over the widest phase.
+	words, widest := 0, 0
 	for i, ph := range prog.Phases {
-		// The phase's bitmaps, in one allocation: its two guards, and the
-		// management sets its pair's kind uses.
-		var cq, subset, preds int // granules each covers
-		if m := maps[i]; opt.Overlap && m != nil {
-			next := prog.Phases[i+1].Granules
-			switch k := m.Kind(); {
-			case k == enable.Identity && opt.IdentityVia == IdentityConflictQueue:
-				cq = next
-			case k.Indirect() && opt.Elevate:
-				subset, preds = next, ph.Granules
-			}
-		}
-		pool := make(granule.Bitmap, 2*granule.Words(ph.Granules)+granule.Words(cq)+granule.Words(subset)+granule.Words(preds))
-		cut := func(n int) granule.Bitmap {
-			b := pool[:granule.Words(n):granule.Words(n)]
-			pool = pool[len(b):]
-			return b
-		}
-		s.phases[i] = phaseRun{
-			spec:          ph,
-			cost:          ph.Cost,
-			idx:           granule.PhaseID(i),
-			total:         ph.Granules,
-			emap:          maps[i],
-			completed:     cut(ph.Granules),
-			dispatched:    cut(ph.Granules),
-			cqManaged:     cut(cq),
-			subsetManaged: cut(subset),
-			subsetPreds:   cut(preds),
-		}
+		c, sub, pre := s.managed(i)
+		words += 2*granule.Words(ph.Granules) + granule.Words(c) + granule.Words(sub) + granule.Words(pre)
 		widest = max(widest, ph.Granules)
 	}
 	if opt.Overlap {
-		w := granule.Words(widest)
-		pool := make(granule.Bitmap, 2*w)
-		s.succ.bits, s.released.bits = pool[:w:w], pool[w:]
+		words += 2 * granule.Words(widest)
+	}
+	block := make(granule.Bitmap, words)
+	cut := func(n int) granule.Bitmap {
+		b := block[:granule.Words(n):granule.Words(n)]
+		block = block[len(b):]
+		return b
+	}
+	for i, ph := range prog.Phases {
+		c, sub, pre := s.managed(i)
+		pr := &s.phases[i]
+		pr.spec, pr.cost, pr.idx, pr.total = ph, ph.Cost, granule.PhaseID(i), ph.Granules
+		pr.completed, pr.dispatched = cut(ph.Granules), cut(ph.Granules)
+		pr.cqManaged, pr.subsetManaged, pr.subsetPreds = cut(c), cut(sub), cut(pre)
+	}
+	if opt.Overlap {
+		s.succ.bits, s.released.bits = cut(widest), cut(widest)
 	}
 	return s, nil
+}
+
+// managed returns how many granules phase i's conflict-queue, subset and
+// subset-predecessor sets cover: the pair's successor or the phase itself
+// where its kind and the options use the set, 0 where they do not.
+func (s *Scheduler) managed(i int) (cq, subset, preds int) {
+	m := s.phases[i].emap
+	if !s.opt.Overlap || m == nil {
+		return 0, 0, 0
+	}
+	next := s.prog.Phases[i+1].Granules
+	switch k := m.Kind(); {
+	case k == enable.Identity && s.opt.IdentityVia == IdentityConflictQueue:
+		return next, 0, 0
+	case k.Indirect() && s.opt.Elevate:
+		return 0, next, s.prog.Phases[i].Granules
+	}
+	return 0, 0, 0
 }
 
 // Options returns the effective options after defaulting.

@@ -180,12 +180,13 @@ func (s *Scheduler) buildPair(pr, next *phaseRun) Cost {
 	return tcost + s.publishPair(pr, next, tab)
 }
 
-// constructTable makes this run's table over pr's compiled map (no
-// publication, no cost charging). The program compiled the map, so this is
-// a counter copy that cannot fail; it is still counted — and by its callers
-// charged — as the modelled executive's map generation.
+// constructTable makes this run's table over pr's compiled map, in pr's
+// own record (no publication, no cost charging). The program compiled the
+// map, so this is a counter copy that cannot fail; it is still counted —
+// and by its callers charged — as the modelled executive's map generation.
 func (s *Scheduler) constructTable(pr *phaseRun) *enable.Table {
-	tab := pr.emap.NewTable()
+	tab := &pr.table
+	pr.emap.InitTable(tab)
 	s.stats.TableBuilds++
 	s.stats.TableEntries += tab.BuildCost()
 	return tab
@@ -195,6 +196,12 @@ func (s *Scheduler) constructTable(pr *phaseRun) *enable.Table {
 // happened before the table existed, releases the computable successor
 // granules, attaches identity conflict-queue descriptions, and plans the
 // indirect successor subset.
+//
+// The successor granules it releases are gathered in the released
+// scratch's bitmap, which is empty here — publication happens at Start, in
+// the phase-window advance after a completion's drain, or in deferred
+// management, never with a completion's releases pending — and is cleared
+// again on the way out.
 func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 	kind := tab.Kind()
 	var cost Cost
@@ -204,7 +211,7 @@ func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 
 	// Catch up completions that happened before the table existed (the
 	// current phase may have progressed while it was itself overlapped).
-	ready := granule.NewBitmap(next.total)
+	ready := s.released.bits[:granule.Words(next.total)]
 	copy(ready, tab.ReadyAtStart())
 	if pr.nComplete > 0 {
 		touched := 0
@@ -242,6 +249,7 @@ func (s *Scheduler) publishPair(pr, next *phaseRun, tab *enable.Table) Cost {
 	if kind.Indirect() && s.opt.Elevate {
 		cost += s.planSubset(pr, next, ready)
 	}
+	ready.Clear(granule.Span(next.total))
 	return cost
 }
 

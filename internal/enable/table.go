@@ -12,7 +12,7 @@ import (
 // enable a particular second phase granule", in both directions, with the
 // enablement counters' initial values. It is immutable once Spec.Compile
 // returns it, so every run of the program — concurrent ones included —
-// shares one Map and copies only the counters (NewTable).
+// shares one Map and copies only the counters (InitTable).
 type Map struct {
 	kind         Kind
 	nPred, nSucc int
@@ -81,13 +81,18 @@ func Build(spec *Spec, nPred, nSucc int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.NewTable(), nil
+	t := new(Table)
+	m.InitTable(t)
+	return t, nil
 }
 
-// NewTable returns the enablement state for one run over m: m's arrays
-// shared, the counters copied.
-func (m *Map) NewTable() *Table {
-	return &Table{Map: m, remaining: slices.Clone(m.initial), pending: m.pendingAtStart}
+// InitTable makes t the enablement state for one run over m, in place: m's
+// arrays shared, the counters copied into t's own (reused when large
+// enough). A scheduler keeps its tables in its phase records and builds
+// each with InitTable, so an identity or universal pair's table allocates
+// nothing.
+func (m *Map) InitTable(t *Table) {
+	*t = Table{Map: m, remaining: append(t.remaining[:0], m.initial...), pending: m.pendingAtStart}
 }
 
 // compile is Spec.Compile's one pass over the mapping functions.

@@ -11,6 +11,7 @@ package sim
 // steady-state per-dispatch allocation would scale with K and fail.
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -121,5 +122,52 @@ func TestRunMultiSteadyStateAllocFree(t *testing.T) {
 	if extraAlloc/extraDispatch > 0.01 {
 		t.Errorf("steady-state allocations: %0.f extra allocs for %0.f extra dispatches (%.4f/dispatch); want amortized zero",
 			extraAlloc, extraDispatch, extraAlloc/extraDispatch)
+	}
+}
+
+// TestRunAllocsPerJob gates what a job adds to a run's construction: its
+// scheduler's three objects (core.New) and its description arena, and its
+// share of the run's slices — job records, phase traces, results, Async's
+// completion queues — each made once for the whole run. The slope between
+// 8 and 16 three-phase jobs of 64 granules is the per-job cost. The jobs
+// are named, so that no default name is formatted: fmt's printer cache,
+// which the race detector empties at random, would make the count noisy.
+func TestRunAllocsPerJob(t *testing.T) {
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprint("job", i)
+	}
+	build := func(n int) []JobSpec {
+		specs := make([]JobSpec, n)
+		for i := range specs {
+			specs[i] = JobSpec{
+				Name:     names[i],
+				Prog:     allocChain(t, 64),
+				Opt:      core.Options{Grain: 4, Overlap: true, Costs: core.DefaultCosts()},
+				Priority: i % 2,
+				Weight:   1 + i%2,
+			}
+		}
+		return specs
+	}
+	for _, c := range []struct {
+		mgmt MgmtModel
+		max  float64
+	}{{StealsWorker, 6}, {Sharded, 6}, {Async, 7}} {
+		cfg := Config{Procs: 16, Mgmt: c.mgmt}
+		allocs := func(n int) float64 {
+			specs := build(n)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := runJobs(specs, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a8, a16 := allocs(8), allocs(16)
+		slope := (a16 - a8) / 8
+		t.Logf("%v: %.0f allocations at 8 jobs, %.0f at 16: %.2f per job", c.mgmt, a8, a16, slope)
+		if slope > c.max {
+			t.Errorf("%v: each job adds %.2f allocations to a run, want at most %.0f", c.mgmt, slope, c.max)
+		}
 	}
 }

@@ -55,11 +55,13 @@ type async struct {
 
 // asyncJob is one job's slice of the dedicated server: its ready buffer
 // (tasks already pulled from the job's scheduler), the completions queued
-// behind the server, and the NextTasks scratch. Both buffers are cut from
-// the model's slabs, so neither grows: the scratch holds ReadyCap tasks,
-// the most one top-up pulls, and the ready buffer twice that, so the fifo
-// compacts its live slots (at most ReadyCap) at most once per ReadyCap
-// pushes.
+// behind the server, and the NextTasks scratch. All three are cut from the
+// model's slabs. The scratch and the ready buffer never grow: the scratch
+// holds ReadyCap tasks, the most one top-up pulls, and the ready buffer
+// twice that, so the fifo compacts its live slots (at most ReadyCap) at
+// most once per ReadyCap pushes. The completion queue starts with the
+// ready buffer's room and grows by append past it only: its backlog behind
+// a busy server has no bound but the job's task count.
 type asyncJob struct {
 	ready fifo[asyncSlot]
 	comp  []core.Task
@@ -76,10 +78,11 @@ type asyncSlot struct {
 func newAsync(s *mstate, cfg Config, _ int64) model {
 	rc, lw := core.ReadyBounds(cfg.ReadyCap, 2*s.workers/len(s.jobs))
 	m := &async{s: s, jobs: make([]asyncJob, len(s.jobs)), readyCap: rc, lowWater: lw}
-	bufs, slots := make([]core.Task, len(m.jobs)*rc), make([]asyncSlot, len(m.jobs)*2*rc)
+	bufs, slots := make([]core.Task, len(m.jobs)*3*rc), make([]asyncSlot, len(m.jobs)*2*rc)
 	for ji := range m.jobs {
 		aj := &m.jobs[ji]
 		aj.buf, bufs = bufs[:0:rc], bufs[rc:]
+		aj.comp, bufs = bufs[:0:2*rc], bufs[2*rc:]
 		aj.ready.buf, slots = slots[:0:2*rc], slots[2*rc:]
 	}
 	return m

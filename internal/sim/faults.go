@@ -139,7 +139,7 @@ func (s *mstate) failJob(ji int, at int64, proc int, err error, retryable bool) 
 		}
 		// Not started until the restart: the job offers no work meanwhile.
 		j.sched = sched
-		j.phases = newPhaseTraces(j.spec.Prog)
+		resetPhaseTraces(j.phases, j.spec.Prog)
 		j.restartAt = at + core.Backoff(j.spec.Backoff, j.attempts)
 		s.restartN++
 		if s.tr != nil {

@@ -122,11 +122,18 @@ func (h *mqueue) link(delta int64, list int, idx int32) {
 	h.n++
 }
 
+// reserve builds the queue's storage, before the first push, for n events
+// queued at once — the engine queues about one per worker — so that a
+// run's slot array and overflow heap are made once: the bucket ring, n
+// slots past the nil link, and room for all n in the overflow. Both grow
+// by append past n.
+func (h *mqueue) reserve(n int) {
+	h.buckets = make([]mbucket, mqWindow)
+	h.slots = make([]mslot, 1, n+1)
+	h.over = make([]mkey, 0, n)
+}
+
 func (h *mqueue) push(it mitem) {
-	if h.buckets == nil {
-		h.buckets = make([]mbucket, mqWindow)
-		h.slots = make([]mslot, 1, 64)
-	}
 	// base is the time of the last pop — of the event now being served —
 	// also when that pop emptied the queue: re-anchoring the window at the
 	// first event pushed into an empty queue would refuse a later push of the

@@ -79,6 +79,7 @@ func TestMqueueModel(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q mqueue
+		q.reserve(4) // small, so the slot array and the overflow heap grow past it
 		var ref refQueue
 		var floor int64 // the engine's "now": nothing may be pushed before it
 		seq := 0
@@ -177,6 +178,7 @@ func TestMqueueModel(t *testing.T) {
 // asks still drain before completions.
 func TestMqueueOverflowKeepsPushOrder(t *testing.T) {
 	var q mqueue
+	q.reserve(1)
 	const far = 3*mqWindow + 7
 	ev := func(at int64, id int64, done bool) mitem {
 		it := mitem{at: at, gen: id, job: noJob}

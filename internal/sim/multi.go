@@ -268,6 +268,15 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		parks:     make([]mpark, workers),
 		pendingAt: make([]int64, workers),
 	}
+	s.queue.reserve(workers)
+	// Every job's runtime record and phase traces are cut from one slice
+	// each.
+	phases := 0
+	for i := range jobs {
+		phases += len(jobs[i].Prog.Phases)
+	}
+	mjobs, traces := make([]mjob, len(jobs)), make([]PhaseTrace, phases)
+	s.jobs = make([]*mjob, 0, len(jobs))
 	var totalGranules, totalCost int64
 	for i := range jobs {
 		spec := jobs[i]
@@ -286,11 +295,15 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 		if err != nil {
 			return failEarly(fmt.Errorf("sim: job %q: %w", spec.Name, err))
 		}
-		s.jobs = append(s.jobs, &mjob{
-			spec: spec, sched: sched, phases: newPhaseTraces(spec.Prog),
+		n := len(spec.Prog.Phases)
+		j := &mjobs[i]
+		*j = mjob{
+			spec: spec, sched: sched, phases: resetPhaseTraces(traces[:n:n], spec.Prog),
 			pol: share.Job{ID: i, Priority: spec.Priority, Weight: spec.Weight},
 			opt: opt, attempts: 1, retriesLeft: spec.Retry, restartAt: -1,
-		})
+		}
+		traces = traces[n:]
+		s.jobs = append(s.jobs, j)
 		if spec.Deadline > 0 {
 			s.hasDeadline = true
 		}
@@ -316,9 +329,9 @@ func newMstate(ctx context.Context, jobs []JobSpec, cfg Config) (*mstate, error)
 	return s, nil
 }
 
-// newPhaseTraces returns prog's per-phase traces, nothing scheduled yet.
-func newPhaseTraces(prog *core.Program) []PhaseTrace {
-	pts := make([]PhaseTrace, len(prog.Phases))
+// resetPhaseTraces makes pts, one per phase of prog, prog's per-phase
+// traces with nothing scheduled yet, and returns it.
+func resetPhaseTraces(pts []PhaseTrace, prog *core.Program) []PhaseTrace {
 	for i, ph := range prog.Phases {
 		pts[i] = PhaseTrace{Name: ph.Name, Start: -1, End: -1, RundownStart: -1}
 	}
@@ -1006,6 +1019,7 @@ func (s *mstate) result() *MultiResult {
 	res.Faults = s.plan.Injected()
 	res.Retries = s.retries
 	res.MaxBackfillTask = s.maxBackfillTask
+	res.Jobs = make([]JobResult, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		res.BackfillUnits += j.backfill
 		res.Jobs = append(res.Jobs, JobResult{

@@ -25,7 +25,8 @@ type AdmissionView struct {
 	// Workers is the pool's worker count.
 	Workers int
 	// Active and Queued are the current active-set and admission-queue
-	// sizes (the submitted job counted in neither yet).
+	// sizes (the submitted job counted in neither yet). Active counts the
+	// jobs waiting out a retry backoff too: each keeps its MaxActive slot.
 	Active int
 	Queued int
 	// MaxBackfillTask is the largest backfill task (in granules) any
@@ -41,7 +42,7 @@ type AdmissionView struct {
 func (p *Pool) admissionViewLocked() AdmissionView {
 	return AdmissionView{
 		Workers:         p.cfg.Workers,
-		Active:          len(p.active),
+		Active:          p.activeLocked(),
 		Queued:          len(p.waitq),
 		MaxBackfillTask: p.maxBackfillTask.Load(),
 		BackfillTasks:   p.backfillTasks.Load(),

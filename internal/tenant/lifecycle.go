@@ -324,7 +324,7 @@ func (p *Pool) retire(j *Job, err error) {
 	// and a poller that saw the terminal state is already in Wait.
 	close(j.done)
 	// The freed slot admits queued jobs in submit order.
-	for len(p.waitq) > 0 && (p.cfg.MaxActive <= 0 || len(p.active) < p.cfg.MaxActive) {
+	for len(p.waitq) > 0 && (p.cfg.MaxActive <= 0 || p.activeLocked() < p.cfg.MaxActive) {
 		next := p.waitq[0]
 		p.waitq = p.waitq[1:]
 		p.activate(next, Queued)

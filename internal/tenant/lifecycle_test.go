@@ -349,6 +349,80 @@ func TestPoolBackoffStaysActive(t *testing.T) {
 	p.Close()
 }
 
+// TestPoolBackoffHoldsAdmissionSlot: a job waiting out a retry backoff
+// keeps its MaxActive slot. A job submitted during the backoff sees the
+// slot taken in its admission view and queues, and starts only once the
+// retried job has retired — so the active set never holds more jobs than
+// MaxActive, also when the backoff ends while the other job would run.
+func TestPoolBackoffHoldsAdmissionSlot(t *testing.T) {
+	var views []int // AdmissionView.Active at each Submit
+	p, err := NewPool(Config{
+		Workers: 2, Faults: flaky(1), MaxActive: 1, Queue: true,
+		Admit: func(_ JobConfig, v AdmissionView) error {
+			views = append(views, v.Active)
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, _, _, _ := buildCopyChain(t, 64)
+	first, err := p.Submit(prog, core.Options{Grain: 1}, JobConfig{Name: "flaky", Retry: 1, Backoff: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, first, Backoff)
+
+	// Watch the active set for the rest of the run.
+	var most atomic.Int64
+	stop, watched := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			p.mu.Lock()
+			n := int64(len(p.active))
+			p.mu.Unlock()
+			if n > most.Load() {
+				most.Store(n)
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(100 * time.Microsecond):
+			}
+		}
+	}()
+	// The second job runs longer than the first's backoff, so a second
+	// job let into the slot would still be running when the first
+	// returns from its backoff.
+	second, err := p.Submit(buildSleepChain(t, 2, 8, 10*time.Millisecond), core.Options{Grain: 1}, JobConfig{Name: "second"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := second.State(); s != Queued {
+		t.Errorf("a job submitted while the only slot's job backs off is in state %d, want Queued (%d)", s, Queued)
+	}
+	for _, j := range []*Job{first, second} {
+		if _, err := j.Wait(); err != nil {
+			t.Errorf("job %q: %v", j.Name(), err)
+		}
+	}
+	close(stop)
+	<-watched
+	if n := most.Load(); n > 1 {
+		t.Errorf("the active set held %d jobs under MaxActive 1", n)
+	}
+	if first.Attempts() != 2 {
+		t.Errorf("the flaky job made %d attempts, want 2", first.Attempts())
+	}
+	if len(views) != 2 || views[1] != 1 {
+		t.Errorf("admission views saw Active = %v, want the backed-off job counted at the second Submit ([0 1])", views)
+	}
+	if _, err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestPoolAbortRacesFailingAttempt: Pool.Abort against a job whose every
 // attempt fails at once, with retries to spare and no backoff — the abort
 // lands while a worker is failing the attempt, while the job backs off, or

@@ -73,7 +73,8 @@ type Config struct {
 	// with Job.Trace, at any time.
 	Trace *trace.Recorder
 	// MaxActive is the admission high-water mark: at most this many jobs
-	// run concurrently (0 = unlimited). A Submit above the mark fails with
+	// run concurrently (0 = unlimited), a job waiting out a retry backoff
+	// counted with the running ones. A Submit above the mark fails with
 	// ErrPoolSaturated, or queues when Queue is set; queued jobs activate
 	// in submit order as active jobs finish.
 	MaxActive int
@@ -325,7 +326,7 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 			return nil, fmt.Errorf("tenant: submit %q: %w", j.cfg.Name, err)
 		}
 	}
-	if p.cfg.MaxActive > 0 && len(p.active) >= p.cfg.MaxActive && !p.cfg.Queue {
+	if p.cfg.MaxActive > 0 && p.activeLocked() >= p.cfg.MaxActive && !p.cfg.Queue {
 		p.mu.Unlock()
 		p.classInc(j.cfg.Class, classRejected)
 		return nil, fmt.Errorf("tenant: submit %q: %d jobs active: %w",
@@ -337,8 +338,9 @@ func (p *Pool) Submit(prog *core.Program, opt core.Options, jc JobConfig) (*Job,
 		rec.AddJob(j.cfg.Name)
 	}
 	p.jobs = append(p.jobs, j)
-	if p.cfg.MaxActive > 0 && len(p.active) >= p.cfg.MaxActive {
-		// Admitted but queued: the manager starts when a slot frees.
+	if p.cfg.MaxActive > 0 && p.activeLocked() >= p.cfg.MaxActive {
+		// Admitted but queued: the manager starts when a slot frees (a
+		// job waiting out a retry backoff keeps its slot).
 		p.waitq = append(p.waitq, j)
 	} else {
 		p.activate(j, Queued)

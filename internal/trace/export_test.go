@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -120,4 +121,35 @@ func TestGanttScaling(t *testing.T) {
 	if out == "" || strings.Count(out, "A") > 12 {
 		t.Errorf("scaled render wrong:\n%s", out)
 	}
+}
+
+// SortedTake is Take's referee: the rings' events gathered and sorted
+// whole, with Take's description. The recorder must be quiescent.
+func (r *Recorder) SortedTake() *Trace {
+	tr := r.Take()
+	var ev []Event
+	for i := range r.rings {
+		g := &r.rings[i]
+		g.read(g.lo.Load(), math.MaxUint64, func(run []Event) { ev = append(ev, run...) })
+	}
+	slices.SortFunc(ev, byTimeSeq)
+	tr.Events = ev
+	return tr
+}
+
+// RingsInOrder reports how many of the recorder's rings hold events, and
+// whether each of those is in trace order — whether Take merges them or
+// sorts.
+func (r *Recorder) RingsInOrder() (busy int, sorted bool) {
+	sorted = true
+	for i := range r.rings {
+		g := &r.rings[i]
+		var ev []Event
+		g.read(g.lo.Load(), math.MaxUint64, func(run []Event) { ev = append(ev, run...) })
+		if len(ev) > 0 {
+			busy++
+			sorted = sorted && slices.IsSortedFunc(ev, byTimeSeq)
+		}
+	}
+	return busy, sorted
 }

@@ -484,6 +484,71 @@ func byTimeSeq(a, b Event) int {
 	return cmp.Compare(a.Seq, b.Seq)
 }
 
+// inOrder puts ev — the rings' events back to back, ring i's ending at
+// ends[i] — in trace order. A ring is usually in that order already (its
+// writer records in time order), and then the non-empty rings merge
+// through a heap on their heads, O(N log R) for N events in R busy rings,
+// into a second slice of N events; a ring out of order sends the whole to
+// a sort in place.
+func inOrder(ev []Event, ends []int) []Event {
+	runs := make([]span, 0, len(ends)) // the busy rings' unmerged events, a heap on their heads
+	lo := 0
+	for _, end := range ends {
+		if !slices.IsSortedFunc(ev[lo:end], byTimeSeq) {
+			slices.SortFunc(ev, byTimeSeq)
+			return ev
+		}
+		if end > lo {
+			runs = append(runs, span{lo, end})
+		}
+		lo = end
+	}
+	if len(runs) <= 1 {
+		return ev
+	}
+	for i := len(runs)/2 - 1; i >= 0; i-- {
+		siftDown(ev, runs, i)
+	}
+	out := make([]Event, 0, len(ev))
+	for len(runs) > 0 {
+		top := &runs[0]
+		out = append(out, ev[top.lo])
+		if top.lo++; top.lo == top.hi {
+			runs[0] = runs[len(runs)-1]
+			runs = runs[:len(runs)-1]
+		}
+		siftDown(ev, runs, 0)
+	}
+	return out
+}
+
+// span is the events ev[lo:hi] of one ring that inOrder has yet to merge.
+type span struct{ lo, hi int }
+
+// siftDown restores the heap order of runs, by each one's head event,
+// below runs[i].
+func siftDown(ev []Event, runs []span, i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(runs) && before(&ev[runs[c].lo], &ev[runs[least].lo]) {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		runs[i], runs[least] = runs[least], runs[i]
+		i = least
+	}
+}
+
+// before reports whether a comes before b in trace order (byTimeSeq,
+// without copying the events).
+func before(a, b *Event) bool {
+	return a.Time < b.Time || a.Time == b.Time && a.Seq < b.Seq
+}
+
 // Take merges every ring and the Emit channel into one Trace ordered by
 // (Time, Seq) — everything recorded so far, or everything a bounded
 // recorder still retains. It does not consume the rings, so a second
@@ -496,6 +561,7 @@ func (r *Recorder) Take() *Trace {
 		n += r.rings[i].Len()
 	}
 	ev := make([]Event, 0, n)
+	ends := make([]int, len(r.rings))
 	for i := range r.rings {
 		g := &r.rings[i]
 		mark := len(ev)
@@ -504,9 +570,10 @@ func (r *Recorder) Take() *Trace {
 			// oldest event.
 			ev = ev[:mark]
 		}
+		ends[i] = len(ev)
 	}
 	r.visited.Add(uint64(len(ev)))
-	slices.SortFunc(ev, byTimeSeq)
+	ev = inOrder(ev, ends)
 	r.mu.Lock()
 	meta := r.meta
 	meta.Jobs = slices.Clone(meta.Jobs)
@@ -525,6 +592,7 @@ func (r *Recorder) Take() *Trace {
 func (r *Recorder) TakeJob(job int, from, to Cursor) (*Trace, error) {
 	var ev []Event
 	var visited uint64
+	ends := make([]int, len(r.rings))
 	for i := range r.rings {
 		end := uint64(math.MaxUint64)
 		if to != nil {
@@ -541,9 +609,10 @@ func (r *Recorder) TakeJob(job int, from, to Cursor) (*Trace, error) {
 		if !ok {
 			return nil, ErrRecycled
 		}
+		ends[i] = len(ev)
 	}
 	r.visited.Add(visited)
-	slices.SortFunc(ev, byTimeSeq)
+	ev = inOrder(ev, ends)
 	cut := -1
 	for i := len(ev) - 1; i >= 0; i-- {
 		if ev[i].Kind == KRetry {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -450,5 +451,82 @@ func TestBoundedRecorderRecyclesUnderReaders(t *testing.T) {
 	got, err := rec.TakeJob(1, from, nil)
 	if err != nil || len(got.Events) != 1 {
 		t.Fatalf("TakeJob of a fresh extent: %d events, err %v", len(got.Events), err)
+	}
+}
+
+// Take merges rings that are each in trace order by a scan over their
+// heads, and sorts when one is not; either way it returns what sorting
+// every event does, and TakeJob what filtering that does.
+func TestTakeMergeEqualsSort(t *testing.T) {
+	const rings = 4
+	ordered := func(rec *Recorder) {
+		var wg sync.WaitGroup
+		for w := 0; w < rings; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				g := rec.Ring(w)
+				for i := 0; i < 3*chunkEvents/2; i++ {
+					g.Record(KDispatch, rec.Now(), int32(w), int32(i%3), 0, uint32(i), uint32(i+1), 0)
+				}
+			}(w)
+		}
+		wg.Wait()
+		rec.Emit(KFinish, rec.Now(), -1, 0, -1, 0, 0, 0)
+	}
+	for _, c := range []struct {
+		name   string
+		fill   func(*Recorder)
+		merged bool
+	}{
+		{"rings in order", ordered, true},
+		{"a ring out of order", func(rec *Recorder) { jobCorpus(rec, rings, chunkEvents) }, false},
+	} {
+		rec := NewRecorder(Meta{Backend: "pool", Workers: rings, TimeUnit: UnitNanos}, rings)
+		from := rec.Cursor()
+		c.fill(rec)
+		if busy, sorted := rec.RingsInOrder(); sorted != c.merged || busy < 2 {
+			t.Fatalf("%s: %d rings with events, all in order: %v", c.name, busy, sorted)
+		}
+		want := rec.SortedTake()
+		checkSameTrace(t, c.name, rec.Take(), want)
+		for job := 0; job < 3; job++ {
+			got, err := rec.TakeJob(job, from, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameTrace(t, fmt.Sprintf("%s, job %d", c.name, job), got, want.FilterJob(job))
+		}
+	}
+}
+
+// BenchmarkTake prices Take's merge of in-order rings against sorting the
+// same events whole, on a recorder of workers+1 rings (the last one idle,
+// as a pool's emit ring mostly is) whose 1<<17 events interleave in time
+// across the workers the way a pool's dispatches do.
+func BenchmarkTake(b *testing.B) {
+	const events = 1 << 17
+	for _, workers := range []int{8, 32, 64} {
+		rec := NewRecorder(Meta{Backend: "pool", Workers: workers, TimeUnit: UnitNanos}, workers)
+		for i := 0; i < events; i++ {
+			rec.Ring(i%workers).Record(KDispatch, int64(i), int32(i%workers), 0, 0, uint32(i), uint32(i+1), 0)
+		}
+		b.Run(fmt.Sprintf("workers=%d/merge", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec.Take()
+			}
+		})
+		b.Run(fmt.Sprintf("workers=%d/sort", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ev := make([]Event, 0, events)
+				for r := range rec.rings {
+					g := &rec.rings[r]
+					g.read(g.lo.Load(), math.MaxUint64, func(run []Event) { ev = append(ev, run...) })
+				}
+				slices.SortFunc(ev, byTimeSeq)
+			}
+		})
 	}
 }

@@ -281,6 +281,7 @@ func (c *runnerConfig) runVirtual(ctx context.Context, jobs []Job, single bool) 
 	rep.Faults = res.Faults
 	rep.Retries = res.Retries
 	var firstErr error
+	rep.Jobs = make([]JobReport, 0, len(res.Jobs))
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
 		rep.Tasks += j.Sched.Dispatches
